@@ -25,16 +25,13 @@ from .eventlog import (
 )
 from .splitting import PrefixSample, SplitLog, make_prefix_samples, temporal_split
 from .encoding import (
-    EmbeddingTable,
     FeatureMatrix,
     Normalizer,
     PrefixEncoder,
     encode_continuous_windows,
-    encode_prefixes_padded,
     frequency_encode,
     ngram_hash_encode,
     ngram_universe_size,
-    normalize,
     onehot,
     time_features,
 )
@@ -44,12 +41,9 @@ from .models import (
     Predictor,
     TrainConfig,
     TrainReport,
-    autoencoder_classifier,
     build_predictor,
     load_predictor,
     markov_predict,
-    mlp_model,
-    recurrent_model,
     save_predictor,
     train,
 )

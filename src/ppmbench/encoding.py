@@ -139,11 +139,6 @@ class Normalizer:
         return norm
 
 
-def normalize(values, normalizer: Normalizer) -> np.ndarray:
-    """Apply a fitted normalizer to a value sequence."""
-    return normalizer.transform(values)
-
-
 # ---------------------------------------------------------------------------
 # hashed n-grams
 # ---------------------------------------------------------------------------
@@ -232,22 +227,6 @@ class FeatureMatrix:
             raise ValueError("FeatureMatrix needs values (T, F) and mask (T,)")
 
 
-@dataclass(frozen=True)
-class EmbeddingTable:
-    """Dense lookup table with one row per category (end-of-case and
-    missing-marker included); used when the model learns its own embeddings."""
-
-    weights: np.ndarray
-    trainable: bool = True
-
-    def __post_init__(self):
-        if self.weights.ndim != 2:
-            raise ValueError("embedding weights must be 2-D")
-
-    def lookup(self, indices) -> np.ndarray:
-        return self.weights[np.asarray(indices, dtype=np.int64)]
-
-
 class PrefixEncoder:
     """Turns event prefixes into fixed-size left-padded feature matrices.
 
@@ -329,6 +308,12 @@ class PrefixEncoder:
         return self.layout.num_features
 
     def encode(self, events: Sequence[Event]) -> FeatureMatrix:
+        """Encode one prefix.
+
+        Takes the last ``min(len, window)`` events and left-pads with zero rows
+        up to the encoder's sequence length; prefixes that still exceed it keep
+        the most recent events and the layout carries a truncation flag.
+        """
         if not self.fitted or self.max_len is None:
             raise NotFittedError("prefix encoder used before fit()")
         if not events:
@@ -404,16 +389,6 @@ class PrefixEncoder:
             enc.elapsed_norm = Normalizer.from_state(state["elapsed_norm"])
         enc.fitted = True
         return enc
-
-
-def encode_prefixes_padded(events: Sequence[Event], encoder: PrefixEncoder) -> FeatureMatrix:
-    """Encode one prefix with a fitted :class:`PrefixEncoder`.
-
-    Takes the last ``min(len, window)`` events and left-pads with zero rows up
-    to the encoder's sequence length; prefixes that still exceed it keep the
-    most recent events and the layout carries a truncation flag.
-    """
-    return encoder.encode(events)
 
 
 # ---------------------------------------------------------------------------

@@ -117,10 +117,6 @@ class Event:
     timestamp_ms: int
     attributes: Mapping[str, str] = field(default_factory=dict)
 
-    @property
-    def timestamp_s(self) -> float:
-        return self.timestamp_ms / 1000.0
-
 
 @dataclass(frozen=True)
 class Trace:

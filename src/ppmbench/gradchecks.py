@@ -8,16 +8,11 @@ import numpy as np
 
 from . import nnkernel as nn
 from .eventlog import Event, EventLog, Trace, Vocabulary, augment_eoc
-from .models import (
-    MLPPredictor,
-    RecurrentPredictor,
-    TrainConfig,
-    _heads_loss_backward,
-    _targets,
-)
+from .models import TrainConfig, _reconstruction_loss, build_predictor
 from .splitting import make_prefix_samples
 
 GRADCHECK_GATE = 1e-4
+GRADCHECK_ARCHITECTURES = ("mlp", "rnn", "lstm", "gru", "autoencoder")
 
 
 def _tiny_samples(seed: int = 0):
@@ -41,101 +36,30 @@ def _tiny_samples(seed: int = 0):
     return make_prefix_samples(log), log.activity_vocab
 
 
-def _predictor_gradcheck(predictor, samples, seed: int) -> float:
+def architecture_gradcheck(arch: str, seed: int = 0) -> float:
+    """Max relative gradient error of one architecture's shipped training
+    loss; for the autoencoder, the larger of its fine-tune loss and its
+    layerwise reconstruction loss."""
+    if arch not in GRADCHECK_ARCHITECTURES:
+        raise ValueError(f"unknown architecture {arch!r}")
+    samples, vocab = _tiny_samples(seed)
+    config = TrainConfig(hidden=6, layers=2, time_target="next", ngram_dim=10, ae_hidden=(8, 5))
+    predictor = build_predictor(arch, config, vocab)
     predictor.dtype = np.float64
-    predictor._prepare(samples)
-    X, M = predictor._encode_inputs(samples)
-    y_act, deltas, remaining = _targets(samples, predictor.activity_vocab)
-    y_time = None
-    if predictor.config.time_target is not None:
-        from .encoding import Normalizer
-
-        raw = deltas if predictor.config.time_target == "next" else remaining
-        predictor.time_norm = Normalizer("log").fit(raw)
-        y_time = predictor.time_norm.transform(raw)
+    X, M, y_act, y_time = predictor._fit_arrays(samples)
     rng = np.random.default_rng(seed)
     params = predictor._build_params(rng)
-
-    def loss_fn(p):
-        logits, tpred, caches = predictor._forward(p, X, M, True)
-        loss, dlast, grads = _heads_loss_backward(
-            p, logits, tpred, caches["act_cache"], caches["time_cache"], y_act, y_time
-        )
-        grads.update(predictor._backward(p, caches, dlast))
-        return loss, grads
-
-    return nn.gradcheck(loss_fn, params)
-
-
-def _stacked_autoencoder_gradcheck(seed: int) -> float:
-    """Full stacked undercomplete autoencoder (tanh encoders, linear decoders)
-    plus the softmax head, checked jointly under the combined loss."""
-    rng = np.random.default_rng(seed)
-    n, d0, d1, d2, k = 6, 10, 8, 5, 3
-    X = rng.normal(size=(n, d0))
-    y = rng.integers(0, k, size=n)
-    params = {
-        "We0": nn.glorot_uniform(rng, d0, d1, np.float64),
-        "be0": np.zeros(d1),
-        "We1": nn.glorot_uniform(rng, d1, d2, np.float64),
-        "be1": np.zeros(d2),
-        "Wd1": nn.glorot_uniform(rng, d2, d1, np.float64),
-        "bd1": np.zeros(d1),
-        "Wd0": nn.glorot_uniform(rng, d1, d0, np.float64),
-        "bd0": np.zeros(d0),
-        "Wcls": nn.glorot_uniform(rng, d2, k, np.float64),
-        "bcls": np.zeros(k),
-    }
-
-    def loss_fn(p):
-        z0, c0 = nn.affine_forward(X, p["We0"], p["be0"])
-        h1 = np.tanh(z0)
-        z1, c1 = nn.affine_forward(h1, p["We1"], p["be1"])
-        h2 = np.tanh(z1)
-        r1, cr1 = nn.affine_forward(h2, p["Wd1"], p["bd1"])
-        r0, cr0 = nn.affine_forward(r1, p["Wd0"], p["bd0"])
-        recon_loss, dr0 = nn.mse_loss(r0, X)
-        logits, ccls = nn.affine_forward(h2, p["Wcls"], p["bcls"])
-        ce, dlogits = nn.softmax_cross_entropy(logits, y)
-        loss = nn.combine_losses([recon_loss, ce])
-
-        dr1, g_d0 = nn.affine_backward(cr0, dr0)
-        dh2_recon, g_d1 = nn.affine_backward(cr1, dr1)
-        dh2_cls, g_cls = nn.affine_backward(ccls, dlogits)
-        dh2 = dh2_recon + dh2_cls
-        dz1 = dh2 * (1.0 - h2 * h2)
-        dh1, g_e1 = nn.affine_backward(c1, dz1)
-        dz0 = dh1 * (1.0 - h1 * h1)
-        _, g_e0 = nn.affine_backward(c0, dz0)
-        grads = {
-            "We0": g_e0["W"], "be0": g_e0["b"],
-            "We1": g_e1["W"], "be1": g_e1["b"],
-            "Wd1": g_d1["W"], "bd1": g_d1["b"],
-            "Wd0": g_d0["W"], "bd0": g_d0["b"],
-            "Wcls": g_cls["W"], "bcls": g_cls["b"],
-        }
-        return loss, grads
-
-    return nn.gradcheck(loss_fn, params)
-
-
-def architecture_gradcheck(arch: str, seed: int = 0) -> float:
-    """Max relative gradient error of one architecture's full training loss."""
+    error = nn.gradcheck(lambda p: predictor._batch_loss(p, X, M, y_act, y_time), params)
     if arch == "autoencoder":
-        return _stacked_autoencoder_gradcheck(seed)
-    samples, vocab = _tiny_samples(seed)
-    config = TrainConfig(hidden=6, layers=2, time_target="next")
-    if arch == "mlp":
-        predictor = MLPPredictor(vocab, config=config)
-    elif arch in nn.CELLS:
-        predictor = RecurrentPredictor(arch, vocab, config=config)
-    else:
-        raise ValueError(f"unknown architecture {arch!r}")
-    return _predictor_gradcheck(predictor, samples, seed)
+        recon = {
+            "We": params["enc0:W"],
+            "be": params["enc0:b"],
+            "Wd": nn.glorot_uniform(rng, config.ae_hidden[0], config.ngram_dim, np.float64),
+            "bd": np.zeros(config.ngram_dim),
+        }
+        error = max(error, nn.gradcheck(lambda p: _reconstruction_loss(p, X), recon))
+    return error
 
 
 def all_gradchecks(seed: int = 0) -> dict[str, float]:
-    return {
-        arch: architecture_gradcheck(arch, seed)
-        for arch in ("mlp", "rnn", "lstm", "gru", "autoencoder")
-    }
+    return {arch: architecture_gradcheck(arch, seed) for arch in GRADCHECK_ARCHITECTURES}

@@ -49,8 +49,9 @@ class SuffixPrediction:
 def _check_distribution(probs: np.ndarray) -> None:
     if probs.ndim != 1 or probs.size == 0:
         raise ValueError("model output is not a probability vector")
-    if np.any(probs < -1e-9) or abs(float(probs.sum()) - 1.0) > 1e-6:
-        raise ValueError(f"model output is not a distribution (sum={float(probs.sum())!r})")
+    mass = float(probs.sum())
+    if not math.isfinite(mass) or np.any(probs < -1e-9) or abs(mass - 1.0) > 1e-6:
+        raise ValueError(f"model output is not a distribution (sum={mass!r})")
 
 
 def _extend(events: tuple[Event, ...], activity: str, delta: float, attr_names) -> tuple[Event, ...]:

@@ -32,8 +32,9 @@ def brier(prob_vectors: Sequence[np.ndarray], truths: Sequence[int]) -> float:
     total = 0.0
     for probs, truth in zip(prob_vectors, truths):
         probs = np.asarray(probs, dtype=np.float64)
-        if abs(float(probs.sum()) - 1.0) > 1e-6:
-            raise ValueError(f"prediction does not sum to 1: {float(probs.sum())!r}")
+        mass = float(probs.sum())
+        if not np.isfinite(mass) or abs(mass - 1.0) > 1e-6:
+            raise ValueError(f"prediction does not sum to 1: {mass!r}")
         onehot = np.zeros_like(probs)
         onehot[truth] = 1.0
         total += float(((probs - onehot) ** 2).sum())

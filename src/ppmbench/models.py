@@ -112,6 +112,22 @@ class Predictor:
     def predict(self, events: Sequence[Event]) -> tuple[np.ndarray, float | None]:
         raise NotImplementedError
 
+    def _save(self, path_prefix: Path, seed: int) -> None:
+        """Write the checkpoint: the ``<prefix>.json`` sidecar plus any files
+        the model keeps next to it. The directory exists."""
+        raise NotImplementedError
+
+    def _restore(self, sidecar: Mapping, path_prefix: Path) -> None:
+        """Load the trained state that :meth:`_save` wrote into a predictor
+        built from the sidecar's architecture, config and vocabularies."""
+        raise NotImplementedError
+
+
+def _write_sidecar(path_prefix: Path, sidecar: dict) -> None:
+    path_prefix.with_suffix(".json").write_text(
+        json.dumps(sidecar, indent=2, sort_keys=True), encoding="utf-8"
+    )
+
 
 # ---------------------------------------------------------------------------
 # Markov baseline (count-based oracle)
@@ -228,7 +244,9 @@ class MarkovPredictor(Predictor):
                 break
         return probs, delta
 
-    def state(self) -> dict:
+    def _save(self, path_prefix, seed):
+        """The JSON sidecar alone: the count tables are the whole model."""
+
         def pack(tables, values):
             out = []
             for table in tables:
@@ -241,12 +259,27 @@ class MarkovPredictor(Predictor):
                 out.append(rows)
             return out
 
-        return {"counts": pack(self.tables, False), "deltas": pack(self.delta_tables, True)}
+        _write_sidecar(
+            path_prefix,
+            {
+                "format_version": SIDECAR_VERSION,
+                "architecture": "markov",
+                "seed": seed,
+                "config": {"order": self.config.order, "alpha": self.config.alpha},
+                "activity_vocab": list(self.activity_vocab.labels),
+                "attribute_vocabs": {},
+                "state": {
+                    "counts": pack(self.tables, False),
+                    "deltas": pack(self.delta_tables, True),
+                },
+            },
+        )
 
-    def restore(self, state: Mapping) -> None:
+    def _restore(self, sidecar, path_prefix):
         def unpack_ctx(text: str) -> tuple[str, ...]:
             return tuple(text.split("\x1f")) if text else ()
 
+        state = sidecar["state"]
         self.tables = [
             {unpack_ctx(ctx): Counter({int(k): v for k, v in counts.items()}) for ctx, counts in table}
             for table in state["counts"]
@@ -261,11 +294,10 @@ class MarkovPredictor(Predictor):
 # shared neural plumbing
 # ---------------------------------------------------------------------------
 
-def _targets(samples, vocab: Vocabulary):
-    y_act = np.array([vocab.index(s.next_activity) for s in samples], dtype=np.int64)
-    deltas = np.array([s.next_time_delta for s in samples], dtype=np.float64)
-    remaining = np.array([s.remaining_time for s in samples], dtype=np.float64)
-    return y_act, deltas, remaining
+def _time_values(samples, time_target: str) -> np.ndarray:
+    if time_target == "next":
+        return np.array([s.next_time_delta for s in samples], dtype=np.float64)
+    return np.array([s.remaining_time for s in samples], dtype=np.float64)
 
 
 def _sgd_train(
@@ -277,7 +309,9 @@ def _sgd_train(
     seed: int,
 ) -> tuple[dict[str, np.ndarray], TrainReport]:
     """Mini-batch SGD with per-epoch validation, early stopping, and
-    best-validation checkpointing. Deterministic for a fixed seed."""
+    best-validation checkpointing. Deterministic for a fixed seed. A
+    non-finite batch loss stops training with ``ValueError`` before the
+    update it would feed."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     opt = nn.SGD(config.lr, config.momentum, config.clip_norm)
@@ -293,6 +327,8 @@ def _sgd_train(
         for s in range(0, n_train, config.batch_size):
             idx = order[s : s + config.batch_size]
             loss, grads = batch_step(params, idx)
+            if not np.isfinite(loss):
+                raise ValueError(f"non-finite training loss {loss!r} in epoch {epoch}")
             opt.step(params, grads)
             total += loss
             batches += 1
@@ -374,14 +410,17 @@ class _NeuralPredictor(Predictor):
     ):
         self.activity_vocab = activity_vocab
         self.attribute_vocabs = dict(attribute_vocabs or {})
-        self.config = config or TrainConfig()
-        self.time_target = self.config.time_target
+        self._set_config(config or TrainConfig())
         self.params: dict[str, np.ndarray] = {}
         self.encoder: PrefixEncoder | None = None
         self.time_norm: Normalizer | None = None
         self.dtype = np.float32
 
     # hooks -------------------------------------------------------------
+    def _set_config(self, config: TrainConfig) -> None:
+        self.config = config
+        self.time_target = config.time_target
+
     def _prepare(self, train_samples) -> None:
         self.encoder = self._make_encoder()
         self.encoder.fit(train_samples)
@@ -394,6 +433,10 @@ class _NeuralPredictor(Predictor):
 
     def _build_params(self, rng) -> dict[str, np.ndarray]:
         raise NotImplementedError
+
+    def _pretrain(self, params, X, y_act, rng, seed: int) -> dict[str, np.ndarray]:
+        """Training stages that run before the shared one; none by default."""
+        return params
 
     def _forward(self, params, X, M, with_cache: bool):
         raise NotImplementedError
@@ -414,51 +457,70 @@ class _NeuralPredictor(Predictor):
             max_len=cfg.max_len,
         )
 
+    def _fit_arrays(self, train_samples):
+        """Fit the input encoding and the time normalizer on the training
+        samples, then return the training arrays (see :meth:`_arrays`)."""
+        self._prepare(train_samples)
+        if self.config.time_target is not None:
+            self.time_norm = Normalizer("log").fit(
+                _time_values(train_samples, self.config.time_target)
+            )
+        return self._arrays(train_samples)
+
+    def _arrays(self, samples):
+        """Inputs, mask, activity targets and normalized time targets."""
+        X, M = self._encode_inputs(samples)
+        y_act = np.array(
+            [self.activity_vocab.index(s.next_activity) for s in samples], dtype=np.int64
+        )
+        y_time = None
+        if self.config.time_target is not None:
+            y_time = self.time_norm.transform(_time_values(samples, self.config.time_target))
+        return X, M, y_act, y_time
+
+    def _batch_loss(self, params, X, M, y_act, y_time):
+        """Training loss of one batch and its gradient for every parameter."""
+        logits, tpred, caches = self._forward(params, X, M, True)
+        loss, dlast, grads = _heads_loss_backward(
+            params, logits, tpred, caches["act_cache"], caches["time_cache"], y_act, y_time
+        )
+        grads.update(self._backward(params, caches, dlast))
+        return loss, grads
+
     def fit(self, train_samples, val_samples, config=None, seed=0) -> TrainReport:
+        start = time.perf_counter()
         if config is not None:
-            self.config = config
-            self.time_target = config.time_target
-        cfg = self.config
+            self._set_config(config)
         if not train_samples:
             raise ValueError("no training samples")
-        self._prepare(train_samples)
-        X, M = self._encode_inputs(train_samples)
-        y_act, deltas, remaining = _targets(train_samples, self.activity_vocab)
-        y_time = None
-        if cfg.time_target is not None:
-            raw = deltas if cfg.time_target == "next" else remaining
-            self.time_norm = Normalizer("log").fit(raw)
-            y_time = self.time_norm.transform(raw)
-        have_val = bool(val_samples)
-        if have_val:
-            Xv, Mv = self._encode_inputs(val_samples)
-            yv_act, dv, rv = _targets(val_samples, self.activity_vocab)
-            yv_time = None
-            if cfg.time_target is not None:
-                yv_time = self.time_norm.transform(dv if cfg.time_target == "next" else rv)
+        X, M, y_act, y_time = self._fit_arrays(train_samples)
+        val_loss = None
+        if val_samples:
+            Xv, Mv, yv_act, yv_time = self._arrays(val_samples)
+
+            def val_loss(p):
+                logits, tpred, _ = self._forward(p, Xv, Mv, False)
+                losses = [nn.softmax_cross_entropy(logits, yv_act)[0]]
+                if tpred is not None and yv_time is not None:
+                    losses.append(nn.mae_loss(tpred[:, 0], yv_time)[0])
+                return nn.combine_losses(losses)
+
         rng = np.random.default_rng(seed)
-        params = self._build_params(rng)
+        params = self._pretrain(self._build_params(rng), X, y_act, rng, seed)
 
         def batch_step(p, idx):
-            logits, tpred, caches = self._forward(p, X[idx], M[idx] if M is not None else None, True)
-            y_t = y_time[idx] if y_time is not None else None
-            loss, dlast, grads = _heads_loss_backward(
-                p, logits, tpred, caches["act_cache"], caches["time_cache"], y_act[idx], y_t
+            return self._batch_loss(
+                p,
+                X[idx],
+                M[idx] if M is not None else None,
+                y_act[idx],
+                y_time[idx] if y_time is not None else None,
             )
-            grads.update(self._backward(p, caches, dlast))
-            return loss, grads
-
-        def val_loss(p):
-            logits, tpred, _ = self._forward(p, Xv, Mv, False)
-            losses = [nn.softmax_cross_entropy(logits, yv_act)[0]]
-            if tpred is not None and yv_time is not None:
-                losses.append(nn.mae_loss(tpred[:, 0], yv_time)[0])
-            return nn.combine_losses(losses)
 
         self.params, report = _sgd_train(
-            params, batch_step, val_loss if have_val else None, len(train_samples), cfg, seed
+            params, batch_step, val_loss, len(train_samples), self.config, seed
         )
-        return report
+        return replace(report, wall_clock_seconds=time.perf_counter() - start)
 
     def predict(self, events):
         if not self.params:
@@ -476,45 +538,44 @@ class _NeuralPredictor(Predictor):
         return mat.values[None].astype(self.dtype), mat.mask[None]
 
     # checkpointing ---------------------------------------------------------
-    def _sidecar(self, seed: int) -> dict:
-        cfg = asdict(self.config)
-        cfg["ae_hidden"] = list(self.config.ae_hidden)
-        cfg["attributes"] = list(self.config.attributes)
-        vocab_blob = json.dumps(
+    def _vocab_sha256(self) -> str:
+        blob = json.dumps(
             {
                 "activities": list(self.activity_vocab.labels),
                 "attributes": {k: list(v.labels) for k, v in self.attribute_vocabs.items()},
             },
             sort_keys=True,
         )
-        return {
-            "format_version": SIDECAR_VERSION,
-            "architecture": self.architecture,
-            "seed": seed,
-            "config": cfg,
-            "activity_vocab": list(self.activity_vocab.labels),
-            "attribute_vocabs": {k: list(v.labels) for k, v in self.attribute_vocabs.items()},
-            "encoder": self.encoder.state() if self.encoder else None,
-            "time_norm": self.time_norm.state() if self.time_norm else None,
-            "extra": self._sidecar_extra(),
-            "vocab_sha256": hashlib.sha256(vocab_blob.encode()).hexdigest(),
-        }
+        return hashlib.sha256(blob.encode()).hexdigest()
 
     def _sidecar_extra(self) -> dict:
         return {}
 
-    def save(self, path_prefix: str | Path, seed: int = 0) -> None:
-        path_prefix = Path(path_prefix)
-        path_prefix.parent.mkdir(parents=True, exist_ok=True)
+    def _save(self, path_prefix, seed):
+        """``<prefix>.npz`` with the parameters plus the JSON sidecar."""
         nn.save_params(
             path_prefix.with_suffix(".npz"), self.params, {"architecture": self.architecture}
         )
-        path_prefix.with_suffix(".json").write_text(
-            json.dumps(self._sidecar(seed), indent=2, sort_keys=True), encoding="utf-8"
+        _write_sidecar(
+            path_prefix,
+            {
+                "format_version": SIDECAR_VERSION,
+                "architecture": self.architecture,
+                "seed": seed,
+                "config": asdict(self.config),
+                "activity_vocab": list(self.activity_vocab.labels),
+                "attribute_vocabs": {k: list(v.labels) for k, v in self.attribute_vocabs.items()},
+                "encoder": self.encoder.state() if self.encoder else None,
+                "time_norm": self.time_norm.state() if self.time_norm else None,
+                "extra": self._sidecar_extra(),
+                "vocab_sha256": self._vocab_sha256(),
+            },
         )
 
-    def _restore(self, sidecar: Mapping, params: dict) -> None:
-        self.params = params
+    def _restore(self, sidecar, path_prefix):
+        if sidecar.get("vocab_sha256") != self._vocab_sha256():
+            raise ValueError("checkpoint vocabularies do not match their vocab_sha256")
+        self.params, _ = nn.load_params(path_prefix.with_suffix(".npz"))
         if sidecar.get("encoder"):
             self.encoder = PrefixEncoder.from_state(
                 sidecar["encoder"], self.activity_vocab, self.attribute_vocabs
@@ -725,6 +786,24 @@ class MLPPredictor(_NeuralPredictor):
     def _sidecar_extra(self) -> dict:
         return {"decay_seconds": self.decay_seconds, "flat_dim": self._flat_dim}
 
+    def _restore(self, sidecar, path_prefix):
+        super()._restore(sidecar, path_prefix)
+        extra = sidecar.get("extra") or {}
+        self.decay_seconds = extra.get("decay_seconds")
+        self._flat_dim = extra.get("flat_dim")
+
+
+def _reconstruction_loss(params, x):
+    """MSE reconstruction of ``x`` through one tanh encoder layer (``We``,
+    ``be``) and its linear decoder (``Wd``, ``bd``), with its gradient."""
+    z, ecache = nn.affine_forward(x, params["We"], params["be"])
+    h = np.tanh(z)
+    recon, dcache = nn.affine_forward(h, params["Wd"], params["bd"])
+    loss, drecon = nn.mse_loss(recon, x)
+    dh, dgrads = nn.affine_backward(dcache, drecon)
+    _, egrads = nn.affine_backward(ecache, dh * (1.0 - h * h))
+    return loss, {"We": egrads["W"], "be": egrads["b"], "Wd": dgrads["W"], "bd": dgrads["b"]}
+
 
 class AutoencoderPredictor(_NeuralPredictor):
     """Stacked undercomplete autoencoder over hashed n-gram prefix vectors,
@@ -735,16 +814,17 @@ class AutoencoderPredictor(_NeuralPredictor):
     architecture = "autoencoder"
 
     def __init__(self, activity_vocab, attribute_vocabs=None, config=None):
-        config = replace(config, time_target=None) if config else TrainConfig(time_target=None)
         super().__init__(activity_vocab, attribute_vocabs, config)
-        self.time_target = None
-        dims = [config.ngram_dim, *config.ae_hidden]
+        dims = [self.config.ngram_dim, *self.config.ae_hidden]
         for smaller, larger in zip(dims[1:], dims):
             if smaller >= larger:
                 raise ValueError(
                     f"undercompleteness violated: hidden {smaller} >= input {larger}"
                 )
         self.recon_losses: list[tuple[float, ...]] = []
+
+    def _set_config(self, config: TrainConfig) -> None:
+        super()._set_config(replace(config, time_target=None))
 
     def _prepare(self, train_samples) -> None:
         self.encoder = None
@@ -762,26 +842,6 @@ class AutoencoderPredictor(_NeuralPredictor):
     def _encode_inputs_single(self, events):
         return self._ngram_vector(events)[None].astype(self.dtype), None
 
-    def _encoder_stack(self, params, X, with_cache: bool):
-        current = X
-        caches = []
-        for layer in range(len(self.config.ae_hidden)):
-            z, a_cache = nn.affine_forward(current, params[f"enc{layer}:W"], params[f"enc{layer}:b"])
-            current = np.tanh(z)
-            caches.append((a_cache, current))
-        return current, caches
-
-    def _encoder_stack_backward(self, params, caches, dtop):
-        grads = {}
-        upstream = dtop
-        for layer in reversed(range(len(self.config.ae_hidden))):
-            a_cache, activated = caches[layer]
-            upstream = upstream * (1.0 - activated * activated)
-            upstream, layer_grads = nn.affine_backward(a_cache, upstream)
-            grads[f"enc{layer}:W"] = layer_grads["W"]
-            grads[f"enc{layer}:b"] = layer_grads["b"]
-        return grads
-
     def _build_params(self, rng):
         params: dict[str, np.ndarray] = {}
         in_dim = self.config.ngram_dim
@@ -792,26 +852,19 @@ class AutoencoderPredictor(_NeuralPredictor):
         params.update(_init_heads(rng, in_dim, len(self.activity_vocab), False, self.dtype))
         return params
 
-    def fit(self, train_samples, val_samples, config=None, seed=0) -> TrainReport:
-        if config is not None:
-            self.config = replace(config, time_target=None)
+    def _pretrain(self, params, X, y_act, rng, seed):
+        """Greedy layerwise reconstruction pretraining of the encoder stack,
+        then a head warmup with the encoder frozen."""
         cfg = self.config
-        if not train_samples:
-            raise ValueError("no training samples")
-        self._prepare(train_samples)
-        X, _ = self._encode_inputs(train_samples)
-        y_act, _, _ = _targets(train_samples, self.activity_vocab)
-        rng = np.random.default_rng(seed)
-        params = self._build_params(rng)
 
-        # stage 1: greedy layerwise reconstruction pretraining
+        def stage(epochs: int) -> TrainConfig:
+            return TrainConfig(
+                epochs=epochs, patience=epochs, batch_size=cfg.batch_size,
+                lr=cfg.lr, momentum=cfg.momentum, clip_norm=cfg.clip_norm,
+            )
+
         self.recon_losses = []
         current = X
-        pre_cfg = TrainConfig(
-            epochs=cfg.pretrain_epochs, patience=cfg.pretrain_epochs,
-            batch_size=cfg.batch_size, lr=cfg.lr, momentum=cfg.momentum,
-            clip_norm=cfg.clip_norm, time_target=None,
-        )
         for layer, hidden in enumerate(cfg.ae_hidden):
             in_dim = current.shape[1]
             layer_params = {
@@ -820,102 +873,63 @@ class AutoencoderPredictor(_NeuralPredictor):
                 "Wd": nn.glorot_uniform(rng, hidden, in_dim, self.dtype),
                 "bd": np.zeros(in_dim, dtype=self.dtype),
             }
-            data = current
-
-            def recon_step(p, idx, data=data):
-                x = data[idx]
-                z, ecache = nn.affine_forward(x, p["We"], p["be"])
-                h = np.tanh(z)
-                recon, dcache = nn.affine_forward(h, p["Wd"], p["bd"])
-                loss, drecon = nn.mse_loss(recon, x)
-                dh, dgrads = nn.affine_backward(dcache, drecon)
-                dz = dh * (1.0 - h * h)
-                _, egrads = nn.affine_backward(ecache, dz)
-                return loss, {
-                    "We": egrads["W"], "be": egrads["b"],
-                    "Wd": dgrads["W"], "bd": dgrads["b"],
-                }
-
             layer_params, layer_report = _sgd_train(
-                layer_params, recon_step, None, current.shape[0], pre_cfg, seed + layer + 1
+                layer_params,
+                lambda p, idx, data=current: _reconstruction_loss(p, data[idx]),
+                None,
+                current.shape[0],
+                stage(cfg.pretrain_epochs),
+                seed + layer + 1,
             )
             params[f"enc{layer}:W"] = layer_params["We"]
             params[f"enc{layer}:b"] = layer_params["be"]
             self.recon_losses.append(layer_report.train_losses)
             current = np.tanh(current @ layer_params["We"] + layer_params["be"])
 
-        # stage 2: frozen-encoder head warmup, then finetuning of everything
-        have_val = bool(val_samples)
-        if have_val:
-            Xv, _ = self._encode_inputs(val_samples)
-            yv_act, _, _ = _targets(val_samples, self.activity_vocab)
-
-        def head_only_step(p, idx):
-            feats, _ = self._encoder_stack(p, X[idx], False)
-            logits, _, act_cache, _ = _heads_forward(p, feats)
-            loss, dlogits = nn.softmax_cross_entropy(logits, y_act[idx])
-            _, head_grads = nn.affine_backward(act_cache, dlogits)
-            return loss, {"head_act:W": head_grads["W"], "head_act:b": head_grads["b"]}
-
-        def full_step(p, idx):
-            feats, caches = self._encoder_stack(p, X[idx], True)
-            logits, _, act_cache, _ = _heads_forward(p, feats)
-            loss, dlogits = nn.softmax_cross_entropy(logits, y_act[idx])
-            dfeats, head_grads = nn.affine_backward(act_cache, dlogits)
-            grads = {"head_act:W": head_grads["W"], "head_act:b": head_grads["b"]}
-            grads.update(self._encoder_stack_backward(p, caches, dfeats))
+        def head_step(p, idx):
+            logits, _, caches = self._forward(p, X[idx], None, True)
+            loss, _, grads = _heads_loss_backward(
+                p, logits, None, caches["act_cache"], None, y_act[idx], None
+            )
             return loss, grads
 
-        def val_loss(p):
-            feats, _ = self._encoder_stack(p, Xv, False)
-            logits, _, _, _ = _heads_forward(p, feats)
-            return nn.softmax_cross_entropy(logits, yv_act)[0]
-
-        warm_cfg = TrainConfig(
-            epochs=cfg.freeze_epochs, patience=cfg.freeze_epochs,
-            batch_size=cfg.batch_size, lr=cfg.lr, momentum=cfg.momentum,
-            clip_norm=cfg.clip_norm, time_target=None,
+        params, _ = _sgd_train(
+            params, head_step, None, X.shape[0], stage(cfg.freeze_epochs), seed + 101
         )
-        params, _ = _sgd_train(params, head_only_step, None, X.shape[0], warm_cfg, seed + 101)
-        params, report = _sgd_train(
-            params, full_step, val_loss if have_val else None, X.shape[0], cfg, seed
-        )
-        self.params = params
-        return report
+        return params
 
-    def predict(self, events):
-        if not self.params:
-            raise RuntimeError("predictor used before fit()")
-        X, _ = self._encode_inputs_single(events)
-        feats, _ = self._encoder_stack(self.params, X, False)
-        logits, _, _, _ = _heads_forward(self.params, feats)
-        return nn.softmax(logits[0].astype(np.float64)), None
+    def _forward(self, params, X, M, with_cache: bool):
+        current = X
+        layer_caches = []
+        for layer in range(len(self.config.ae_hidden)):
+            z, a_cache = nn.affine_forward(current, params[f"enc{layer}:W"], params[f"enc{layer}:b"])
+            current = np.tanh(z)
+            layer_caches.append((a_cache, current))
+        logits, tpred, act_cache, time_cache = _heads_forward(params, current)
+        caches = None
+        if with_cache:
+            caches = {
+                "act_cache": act_cache,
+                "time_cache": time_cache,
+                "layer_caches": layer_caches,
+            }
+        return logits, tpred, caches
+
+    def _backward(self, params, caches, dlast):
+        grads = {}
+        upstream = dlast
+        for layer in reversed(range(len(self.config.ae_hidden))):
+            a_cache, activated = caches["layer_caches"][layer]
+            upstream = upstream * (1.0 - activated * activated)
+            upstream, layer_grads = nn.affine_backward(a_cache, upstream)
+            grads[f"enc{layer}:W"] = layer_grads["W"]
+            grads[f"enc{layer}:b"] = layer_grads["b"]
+        return grads
 
 
 # ---------------------------------------------------------------------------
-# factories, training entry point, checkpoint reload, random search
+# model construction, training entry point, checkpoints
 # ---------------------------------------------------------------------------
-
-def mlp_model(
-    config: TrainConfig,
-    activity_vocab: Vocabulary,
-    attribute_vocabs=None,
-    petri_net: PetriNet | None = None,
-) -> MLPPredictor:
-    return MLPPredictor(activity_vocab, attribute_vocabs, config, petri_net)
-
-
-def recurrent_model(
-    cell: str, config: TrainConfig, activity_vocab: Vocabulary, attribute_vocabs=None
-) -> RecurrentPredictor:
-    return RecurrentPredictor(cell, activity_vocab, attribute_vocabs, config)
-
-
-def autoencoder_classifier(
-    config: TrainConfig, activity_vocab: Vocabulary, attribute_vocabs=None
-) -> AutoencoderPredictor:
-    return AutoencoderPredictor(activity_vocab, attribute_vocabs, config)
-
 
 def build_predictor(
     architecture: str,
@@ -927,11 +941,11 @@ def build_predictor(
     if architecture == "markov":
         return MarkovPredictor(activity_vocab, config)
     if architecture == "mlp":
-        return mlp_model(config, activity_vocab, attribute_vocabs, petri_net)
+        return MLPPredictor(activity_vocab, attribute_vocabs, config, petri_net)
     if architecture in nn.CELLS:
-        return recurrent_model(architecture, config, activity_vocab, attribute_vocabs)
+        return RecurrentPredictor(architecture, activity_vocab, attribute_vocabs, config)
     if architecture == "autoencoder":
-        return autoencoder_classifier(config, activity_vocab, attribute_vocabs)
+        return AutoencoderPredictor(activity_vocab, attribute_vocabs, config)
     raise ValueError(f"unknown architecture {architecture!r}")
 
 
@@ -950,25 +964,11 @@ def train(
 
 
 def save_predictor(predictor: Predictor, path_prefix: str | Path, seed: int = 0) -> None:
-    """Checkpoint = parameter file plus a JSON sidecar sufficient to reload
-    and predict without retraining."""
+    """Checkpoint = a JSON sidecar sufficient to reload and predict without
+    retraining, plus the parameter file of a neural model."""
     path_prefix = Path(path_prefix)
-    if isinstance(predictor, MarkovPredictor):
-        path_prefix.parent.mkdir(parents=True, exist_ok=True)
-        sidecar = {
-            "format_version": SIDECAR_VERSION,
-            "architecture": "markov",
-            "seed": seed,
-            "config": {"order": predictor.config.order, "alpha": predictor.config.alpha},
-            "activity_vocab": list(predictor.activity_vocab.labels),
-            "attribute_vocabs": {},
-            "state": predictor.state(),
-        }
-        path_prefix.with_suffix(".json").write_text(
-            json.dumps(sidecar, indent=2, sort_keys=True), encoding="utf-8"
-        )
-        return
-    predictor.save(path_prefix, seed)  # type: ignore[union-attr]
+    path_prefix.parent.mkdir(parents=True, exist_ok=True)
+    predictor._save(path_prefix, seed)
 
 
 def load_predictor(path_prefix: str | Path, petri_net: PetriNet | None = None) -> Predictor:
@@ -976,49 +976,12 @@ def load_predictor(path_prefix: str | Path, petri_net: PetriNet | None = None) -
     sidecar = json.loads(path_prefix.with_suffix(".json").read_text(encoding="utf-8"))
     if sidecar.get("format_version") != SIDECAR_VERSION:
         raise ValueError(f"unsupported sidecar version {sidecar.get('format_version')!r}")
-    activity_vocab = Vocabulary(sidecar["activity_vocab"])
-    architecture = sidecar["architecture"]
-    if architecture == "markov":
-        predictor = MarkovPredictor(
-            activity_vocab,
-            TrainConfig(order=sidecar["config"]["order"], alpha=sidecar["config"]["alpha"]),
-        )
-        predictor.restore(sidecar["state"])
-        return predictor
-    attribute_vocabs = {k: Vocabulary(v) for k, v in sidecar["attribute_vocabs"].items()}
-    cfg_dict = dict(sidecar["config"])
-    cfg_dict["attributes"] = tuple(cfg_dict.get("attributes", ()))
-    cfg_dict["ae_hidden"] = tuple(cfg_dict.get("ae_hidden", ()))
-    config = TrainConfig(**cfg_dict)
-    params, _ = nn.load_params(path_prefix.with_suffix(".npz"))
-    if architecture in nn.CELLS:
-        predictor = RecurrentPredictor(architecture, activity_vocab, attribute_vocabs, config)
-    elif architecture == "mlp":
-        predictor = MLPPredictor(activity_vocab, attribute_vocabs, config, petri_net)
-        extra = sidecar.get("extra") or {}
-        predictor.decay_seconds = extra.get("decay_seconds")
-        predictor._flat_dim = extra.get("flat_dim")
-    elif architecture == "autoencoder":
-        predictor = AutoencoderPredictor(activity_vocab, attribute_vocabs, config)
-    else:
-        raise ValueError(f"unknown architecture {architecture!r}")
-    predictor._restore(sidecar, params)
+    predictor = build_predictor(
+        sidecar["architecture"],
+        TrainConfig(**sidecar["config"]),
+        Vocabulary(sidecar["activity_vocab"]),
+        {k: Vocabulary(v) for k, v in sidecar["attribute_vocabs"].items()},
+        petri_net,
+    )
+    predictor._restore(sidecar, path_prefix)
     return predictor
-
-
-def random_search(
-    space: Mapping[str, Sequence], n: int, seed: int = 0, base: TrainConfig | None = None
-) -> list[TrainConfig]:
-    """Seeded random-search utility: n configurations sampled uniformly and
-    independently per hyperparameter from ``space``."""
-    rng = np.random.default_rng(seed)
-    base_dict = asdict(base or TrainConfig())
-    configs = []
-    for _ in range(n):
-        drawn = dict(base_dict)
-        for key, choices in space.items():
-            drawn[key] = choices[int(rng.integers(len(choices)))]
-        drawn["attributes"] = tuple(drawn.get("attributes", ()))
-        drawn["ae_hidden"] = tuple(drawn.get("ae_hidden", ()))
-        configs.append(TrainConfig(**drawn))
-    return configs

@@ -418,10 +418,6 @@ def relu_backward(cache, dout):
     return dout * (cache > 0.0)
 
 
-def embedding_forward(table: np.ndarray, indices: np.ndarray):
-    return table[indices], indices
-
-
 def embedding_backward(table: np.ndarray, indices: np.ndarray, dout: np.ndarray):
     grad = np.zeros_like(table)
     np.add.at(grad, indices, dout)

@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from ppmbench.encoding import (
-    EmbeddingTable,
     NotFittedError,
     Normalizer,
     PrefixEncoder,
     encode_continuous_windows,
-    encode_prefixes_padded,
     frequency_encode,
     ngram_hash_encode,
     ngram_universe_size,
-    normalize,
     onehot,
     time_features,
 )
@@ -110,15 +107,15 @@ class TestTimeFeatures:
 class TestNormalize:
     def test_minmax(self):
         norm = Normalizer("minmax").fit([0.0, 10.0])
-        assert normalize([0.0, 5.0, 10.0], norm).tolist() == [0.0, 0.5, 1.0]
+        assert norm.transform([0.0, 5.0, 10.0]).tolist() == [0.0, 0.5, 1.0]
 
     def test_zscore_constant_is_zero(self):
         norm = Normalizer("zscore").fit([4.0, 4.0, 4.0])
-        assert normalize([4.0, 9.0], norm).tolist() == [0.0, 0.0]
+        assert norm.transform([4.0, 9.0]).tolist() == [0.0, 0.0]
 
     def test_log_of_zero(self):
         norm = Normalizer("log").fit([0.0, np.e - 1.0])
-        assert normalize([0.0], norm)[0] == 0.0
+        assert norm.transform([0.0])[0] == 0.0
 
     def test_unfitted_errors(self):
         with pytest.raises(NotFittedError):
@@ -126,8 +123,8 @@ class TestNormalize:
 
     def test_outside_range_not_clipped(self):
         norm = Normalizer("minmax").fit([0.0, 10.0])
-        assert normalize([20.0], norm)[0] == 2.0
-        assert normalize([-10.0], norm)[0] == -1.0
+        assert norm.transform([20.0])[0] == 2.0
+        assert norm.transform([-10.0])[0] == -1.0
 
     def test_minmax_maps_train_extremes_exactly(self):
         rng = np.random.default_rng(2)
@@ -160,7 +157,7 @@ class TestPaddedEncoding:
     def test_padding_rows_and_mask(self):
         log, samples, encoder = self.build_encoder(max_len=5)
         prefix = next(s for s in samples if s.k == 3).prefix
-        mat = encode_prefixes_padded(prefix, encoder)
+        mat = encoder.encode(prefix)
         assert mat.values.shape == (5, encoder.num_features)
         assert mat.mask.tolist() == [False, False, True, True, True]
         assert np.all(mat.values[:2] == 0.0)
@@ -168,7 +165,7 @@ class TestPaddedEncoding:
     def test_window_keeps_most_recent(self):
         log, samples, encoder = self.build_encoder(window=2, include_time=False)
         prefix = next(s for s in samples if s.k == 3).prefix  # A, B, C
-        mat = encode_prefixes_padded(prefix, encoder)
+        mat = encoder.encode(prefix)
         group = mat.layout.group("activity")
         vocab = log.activity_vocab
         real = mat.values[mat.mask]
@@ -279,14 +276,3 @@ class TestNgramHashing:
             n_grams = sum(max(0, len(prefix) - l + 1) for l in range(1, k + 1))
             vec = ngram_hash_encode(prefix, k, 16, seed=3)
             assert np.linalg.norm(vec) <= n_grams + 1e-12
-
-
-class TestEmbeddingTable:
-    def test_lookup(self):
-        table = EmbeddingTable(weights=np.arange(12, dtype=np.float64).reshape(4, 3))
-        out = table.lookup([1, 3])
-        assert out.tolist() == [[3.0, 4.0, 5.0], [9.0, 10.0, 11.0]]
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            EmbeddingTable(weights=np.zeros(3))

@@ -69,9 +69,10 @@ class TestDecodeBasics:
         assert a == b
 
     def test_non_distribution_rejected(self):
-        model = FixedDistributionModel(VOCAB3, [0.9, 0.9, 0.1])
-        with pytest.raises(ValueError):
-            decode_suffix(model, one_event_prefix(), DecodeConfig(max_len=3))
+        for probs in ([0.9, 0.9, 0.1], [np.nan] * 3):
+            model = FixedDistributionModel(VOCAB3, probs)
+            with pytest.raises(ValueError):
+                decode_suffix(model, one_event_prefix(), DecodeConfig(max_len=3))
 
     def test_empty_prefix_rejected(self):
         model = FixedDistributionModel(VOCAB3, [1.0, 0.0, 0.0])

@@ -93,6 +93,8 @@ class TestBrier:
     def test_rejects_non_distribution(self):
         with pytest.raises(ValueError):
             brier([np.array([0.9, 0.9])], [0])
+        with pytest.raises(ValueError):
+            brier([np.full(4, np.nan)], [0])
 
 
 class TestDlDistance:

@@ -1,3 +1,6 @@
+import json
+import time
+
 import numpy as np
 import pytest
 
@@ -12,10 +15,10 @@ from ppmbench.models import (
     fit_ngram_counts,
     load_predictor,
     markov_predict,
-    random_search,
     save_predictor,
     train,
 )
+from ppmbench.petrinet import PetriNet, Transition
 from ppmbench.splitting import make_prefix_samples, temporal_split
 
 from conftest import make_linear_log, make_random_log
@@ -31,6 +34,20 @@ def fast_config(**overrides):
 def linear_split():
     log = augment_eoc(make_linear_log(60))
     return log, temporal_split(log)
+
+
+def linear_net():
+    """Sound workflow net of the A-B-C-D chain that make_linear_log writes."""
+    acts = ["A", "B", "C", "D"]
+    places = tuple(f"p{i}" for i in range(5))
+    transitions = tuple(Transition(f"t{a}", a) for a in acts)
+    arcs = []
+    for i, a in enumerate(acts):
+        arcs.append((f"p{i}", f"t{a}"))
+        arcs.append((f"t{a}", f"p{i+1}"))
+    return PetriNet(
+        places=places, transitions=transitions, arcs=tuple(arcs), initial_marking={"p0": 1}
+    )
 
 
 class TestMarkov:
@@ -203,6 +220,26 @@ class TestTrainingLoop:
             stalled = len(report.val_losses) - 1 - report.best_epoch
             assert stalled >= 3
 
+    def test_non_finite_loss_stops_training(self, linear_split):
+        # diverges in the first reconstruction pretraining stage
+        log, split = linear_split
+        cfg = TrainConfig(lr=1e4, clip_norm=None, time_target=None)
+        predictor = AutoencoderPredictor(log.activity_vocab, config=cfg)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite.*epoch"):
+            train(predictor, split, seed=0)
+
+    def test_wall_clock_covers_whole_fit(self, linear_split):
+        # the autoencoder spends most of its fit before the fine-tune stage
+        log, split = linear_split
+        cfg = fast_config(
+            time_target=None, ngram_dim=16, ae_hidden=(8, 4),
+            pretrain_epochs=15, freeze_epochs=5, epochs=1,
+        )
+        predictor = AutoencoderPredictor(log.activity_vocab, config=cfg)
+        start = time.perf_counter()
+        report = train(predictor, split, seed=0)
+        assert report.wall_clock_seconds >= 0.5 * (time.perf_counter() - start)
+
     def test_autoencoder_recon_losses_non_increasing(self, linear_split):
         # cross-stage ordering of the final reconstruction losses is scale- and
         # seed-dependent (each stage reconstructs a different signal); assert
@@ -233,17 +270,30 @@ class TestEmbeddingPath:
 
 
 class TestCheckpointRoundTrip:
-    @pytest.mark.parametrize("arch", ["markov", "mlp", "gru", "autoencoder"])
-    def test_save_load_predicts_identically(self, arch, linear_split, tmp_path):
+    @pytest.mark.parametrize(
+        "arch, input_mode",
+        [
+            ("markov", "padded_flat"),
+            ("mlp", "padded_flat"),
+            ("gru", "padded_flat"),
+            ("autoencoder", "padded_flat"),
+            ("mlp", "timed_state"),
+        ],
+        ids=["markov", "mlp", "gru", "autoencoder", "timed-state-mlp"],
+    )
+    def test_save_load_predicts_identically(self, arch, input_mode, linear_split, tmp_path):
         log, split = linear_split
         cfg = fast_config(
             epochs=2, time_target=None if arch == "autoencoder" else "next",
             ngram_dim=16, ae_hidden=(8, 4), pretrain_epochs=2, freeze_epochs=1,
+            input_mode=input_mode,
         )
-        predictor = build_predictor(arch, cfg, log.activity_vocab, log.attribute_vocabs)
+        net = linear_net() if input_mode == "timed_state" else None
+        predictor = build_predictor(arch, cfg, log.activity_vocab, log.attribute_vocabs, net)
         train(predictor, split, seed=6)
         save_predictor(predictor, tmp_path / "model", seed=6)
-        loaded = load_predictor(tmp_path / "model")
+        assert (tmp_path / "model.npz").exists() == (arch != "markov")
+        loaded = load_predictor(tmp_path / "model", net)
         assert loaded.architecture == predictor.architecture
         for sample in make_prefix_samples(split.test)[:5]:
             p_orig, d_orig = predictor.predict(sample.prefix)
@@ -251,39 +301,25 @@ class TestCheckpointRoundTrip:
             assert np.array_equal(p_orig, p_new)
             assert d_orig == d_new
 
-
-class TestRandomSearch:
-    def test_seeded_and_sized(self):
-        space = {"hidden": [8, 16, 32], "lr": [0.1, 0.01]}
-        a = random_search(space, 5, seed=9)
-        b = random_search(space, 5, seed=9)
-        assert len(a) == 5
-        assert [c.hidden for c in a] == [c.hidden for c in b]
-        assert [c.lr for c in a] == [c.lr for c in b]
-        assert any(c.hidden != a[0].hidden for c in a) or any(c.lr != a[0].lr for c in a)
+    def test_edited_vocabulary_rejected(self, linear_split, tmp_path):
+        log, split = linear_split
+        predictor = RecurrentPredictor("gru", log.activity_vocab, config=fast_config(epochs=1))
+        train(predictor, split, seed=0)
+        save_predictor(predictor, tmp_path / "model")
+        path = tmp_path / "model.json"
+        sidecar = json.loads(path.read_text(encoding="utf-8"))
+        sidecar["activity_vocab"][0] = "Z"
+        path.write_text(json.dumps(sidecar), encoding="utf-8")
+        with pytest.raises(ValueError, match="vocab_sha256"):
+            load_predictor(tmp_path / "model")
 
 
 class TestTimedStateMlp:
-    def linear_net(self):
-        from ppmbench.petrinet import PetriNet, Transition
-
-        acts = ["A", "B", "C", "D"]
-        places = tuple(f"p{i}" for i in range(5))
-        transitions = tuple(Transition(f"t{a}", a) for a in acts)
-        arcs = []
-        for i, a in enumerate(acts):
-            arcs.append((f"p{i}", f"t{a}"))
-            arcs.append((f"t{a}", f"p{i+1}"))
-        return PetriNet(
-            places=places, transitions=transitions, arcs=tuple(arcs),
-            initial_marking={"p0": 1},
-        )
-
     def test_timed_state_input_learns_linear_process(self, linear_split):
         log, split = linear_split
         cfg = fast_config(input_mode="timed_state", epochs=15, time_target="next")
         predictor = MLPPredictor(
-            log.activity_vocab, log.attribute_vocabs, cfg, petri_net=self.linear_net()
+            log.activity_vocab, log.attribute_vocabs, cfg, petri_net=linear_net()
         )
         train(predictor, split, seed=0)
         assert predictor.decay_seconds > 0  # defaulted to the longest train case
