@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("config")
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of one architecture")
-    p_grad.add_argument("arch", choices=["mlp", "rnn", "lstm", "gru", "autoencoder"])
+    p_grad.add_argument("arch", choices=gradchecks.GRADCHECK_ARCHITECTURES)
 
     return parser
 
@@ -213,10 +213,11 @@ def cmd_benchmark(args) -> int:
 def cmd_gradcheck(args) -> int:
     error = gradchecks.architecture_gradcheck(args.arch, seed=args.seed)
     print(f"{args.arch}: max relative gradient error {error:.3e}")
-    if error < 1e-4:
-        print("PASS (< 1e-4)")
+    gate = gradchecks.GRADCHECK_GATE
+    if error < gate:
+        print(f"PASS (< {gate:g})")
         return EXIT_OK
-    print("FAIL (>= 1e-4)")
+    print(f"FAIL (>= {gate:g})")
     return EXIT_FAILURE
 
 

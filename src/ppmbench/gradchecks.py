@@ -39,11 +39,19 @@ def _tiny_samples(seed: int = 0):
 def architecture_gradcheck(arch: str, seed: int = 0) -> float:
     """Max relative gradient error of one architecture's shipped training
     loss; for the autoencoder, the larger of its fine-tune loss and its
-    layerwise reconstruction loss."""
+    layerwise reconstruction loss. The lstm and gru learn an activity
+    embedding, and the rnn and gru regress the remaining time."""
     if arch not in GRADCHECK_ARCHITECTURES:
         raise ValueError(f"unknown architecture {arch!r}")
     samples, vocab = _tiny_samples(seed)
-    config = TrainConfig(hidden=6, layers=2, time_target="next", ngram_dim=10, ae_hidden=(8, 5))
+    config = TrainConfig(
+        hidden=6,
+        layers=2,
+        time_target="remaining" if arch in ("rnn", "gru") else "next",
+        embedding_dim=3 if arch in ("lstm", "gru") else None,
+        ngram_dim=10,
+        ae_hidden=(8, 5),
+    )
     predictor = build_predictor(arch, config, vocab)
     predictor.dtype = np.float64
     X, M, y_act, y_time = predictor._fit_arrays(samples)

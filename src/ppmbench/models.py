@@ -573,15 +573,26 @@ class _NeuralPredictor(Predictor):
         )
 
     def _restore(self, sidecar, path_prefix):
+        """Load the parameters and encoders; a parameter whose name or shape
+        differs from what the restored config builds is a ``ValueError``."""
         if sidecar.get("vocab_sha256") != self._vocab_sha256():
             raise ValueError("checkpoint vocabularies do not match their vocab_sha256")
-        self.params, _ = nn.load_params(path_prefix.with_suffix(".npz"))
+        params, _ = nn.load_params(path_prefix.with_suffix(".npz"))
         if sidecar.get("encoder"):
             self.encoder = PrefixEncoder.from_state(
                 sidecar["encoder"], self.activity_vocab, self.attribute_vocabs
             )
         if sidecar.get("time_norm"):
             self.time_norm = Normalizer.from_state(sidecar["time_norm"])
+        expected = self._build_params(np.random.default_rng(0))
+        for name in sorted(expected.keys() | params.keys()):
+            want = expected[name].shape if name in expected else None
+            found = params[name].shape if name in params else None
+            if want != found:
+                raise ValueError(
+                    f"checkpoint parameter {name!r} has shape {found}, the config builds {want}"
+                )
+        self.params = params
 
 
 class RecurrentPredictor(_NeuralPredictor):
@@ -787,10 +798,10 @@ class MLPPredictor(_NeuralPredictor):
         return {"decay_seconds": self.decay_seconds, "flat_dim": self._flat_dim}
 
     def _restore(self, sidecar, path_prefix):
-        super()._restore(sidecar, path_prefix)
         extra = sidecar.get("extra") or {}
         self.decay_seconds = extra.get("decay_seconds")
         self._flat_dim = extra.get("flat_dim")
+        super()._restore(sidecar, path_prefix)
 
 
 def _reconstruction_loss(params, x):

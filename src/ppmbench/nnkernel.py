@@ -4,32 +4,30 @@ and parameter checkpointing.
 
 Everything is plain numpy; float32 for training, float64 for gradient
 checks. Model parameters are plain name -> array dicts (row-vector
-convention, y = x @ W + b), built by the seeded ``init_*`` functions.
+convention, y = x @ W + b), built by the seeded ``init_*`` functions. A
+recurrent cell keeps the weights of all its gates side by side in one
+``U``, ``W`` and ``b``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-CELLS = ("rnn", "lstm", "gru")
+# gate order of the column blocks of a fused cell's U, W and b
+CELL_GATES = {"rnn": ("h",), "lstm": ("f", "i", "o", "c"), "gru": ("z", "r", "h")}
+CELLS = tuple(CELL_GATES)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function; outputs lie in (0, 1)."""
-    out = np.empty_like(x, dtype=x.dtype)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function as 0.5 * (1 + tanh(x / 2)); outputs lie in [0, 1]."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -55,232 +53,94 @@ def init_dense(rng, in_dim: int, out_dim: int, dtype=np.float32) -> dict[str, np
     }
 
 
-def init_rnn(rng, in_dim: int, hidden: int, out_dim: int | None = None, dtype=np.float32):
-    """Vanilla-RNN parameters: U maps the input, W the previous hidden state;
-    V and c form the optional per-step output head."""
-    params = {
-        "U": glorot_uniform(rng, in_dim, hidden, dtype),
-        "W": glorot_uniform(rng, hidden, hidden, dtype),
-        "b": np.zeros(hidden, dtype=dtype),
-    }
-    if out_dim is not None:
-        params["V"] = glorot_uniform(rng, hidden, out_dim, dtype)
-        params["c"] = np.zeros(out_dim, dtype=dtype)
-    return params
-
-
-def init_lstm(rng, in_dim: int, hidden: int, dtype=np.float32):
-    """LSTM parameters; U* map the input, W* the previous hidden state.
-
-    The forget-gate bias starts at +1.0, which helps toy-scale convergence.
-    """
-    params = {}
-    for gate in ("f", "i", "o", "c"):
-        params[f"U{gate}"] = glorot_uniform(rng, in_dim, hidden, dtype)
-        params[f"W{gate}"] = glorot_uniform(rng, hidden, hidden, dtype)
-        params[f"b{gate}"] = np.zeros(hidden, dtype=dtype)
-    params["bf"] = params["bf"] + np.asarray(1.0, dtype=dtype)
-    return params
-
-
-def init_gru(rng, in_dim: int, hidden: int, dtype=np.float32):
-    """GRU parameters; W* map the input, U* the previous hidden state."""
-    params = {}
-    for gate in ("z", "r", "h"):
-        params[f"W{gate}"] = glorot_uniform(rng, in_dim, hidden, dtype)
-        params[f"U{gate}"] = glorot_uniform(rng, hidden, hidden, dtype)
-        params[f"b{gate}"] = np.zeros(hidden, dtype=dtype)
-    return params
-
-
 def init_cell(cell: str, rng, in_dim: int, hidden: int, dtype=np.float32):
-    if cell == "rnn":
-        return init_rnn(rng, in_dim, hidden, dtype=dtype)
+    """Fused recurrent-cell parameters: ``U`` (in_dim, g*hidden) maps the
+    input, ``W`` (hidden, g*hidden) the previous hidden state, ``b``
+    (g*hidden) is the bias. Column block k belongs to gate k of
+    ``CELL_GATES[cell]``.
+
+    Each gate's input block, then its recurrent block, is drawn in gate
+    order, so the arrays equal the per-gate layout of checkpoint version 1
+    concatenated. The LSTM forget-gate bias starts at +1.0, which helps
+    toy-scale convergence.
+    """
+    if cell not in CELLS:
+        raise ValueError(f"unknown cell {cell!r}")
+    gates = len(CELL_GATES[cell])
+    U = np.empty((in_dim, gates * hidden), dtype=dtype)
+    W = np.empty((hidden, gates * hidden), dtype=dtype)
+    for k in range(gates):
+        cols = slice(k * hidden, (k + 1) * hidden)
+        U[:, cols] = glorot_uniform(rng, in_dim, hidden, dtype)
+        W[:, cols] = glorot_uniform(rng, hidden, hidden, dtype)
+    b = np.zeros(gates * hidden, dtype=dtype)
     if cell == "lstm":
-        return init_lstm(rng, in_dim, hidden, dtype)
-    if cell == "gru":
-        return init_gru(rng, in_dim, hidden, dtype)
-    raise ValueError(f"unknown cell {cell!r}")
+        b[:hidden] = 1.0
+    return {"U": U, "W": W, "b": b}
 
 
 # ---------------------------------------------------------------------------
-# cell states and single steps
+# one cell step on the input pre-activation a = x U + b
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CellState:
-    """Recurrent state: hidden vector ``h`` and, for LSTM only, cell vector ``C``."""
+def _step_forward(cell: str, W: np.ndarray, a: np.ndarray, h_prev: np.ndarray, C_prev):
+    """One step of a fused cell. Returns (h, C, cache); C is None except
+    for the LSTM, and ``cache[0]`` is h_prev.
 
-    h: np.ndarray
-    C: np.ndarray | None = None
-
-
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(message)
-
-
-def rnn_step(params: Mapping[str, np.ndarray], x, h_prev):
-    """One vanilla-RNN step: h = tanh(b + h_prev W + x U), o = c + h V.
-
-    Returns (h, o); o is None when the parameters carry no output head.
+    rnn:  h = tanh(a + h_prev W)
+    lstm: f, i, o = sigmoid and c~ = tanh of their blocks of a + h_prev W;
+          C = f * C_prev + i * c~; h = o * tanh(C)
+    gru:  z, r = sigmoid(a_zr + h_prev W_zr);
+          h~ = tanh(a_h + (r * h_prev) W_h); h = z * h_prev + (1 - z) * h~
     """
-    x, squeeze = _as_batch(np.asarray(x))
-    h_prev, _ = _as_batch(np.asarray(h_prev))
-    _require(x.shape[1] == params["U"].shape[0], "rnn_step: input width mismatch")
-    _require(h_prev.shape[1] == params["W"].shape[0], "rnn_step: hidden width mismatch")
-    h = np.tanh(params["b"] + h_prev @ params["W"] + x @ params["U"])
-    o = params["c"] + h @ params["V"] if "V" in params else None
-    if squeeze:
-        return h[0], (o[0] if o is not None else None)
-    return h, o
-
-
-def lstm_step(params: Mapping[str, np.ndarray], x, state: CellState) -> CellState:
-    """One LSTM step through the forget/input/output gates.
-
-    f, i, o = sigmoid(b* + x U* + h_prev W*); c~ = tanh(bc + x Uc + h_prev Wc);
-    C = f * C_prev + i * c~; h = o * tanh(C).
-    """
-    x, squeeze = _as_batch(np.asarray(x))
-    h_prev, _ = _as_batch(np.asarray(state.h))
-    _require(state.C is not None, "lstm_step: state needs a cell vector C")
-    C_prev, _ = _as_batch(np.asarray(state.C))
-    _require(x.shape[1] == params["Uf"].shape[0], "lstm_step: input width mismatch")
-    _require(h_prev.shape[1] == params["Wf"].shape[0], "lstm_step: hidden width mismatch")
-    (h, C), _ = _lstm_forward(params, x, h_prev, C_prev)
-    if squeeze:
-        return CellState(h=h[0], C=C[0])
-    return CellState(h=h, C=C)
-
-
-def gru_step(params: Mapping[str, np.ndarray], x, h_prev) -> np.ndarray:
-    """One GRU step: z, r = sigmoid(x W* + h_prev U* + b*);
-    h~ = tanh(x Wh + (r * h_prev) Uh + bh); h = z * h_prev + (1 - z) * h~."""
-    x, squeeze = _as_batch(np.asarray(x))
-    h_prev, _ = _as_batch(np.asarray(h_prev))
-    _require(x.shape[1] == params["Wz"].shape[0], "gru_step: input width mismatch")
-    _require(h_prev.shape[1] == params["Uz"].shape[0], "gru_step: hidden width mismatch")
-    h, _ = _gru_forward(params, x, h_prev)
-    return h[0] if squeeze else h
-
-
-# internal step passes with caches ------------------------------------------------
-
-def _rnn_forward(params, x, h_prev):
-    h = np.tanh(params["b"] + h_prev @ params["W"] + x @ params["U"])
-    return h, (x, h_prev, h)
-
-
-def _rnn_backward(params, cache, dh):
-    x, h_prev, h = cache
-    da = dh * (1.0 - h * h)
-    grads = {
-        "U": x.T @ da,
-        "W": h_prev.T @ da,
-        "b": da.sum(axis=0),
-    }
-    dx = da @ params["U"].T
-    dh_prev = da @ params["W"].T
-    return dx, dh_prev, grads
-
-
-def _lstm_forward(params, x, h_prev, C_prev):
-    f = sigmoid(params["bf"] + x @ params["Uf"] + h_prev @ params["Wf"])
-    i = sigmoid(params["bi"] + x @ params["Ui"] + h_prev @ params["Wi"])
-    o = sigmoid(params["bo"] + x @ params["Uo"] + h_prev @ params["Wo"])
-    c_tilde = np.tanh(params["bc"] + x @ params["Uc"] + h_prev @ params["Wc"])
-    C = f * C_prev + i * c_tilde
-    tC = np.tanh(C)
-    h = o * tC
-    cache = (x, h_prev, C_prev, f, i, o, c_tilde, tC)
-    return (h, C), cache
-
-
-def _lstm_backward(params, cache, dh, dC):
-    x, h_prev, C_prev, f, i, o, c_tilde, tC = cache
-    do = dh * tC
-    dC_total = dC + dh * o * (1.0 - tC * tC)
-    df = dC_total * C_prev
-    di = dC_total * c_tilde
-    dc_tilde = dC_total * i
-    dC_prev = dC_total * f
-
-    da_f = df * f * (1.0 - f)
-    da_i = di * i * (1.0 - i)
-    da_o = do * o * (1.0 - o)
-    da_c = dc_tilde * (1.0 - c_tilde * c_tilde)
-
-    grads = {}
-    dx = np.zeros_like(x)
-    dh_prev = np.zeros_like(h_prev)
-    for gate, da in (("f", da_f), ("i", da_i), ("o", da_o), ("c", da_c)):
-        grads[f"U{gate}"] = x.T @ da
-        grads[f"W{gate}"] = h_prev.T @ da
-        grads[f"b{gate}"] = da.sum(axis=0)
-        dx += da @ params[f"U{gate}"].T
-        dh_prev += da @ params[f"W{gate}"].T
-    return dx, dh_prev, dC_prev, grads
-
-
-def _gru_forward(params, x, h_prev):
-    z = sigmoid(x @ params["Wz"] + h_prev @ params["Uz"] + params["bz"])
-    r = sigmoid(x @ params["Wr"] + h_prev @ params["Ur"] + params["br"])
-    rh = r * h_prev
-    h_tilde = np.tanh(x @ params["Wh"] + rh @ params["Uh"] + params["bh"])
+    H = h_prev.shape[1]
+    if cell == "rnn":
+        h = np.tanh(a + h_prev @ W)
+        return h, None, (h_prev, h)
+    if cell == "lstm":
+        pre = a + h_prev @ W
+        s = sigmoid(pre[:, : 3 * H])
+        c_tilde = np.tanh(pre[:, 3 * H :])
+        C = s[:, :H] * C_prev + s[:, H : 2 * H] * c_tilde
+        tC = np.tanh(C)
+        h = s[:, 2 * H :] * tC
+        return h, C, (h_prev, C_prev, s, c_tilde, tC)
+    zr = sigmoid(a[:, : 2 * H] + h_prev @ W[:, : 2 * H])
+    z = zr[:, :H]
+    rh = zr[:, H:] * h_prev
+    h_tilde = np.tanh(a[:, 2 * H :] + rh @ W[:, 2 * H :])
     h = z * h_prev + (1.0 - z) * h_tilde
-    cache = (x, h_prev, z, r, rh, h_tilde)
-    return h, cache
+    return h, None, (h_prev, zr, rh, h_tilde)
 
 
-def _gru_backward(params, cache, dh):
-    x, h_prev, z, r, rh, h_tilde = cache
-    dz = dh * (h_prev - h_tilde)
-    dh_tilde = dh * (1.0 - z)
-    dh_prev = dh * z
-
-    da_h = dh_tilde * (1.0 - h_tilde * h_tilde)
-    drh = da_h @ params["Uh"].T
-    dr = drh * h_prev
-    dh_prev = dh_prev + drh * r
-
-    da_z = dz * z * (1.0 - z)
-    da_r = dr * r * (1.0 - r)
-
-    grads = {
-        "Wh": x.T @ da_h,
-        "Uh": rh.T @ da_h,
-        "bh": da_h.sum(axis=0),
-        "Wz": x.T @ da_z,
-        "Uz": h_prev.T @ da_z,
-        "bz": da_z.sum(axis=0),
-        "Wr": x.T @ da_r,
-        "Ur": h_prev.T @ da_r,
-        "br": da_r.sum(axis=0),
-    }
-    dx = da_h @ params["Wh"].T + da_z @ params["Wz"].T + da_r @ params["Wr"].T
-    dh_prev = dh_prev + da_z @ params["Uz"].T + da_r @ params["Ur"].T
-    return dx, dh_prev, grads
+def _step_backward(cell: str, W: np.ndarray, cache, dh: np.ndarray, dC):
+    """Backward of :func:`_step_forward`. Returns (da, dh_prev, dC_prev):
+    the gradient on the input pre-activation (B, gH) and on the previous
+    state; dC_prev is None except for the LSTM."""
+    H = dh.shape[1]
+    if cell == "rnn":
+        _, h = cache
+        da = dh * (1.0 - h * h)
+        return da, da @ W.T, None
+    if cell == "lstm":
+        _, C_prev, s, c_tilde, tC = cache
+        dC = dC + dh * s[:, 2 * H :] * (1.0 - tC * tC)
+        ds = np.concatenate([dC * C_prev, dC * c_tilde, dh * tC], axis=1) * s * (1.0 - s)
+        da_c = dC * s[:, H : 2 * H] * (1.0 - c_tilde * c_tilde)
+        da = np.concatenate([ds, da_c], axis=1)
+        return da, da @ W.T, dC * s[:, :H]
+    h_prev, zr, _, h_tilde = cache
+    z = zr[:, :H]
+    da_h = dh * (1.0 - z) * (1.0 - h_tilde * h_tilde)
+    drh = da_h @ W[:, 2 * H :].T
+    dzr = np.concatenate([dh * (h_prev - h_tilde), drh * h_prev], axis=1) * zr * (1.0 - zr)
+    dh_prev = dh * z + drh * zr[:, H:] + dzr @ W[:, : 2 * H].T
+    return np.concatenate([dzr, da_h], axis=1), dh_prev, None
 
 
 # ---------------------------------------------------------------------------
 # masked sequence passes
 # ---------------------------------------------------------------------------
-
-def check_left_padded(mask: np.ndarray) -> None:
-    """Padding must precede real steps; interleaved padding is an error."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim == 1:
-        mask = mask[None, :]
-    if np.any(mask[:, :-1] & ~mask[:, 1:]):
-        raise ValueError("mask interleaves padding with real steps (left padding required)")
-
 
 def sequence_forward(
     cell: str,
@@ -290,38 +150,42 @@ def sequence_forward(
     h0: np.ndarray | None = None,
     C0: np.ndarray | None = None,
 ):
-    """Run a recurrent cell over (B, T, D) inputs, carrying state across
-    mask-true steps only; padding steps pass state through unchanged.
+    """Run a fused recurrent cell over (B, T, D) inputs, carrying state
+    across mask-true steps only; padding steps pass state through unchanged.
+    The input projection ``x U + b`` of every step is one matmul.
 
     Returns (hs, caches) where hs has shape (B, T, H).
     """
     if cell not in CELLS:
         raise ValueError(f"unknown cell {cell!r}")
-    B, T, _ = inputs.shape
-    hidden = params["b" if cell == "rnn" else ("bz" if cell == "gru" else "bf")].shape[0]
-    if mask is None:
-        mask = np.ones((B, T), dtype=bool)
-    check_left_padded(mask)
-    h = np.zeros((B, hidden), dtype=inputs.dtype) if h0 is None else h0.astype(inputs.dtype)
-    C = np.zeros((B, hidden), dtype=inputs.dtype) if C0 is None else C0.astype(inputs.dtype)
-    hs = np.zeros((B, T, hidden), dtype=inputs.dtype)
-    caches = []
+    U, W, b = params["U"], params["W"], params["b"]
+    B, T, D = inputs.shape
+    H = W.shape[0]
+    if D != U.shape[0]:
+        raise ValueError(f"sequence_forward: input width {D} does not match U with {U.shape[0]} rows")
+    for name, state in (("h0", h0), ("C0", C0)):
+        if state is not None and state.shape != (B, H):
+            raise ValueError(f"sequence_forward: {name} has shape {state.shape}, expected {(B, H)}")
+    mask = np.ones((B, T), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if np.any(mask[:, :-1] & ~mask[:, 1:]):
+        raise ValueError("mask interleaves padding with real steps (left padding required)")
+    mask = mask[:, :, None]
+    h = np.zeros((B, H), dtype=inputs.dtype) if h0 is None else h0.astype(inputs.dtype)
+    C = None
+    if cell == "lstm":
+        C = np.zeros((B, H), dtype=inputs.dtype) if C0 is None else C0.astype(inputs.dtype)
+    A = (inputs.reshape(B * T, D) @ U + b).reshape(B, T, -1)
+    hs = np.empty((B, T, H), dtype=inputs.dtype)
+    steps = []
     for t in range(T):
-        m = mask[:, t][:, None].astype(inputs.dtype)
-        x_t = inputs[:, t, :]
-        if cell == "rnn":
-            h_new, cache = _rnn_forward(params, x_t, h)
-            C_new = C
-        elif cell == "lstm":
-            (h_new, C_new), cache = _lstm_forward(params, x_t, h, C)
-        else:
-            h_new, cache = _gru_forward(params, x_t, h)
-            C_new = C
-        h = m * h_new + (1.0 - m) * h
-        C = m * C_new + (1.0 - m) * C
-        hs[:, t, :] = h
-        caches.append((cache, m))
-    return hs, caches
+        m = mask[:, t]
+        h_new, C_new, cache = _step_forward(cell, W, A[:, t], h, C)
+        h = np.where(m, h_new, h)
+        if C is not None:
+            C = np.where(m, C_new, C)
+        hs[:, t] = h
+        steps.append(cache)
+    return hs, (inputs, mask, steps)
 
 
 def sequence_backward(
@@ -333,67 +197,38 @@ def sequence_backward(
     """Backpropagation through time over a cached forward pass.
 
     ``dhs`` is the upstream gradient on every step's hidden output, shape
-    (B, T, H). Returns (dxs, grads) with dxs shaped like the inputs.
+    (B, T, H). Returns (dxs, grads) with dxs shaped like the inputs. The
+    per-step pre-activation gradients are stacked, so the gradients of
+    ``U``, ``W`` and ``b`` and the input gradient come from matmuls after
+    the time loop.
     """
-    T = len(caches)
-    B, _, H = dhs.shape
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    inputs, mask, steps = caches
+    U, W = params["U"], params["W"]
+    B, T, D = inputs.shape
+    H = W.shape[0]
+    dA = np.empty((B, T, W.shape[1]), dtype=dhs.dtype)
     dh = np.zeros((B, H), dtype=dhs.dtype)
-    dC = np.zeros((B, H), dtype=dhs.dtype)
-    dxs = None
+    dC = np.zeros((B, H), dtype=dhs.dtype) if cell == "lstm" else None
     for t in reversed(range(T)):
-        cache, m = caches[t]
-        dh_total = dh + dhs[:, t, :]
-        d_inner = dh_total * m
-        if cell == "rnn":
-            dx, dh_prev, step_grads = _rnn_backward(params, cache, d_inner)
-            dC_prev = dC
-        elif cell == "lstm":
-            dC_inner = dC * m
-            dx, dh_prev, dC_prev, step_grads = _lstm_backward(params, cache, d_inner, dC_inner)
-            dC_prev = dC_prev + dC * (1.0 - m)
-        else:
-            dx, dh_prev, step_grads = _gru_backward(params, cache, d_inner)
-            dC_prev = dC
-        if dxs is None:
-            dxs = np.zeros((B, T, dx.shape[1]), dtype=dhs.dtype)
-        dxs[:, t, :] = dx
-        dh = dh_prev + dh_total * (1.0 - m)
-        dC = dC_prev
-        for k, g in step_grads.items():
-            grads[k] += g
-    return dxs, grads
-
-
-def forward_sequence(
-    cell: str,
-    params: Mapping[str, np.ndarray],
-    inputs,
-    mask: np.ndarray | None = None,
-    h0: np.ndarray | None = None,
-    C0: np.ndarray | None = None,
-) -> np.ndarray:
-    """Mask-aware hidden-state sequence of a recurrent cell.
-
-    Accepts a FeatureMatrix, a single (T, D) sequence, or a (B, T, D) batch
-    and returns h_t for every step with matching rank.
-    """
-    if hasattr(inputs, "values") and hasattr(inputs, "mask"):
-        if mask is None:
-            mask = inputs.mask
-        inputs = inputs.values
-    values = np.asarray(inputs)
-    single = values.ndim == 2
-    if single:
-        values = values[None, ...]
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)[None, ...]
-        if h0 is not None:
-            h0 = np.asarray(h0)[None, ...]
-        if C0 is not None:
-            C0 = np.asarray(C0)[None, ...]
-    hs, _ = sequence_forward(cell, params, values, mask, h0, C0)
-    return hs[0] if single else hs
+        m = mask[:, t]
+        dh_total = dh + dhs[:, t]
+        da, dh_prev, dC_prev = _step_backward(
+            cell, W, steps[t], dh_total * m, None if dC is None else dC * m
+        )
+        dA[:, t] = da
+        dh = np.where(m, dh_prev, dh_total)
+        if dC is not None:
+            dC = np.where(m, dC_prev, dC)
+    dA = dA.reshape(B * T, -1)
+    h_prev = np.stack([cache[0] for cache in steps], axis=1).reshape(B * T, H)
+    if cell == "gru":
+        rh = np.stack([cache[2] for cache in steps], axis=1).reshape(B * T, H)
+        dW = np.concatenate([h_prev.T @ dA[:, : 2 * H], rh.T @ dA[:, 2 * H :]], axis=1)
+    else:
+        dW = h_prev.T @ dA
+    flat = inputs.reshape(B * T, D)
+    grads = {"U": flat.T @ dA, "W": dW, "b": dA.sum(axis=0)}
+    return (dA @ U.T).reshape(B, T, D), grads
 
 
 # ---------------------------------------------------------------------------
@@ -559,14 +394,41 @@ def save_params(path: str | Path, params: Mapping[str, np.ndarray], meta: Mappin
     np.savez(path, **payload)
 
 
+def _fuse_v1(params: dict[str, np.ndarray], architecture) -> dict[str, np.ndarray]:
+    """Concatenate the per-gate arrays of a version-1 LSTM/GRU checkpoint
+    (``l<n>:U<gate>``, ``l<n>:W<gate>``, ``l<n>:b<gate>``) into the fused
+    ``l<n>:U``/``W``/``b``. Version 1 named the LSTM input weights ``U*``
+    and the GRU input weights ``W*``. A layer with a missing gate array is
+    left unfused, for the caller's parameter check to reject."""
+    if architecture not in ("lstm", "gru"):
+        return params
+    gates = CELL_GATES[architecture]
+    inp, rec = ("U", "W") if architecture == "lstm" else ("W", "U")
+    fused = dict(params)
+    layer = 0
+    while f"l{layer}:b{gates[0]}" in fused:
+        for new, old in (("U", inp), ("W", rec), ("b", "b")):
+            keys = [f"l{layer}:{old}{gate}" for gate in gates]
+            if all(key in fused for key in keys):
+                fused[f"l{layer}:{new}"] = np.concatenate([fused.pop(key) for key in keys], axis=-1)
+        layer += 1
+    return fused
+
+
 def load_params(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    """Named arrays and metadata of a checkpoint; a version-1 checkpoint has
+    its recurrent cells fused (see :func:`_fuse_v1`)."""
     with np.load(path) as data:
         header = json.loads(bytes(data["__meta__"]).decode("utf-8"))
-        if header.get("checkpoint_version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header.get('checkpoint_version')!r}")
+        version = header.get("checkpoint_version")
+        if version not in (1, CHECKPOINT_VERSION):
+            raise ValueError(f"unsupported checkpoint version {version!r}")
         params = {
             k.removeprefix("param:"): data[k].copy()
             for k in data.files
             if k.startswith("param:")
         }
-    return params, header.get("meta", {})
+    meta = header.get("meta", {})
+    if version == 1:
+        params = _fuse_v1(params, meta.get("architecture"))
+    return params, meta

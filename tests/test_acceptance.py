@@ -143,20 +143,21 @@ def test_criterion_4_gradient_verification():
 
 def test_criterion_5_analytic_cell_checks():
     rng = np.random.default_rng(0)
-    lstm = {k: np.zeros_like(v) for k, v in nn.init_lstm(rng, 3, 4, np.float64).items()}
+    lstm = {k: np.zeros_like(v) for k, v in nn.init_cell("lstm", rng, 3, 4, np.float64).items()}
     C_prev = np.array([2.0, -1.0, 0.5, 0.0])
     x = np.ones(3)
-    (h, C), cache = nn._lstm_forward(lstm, x[None], np.zeros((1, 4)), C_prev[None])
-    _, _, _, f, i, o, c_tilde, _ = cache
+    a = x[None] @ lstm["U"] + lstm["b"]
+    h, C, cache = nn._step_forward("lstm", lstm["W"], a, np.zeros((1, 4)), C_prev[None])
+    f, i, o = np.split(cache[2], 3, axis=1)
     assert np.all(np.abs(f - 0.5) <= 1e-12)
     assert np.all(np.abs(i - 0.5) <= 1e-12)
     assert np.all(np.abs(o - 0.5) <= 1e-12)
     assert np.all(np.abs(C[0] - 0.5 * C_prev) <= 1e-12)
 
-    gru = {k: np.zeros_like(v) for k, v in nn.init_gru(rng, 3, 4, np.float64).items()}
+    gru = {k: np.zeros_like(v) for k, v in nn.init_cell("gru", rng, 3, 4, np.float64).items()}
     h_prev = np.array([1.0, -2.0, 0.25, 3.0])
-    h = nn.gru_step(gru, x, h_prev)
-    assert np.all(np.abs(h - 0.5 * h_prev) <= 1e-12)
+    h, _, _ = nn._step_forward("gru", gru["W"], x[None] @ gru["U"] + gru["b"], h_prev[None], None)
+    assert np.all(np.abs(h[0] - 0.5 * h_prev) <= 1e-12)
     report(5, "zero-parameter LSTM gates = 0.5 with C halved; GRU halves h (±1e-12)")
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ppmbench import gradchecks
 from ppmbench.cli import main
 from ppmbench.eventlog import write_csv
 
@@ -135,6 +136,11 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "max relative gradient error" in out
         assert "PASS" in out
+
+    def test_error_at_gate_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(gradchecks, "GRADCHECK_GATE", 0.0)
+        assert main(["gradcheck", "rnn"]) == 1
+        assert "FAIL (>= 0)" in capsys.readouterr().out
 
 
 class TestOutDirEnvVar:

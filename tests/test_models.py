@@ -1,5 +1,7 @@
 import json
+import shutil
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,13 @@ from ppmbench.petrinet import PetriNet, Transition
 from ppmbench.splitting import make_prefix_samples, temporal_split
 
 from conftest import make_linear_log, make_random_log
+
+DATA = Path(__file__).parent / "data"
+
+
+def npz_arrays(path):
+    with np.load(path) as data:
+        return {k: data[k] for k in data.files}
 
 
 def fast_config(**overrides):
@@ -311,6 +320,58 @@ class TestCheckpointRoundTrip:
         sidecar["activity_vocab"][0] = "Z"
         path.write_text(json.dumps(sidecar), encoding="utf-8")
         with pytest.raises(ValueError, match="vocab_sha256"):
+            load_predictor(tmp_path / "model")
+
+    @pytest.mark.parametrize("fault", ["truncated", "missing"])
+    @pytest.mark.parametrize("arch", ["gru", "mlp", "autoencoder"])
+    def test_malformed_parameters_rejected(self, arch, fault, linear_split, tmp_path):
+        log, split = linear_split
+        cfg = fast_config(
+            epochs=1, time_target=None if arch == "autoencoder" else "next",
+            ngram_dim=16, ae_hidden=(8, 4), pretrain_epochs=1, freeze_epochs=1,
+        )
+        predictor = build_predictor(arch, cfg, log.activity_vocab)
+        train(predictor, split, seed=0)
+        save_predictor(predictor, tmp_path / "model")
+        path = tmp_path / "model.npz"
+        arrays = npz_arrays(path)
+        if fault == "truncated":
+            arrays["param:head_act:b"] = arrays["param:head_act:b"][:1]
+        else:
+            del arrays["param:head_act:b"]
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="'head_act:b'"):
+            load_predictor(tmp_path / "model")
+
+
+class TestVersion1Checkpoints:
+    """``tests/data/v1_{lstm,gru}`` were written with per-gate cell arrays
+    (checkpoint version 1): hidden 4, 2 layers, embedding_dim 2, 20 epochs
+    with patience 20 and batch size 16 on ``make_linear_log(60)``, seed 0.
+    ``v1_predictions.json`` holds their ``predict`` output on the first 10
+    test prefixes."""
+
+    @pytest.mark.parametrize("arch", ["lstm", "gru"])
+    def test_loads_with_fused_cells(self, arch, linear_split):
+        _, split = linear_split
+        expected = json.loads((DATA / "v1_predictions.json").read_text(encoding="utf-8"))[arch]
+        loaded = load_predictor(DATA / f"v1_{arch}")
+        assert sorted(k for k in loaded.params if k.startswith("l1:")) == ["l1:U", "l1:W", "l1:b"]
+        samples = make_prefix_samples(split.test)[:10]
+        for sample, probs, delta in zip(samples, expected["probs"], expected["deltas"], strict=True):
+            p, d = loaded.predict(sample.prefix)
+            assert np.abs(p - probs).max() <= 1e-6
+            assert np.argmax(p) == np.argmax(probs)
+            assert d == pytest.approx(delta, rel=1e-5)
+
+    def test_truncated_gate_array_rejected(self, tmp_path):
+        for suffix in (".json", ".npz"):
+            shutil.copy(DATA / f"v1_lstm{suffix}", tmp_path / f"model{suffix}")
+        path = tmp_path / "model.npz"
+        arrays = npz_arrays(path)
+        arrays["param:l1:bo"] = arrays["param:l1:bo"][:3]
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="'l1:b'"):
             load_predictor(tmp_path / "model")
 
 

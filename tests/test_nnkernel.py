@@ -14,12 +14,39 @@ def rng64(seed=0):
     return np.random.default_rng(seed)
 
 
+def cell_params(cell, in_dim, hidden, seed=0, dtype=np.float64):
+    return nn.init_cell(cell, rng64(seed), in_dim, hidden, dtype)
+
+
+def block(cell, gate, hidden):
+    """Columns of gate ``gate`` in a fused cell's U, W and b."""
+    k = nn.CELL_GATES[cell].index(gate)
+    return slice(k * hidden, (k + 1) * hidden)
+
+
+def step(cell, params, x, h_prev, C_prev=None):
+    """One fused step on a single input vector; returns (h, C, cache)."""
+    a = np.atleast_2d(x) @ params["U"] + params["b"]
+    C_prev = None if C_prev is None else np.atleast_2d(C_prev)
+    h, C, cache = nn._step_forward(cell, params["W"], a, np.atleast_2d(h_prev), C_prev)
+    return h[0], (None if C is None else C[0]), cache
+
+
+def run(cell, params, xs, mask=None, h0=None):
+    """Hidden states of one (T, D) sequence."""
+    hs, _ = nn.sequence_forward(
+        cell, params, xs[None], None if mask is None else mask[None], None if h0 is None else h0[None]
+    )
+    return hs[0]
+
+
 class TestActivations:
     def test_sigmoid_range_and_midpoint(self):
         # open interval holds up to the float64 saturation point (|x| ~ 36)
         x = np.linspace(-30, 30, 201)
         s = nn.sigmoid(x)
         assert np.all(s > 0.0) and np.all(s < 1.0)
+        assert np.allclose(s, 1.0 / (1.0 + np.exp(-x)), rtol=1e-12, atol=1e-15)
         assert nn.sigmoid(np.array([0.0]))[0] == 0.5
         assert np.all(np.isfinite(nn.sigmoid(np.array([-500.0, 500.0]))))
 
@@ -34,135 +61,261 @@ class TestActivations:
 
 class TestRnnStep:
     def test_all_zero(self):
-        params = zero_params(nn.init_rnn(rng64(), 3, 4, out_dim=2, dtype=np.float64))
-        h, o = nn.rnn_step(params, np.ones(3), np.ones(4))
-        assert np.all(h == 0.0) and np.all(o == 0.0)
+        params = zero_params(cell_params("rnn", 3, 4))
+        h, _, _ = step("rnn", params, np.ones(3), np.ones(4))
+        assert np.all(h == 0.0)
 
     def test_bias_saturation(self):
-        params = zero_params(nn.init_rnn(rng64(), 3, 4, dtype=np.float64))
+        params = zero_params(cell_params("rnn", 3, 4))
         params["b"] = np.full(4, 50.0)
-        h, _ = nn.rnn_step(params, np.zeros(3), np.zeros(4))
+        h, _, _ = step("rnn", params, np.zeros(3), np.zeros(4))
         assert np.allclose(h, 1.0)
 
     def test_scalar_case(self):
         params = {"U": np.array([[1.0]]), "W": np.array([[0.0]]), "b": np.array([0.0])}
-        h, o = nn.rnn_step(params, np.array([0.5]), np.array([0.0]))
+        h, C, _ = step("rnn", params, np.array([0.5]), np.array([0.0]))
         assert h[0] == pytest.approx(math.tanh(0.5), abs=1e-12)
-        assert o is None
+        assert C is None
 
     def test_shape_mismatch(self):
-        params = nn.init_rnn(rng64(), 3, 4, dtype=np.float64)
-        with pytest.raises(ValueError):
-            nn.rnn_step(params, np.ones(5), np.ones(4))
+        params = cell_params("rnn", 3, 4)
+        with pytest.raises(ValueError, match="input width 5"):
+            nn.sequence_forward("rnn", params, np.ones((1, 2, 5)))
 
 
 class TestLstmStep:
     def test_zero_params_halves_cell(self):
-        params = zero_params(nn.init_lstm(rng64(), 3, 4, np.float64))
-        state = nn.CellState(h=np.zeros(4), C=np.full(4, 2.0))
-        out = nn.lstm_step(params, np.ones(3), state)
-        assert np.allclose(out.C, 1.0, atol=1e-15)  # f = i = 0.5, C~ = 0
-        assert np.allclose(out.h, 0.5 * np.tanh(1.0), atol=1e-15)
+        params = zero_params(cell_params("lstm", 3, 4))
+        h, C, _ = step("lstm", params, np.ones(3), np.zeros(4), np.full(4, 2.0))
+        assert np.allclose(C, 1.0, atol=1e-15)  # f = i = 0.5, C~ = 0
+        assert np.allclose(h, 0.5 * np.tanh(1.0), atol=1e-15)
 
     def test_zero_cell_zero_output(self):
-        params = zero_params(nn.init_lstm(rng64(), 2, 3, np.float64))
-        out = nn.lstm_step(params, np.zeros(2), nn.CellState(h=np.zeros(3), C=np.zeros(3)))
-        assert np.all(out.C == 0.0) and np.all(out.h == 0.0)
+        params = zero_params(cell_params("lstm", 2, 3))
+        h, C, _ = step("lstm", params, np.zeros(2), np.zeros(3), np.zeros(3))
+        assert np.all(C == 0.0) and np.all(h == 0.0)
 
     def test_forget_bias_preserves_memory(self):
-        params = zero_params(nn.init_lstm(rng64(), 1, 1, np.float64))
-        params["bf"] = np.array([10.0])
-        out = nn.lstm_step(params, np.zeros(1), nn.CellState(h=np.zeros(1), C=np.ones(1)))
+        params = zero_params(cell_params("lstm", 1, 1))
+        params["b"][block("lstm", "f", 1)] = 10.0
+        _, C, _ = step("lstm", params, np.zeros(1), np.zeros(1), np.ones(1))
         f = 1.0 / (1.0 + math.exp(-10.0))
-        assert out.C[0] == pytest.approx(f, abs=1e-15)
-        assert out.C[0] == pytest.approx(1.0, abs=1e-4)
+        assert C[0] == pytest.approx(f, abs=1e-15)
+        assert C[0] == pytest.approx(1.0, abs=1e-4)
 
     def test_gates_in_open_interval(self):
         rng = rng64(5)
-        params = nn.init_lstm(rng, 3, 4, np.float64)
-        x = rng.normal(size=(2, 3))
-        h = rng.normal(size=(2, 4))
-        C = rng.normal(size=(2, 4))
-        (_, _), cache = nn._lstm_forward(params, x, h, C)
-        _, _, _, f, i, o, c_tilde, _ = cache
-        for gate in (f, i, o):
-            assert np.all(gate > 0.0) and np.all(gate < 1.0)
+        params = nn.init_cell("lstm", rng, 3, 4, np.float64)
+        a = rng.normal(size=(2, 3)) @ params["U"] + params["b"]
+        _, _, cache = nn._step_forward(
+            "lstm", params["W"], a, rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+        )
+        _, _, fio, c_tilde, _ = cache
+        assert fio.shape == (2, 12)
+        assert np.all(fio > 0.0) and np.all(fio < 1.0)
         assert np.all(c_tilde > -1.0) and np.all(c_tilde < 1.0)
 
     def test_forget_bias_initialized_to_one(self):
-        params = nn.init_lstm(rng64(), 3, 4)
-        assert np.all(params["bf"] == 1.0)
-        assert np.all(params["bi"] == 0.0)
+        params = nn.init_cell("lstm", rng64(), 3, 4)
+        assert np.all(params["b"][block("lstm", "f", 4)] == 1.0)
+        for gate in ("i", "o", "c"):
+            assert np.all(params["b"][block("lstm", gate, 4)] == 0.0)
 
 
 class TestGruStep:
     def test_zero_params_halves_hidden(self):
-        params = zero_params(nn.init_gru(rng64(), 3, 4, np.float64))
-        h = nn.gru_step(params, np.ones(3), np.full(4, 2.0))
+        params = zero_params(cell_params("gru", 3, 4))
+        h, _, _ = step("gru", params, np.ones(3), np.full(4, 2.0))
         assert np.allclose(h, 1.0, atol=1e-15)
 
     def test_update_gate_saturation_copies_state(self):
-        params = zero_params(nn.init_gru(rng64(), 2, 3, np.float64))
-        params["bz"] = np.full(3, 10.0)
+        params = zero_params(cell_params("gru", 2, 3))
+        params["b"][block("gru", "z", 3)] = 10.0
         h_prev = np.array([0.3, -0.7, 1.5])
-        h = nn.gru_step(params, np.zeros(2), h_prev)
+        h, _, _ = step("gru", params, np.zeros(2), h_prev)
         assert np.allclose(h, h_prev, atol=1e-4)
 
     def test_scalar_candidate(self):
-        params = zero_params(nn.init_gru(rng64(), 1, 1, np.float64))
-        params["Uh"] = np.array([[1.0]])
-        h = nn.gru_step(params, np.zeros(1), np.ones(1))
+        params = zero_params(cell_params("gru", 1, 1))
+        params["W"][:, block("gru", "h", 1)] = 1.0
+        h, _, _ = step("gru", params, np.zeros(1), np.ones(1))
         assert h[0] == pytest.approx(0.5 + 0.5 * math.tanh(0.5), abs=1e-12)
+
+
+class TestInit:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cell", nn.CELLS)
+    def test_equals_concatenated_per_gate_draws(self, cell, dtype):
+        # checkpoint version 1 drew each gate's input block, then its
+        # recurrent block, in gate order
+        rng = rng64(3)
+        blocks = [
+            (nn.glorot_uniform(rng, 5, 4, dtype), nn.glorot_uniform(rng, 4, 4, dtype))
+            for _ in nn.CELL_GATES[cell]
+        ]
+        params = nn.init_cell(cell, rng64(3), 5, 4, dtype)
+        assert np.array_equal(params["U"], np.concatenate([u for u, _ in blocks], axis=1))
+        assert np.array_equal(params["W"], np.concatenate([w for _, w in blocks], axis=1))
+        assert all(v.dtype == dtype for v in params.values())
+
+    def test_unknown_cell(self):
+        with pytest.raises(ValueError):
+            nn.init_cell("tcn", rng64(), 3, 4)
+
+
+def per_gate_forward(cell, p, x, h_prev, C_prev):
+    """The per-gate step formulas of checkpoint version 1, on split weights."""
+    sig = lambda v: 1.0 / (1.0 + np.exp(-v))  # noqa: E731
+    if cell == "rnn":
+        h = np.tanh(p["b"] + h_prev @ p["W"] + x @ p["U"])
+        return h, C_prev, (h_prev, h)
+    if cell == "lstm":
+        f, i, o = (sig(p["b" + g] + x @ p["U" + g] + h_prev @ p["W" + g]) for g in "fio")
+        c_tilde = np.tanh(p["bc"] + x @ p["Uc"] + h_prev @ p["Wc"])
+        C = f * C_prev + i * c_tilde
+        return o * np.tanh(C), C, (h_prev, C_prev, f, i, o, c_tilde, np.tanh(C))
+    z, r = (sig(x @ p["U" + g] + h_prev @ p["W" + g] + p["b" + g]) for g in "zr")
+    h_tilde = np.tanh(x @ p["Uh"] + (r * h_prev) @ p["Wh"] + p["bh"])
+    return z * h_prev + (1.0 - z) * h_tilde, C_prev, (h_prev, z, r, h_tilde)
+
+
+def per_gate_backward(cell, p, x, cache, dh, dC):
+    """Returns (dx, dh_prev, dC_prev, per-gate grads) of one step."""
+    if cell == "rnn":
+        h_prev, h = cache
+        das = {"": dh * (1.0 - h * h)}
+        recurrent = {"": h_prev}
+        dh_prev = 0.0
+    elif cell == "lstm":
+        h_prev, C_prev, f, i, o, c_tilde, tC = cache
+        dC = dC + dh * o * (1.0 - tC * tC)
+        das = {
+            "f": dC * C_prev * f * (1.0 - f),
+            "i": dC * c_tilde * i * (1.0 - i),
+            "o": dh * tC * o * (1.0 - o),
+            "c": dC * i * (1.0 - c_tilde * c_tilde),
+        }
+        recurrent = dict.fromkeys("fioc", h_prev)
+        dh_prev, dC = 0.0, dC * f
+    else:
+        h_prev, z, r, h_tilde = cache
+        da_h = dh * (1.0 - z) * (1.0 - h_tilde * h_tilde)
+        drh = da_h @ p["Wh"].T
+        das = {
+            "z": dh * (h_prev - h_tilde) * z * (1.0 - z),
+            "r": drh * h_prev * r * (1.0 - r),
+            "h": da_h,
+        }
+        recurrent = {"z": h_prev, "r": h_prev, "h": r * h_prev}
+        dh_prev = dh * z + drh * r
+    grads, dx = {}, 0.0
+    for g, da in das.items():
+        grads["U" + g], grads["W" + g], grads["b" + g] = x.T @ da, recurrent[g].T @ da, da.sum(0)
+        dx = dx + da @ p["U" + g].T
+        if cell != "gru" or g != "h":
+            dh_prev = dh_prev + da @ p["W" + g].T
+    return dx, dh_prev, dC, grads
+
+
+class TestFusedEquivalence:
+    @pytest.mark.parametrize("cell", nn.CELLS)
+    def test_matches_per_gate_formulas(self, cell):
+        rng = rng64(17)
+        H, D = 4, 3
+        fused = {k: v + rng.normal(scale=0.3, size=v.shape) for k, v in cell_params(cell, D, H).items()}
+        gates = nn.CELL_GATES[cell]
+        suffix = dict(zip(gates, gates)) if cell != "rnn" else {"h": ""}
+        split = {}
+        for g in gates:
+            cols = block(cell, g, H)
+            s = suffix[g]
+            split["U" + s], split["W" + s], split["b" + s] = (
+                fused["U"][:, cols], fused["W"][:, cols], fused["b"][cols]
+            )
+        X = rng.normal(size=(4, 5, D))
+        mask = np.array([[1, 1, 1, 1, 1], [0, 0, 1, 1, 1], [0, 0, 0, 0, 1], [0, 0, 0, 0, 0]], bool)
+        dhs = rng.normal(size=(4, 5, H))
+
+        h, C = np.zeros((4, H)), np.zeros((4, H))
+        hs_ref, caches = np.zeros((4, 5, H)), []
+        for t in range(5):
+            m = mask[:, t, None]
+            h_new, C_new, cache = per_gate_forward(cell, split, X[:, t], h, C)
+            h, C = np.where(m, h_new, h), np.where(m, C_new, C)
+            hs_ref[:, t] = h
+            caches.append(cache)
+        dxs_ref = np.zeros_like(X)
+        grads_ref = {k: np.zeros_like(v) for k, v in split.items()}
+        dh, dC = np.zeros((4, H)), np.zeros((4, H))
+        for t in reversed(range(5)):
+            m = mask[:, t, None]
+            dh_total = dh + dhs[:, t]
+            dx, dh_prev, dC_prev, grads = per_gate_backward(
+                cell, split, X[:, t], caches[t], dh_total * m, dC * m
+            )
+            dxs_ref[:, t] = dx
+            dh, dC = np.where(m, dh_prev, dh_total), np.where(m, dC_prev, dC)
+            for k, g in grads.items():
+                grads_ref[k] += g
+
+        hs, fcaches = nn.sequence_forward(cell, fused, X, mask)
+        dxs, fgrads = nn.sequence_backward(cell, fused, fcaches, dhs)
+        assert np.abs(hs - hs_ref).max() <= 1e-12
+        assert np.abs(dxs - dxs_ref).max() <= 1e-12
+        for g in gates:
+            cols, s = block(cell, g, H), suffix[g]
+            assert np.abs(fgrads["U"][:, cols] - grads_ref["U" + s]).max() <= 1e-12
+            assert np.abs(fgrads["W"][:, cols] - grads_ref["W" + s]).max() <= 1e-12
+            assert np.abs(fgrads["b"][cols] - grads_ref["b" + s]).max() <= 1e-12
 
 
 class TestForwardSequence:
     def test_zero_params_rnn_final_zero(self):
-        params = zero_params(nn.init_rnn(rng64(), 2, 3, dtype=np.float64))
-        xs = np.ones((4, 2))
-        hs = nn.forward_sequence("rnn", params, xs)
+        params = zero_params(cell_params("rnn", 2, 3))
+        hs = run("rnn", params, np.ones((4, 2)))
         assert np.all(hs == 0.0)
 
     def test_zero_params_gru_repeated_halving(self):
-        params = zero_params(nn.init_gru(rng64(), 2, 3, np.float64))
+        params = zero_params(cell_params("gru", 2, 3))
         h0 = np.array([1.0, -2.0, 4.0])
-        hs = nn.forward_sequence("gru", params, np.zeros((3, 2)), h0=h0)
+        hs = run("gru", params, np.zeros((3, 2)), h0=h0)
         assert np.allclose(hs[-1], h0 * 0.5**3, atol=1e-15)
 
     def test_single_real_step_equals_step_op(self):
         rng = rng64(7)
-        params = nn.init_gru(rng, 3, 4, np.float64)
+        params = nn.init_cell("gru", rng, 3, 4, np.float64)
         x = rng.normal(size=3)
-        hs = nn.forward_sequence("gru", params, x[None, :])
-        direct = nn.gru_step(params, x, np.zeros(4))
+        hs = run("gru", params, x[None, :])
+        direct, _, _ = step("gru", params, x, np.zeros(4))
         assert np.allclose(hs[-1], direct)
 
     def test_padding_passes_state_through(self):
         rng = rng64(9)
-        params = nn.init_gru(rng, 2, 3, np.float64)
+        params = nn.init_cell("gru", rng, 2, 3, np.float64)
         xs = rng.normal(size=(4, 2))
         mask = np.array([False, False, True, True])
         padded = np.where(mask[:, None], xs, 0.0)
-        hs = nn.forward_sequence("gru", params, padded, mask=mask)
+        hs = run("gru", params, padded, mask=mask)
         assert np.all(hs[0] == 0.0) and np.all(hs[1] == 0.0)
-        unpadded = nn.forward_sequence("gru", params, xs[2:])
+        unpadded = run("gru", params, xs[2:])
         assert np.allclose(hs[2:], unpadded)
 
     def test_interleaved_padding_rejected(self):
-        params = nn.init_gru(rng64(), 2, 3, np.float64)
+        params = cell_params("gru", 2, 3)
         mask = np.array([True, False, True])
         with pytest.raises(ValueError):
-            nn.forward_sequence("gru", params, np.zeros((3, 2)), mask=mask)
+            run("gru", params, np.zeros((3, 2)), mask=mask)
 
     def test_batch_shape(self):
-        params = nn.init_lstm(rng64(), 2, 5, np.float64)
-        hs = nn.forward_sequence("lstm", params, np.zeros((3, 4, 2)))
+        params = cell_params("lstm", 2, 5)
+        hs, _ = nn.sequence_forward("lstm", params, np.zeros((3, 4, 2)))
         assert hs.shape == (3, 4, 5)
 
     def test_accepts_feature_matrix(self):
         from ppmbench.encoding import ColumnGroup, FeatureLayout, FeatureMatrix
 
         rng = rng64(11)
-        params = nn.init_gru(rng, 2, 3, np.float64)
+        params = nn.init_cell("gru", rng, 2, 3, np.float64)
         values = np.vstack([np.zeros((1, 2)), rng.normal(size=(2, 2))])
         mask = np.array([False, True, True])
         mat = FeatureMatrix(
@@ -170,8 +323,9 @@ class TestForwardSequence:
             mask=mask,
             layout=FeatureLayout(groups=(ColumnGroup("x", "real", 0, 2),)),
         )
-        hs = nn.forward_sequence("gru", params, mat)
-        assert np.allclose(hs, nn.forward_sequence("gru", params, values, mask=mask))
+        hs, _ = nn.sequence_forward("gru", params, mat.values[None], mat.mask[None])
+        assert np.all(hs[0, 0] == 0.0)
+        assert np.allclose(hs[0, 1:], run("gru", params, values[1:]))
 
 
 class TestLosses:
@@ -223,7 +377,7 @@ class TestBackwardProperties:
 
     def test_doubling_loss_doubles_gradients(self):
         rng = rng64(21)
-        params = nn.init_gru(rng, 2, 3, np.float64)
+        params = nn.init_cell("gru", rng, 2, 3, np.float64)
         xs = rng.normal(size=(2, 4, 2))
         hs, caches = nn.sequence_forward("gru", params, xs)
         dhs = rng.normal(size=hs.shape)
@@ -258,7 +412,7 @@ class TestGradcheck:
 
     def test_gru_sequence(self):
         rng = rng64(4)
-        params = nn.init_gru(rng, 3, 4, np.float64)
+        params = nn.init_cell("gru", rng, 3, 4, np.float64)
         params.update(
             {"Wout": nn.glorot_uniform(rng, 4, 3, np.float64), "bout": np.zeros(3)}
         )
@@ -321,7 +475,7 @@ class TestOptimizer:
     def test_determinism_bit_identical(self):
         def run():
             rng = np.random.default_rng(42)
-            params = {k: v.astype(np.float32) for k, v in nn.init_gru(rng, 3, 4).items()}
+            params = {k: v.astype(np.float32) for k, v in nn.init_cell("gru", rng, 3, 4).items()}
             opt = nn.SGD(lr=0.01, momentum=0.9)
             data = np.random.default_rng(1).normal(size=(8, 5, 3)).astype(np.float32)
             y = np.random.default_rng(2).integers(0, 3, size=8)
@@ -376,17 +530,11 @@ class TestCheckpoint:
 
 class TestShapeMismatches:
     def test_lstm_input_width(self):
-        params = nn.init_lstm(rng64(), 3, 4, np.float64)
-        state = nn.CellState(h=np.zeros(4), C=np.zeros(4))
-        with pytest.raises(ValueError):
-            nn.lstm_step(params, np.ones(5), state)
+        params = cell_params("lstm", 3, 4)
+        with pytest.raises(ValueError, match="input width 5"):
+            nn.sequence_forward("lstm", params, np.ones((1, 1, 5)))
 
     def test_gru_hidden_width(self):
-        params = nn.init_gru(rng64(), 3, 4, np.float64)
-        with pytest.raises(ValueError):
-            nn.gru_step(params, np.ones(3), np.ones(2))
-
-    def test_lstm_state_needs_cell(self):
-        params = nn.init_lstm(rng64(), 3, 4, np.float64)
-        with pytest.raises(ValueError):
-            nn.lstm_step(params, np.ones(3), nn.CellState(h=np.zeros(4), C=None))
+        params = cell_params("gru", 3, 4)
+        with pytest.raises(ValueError, match="h0"):
+            nn.sequence_forward("gru", params, np.ones((1, 1, 3)), h0=np.ones((1, 2)))
