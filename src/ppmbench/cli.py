@@ -16,7 +16,15 @@ from .bench import BenchmarkConfig, ConfigError, run_matrix
 from .eventlog import CsvSchema, augment_eoc, compute_stats, parse_csv, stats_csv, stats_table
 from .inference import DecodeConfig
 from .metrics import evaluate_protocol
-from .models import TrainConfig, build_predictor, load_predictor, save_predictor, train
+from .models import (
+    ARCHITECTURES,
+    INPUT_MODES,
+    TrainConfig,
+    build_predictor,
+    load_predictor,
+    save_predictor,
+    train,
+)
 from .petrinet import load_petri_net
 from .splitting import temporal_split, write_split_manifest
 from . import gradchecks
@@ -71,8 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train one model on a log")
     p_train.add_argument("log")
     _schema_args(p_train)
-    p_train.add_argument("--arch", required=True,
-                         choices=["markov", "mlp", "rnn", "lstm", "gru", "autoencoder"])
+    p_train.add_argument("--arch", required=True, choices=ARCHITECTURES)
     p_train.add_argument("--hidden", type=int, default=64)
     p_train.add_argument("--layers", type=int, default=2)
     p_train.add_argument("--epochs", type=int, default=100)
@@ -81,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lr", type=float, default=0.01)
     p_train.add_argument("--time-target", default="next", choices=["next", "remaining", "none"])
     p_train.add_argument("--petri-net", default=None)
-    p_train.add_argument("--input-mode", default="padded_flat")
+    p_train.add_argument("--input-mode", default="padded_flat", choices=INPUT_MODES)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a checkpoint on a log's test part")
     p_eval.add_argument("log")

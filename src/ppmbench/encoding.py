@@ -4,14 +4,17 @@ padded/continuous/n-gram sequence encodings."""
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from datetime import datetime, timezone
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .eventlog import MISSING, Event, EventLog, Vocabulary
 from .splitting import PrefixSample
+
+
+MS_PER_DAY = 86_400_000
 
 
 class NotFittedError(RuntimeError):
@@ -38,7 +41,8 @@ def frequency_encode(activities: Sequence[str], vocab: Vocabulary) -> np.ndarray
 
 
 def time_features(events: Sequence[Event]) -> np.ndarray:
-    """Raw per-event time features, shape (T, 4).
+    """Raw per-event time features, shape (T, 4), computed from the events'
+    UTC epoch milliseconds in integer arithmetic; row i reads events 0..i only.
 
     Columns: seconds since the previous event (0 for the first), seconds since
     the case start, seconds since midnight of the event's day (UTC), and
@@ -46,15 +50,14 @@ def time_features(events: Sequence[Event]) -> np.ndarray:
     """
     if not events:
         raise ValueError("time_features needs a non-empty prefix")
-    out = np.zeros((len(events), 4), dtype=np.float64)
-    start = events[0].timestamp_ms
-    for i, ev in enumerate(events):
-        dt = datetime.fromtimestamp(ev.timestamp_ms / 1000.0, tz=timezone.utc)
-        midnight = dt.replace(hour=0, minute=0, second=0, microsecond=0)
-        out[i, 0] = 0.0 if i == 0 else (ev.timestamp_ms - events[i - 1].timestamp_ms) / 1000.0
-        out[i, 1] = (ev.timestamp_ms - start) / 1000.0
-        out[i, 2] = (dt - midnight).total_seconds()
-        out[i, 3] = float(dt.weekday())
+    ms = np.fromiter((ev.timestamp_ms for ev in events), dtype=np.int64, count=len(events))
+    day, ms_of_day = np.divmod(ms, MS_PER_DAY)  # floor division: pre-1970 days count down
+    out = np.empty((len(ms), 4), dtype=np.float64)
+    out[0, 0] = 0.0
+    out[1:, 0] = (ms[1:] - ms[:-1]) / 1000.0
+    out[:, 1] = (ms - ms[0]) / 1000.0
+    out[:, 2] = ms_of_day / 1000.0
+    out[:, 3] = (day + 3) % 7  # 1970-01-01 was a Thursday
     return out
 
 
@@ -261,27 +264,27 @@ class PrefixEncoder:
         self.fitted = max_len is not None and not include_time
 
     def fit(self, samples: Iterable[PrefixSample]) -> "PrefixEncoder":
-        """Fit sequence length and time statistics on training samples only."""
-        longest = 0
-        deltas: list[float] = []
-        elapsed: list[float] = []
-        for sample in samples:
-            longest = max(longest, len(sample.prefix))
-            if self.include_time:
-                feats = time_features(sample.prefix)
-                deltas.extend(feats[:, 0].tolist())
-                elapsed.extend(feats[:, 1].tolist())
-        if longest == 0:
+        """Fit sequence length and time statistics on training samples only.
+
+        The time normalizers are min-max, so the time features of each trace
+        are read once, up to its longest sampled prefix.
+        """
+        # the last of a trace's samples in ascending k is its longest one
+        longest = {id(s.trace): s for s in sorted(samples, key=lambda s: s.k)}
+        if not longest:
             raise ValueError("cannot fit an encoder on zero samples")
         if self.max_len is None:
-            self.max_len = longest if self.window is None else min(longest, self.window)
+            k = max(sample.k for sample in longest.values())
+            self.max_len = k if self.window is None else min(k, self.window)
         if self.include_time:
-            self.delta_norm = Normalizer("log").fit(deltas)
-            self.elapsed_norm = Normalizer("log").fit(elapsed)
+            feats = np.concatenate([time_features(s.prefix) for s in longest.values()])
+            self.delta_norm = Normalizer("log").fit(feats[:, 0])
+            self.elapsed_norm = Normalizer("log").fit(feats[:, 1])
         self.fitted = True
         return self
 
-    def _base_layout(self) -> tuple[ColumnGroup, ...]:
+    @cached_property
+    def layout(self) -> FeatureLayout:
         groups = []
         start = 0
         n_act = len(self.activity_vocab)
@@ -297,11 +300,7 @@ class PrefixEncoder:
         if self.include_time:
             groups.append(ColumnGroup("time", "real", start, 4))
             start += 4
-        return tuple(groups)
-
-    @property
-    def layout(self) -> FeatureLayout:
-        return FeatureLayout(groups=self._base_layout())
+        return FeatureLayout(groups=tuple(groups))
 
     @property
     def num_features(self) -> int:
@@ -314,48 +313,54 @@ class PrefixEncoder:
         up to the encoder's sequence length; prefixes that still exceed it keep
         the most recent events and the layout carries a truncation flag.
         """
+        values, mask = self.encode_prefixes(events, [len(events)])
+        rows = len(events) if self.window is None else min(len(events), self.window)
+        layout = replace(self.layout, truncated=rows > self.max_len)
+        return FeatureMatrix(values=values[0], mask=mask[0], layout=layout)
+
+    def encode_prefixes(
+        self, events: Sequence[Event], ks: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Values (len(ks), T, F) and mask (len(ks), T) of ``events[:k]`` for
+        each k in ``ks``, each encoded as :meth:`encode` does.
+
+        The feature rows of ``events[:max(ks)]`` are built once, row i from
+        events 0..i only; each prefix takes its left-padded window by index.
+        """
         if not self.fitted or self.max_len is None:
             raise NotFittedError("prefix encoder used before fit()")
-        if not events:
+        if min(ks) < 1:
             raise ValueError("cannot encode an empty prefix")
-        rows = list(events)
-        if self.window is not None and len(rows) > self.window:
-            rows = rows[-self.window :]
-        truncated = len(rows) > self.max_len
-        if truncated:
-            rows = rows[-self.max_len :]
-        offset = len(events) - len(rows)
-
-        layout = FeatureLayout(groups=self._base_layout(), truncated=truncated)
-        values = np.zeros((self.max_len, layout.num_features), dtype=np.float64)
-        mask = np.zeros(self.max_len, dtype=bool)
-        if self.include_time:
-            feats = time_features(events)  # computed on the full prefix, then windowed
-            delta = self.delta_norm.transform(feats[:, 0])
-            elapsed = self.elapsed_norm.transform(feats[:, 1])
-        pad = self.max_len - len(rows)
-        for i, ev in enumerate(rows):
-            r = pad + i
-            mask[r] = True
-            for group in layout.groups:
-                if group.name == "activity":
-                    idx = self.activity_vocab.index(ev.activity)
-                    if group.kind == "onehot":
-                        values[r, group.start + idx] = 1.0
-                    else:
-                        values[r, group.start] = float(idx)
-                elif group.kind == "onehot":
-                    name = group.name.removeprefix("attr:")
-                    vocab = self.attribute_vocabs[name]
-                    value = ev.attributes.get(name, MISSING)
-                    values[r, group.start + vocab.index(value)] = 1.0
-                else:  # time
-                    t = offset + i
-                    values[r, group.start + 0] = delta[t]
-                    values[r, group.start + 1] = elapsed[t]
-                    values[r, group.start + 2] = feats[t, 2] / 86400.0
-                    values[r, group.start + 3] = feats[t, 3] / 6.0
-        return FeatureMatrix(values=values, mask=mask, layout=layout)
+        length = self.max_len
+        limit = length if self.window is None else min(self.window, length)
+        events = events[: max(ks)]
+        # ``length`` zero rows come first, so slot t of prefix k (event
+        # k - length + t) is row k + t; slots before its window read row 0
+        rows = np.zeros((length + len(events), self.layout.num_features), dtype=np.float64)
+        body = rows[length:]
+        at = np.arange(len(events))
+        for group in self.layout.groups:
+            if group.name == "activity":
+                idx = np.array([self.activity_vocab.index(ev.activity) for ev in events])
+                if group.kind == "onehot":
+                    body[at, group.start + idx] = 1.0
+                else:
+                    body[:, group.start] = idx
+            elif group.kind == "onehot":
+                name = group.name.removeprefix("attr:")
+                vocab = self.attribute_vocabs[name]
+                idx = np.array([vocab.index(ev.attributes.get(name, MISSING)) for ev in events])
+                body[at, group.start + idx] = 1.0
+            else:  # time
+                feats = time_features(events)
+                body[:, group.start + 0] = self.delta_norm.transform(feats[:, 0])
+                body[:, group.start + 1] = self.elapsed_norm.transform(feats[:, 1])
+                body[:, group.start + 2] = feats[:, 2] / 86400.0
+                body[:, group.start + 3] = feats[:, 3] / 6.0
+        ks = np.asarray(ks)[:, None]
+        slots = np.arange(length)
+        mask = slots >= length - np.minimum(ks, limit)
+        return rows[np.where(mask, ks + slots, 0)], mask
 
     def state(self) -> dict:
         return {

@@ -3,7 +3,7 @@ Damerau-Levenshtein similarity, MAE, and the end-to-end test protocol."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -182,13 +182,7 @@ def evaluate_protocol(
                 next_pred.append(float(delta))
                 next_true.append(sample.next_time_delta)
         if want_suffix or (want_remaining and remaining_mode == "recursive"):
-            per_sample = DecodeConfig(
-                strategy=decode_cfg.strategy,
-                beam_width=decode_cfg.beam_width,
-                max_len=decode_cfg.max_len,
-                seed=decode_cfg.seed ^ i,
-                length_normalize=decode_cfg.length_normalize,
-            )
+            per_sample = replace(decode_cfg, seed=decode_cfg.seed ^ i)
             suffix_pred = decode_suffix(model, sample.prefix, per_sample)
             if want_suffix:
                 sims.append(dl_similarity(suffix_pred.activities, sample.suffix_activities))

@@ -22,6 +22,7 @@ from .petrinet import PetriNet, replay_timed_state
 from .splitting import PrefixSample, SplitLog, make_prefix_samples
 
 ARCHITECTURES = ("markov", "mlp", "rnn", "lstm", "gru", "autoencoder")
+INPUT_MODES = ("padded_flat", "single_event", "timed_state")  # what the mlp reads
 
 SIDECAR_VERSION = 1
 
@@ -48,7 +49,7 @@ class TrainConfig:
     window: int | None = None
     max_len: int | None = None
     # mlp only
-    input_mode: str = "padded_flat"  # "padded_flat" | "single_event" | "timed_state"
+    input_mode: str = "padded_flat"  # one of INPUT_MODES
     decay_seconds: float | None = None  # timed_state horizon; None -> max train case duration
     # markov only
     order: int = 2
@@ -66,6 +67,8 @@ class TrainConfig:
         self.ae_hidden = tuple(self.ae_hidden)
         if self.time_target not in (None, "next", "remaining"):
             raise ValueError(f"unknown time_target {self.time_target!r}")
+        if self.input_mode not in INPUT_MODES:
+            raise ValueError(f"unknown input_mode {self.input_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -422,14 +425,13 @@ class _NeuralPredictor(Predictor):
         self.time_target = config.time_target
 
     def _prepare(self, train_samples) -> None:
-        self.encoder = self._make_encoder()
-        self.encoder.fit(train_samples)
+        self.encoder = self._make_encoder().fit(train_samples)
 
-    def _encode_inputs(self, samples):
-        mats = [self.encoder.encode(s.prefix) for s in samples]
-        X = np.stack([m.values for m in mats]).astype(self.dtype)
-        M = np.stack([m.mask for m in mats])
-        return X, M
+    def _inputs(self, events, ks):
+        """Network inputs and mask (or None) of ``events[:k]`` for each k in
+        ``ks``, stacked in that order; an input never reads past its prefix."""
+        X, M = self.encoder.encode_prefixes(events, ks)
+        return X.astype(self.dtype), M
 
     def _build_params(self, rng) -> dict[str, np.ndarray]:
         raise NotImplementedError
@@ -468,8 +470,19 @@ class _NeuralPredictor(Predictor):
         return self._arrays(train_samples)
 
     def _arrays(self, samples):
-        """Inputs, mask, activity targets and normalized time targets."""
-        X, M = self._encode_inputs(samples)
+        """Inputs, mask, activity targets and normalized time targets, in
+        sample order; the inputs are encoded once per distinct trace."""
+        by_trace: dict[int, list[int]] = {}
+        for i, sample in enumerate(samples):
+            by_trace.setdefault(id(sample.trace), []).append(i)
+        parts = [
+            self._inputs(samples[idx[0]].trace.events, [samples[i].k for i in idx])
+            for idx in by_trace.values()
+        ]
+        # concatenated row j holds the j-th sample index listed; argsort inverts that
+        back = np.argsort([i for idx in by_trace.values() for i in idx])
+        X = np.concatenate([x for x, _ in parts])[back]
+        M = None if parts[0][1] is None else np.concatenate([m for _, m in parts])[back]
         y_act = np.array(
             [self.activity_vocab.index(s.next_activity) for s in samples], dtype=np.int64
         )
@@ -525,17 +538,13 @@ class _NeuralPredictor(Predictor):
     def predict(self, events):
         if not self.params:
             raise RuntimeError("predictor used before fit()")
-        X, M = self._encode_inputs_single(events)
+        X, M = self._inputs(events, [len(events)])
         logits, tpred, _ = self._forward(self.params, X, M, False)
         probs = nn.softmax(logits[0].astype(np.float64))
         delta = None
         if tpred is not None and self.time_norm is not None:
             delta = max(0.0, float(self.time_norm.inverse(np.array([tpred[0, 0]]))[0]))
         return probs, delta
-
-    def _encode_inputs_single(self, events):
-        mat = self.encoder.encode(events)
-        return mat.values[None].astype(self.dtype), mat.mask[None]
 
     # checkpointing ---------------------------------------------------------
     def _vocab_sha256(self) -> str:
@@ -607,22 +616,17 @@ class RecurrentPredictor(_NeuralPredictor):
         self.cell = cell
         self.architecture = cell
 
-    def _input_dim(self) -> int:
-        base = self.encoder.num_features
-        if self.config.embedding_dim:
-            return base - 1 + self.config.embedding_dim
-        return base
-
     def _build_params(self, rng):
         cfg = self.config
         if cfg.hidden < 1 or cfg.layers < 1:
             raise ValueError("hidden and layers must be >= 1")
         params: dict[str, np.ndarray] = {}
+        in_dim = self.encoder.num_features
         if cfg.embedding_dim:
             params["emb"] = nn.glorot_uniform(
                 rng, len(self.activity_vocab), cfg.embedding_dim, self.dtype
             )
-        in_dim = self._input_dim()
+            in_dim += cfg.embedding_dim - 1  # the embedding replaces the index column
         for layer in range(cfg.layers):
             cell_params = nn.init_cell(self.cell, rng, in_dim, cfg.hidden, self.dtype)
             params.update({f"l{layer}:{k}": v for k, v in cell_params.items()})
@@ -698,8 +702,6 @@ class MLPPredictor(_NeuralPredictor):
         petri_net: PetriNet | None = None,
     ):
         super().__init__(activity_vocab, attribute_vocabs, config)
-        if self.config.input_mode not in ("padded_flat", "single_event", "timed_state"):
-            raise ValueError(f"unknown input_mode {self.config.input_mode!r}")
         if self.config.input_mode == "timed_state" and petri_net is None:
             raise ValueError("timed_state input needs a Petri net")
         self.petri_net = petri_net
@@ -713,37 +715,32 @@ class MLPPredictor(_NeuralPredictor):
             encoder.max_len = 1
         return encoder
 
-    def _timed_vector(self, events) -> np.ndarray:
-        state = replay_timed_state(
-            self.petri_net, events, events[-1].timestamp_ms, self.decay_seconds
-        )
-        attr_vocabs = {name: self.attribute_vocabs[name] for name in self.config.attributes}
-        return state.to_vector(attr_vocabs)
-
     def _prepare(self, train_samples) -> None:
         if self.config.input_mode == "timed_state":
             if self.decay_seconds is None:
                 longest = max(
-                    (s.prefix[-1].timestamp_ms - s.prefix[0].timestamp_ms) / 1000.0
+                    (s.trace.events[s.k - 1].timestamp_ms - s.trace.start_ms) / 1000.0
                     + s.remaining_time
                     for s in train_samples
                 )
                 self.decay_seconds = max(longest, 1.0)
-            self._flat_dim = self._timed_vector(train_samples[0].prefix).shape[0]
+            first = train_samples[0]
+            self._flat_dim = self._inputs(first.trace.events, [first.k])[0].shape[1]
             self.encoder = None
         else:
             super()._prepare(train_samples)
 
-    def _encode_inputs(self, samples):
-        if self.config.input_mode == "timed_state":
-            rows = np.stack([self._timed_vector(s.prefix) for s in samples]).astype(self.dtype)
-            return rows, None
-        return super()._encode_inputs(samples)
-
-    def _encode_inputs_single(self, events):
-        if self.config.input_mode == "timed_state":
-            return self._timed_vector(events)[None].astype(self.dtype), None
-        return super()._encode_inputs_single(events)
+    def _inputs(self, events, ks):
+        if self.config.input_mode != "timed_state":
+            return super()._inputs(events, ks)
+        attr_vocabs = {name: self.attribute_vocabs[name] for name in self.config.attributes}
+        rows = [
+            replay_timed_state(
+                self.petri_net, events[:k], events[k - 1].timestamp_ms, self.decay_seconds
+            ).to_vector(attr_vocabs)
+            for k in ks
+        ]
+        return np.array(rows, dtype=self.dtype), None
 
     def _build_params(self, rng):
         cfg = self.config
@@ -840,18 +837,11 @@ class AutoencoderPredictor(_NeuralPredictor):
     def _prepare(self, train_samples) -> None:
         self.encoder = None
 
-    def _ngram_vector(self, events) -> np.ndarray:
+    def _inputs(self, events, ks):
+        cfg = self.config
         acts = [ev.activity for ev in events]
-        return ngram_hash_encode(
-            acts, self.config.ngram_k, self.config.ngram_dim, self.config.hash_seed
-        )
-
-    def _encode_inputs(self, samples):
-        rows = np.stack([self._ngram_vector(s.prefix) for s in samples]).astype(self.dtype)
-        return rows, None
-
-    def _encode_inputs_single(self, events):
-        return self._ngram_vector(events)[None].astype(self.dtype), None
+        rows = [ngram_hash_encode(acts[:k], cfg.ngram_k, cfg.ngram_dim, cfg.hash_seed) for k in ks]
+        return np.array(rows, dtype=self.dtype), None
 
     def _build_params(self, rng):
         params: dict[str, np.ndarray] = {}

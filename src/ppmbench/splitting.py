@@ -64,27 +64,45 @@ def temporal_split(
 
 @dataclass(frozen=True)
 class PrefixSample:
-    """An event prefix plus every supervision target derived from its trace.
+    """A view of the first ``k`` events of one trace, with every supervision
+    target read from the trace on demand.
 
-    ``prefix`` holds the first ``k`` events; ``suffix_activities`` is the
+    ``prefix`` is the first ``k`` events; ``suffix_activities`` is the
     remaining activity-label sequence, terminated by the end-of-case label.
     Time targets are in seconds.
     """
 
-    prefix: tuple[Event, ...]
-    next_activity: str
-    next_time_delta: float
-    suffix_activities: tuple[str, ...]
-    remaining_time: float
+    trace: Trace
     k: int
 
     @property
+    def prefix(self) -> tuple[Event, ...]:
+        return self.trace.events[: self.k]
+
+    @property
     def case_id(self) -> str:
-        return self.prefix[0].case_id
+        return self.trace.case_id
 
     @property
     def prefix_activities(self) -> tuple[str, ...]:
         return tuple(ev.activity for ev in self.prefix)
+
+    @property
+    def next_activity(self) -> str:
+        return self.trace.events[self.k].activity
+
+    @property
+    def next_time_delta(self) -> float:
+        events = self.trace.events
+        return (events[self.k].timestamp_ms - events[self.k - 1].timestamp_ms) / 1000.0
+
+    @property
+    def suffix_activities(self) -> tuple[str, ...]:
+        return tuple(ev.activity for ev in self.trace.events[self.k :])
+
+    @property
+    def remaining_time(self) -> float:
+        return (self.trace.end_ms - self.trace.events[self.k - 1].timestamp_ms) / 1000.0
 
 
 def make_prefix_samples(log: EventLog, min_k: int = 1) -> list[PrefixSample]:
@@ -99,23 +117,7 @@ def make_prefix_samples(log: EventLog, min_k: int = 1) -> list[PrefixSample]:
         raise ValueError("min_k must be >= 1")
     if EOC not in log.activity_vocab:
         raise ValueError("log must be EOC-augmented before sampling")
-    samples: list[PrefixSample] = []
-    for trace in log.traces:
-        events = trace.events
-        n = len(events)
-        last_ms = events[-1].timestamp_ms
-        for k in range(min_k, n):
-            samples.append(
-                PrefixSample(
-                    prefix=events[:k],
-                    next_activity=events[k].activity,
-                    next_time_delta=(events[k].timestamp_ms - events[k - 1].timestamp_ms) / 1000.0,
-                    suffix_activities=tuple(ev.activity for ev in events[k:]),
-                    remaining_time=(last_ms - events[k - 1].timestamp_ms) / 1000.0,
-                    k=k,
-                )
-            )
-    return samples
+    return [PrefixSample(trace, k) for trace in log.traces for k in range(min_k, len(trace))]
 
 
 def split_manifest(split: SplitLog) -> str:

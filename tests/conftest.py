@@ -3,12 +3,18 @@ logs, and deterministic stub predictors."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import importlib.util
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ppmbench.eventlog import Event, EventLog, Trace, Vocabulary, augment_eoc
+from ppmbench.eventlog import Event, EventLog, Trace, Vocabulary, augment_eoc, parse_csv
+from ppmbench.petrinet import PetriNet, load_petri_json
 
 TABLE1_CSV = """case_id,activity,timestamp,Resource
 Case2118,Assign seriousness,14-01-2010 07:52:50,Resource 2
@@ -67,6 +73,27 @@ def make_random_log(rng: np.random.Generator, n_traces: int, n_acts: int = 4) ->
             t += int(rng.integers(1, 72)) * 3_600_000
         traces.append(Trace(case_id=f"c{i}", events=tuple(events)))
     return EventLog(traces=tuple(traces), activity_vocab=Vocabulary(labels))
+
+
+@functools.cache
+def _perfbench_generator():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "generator.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generator", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def generator_log(seed: int, cases: int) -> tuple[EventLog, PetriNet]:
+    """An EOC-augmented log from the benchmark's Helpdesk-shaped generator
+    (a Resource attribute, whole-second timestamps), with its Petri net."""
+    generator = _perfbench_generator()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.csv"
+        generator.write_csv(generator.generate(seed, cases), path)
+        log = parse_csv(path)
+    return augment_eoc(log), load_petri_json(generator.petri_net_json())
 
 
 @pytest.fixture

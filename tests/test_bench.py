@@ -230,6 +230,14 @@ class TestHyperparameterValidation:
         with pytest.raises(ConfigError):
             config.validate()
 
+    def test_unknown_input_mode_is_config_error(self, tmp_path, log_csv):
+        config = small_config(
+            tmp_path, log_csv,
+            models=[{"name": "m", "architecture": "gru", "hyperparameters": {"input_mode": "typo"}}],
+        )
+        with pytest.raises(ConfigError, match="input_mode"):
+            config.validate()
+
     def test_bad_decode_strategy_is_config_error(self, tmp_path, log_csv):
         config = small_config(tmp_path, log_csv, decode={"strategy": "nucleus"})
         with pytest.raises(ConfigError):

@@ -53,6 +53,13 @@ class TestUsageErrors:
     def test_no_command(self):
         assert main([]) == 2
 
+    @pytest.mark.parametrize("arch", ["gru", "mlp"])
+    def test_unknown_input_mode(self, arch, linear_path, tmp_path):
+        argv = ["--out", str(tmp_path), "train", str(linear_path), "--arch", arch,
+                "--epochs", "1", "--input-mode", "typo"]
+        assert main(argv) == 2
+        assert not (tmp_path / "model.json").exists()
+
 
 class TestSplit:
     def test_writes_parts_and_manifest(self, linear_path, tmp_path, capsys):

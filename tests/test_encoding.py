@@ -1,3 +1,6 @@
+import functools
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
 
@@ -21,11 +24,13 @@ from ppmbench.eventlog import (
     UnknownLabelError,
     Vocabulary,
     augment_eoc,
+    parse_csv,
     parse_timestamp,
 )
+from ppmbench.models import MLPPredictor, TrainConfig
 from ppmbench.splitting import make_prefix_samples
 
-from conftest import make_linear_log
+from conftest import TABLE1_CSV, generator_log, make_linear_log, make_random_log
 
 
 def events_at(acts, times, case="c"):
@@ -102,6 +107,30 @@ class TestTimeFeatures:
     def test_empty_prefix_rejected(self):
         with pytest.raises(ValueError):
             time_features(())
+
+    # the integer day arithmetic must floor before 1970 and roll over at midnight
+    @pytest.mark.parametrize(
+        "stamps",
+        [
+            ["1900-01-01 00:00:00.001", "1969-12-31 00:00:00", "1969-12-31 23:59:59.999"],
+            ["2020-09-13 12:26:40.123", "2020-09-13 12:26:40.999", "2020-09-13 12:26:41.001"],
+            ["2018-01-01 00:00:00", "2018-01-02 00:00:00"],
+            ["2018-01-01 23:59:59.999", "2018-01-03 23:59:59.999"],
+            ["2018-01-07 23:59:59.999", "2018-01-08 00:00:00"],
+        ],
+        ids=["pre-1970", "sub-second", "midnight", "last-ms-of-day", "sunday-to-monday"],
+    )
+    def test_matches_datetime_formula(self, stamps):
+        evs = events_at("A" * len(stamps), stamps)
+        assert same_bits(time_features(evs), reference_time_features(evs))
+
+    def test_day_boundaries(self):
+        evs = events_at(
+            "AAA", ["1969-12-31 23:59:59.999", "2018-01-07 23:59:59.999", "2018-01-08 00:00:00"]
+        )
+        feats = time_features(evs)
+        assert feats[:, 2].tolist() == [86399.999, 86399.999, 0.0]
+        assert feats[:, 3].tolist() == [2.0, 6.0, 0.0]  # Wednesday, Sunday, Monday
 
 
 class TestNormalize:
@@ -276,3 +305,155 @@ class TestNgramHashing:
             n_grams = sum(max(0, len(prefix) - l + 1) for l in range(1, k + 1))
             vec = ngram_hash_encode(prefix, k, 16, seed=3)
             assert np.linalg.norm(vec) <= n_grams + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-prefix encoder with one row and one column group at a
+# time and datetime time features. Every prefix must encode to the same bits.
+# ---------------------------------------------------------------------------
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def reference_time_features(events):
+    out = np.zeros((len(events), 4), dtype=np.float64)
+    start = events[0].timestamp_ms
+    for i, ev in enumerate(events):
+        dt = datetime.fromtimestamp(ev.timestamp_ms / 1000.0, tz=timezone.utc)
+        midnight = dt.replace(hour=0, minute=0, second=0, microsecond=0)
+        out[i, 0] = 0.0 if i == 0 else (ev.timestamp_ms - events[i - 1].timestamp_ms) / 1000.0
+        out[i, 1] = (ev.timestamp_ms - start) / 1000.0
+        out[i, 2] = (dt - midnight).total_seconds()
+        out[i, 3] = float(dt.weekday())
+    return out
+
+
+def reference_fit(encoder, samples):
+    """The state ``encoder.fit(samples)`` must reach, fitted prefix by prefix."""
+    longest = 0
+    deltas, elapsed = [], []
+    for sample in samples:
+        longest = max(longest, len(sample.prefix))
+        if encoder.include_time:
+            feats = reference_time_features(sample.prefix)
+            deltas.extend(feats[:, 0].tolist())
+            elapsed.extend(feats[:, 1].tolist())
+    state = encoder.state()
+    if state["max_len"] is None:
+        state["max_len"] = longest if encoder.window is None else min(longest, encoder.window)
+    if encoder.include_time:
+        state["delta_norm"] = Normalizer("log").fit(deltas).state()
+        state["elapsed_norm"] = Normalizer("log").fit(elapsed).state()
+    return state
+
+
+def reference_encode(encoder, events):
+    """(values, mask, truncated) of one prefix."""
+    rows = list(events)
+    if encoder.window is not None and len(rows) > encoder.window:
+        rows = rows[-encoder.window :]
+    truncated = len(rows) > encoder.max_len
+    if truncated:
+        rows = rows[-encoder.max_len :]
+    offset = len(events) - len(rows)
+    layout = encoder.layout
+    values = np.zeros((encoder.max_len, layout.num_features), dtype=np.float64)
+    mask = np.zeros(encoder.max_len, dtype=bool)
+    if encoder.include_time:
+        feats = reference_time_features(events)  # the full prefix, then windowed
+        delta = encoder.delta_norm.transform(feats[:, 0])
+        elapsed = encoder.elapsed_norm.transform(feats[:, 1])
+    pad = encoder.max_len - len(rows)
+    for i, ev in enumerate(rows):
+        r = pad + i
+        mask[r] = True
+        for group in layout.groups:
+            if group.name == "activity":
+                idx = encoder.activity_vocab.index(ev.activity)
+                if group.kind == "onehot":
+                    values[r, group.start + idx] = 1.0
+                else:
+                    values[r, group.start] = float(idx)
+            elif group.kind == "onehot":
+                name = group.name.removeprefix("attr:")
+                vocab = encoder.attribute_vocabs[name]
+                values[r, group.start + vocab.index(ev.attributes.get(name, MISSING))] = 1.0
+            else:
+                t = offset + i
+                values[r, group.start + 0] = delta[t]
+                values[r, group.start + 1] = elapsed[t]
+                values[r, group.start + 2] = feats[t, 2] / 86400.0
+                values[r, group.start + 3] = feats[t, 3] / 6.0
+    return values, mask, truncated
+
+
+REFERENCE_LOGS = ["table1", "linear", "random", "generator-1", "generator-2", "generator-3"]
+
+
+@functools.cache
+def reference_log(name: str):
+    if name == "table1":
+        return augment_eoc(parse_csv(TABLE1_CSV.encode("utf-8")))
+    if name == "linear":
+        return augment_eoc(make_linear_log(30))
+    if name == "random":
+        return augment_eoc(make_random_log(np.random.default_rng(3), 80))
+    return generator_log(int(name.rsplit("-", 1)[1]), 400)[0]
+
+
+class TestReferenceEquivalence:
+    """Each encoder sees every attribute its log has (Resource in table1 and
+    the generator logs)."""
+
+    @pytest.mark.parametrize("log_name", REFERENCE_LOGS)
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {},
+            {"activity_mode": "index"},
+            {"window": 3},
+            {"max_len": 3},
+            {"activity_mode": "index", "include_time": False, "window": 2, "max_len": 4},
+        ],
+        ids=["onehot", "index", "window", "max-len-truncation", "index-untimed-window"],
+    )
+    def test_every_prefix_encodes_as_the_reference(self, log_name, options):
+        log = reference_log(log_name)
+        samples = make_prefix_samples(log)
+        encoder = PrefixEncoder(log.activity_vocab, attribute_vocabs=log.attribute_vocabs, **options)
+        expected_state = reference_fit(encoder, samples)
+        encoder.fit(samples[::-1])  # the fit may not depend on sample order
+        assert encoder.state() == expected_state
+        truncations = 0
+        for trace in log.traces:
+            ks = list(range(1, len(trace)))
+            if not ks:
+                continue
+            values, mask = encoder.encode_prefixes(trace.events, ks)
+            for j, k in enumerate(ks):
+                ref_values, ref_mask, ref_truncated = reference_encode(encoder, trace.events[:k])
+                assert same_bits(values[j], ref_values) and same_bits(mask[j], ref_mask)
+                mat = encoder.encode(trace.events[:k])
+                assert same_bits(mat.values, ref_values) and same_bits(mat.mask, ref_mask)
+                assert mat.layout.truncated == ref_truncated
+                truncations += ref_truncated
+        if "max_len" in options and "window" not in options:
+            assert truncations > 0
+
+    @pytest.mark.parametrize("log_name", REFERENCE_LOGS)
+    def test_single_event_mlp_inputs(self, log_name):
+        log = reference_log(log_name)
+        samples = make_prefix_samples(log)
+        config = TrainConfig(input_mode="single_event", attributes=tuple(log.attribute_vocabs))
+        mlp = MLPPredictor(log.activity_vocab, log.attribute_vocabs, config)
+        expected_state = reference_fit(mlp._make_encoder(), samples)
+        mlp._prepare(samples)
+        assert mlp.encoder.state() == expected_state
+        for trace in log.traces:
+            ks = list(range(1, len(trace)))
+            X, M = mlp._inputs(trace.events, ks)
+            for j, k in enumerate(ks):
+                ref_values, ref_mask, _ = reference_encode(mlp.encoder, trace.events[:k])
+                assert same_bits(X[j], ref_values.astype(np.float32)) and same_bits(M[j], ref_mask)

@@ -23,7 +23,7 @@ from ppmbench.models import (
 from ppmbench.petrinet import PetriNet, Transition
 from ppmbench.splitting import make_prefix_samples, temporal_split
 
-from conftest import make_linear_log, make_random_log
+from conftest import generator_log, make_linear_log, make_random_log
 
 DATA = Path(__file__).parent / "data"
 
@@ -392,10 +392,59 @@ class TestTimedStateMlp:
                 hits += 1
         assert hits / len(samples) == 1.0
 
+    def test_unknown_input_mode_rejected(self):
+        with pytest.raises(ValueError, match="input_mode"):
+            TrainConfig(input_mode="typo")
+
     def test_timed_state_requires_net(self):
         vocab = Vocabulary(["A", EOC])
         with pytest.raises(ValueError):
             MLPPredictor(vocab, config=TrainConfig(input_mode="timed_state"))
+
+
+class TestInputs:
+    """``_inputs`` of a whole trace equals ``_inputs`` of each prefix alone,
+    bit for bit, so no input reads an event past its prefix; ``_arrays`` puts
+    them in sample order, whatever that order is."""
+
+    @pytest.mark.parametrize(
+        "arch, overrides",
+        [
+            ("mlp", {"input_mode": "padded_flat", "attributes": ("Resource",)}),
+            ("mlp", {"input_mode": "single_event"}),
+            ("mlp", {"input_mode": "timed_state", "attributes": ("Resource",)}),
+            ("rnn", {"window": 4}),
+            ("lstm", {"embedding_dim": 3, "max_len": 5}),
+            ("gru", {"attributes": ("Resource",), "time_target": "remaining"}),
+            ("autoencoder", {"ngram_dim": 16, "ae_hidden": (8, 4)}),
+        ],
+        ids=["mlp-padded-flat", "mlp-single-event", "mlp-timed-state", "rnn", "lstm", "gru", "autoencoder"],
+    )
+    def test_a_trace_encodes_as_its_prefixes(self, arch, overrides):
+        log, net = generator_log(1, 60)
+        predictor = build_predictor(
+            arch, TrainConfig(**overrides), log.activity_vocab, log.attribute_vocabs, net
+        )
+        samples = make_prefix_samples(log)
+        X, M, y_act, y_time = predictor._fit_arrays(samples)
+        rows = []
+        for trace in log.traces:
+            ks = list(range(1, len(trace)))
+            Xt, Mt = predictor._inputs(trace.events, ks)
+            for j, k in enumerate(ks):
+                Xk, Mk = predictor._inputs(trace.events[:k], [k])
+                assert np.array_equal(Xt[j], Xk[0])
+                assert (Mt is None and Mk is None) or np.array_equal(Mt[j], Mk[0])
+                rows.append((Xt[j], None if Mt is None else Mt[j]))
+        assert len(rows) == len(samples)
+        assert np.array_equal(X, np.stack([x for x, _ in rows]))
+        assert M is None or np.array_equal(M, np.stack([m for _, m in rows]))
+
+        order = np.random.default_rng(0).permutation(len(samples))
+        Xs, Ms, ys_act, ys_time = predictor._arrays([samples[i] for i in order])
+        assert np.array_equal(Xs, X[order]) and np.array_equal(ys_act, y_act[order])
+        assert M is None or np.array_equal(Ms, M[order])
+        assert y_time is None or np.array_equal(ys_time, y_time[order])
 
 
 class TestDeterministicLearnability:

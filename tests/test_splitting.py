@@ -84,6 +84,13 @@ class TestPrefixSamples:
         assert sample.suffix_activities == ("Resolve ticket", "Closed", EOC)
         assert sample.next_activity == "Resolve ticket"
 
+    def test_sample_is_a_view_of_its_trace(self, table1_csv):
+        log = augment_eoc(parse_csv(table1_csv.encode()))
+        for sample in make_prefix_samples(log):
+            trace = next(t for t in log.traces if t.case_id == sample.case_id)
+            assert sample.trace is trace
+            assert sample.prefix == trace.events[: sample.k]
+
     def test_two_event_trace_single_sample(self):
         log = augment_eoc(make_linear_log(1, acts=("A",)))
         samples = make_prefix_samples(log)
