@@ -47,12 +47,6 @@ from .models import (
     save_predictor,
     train,
 )
-from .inference import (
-    DecodeConfig,
-    SuffixPrediction,
-    decode_suffix,
-    remaining_time_direct,
-    remaining_time_recursive,
-)
+from .inference import DecodeConfig, SuffixPrediction, decode_suffix, remaining_time_direct
 from .metrics import MetricsReport, accuracy, brier, dl_distance, dl_similarity, evaluate_protocol, mae
 from .bench import BenchmarkConfig, ConfigError, RunRecord, run_matrix

@@ -237,16 +237,7 @@ def run_cell(config: BenchmarkConfig, dataset_index: int, model_index: int) -> C
             decode_kwargs["max_len"] = max(len(t) for t in split.train.traces)
         decode_kwargs.setdefault("seed", seed)
         decode_cfg = DecodeConfig(**decode_kwargs)
-        tasks = list(config.tasks)
-        remaining_mode = "recursive"
-        if predictor.time_target == "remaining":
-            remaining_mode = "direct"
-            tasks = [t for t in tasks if t != "next_time"]
-        if predictor.time_target is None:
-            tasks = [t for t in tasks if t not in ("next_time", "remaining_time")]
-        metrics = evaluate_protocol(
-            predictor, split.test, decode_cfg, tasks, remaining_mode, config.min_k
-        )
+        metrics = evaluate_protocol(predictor, split.test, decode_cfg, config.tasks, config.min_k)
         result.metrics = {
             "accuracy": metrics.accuracy,
             "brier": metrics.brier,

@@ -135,19 +135,22 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
+    try:
+        config = TrainConfig(
+            hidden=args.hidden,
+            layers=args.layers,
+            epochs=args.epochs,
+            batch_size=args.batch_size,
+            patience=args.patience,
+            lr=args.lr,
+            time_target=None if args.time_target == "none" else args.time_target,
+            input_mode=args.input_mode,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     log = parse_csv(args.log, _schema(args))
     augmented = augment_eoc(log)
     split = temporal_split(augmented)
-    config = TrainConfig(
-        hidden=args.hidden,
-        layers=args.layers,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        patience=args.patience,
-        lr=args.lr,
-        time_target=None if args.time_target == "none" else args.time_target,
-        input_mode=args.input_mode,
-    )
     net = load_petri_net(args.petri_net) if args.petri_net else None
     predictor = build_predictor(
         args.arch, config, augmented.activity_vocab, augmented.attribute_vocabs, net
@@ -180,14 +183,7 @@ def cmd_evaluate(args) -> int:
     decode_cfg = DecodeConfig(
         strategy=args.strategy, beam_width=args.beam_width, max_len=max_len, seed=args.seed
     )
-    tasks = ["next_activity", "suffix"]
-    remaining_mode = "recursive"
-    if predictor.time_target == "next":
-        tasks += ["next_time", "remaining_time"]
-    elif predictor.time_target == "remaining":
-        tasks += ["remaining_time"]
-        remaining_mode = "direct"
-    report = evaluate_protocol(predictor, split.test, decode_cfg, tasks, remaining_mode)
+    report = evaluate_protocol(predictor, split.test, decode_cfg)
     out = _out_dir(args)
     rows = report.as_rows()
     payload = {task + "/" + metric: value for task, metric, value, _ in rows}

@@ -1,5 +1,6 @@
-"""Suffix decoding (argmax, random sampling, beam search) and remaining-time
-computation, recursive or direct."""
+"""Suffix decoding (argmax, random sampling and beam search as one search over
+hypotheses) and the direct remaining-time pathway; the recursive pathway is
+``SuffixPrediction.remaining_time``."""
 
 from __future__ import annotations
 
@@ -69,110 +70,83 @@ def _log(p: float) -> float:
     return math.log(max(p, 1e-300))
 
 
+@dataclass
+class _Hypothesis:
+    """A partial suffix: the prefix extended by its decoded events, the
+    chosen vocabulary indices, their time deltas and the summed log-probability."""
+
+    events: tuple[Event, ...]
+    tokens: tuple[int, ...] = ()
+    deltas: tuple[float, ...] = ()
+    log_prob: float = 0.0
+    finished: bool = False
+
+
+def _choices(strategy: str, probs: np.ndarray, rng) -> Sequence[int]:
+    """The vocabulary indices a hypothesis is extended by in one step."""
+    if strategy == "argmax":
+        return (int(np.argmax(probs)),)
+    if strategy == "random":
+        return (int(rng.choice(len(probs), p=probs / probs.sum())),)
+    return range(len(probs))
+
+
 def decode_suffix(model: Predictor, prefix: Sequence[Event], cfg: DecodeConfig) -> SuffixPrediction:
     """Decode the activity suffix of a prefix with the configured strategy.
 
-    Every step re-encodes the extended prefix: the predicted event takes the
-    previous timestamp plus the predicted delta and the missing-marker for all
-    attributes. Decoding stops at the end-of-case label or after ``max_len``
-    steps (then flagged truncated). Argmax breaks ties toward the lowest
-    vocabulary index and is seed-independent; random draws from the full
-    distribution of a generator seeded by ``cfg.seed``.
+    One search serves every strategy. Each step predicts once per unfinished
+    hypothesis and extends it by its strategy's choices: argmax by the most
+    probable label (ties go to the lowest vocabulary index; seed-independent),
+    random by one draw from the full distribution of a generator seeded by
+    ``cfg.seed``, beam by every label. The search then keeps the
+    ``beam_width`` best hypotheses (1 for argmax and random), ranked by score
+    descending, then by lowest token sequence; finished hypotheses stay in
+    the running. A predicted event takes the previous timestamp plus the
+    predicted delta and the missing-marker for all attributes. Decoding stops
+    when every hypothesis has reached the end-of-case label or after
+    ``max_len`` steps; the best finished hypothesis wins over any unfinished
+    one, which is flagged truncated.
     """
     events = tuple(prefix)
     if not events:
         raise ValueError("cannot decode from an empty prefix")
     attr_names = tuple(events[-1].attributes)
-    if cfg.strategy == "beam":
-        return _beam_decode(model, events, cfg, attr_names)
-
+    vocab = model.activity_vocab
+    eoc = vocab.index(EOC)
     rng = np.random.default_rng(cfg.seed) if cfg.strategy == "random" else None
-    activities: list[str] = []
-    deltas: list[float] = []
-    log_prob = 0.0
-    vocab = model.activity_vocab
+    width = cfg.beam_width if cfg.strategy == "beam" else 1
+
+    def rank(h: _Hypothesis) -> tuple:
+        score = h.log_prob / len(h.tokens) if cfg.length_normalize and h.tokens else h.log_prob
+        return (-score, h.tokens)
+
+    hypotheses = [_Hypothesis(events)]
     for _ in range(cfg.max_len):
-        probs, delta = model.predict(events)
-        _check_distribution(probs)
-        if cfg.strategy == "argmax":
-            choice = int(np.argmax(probs))
-        else:
-            choice = int(rng.choice(len(probs), p=probs / probs.sum()))
-        label = vocab.label(choice)
-        step_delta = float(delta) if (delta is not None and model.time_target == "next") else 0.0
-        activities.append(label)
-        deltas.append(step_delta)
-        log_prob += _log(float(probs[choice]))
-        if label == EOC:
-            return SuffixPrediction(
-                activities=tuple(activities),
-                time_deltas=tuple(deltas),
-                remaining_time=sum(deltas),
-                cumulative_log_prob=log_prob,
-            )
-        events = _extend(events, label, step_delta, attr_names)
-    return SuffixPrediction(
-        activities=tuple(activities),
-        time_deltas=tuple(deltas),
-        remaining_time=sum(deltas),
-        cumulative_log_prob=log_prob,
-        truncated=True,
-    )
-
-
-@dataclass
-class _Beam:
-    events: tuple[Event, ...]
-    tokens: tuple[int, ...]
-    deltas: tuple[float, ...]
-    log_prob: float
-    finished: bool
-
-
-def _beam_score(beam: _Beam, length_normalize: bool) -> float:
-    if length_normalize and beam.tokens:
-        return beam.log_prob / len(beam.tokens)
-    return beam.log_prob
-
-
-def _beam_decode(model, events, cfg, attr_names) -> SuffixPrediction:
-    vocab = model.activity_vocab
-    eoc_idx = vocab.index(EOC)
-    beams = [_Beam(events=events, tokens=(), deltas=(), log_prob=0.0, finished=False)]
-    for _ in range(cfg.max_len):
-        if all(b.finished for b in beams):
+        if all(h.finished for h in hypotheses):
             break
-        candidates: list[_Beam] = []
-        for beam in beams:
-            if beam.finished:
-                candidates.append(beam)
+        candidates: list[_Hypothesis] = []
+        for h in hypotheses:
+            if h.finished:
+                candidates.append(h)
                 continue
-            probs, delta = model.predict(beam.events)
+            probs, delta = model.predict(h.events)
             _check_distribution(probs)
             step_delta = float(delta) if (delta is not None and model.time_target == "next") else 0.0
-            for idx in range(len(probs)):
-                tokens = beam.tokens + (idx,)
-                lp = beam.log_prob + _log(float(probs[idx]))
-                if idx == eoc_idx:
-                    candidates.append(
-                        _Beam(beam.events, tokens, beam.deltas + (step_delta,), lp, True)
+            for idx in _choices(cfg.strategy, probs, rng):
+                finished = idx == eoc
+                candidates.append(
+                    _Hypothesis(
+                        h.events if finished
+                        else _extend(h.events, vocab.label(idx), step_delta, attr_names),
+                        h.tokens + (idx,),
+                        h.deltas + (step_delta,),
+                        h.log_prob + _log(float(probs[idx])),
+                        finished,
                     )
-                else:
-                    candidates.append(
-                        _Beam(
-                            _extend(beam.events, vocab.label(idx), step_delta, attr_names),
-                            tokens,
-                            beam.deltas + (step_delta,),
-                            lp,
-                            False,
-                        )
-                    )
-        # deterministic pruning: score descending, then lowest token sequence
-        candidates.sort(key=lambda b: (-_beam_score(b, cfg.length_normalize), b.tokens))
-        beams = candidates[: cfg.beam_width]
-    best = min(
-        beams, key=lambda b: (not b.finished, -_beam_score(b, cfg.length_normalize), b.tokens)
-    )
+                )
+        candidates.sort(key=rank)
+        hypotheses = candidates[:width]
+    best = min(hypotheses, key=lambda h: (not h.finished, *rank(h)))
     return SuffixPrediction(
         activities=tuple(vocab.label(i) for i in best.tokens),
         time_deltas=best.deltas,
@@ -180,12 +154,6 @@ def _beam_decode(model, events, cfg, attr_names) -> SuffixPrediction:
         cumulative_log_prob=best.log_prob,
         truncated=not best.finished,
     )
-
-
-def remaining_time_recursive(suffix_pred: SuffixPrediction) -> float:
-    """Remaining time as the sum of the predicted step deltas, the
-    end-of-case step included."""
-    return float(sum(suffix_pred.time_deltas))
 
 
 def remaining_time_direct(model: Predictor, prefix: Sequence[Event]) -> float:

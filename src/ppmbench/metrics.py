@@ -49,17 +49,16 @@ def dl_distance(a: Sequence, b: Sequence) -> int:
         return n
     if n == 0:
         return m
-    d = np.zeros((m + 1, n + 1), dtype=np.int64)
-    d[:, 0] = np.arange(m + 1)
-    d[0, :] = np.arange(n + 1)
+    d = [list(range(n + 1))] + [[i] + [0] * n for i in range(1, m + 1)]
     for i in range(1, m + 1):
+        row, above = d[i], d[i - 1]
         for j in range(1, n + 1):
             cost = 0 if a[i - 1] == b[j - 1] else 1
-            best = min(d[i - 1, j] + 1, d[i, j - 1] + 1, d[i - 1, j - 1] + cost)
+            best = min(above[j] + 1, row[j - 1] + 1, above[j - 1] + cost)
             if i > 1 and j > 1 and a[i - 1] == b[j - 2] and a[i - 2] == b[j - 1]:
-                best = min(best, d[i - 2, j - 2] + 1)
-            d[i, j] = best
-    return int(d[m, n])
+                best = min(best, d[i - 2][j - 2] + 1)
+            row[j] = best
+    return d[m][n]
 
 
 def dl_similarity(
@@ -130,21 +129,20 @@ def evaluate_protocol(
     test: EventLog,
     decode_cfg: DecodeConfig,
     tasks: Sequence[str] = ALL_TASKS,
-    remaining_mode: str = "recursive",
     min_k: int = 1,
 ) -> MetricsReport:
     """Evaluate a fitted model over every prefix sample of the test part.
 
     Suffixes are decoded per prefix with a per-sample seed derived as
-    ``decode_cfg.seed XOR sample index``; remaining time follows either the
-    recursive pathway (sum of decoded step deltas) or the direct regression
-    head, per ``remaining_mode``.
+    ``decode_cfg.seed XOR sample index``. The model's ``time_target`` decides
+    the time tasks: a ``"next"`` model scores next time from its delta head
+    and remaining time as the sum of the decoded step deltas; a
+    ``"remaining"`` model scores remaining time from its direct head and
+    skips next time; a model without a time head skips both.
     """
     for task in tasks:
         if task not in ALL_TASKS:
             raise ValueError(f"unknown task {task!r}")
-    if remaining_mode not in ("recursive", "direct"):
-        raise ValueError(f"unknown remaining_mode {remaining_mode!r}")
     samples = make_prefix_samples(test, min_k)
     if not samples:
         raise ValueError("test set yields no prefix samples")
@@ -163,11 +161,8 @@ def evaluate_protocol(
     want_next = "next_activity" in tasks
     want_suffix = "suffix" in tasks
     want_time = "next_time" in tasks and model.time_target == "next"
-    want_remaining = "remaining_time" in tasks
-    if want_remaining and remaining_mode == "direct" and model.time_target != "remaining":
-        raise ValueError("direct remaining time needs a remaining-target model")
-    if want_remaining and remaining_mode == "recursive" and model.time_target == "remaining":
-        raise ValueError("recursive remaining time needs next-delta predictions")
+    want_remaining = "remaining_time" in tasks and model.time_target is not None
+    direct = model.time_target == "remaining"
 
     for i, sample in enumerate(samples):
         if want_next or want_time:
@@ -181,16 +176,16 @@ def evaluate_protocol(
             if want_time and delta is not None:
                 next_pred.append(float(delta))
                 next_true.append(sample.next_time_delta)
-        if want_suffix or (want_remaining and remaining_mode == "recursive"):
+        if want_suffix or (want_remaining and not direct):
             per_sample = replace(decode_cfg, seed=decode_cfg.seed ^ i)
             suffix_pred = decode_suffix(model, sample.prefix, per_sample)
             if want_suffix:
                 sims.append(dl_similarity(suffix_pred.activities, sample.suffix_activities))
-            if want_remaining and remaining_mode == "recursive":
-                rem_pred.append(suffix_pred.remaining_time)
-                rem_true.append(sample.remaining_time)
-        if want_remaining and remaining_mode == "direct":
-            rem_pred.append(remaining_time_direct(model, sample.prefix))
+        if want_remaining:
+            rem_pred.append(
+                remaining_time_direct(model, sample.prefix) if direct
+                else suffix_pred.remaining_time
+            )
             rem_true.append(sample.remaining_time)
 
     report = MetricsReport()

@@ -69,6 +69,10 @@ class TrainConfig:
             raise ValueError(f"unknown time_target {self.time_target!r}")
         if self.input_mode not in INPUT_MODES:
             raise ValueError(f"unknown input_mode {self.input_mode!r}")
+        for name in ("hidden", "layers", "epochs", "batch_size", "lr_patience"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -618,8 +622,6 @@ class RecurrentPredictor(_NeuralPredictor):
 
     def _build_params(self, rng):
         cfg = self.config
-        if cfg.hidden < 1 or cfg.layers < 1:
-            raise ValueError("hidden and layers must be >= 1")
         params: dict[str, np.ndarray] = {}
         in_dim = self.encoder.num_features
         if cfg.embedding_dim:
@@ -744,8 +746,6 @@ class MLPPredictor(_NeuralPredictor):
 
     def _build_params(self, rng):
         cfg = self.config
-        if cfg.hidden < 1 or cfg.layers < 1:
-            raise ValueError("hidden and layers must be >= 1")
         if cfg.input_mode == "timed_state":
             in_dim = self._flat_dim
         else:
@@ -858,11 +858,17 @@ class AutoencoderPredictor(_NeuralPredictor):
         then a head warmup with the encoder frozen."""
         cfg = self.config
 
-        def stage(epochs: int) -> TrainConfig:
-            return TrainConfig(
+        def stage(params, batch_step, n_train, epochs, seed):
+            """One SGD stage and its per-epoch losses; a stage of no epochs
+            leaves the parameters as they are."""
+            if epochs < 1:
+                return params, ()
+            config = TrainConfig(
                 epochs=epochs, patience=epochs, batch_size=cfg.batch_size,
                 lr=cfg.lr, momentum=cfg.momentum, clip_norm=cfg.clip_norm,
             )
+            params, report = _sgd_train(params, batch_step, None, n_train, config, seed)
+            return params, report.train_losses
 
         self.recon_losses = []
         current = X
@@ -874,17 +880,16 @@ class AutoencoderPredictor(_NeuralPredictor):
                 "Wd": nn.glorot_uniform(rng, hidden, in_dim, self.dtype),
                 "bd": np.zeros(in_dim, dtype=self.dtype),
             }
-            layer_params, layer_report = _sgd_train(
+            layer_params, losses = stage(
                 layer_params,
                 lambda p, idx, data=current: _reconstruction_loss(p, data[idx]),
-                None,
                 current.shape[0],
-                stage(cfg.pretrain_epochs),
+                cfg.pretrain_epochs,
                 seed + layer + 1,
             )
             params[f"enc{layer}:W"] = layer_params["We"]
             params[f"enc{layer}:b"] = layer_params["be"]
-            self.recon_losses.append(layer_report.train_losses)
+            self.recon_losses.append(losses)
             current = np.tanh(current @ layer_params["We"] + layer_params["be"])
 
         def head_step(p, idx):
@@ -894,9 +899,7 @@ class AutoencoderPredictor(_NeuralPredictor):
             )
             return loss, grads
 
-        params, _ = _sgd_train(
-            params, head_step, None, X.shape[0], stage(cfg.freeze_epochs), seed + 101
-        )
+        params, _ = stage(params, head_step, X.shape[0], cfg.freeze_epochs, seed + 101)
         return params
 
     def _forward(self, params, X, M, with_cache: bool):

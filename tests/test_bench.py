@@ -128,7 +128,11 @@ class TestRunMatrix:
             log_csv,
             models=[
                 {"name": "ok", "architecture": "markov"},
-                {"name": "broken", "architecture": "mlp", "hyperparameters": {"hidden": 0}},
+                {
+                    "name": "broken",
+                    "architecture": "autoencoder",
+                    "hyperparameters": {"ngram_dim": 16, "ae_hidden": [16]},
+                },
             ],
         )
         record = run_matrix(config)
@@ -236,6 +240,14 @@ class TestHyperparameterValidation:
             models=[{"name": "m", "architecture": "gru", "hyperparameters": {"input_mode": "typo"}}],
         )
         with pytest.raises(ConfigError, match="input_mode"):
+            config.validate()
+
+    def test_zero_hidden_is_config_error(self, tmp_path, log_csv):
+        config = small_config(
+            tmp_path, log_csv,
+            models=[{"name": "m", "architecture": "mlp", "hyperparameters": {"hidden": 0}}],
+        )
+        with pytest.raises(ConfigError, match="hidden"):
             config.validate()
 
     def test_bad_decode_strategy_is_config_error(self, tmp_path, log_csv):

@@ -60,6 +60,14 @@ class TestUsageErrors:
         assert main(argv) == 2
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize("flag", ["--epochs", "--batch-size", "--hidden", "--layers"])
+    def test_non_positive_train_size(self, flag, linear_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["--out", str(out), "train", str(linear_path), "--arch", "gru", flag, "0"]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSplit:
     def test_writes_parts_and_manifest(self, linear_path, tmp_path, capsys):
@@ -129,12 +137,29 @@ class TestBenchmark:
             "datasets": [{"name": "linear", "path": str(linear_path)}],
             "models": [
                 {"name": "ok", "architecture": "markov"},
-                {"name": "bad", "architecture": "mlp", "hyperparameters": {"hidden": 0}},
+                {
+                    "name": "bad",
+                    "architecture": "autoencoder",
+                    "hyperparameters": {"ngram_dim": 16, "ae_hidden": [16]},
+                },
             ],
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         assert main(["benchmark", str(path)]) == 1
+
+    def test_zero_hidden_is_config_error(self, linear_path, tmp_path, capsys):
+        config = {
+            "config_version": 1,
+            "out_dir": str(tmp_path / "out"),
+            "datasets": [{"name": "linear", "path": str(linear_path)}],
+            "models": [{"name": "bad", "architecture": "mlp", "hyperparameters": {"hidden": 0}}],
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["benchmark", str(path)]) == 2
+        assert "hidden" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestGradcheckCommand:

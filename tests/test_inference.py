@@ -1,14 +1,14 @@
+import hashlib
+import math
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppmbench.eventlog import EOC, MISSING, Event, Vocabulary, augment_eoc
-from ppmbench.inference import (
-    DecodeConfig,
-    SuffixPrediction,
-    decode_suffix,
-    remaining_time_direct,
-    remaining_time_recursive,
-)
+from ppmbench.inference import DecodeConfig, SuffixPrediction, decode_suffix, remaining_time_direct
 from ppmbench.models import RecurrentPredictor, TrainConfig, train
 from ppmbench.splitting import make_prefix_samples, temporal_split
 
@@ -154,24 +154,46 @@ class TestStrategyEquivalences:
 
 class TestRemainingTime:
     def test_recursive_sums_deltas(self):
-        pred = SuffixPrediction(
-            activities=("x", EOC), time_deltas=(86400.0, 86400.0),
-            remaining_time=172800.0, cumulative_log_prob=-0.5,
-        )
-        assert remaining_time_recursive(pred) == 172800.0
+        class EndAfterOne(FixedDistributionModel):
+            def predict(self, events):
+                if len(events) >= 2:
+                    return np.array([1.0, 0.0, 0.0]), self.delta
+                return np.array([0.0, 1.0, 0.0]), self.delta
+
+        model = EndAfterOne(VOCAB3, [0.0, 1.0, 0.0], delta=86400.0)
+        for strategy in ("argmax", "random", "beam"):
+            pred = decode_suffix(
+                model, one_event_prefix(), DecodeConfig(strategy=strategy, beam_width=2, max_len=5)
+            )
+            assert pred.activities == ("a", EOC)
+            assert pred.time_deltas == (86400.0, 86400.0)
+            assert pred.remaining_time == 172800.0
 
     def test_single_eoc_delta(self):
-        pred = SuffixPrediction(
-            activities=(EOC,), time_deltas=(42.0,), remaining_time=42.0, cumulative_log_prob=0.0
-        )
-        assert remaining_time_recursive(pred) == 42.0
+        model = FixedDistributionModel(VOCAB3, [1.0, 0.0, 0.0], delta=42.0)
+        for strategy in ("argmax", "random", "beam"):
+            pred = decode_suffix(model, one_event_prefix(), DecodeConfig(strategy=strategy, max_len=5))
+            assert pred.activities == (EOC,)
+            assert pred.remaining_time == 42.0
 
     def test_truncated_sum(self):
-        pred = SuffixPrediction(
-            activities=("a", "a"), time_deltas=(10.0, 20.0),
-            remaining_time=30.0, cumulative_log_prob=-2.0, truncated=True,
-        )
-        assert remaining_time_recursive(pred) == 30.0
+        class GrowingDelta(FixedDistributionModel):
+            def predict(self, events):
+                return self.probs.copy(), 10.0 * len(events)
+
+        model = GrowingDelta(VOCAB3, [0.0, 1.0, 0.0])
+        for strategy in ("argmax", "random", "beam"):
+            pred = decode_suffix(model, one_event_prefix(), DecodeConfig(strategy=strategy, max_len=2))
+            assert pred.truncated
+            assert pred.time_deltas == (10.0, 20.0)
+            assert pred.remaining_time == 30.0
+
+    def test_no_time_head_decodes_zero_deltas(self):
+        model = FixedDistributionModel(VOCAB3, [0.5, 0.5, 0.0], delta=None)
+        model.time_target = None
+        pred = decode_suffix(model, one_event_prefix(), DecodeConfig(strategy="beam", beam_width=2, max_len=3))
+        assert pred.time_deltas == (0.0,) * len(pred.activities)
+        assert pred.remaining_time == 0.0
 
     def test_direct_requires_remaining_head(self):
         model = FixedDistributionModel(VOCAB3, [1.0, 0.0, 0.0])  # time_target == "next"
@@ -243,3 +265,200 @@ class TestBeamLengthNormalization:
         # per-step average favors the longer, higher-average sequence
         assert plain.activities == (EOC,)
         assert normalized.activities == ("a", EOC)
+
+
+# --- the two decode loops that the single hypothesis search replaced,
+# copied as they were: argmax and random sampling in one loop, beam search
+# in another. ---
+
+
+def _ref_extend(events, activity, delta, attr_names):
+    last = events[-1]
+    predicted = Event(
+        case_id=last.case_id,
+        activity=activity,
+        timestamp_ms=last.timestamp_ms + int(round(delta * 1000.0)),
+        attributes={name: MISSING for name in attr_names},
+    )
+    return events + (predicted,)
+
+
+def _ref_log(p):
+    return math.log(max(p, 1e-300))
+
+
+def _ref_decode(model, prefix, cfg):
+    events = tuple(prefix)
+    attr_names = tuple(events[-1].attributes)
+    if cfg.strategy == "beam":
+        return _ref_beam_decode(model, events, cfg, attr_names)
+    rng = np.random.default_rng(cfg.seed) if cfg.strategy == "random" else None
+    activities, deltas, log_prob = [], [], 0.0
+    vocab = model.activity_vocab
+    for _ in range(cfg.max_len):
+        probs, delta = model.predict(events)
+        if cfg.strategy == "argmax":
+            choice = int(np.argmax(probs))
+        else:
+            choice = int(rng.choice(len(probs), p=probs / probs.sum()))
+        label = vocab.label(choice)
+        step_delta = float(delta) if (delta is not None and model.time_target == "next") else 0.0
+        activities.append(label)
+        deltas.append(step_delta)
+        log_prob += _ref_log(float(probs[choice]))
+        if label == EOC:
+            return SuffixPrediction(tuple(activities), tuple(deltas), sum(deltas), log_prob)
+        events = _ref_extend(events, label, step_delta, attr_names)
+    return SuffixPrediction(tuple(activities), tuple(deltas), sum(deltas), log_prob, truncated=True)
+
+
+@dataclass
+class _RefBeam:
+    events: tuple
+    tokens: tuple
+    deltas: tuple
+    log_prob: float
+    finished: bool
+
+
+def _ref_beam_score(beam, length_normalize):
+    if length_normalize and beam.tokens:
+        return beam.log_prob / len(beam.tokens)
+    return beam.log_prob
+
+
+def _ref_beam_decode(model, events, cfg, attr_names):
+    vocab = model.activity_vocab
+    eoc_idx = vocab.index(EOC)
+    beams = [_RefBeam(events, (), (), 0.0, False)]
+    for _ in range(cfg.max_len):
+        if all(b.finished for b in beams):
+            break
+        candidates = []
+        for beam in beams:
+            if beam.finished:
+                candidates.append(beam)
+                continue
+            probs, delta = model.predict(beam.events)
+            step_delta = float(delta) if (delta is not None and model.time_target == "next") else 0.0
+            for idx in range(len(probs)):
+                tokens = beam.tokens + (idx,)
+                lp = beam.log_prob + _ref_log(float(probs[idx]))
+                if idx == eoc_idx:
+                    candidates.append(_RefBeam(beam.events, tokens, beam.deltas + (step_delta,), lp, True))
+                else:
+                    candidates.append(
+                        _RefBeam(
+                            _ref_extend(beam.events, vocab.label(idx), step_delta, attr_names),
+                            tokens, beam.deltas + (step_delta,), lp, False,
+                        )
+                    )
+        candidates.sort(key=lambda b: (-_ref_beam_score(b, cfg.length_normalize), b.tokens))
+        beams = candidates[: cfg.beam_width]
+    best = min(beams, key=lambda b: (not b.finished, -_ref_beam_score(b, cfg.length_normalize), b.tokens))
+    return SuffixPrediction(
+        activities=tuple(vocab.label(i) for i in best.tokens),
+        time_deltas=best.deltas,
+        remaining_time=sum(best.deltas),
+        cumulative_log_prob=best.log_prob,
+        truncated=not best.finished,
+    )
+
+
+class HashedEventModel(HashedRandomModel):
+    """Like ``HashedRandomModel``, but the distribution also depends on every
+    event's timestamp and attributes, so a decoder that extends the prefix
+    differently decodes differently."""
+
+    def predict(self, events):
+        key = "\x1f".join(
+            f"{e.activity}|{e.timestamp_ms}|{sorted(e.attributes.items())}" for e in events
+        ).encode("utf-8")
+        digest = hashlib.blake2b(key, digest_size=8, key=self.seed.to_bytes(8, "little")).digest()
+        rng = np.random.default_rng(int.from_bytes(digest, "little"))
+        probs = rng.dirichlet(np.ones(len(self.activity_vocab)))
+        return probs, float(rng.uniform(60.0, 86400.0))
+
+
+def attributed_prefix(length, seed):
+    """A prefix of ``length`` events over labels a/b/c with a resource attribute."""
+    return tuple(
+        Event(
+            case_id="c",
+            activity="abc"[(seed + i) % 3],
+            timestamp_ms=1_600_000_000_000 + i * 3_723_500,
+            attributes={"res": f"r{(seed * 7 + i) % 4}", "org": "o1"},
+        )
+        for i in range(length)
+    )
+
+
+DECODE_CONFIGS = [
+    DecodeConfig(strategy=strategy, beam_width=width, max_len=6, length_normalize=normalize)
+    for strategy in ("argmax", "random", "beam")
+    for width in (1, 2, 3, 4)
+    for normalize in (False, True)
+]
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("model_cls", [HashedRandomModel, HashedEventModel])
+    def test_search_matches_the_two_loops(self, model_cls):
+        for seed in range(24):
+            vocab = Vocabulary([EOC, "a", "b", "c", "d", "e"][: 4 + seed % 3])
+            model = model_cls(vocab, seed)
+            for length in (1, 2, 3):
+                prefix = attributed_prefix(length, seed)
+                for cfg in DECODE_CONFIGS:
+                    cfg = replace(cfg, seed=seed)
+                    expected = _ref_decode(model, prefix, cfg)
+                    got = decode_suffix(model, prefix, cfg)
+                    assert got == expected, (seed, length, cfg)
+
+    def test_short_max_len_truncates_like_the_loops(self):
+        vocab = Vocabulary([EOC, "a", "b", "c"])
+        for seed in range(40):
+            model = HashedRandomModel(vocab, seed)
+            for cfg in DECODE_CONFIGS:
+                cfg = replace(cfg, max_len=1 + seed % 3, seed=seed)
+                prefix = attributed_prefix(1 + seed % 3, seed)
+                assert decode_suffix(model, prefix, cfg) == _ref_decode(model, prefix, cfg)
+
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def decode_cases(draw):
+    vocab = Vocabulary([EOC, "a", "b", "c", "d"][: draw(st.integers(2, 5))])
+    model = HashedRandomModel(vocab, draw(st.integers(0, 2**63)))
+    prefix = attributed_prefix(draw(st.integers(1, 3)), draw(st.integers(0, 100)))
+    cfg = DecodeConfig(
+        strategy=draw(st.sampled_from(["argmax", "random", "beam"])),
+        beam_width=draw(st.integers(1, 4)),
+        max_len=draw(st.integers(1, 8)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        length_normalize=draw(st.booleans()),
+    )
+    return model, prefix, cfg
+
+
+class TestDecodeProperties:
+    @PROPERTY_SETTINGS
+    @given(decode_cases())
+    def test_invariants(self, case):
+        model, prefix, cfg = case
+        pred = decode_suffix(model, prefix, cfg)
+        assert 1 <= len(pred.activities) <= cfg.max_len
+        assert (pred.activities[-1] == EOC) == (not pred.truncated)
+        assert EOC not in pred.activities[:-1]
+        assert len(pred.time_deltas) == len(pred.activities)
+        assert pred.remaining_time == sum(pred.time_deltas)
+
+    @PROPERTY_SETTINGS
+    @given(decode_cases())
+    def test_argmax_equals_beam_of_width_one(self, case):
+        model, prefix, cfg = case
+        argmax = decode_suffix(model, prefix, replace(cfg, strategy="argmax"))
+        beam1 = decode_suffix(model, prefix, replace(cfg, strategy="beam", beam_width=1))
+        assert argmax == beam1

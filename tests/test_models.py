@@ -145,9 +145,22 @@ class TestMarkov:
 class TestNeuralBasics:
     def test_mlp_rejects_zero_hidden(self, linear_split):
         log, split = linear_split
-        predictor = MLPPredictor(log.activity_vocab, config=fast_config(hidden=0))
         with pytest.raises(ValueError):
-            train(predictor, split, seed=0)
+            MLPPredictor(log.activity_vocab, config=fast_config(hidden=0))
+
+    @pytest.mark.parametrize("name", ["hidden", "layers", "epochs", "batch_size", "lr_patience"])
+    def test_config_rejects_non_positive_sizes(self, name):
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**{name: value})
+
+    def test_autoencoder_stages_of_zero_epochs_are_skipped(self, linear_split):
+        log, split = linear_split
+        cfg = fast_config(epochs=2, ngram_dim=16, ae_hidden=(8, 4), pretrain_epochs=0, freeze_epochs=0)
+        predictor = AutoencoderPredictor(log.activity_vocab, config=cfg)
+        report = train(predictor, split, seed=0)
+        assert predictor.recon_losses == [(), ()]
+        assert len(report.train_losses) == 2
 
     def test_autoencoder_rejects_undercompleteness_violation(self):
         vocab = Vocabulary(["A", "B", EOC])
