@@ -28,8 +28,6 @@ from .encoding import (
     FeatureMatrix,
     Normalizer,
     PrefixEncoder,
-    encode_continuous_windows,
-    frequency_encode,
     ngram_hash_encode,
     ngram_universe_size,
     onehot,
@@ -43,10 +41,9 @@ from .models import (
     TrainReport,
     build_predictor,
     load_predictor,
-    markov_predict,
     save_predictor,
     train,
 )
-from .inference import DecodeConfig, SuffixPrediction, decode_suffix, remaining_time_direct
+from .inference import DecodeConfig, SuffixPrediction, decode_suffix
 from .metrics import MetricsReport, accuracy, brier, dl_distance, dl_similarity, evaluate_protocol, mae
 from .bench import BenchmarkConfig, ConfigError, RunRecord, run_matrix

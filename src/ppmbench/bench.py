@@ -166,6 +166,8 @@ class BenchmarkConfig:
                 raise ConfigError(f"unknown task {task!r}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if self.min_k < 1:
+            raise ConfigError(f"min_k must be >= 1, got {self.min_k!r}")
 
 
 @dataclass

@@ -1,5 +1,5 @@
 """Prefix-to-tensor encoders: event encodings, time features, normalization,
-padded/continuous/n-gram sequence encodings."""
+padded and hashed n-gram sequence encodings."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .eventlog import MISSING, Event, EventLog, Vocabulary
+from .eventlog import MISSING, Event, Vocabulary
 from .splitting import PrefixSample
 
 
@@ -29,14 +29,6 @@ def onehot(label: str, vocab: Vocabulary) -> np.ndarray:
     """Binary indicator vector of ``label`` over ``vocab`` (exactly one 1.0)."""
     vec = np.zeros(len(vocab), dtype=np.float64)
     vec[vocab.index(label)] = 1.0
-    return vec
-
-
-def frequency_encode(activities: Sequence[str], vocab: Vocabulary) -> np.ndarray:
-    """Per-label occurrence counts of the prefix so far."""
-    vec = np.zeros(len(vocab), dtype=np.float64)
-    for label in activities:
-        vec[vocab.index(label)] += 1.0
     return vec
 
 
@@ -395,35 +387,3 @@ class PrefixEncoder:
         enc.fitted = True
         return enc
 
-
-# ---------------------------------------------------------------------------
-# continuous (windowed token stream) encoding
-# ---------------------------------------------------------------------------
-
-def encode_continuous_windows(
-    log: EventLog, window: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Fixed-size windows over the concatenated activity stream of the log.
-
-    Traces are concatenated in log order into one token stream (the log must
-    be EOC-augmented so trace boundaries carry the end-of-case token). Tokens
-    are vocabulary indices shifted by one so that 0 is the padding token.
-    Consecutive windows of size ``window`` (stride = window) are paired with
-    the stream shifted one position left; both are zero-padded at the end.
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    vocab = log.activity_vocab
-    stream = [vocab.index(ev.activity) + 1 for ev in log.iter_events()]
-    num_windows = max(1, -(-len(stream) // window)) if stream else 0
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    shifted = stream[1:]
-    for w in range(num_windows):
-        chunk = stream[w * window : (w + 1) * window]
-        target = shifted[w * window : (w + 1) * window]
-        x = np.zeros(window, dtype=np.int64)
-        y = np.zeros(window, dtype=np.int64)
-        x[: len(chunk)] = chunk
-        y[: len(target)] = target
-        pairs.append((x, y))
-    return pairs

@@ -317,16 +317,23 @@ def to_csv(log: EventLog, schema: CsvSchema | None = None) -> str:
     """Serialize a log back to CSV text; missing-marker values become empty cells."""
     schema = schema or CsvSchema()
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    minimal = csv.writer(buffer, lineterminator="\n")
+    # minimal quoting leaves a carriage return bare, since the line terminator
+    # is "\n"; a row with one is written fully quoted so that it reads back
+    quoted = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
+
+    def write(cells):
+        (quoted if any("\r" in cell for cell in cells) else minimal).writerow(cells)
+
     attr_names = list(log.attribute_names)
-    writer.writerow([schema.case_id, schema.activity, schema.timestamp] + attr_names)
+    write([schema.case_id, schema.activity, schema.timestamp] + attr_names)
     for trace in log.traces:
         for ev in trace.events:
             cells = [ev.case_id, ev.activity, format_timestamp(ev.timestamp_ms)]
             for name in attr_names:
                 value = ev.attributes.get(name, MISSING)
                 cells.append("" if value == MISSING else value)
-            writer.writerow(cells)
+            write(cells)
     return buffer.getvalue()
 
 

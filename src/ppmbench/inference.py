@@ -1,6 +1,7 @@
-"""Suffix decoding (argmax, random sampling and beam search as one search over
-hypotheses) and the direct remaining-time pathway; the recursive pathway is
-``SuffixPrediction.remaining_time``."""
+"""Suffix decoding: argmax, random sampling and beam search as one search over
+hypotheses. The recursive remaining-time pathway is
+``SuffixPrediction.remaining_time``; a model trained on remaining time
+reports it directly from ``predict``."""
 
 from __future__ import annotations
 
@@ -95,17 +96,17 @@ def decode_suffix(model: Predictor, prefix: Sequence[Event], cfg: DecodeConfig) 
     """Decode the activity suffix of a prefix with the configured strategy.
 
     One search serves every strategy. Each step predicts once per unfinished
-    hypothesis and extends it by its strategy's choices: argmax by the most
+    hypothesis and scores one candidate per strategy choice: argmax the most
     probable label (ties go to the lowest vocabulary index; seed-independent),
-    random by one draw from the full distribution of a generator seeded by
-    ``cfg.seed``, beam by every label. The search then keeps the
-    ``beam_width`` best hypotheses (1 for argmax and random), ranked by score
-    descending, then by lowest token sequence; finished hypotheses stay in
-    the running. A predicted event takes the previous timestamp plus the
-    predicted delta and the missing-marker for all attributes. Decoding stops
-    when every hypothesis has reached the end-of-case label or after
-    ``max_len`` steps; the best finished hypothesis wins over any unfinished
-    one, which is flagged truncated.
+    random one draw from the full distribution of a generator seeded by
+    ``cfg.seed``, beam every label. The search then keeps the ``beam_width``
+    best candidates (1 for argmax and random), ranked by score descending,
+    then by lowest token sequence; finished hypotheses stay in the running.
+    Only the unfinished survivors get their predicted event, which takes the
+    previous timestamp plus the predicted delta and the missing-marker for
+    all attributes. Decoding stops when every hypothesis has reached the
+    end-of-case label or after ``max_len`` steps; the best finished
+    hypothesis wins over any unfinished one, which is flagged truncated.
     """
     events = tuple(prefix)
     if not events:
@@ -133,19 +134,20 @@ def decode_suffix(model: Predictor, prefix: Sequence[Event], cfg: DecodeConfig) 
             _check_distribution(probs)
             step_delta = float(delta) if (delta is not None and model.time_target == "next") else 0.0
             for idx in _choices(cfg.strategy, probs, rng):
-                finished = idx == eoc
                 candidates.append(
                     _Hypothesis(
-                        h.events if finished
-                        else _extend(h.events, vocab.label(idx), step_delta, attr_names),
+                        h.events,
                         h.tokens + (idx,),
                         h.deltas + (step_delta,),
                         h.log_prob + _log(float(probs[idx])),
-                        finished,
+                        idx == eoc,
                     )
                 )
         candidates.sort(key=rank)
         hypotheses = candidates[:width]
+        for h in hypotheses:
+            if not h.finished:  # a candidate of this step still holds its parent's events
+                h.events = _extend(h.events, vocab.label(h.tokens[-1]), h.deltas[-1], attr_names)
     best = min(hypotheses, key=lambda h: (not h.finished, *rank(h)))
     return SuffixPrediction(
         activities=tuple(vocab.label(i) for i in best.tokens),
@@ -154,16 +156,3 @@ def decode_suffix(model: Predictor, prefix: Sequence[Event], cfg: DecodeConfig) 
         cumulative_log_prob=best.log_prob,
         truncated=not best.finished,
     )
-
-
-def remaining_time_direct(model: Predictor, prefix: Sequence[Event]) -> float:
-    """Single-regression remaining time, inverse-normalized, clamped at >= 0.
-
-    Requires a model trained with the remaining-time target.
-    """
-    if model.time_target != "remaining":
-        raise ValueError("model was not trained with a remaining-time head")
-    _, value = model.predict(prefix)
-    if value is None:
-        raise ValueError("model emitted no time prediction")
-    return max(0.0, float(value))

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .eventlog import EOC, EventLog, SECONDS_PER_DAY
-from .inference import DecodeConfig, decode_suffix, remaining_time_direct
+from .inference import DecodeConfig, decode_suffix
 from .models import Predictor
 from .splitting import make_prefix_samples
 
@@ -137,8 +137,9 @@ def evaluate_protocol(
     ``decode_cfg.seed XOR sample index``. The model's ``time_target`` decides
     the time tasks: a ``"next"`` model scores next time from its delta head
     and remaining time as the sum of the decoded step deltas; a
-    ``"remaining"`` model scores remaining time from its direct head and
-    skips next time; a model without a time head skips both.
+    ``"remaining"`` model scores remaining time from its direct head (the
+    time value of the same ``predict`` call as next activity, clamped at 0)
+    and skips next time; a model without a time head skips both.
     """
     for task in tasks:
         if task not in ALL_TASKS:
@@ -165,7 +166,7 @@ def evaluate_protocol(
     direct = model.time_target == "remaining"
 
     for i, sample in enumerate(samples):
-        if want_next or want_time:
+        if want_next or want_time or (want_remaining and direct):
             probs, delta = model.predict(sample.prefix)
             probs = np.asarray(probs, dtype=np.float64)
             if want_next:
@@ -182,10 +183,9 @@ def evaluate_protocol(
             if want_suffix:
                 sims.append(dl_similarity(suffix_pred.activities, sample.suffix_activities))
         if want_remaining:
-            rem_pred.append(
-                remaining_time_direct(model, sample.prefix) if direct
-                else suffix_pred.remaining_time
-            )
+            if direct and delta is None:
+                raise ValueError("model emitted no time prediction")
+            rem_pred.append(max(0.0, float(delta)) if direct else suffix_pred.remaining_time)
             rem_true.append(sample.remaining_time)
 
     report = MetricsReport()

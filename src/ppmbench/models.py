@@ -11,7 +11,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -140,58 +140,18 @@ def _write_sidecar(path_prefix: Path, sidecar: dict) -> None:
 # Markov baseline (count-based oracle)
 # ---------------------------------------------------------------------------
 
-def fit_ngram_counts(
-    samples: Iterable[PrefixSample], order: int, vocab: Vocabulary
-) -> list[dict[tuple[str, ...], Counter]]:
-    """Context -> next-activity counts for every order 0..order.
-
-    Each prefix sample contributes one observation per order, using the last
-    ``j`` activities of its prefix as the order-``j`` context.
-    """
-    tables: list[dict[tuple[str, ...], Counter]] = [{} for _ in range(order + 1)]
-    for sample in samples:
-        acts = sample.prefix_activities
-        target = vocab.index(sample.next_activity)
-        for j in range(0, order + 1):
-            if j > len(acts):
-                break
-            ctx = acts[len(acts) - j :]
-            tables[j].setdefault(ctx, Counter())[target] += 1
-    return tables
-
-
-def markov_predict(
-    tables: Sequence[Mapping[tuple[str, ...], Counter]],
-    prefix_activities: Sequence[str],
-    order: int,
-    alpha: float,
-    vocab: Vocabulary,
-) -> np.ndarray:
-    """Smoothed conditional distribution of the next activity.
-
-    P(a | context) = (count(context, a) + alpha) / (count(context) + alpha |A|)
-    over the longest context with observations, backing off one order at a
-    time down to the unigram. With no observations at any order the result is
-    the uniform distribution (the pure-smoothing limit).
-    """
-    acts = tuple(prefix_activities)
-    k = len(vocab)
-    for j in range(min(order, len(acts)), -1, -1):
-        ctx = acts[len(acts) - j :]
-        counts = tables[j].get(ctx) if j < len(tables) else None
-        if counts:
-            total = sum(counts.values())
-            probs = np.full(k, float(alpha), dtype=np.float64)
-            for idx, c in counts.items():
-                probs[idx] += c
-            return probs / (total + alpha * k)
-    return np.full(k, 1.0 / k, dtype=np.float64)
-
-
 class MarkovPredictor(Predictor):
     """Backoff n-gram model over activity sequences; doubles as the
-    enumeration oracle for the neural models. The time estimate is the mean
-    observed next-event delta of the longest matched context."""
+    enumeration oracle for the neural models.
+
+    ``tables[j]`` maps each order-``j`` context (the last ``j`` activities of
+    a training prefix) to its next-activity counts and its sum of next-event
+    deltas. Prediction backs off from the longest context with observations,
+    one order at a time down to the unigram:
+    P(a | context) = (count(context, a) + alpha) / (count(context) + alpha |A|),
+    and the time estimate is that context's mean delta. With no observations
+    at any order the distribution is uniform (the pure-smoothing limit) and
+    there is no time estimate."""
 
     architecture = "markov"
 
@@ -199,24 +159,22 @@ class MarkovPredictor(Predictor):
         self.activity_vocab = activity_vocab
         self.config = config or TrainConfig()
         self.time_target = "next"
-        self.tables: list[dict[tuple[str, ...], Counter]] = []
-        self.delta_tables: list[dict[tuple[str, ...], tuple[float, int]]] = []
+        self.tables: list[dict[tuple[str, ...], tuple[Counter, float]]] = []
 
     def fit(self, train_samples, val_samples, config=None, seed=0) -> TrainReport:
         start = time.perf_counter()
         if config is not None:
             self.config = config
         order = self.config.order
-        self.tables = fit_ngram_counts(train_samples, order, self.activity_vocab)
-        self.delta_tables = [{} for _ in range(order + 1)]
+        self.tables = [{} for _ in range(order + 1)]
         for sample in train_samples:
             acts = sample.prefix_activities
-            for j in range(0, order + 1):
-                if j > len(acts):
-                    break
+            target = self.activity_vocab.index(sample.next_activity)
+            for j in range(min(order, len(acts)) + 1):
                 ctx = acts[len(acts) - j :]
-                total, n = self.delta_tables[j].get(ctx, (0.0, 0))
-                self.delta_tables[j][ctx] = (total + sample.next_time_delta, n + 1)
+                counts, delta_sum = self.tables[j].get(ctx) or (Counter(), 0.0)
+                counts[target] += 1
+                self.tables[j][ctx] = (counts, delta_sum + sample.next_time_delta)
         train_nll = self._mean_nll(train_samples)
         val_nll = self._mean_nll(val_samples) if val_samples else train_nll
         return TrainReport(
@@ -239,32 +197,25 @@ class MarkovPredictor(Predictor):
 
     def predict(self, events):
         acts = tuple(ev.activity for ev in events)
-        probs = markov_predict(
-            self.tables, acts, self.config.order, self.config.alpha, self.activity_vocab
-        )
-        delta = None
-        for j in range(min(self.config.order, len(acts)), -1, -1):
-            ctx = acts[len(acts) - j :]
-            entry = self.delta_tables[j].get(ctx) if j < len(self.delta_tables) else None
-            if entry and entry[1] > 0:
-                delta = max(0.0, entry[0] / entry[1])
-                break
-        return probs, delta
+        k = len(self.activity_vocab)
+        alpha = self.config.alpha
+        for j in range(min(len(self.tables) - 1, len(acts)), -1, -1):
+            counts, delta_sum = self.tables[j].get(acts[len(acts) - j :]) or (None, 0.0)
+            if counts:
+                total = sum(counts.values())
+                probs = np.full(k, float(alpha), dtype=np.float64)
+                for idx, c in counts.items():
+                    probs[idx] += c
+                return probs / (total + alpha * k), max(0.0, delta_sum / total)
+        return np.full(k, 1.0 / k, dtype=np.float64), None
 
     def _save(self, path_prefix, seed):
-        """The JSON sidecar alone: the count tables are the whole model."""
+        """The JSON sidecar alone: the tables are the whole model. Each order
+        is written twice, as its ``counts`` rows and its ``deltas`` rows
+        (context, delta sum, observation count)."""
 
-        def pack(tables, values):
-            out = []
-            for table in tables:
-                rows = []
-                for ctx, entry in table.items():
-                    if values:
-                        rows.append(["\x1f".join(ctx), entry[0], entry[1]])
-                    else:
-                        rows.append(["\x1f".join(ctx), {str(k): v for k, v in entry.items()}])
-                out.append(rows)
-            return out
+        def ctx_key(ctx):
+            return "\x1f".join(ctx)
 
         _write_sidecar(
             path_prefix,
@@ -276,25 +227,39 @@ class MarkovPredictor(Predictor):
                 "activity_vocab": list(self.activity_vocab.labels),
                 "attribute_vocabs": {},
                 "state": {
-                    "counts": pack(self.tables, False),
-                    "deltas": pack(self.delta_tables, True),
+                    "counts": [
+                        [[ctx_key(ctx), {str(k): v for k, v in counts.items()}]
+                         for ctx, (counts, _) in table.items()]
+                        for table in self.tables
+                    ],
+                    "deltas": [
+                        [[ctx_key(ctx), delta_sum, sum(counts.values())]
+                         for ctx, (counts, delta_sum) in table.items()]
+                        for table in self.tables
+                    ],
                 },
             },
         )
 
     def _restore(self, sidecar, path_prefix):
-        def unpack_ctx(text: str) -> tuple[str, ...]:
-            return tuple(text.split("\x1f")) if text else ()
-
+        """Rebuild the tables; ``counts`` and ``deltas`` must list the same
+        contexts in the same order, or the sidecar is a ``ValueError``."""
         state = sidecar["state"]
-        self.tables = [
-            {unpack_ctx(ctx): Counter({int(k): v for k, v in counts.items()}) for ctx, counts in table}
-            for table in state["counts"]
-        ]
-        self.delta_tables = [
-            {unpack_ctx(ctx): (total, n) for ctx, total, n in table}
-            for table in state["deltas"]
-        ]
+        if len(state["counts"]) != len(state["deltas"]):
+            raise ValueError("markov sidecar has counts and deltas for different orders")
+        self.tables = []
+        for count_rows, delta_rows in zip(state["counts"], state["deltas"]):
+            if [row[0] for row in count_rows] != [row[0] for row in delta_rows]:
+                raise ValueError("markov sidecar counts and deltas name different contexts")
+            self.tables.append(
+                {
+                    tuple(ctx.split("\x1f")) if ctx else (): (
+                        Counter({int(k): v for k, v in counts.items()}),
+                        delta_sum,
+                    )
+                    for (ctx, counts), (_, delta_sum, _) in zip(count_rows, delta_rows)
+                }
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -362,52 +327,19 @@ def _sgd_train(
     return best_params, report
 
 
-def _init_heads(rng, hidden: int, n_classes: int, with_time: bool, dtype):
-    params = {
-        "head_act:W": nn.glorot_uniform(rng, hidden, n_classes, dtype),
-        "head_act:b": np.zeros(n_classes, dtype=dtype),
-    }
-    if with_time:
-        params["head_time:W"] = nn.glorot_uniform(rng, hidden, 1, dtype)
-        params["head_time:b"] = np.zeros(1, dtype=dtype)
-    return params
-
-
-def _heads_forward(params, last):
-    logits, act_cache = nn.affine_forward(last, params["head_act:W"], params["head_act:b"])
-    tpred = None
-    time_cache = None
-    if "head_time:W" in params:
-        tpred, time_cache = nn.affine_forward(last, params["head_time:W"], params["head_time:b"])
-    return logits, tpred, act_cache, time_cache
-
-
-def _heads_loss_backward(params, logits, tpred, act_cache, time_cache, y_act, y_time):
-    """Multitask loss (unweighted sum of task losses) and its gradient on the
-    shared feature vector."""
-    losses = []
-    ce, dlogits = nn.softmax_cross_entropy(logits, y_act)
-    losses.append(ce)
-    dlast, act_grads = nn.affine_backward(act_cache, dlogits)
-    grads = {"head_act:W": act_grads["W"], "head_act:b": act_grads["b"]}
-    if tpred is not None and y_time is not None:
-        mae, dtpred = nn.mae_loss(tpred[:, 0], y_time)
-        losses.append(mae)
-        dlast_t, time_grads = nn.affine_backward(time_cache, dtpred[:, None])
-        dlast = dlast + dlast_t
-        grads["head_time:W"] = time_grads["W"]
-        grads["head_time:b"] = time_grads["b"]
-    return nn.combine_losses(losses), dlast, grads
-
-
 def _layer_params(params: Mapping[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
     return {k.split(":", 1)[1]: v for k, v in params.items() if k.startswith(prefix + ":")}
 
 
 class _NeuralPredictor(Predictor):
-    """Encoder handling, the fit/predict scaffolding, and checkpointing shared
-    by the numpy models. Subclasses provide parameter construction and the
-    network forward/backward."""
+    """Encoder handling, the shared output heads, the fit/predict scaffolding,
+    and checkpointing shared by the numpy models. Subclasses provide
+    parameter construction and the body: the network that maps the inputs to
+    one feature vector per row, and its backward.
+
+    The heads read that feature vector: a softmax activity head
+    (``head_act``) and, with a time target, a linear time head
+    (``head_time``), trained jointly on the unweighted sum of their losses."""
 
     def __init__(
         self,
@@ -444,10 +376,12 @@ class _NeuralPredictor(Predictor):
         """Training stages that run before the shared one; none by default."""
         return params
 
-    def _forward(self, params, X, M, with_cache: bool):
+    def _body(self, params, X, M):
+        """Feature vectors (B, F) of a batch and the cache for the backward."""
         raise NotImplementedError
 
-    def _backward(self, params, caches, dlast):
+    def _body_backward(self, params, cache, dfeatures) -> dict[str, np.ndarray]:
+        """Gradients of the body's parameters given the feature gradient."""
         raise NotImplementedError
 
     # shared --------------------------------------------------------------
@@ -495,13 +429,52 @@ class _NeuralPredictor(Predictor):
             y_time = self.time_norm.transform(_time_values(samples, self.config.time_target))
         return X, M, y_act, y_time
 
+    def _init_heads(self, rng, n_features: int) -> dict[str, np.ndarray]:
+        n_classes = len(self.activity_vocab)
+        params = {
+            "head_act:W": nn.glorot_uniform(rng, n_features, n_classes, self.dtype),
+            "head_act:b": np.zeros(n_classes, dtype=self.dtype),
+        }
+        if self.config.time_target is not None:
+            params["head_time:W"] = nn.glorot_uniform(rng, n_features, 1, self.dtype)
+            params["head_time:b"] = np.zeros(1, dtype=self.dtype)
+        return params
+
+    def _outputs(self, params, X, M):
+        """Body then heads: activity logits, the time prediction (None
+        without a time head), and the caches of both."""
+        features, body_cache = self._body(params, X, M)
+        logits, act_cache = nn.affine_forward(features, params["head_act:W"], params["head_act:b"])
+        tpred = time_cache = None
+        if "head_time:W" in params:
+            tpred, time_cache = nn.affine_forward(
+                features, params["head_time:W"], params["head_time:b"]
+            )
+        return logits, tpred, (body_cache, act_cache, time_cache)
+
+    def _head_loss(self, params, X, M, y_act, y_time):
+        """Multitask loss of a batch (unweighted sum of the task losses), the
+        heads' gradients, the body cache and the gradient on the features.
+        The time loss counts when the model has a time head and ``y_time``
+        is given."""
+        logits, tpred, (body_cache, act_cache, time_cache) = self._outputs(params, X, M)
+        ce, dlogits = nn.softmax_cross_entropy(logits, y_act)
+        losses = [ce]
+        dfeatures, act_grads = nn.affine_backward(act_cache, dlogits)
+        grads = {"head_act:W": act_grads["W"], "head_act:b": act_grads["b"]}
+        if tpred is not None and y_time is not None:
+            mae, dtpred = nn.mae_loss(tpred[:, 0], y_time)
+            losses.append(mae)
+            dtime, time_grads = nn.affine_backward(time_cache, dtpred[:, None])
+            dfeatures = dfeatures + dtime
+            grads["head_time:W"] = time_grads["W"]
+            grads["head_time:b"] = time_grads["b"]
+        return nn.combine_losses(losses), grads, body_cache, dfeatures
+
     def _batch_loss(self, params, X, M, y_act, y_time):
         """Training loss of one batch and its gradient for every parameter."""
-        logits, tpred, caches = self._forward(params, X, M, True)
-        loss, dlast, grads = _heads_loss_backward(
-            params, logits, tpred, caches["act_cache"], caches["time_cache"], y_act, y_time
-        )
-        grads.update(self._backward(params, caches, dlast))
+        loss, grads, body_cache, dfeatures = self._head_loss(params, X, M, y_act, y_time)
+        grads.update(self._body_backward(params, body_cache, dfeatures))
         return loss, grads
 
     def fit(self, train_samples, val_samples, config=None, seed=0) -> TrainReport:
@@ -513,14 +486,10 @@ class _NeuralPredictor(Predictor):
         X, M, y_act, y_time = self._fit_arrays(train_samples)
         val_loss = None
         if val_samples:
-            Xv, Mv, yv_act, yv_time = self._arrays(val_samples)
+            val_arrays = self._arrays(val_samples)
 
             def val_loss(p):
-                logits, tpred, _ = self._forward(p, Xv, Mv, False)
-                losses = [nn.softmax_cross_entropy(logits, yv_act)[0]]
-                if tpred is not None and yv_time is not None:
-                    losses.append(nn.mae_loss(tpred[:, 0], yv_time)[0])
-                return nn.combine_losses(losses)
+                return self._head_loss(p, *val_arrays)[0]
 
         rng = np.random.default_rng(seed)
         params = self._pretrain(self._build_params(rng), X, y_act, rng, seed)
@@ -543,7 +512,7 @@ class _NeuralPredictor(Predictor):
         if not self.params:
             raise RuntimeError("predictor used before fit()")
         X, M = self._inputs(events, [len(events)])
-        logits, tpred, _ = self._forward(self.params, X, M, False)
+        logits, tpred, _ = self._outputs(self.params, X, M)
         probs = nn.softmax(logits[0].astype(np.float64))
         delta = None
         if tpred is not None and self.time_norm is not None:
@@ -633,14 +602,11 @@ class RecurrentPredictor(_NeuralPredictor):
             cell_params = nn.init_cell(self.cell, rng, in_dim, cfg.hidden, self.dtype)
             params.update({f"l{layer}:{k}": v for k, v in cell_params.items()})
             in_dim = cfg.hidden
-        params.update(
-            _init_heads(
-                rng, cfg.hidden, len(self.activity_vocab), cfg.time_target is not None, self.dtype
-            )
-        )
+        params.update(self._init_heads(rng, cfg.hidden))
         return params
 
-    def _forward(self, params, X, M, with_cache: bool):
+    def _body(self, params, X, M):
+        """The last timestep's hidden state of the top layer."""
         cfg = self.config
         if cfg.embedding_dim:
             group = self.encoder.layout.group("activity")
@@ -657,35 +623,23 @@ class RecurrentPredictor(_NeuralPredictor):
             hs, caches = nn.sequence_forward(self.cell, lp, current, M)
             layer_caches.append(caches)
             current = hs
-        last = current[:, -1, :]
-        logits, tpred, act_cache, time_cache = _heads_forward(params, last)
-        caches = None
-        if with_cache:
-            caches = {
-                "act_cache": act_cache,
-                "time_cache": time_cache,
-                "layer_caches": layer_caches,
-                "T": X.shape[1],
-                "idx": idx,
-            }
-        return logits, tpred, caches
+        return current[:, -1, :], (layer_caches, idx, X.shape[1])
 
-    def _backward(self, params, caches, dlast):
+    def _body_backward(self, params, cache, dfeatures):
         cfg = self.config
+        layer_caches, idx, T = cache
         grads: dict[str, np.ndarray] = {}
-        B, H = dlast.shape
-        upstream = np.zeros((B, caches["T"], H), dtype=dlast.dtype)
-        upstream[:, -1, :] = dlast
+        B, H = dfeatures.shape
+        upstream = np.zeros((B, T, H), dtype=dfeatures.dtype)
+        upstream[:, -1, :] = dfeatures
         for layer in reversed(range(cfg.layers)):
             lp = _layer_params(params, f"l{layer}")
-            dxs, layer_grads = nn.sequence_backward(
-                self.cell, lp, caches["layer_caches"][layer], upstream
-            )
+            dxs, layer_grads = nn.sequence_backward(self.cell, lp, layer_caches[layer], upstream)
             grads.update({f"l{layer}:{k}": v for k, v in layer_grads.items()})
             upstream = dxs
         if cfg.embedding_dim:
             demb = upstream[:, :, : cfg.embedding_dim]
-            grads["emb"] = nn.embedding_backward(params["emb"], caches["idx"], demb)
+            grads["emb"] = nn.embedding_backward(params["emb"], idx, demb)
         return grads
 
 
@@ -756,35 +710,23 @@ class MLPPredictor(_NeuralPredictor):
             params[f"l{layer}:W"] = dense["W"]
             params[f"l{layer}:b"] = dense["b"]
             in_dim = cfg.hidden
-        params.update(
-            _init_heads(
-                rng, cfg.hidden, len(self.activity_vocab), cfg.time_target is not None, self.dtype
-            )
-        )
+        params.update(self._init_heads(rng, cfg.hidden))
         return params
 
-    def _forward(self, params, X, M, with_cache: bool):
+    def _body(self, params, X, M):
         current = X.reshape(X.shape[0], -1) if X.ndim == 3 else X
         layer_caches = []
         for layer in range(self.config.layers):
             z, a_cache = nn.affine_forward(current, params[f"l{layer}:W"], params[f"l{layer}:b"])
             current, r_cache = nn.relu_forward(z)
             layer_caches.append((a_cache, r_cache))
-        logits, tpred, act_cache, time_cache = _heads_forward(params, current)
-        caches = None
-        if with_cache:
-            caches = {
-                "act_cache": act_cache,
-                "time_cache": time_cache,
-                "layer_caches": layer_caches,
-            }
-        return logits, tpred, caches
+        return current, layer_caches
 
-    def _backward(self, params, caches, dlast):
+    def _body_backward(self, params, cache, dfeatures):
         grads: dict[str, np.ndarray] = {}
-        upstream = dlast
+        upstream = dfeatures
         for layer in reversed(range(self.config.layers)):
-            a_cache, r_cache = caches["layer_caches"][layer]
+            a_cache, r_cache = cache[layer]
             upstream = nn.relu_backward(r_cache, upstream)
             upstream, layer_grads = nn.affine_backward(a_cache, upstream)
             grads[f"l{layer}:W"] = layer_grads["W"]
@@ -850,7 +792,7 @@ class AutoencoderPredictor(_NeuralPredictor):
             params[f"enc{layer}:W"] = nn.glorot_uniform(rng, in_dim, hidden, self.dtype)
             params[f"enc{layer}:b"] = np.zeros(hidden, dtype=self.dtype)
             in_dim = hidden
-        params.update(_init_heads(rng, in_dim, len(self.activity_vocab), False, self.dtype))
+        params.update(self._init_heads(rng, in_dim))
         return params
 
     def _pretrain(self, params, X, y_act, rng, seed):
@@ -892,38 +834,27 @@ class AutoencoderPredictor(_NeuralPredictor):
             self.recon_losses.append(losses)
             current = np.tanh(current @ layer_params["We"] + layer_params["be"])
 
-        def head_step(p, idx):
-            logits, _, caches = self._forward(p, X[idx], None, True)
-            loss, _, grads = _heads_loss_backward(
-                p, logits, None, caches["act_cache"], None, y_act[idx], None
-            )
+        def head_step(p, idx):  # the encoder stays frozen: only the heads get gradients
+            loss, grads, _, _ = self._head_loss(p, X[idx], None, y_act[idx], None)
             return loss, grads
 
         params, _ = stage(params, head_step, X.shape[0], cfg.freeze_epochs, seed + 101)
         return params
 
-    def _forward(self, params, X, M, with_cache: bool):
+    def _body(self, params, X, M):
         current = X
         layer_caches = []
         for layer in range(len(self.config.ae_hidden)):
             z, a_cache = nn.affine_forward(current, params[f"enc{layer}:W"], params[f"enc{layer}:b"])
             current = np.tanh(z)
             layer_caches.append((a_cache, current))
-        logits, tpred, act_cache, time_cache = _heads_forward(params, current)
-        caches = None
-        if with_cache:
-            caches = {
-                "act_cache": act_cache,
-                "time_cache": time_cache,
-                "layer_caches": layer_caches,
-            }
-        return logits, tpred, caches
+        return current, layer_caches
 
-    def _backward(self, params, caches, dlast):
+    def _body_backward(self, params, cache, dfeatures):
         grads = {}
-        upstream = dlast
+        upstream = dfeatures
         for layer in reversed(range(len(self.config.ae_hidden))):
-            a_cache, activated = caches["layer_caches"][layer]
+            a_cache, activated = cache[layer]
             upstream = upstream * (1.0 - activated * activated)
             upstream, layer_grads = nn.affine_backward(a_cache, upstream)
             grads[f"enc{layer}:W"] = layer_grads["W"]

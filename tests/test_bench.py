@@ -82,6 +82,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config.validate()
 
+    @pytest.mark.parametrize("min_k", [0, -1])
+    def test_min_k_below_one_rejected(self, tmp_path, log_csv, min_k):
+        config = small_config(tmp_path, log_csv, min_k=min_k)
+        with pytest.raises(ConfigError, match="min_k"):
+            config.validate()
+
     def test_unsupported_version(self):
         with pytest.raises(ConfigError):
             BenchmarkConfig.from_dict({"config_version": 99})

@@ -161,6 +161,20 @@ class TestBenchmark:
         assert "hidden" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_zero_min_k_is_config_error(self, linear_path, tmp_path, capsys):
+        config = {
+            "config_version": 1,
+            "out_dir": str(tmp_path / "out"),
+            "min_k": 0,
+            "datasets": [{"name": "linear", "path": str(linear_path)}],
+            "models": [{"name": "markov", "architecture": "markov"}],
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["benchmark", str(path)]) == 2
+        assert "min_k" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestGradcheckCommand:
     def test_gru_passes_gate(self, capsys):

@@ -8,19 +8,14 @@ from ppmbench.encoding import (
     NotFittedError,
     Normalizer,
     PrefixEncoder,
-    encode_continuous_windows,
-    frequency_encode,
     ngram_hash_encode,
     ngram_universe_size,
     onehot,
     time_features,
 )
 from ppmbench.eventlog import (
-    EOC,
     MISSING,
     Event,
-    EventLog,
-    Trace,
     UnknownLabelError,
     Vocabulary,
     augment_eoc,
@@ -63,28 +58,6 @@ class TestOnehot:
             vec = onehot(label, vocab)
             assert vec.sum() == 1.0
             assert vocab.label(int(np.argmax(vec))) == label
-
-
-class TestFrequencyEncode:
-    def test_figure_trace_first_five(self):
-        # trace ABBBCDEACB over six labels, first five events
-        vocab = Vocabulary(["A", "B", "C", "D", "E", EOC])
-        vec = frequency_encode(["A", "B", "B", "B", "C"], vocab)
-        assert vec.tolist() == [1.0, 3.0, 1.0, 0.0, 0.0, 0.0]
-
-    def test_empty_prefix(self):
-        assert frequency_encode([], Vocabulary(["A", "B"])).tolist() == [0.0, 0.0]
-
-    def test_one_of_each(self):
-        vocab = Vocabulary(["A", "B", "C"])
-        assert frequency_encode(["C", "A", "B"], vocab).tolist() == [1.0, 1.0, 1.0]
-
-    def test_sum_is_prefix_length(self):
-        vocab = Vocabulary(["A", "B"])
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            prefix = [vocab.label(int(rng.integers(2))) for _ in range(int(rng.integers(0, 9)))]
-            assert frequency_encode(prefix, vocab).sum() == len(prefix)
 
 
 class TestTimeFeatures:
@@ -230,43 +203,6 @@ class TestPaddedEncoding:
         encoder = PrefixEncoder(Vocabulary(["A"]))
         with pytest.raises(NotFittedError):
             encoder.encode(events_at(["A"], ["2020-01-01 00:00:00"]))
-
-
-class TestContinuousWindows:
-    def test_worked_example(self):
-        # traces [A,B,C] and [C,D]; EOC-augmented stream A B C eoc C D eoc
-        t1 = events_at(["A", "B", "C"], ["2020-01-01 00:00:00", "2020-01-01 01:00:00", "2020-01-01 02:00:00"], "c1")
-        t2 = events_at(["C", "D"], ["2020-01-02 00:00:00", "2020-01-02 01:00:00"], "c2")
-        log = EventLog(
-            traces=(Trace("c1", t1), Trace("c2", t2)),
-            activity_vocab=Vocabulary(["A", "B", "C", "D"]),
-        )
-        aug = augment_eoc(log)
-        # shifted ids with 0 as the padding token: A=1 B=2 C=3 D=4 EOC=5
-        pairs = encode_continuous_windows(aug, 3)
-        inputs = [p[0].tolist() for p in pairs]
-        targets = [p[1].tolist() for p in pairs]
-        assert inputs == [[1, 2, 3], [5, 3, 4], [5, 0, 0]]
-        assert targets == [[2, 3, 5], [3, 4, 5], [0, 0, 0]]
-
-    def test_single_trace_single_activity(self):
-        log = augment_eoc(make_linear_log(1, acts=("A",)))
-        pairs = encode_continuous_windows(log, 2)
-        assert len(pairs) == 1
-        assert pairs[0][0].tolist() == [1, 2]  # A, EOC
-        assert pairs[0][1].tolist() == [2, 0]
-
-    def test_window_one(self):
-        log = augment_eoc(make_linear_log(1, acts=("A", "B")))
-        pairs = encode_continuous_windows(log, 1)
-        stream = [p[0][0] for p in pairs]
-        targets = [p[1][0] for p in pairs]
-        assert stream == [1, 2, 3]  # A, B, EOC
-        assert targets == [2, 3, 0]
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            encode_continuous_windows(augment_eoc(make_linear_log(1)), 0)
 
 
 class TestNgramHashing:

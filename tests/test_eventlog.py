@@ -1,6 +1,8 @@
 import io
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ppmbench.eventlog import (
     EOC,
@@ -298,3 +300,59 @@ class TestRfc4180Quoting:
         )
         text = to_csv(log)
         assert parse_csv(text.encode()) == log
+
+
+# Labels as a CSV cell can carry them: non-empty, no leading or trailing
+# whitespace (cells are stripped on parse), and not the reserved marker.
+csv_labels = st.text(min_size=1, max_size=6).filter(lambda s: s == s.strip() and s != MISSING)
+REQUIRED_COLUMNS = ("case_id", "activity", "timestamp")
+# 1900-01-01 .. 2100-01-01 UTC in epoch milliseconds
+TIMESTAMPS_MS = st.integers(-2_208_988_800_000, 4_102_444_800_000)
+
+
+@st.composite
+def csv_logs(draw):
+    """A log whose vocabularies are the parsed form: sorted activity labels,
+    and per attribute the missing-marker then its sorted values."""
+    attr_names = draw(
+        st.lists(csv_labels.filter(lambda s: s not in REQUIRED_COLUMNS), max_size=2, unique=True)
+    )
+    case_ids = draw(st.lists(csv_labels, min_size=1, max_size=4, unique=True))
+    acts = draw(st.lists(csv_labels, min_size=1, max_size=4, unique=True))
+    values = st.one_of(st.just(MISSING), csv_labels)
+    traces = []
+    for case_id in case_ids:
+        t = draw(TIMESTAMPS_MS)
+        events = []
+        for _ in range(draw(st.integers(1, 4))):
+            t += draw(st.integers(0, 3 * DAY_MS))  # zero gaps make timestamp ties
+            attributes = {name: draw(values) for name in attr_names}
+            events.append(Event(case_id, draw(st.sampled_from(acts)), t, attributes))
+        traces.append(Trace(case_id, tuple(events)))
+    keys = [(e.activity, e.case_id, e.timestamp_ms) for tr in traces for e in tr.events]
+    assume(len(set(keys)) == len(keys))  # the uniqueness rule of the log
+    return EventLog(
+        traces=tuple(traces),
+        activity_vocab=Vocabulary(sorted({e.activity for tr in traces for e in tr.events})),
+        attribute_vocabs={
+            name: Vocabulary(
+                [MISSING] + sorted({e.attributes[name] for tr in traces for e in tr.events} - {MISSING})
+            )
+            for name in attr_names
+        },
+    )
+
+
+class TestCsvRoundTripProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(csv_logs())
+    def test_parse_reproduces_the_log(self, log):
+        parsed = parse_csv(to_csv(log).encode("utf-8"))
+        assert [t.case_id for t in parsed.traces] == [t.case_id for t in log.traces]
+        for got, want in zip(parsed.traces, log.traces):
+            assert [e.activity for e in got.events] == [e.activity for e in want.events]
+            assert [e.timestamp_ms for e in got.events] == [e.timestamp_ms for e in want.events]
+            assert [e.attributes for e in got.events] == [e.attributes for e in want.events]
+        assert parsed.activity_vocab == log.activity_vocab
+        assert parsed.attribute_vocabs == log.attribute_vocabs
+        assert parsed == log

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppmbench.eventlog import EOC, MISSING, Event, Vocabulary, augment_eoc
-from ppmbench.inference import DecodeConfig, SuffixPrediction, decode_suffix, remaining_time_direct
+from ppmbench import inference
+from ppmbench.inference import DecodeConfig, SuffixPrediction, decode_suffix
+from ppmbench.metrics import evaluate_protocol, mae
 from ppmbench.models import RecurrentPredictor, TrainConfig, train
 from ppmbench.splitting import make_prefix_samples, temporal_split
 
@@ -195,11 +197,6 @@ class TestRemainingTime:
         assert pred.time_deltas == (0.0,) * len(pred.activities)
         assert pred.remaining_time == 0.0
 
-    def test_direct_requires_remaining_head(self):
-        model = FixedDistributionModel(VOCAB3, [1.0, 0.0, 0.0])  # time_target == "next"
-        with pytest.raises(ValueError):
-            remaining_time_direct(model, one_event_prefix())
-
     def test_direct_on_trained_model(self):
         log = augment_eoc(make_linear_log(60))
         split = temporal_split(log)
@@ -208,7 +205,7 @@ class TestRemainingTime:
         train(model, split, seed=0)
         # prefix = full trace minus EOC: the true remaining time is zero
         sample = [s for s in make_prefix_samples(split.test) if s.next_activity == EOC][0]
-        value = remaining_time_direct(model, sample.prefix)
+        _, value = model.predict(sample.prefix)
         assert value >= 0.0
         assert value / 86400.0 < 0.3  # within normalization tolerance of zero
 
@@ -219,8 +216,23 @@ class TestRemainingTime:
             def predict(self, events):
                 return self.probs.copy(), -50.0
 
-        model = NegativeTimeModel(VOCAB3, [1.0, 0.0, 0.0])
-        assert remaining_time_direct(model, one_event_prefix()) == 0.0
+        log = direct_test_log()
+        model = NegativeTimeModel(log.activity_vocab, [1.0] + [0.0] * 4)
+        report = evaluate_protocol(model, log, DecodeConfig(), tasks=("remaining_time",))
+        truths = [s.remaining_time for s in make_prefix_samples(log)]
+        assert report.mae_remaining == mae([0.0] * len(truths), truths)
+
+    def test_direct_without_time_value_rejected(self):
+        log = direct_test_log()
+        model = FixedDistributionModel(log.activity_vocab, [1.0] + [0.0] * 4, delta=None)
+        model.time_target = "remaining"
+        with pytest.raises(ValueError, match="no time prediction"):
+            evaluate_protocol(model, log, DecodeConfig(), tasks=("remaining_time",))
+
+
+def direct_test_log():
+    """Ten linear A-B-C-D cases, EOC-augmented (vocabulary A, B, C, D, EOC)."""
+    return augment_eoc(make_linear_log(10))
 
 
 class TestZeroWeightDirectModel:
@@ -237,9 +249,60 @@ class TestZeroWeightDirectModel:
             def predict(self, events):
                 return self.probs.copy(), max(0.0, float(norm.inverse([0.0])[0]))
 
-        model = ZeroHeadModel(VOCAB3, [1.0, 0.0, 0.0])
-        value = remaining_time_direct(model, one_event_prefix())
-        assert value == pytest.approx(3600.0)  # the train minimum, constant
+        log = direct_test_log()
+        model = ZeroHeadModel(log.activity_vocab, [1.0] + [0.0] * 4)
+        report = evaluate_protocol(model, log, DecodeConfig(), tasks=("remaining_time",))
+        truths = [s.remaining_time for s in make_prefix_samples(log)]
+        assert norm.inverse([0.0])[0] == pytest.approx(3600.0)  # the train minimum, constant
+        assert report.mae_remaining == mae([3600.0] * len(truths), truths)
+
+
+class TestOnePredictPerPrefix:
+    def test_direct_model_scores_next_activity_and_remaining_time_from_one_predict(self):
+        log = augment_eoc(make_linear_log(40))
+        split = temporal_split(log)
+        cfg = TrainConfig(hidden=8, layers=1, epochs=2, patience=2, time_target="remaining")
+        model = RecurrentPredictor("gru", log.activity_vocab, config=cfg)
+        train(model, split, seed=0)
+        calls = []
+        predict = model.predict
+        model.predict = lambda events: calls.append(len(events)) or predict(events)
+        tasks = ("next_activity", "remaining_time")
+        report = evaluate_protocol(model, split.test, DecodeConfig(), tasks=tasks)
+        samples = make_prefix_samples(split.test)
+        assert calls == [len(s.prefix) for s in samples]
+        model.predict = predict
+        direct = [model.predict(s.prefix)[1] for s in samples]
+        truths = [s.remaining_time for s in samples]
+        assert report.mae_remaining == mae(direct, truths)
+        assert report.n_samples == {"next_activity": len(samples), "remaining_time": len(samples)}
+
+
+class TestLazyBeamExtension:
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_each_step_extends_at_most_beam_width_survivors(self, width, monkeypatch):
+        # the call log of one decode reads P...P E...E per step: the step's
+        # predictions, then the extensions of its survivors
+        log = []
+        extend = inference._extend
+        monkeypatch.setattr(inference, "_extend", lambda *args: log.append("E") or extend(*args))
+
+        class LoggingModel(HashedRandomModel):
+            def predict(self, events):
+                log.append("P")
+                return super().predict(events)
+
+        vocab = Vocabulary([EOC, "a", "b", "c", "d", "e"])
+        extended = 0
+        for seed in range(8):
+            log.clear()
+            model = LoggingModel(vocab, seed)
+            cfg = DecodeConfig(strategy="beam", beam_width=width, max_len=6, seed=seed)
+            decode_suffix(model, attributed_prefix(2, seed), cfg)
+            runs = "".join(log).replace("P", " ").split()
+            assert all(len(run) <= width for run in runs), (seed, runs)
+            extended += len(runs)
+        assert extended
 
 
 class TestBeamLengthNormalization:

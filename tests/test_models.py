@@ -1,6 +1,7 @@
 import json
 import shutil
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,7 @@ from ppmbench.models import (
     RecurrentPredictor,
     TrainConfig,
     build_predictor,
-    fit_ngram_counts,
     load_predictor,
-    markov_predict,
     save_predictor,
     train,
 )
@@ -59,19 +58,30 @@ def linear_net():
     )
 
 
+def markov_fit(samples, vocab, order=2, alpha=0.0):
+    predictor = MarkovPredictor(vocab, TrainConfig(order=order, alpha=alpha))
+    predictor.fit(samples, [], seed=0)
+    return predictor
+
+
+def activity_events(acts):
+    return tuple(
+        Event(case_id="q", activity=a, timestamp_ms=1_000_000 + 1000 * i) for i, a in enumerate(acts)
+    )
+
+
 class TestMarkov:
     def test_deterministic_process(self):
         log = augment_eoc(make_linear_log(5, acts=("A", "B", "C")))
-        samples = make_prefix_samples(log)
-        tables = fit_ngram_counts(samples, 2, log.activity_vocab)
-        probs = markov_predict(tables, ("A",), 2, 0.0, log.activity_vocab)
+        predictor = markov_fit(make_prefix_samples(log), log.activity_vocab)
+        probs, _ = predictor.predict(activity_events(("A",)))
         assert probs[log.activity_vocab.index("B")] == 1.0
 
     def test_unseen_context_pure_smoothing_is_uniform(self):
         vocab = Vocabulary(["A", "B", "C", "D"])
-        tables = fit_ngram_counts([], 2, vocab)
-        probs = markov_predict(tables, ("A", "B"), 2, 1.0, vocab)
+        probs, delta = markov_fit([], vocab, alpha=1.0).predict(activity_events(("A", "B")))
         assert np.allclose(probs, 0.25)
+        assert delta is None
 
     def test_two_continuations_equal_probability(self):
         # train = {ABC, ABD} in equal measure; context (A, B)
@@ -85,9 +95,8 @@ class TestMarkov:
         log = augment_eoc(
             EventLog(traces=tuple(traces), activity_vocab=Vocabulary(["A", "B", "C", "D"]))
         )
-        samples = make_prefix_samples(log)
-        tables = fit_ngram_counts(samples, 2, log.activity_vocab)
-        probs = markov_predict(tables, ("A", "B"), 2, 0.0, log.activity_vocab)
+        predictor = markov_fit(make_prefix_samples(log), log.activity_vocab)
+        probs, _ = predictor.predict(activity_events(("A", "B")))
         assert probs[log.activity_vocab.index("C")] == pytest.approx(0.5)
         assert probs[log.activity_vocab.index("D")] == pytest.approx(0.5)
 
@@ -140,6 +149,102 @@ class TestMarkov:
         sample = make_prefix_samples(split.test)[0]
         _, delta = predictor.predict(sample.prefix)
         assert delta == sample.next_time_delta  # exact, constant gaps
+
+    def test_sidecar_with_mismatched_contexts_rejected(self, linear_split, tmp_path):
+        log, split = linear_split
+        predictor = MarkovPredictor(log.activity_vocab)
+        train(predictor, split, seed=0)
+        save_predictor(predictor, tmp_path / "model")
+        path = tmp_path / "model.json"
+        sidecar = json.loads(path.read_text(encoding="utf-8"))
+        sidecar["state"]["deltas"][1][0][0] = "Z"
+        path.write_text(json.dumps(sidecar), encoding="utf-8")
+        with pytest.raises(ValueError, match="different contexts"):
+            load_predictor(tmp_path / "model")
+
+
+def ref_fit_ngram_counts(samples, order, vocab):
+    tables = [{} for _ in range(order + 1)]
+    for sample in samples:
+        acts = sample.prefix_activities
+        target = vocab.index(sample.next_activity)
+        for j in range(0, order + 1):
+            if j > len(acts):
+                break
+            ctx = acts[len(acts) - j :]
+            tables[j].setdefault(ctx, Counter())[target] += 1
+    return tables
+
+
+def ref_markov_predict(tables, prefix_activities, order, alpha, vocab):
+    acts = tuple(prefix_activities)
+    k = len(vocab)
+    for j in range(min(order, len(acts)), -1, -1):
+        ctx = acts[len(acts) - j :]
+        counts = tables[j].get(ctx) if j < len(tables) else None
+        if counts:
+            total = sum(counts.values())
+            probs = np.full(k, float(alpha), dtype=np.float64)
+            for idx, c in counts.items():
+                probs[idx] += c
+            return probs / (total + alpha * k)
+    return np.full(k, 1.0 / k, dtype=np.float64)
+
+
+def ref_delta_tables(samples, order):
+    delta_tables = [{} for _ in range(order + 1)]
+    for sample in samples:
+        acts = sample.prefix_activities
+        for j in range(0, order + 1):
+            if j > len(acts):
+                break
+            ctx = acts[len(acts) - j :]
+            total, n = delta_tables[j].get(ctx, (0.0, 0))
+            delta_tables[j][ctx] = (total + sample.next_time_delta, n + 1)
+    return delta_tables
+
+
+def ref_delta(delta_tables, acts, order):
+    for j in range(min(order, len(acts)), -1, -1):
+        ctx = acts[len(acts) - j :]
+        entry = delta_tables[j].get(ctx) if j < len(delta_tables) else None
+        if entry and entry[1] > 0:
+            return max(0.0, entry[0] / entry[1])
+    return None
+
+
+class TestMarkovReferenceEquivalence:
+    """One table per order backs off exactly like the separate count and
+    delta tables it replaced (inline copies above)."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_prefix_predicts_as_the_reference(self, seed):
+        log, _ = generator_log(seed, 60)
+        split = temporal_split(log)
+        train_samples = make_prefix_samples(split.train)
+        vocab = log.activity_vocab
+        rng = np.random.default_rng(seed)
+        labels = [label for label in vocab.labels if label != EOC]
+        # random label sequences, most of them unseen at the higher orders;
+        # a trailing end-of-case label is never a context, so those back off
+        # to the unigram
+        unseen = [
+            tuple(str(a) for a in rng.choice(labels, size=int(rng.integers(1, 5))))
+            + ((EOC,) if i % 2 else ())
+            for i in range(40)
+        ]
+        queries = [s.prefix_activities for s in make_prefix_samples(split.test)] + unseen
+        for order in range(4):
+            counts = ref_fit_ngram_counts(train_samples, order, vocab)
+            deltas = ref_delta_tables(train_samples, order)
+            for alpha in (0.0, 1.0):
+                predictor = markov_fit(train_samples, vocab, order, alpha)
+                for acts in queries:
+                    probs, delta = predictor.predict(activity_events(acts))
+                    assert np.array_equal(
+                        probs, ref_markov_predict(counts, acts, order, alpha, vocab)
+                    ), (order, alpha, acts)
+                    assert delta == ref_delta(deltas, acts, order), (order, alpha, acts)
 
 
 class TestNeuralBasics:

@@ -1,8 +1,21 @@
+import math
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
-from ppmbench.eventlog import EOC, EmptyLogError, EventLog, Vocabulary, augment_eoc, parse_csv
+from ppmbench.eventlog import (
+    EOC,
+    EmptyLogError,
+    Event,
+    EventLog,
+    Trace,
+    Vocabulary,
+    augment_eoc,
+    parse_csv,
+)
 from ppmbench.splitting import (
     apply_split_manifest,
     make_prefix_samples,
@@ -175,3 +188,36 @@ class TestManifest:
 def read_split_manifest_text(text: str) -> dict[str, str]:
     lines = text.strip().splitlines()[1:]
     return dict(line.split(",") for line in lines)
+
+
+@st.composite
+def split_cases(draw):
+    """A log of 1-40 single-event traces with random first-event times (ties
+    included), and valid fractions: both positive, summing below one."""
+    n = draw(st.integers(1, 40))
+    starts = draw(st.lists(st.integers(0, 50), min_size=n, max_size=n))
+    traces = tuple(
+        Trace(f"c{i}", (Event(f"c{i}", "A", 1_600_000_000_000 + 3_600_000 * t),))
+        for i, t in enumerate(starts)
+    )
+    train = draw(st.floats(0.01, 0.98))
+    val = draw(st.floats(0.01, 0.98))
+    assume(train + val < 1)
+    return EventLog(traces=traces, activity_vocab=Vocabulary(["A"])), (train, val)
+
+
+class TestTemporalSplitProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(split_cases())
+    def test_parts_partition_the_log_in_time_order(self, case):
+        log, (train, val) = case
+        n = len(log.traces)
+        split = temporal_split(log, (train, val))
+        parts = (split.train.traces, split.validation.traces, split.test.traces)
+        ids = [t.case_id for part in parts for t in part]
+        assert sorted(ids) == sorted(t.case_id for t in log.traces)  # union, no repeats
+        assert len(parts[0]) == math.floor(train * n)
+        assert len(parts[0]) + len(parts[1]) == math.floor((train + val) * n)
+        for earlier, later in zip(parts, parts[1:]):
+            if earlier and later:
+                assert max(t.start_ms for t in earlier) <= min(t.start_ms for t in later)
