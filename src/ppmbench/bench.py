@@ -164,6 +164,8 @@ class BenchmarkConfig:
         for task in self.tasks:
             if task not in ALL_TASKS:
                 raise ConfigError(f"unknown task {task!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if self.min_k < 1:

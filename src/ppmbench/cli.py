@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -53,15 +54,26 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _seed(args) -> int:
+    """The master seed: ``--seed`` when given, else 0."""
+    if args.seed is None:
+        return 0
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ppmbench",
         description="Desk-scale benchmark toolbox for predictive business process monitoring",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
+    parser.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     parser.add_argument("--out", default=None, help="output directory (or $PPMBENCH_OUT)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel (dataset, model) cells")
+    parser.add_argument(
+        "--jobs", type=int, default=None, help="parallel (dataset, model) cells (default 1)"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_stats = sub.add_parser("stats", help="descriptive statistics of a CSV log")
@@ -148,6 +160,7 @@ def cmd_train(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    seed = _seed(args)
     log = parse_csv(args.log, _schema(args))
     augmented = augment_eoc(log)
     split = temporal_split(augmented)
@@ -155,10 +168,10 @@ def cmd_train(args) -> int:
     predictor = build_predictor(
         args.arch, config, augmented.activity_vocab, augmented.attribute_vocabs, net
     )
-    report = train(predictor, split, seed=args.seed)
+    report = train(predictor, split, seed=seed)
     out = _out_dir(args)
     write_split_manifest(split, out / "split_manifest.csv")
-    save_predictor(predictor, out / "model", seed=args.seed)
+    written = save_predictor(predictor, out / "model", seed=seed)
     (out / "train_report.json").write_text(
         json.dumps(
             {**report.core(), "wall_clock_seconds": report.wall_clock_seconds},
@@ -169,20 +182,27 @@ def cmd_train(args) -> int:
     best_val = report.val_losses[report.best_epoch]
     print(f"trained {args.arch}: {len(report.train_losses)} epochs, "
           f"best epoch {report.best_epoch} (val loss {best_val:.6f})")
-    print(f"checkpoint: {out / 'model'}.npz/.json")
+    print("checkpoint: " + " ".join(str(path) for path in written))
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
+    try:
+        decode_cfg = DecodeConfig(
+            strategy=args.strategy,
+            beam_width=args.beam_width,
+            max_len=DecodeConfig.max_len if args.max_len is None else args.max_len,
+            seed=_seed(args),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     log = parse_csv(args.log, _schema(args))
     augmented = augment_eoc(log)
     split = temporal_split(augmented)
     net = load_petri_net(args.petri_net) if args.petri_net else None
     predictor = load_predictor(args.checkpoint, net)
-    max_len = args.max_len or max(len(t) for t in split.train.traces)
-    decode_cfg = DecodeConfig(
-        strategy=args.strategy, beam_width=args.beam_width, max_len=max_len, seed=args.seed
-    )
+    if args.max_len is None:
+        decode_cfg = replace(decode_cfg, max_len=max(len(t) for t in split.train.traces))
     report = evaluate_protocol(predictor, split.test, decode_cfg)
     out = _out_dir(args)
     rows = report.as_rows()
@@ -199,9 +219,9 @@ def cmd_benchmark(args) -> int:
         config.out_dir = args.out
     elif os.environ.get("PPMBENCH_OUT"):
         config.out_dir = os.environ["PPMBENCH_OUT"]
-    if args.jobs != 1:
+    if args.jobs is not None:
         config.jobs = args.jobs
-    if args.seed != 0:
+    if args.seed is not None:
         config.seed = args.seed
     config.validate()
     record = run_matrix(config)
@@ -214,7 +234,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    error = gradchecks.architecture_gradcheck(args.arch, seed=args.seed)
+    error = gradchecks.architecture_gradcheck(args.arch, seed=_seed(args))
     print(f"{args.arch}: max relative gradient error {error:.3e}")
     gate = gradchecks.GRADCHECK_GATE
     if error < gate:

@@ -18,7 +18,7 @@ import numpy as np
 from . import nnkernel as nn
 from .encoding import Normalizer, PrefixEncoder, ngram_hash_encode
 from .eventlog import Event, Vocabulary
-from .petrinet import PetriNet, replay_timed_state
+from .petrinet import PetriNet, TimedStateVector, replay_timed_state
 from .splitting import PrefixSample, SplitLog, make_prefix_samples
 
 ARCHITECTURES = ("markov", "mlp", "rnn", "lstm", "gru", "autoencoder")
@@ -69,10 +69,23 @@ class TrainConfig:
             raise ValueError(f"unknown time_target {self.time_target!r}")
         if self.input_mode not in INPUT_MODES:
             raise ValueError(f"unknown input_mode {self.input_mode!r}")
-        for name in ("hidden", "layers", "epochs", "batch_size", "lr_patience"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value!r}")
+
+        def at_least(name, value, low):
+            if not value >= low:
+                raise ValueError(f"{name} must be >= {low}, got {value!r}")
+
+        sizes = ("hidden", "layers", "epochs", "batch_size", "lr_patience", "ngram_k", "ngram_dim")
+        for name in sizes:
+            at_least(name, getattr(self, name), 1)
+        for name in ("embedding_dim", "window", "max_len"):
+            if getattr(self, name) is not None:
+                at_least(name, getattr(self, name), 1)
+        for size in self.ae_hidden:
+            at_least("ae_hidden entry", size, 1)
+        at_least("order", self.order, 0)
+        at_least("alpha", self.alpha, 0)
+        if self.decay_seconds is not None and not self.decay_seconds > 0:
+            raise ValueError(f"decay_seconds must be > 0, got {self.decay_seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -119,9 +132,10 @@ class Predictor:
     def predict(self, events: Sequence[Event]) -> tuple[np.ndarray, float | None]:
         raise NotImplementedError
 
-    def _save(self, path_prefix: Path, seed: int) -> None:
+    def _save(self, path_prefix: Path, seed: int) -> list[Path]:
         """Write the checkpoint: the ``<prefix>.json`` sidecar plus any files
-        the model keeps next to it. The directory exists."""
+        the model keeps next to it, and return their paths. The directory
+        exists."""
         raise NotImplementedError
 
     def _restore(self, sidecar: Mapping, path_prefix: Path) -> None:
@@ -130,10 +144,10 @@ class Predictor:
         raise NotImplementedError
 
 
-def _write_sidecar(path_prefix: Path, sidecar: dict) -> None:
-    path_prefix.with_suffix(".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True), encoding="utf-8"
-    )
+def _write_sidecar(path_prefix: Path, sidecar: dict) -> Path:
+    path = path_prefix.with_suffix(".json")
+    path.write_text(json.dumps(sidecar, indent=2, sort_keys=True), encoding="utf-8")
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -217,29 +231,27 @@ class MarkovPredictor(Predictor):
         def ctx_key(ctx):
             return "\x1f".join(ctx)
 
-        _write_sidecar(
-            path_prefix,
-            {
-                "format_version": SIDECAR_VERSION,
-                "architecture": "markov",
-                "seed": seed,
-                "config": {"order": self.config.order, "alpha": self.config.alpha},
-                "activity_vocab": list(self.activity_vocab.labels),
-                "attribute_vocabs": {},
-                "state": {
-                    "counts": [
-                        [[ctx_key(ctx), {str(k): v for k, v in counts.items()}]
-                         for ctx, (counts, _) in table.items()]
-                        for table in self.tables
-                    ],
-                    "deltas": [
-                        [[ctx_key(ctx), delta_sum, sum(counts.values())]
-                         for ctx, (counts, delta_sum) in table.items()]
-                        for table in self.tables
-                    ],
-                },
+        sidecar = {
+            "format_version": SIDECAR_VERSION,
+            "architecture": "markov",
+            "seed": seed,
+            "config": {"order": self.config.order, "alpha": self.config.alpha},
+            "activity_vocab": list(self.activity_vocab.labels),
+            "attribute_vocabs": {},
+            "state": {
+                "counts": [
+                    [[ctx_key(ctx), {str(k): v for k, v in counts.items()}]
+                     for ctx, (counts, _) in table.items()]
+                    for table in self.tables
+                ],
+                "deltas": [
+                    [[ctx_key(ctx), delta_sum, sum(counts.values())]
+                     for ctx, (counts, delta_sum) in table.items()]
+                    for table in self.tables
+                ],
             },
-        )
+        }
+        return [_write_sidecar(path_prefix, sidecar)]
 
     def _restore(self, sidecar, path_prefix):
         """Rebuild the tables; ``counts`` and ``deltas`` must list the same
@@ -535,24 +547,21 @@ class _NeuralPredictor(Predictor):
 
     def _save(self, path_prefix, seed):
         """``<prefix>.npz`` with the parameters plus the JSON sidecar."""
-        nn.save_params(
-            path_prefix.with_suffix(".npz"), self.params, {"architecture": self.architecture}
-        )
-        _write_sidecar(
-            path_prefix,
-            {
-                "format_version": SIDECAR_VERSION,
-                "architecture": self.architecture,
-                "seed": seed,
-                "config": asdict(self.config),
-                "activity_vocab": list(self.activity_vocab.labels),
-                "attribute_vocabs": {k: list(v.labels) for k, v in self.attribute_vocabs.items()},
-                "encoder": self.encoder.state() if self.encoder else None,
-                "time_norm": self.time_norm.state() if self.time_norm else None,
-                "extra": self._sidecar_extra(),
-                "vocab_sha256": self._vocab_sha256(),
-            },
-        )
+        npz = path_prefix.with_suffix(".npz")
+        nn.save_params(npz, self.params, {"architecture": self.architecture})
+        sidecar = {
+            "format_version": SIDECAR_VERSION,
+            "architecture": self.architecture,
+            "seed": seed,
+            "config": asdict(self.config),
+            "activity_vocab": list(self.activity_vocab.labels),
+            "attribute_vocabs": {k: list(v.labels) for k, v in self.attribute_vocabs.items()},
+            "encoder": self.encoder.state() if self.encoder else None,
+            "time_norm": self.time_norm.state() if self.time_norm else None,
+            "extra": self._sidecar_extra(),
+            "vocab_sha256": self._vocab_sha256(),
+        }
+        return [npz, _write_sidecar(path_prefix, sidecar)]
 
     def _restore(self, sidecar, path_prefix):
         """Load the parameters and encoders; a parameter whose name or shape
@@ -662,7 +671,6 @@ class MLPPredictor(_NeuralPredictor):
             raise ValueError("timed_state input needs a Petri net")
         self.petri_net = petri_net
         self.decay_seconds = self.config.decay_seconds
-        self._flat_dim: int | None = None
 
     def _make_encoder(self) -> PrefixEncoder:
         encoder = super()._make_encoder()
@@ -680,16 +688,17 @@ class MLPPredictor(_NeuralPredictor):
                     for s in train_samples
                 )
                 self.decay_seconds = max(longest, 1.0)
-            first = train_samples[0]
-            self._flat_dim = self._inputs(first.trace.events, [first.k])[0].shape[1]
             self.encoder = None
         else:
             super()._prepare(train_samples)
 
+    def _timed_state_vocabs(self) -> dict[str, Vocabulary]:
+        return {name: self.attribute_vocabs[name] for name in self.config.attributes}
+
     def _inputs(self, events, ks):
         if self.config.input_mode != "timed_state":
             return super()._inputs(events, ks)
-        attr_vocabs = {name: self.attribute_vocabs[name] for name in self.config.attributes}
+        attr_vocabs = self._timed_state_vocabs()
         rows = [
             replay_timed_state(
                 self.petri_net, events[:k], events[k - 1].timestamp_ms, self.decay_seconds
@@ -701,7 +710,7 @@ class MLPPredictor(_NeuralPredictor):
     def _build_params(self, rng):
         cfg = self.config
         if cfg.input_mode == "timed_state":
-            in_dim = self._flat_dim
+            in_dim = TimedStateVector.width(self.petri_net, self._timed_state_vocabs())
         else:
             in_dim = self.encoder.num_features * self.encoder.max_len
         params: dict[str, np.ndarray] = {}
@@ -734,12 +743,11 @@ class MLPPredictor(_NeuralPredictor):
         return grads
 
     def _sidecar_extra(self) -> dict:
-        return {"decay_seconds": self.decay_seconds, "flat_dim": self._flat_dim}
+        return {"decay_seconds": self.decay_seconds}
 
     def _restore(self, sidecar, path_prefix):
         extra = sidecar.get("extra") or {}
         self.decay_seconds = extra.get("decay_seconds")
-        self._flat_dim = extra.get("flat_dim")
         super()._restore(sidecar, path_prefix)
 
 
@@ -898,12 +906,13 @@ def train(
     return predictor.fit(train_samples, val_samples, config, seed)
 
 
-def save_predictor(predictor: Predictor, path_prefix: str | Path, seed: int = 0) -> None:
+def save_predictor(predictor: Predictor, path_prefix: str | Path, seed: int = 0) -> list[Path]:
     """Checkpoint = a JSON sidecar sufficient to reload and predict without
-    retraining, plus the parameter file of a neural model."""
+    retraining, plus the parameter file of a neural model. Returns the paths
+    written."""
     path_prefix = Path(path_prefix)
     path_prefix.parent.mkdir(parents=True, exist_ok=True)
-    predictor._save(path_prefix, seed)
+    return predictor._save(path_prefix, seed)
 
 
 def load_predictor(path_prefix: str | Path, petri_net: PetriNet | None = None) -> Predictor:

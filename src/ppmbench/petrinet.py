@@ -42,13 +42,13 @@ class PetriNet:
         if len(trans_idx) != len(self.transitions):
             raise ValueError("duplicate transition ids")
         self._place_idx = place_idx
-        self._pre: list[list[int]] = [[] for _ in self.transitions]
-        self._post: list[list[int]] = [[] for _ in self.transitions]
+        pre: list[Counter[int]] = [Counter() for _ in self.transitions]
+        post: list[Counter[int]] = [Counter() for _ in self.transitions]
         for src, dst in self.arcs:
             if src in place_idx and dst in trans_idx:
-                self._pre[trans_idx[dst]].append(place_idx[src])
+                pre[trans_idx[dst]][place_idx[src]] += 1
             elif src in trans_idx and dst in place_idx:
-                self._post[trans_idx[src]].append(place_idx[dst])
+                post[trans_idx[src]][place_idx[dst]] += 1
             else:
                 raise ValueError(f"arc ({src!r}, {dst!r}) does not connect a place and a transition")
         for place, count in self.initial_marking.items():
@@ -56,10 +56,9 @@ class PetriNet:
                 raise ValueError(f"initial marking references unknown place {place!r}")
             if count < 0:
                 raise ValueError(f"negative initial marking for {place!r}")
-        # arc multiplicity: repeated arcs mean that many tokens per firing
-        self._pre_counts: list[list[tuple[int, int]]] = [
-            sorted(Counter(pre).items()) for pre in self._pre
-        ]
+        # (place, tokens) per transition; repeated arcs move that many tokens
+        self._pre = [sorted(c.items()) for c in pre]
+        self._post = [sorted(c.items()) for c in post]
         self._silent = [i for i, t in enumerate(self.transitions) if t.label is None]
         self._by_label: dict[str, list[int]] = {}
         for i, t in enumerate(self.transitions):
@@ -70,14 +69,14 @@ class PetriNet:
     def num_places(self) -> int:
         return len(self.places)
 
-    def initial_vector(self) -> np.ndarray:
-        vec = np.zeros(len(self.places), dtype=np.int64)
+    def initial_vector(self) -> list[int]:
+        marking = [0] * len(self.places)
         for place, count in self.initial_marking.items():
-            vec[self._place_idx[place]] = count
-        return vec
+            marking[self._place_idx[place]] = count
+        return marking
 
-    def enabled(self, marking: np.ndarray, t: int) -> bool:
-        return all(marking[p] >= n for p, n in self._pre_counts[t])
+    def enabled(self, marking: Sequence[int], t: int) -> bool:
+        return all(marking[p] >= n for p, n in self._pre[t])
 
 
 def load_petri_json(source: str | Path | Mapping) -> PetriNet:
@@ -166,47 +165,61 @@ class TimedStateVector:
             parts.append(counts)
         return np.concatenate(parts)
 
+    @staticmethod
+    def width(net: PetriNet, attribute_vocabs: Mapping[str, Vocabulary] | None = None) -> int:
+        """Length of :meth:`to_vector` for a replay of ``net``."""
+        return 3 * net.num_places + sum(len(v) for v in (attribute_vocabs or {}).values())
 
-def _silent_path_to_enable(
-    net: PetriNet, marking: np.ndarray, label: str, max_nodes: int = 10000
+
+def _fire(net: PetriNet, marking: list[int], t: int) -> list[tuple[int, int]]:
+    """Fire transition ``t`` on ``marking`` in place; returns the
+    (place, tokens) pairs it put into places."""
+    for p, n in net._pre[t]:
+        marking[p] -= n
+    for p, n in net._post[t]:
+        marking[p] += n
+    return net._post[t]
+
+
+def _firing_sequence(
+    net: PetriNet, marking: list[int], label: str, max_nodes: int = 10000
 ) -> list[int] | None:
-    """Shortest silent-transition firing sequence after which ``label`` is enabled.
+    """Transitions that replay one ``label`` event: the shortest silent
+    sequence after which a ``label`` transition is enabled, then the
+    lowest-index enabled one.
 
     Breadth-first over markings, expanding silent transitions in index order,
-    so the result is deterministic. Returns None when no sequence exists
-    within the search budget.
+    so the result is deterministic. Returns None when the label has no
+    transition or no sequence exists within the search budget.
     """
-    targets = net._by_label.get(label, [])
+    targets = net._by_label.get(label)
     if not targets:
         return None
 
-    def goal(m: np.ndarray) -> bool:
-        return any(net.enabled(m, t) for t in targets)
+    def labelled(m: Sequence[int]) -> int | None:
+        return next((t for t in targets if net.enabled(m, t)), None)
 
-    if goal(marking):
-        return []
-    start = tuple(int(x) for x in marking)
+    t = labelled(marking)
+    if t is not None:
+        return [t]
+    start = tuple(marking)
     queue: deque[tuple[tuple[int, ...], list[int]]] = deque([(start, [])])
     seen = {start}
     while queue and len(seen) <= max_nodes:
         state, path = queue.popleft()
-        m = np.asarray(state, dtype=np.int64)
-        for t in net._silent:
-            if not net.enabled(m, t):
+        for s in net._silent:
+            if not net.enabled(state, s):
                 continue
-            nxt = m.copy()
-            for p in net._pre[t]:
-                nxt[p] -= 1
-            for p in net._post[t]:
-                nxt[p] += 1
-            key = tuple(int(x) for x in nxt)
+            nxt = list(state)
+            _fire(net, nxt, s)
+            key = tuple(nxt)
             if key in seen:
                 continue
-            new_path = path + [t]
-            if goal(nxt):
-                return new_path
+            t = labelled(key)
+            if t is not None:
+                return path + [s, t]
             seen.add(key)
-            queue.append((key, new_path))
+            queue.append((key, path + [s]))
     return None
 
 
@@ -223,56 +236,40 @@ def replay_timed_state(
     prefix). Firing a transition moves one token per arc; each place receiving
     a token records the firing time as its last visit. The decay value of a
     place is ``1 - (at - last_visit) / decay_T`` clamped to [0, 1], and 0 for
-    places never visited. Events with no matching enabled transition (after
-    greedily firing silent transitions) are skipped and counted as
-    nonconforming; the marking is left untouched.
+    places never visited. Each event fires the sequence ``_firing_sequence``
+    finds; an event without one is skipped and counted as nonconforming, and
+    the marking is left untouched.
     """
     if decay_seconds <= 0:
         raise ValueError("decay_seconds must be positive")
     marking = net.initial_vector()
-    throughput = marking.copy()
-    last_visit = np.full(net.num_places, np.nan)
+    throughput = list(marking)
     start_ms = events[0].timestamp_ms if events else at_ms
-    last_visit[marking > 0] = float(start_ms)
-
+    last_visit: list[int | None] = [start_ms if tokens > 0 else None for tokens in marking]
     nonconforming = 0
     attribute_counts: dict[str, dict[str, int]] = {}
-
-    def fire(t: int, when_ms: int) -> None:
-        nonlocal marking
-        for p in net._pre[t]:
-            marking[p] -= 1
-        for p in net._post[t]:
-            marking[p] += 1
-            throughput[p] += 1
-            last_visit[p] = float(when_ms)
-
     for ev in events:
         for name, value in ev.attributes.items():
             attribute_counts.setdefault(name, {}).setdefault(value, 0)
             attribute_counts[name][value] += 1
-        candidates = [t for t in net._by_label.get(ev.activity, []) if net.enabled(marking, t)]
-        if not candidates:
-            path = _silent_path_to_enable(net, marking, ev.activity)
-            if path is None:
-                nonconforming += 1
-                continue
-            for t in path:
-                fire(t, ev.timestamp_ms)
-            candidates = [
-                t for t in net._by_label.get(ev.activity, []) if net.enabled(marking, t)
-            ]
-        fire(candidates[0], ev.timestamp_ms)
+        sequence = _firing_sequence(net, marking, ev.activity)
+        if sequence is None:
+            nonconforming += 1
+            continue
+        for t in sequence:
+            for p, n in _fire(net, marking, t):
+                throughput[p] += n
+                last_visit[p] = ev.timestamp_ms
 
-    decay = np.zeros(net.num_places, dtype=np.float64)
-    for p in range(net.num_places):
-        if not np.isnan(last_visit[p]):
-            age = (at_ms - last_visit[p]) / 1000.0
-            decay[p] = min(1.0, max(0.0, 1.0 - age / decay_seconds))
+    decay = [
+        0.0 if visit is None
+        else min(1.0, max(0.0, 1.0 - (at_ms - visit) / 1000.0 / decay_seconds))
+        for visit in last_visit
+    ]
     return TimedStateVector(
-        decay=decay,
-        throughput=throughput,
-        marking=marking,
+        decay=np.array(decay, dtype=np.float64),
+        throughput=np.array(throughput, dtype=np.int64),
+        marking=np.array(marking, dtype=np.int64),
         attribute_counts=attribute_counts,
         nonconforming=nonconforming,
     )

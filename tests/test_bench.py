@@ -88,6 +88,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="min_k"):
             config.validate()
 
+    def test_negative_seed_rejected(self, tmp_path, log_csv):
+        config = small_config(tmp_path, log_csv, seed=-1)
+        with pytest.raises(ConfigError, match="seed"):
+            config.validate()
+
     def test_unsupported_version(self):
         with pytest.raises(ConfigError):
             BenchmarkConfig.from_dict({"config_version": 99})
@@ -248,12 +253,18 @@ class TestHyperparameterValidation:
         with pytest.raises(ConfigError, match="input_mode"):
             config.validate()
 
-    def test_zero_hidden_is_config_error(self, tmp_path, log_csv):
+    @pytest.mark.parametrize(
+        "name, value",
+        [("hidden", 0), ("alpha", -0.5), ("order", -1), ("embedding_dim", 0),
+         ("decay_seconds", 0), ("window", 0), ("max_len", 0), ("ngram_k", 0), ("ngram_dim", 0),
+         ("ae_hidden", [8, 0])],
+    )
+    def test_out_of_range_hyperparameter_is_config_error(self, tmp_path, log_csv, name, value):
         config = small_config(
             tmp_path, log_csv,
-            models=[{"name": "m", "architecture": "mlp", "hyperparameters": {"hidden": 0}}],
+            models=[{"name": "m", "architecture": "mlp", "hyperparameters": {name: value}}],
         )
-        with pytest.raises(ConfigError, match="hidden"):
+        with pytest.raises(ConfigError, match=name):
             config.validate()
 
     def test_bad_decode_strategy_is_config_error(self, tmp_path, log_csv):

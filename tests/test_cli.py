@@ -1,8 +1,9 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from ppmbench import gradchecks
+from ppmbench import cli, gradchecks
 from ppmbench.cli import main
 from ppmbench.eventlog import write_csv
 
@@ -60,6 +61,28 @@ class TestUsageErrors:
         assert main(argv) == 2
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "evaluate", "gradcheck"])
+    def test_negative_seed(self, command, linear_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        args = {
+            "train": ["train", str(linear_path), "--arch", "markov"],
+            "evaluate": ["evaluate", str(linear_path), "--checkpoint", str(tmp_path / "model")],
+            "gradcheck": ["gradcheck", "rnn"],
+        }[command]
+        assert main(["--out", str(out), "--seed", "-1"] + args) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--max-len", "--beam-width"])
+    def test_non_positive_decode_size(self, flag, linear_path, tmp_path, capsys):
+        # the decode settings are checked before the log or checkpoint is read
+        out = tmp_path / "run"
+        argv = ["--out", str(out), "evaluate", str(tmp_path / "missing.csv"),
+                "--checkpoint", str(tmp_path / "model"), flag, "0"]
+        assert main(argv) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--epochs", "--batch-size", "--hidden", "--layers"])
     def test_non_positive_train_size(self, flag, linear_path, tmp_path, capsys):
         out = tmp_path / "run"
@@ -89,6 +112,7 @@ class TestTrainEvaluate:
         assert code == 0
         assert (out / "model.json").exists()
         assert (out / "train_report.json").exists()
+        assert capsys.readouterr().out.splitlines()[-1] == f"checkpoint: {out / 'model.json'}"
 
         code = main(
             ["--out", str(out), "evaluate", str(linear_path),
@@ -99,7 +123,7 @@ class TestTrainEvaluate:
         assert metrics["next_activity/accuracy"] == 1.0
         assert metrics["remaining_time/mae_days"] == 0.0
 
-    def test_neural_train(self, linear_path, tmp_path):
+    def test_neural_train(self, linear_path, tmp_path, capsys):
         out = tmp_path / "run_gru"
         code = main(
             ["--out", str(out), "train", str(linear_path), "--arch", "gru",
@@ -107,6 +131,22 @@ class TestTrainEvaluate:
         )
         assert code == 0
         assert (out / "model.npz").exists()
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"checkpoint: {out / 'model.npz'} {out / 'model.json'}"
+        )
+
+    def test_max_len_limits_decoding(self, linear_path, tmp_path):
+        # make_linear_log cases are four events plus end of case; one decode
+        # step cannot reach it, so every suffix is cut short
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "train", str(linear_path), "--arch", "markov"]) == 0
+        metrics = {}
+        for max_len in ("1", "10"):
+            assert main(["--out", str(out), "evaluate", str(linear_path),
+                         "--checkpoint", str(out / "model"), "--max-len", max_len]) == 0
+            metrics[max_len] = json.loads((out / "metrics.json").read_text())
+        assert metrics["10"]["suffix/dl_similarity"] == 1.0
+        assert metrics["1"]["suffix/dl_similarity"] < 1.0
 
 
 class TestBenchmark:
@@ -148,18 +188,63 @@ class TestBenchmark:
         path.write_text(json.dumps(config))
         assert main(["benchmark", str(path)]) == 1
 
-    def test_zero_hidden_is_config_error(self, linear_path, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "name, value", [("hidden", 0), ("alpha", -0.5), ("order", -1), ("embedding_dim", 0)]
+    )
+    def test_out_of_range_hyperparameter_is_config_error(
+        self, linear_path, tmp_path, capsys, name, value
+    ):
         config = {
             "config_version": 1,
             "out_dir": str(tmp_path / "out"),
             "datasets": [{"name": "linear", "path": str(linear_path)}],
-            "models": [{"name": "bad", "architecture": "mlp", "hyperparameters": {"hidden": 0}}],
+            "models": [{"name": "bad", "architecture": "mlp", "hyperparameters": {name: value}}],
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         assert main(["benchmark", str(path)]) == 2
-        assert "hidden" in capsys.readouterr().err
+        assert name in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_negative_config_seed_is_config_error(self, linear_path, tmp_path, capsys):
+        config = {
+            "config_version": 1,
+            "seed": -1,
+            "out_dir": str(tmp_path / "out"),
+            "datasets": [{"name": "linear", "path": str(linear_path)}],
+            "models": [{"name": "gru", "architecture": "gru", "hyperparameters": {"epochs": 1}}],
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["benchmark", str(path)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags, seed, jobs", [([], 7, 2), (["--seed", "0"], 0, 2), (["--jobs", "1"], 7, 1)]
+    )
+    def test_global_flags_override_config_when_given(
+        self, linear_path, tmp_path, monkeypatch, flags, seed, jobs
+    ):
+        config = {
+            "config_version": 1,
+            "seed": 7,
+            "jobs": 2,
+            "out_dir": str(tmp_path / "out"),
+            "datasets": [{"name": "linear", "path": str(linear_path)}],
+            "models": [{"name": "markov", "architecture": "markov"}],
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        seen = []
+
+        def fake_run_matrix(cfg):
+            seen.append((cfg.seed, cfg.jobs))
+            return SimpleNamespace(cells=[])
+
+        monkeypatch.setattr(cli, "run_matrix", fake_run_matrix)
+        assert main(flags + ["benchmark", str(path)]) == 0
+        assert seen == [(seed, jobs)]
 
     def test_zero_min_k_is_config_error(self, linear_path, tmp_path, capsys):
         config = {

@@ -253,11 +253,29 @@ class TestNeuralBasics:
         with pytest.raises(ValueError):
             MLPPredictor(log.activity_vocab, config=fast_config(hidden=0))
 
-    @pytest.mark.parametrize("name", ["hidden", "layers", "epochs", "batch_size", "lr_patience"])
+    @pytest.mark.parametrize(
+        "name",
+        ["hidden", "layers", "epochs", "batch_size", "lr_patience",
+         "embedding_dim", "window", "max_len", "ngram_k", "ngram_dim"],
+    )
     def test_config_rejects_non_positive_sizes(self, name):
         for value in (0, -1):
             with pytest.raises(ValueError, match=name):
                 TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("alpha", -0.5), ("order", -1), ("decay_seconds", 0.0), ("decay_seconds", -1.0),
+         ("ae_hidden", (8, 0))],
+    )
+    def test_config_rejects_out_of_range(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
+    def test_config_accepts_range_edges(self):
+        config = TrainConfig(alpha=0.0, order=0, decay_seconds=0.5, embedding_dim=1, window=1,
+                             max_len=1, ngram_k=1, ngram_dim=1, ae_hidden=(1,))
+        assert (config.order, config.alpha) == (0, 0.0)
 
     def test_autoencoder_stages_of_zero_epochs_are_skipped(self, linear_split):
         log, split = linear_split
@@ -418,8 +436,10 @@ class TestCheckpointRoundTrip:
         net = linear_net() if input_mode == "timed_state" else None
         predictor = build_predictor(arch, cfg, log.activity_vocab, log.attribute_vocabs, net)
         train(predictor, split, seed=6)
-        save_predictor(predictor, tmp_path / "model", seed=6)
+        written = save_predictor(predictor, tmp_path / "model", seed=6)
         assert (tmp_path / "model.npz").exists() == (arch != "markov")
+        params = [] if arch == "markov" else [tmp_path / "model.npz"]
+        assert written == params + [tmp_path / "model.json"]
         loaded = load_predictor(tmp_path / "model", net)
         assert loaded.architecture == predictor.architecture
         for sample in make_prefix_samples(split.test)[:5]:
@@ -518,6 +538,37 @@ class TestTimedStateMlp:
         vocab = Vocabulary(["A", EOC])
         with pytest.raises(ValueError):
             MLPPredictor(vocab, config=TrainConfig(input_mode="timed_state"))
+
+    def test_checkpoint_for_another_net_size_fails_on_load(self, linear_split, tmp_path):
+        log, split = linear_split
+        cfg = fast_config(input_mode="timed_state", epochs=1)
+        net = linear_net()
+        predictor = MLPPredictor(log.activity_vocab, log.attribute_vocabs, cfg, petri_net=net)
+        train(predictor, split, seed=0)
+        save_predictor(predictor, tmp_path / "model")
+        assert "flat_dim" not in json.loads((tmp_path / "model.json").read_text())["extra"]
+        bigger = PetriNet(
+            places=net.places + ("spare",),
+            transitions=net.transitions,
+            arcs=net.arcs,
+            initial_marking=net.initial_marking,
+        )
+        with pytest.raises(ValueError, match="'l0:W'"):
+            load_predictor(tmp_path / "model", bigger)
+
+    def test_sidecar_with_stored_width_still_loads(self, linear_split, tmp_path):
+        log, split = linear_split
+        cfg = fast_config(input_mode="timed_state", epochs=1)
+        predictor = MLPPredictor(log.activity_vocab, log.attribute_vocabs, cfg, petri_net=linear_net())
+        train(predictor, split, seed=0)
+        save_predictor(predictor, tmp_path / "model")
+        path = tmp_path / "model.json"
+        sidecar = json.loads(path.read_text(encoding="utf-8"))
+        sidecar["extra"]["flat_dim"] = 15
+        path.write_text(json.dumps(sidecar), encoding="utf-8")
+        loaded = load_predictor(tmp_path / "model", linear_net())
+        prefix = make_prefix_samples(split.test)[0].prefix
+        assert np.array_equal(loaded.predict(prefix)[0], predictor.predict(prefix)[0])
 
 
 class TestInputs:

@@ -1,4 +1,6 @@
+import itertools
 import json
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -6,11 +8,15 @@ import pytest
 from ppmbench.eventlog import Event, Vocabulary
 from ppmbench.petrinet import (
     PetriNet,
+    TimedStateVector,
     Transition,
+    _firing_sequence,
     load_petri_net,
     load_pnml,
     replay_timed_state,
 )
+
+from conftest import generator_log
 
 HOUR_MS = 3_600_000
 
@@ -192,6 +198,8 @@ class TestReplayProperties:
         vec = state.to_vector(vocabs)
         assert vec.shape == (3 * 3 + 3,)
         assert vec[-3:].tolist() == [0.0, 1.0, 0.0]
+        assert vec.shape == (TimedStateVector.width(linear_net(), vocabs),)
+        assert len(state.to_vector()) == TimedStateVector.width(linear_net())
 
 
 class TestSilentSearchDepth:
@@ -238,3 +246,259 @@ class TestSilentSearchDepth:
         events = evs(["B"])
         state = replay_timed_state(net, events, events[-1].timestamp_ms, 3600.0)
         assert state.nonconforming == 1
+
+
+# ---------------------------------------------------------------------------
+# Reference replay: the earlier numpy implementation, kept verbatim apart from
+# reading the arcs from the net's public fields, so the list-based replay can
+# be checked byte for byte against it.
+# ---------------------------------------------------------------------------
+
+def ref_structure(net):
+    place_idx = {p: i for i, p in enumerate(net.places)}
+    trans_idx = {t.tid: i for i, t in enumerate(net.transitions)}
+    pre = [[] for _ in net.transitions]
+    post = [[] for _ in net.transitions]
+    for src, dst in net.arcs:
+        if src in place_idx:
+            pre[trans_idx[dst]].append(place_idx[src])
+        else:
+            post[trans_idx[src]].append(place_idx[dst])
+    pre_counts = [sorted(Counter(p).items()) for p in pre]
+    silent = [i for i, t in enumerate(net.transitions) if t.label is None]
+    by_label = {}
+    for i, t in enumerate(net.transitions):
+        if t.label is not None:
+            by_label.setdefault(t.label, []).append(i)
+    initial = np.zeros(len(net.places), dtype=np.int64)
+    for place, count in net.initial_marking.items():
+        initial[place_idx[place]] = count
+    return pre, post, pre_counts, silent, by_label, initial
+
+
+def ref_enabled(pre_counts, marking, t):
+    return all(marking[p] >= n for p, n in pre_counts[t])
+
+
+def ref_silent_path_to_enable(structure, marking, label, max_nodes=10000):
+    pre, post, pre_counts, silent, by_label, _ = structure
+    targets = by_label.get(label, [])
+    if not targets:
+        return None
+
+    def goal(m):
+        return any(ref_enabled(pre_counts, m, t) for t in targets)
+
+    if goal(marking):
+        return []
+    start = tuple(int(x) for x in marking)
+    queue = deque([(start, [])])
+    seen = {start}
+    while queue and len(seen) <= max_nodes:
+        state, path = queue.popleft()
+        m = np.asarray(state, dtype=np.int64)
+        for t in silent:
+            if not ref_enabled(pre_counts, m, t):
+                continue
+            nxt = m.copy()
+            for p in pre[t]:
+                nxt[p] -= 1
+            for p in post[t]:
+                nxt[p] += 1
+            key = tuple(int(x) for x in nxt)
+            if key in seen:
+                continue
+            new_path = path + [t]
+            if goal(nxt):
+                return new_path
+            seen.add(key)
+            queue.append((key, new_path))
+    return None
+
+
+def ref_replay_timed_state(net, events, at_ms, decay_seconds):
+    structure = ref_structure(net)
+    pre, post, pre_counts, _, by_label, initial = structure
+    marking = initial.copy()
+    throughput = marking.copy()
+    last_visit = np.full(net.num_places, np.nan)
+    start_ms = events[0].timestamp_ms if events else at_ms
+    last_visit[marking > 0] = float(start_ms)
+
+    nonconforming = 0
+    attribute_counts = {}
+
+    def fire(t, when_ms):
+        for p in pre[t]:
+            marking[p] -= 1
+        for p in post[t]:
+            marking[p] += 1
+            throughput[p] += 1
+            last_visit[p] = float(when_ms)
+
+    for ev in events:
+        for name, value in ev.attributes.items():
+            attribute_counts.setdefault(name, {}).setdefault(value, 0)
+            attribute_counts[name][value] += 1
+        candidates = [t for t in by_label.get(ev.activity, []) if ref_enabled(pre_counts, marking, t)]
+        if not candidates:
+            path = ref_silent_path_to_enable(structure, marking, ev.activity)
+            if path is None:
+                nonconforming += 1
+                continue
+            for t in path:
+                fire(t, ev.timestamp_ms)
+            candidates = [
+                t for t in by_label.get(ev.activity, []) if ref_enabled(pre_counts, marking, t)
+            ]
+        fire(candidates[0], ev.timestamp_ms)
+
+    decay = np.zeros(net.num_places, dtype=np.float64)
+    for p in range(net.num_places):
+        if not np.isnan(last_visit[p]):
+            age = (at_ms - last_visit[p]) / 1000.0
+            decay[p] = min(1.0, max(0.0, 1.0 - age / decay_seconds))
+    return decay, throughput, marking, attribute_counts, nonconforming
+
+
+def net_of(places, transitions, arcs, initial):
+    return PetriNet(
+        places=tuple(places),
+        transitions=tuple(Transition(tid, label) for tid, label in transitions),
+        arcs=tuple(arcs),
+        initial_marking=initial,
+    )
+
+
+def and_net():
+    """A splits into two branches (B, C) that D joins."""
+    return net_of(
+        ["p0", "p1", "p2", "p3", "p4", "p5"],
+        [("tA", "A"), ("tB", "B"), ("tC", "C"), ("tD", "D")],
+        [("p0", "tA"), ("tA", "p1"), ("tA", "p2"), ("p1", "tB"), ("tB", "p3"),
+         ("p2", "tC"), ("tC", "p4"), ("p3", "tD"), ("p4", "tD"), ("tD", "p5")],
+        {"p0": 1},
+    )
+
+
+def weighted_net():
+    """A puts two tokens into p1; B takes both, C one; D loops p2 back to p0."""
+    return net_of(
+        ["p0", "p1", "p2"],
+        [("tA", "A"), ("tB", "B"), ("tC", "C"), ("tD", "D")],
+        [("p0", "tA"), ("tA", "p1"), ("tA", "p1"), ("p1", "tB"), ("p1", "tB"), ("tB", "p2"),
+         ("p1", "tC"), ("tC", "p2"), ("p2", "tD"), ("tD", "p0")],
+        {"p0": 1},
+    )
+
+
+def shared_label_net():
+    """Two A transitions enabled together from p0 (lowest index wins); the
+    second A also fires from p3 alone. B and C loop back to p0; Z is unknown."""
+    return net_of(
+        ["p0", "p1", "p2", "p3"],
+        [("tA1", "A"), ("tA2", "A"), ("tB", "B"), ("tC", "C"), ("tA3", "A")],
+        [("p0", "tA1"), ("tA1", "p1"), ("p0", "tA2"), ("tA2", "p2"),
+         ("p1", "tB"), ("tB", "p0"), ("p2", "tC"), ("tC", "p3"),
+         ("p3", "tA3"), ("tA3", "p0")],
+        {"p0": 1},
+    )
+
+
+def silent_choice_net():
+    """Silent moves route p0 to the B or C branch; a silent loop returns;
+    two initial tokens."""
+    return net_of(
+        ["p0", "p1", "p2", "p3"],
+        [("tau1", None), ("tau2", None), ("tB", "B"), ("tC", "C"), ("tau3", None), ("tA", "A")],
+        [("p0", "tau1"), ("tau1", "p1"), ("p0", "tau2"), ("tau2", "p2"),
+         ("p1", "tB"), ("tB", "p3"), ("p2", "tC"), ("tC", "p3"),
+         ("p3", "tau3"), ("tau3", "p0"), ("p3", "tA"), ("tA", "p0")],
+        {"p0": 2},
+    )
+
+
+def budget_net():
+    """A silent generator adds a token to p1 at every firing; B needs p2,
+    which nothing fills, so its search runs out of budget; C needs 5 tokens."""
+    return net_of(
+        ["p0", "p1", "p2", "p3"],
+        [("gen", None), ("tB", "B"), ("tC", "C")],
+        [("p0", "gen"), ("gen", "p0"), ("gen", "p1"), ("p2", "tB"), ("tB", "p3")]
+        + [("p1", "tC")] * 5 + [("tC", "p3")],
+        {"p0": 1},
+    )
+
+
+def all_sequences(labels, max_len):
+    seqs = [()]
+    for n in range(1, max_len + 1):
+        seqs.extend(itertools.product(labels, repeat=n))
+    return seqs
+
+
+class TestReplayMatchesReference:
+    DECAY_S = 4 * 3600.0
+
+    def assert_same(self, net, events, at_ms, decay_s):
+        state = replay_timed_state(net, events, at_ms, decay_s)
+        decay, throughput, marking, counts, nonconforming = ref_replay_timed_state(
+            net, events, at_ms, decay_s
+        )
+        for name, got, want in (
+            ("decay", state.decay, decay),
+            ("throughput", state.throughput, throughput),
+            ("marking", state.marking, marking),
+        ):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, events)
+        assert state.attribute_counts == counts
+        assert state.nonconforming == nonconforming
+
+    def check_prefix(self, net, events, decay_s):
+        last = events[-1].timestamp_ms if events else 1_600_000_000_000
+        self.assert_same(net, events, last, decay_s)
+        self.assert_same(net, events, last + int(decay_s * 1000) + 1, decay_s)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generator_log_prefixes(self, seed):
+        log, net = generator_log(seed, 400)
+        decay_s = 30 * 86400.0
+        for trace in log.traces:
+            for k in range(len(trace.events) + 1):
+                self.check_prefix(net, trace.events[:k], decay_s)
+
+    @pytest.mark.parametrize(
+        "make_net, labels",
+        [
+            (and_net, "ABCDZ"),
+            (weighted_net, "ABCD"),
+            (shared_label_net, "ABCZ"),
+            (silent_choice_net, "ABC"),
+            (linear_net, "ABZ"),
+            (silent_net, "AB"),
+        ],
+    )
+    def test_hand_built_nets(self, make_net, labels):
+        net = make_net()
+        for acts in all_sequences(labels, 4):
+            self.check_prefix(net, evs(acts, attrs={"res": "r1"}), self.DECAY_S)
+
+    def test_search_budget(self):
+        net = budget_net()
+        for acts in ((), ("B",), ("C", "B", "C")):
+            self.check_prefix(net, evs(acts), self.DECAY_S)
+        state = replay_timed_state(net, evs(["B", "C"]), 0, self.DECAY_S)
+        assert state.nonconforming == 1  # B: no path within the budget; C: five silent steps
+
+    def test_budget_boundary(self):
+        # C needs five silent steps: small budgets cut the search where the
+        # reference's does, larger ones find the same path
+        net = budget_net()
+        structure = ref_structure(net)
+        found = []
+        for max_nodes in range(10):
+            want = ref_silent_path_to_enable(structure, structure[-1], "C", max_nodes)
+            got = _firing_sequence(net, net.initial_vector(), "C", max_nodes)
+            assert got == (None if want is None else want + [2]), max_nodes
+            found.append(got is not None)
+        assert found == [False] * 5 + [True] * 5
