@@ -18,7 +18,7 @@ from . import __version__
 from .eventlog import CsvSchema, augment_eoc, parse_csv
 from .inference import DecodeConfig
 from .metrics import ALL_TASKS, evaluate_protocol
-from .models import ARCHITECTURES, TrainConfig, build_predictor, save_predictor, train
+from .models import ARCHITECTURES, TrainConfig, build_predictor, needs_petri_net, save_predictor, train
 from .petrinet import load_petri_net
 from .splitting import split_manifest, temporal_split
 
@@ -142,9 +142,15 @@ class BenchmarkConfig:
             if m.architecture not in ARCHITECTURES:
                 raise ConfigError(f"model {m.name!r}: unknown architecture {m.architecture!r}")
             try:
-                TrainConfig(**m.hyperparameters)
+                train_cfg = TrainConfig(**m.hyperparameters)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"model {m.name!r}: {exc}") from None
+            if needs_petri_net(m.architecture, train_cfg):
+                for d in self.datasets:
+                    if not d.petri_net:
+                        raise ConfigError(
+                            f"model {m.name!r} reads timed_state input: dataset {d.name!r} has no petri_net"
+                        )
         decode_kwargs = dict(self.decode)
         if decode_kwargs.get("max_len") is None:
             decode_kwargs["max_len"] = 1  # resolved per dataset at run time

@@ -22,7 +22,9 @@ from .models import (
     INPUT_MODES,
     TrainConfig,
     build_predictor,
+    checkpoint_needs_petri_net,
     load_predictor,
+    needs_petri_net,
     save_predictor,
     train,
 )
@@ -160,6 +162,8 @@ def cmd_train(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if needs_petri_net(args.arch, config) and args.petri_net is None:
+        raise ConfigError("--input-mode timed_state needs --petri-net")
     seed = _seed(args)
     log = parse_csv(args.log, _schema(args))
     augmented = augment_eoc(log)
@@ -196,6 +200,8 @@ def cmd_evaluate(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if args.petri_net is None and checkpoint_needs_petri_net(args.checkpoint):
+        raise ConfigError(f"checkpoint {args.checkpoint} reads timed_state input: it needs --petri-net")
     log = parse_csv(args.log, _schema(args))
     augmented = augment_eoc(log)
     split = temporal_split(augmented)

@@ -74,7 +74,9 @@ class TrainConfig:
             if not value >= low:
                 raise ValueError(f"{name} must be >= {low}, got {value!r}")
 
-        sizes = ("hidden", "layers", "epochs", "batch_size", "lr_patience", "ngram_k", "ngram_dim")
+        sizes = (
+            "hidden", "layers", "epochs", "batch_size", "patience", "lr_patience", "ngram_k", "ngram_dim"
+        )
         for name in sizes:
             at_least(name, getattr(self, name), 1)
         for name in ("embedding_dim", "window", "max_len"):
@@ -86,6 +88,14 @@ class TrainConfig:
         at_least("alpha", self.alpha, 0)
         if self.decay_seconds is not None and not self.decay_seconds > 0:
             raise ValueError(f"decay_seconds must be > 0, got {self.decay_seconds!r}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr!r}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ValueError(f"clip_norm must be null or > 0, got {self.clip_norm!r}")
+        if not 0 < self.lr_decay <= 1:
+            raise ValueError(f"lr_decay must lie in (0, 1], got {self.lr_decay!r}")
 
 
 @dataclass(frozen=True)
@@ -667,7 +677,7 @@ class MLPPredictor(_NeuralPredictor):
         petri_net: PetriNet | None = None,
     ):
         super().__init__(activity_vocab, attribute_vocabs, config)
-        if self.config.input_mode == "timed_state" and petri_net is None:
+        if needs_petri_net(self.architecture, self.config) and petri_net is None:
             raise ValueError("timed_state input needs a Petri net")
         self.petri_net = petri_net
         self.decay_seconds = self.config.decay_seconds
@@ -915,11 +925,28 @@ def save_predictor(predictor: Predictor, path_prefix: str | Path, seed: int = 0)
     return predictor._save(path_prefix, seed)
 
 
-def load_predictor(path_prefix: str | Path, petri_net: PetriNet | None = None) -> Predictor:
-    path_prefix = Path(path_prefix)
+def needs_petri_net(architecture: str, config: TrainConfig) -> bool:
+    """Whether a model of this architecture and config reads Petri-net replay
+    state, and so cannot be built without a net."""
+    return architecture == "mlp" and config.input_mode == "timed_state"
+
+
+def _read_sidecar(path_prefix: Path) -> dict:
     sidecar = json.loads(path_prefix.with_suffix(".json").read_text(encoding="utf-8"))
     if sidecar.get("format_version") != SIDECAR_VERSION:
         raise ValueError(f"unsupported sidecar version {sidecar.get('format_version')!r}")
+    return sidecar
+
+
+def checkpoint_needs_petri_net(path_prefix: str | Path) -> bool:
+    """``needs_petri_net`` of a checkpoint, read from its sidecar alone."""
+    sidecar = _read_sidecar(Path(path_prefix))
+    return needs_petri_net(sidecar["architecture"], TrainConfig(**sidecar["config"]))
+
+
+def load_predictor(path_prefix: str | Path, petri_net: PetriNet | None = None) -> Predictor:
+    path_prefix = Path(path_prefix)
+    sidecar = _read_sidecar(path_prefix)
     predictor = build_predictor(
         sidecar["architecture"],
         TrainConfig(**sidecar["config"]),

@@ -152,7 +152,12 @@ def sequence_forward(
 ):
     """Run a fused recurrent cell over (B, T, D) inputs, carrying state
     across mask-true steps only; padding steps pass state through unchanged.
-    The input projection ``x U + b`` of every step is one matmul.
+
+    The (B, T) mask must be left-padded. The pass starts at ``t0``, the first
+    column where any row has a real step: ``hs[:, :t0]`` holds the initial
+    state, and only the steps from ``t0`` on are run and cached. The input
+    projection ``x U + b`` is one matmul over all T columns: BLAS may sum a
+    row of a shorter matrix in another order.
 
     Returns (hs, caches) where hs has shape (B, T, H).
     """
@@ -166,9 +171,12 @@ def sequence_forward(
     for name, state in (("h0", h0), ("C0", C0)):
         if state is not None and state.shape != (B, H):
             raise ValueError(f"sequence_forward: {name} has shape {state.shape}, expected {(B, H)}")
+    if mask is not None and np.shape(mask) != (B, T):
+        raise ValueError(f"sequence_forward: mask has shape {np.shape(mask)}, expected {(B, T)}")
     mask = np.ones((B, T), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if np.any(mask[:, :-1] & ~mask[:, 1:]):
         raise ValueError("mask interleaves padding with real steps (left padding required)")
+    t0 = T - int(mask.any(axis=0).sum())
     mask = mask[:, :, None]
     h = np.zeros((B, H), dtype=inputs.dtype) if h0 is None else h0.astype(inputs.dtype)
     C = None
@@ -176,8 +184,9 @@ def sequence_forward(
         C = np.zeros((B, H), dtype=inputs.dtype) if C0 is None else C0.astype(inputs.dtype)
     A = (inputs.reshape(B * T, D) @ U + b).reshape(B, T, -1)
     hs = np.empty((B, T, H), dtype=inputs.dtype)
+    hs[:, :t0] = h[:, None]
     steps = []
-    for t in range(T):
+    for t in range(t0, T):
         m = mask[:, t]
         h_new, C_new, cache = _step_forward(cell, W, A[:, t], h, C)
         h = np.where(m, h_new, h)
@@ -198,31 +207,36 @@ def sequence_backward(
 
     ``dhs`` is the upstream gradient on every step's hidden output, shape
     (B, T, H). Returns (dxs, grads) with dxs shaped like the inputs. The
-    per-step pre-activation gradients are stacked, so the gradients of
-    ``U``, ``W`` and ``b`` and the input gradient come from matmuls after
-    the time loop.
+    time loop runs over the cached steps only; the columns before them get
+    zero input gradients. The per-step pre-activation gradients are stacked,
+    so the gradients of ``U``, ``W`` and ``b`` and the input gradient come
+    from matmuls after the time loop. Those matmuls span all T columns, the
+    skipped ones as zero rows, so they sum in the order of a pass that ran
+    every column.
     """
     inputs, mask, steps = caches
     U, W = params["U"], params["W"]
     B, T, D = inputs.shape
     H = W.shape[0]
-    dA = np.empty((B, T, W.shape[1]), dtype=dhs.dtype)
+    t0 = T - len(steps)
+    dA = np.zeros((B, T, W.shape[1]), dtype=dhs.dtype)
     dh = np.zeros((B, H), dtype=dhs.dtype)
     dC = np.zeros((B, H), dtype=dhs.dtype) if cell == "lstm" else None
-    for t in reversed(range(T)):
+    for t in reversed(range(t0, T)):
         m = mask[:, t]
         dh_total = dh + dhs[:, t]
         da, dh_prev, dC_prev = _step_backward(
-            cell, W, steps[t], dh_total * m, None if dC is None else dC * m
+            cell, W, steps[t - t0], dh_total * m, None if dC is None else dC * m
         )
         dA[:, t] = da
         dh = np.where(m, dh_prev, dh_total)
         if dC is not None:
             dC = np.where(m, dC_prev, dC)
     dA = dA.reshape(B * T, -1)
-    h_prev = np.stack([cache[0] for cache in steps], axis=1).reshape(B * T, H)
+    skipped = [np.zeros((B, H), dtype=inputs.dtype)] * t0
+    h_prev = np.stack(skipped + [cache[0] for cache in steps], axis=1).reshape(B * T, H)
     if cell == "gru":
-        rh = np.stack([cache[2] for cache in steps], axis=1).reshape(B * T, H)
+        rh = np.stack(skipped + [cache[2] for cache in steps], axis=1).reshape(B * T, H)
         dW = np.concatenate([h_prev.T @ dA[:, : 2 * H], rh.T @ dA[:, 2 * H :]], axis=1)
     else:
         dW = h_prev.T @ dA

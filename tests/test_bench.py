@@ -257,7 +257,8 @@ class TestHyperparameterValidation:
         "name, value",
         [("hidden", 0), ("alpha", -0.5), ("order", -1), ("embedding_dim", 0),
          ("decay_seconds", 0), ("window", 0), ("max_len", 0), ("ngram_k", 0), ("ngram_dim", 0),
-         ("ae_hidden", [8, 0])],
+         ("ae_hidden", [8, 0]), ("lr", -0.5), ("momentum", 2.0), ("clip_norm", 0.0),
+         ("patience", -1), ("patience", 0), ("lr_decay", 0.0), ("lr_decay", 1.5)],
     )
     def test_out_of_range_hyperparameter_is_config_error(self, tmp_path, log_csv, name, value):
         config = small_config(
@@ -271,6 +272,15 @@ class TestHyperparameterValidation:
         config = small_config(tmp_path, log_csv, decode={"strategy": "nucleus"})
         with pytest.raises(ConfigError):
             config.validate()
+
+    def test_timed_state_model_on_dataset_without_net_is_config_error(self, tmp_path, log_csv):
+        models = [{"name": "timedmlp", "architecture": "mlp",
+                   "hyperparameters": {"input_mode": "timed_state"}}]
+        config = small_config(tmp_path, log_csv, models=models)
+        with pytest.raises(ConfigError, match="timedmlp.*linear.*petri_net"):
+            config.validate()
+        models[0]["architecture"] = "gru"  # only the mlp reads the input mode
+        small_config(tmp_path, log_csv, models=models).validate()
 
 
 class TestPetriNetDataset:

@@ -10,6 +10,16 @@ from ppmbench.eventlog import write_csv
 from conftest import TABLE1_CSV, make_linear_log
 
 
+# sound workflow net of the A-B-C-D chain that make_linear_log writes
+LINEAR_NET = {
+    "places": [f"p{i}" for i in range(5)],
+    "transitions": [{"id": f"t{a}", "label": a} for a in "ABCD"],
+    "arcs": [arc for i, a in enumerate("ABCD")
+             for arc in ({"from": f"p{i}", "to": f"t{a}"}, {"from": f"t{a}", "to": f"p{i + 1}"})],
+    "initial_marking": {"p0": 1},
+}
+
+
 @pytest.fixture
 def table1_path(tmp_path):
     path = tmp_path / "table1.csv"
@@ -83,13 +93,42 @@ class TestUsageErrors:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--epochs", "--batch-size", "--hidden", "--layers"])
+    @pytest.mark.parametrize(
+        "flag", ["--epochs", "--batch-size", "--hidden", "--layers", "--patience", "--lr"]
+    )
     def test_non_positive_train_size(self, flag, linear_path, tmp_path, capsys):
         out = tmp_path / "run"
         argv = ["--out", str(out), "train", str(linear_path), "--arch", "gru", flag, "0"]
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_timed_state_train_without_net(self, tmp_path, capsys):
+        # a usage error, found before the log is read: the log does not exist
+        out = tmp_path / "run"
+        argv = ["--out", str(out), "train", str(tmp_path / "missing.csv"), "--arch", "mlp",
+                "--input-mode", "timed_state"]
+        assert main(argv) == 2
+        assert "--petri-net" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_timed_state_evaluate_without_net(self, linear_path, tmp_path, capsys):
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(LINEAR_NET), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "train", str(linear_path), "--arch", "mlp",
+                     "--input-mode", "timed_state", "--petri-net", str(net),
+                     "--hidden", "4", "--layers", "1", "--epochs", "1"]) == 0
+        capsys.readouterr()
+        evaluate = ["--out", str(out), "evaluate", str(tmp_path / "missing.csv"),
+                    "--checkpoint", str(out / "model")]
+        assert main(evaluate) == 2
+        assert "--petri-net" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+        evaluate[3] = str(linear_path)
+        assert main(evaluate + ["--petri-net", str(net)]) == 0
+        assert (out / "metrics.json").exists()
 
 
 class TestSplit:
@@ -189,7 +228,9 @@ class TestBenchmark:
         assert main(["benchmark", str(path)]) == 1
 
     @pytest.mark.parametrize(
-        "name, value", [("hidden", 0), ("alpha", -0.5), ("order", -1), ("embedding_dim", 0)]
+        "name, value",
+        [("hidden", 0), ("alpha", -0.5), ("order", -1), ("embedding_dim", 0), ("lr", -0.5),
+         ("momentum", 2.0), ("clip_norm", 0.0), ("patience", -1), ("lr_decay", 1.5)],
     )
     def test_out_of_range_hyperparameter_is_config_error(
         self, linear_path, tmp_path, capsys, name, value
@@ -204,6 +245,20 @@ class TestBenchmark:
         path.write_text(json.dumps(config))
         assert main(["benchmark", str(path)]) == 2
         assert name in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_timed_state_model_without_net_is_config_error(self, linear_path, tmp_path, capsys):
+        config = {
+            "config_version": 1,
+            "out_dir": str(tmp_path / "out"),
+            "datasets": [{"name": "linear", "path": str(linear_path)}],
+            "models": [{"name": "timedmlp", "architecture": "mlp",
+                        "hyperparameters": {"input_mode": "timed_state"}}],
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["benchmark", str(path)]) == 2
+        assert "petri_net" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_negative_config_seed_is_config_error(self, linear_path, tmp_path, capsys):

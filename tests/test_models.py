@@ -255,7 +255,7 @@ class TestNeuralBasics:
 
     @pytest.mark.parametrize(
         "name",
-        ["hidden", "layers", "epochs", "batch_size", "lr_patience",
+        ["hidden", "layers", "epochs", "batch_size", "patience", "lr_patience",
          "embedding_dim", "window", "max_len", "ngram_k", "ngram_dim"],
     )
     def test_config_rejects_non_positive_sizes(self, name):
@@ -266,7 +266,9 @@ class TestNeuralBasics:
     @pytest.mark.parametrize(
         "name, value",
         [("alpha", -0.5), ("order", -1), ("decay_seconds", 0.0), ("decay_seconds", -1.0),
-         ("ae_hidden", (8, 0))],
+         ("ae_hidden", (8, 0)), ("lr", 0.0), ("lr", -0.5), ("lr", float("nan")),
+         ("momentum", -0.1), ("momentum", 1.0), ("momentum", 2.0), ("clip_norm", 0.0),
+         ("clip_norm", -1.0), ("lr_decay", 0.0), ("lr_decay", -0.5), ("lr_decay", 1.5)],
     )
     def test_config_rejects_out_of_range(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -274,8 +276,10 @@ class TestNeuralBasics:
 
     def test_config_accepts_range_edges(self):
         config = TrainConfig(alpha=0.0, order=0, decay_seconds=0.5, embedding_dim=1, window=1,
-                             max_len=1, ngram_k=1, ngram_dim=1, ae_hidden=(1,))
+                             max_len=1, ngram_k=1, ngram_dim=1, ae_hidden=(1,), patience=1,
+                             lr=1e-9, momentum=0.0, clip_norm=1e-9, lr_decay=1.0)
         assert (config.order, config.alpha) == (0, 0.0)
+        assert TrainConfig(momentum=0.999, clip_norm=None, lr_decay=1e-9).clip_norm is None
 
     def test_autoencoder_stages_of_zero_epochs_are_skipped(self, linear_split):
         log, split = linear_split

@@ -538,3 +538,167 @@ class TestShapeMismatches:
         params = cell_params("gru", 3, 4)
         with pytest.raises(ValueError, match="h0"):
             nn.sequence_forward("gru", params, np.ones((1, 1, 3)), h0=np.ones((1, 2)))
+
+
+def reference_sequence_forward(cell, params, inputs, mask=None, h0=None, C0=None):
+    """``sequence_forward`` as it was before passes started at the first real
+    column: every one of the T columns is stepped."""
+    U, W, b = params["U"], params["W"], params["b"]
+    B, T, D = inputs.shape
+    H = W.shape[0]
+    mask = np.ones((B, T), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    mask = mask[:, :, None]
+    h = np.zeros((B, H), dtype=inputs.dtype) if h0 is None else h0.astype(inputs.dtype)
+    C = None
+    if cell == "lstm":
+        C = np.zeros((B, H), dtype=inputs.dtype) if C0 is None else C0.astype(inputs.dtype)
+    A = (inputs.reshape(B * T, D) @ U + b).reshape(B, T, -1)
+    hs = np.empty((B, T, H), dtype=inputs.dtype)
+    steps = []
+    for t in range(T):
+        m = mask[:, t]
+        h_new, C_new, cache = nn._step_forward(cell, W, A[:, t], h, C)
+        h = np.where(m, h_new, h)
+        if C is not None:
+            C = np.where(m, C_new, C)
+        hs[:, t] = h
+        steps.append(cache)
+    return hs, (inputs, mask, steps)
+
+
+def reference_sequence_backward(cell, params, caches, dhs):
+    """``sequence_backward`` of :func:`reference_sequence_forward`."""
+    inputs, mask, steps = caches
+    U, W = params["U"], params["W"]
+    B, T, D = inputs.shape
+    H = W.shape[0]
+    dA = np.empty((B, T, W.shape[1]), dtype=dhs.dtype)
+    dh = np.zeros((B, H), dtype=dhs.dtype)
+    dC = np.zeros((B, H), dtype=dhs.dtype) if cell == "lstm" else None
+    for t in reversed(range(T)):
+        m = mask[:, t]
+        dh_total = dh + dhs[:, t]
+        da, dh_prev, dC_prev = nn._step_backward(
+            cell, W, steps[t], dh_total * m, None if dC is None else dC * m
+        )
+        dA[:, t] = da
+        dh = np.where(m, dh_prev, dh_total)
+        if dC is not None:
+            dC = np.where(m, dC_prev, dC)
+    dA = dA.reshape(B * T, -1)
+    h_prev = np.stack([cache[0] for cache in steps], axis=1).reshape(B * T, H)
+    if cell == "gru":
+        rh = np.stack([cache[2] for cache in steps], axis=1).reshape(B * T, H)
+        dW = np.concatenate([h_prev.T @ dA[:, : 2 * H], rh.T @ dA[:, 2 * H :]], axis=1)
+    else:
+        dW = h_prev.T @ dA
+    flat = inputs.reshape(B * T, D)
+    grads = {"U": flat.T @ dA, "W": dW, "b": dA.sum(axis=0)}
+    return (dA @ U.T).reshape(B, T, D), grads
+
+
+def left_padded(lengths, T):
+    """(B, T) mask whose row i has its last ``lengths[i]`` columns real."""
+    return np.arange(T)[None, :] >= T - np.asarray(lengths)[:, None]
+
+
+class TestFirstRealColumn:
+    """The passes start at the first column where any row is real; hidden
+    states, input gradients and parameter gradients stay bit-equal to the
+    reference that steps through every column."""
+
+    T = 7
+    # name -> (real steps per row, or None for no mask; initial state given;
+    # upstream gradient only on the skipped columns)
+    CASES = {
+        "no-mask": (None, False, False),
+        "every-row-starts-late": ([4, 2, 3], False, False),
+        "one-all-padding-row": ([5, 0, 2], False, False),
+        "all-padding": ([0, 0, 0], False, False),
+        "initial-state": ([3, 1, 2], True, False),
+        "upstream-only-on-skipped-columns": ([3, 1, 2], True, True),
+    }
+
+    def inputs(self, case, cell, dtype):
+        lengths, with_state, skipped_upstream = self.CASES[case]
+        rng = rng64(sum(map(ord, case + cell)))
+        B, D, H = 3, 5, 4
+        params = {k: v.astype(dtype) for k, v in cell_params(cell, D, H, seed=3).items()}
+        params["b"] = params["b"] + rng.normal(scale=0.5, size=params["b"].shape).astype(dtype)
+        X = rng.normal(size=(B, self.T, D)).astype(dtype)
+        mask = None if lengths is None else left_padded(lengths, self.T)
+        h0 = rng.normal(size=(B, H)).astype(dtype) if with_state else None
+        C0 = rng.normal(size=(B, H)).astype(dtype) if with_state and cell == "lstm" else None
+        dhs = rng.normal(size=(B, self.T, H)).astype(dtype)
+        if skipped_upstream:
+            dhs[:, self.T - max(lengths) :] = 0.0
+        return params, X, mask, h0, C0, dhs
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cell", nn.CELLS)
+    def test_bit_equal_to_every_column_reference(self, cell, dtype, case):
+        params, X, mask, h0, C0, dhs = self.inputs(case, cell, dtype)
+        hs, caches = nn.sequence_forward(cell, params, X, mask, h0, C0)
+        ref_hs, ref_caches = reference_sequence_forward(cell, params, X, mask, h0, C0)
+        assert hs.dtype == ref_hs.dtype and np.array_equal(hs, ref_hs)
+        dxs, grads = nn.sequence_backward(cell, params, caches, dhs)
+        ref_dxs, ref_grads = reference_sequence_backward(cell, params, ref_caches, dhs)
+        assert dxs.dtype == ref_dxs.dtype and np.array_equal(dxs, ref_dxs)
+        assert grads.keys() == ref_grads.keys()
+        for name, grad in grads.items():
+            assert grad.dtype == ref_grads[name].dtype, name
+            assert np.array_equal(grad, ref_grads[name]), name
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_skipped_columns_hold_state_and_get_zero_gradient(self, case):
+        params, X, mask, h0, C0, dhs = self.inputs(case, "lstm", np.float64)
+        lengths = self.CASES[case][0]
+        t0 = 0 if lengths is None else self.T - max(lengths)
+        hs, caches = nn.sequence_forward("lstm", params, X, mask, h0, C0)
+        assert len(caches[2]) == self.T - t0  # only the real columns are stepped
+        initial = np.zeros((3, 4)) if h0 is None else h0
+        assert np.array_equal(hs[:, :t0], np.broadcast_to(initial[:, None], (3, t0, 4)))
+        dxs, _ = nn.sequence_backward("lstm", params, caches, dhs)
+        assert np.all(dxs[:, :t0] == 0.0)
+
+    @pytest.mark.parametrize(
+        "arch, overrides",
+        [
+            ("gru", {"attributes": ("Resource",), "embedding_dim": 4}),
+            ("lstm", {"layers": 2, "time_target": "remaining"}),
+            ("rnn", {}),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_predict_bit_equal_on_generator_logs(self, monkeypatch, seed, arch, overrides):
+        from conftest import generator_log
+        from ppmbench.models import TrainConfig, build_predictor, train
+        from ppmbench.splitting import make_prefix_samples, temporal_split
+
+        log, _ = generator_log(seed, 400)
+        split = temporal_split(log)
+        config = TrainConfig(**{"hidden": 8, "layers": 1, "epochs": 1, "patience": 1, **overrides})
+        predictor = build_predictor(arch, config, log.activity_vocab, log.attribute_vocabs)
+        train(predictor, split, seed=seed)
+        prefixes = [sample.prefix for sample in make_prefix_samples(split.test)]
+        trimmed = [predictor.predict(prefix) for prefix in prefixes]
+        monkeypatch.setattr(nn, "sequence_forward", reference_sequence_forward)
+        for prefix, (probs, delta) in zip(prefixes, trimmed):
+            ref_probs, ref_delta = predictor.predict(prefix)
+            assert np.array_equal(probs, ref_probs), len(prefix)
+            assert delta == ref_delta, len(prefix)
+
+
+class TestMaskShape:
+    @pytest.mark.parametrize("shape", [(1, 5), (2, 4), (2, 6), (5,), (2, 5, 1)])
+    def test_mask_of_another_shape_rejected(self, shape):
+        params = cell_params("gru", 3, 4)
+        with pytest.raises(ValueError, match=r"mask has shape .*expected \(2, 5\)"):
+            nn.sequence_forward("gru", params, np.ones((2, 5, 3)), np.ones(shape, dtype=bool))
+
+    def test_mask_as_nested_list_accepted(self):
+        params = cell_params("rnn", 3, 4)
+        mask = [[False, True, True], [True, True, True]]
+        hs, _ = nn.sequence_forward("rnn", params, np.ones((2, 3, 3)), mask)
+        assert np.all(hs[0, 0] == 0.0) and np.all(hs[1, 0] != 0.0)
