@@ -19,8 +19,8 @@ from .eventlog import CsvSchema, augment_eoc, parse_csv
 from .inference import DecodeConfig
 from .metrics import ALL_TASKS, evaluate_protocol
 from .models import ARCHITECTURES, TrainConfig, build_predictor, needs_petri_net, save_predictor, train
-from .petrinet import load_petri_net
-from .splitting import split_manifest, temporal_split
+from .petrinet import PetriNet, load_petri_net
+from .splitting import SplitLog, split_manifest, temporal_split
 
 CONFIG_VERSION = 1
 
@@ -104,15 +104,7 @@ class BenchmarkConfig:
     def to_dict(self) -> dict:
         return {
             "config_version": CONFIG_VERSION,
-            "datasets": [
-                {
-                    "name": d.name,
-                    "path": d.path,
-                    "schema": asdict(d.schema),
-                    "petri_net": d.petri_net,
-                }
-                for d in self.datasets
-            ],
+            "datasets": [asdict(d) for d in self.datasets],
             "models": [asdict(m) for m in self.models],
             "split": {"train": self.split_fractions[0], "validation": self.split_fractions[1]},
             "decode": self.decode,
@@ -212,29 +204,53 @@ def cell_seed(master: int, dataset_index: int, model_index: int, num_models: int
     return master ^ (dataset_index * num_models + model_index)
 
 
-def _load_dataset(spec: DatasetSpec):
-    log = parse_csv(spec.path, spec.schema)
-    augmented = augment_eoc(log)
-    net = load_petri_net(spec.petri_net) if spec.petri_net else None
-    return augmented, net
+def load_split(
+    spec: DatasetSpec, fractions: tuple[float, float] = (0.64, 0.16)
+) -> tuple[SplitLog, PetriNet | None]:
+    """The protocol's data preparation: parse the log, add the end-of-case
+    events, split it chronologically, and load the dataset's Petri net."""
+    split = temporal_split(augment_eoc(parse_csv(spec.path, spec.schema)), fractions)
+    return split, load_petri_net(spec.petri_net) if spec.petri_net else None
 
 
-def run_cell(config: BenchmarkConfig, dataset_index: int, model_index: int) -> CellResult:
-    """Execute one (dataset, model) cell: parse, augment, split, train,
-    evaluate on the identical test prefixes, and checkpoint the model."""
+def decode_limit(split: SplitLog) -> int:
+    """The default decode length limit: the longest training trace."""
+    return max(len(t) for t in split.train.traces)
+
+
+def _load_or_error(
+    spec: DatasetSpec, fractions: tuple[float, float]
+) -> tuple[SplitLog, PetriNet | None] | Exception:
+    try:
+        return load_split(spec, fractions)
+    except Exception as exc:  # recorded on each of the dataset's cells
+        return exc
+
+
+def run_cell(
+    config: BenchmarkConfig,
+    dataset_index: int,
+    model_index: int,
+    loaded: tuple[SplitLog, PetriNet | None] | Exception,
+) -> CellResult:
+    """Execute one (dataset, model) cell on its dataset's ``load_split``
+    result (or the exception it raised): train, evaluate on the test
+    prefixes every model of the dataset shares, and checkpoint the model."""
     dataset = config.datasets[dataset_index]
     model_spec = config.models[model_index]
     seed = cell_seed(config.seed, dataset_index, model_index, len(config.models))
     result = CellResult(dataset=dataset.name, model=model_spec.name, seed=seed)
+    if isinstance(loaded, Exception):
+        result.error = _error_text(loaded)
+        return result
+    split, net = loaded
     try:
-        log, net = _load_dataset(dataset)
-        split = temporal_split(log, config.split_fractions)
         manifest = split_manifest(split)
         result.manifest_sha256 = hashlib.sha256(manifest.encode("utf-8")).hexdigest()
 
         train_cfg = TrainConfig(**model_spec.hyperparameters)
         predictor = build_predictor(
-            model_spec.architecture, train_cfg, log.activity_vocab, log.attribute_vocabs, net
+            model_spec.architecture, train_cfg, split.train.activity_vocab, split.train.attribute_vocabs, net
         )
         report = train(predictor, split, seed=seed, min_k=config.min_k)
         result.train_report = {
@@ -244,18 +260,11 @@ def run_cell(config: BenchmarkConfig, dataset_index: int, model_index: int) -> C
 
         decode_kwargs = dict(config.decode)
         if decode_kwargs.get("max_len") is None:
-            decode_kwargs["max_len"] = max(len(t) for t in split.train.traces)
+            decode_kwargs["max_len"] = decode_limit(split)
         decode_kwargs.setdefault("seed", seed)
         decode_cfg = DecodeConfig(**decode_kwargs)
         metrics = evaluate_protocol(predictor, split.test, decode_cfg, config.tasks, config.min_k)
-        result.metrics = {
-            "accuracy": metrics.accuracy,
-            "brier": metrics.brier,
-            "dl_similarity": metrics.dl_similarity,
-            "mae_next": metrics.mae_next,
-            "mae_remaining": metrics.mae_remaining,
-            "n_samples": metrics.n_samples,
-        }
+        result.metrics = asdict(metrics)
         result.metric_rows = [
             [dataset.name, model_spec.name, task, metric, value, n]
             for task, metric, value, n in metrics.as_rows()
@@ -272,40 +281,42 @@ def run_cell(config: BenchmarkConfig, dataset_index: int, model_index: int) -> C
             "checkpoint": str(cell_dir / f"{stem}.json"),
         }
     except Exception as exc:  # cell isolation: record and continue
-        result.error = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
+        result.error = _error_text(exc)
     return result
 
 
-def _run_cell_packed(args: tuple[dict, int, int]) -> CellResult:
-    raw, d_idx, m_idx = args
-    return run_cell(BenchmarkConfig.from_dict(raw), d_idx, m_idx)
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}\n" + "".join(traceback.format_exception(exc))
 
 
 def run_matrix(config: BenchmarkConfig) -> RunRecord:
-    """Run every (dataset, model) cell; results are written incrementally so a
-    crash loses at most the in-flight cell."""
+    """Run every (dataset, model) cell. Each dataset is loaded once and shared
+    by its cells; results are written incrementally so a crash loses at most
+    the in-flight cell."""
     config.validate()
     start = time.perf_counter()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    indices = [
-        (d_idx, m_idx)
-        for d_idx in range(len(config.datasets))
-        for m_idx in range(len(config.models))
-    ]
     cells: list[CellResult] = []
+
+    def keep(cell: CellResult) -> None:
+        cells.append(cell)
+        _write_cell(out_dir, cell)
+
+    models = range(len(config.models))
     if config.jobs > 1:
-        raw = config.to_dict()
+        # the parent loads every dataset first, so that all cells queue at once
+        loaded = [_load_or_error(spec, config.split_fractions) for spec in config.datasets]
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            for cell in pool.map(_run_cell_packed, [(raw, d, m) for d, m in indices]):
-                cells.append(cell)
-                _write_cell(out_dir, cell)
+            futures = [pool.submit(run_cell, config, d, m, data) for d, data in enumerate(loaded) for m in models]
+            for future in futures:
+                keep(future.result())
     else:
-        for d_idx, m_idx in indices:
-            cell = run_cell(config, d_idx, m_idx)
-            cells.append(cell)
-            _write_cell(out_dir, cell)
-    _check_manifest_consistency(cells)
+        for d, spec in enumerate(config.datasets):
+            data = _load_or_error(spec, config.split_fractions)
+            for m in models:
+                keep(run_cell(config, d, m, data))
+            del data  # one dataset in memory at a time
     record = RunRecord(
         config_hash=config.canonical_hash(),
         version=__version__,
@@ -314,18 +325,6 @@ def run_matrix(config: BenchmarkConfig) -> RunRecord:
     )
     emit_reports(record, out_dir)
     return record
-
-
-def _check_manifest_consistency(cells: Sequence[CellResult]) -> None:
-    """Every model in one dataset's cells must have consumed a byte-identical
-    split manifest; a mismatch means determinism is broken."""
-    by_dataset: dict[str, set[str]] = {}
-    for cell in cells:
-        if cell.manifest_sha256:
-            by_dataset.setdefault(cell.dataset, set()).add(cell.manifest_sha256)
-    for dataset, hashes in by_dataset.items():
-        if len(hashes) > 1:
-            raise RuntimeError(f"split manifests diverged for dataset {dataset!r}: {sorted(hashes)}")
 
 
 def _write_cell(out_dir: Path, cell: CellResult) -> None:

@@ -13,8 +13,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .bench import BenchmarkConfig, ConfigError, run_matrix
-from .eventlog import CsvSchema, augment_eoc, compute_stats, parse_csv, stats_csv, stats_table
+from .bench import BenchmarkConfig, ConfigError, DatasetSpec, decode_limit, load_split, run_matrix
+from .eventlog import CsvSchema, compute_stats, parse_csv, stats_csv, stats_table
 from .inference import DecodeConfig
 from .metrics import evaluate_protocol
 from .models import (
@@ -28,7 +28,6 @@ from .models import (
     save_predictor,
     train,
 )
-from .petrinet import load_petri_net
 from .splitting import temporal_split, write_split_manifest
 from . import gradchecks
 
@@ -47,6 +46,10 @@ def _schema(args) -> CsvSchema:
     return CsvSchema(
         case_id=args.case_col, activity=args.activity_col, timestamp=args.timestamp_col
     )
+
+
+def _dataset(args) -> DatasetSpec:
+    return DatasetSpec(Path(args.log).stem, args.log, _schema(args), args.petri_net)
 
 
 def _out_dir(args) -> Path:
@@ -94,15 +97,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("log")
     _schema_args(p_train)
     p_train.add_argument("--arch", required=True, choices=ARCHITECTURES)
-    p_train.add_argument("--hidden", type=int, default=64)
-    p_train.add_argument("--layers", type=int, default=2)
-    p_train.add_argument("--epochs", type=int, default=100)
-    p_train.add_argument("--batch-size", type=int, default=32)
-    p_train.add_argument("--patience", type=int, default=10)
-    p_train.add_argument("--lr", type=float, default=0.01)
-    p_train.add_argument("--time-target", default="next", choices=["next", "remaining", "none"])
+    p_train.add_argument("--hidden", type=int, default=TrainConfig.hidden)
+    p_train.add_argument("--layers", type=int, default=TrainConfig.layers)
+    p_train.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p_train.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p_train.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p_train.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p_train.add_argument(
+        "--time-target", default=TrainConfig.time_target, choices=["next", "remaining", "none"]
+    )
     p_train.add_argument("--petri-net", default=None)
-    p_train.add_argument("--input-mode", default="padded_flat", choices=INPUT_MODES)
+    p_train.add_argument("--input-mode", default=TrainConfig.input_mode, choices=INPUT_MODES)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a checkpoint on a log's test part")
     p_eval.add_argument("log")
@@ -165,12 +170,9 @@ def cmd_train(args) -> int:
     if needs_petri_net(args.arch, config) and args.petri_net is None:
         raise ConfigError("--input-mode timed_state needs --petri-net")
     seed = _seed(args)
-    log = parse_csv(args.log, _schema(args))
-    augmented = augment_eoc(log)
-    split = temporal_split(augmented)
-    net = load_petri_net(args.petri_net) if args.petri_net else None
+    split, net = load_split(_dataset(args))
     predictor = build_predictor(
-        args.arch, config, augmented.activity_vocab, augmented.attribute_vocabs, net
+        args.arch, config, split.train.activity_vocab, split.train.attribute_vocabs, net
     )
     report = train(predictor, split, seed=seed)
     out = _out_dir(args)
@@ -202,13 +204,10 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(str(exc)) from None
     if args.petri_net is None and checkpoint_needs_petri_net(args.checkpoint):
         raise ConfigError(f"checkpoint {args.checkpoint} reads timed_state input: it needs --petri-net")
-    log = parse_csv(args.log, _schema(args))
-    augmented = augment_eoc(log)
-    split = temporal_split(augmented)
-    net = load_petri_net(args.petri_net) if args.petri_net else None
+    split, net = load_split(_dataset(args))
     predictor = load_predictor(args.checkpoint, net)
     if args.max_len is None:
-        decode_cfg = replace(decode_cfg, max_len=max(len(t) for t in split.train.traces))
+        decode_cfg = replace(decode_cfg, max_len=decode_limit(split))
     report = evaluate_protocol(predictor, split.test, decode_cfg)
     out = _out_dir(args)
     rows = report.as_rows()

@@ -134,7 +134,6 @@ class Predictor:
         self,
         train_samples: Sequence[PrefixSample],
         val_samples: Sequence[PrefixSample],
-        config: "TrainConfig | None" = None,
         seed: int = 0,
     ) -> TrainReport:
         raise NotImplementedError
@@ -185,10 +184,8 @@ class MarkovPredictor(Predictor):
         self.time_target = "next"
         self.tables: list[dict[tuple[str, ...], tuple[Counter, float]]] = []
 
-    def fit(self, train_samples, val_samples, config=None, seed=0) -> TrainReport:
+    def fit(self, train_samples, val_samples, seed=0) -> TrainReport:
         start = time.perf_counter()
-        if config is not None:
-            self.config = config
         order = self.config.order
         self.tables = [{} for _ in range(order + 1)]
         for sample in train_samples:
@@ -371,17 +368,14 @@ class _NeuralPredictor(Predictor):
     ):
         self.activity_vocab = activity_vocab
         self.attribute_vocabs = dict(attribute_vocabs or {})
-        self._set_config(config or TrainConfig())
+        self.config = config or TrainConfig()
+        self.time_target = self.config.time_target
         self.params: dict[str, np.ndarray] = {}
         self.encoder: PrefixEncoder | None = None
         self.time_norm: Normalizer | None = None
         self.dtype = np.float32
 
     # hooks -------------------------------------------------------------
-    def _set_config(self, config: TrainConfig) -> None:
-        self.config = config
-        self.time_target = config.time_target
-
     def _prepare(self, train_samples) -> None:
         self.encoder = self._make_encoder().fit(train_samples)
 
@@ -499,10 +493,8 @@ class _NeuralPredictor(Predictor):
         grads.update(self._body_backward(params, body_cache, dfeatures))
         return loss, grads
 
-    def fit(self, train_samples, val_samples, config=None, seed=0) -> TrainReport:
+    def fit(self, train_samples, val_samples, seed=0) -> TrainReport:
         start = time.perf_counter()
-        if config is not None:
-            self._set_config(config)
         if not train_samples:
             raise ValueError("no training samples")
         X, M, y_act, y_time = self._fit_arrays(train_samples)
@@ -782,6 +774,7 @@ class AutoencoderPredictor(_NeuralPredictor):
     architecture = "autoencoder"
 
     def __init__(self, activity_vocab, attribute_vocabs=None, config=None):
+        config = replace(config or TrainConfig(), time_target=None)
         super().__init__(activity_vocab, attribute_vocabs, config)
         dims = [self.config.ngram_dim, *self.config.ae_hidden]
         for smaller, larger in zip(dims[1:], dims):
@@ -790,9 +783,6 @@ class AutoencoderPredictor(_NeuralPredictor):
                     f"undercompleteness violated: hidden {smaller} >= input {larger}"
                 )
         self.recon_losses: list[tuple[float, ...]] = []
-
-    def _set_config(self, config: TrainConfig) -> None:
-        super()._set_config(replace(config, time_target=None))
 
     def _prepare(self, train_samples) -> None:
         self.encoder = None
@@ -905,7 +895,6 @@ def build_predictor(
 def train(
     predictor: Predictor,
     split: SplitLog,
-    config: TrainConfig | None = None,
     seed: int = 0,
     min_k: int = 1,
 ) -> TrainReport:
@@ -913,7 +902,7 @@ def train(
     statistics are fitted on the training part only."""
     train_samples = make_prefix_samples(split.train, min_k)
     val_samples = make_prefix_samples(split.validation, min_k) if split.validation.traces else []
-    return predictor.fit(train_samples, val_samples, config, seed)
+    return predictor.fit(train_samples, val_samples, seed)
 
 
 def save_predictor(predictor: Predictor, path_prefix: str | Path, seed: int = 0) -> list[Path]:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ppmbench import bench
 from ppmbench.bench import (
     BenchmarkConfig,
     CellResult,
@@ -13,7 +14,7 @@ from ppmbench.bench import (
     metrics_csv,
     run_matrix,
 )
-from ppmbench.eventlog import write_csv
+from ppmbench.eventlog import CsvSchema, write_csv
 
 from conftest import make_linear_log
 
@@ -104,6 +105,23 @@ class TestConfigValidation:
         c = small_config(tmp_path, log_csv, seed=6)
         assert a.canonical_hash() != c.canonical_hash()
 
+    def test_hash_is_pinned(self):
+        # run records from earlier versions must keep matching their configs
+        config = BenchmarkConfig(
+            datasets=(
+                DatasetSpec("helpdesk", "data/helpdesk.csv", CsvSchema(case_id="Case ID"), "nets/helpdesk.json"),
+                DatasetSpec("bpi12", "data/bpi12.csv"),
+            ),
+            models=(
+                ModelSpec("markov", "markov", {"order": 3}),
+                ModelSpec("gru", "gru", {"hidden": 8, "attributes": ["Resource"]}),
+            ),
+            decode={"strategy": "beam", "beam_width": 3},
+            seed=7,
+            jobs=2,
+        )
+        assert config.canonical_hash() == "b213b9774982f91dec1171778f435d94d86f1b99909dbcbf1748508c2907ff30"
+
 
 class TestCellSeeds:
     def test_derived_seeds_distinct_and_stable(self):
@@ -160,6 +178,43 @@ class TestRunMatrix:
         a = (tmp_path / "a" / "metrics.csv").read_bytes()
         b = (tmp_path / "b" / "metrics.csv").read_bytes()
         assert a == b
+
+
+class TestDatasetLoading:
+    def two_dataset_config(self, tmp_path, log_csv, second_csv, **overrides):
+        return small_config(
+            tmp_path,
+            log_csv,
+            datasets=[{"name": "linear", "path": str(log_csv)}, {"name": "second", "path": str(second_csv)}],
+            **overrides,
+        )
+
+    def test_each_dataset_parsed_once(self, tmp_path, log_csv, monkeypatch):
+        calls = []
+        parse = bench.parse_csv
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "parse_csv", counted)
+        record = run_matrix(self.two_dataset_config(tmp_path, log_csv, log_csv))
+        assert len(record.cells) == 4
+        assert all(c.error is None for c in record.cells)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_malformed_dataset_fails_only_its_cells(self, tmp_path, log_csv, jobs):
+        broken = tmp_path / "broken.csv"
+        broken.write_text("case,what\n1,2\n", encoding="utf-8")
+        record = run_matrix(self.two_dataset_config(tmp_path, log_csv, broken, jobs=jobs))
+        by_dataset = {}
+        for cell in record.cells:
+            by_dataset.setdefault(cell.dataset, []).append(cell)
+        assert [c.model for c in by_dataset["second"]] == ["markov", "mlp"]
+        assert all(c.error.startswith("LogParseError") for c in by_dataset["second"])
+        assert all(c.error is None for c in by_dataset["linear"])
+        assert all(c.metrics is not None for c in by_dataset["linear"])
 
 
 class TestReports:

@@ -296,6 +296,17 @@ class TestNeuralBasics:
         with pytest.raises(ValueError):
             AutoencoderPredictor(vocab, config=TrainConfig(ngram_dim=16, ae_hidden=(8, 9), time_target=None))
 
+    def test_config_is_fixed_at_construction(self, linear_split):
+        log, split = linear_split
+        samples = make_prefix_samples(split.train)
+        autoencoder = AutoencoderPredictor(log.activity_vocab, config=fast_config(ngram_dim=16, ae_hidden=(8,)))
+        assert autoencoder.time_target is None and autoencoder.config.time_target is None
+        with pytest.raises(TypeError):  # an overcomplete encoder cannot slip in at fit
+            autoencoder.fit(samples, [], config=TrainConfig(ngram_dim=8, ae_hidden=(32, 16)))
+        mlp = MLPPredictor(log.activity_vocab, config=fast_config())
+        with pytest.raises(TypeError):  # nor a timed_state input without a net
+            mlp.fit(samples, [], config=fast_config(input_mode="timed_state"))
+
     def test_unknown_cell_rejected(self):
         with pytest.raises(ValueError):
             RecurrentPredictor("transformer", Vocabulary(["A"]))

@@ -1,7 +1,8 @@
 """Digest a fixed benchmark run, to check that a change keeps results bit for bit.
 
-Runs ``bench.run_matrix`` at seed 1 with one job on ``generator.generate(1, 400)``
-of ``perfbench/generator.py`` and its Petri net. The matrix holds markov,
+Runs ``bench.run_matrix`` at seed 1 with one job on two datasets of
+``perfbench/generator.py``, ``generate(1, 400)`` and ``generate(2, 200)``, each
+with the generator's Petri net. The matrix holds markov,
 autoencoder, mlp (``padded_flat``, ``single_event``, ``timed_state`` with
 Resource), gru (Resource, embedding), lstm (remaining time) and rnn (no time
 head), 2 epochs each, and is decoded twice: argmax and beam-2. Prints
@@ -29,7 +30,7 @@ from ppmbench import bench
 
 GENERATOR = Path(__file__).resolve().parents[1] / "perfbench" / "generator.py"
 SEED = 1
-CASES = 400
+DATASETS = (("generator", 1, 400), ("generator-small", 2, 200))  # name, seed, cases
 EPOCHS = {"epochs": 2, "patience": 2}
 SMALL = {"hidden": 16, "layers": 2, **EPOCHS}
 MODELS = (
@@ -57,20 +58,23 @@ def load_generator():
 
 def run(out: Path) -> None:
     generator = load_generator()
-    csv_path, net_path = out / "log.csv", out / "net.json"
-    generator.write_csv(generator.generate(SEED, CASES), csv_path)
+    net_path = out / "net.json"
     generator.write_petri_net(net_path)
-    dataset = bench.DatasetSpec("generator", str(csv_path), petri_net=str(net_path))
+    datasets = []
+    for name, seed, cases in DATASETS:
+        csv_path = out / f"{name}.csv"
+        generator.write_csv(generator.generate(seed, cases), csv_path)
+        datasets.append(bench.DatasetSpec(name, str(csv_path), petri_net=str(net_path)))
     models = tuple(bench.ModelSpec(name, arch, dict(hp)) for name, arch, hp in MODELS)
     for name, decode in DECODES.items():
         config = bench.BenchmarkConfig(
-            datasets=(dataset,), models=models, decode=decode, seed=SEED,
+            datasets=tuple(datasets), models=models, decode=decode, seed=SEED,
             out_dir=str(out / name), jobs=1,
         )
         record = bench.run_matrix(config)
         for cell in record.cells:
             if cell.error:
-                raise SystemExit(f"cell {cell.model} ({name}) failed: {cell.error}")
+                raise SystemExit(f"cell {cell.dataset}/{cell.model} ({name}) failed: {cell.error}")
 
 
 def digests(out: Path) -> list[tuple[str, str]]:
