@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -159,19 +159,47 @@ def ngram_hash_encode(
     independent hash, which counters collision bias. Both hashes are
     deterministic functions of the joined label sequence and ``seed``.
     """
+    return ngram_hash_prefixes(activities, [len(activities)], max_n, dim, seed)[0]
+
+
+def ngram_hash_prefixes(
+    activities: Sequence[str], ks: Sequence[int], max_n: int, dim: int, seed: int = 0
+) -> np.ndarray:
+    """``ngram_hash_encode(activities[:k], max_n, dim, seed)`` for each k in
+    ``ks`` (any order, repeats allowed), as the rows of one float64 array.
+
+    One pass over ``activities[:max(ks)]``: prefix k + 1 is prefix k plus the
+    n-grams that end at its last label. The result is exact, because every
+    update adds +1 or -1 to an integer-valued float64.
+    """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    vec = np.zeros(dim, dtype=np.float64)
-    n = len(activities)
-    for length in range(1, max_n + 1):
-        for start in range(0, n - length + 1):
-            gram = "\x1f".join(activities[start : start + length]).encode("utf-8")
-            slot = _hash64(gram, seed, b"slot") % dim
-            sign = 1.0 if _hash64(gram, seed, b"sign") % 2 == 0 else -1.0
-            vec[slot] += sign
-    return vec
+    acts = tuple(activities)
+    rows_at: dict[int, list[int]] = {}
+    for row, k in enumerate(ks):
+        if not 0 <= k <= len(acts):
+            raise ValueError(f"prefix length {k} outside 0..{len(acts)}")
+        rows_at.setdefault(k, []).append(row)
+    out = np.zeros((len(ks), dim), dtype=np.float64)
+    vec = [0.0] * dim
+    for end in range(max(rows_at, default=0) + 1):
+        for length in range(1, min(max_n, end) + 1):
+            slot_hash, sign = _gram_code(acts[end - length : end], seed)
+            vec[slot_hash % dim] += sign
+        for row in rows_at.get(end, ()):
+            out[row] = vec
+    return out
+
+
+@lru_cache(maxsize=1 << 14)
+def _gram_code(gram: tuple[str, ...], seed: int) -> tuple[int, float]:
+    """Slot hash and sign of one n-gram. Cached: the grams of a log repeat
+    across its prefixes and traces, and each costs two blake2b calls."""
+    data = "\x1f".join(gram).encode("utf-8")
+    sign = 1.0 if _hash64(data, seed, b"sign") % 2 == 0 else -1.0
+    return _hash64(data, seed, b"slot"), sign
 
 
 # ---------------------------------------------------------------------------

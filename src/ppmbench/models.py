@@ -16,9 +16,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import nnkernel as nn
-from .encoding import Normalizer, PrefixEncoder, ngram_hash_encode
+# ngram_hash_encode and replay_timed_state stay bound here: perfbench's tracer patches them by name
+from .encoding import Normalizer, PrefixEncoder, ngram_hash_encode, ngram_hash_prefixes
 from .eventlog import Event, Vocabulary
-from .petrinet import PetriNet, TimedStateVector, replay_timed_state
+from .petrinet import PetriNet, TimedStateVector, replay_prefixes, replay_timed_state
 from .splitting import PrefixSample, SplitLog, make_prefix_samples
 
 ARCHITECTURES = ("markov", "mlp", "rnn", "lstm", "gru", "autoencoder")
@@ -96,6 +97,8 @@ class TrainConfig:
             raise ValueError(f"clip_norm must be null or > 0, got {self.clip_norm!r}")
         if not 0 < self.lr_decay <= 1:
             raise ValueError(f"lr_decay must lie in (0, 1], got {self.lr_decay!r}")
+        if not (isinstance(self.hash_seed, int) and 0 <= self.hash_seed < 2**64):
+            raise ValueError(f"hash_seed must be an integer in [0, 2**64), got {self.hash_seed!r}")
 
 
 @dataclass(frozen=True)
@@ -701,13 +704,8 @@ class MLPPredictor(_NeuralPredictor):
         if self.config.input_mode != "timed_state":
             return super()._inputs(events, ks)
         attr_vocabs = self._timed_state_vocabs()
-        rows = [
-            replay_timed_state(
-                self.petri_net, events[:k], events[k - 1].timestamp_ms, self.decay_seconds
-            ).to_vector(attr_vocabs)
-            for k in ks
-        ]
-        return np.array(rows, dtype=self.dtype), None
+        states = replay_prefixes(self.petri_net, events, ks, self.decay_seconds)
+        return np.array([state.to_vector(attr_vocabs) for state in states], dtype=self.dtype), None
 
     def _build_params(self, rng):
         cfg = self.config
@@ -790,8 +788,8 @@ class AutoencoderPredictor(_NeuralPredictor):
     def _inputs(self, events, ks):
         cfg = self.config
         acts = [ev.activity for ev in events]
-        rows = [ngram_hash_encode(acts[:k], cfg.ngram_k, cfg.ngram_dim, cfg.hash_seed) for k in ks]
-        return np.array(rows, dtype=self.dtype), None
+        rows = ngram_hash_prefixes(acts, ks, cfg.ngram_k, cfg.ngram_dim, cfg.hash_seed)
+        return rows.astype(self.dtype), None
 
     def _build_params(self, rng):
         params: dict[str, np.ndarray] = {}

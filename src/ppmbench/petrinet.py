@@ -64,6 +64,10 @@ class PetriNet:
         for i, t in enumerate(self.transitions):
             if t.label is not None:
                 self._by_label.setdefault(t.label, []).append(i)
+        # _firing_sequence results by (marking, label), None included, filled
+        # as replay reaches them: the search is deterministic and the net
+        # never changes after construction
+        self._sequences: dict[tuple[tuple[int, ...], str], list[int] | None] = {}
 
     @property
     def num_places(self) -> int:
@@ -223,6 +227,17 @@ def _firing_sequence(
     return None
 
 
+def _cached_firing_sequence(net: PetriNet, marking: list[int], label: str) -> list[int] | None:
+    """``_firing_sequence`` with the default budget, searched once per net
+    for each (marking, label) pair."""
+    key = (tuple(marking), label)
+    try:
+        return net._sequences[key]
+    except KeyError:
+        sequence = net._sequences[key] = _firing_sequence(net, marking, label)
+        return sequence
+
+
 def replay_timed_state(
     net: PetriNet,
     events: Sequence[Event],
@@ -240,36 +255,74 @@ def replay_timed_state(
     finds; an event without one is skipped and counted as nonconforming, and
     the marking is left untouched.
     """
+    return _replay(net, events, [(len(events), at_ms)], decay_seconds)[0]
+
+
+def replay_prefixes(
+    net: PetriNet,
+    events: Sequence[Event],
+    ks: Sequence[int],
+    decay_seconds: float,
+) -> list[TimedStateVector]:
+    """``replay_timed_state(net, events[:k], events[k - 1].timestamp_ms,
+    decay_seconds)`` for each k in ``ks``, from one replay of
+    ``events[:max(ks)]``. ``ks`` may be in any order and may repeat; each
+    k lies in 1..len(events)."""
+    for k in ks:
+        if not 1 <= k <= len(events):
+            raise ValueError(f"prefix length {k} outside 1..{len(events)}")
+    return _replay(net, events, [(k, events[k - 1].timestamp_ms) for k in ks], decay_seconds)
+
+
+def _replay(
+    net: PetriNet,
+    events: Sequence[Event],
+    stops: Sequence[tuple[int, int]],
+    decay_seconds: float,
+) -> list[TimedStateVector]:
+    """One replay of ``events``, up to the longest stop; for each stop
+    ``(k, at_ms)``, in order, the state after the first k events with decay
+    read at ``at_ms`` (see ``replay_timed_state``)."""
     if decay_seconds <= 0:
         raise ValueError("decay_seconds must be positive")
+    if not stops:
+        return []
+    stops_at: dict[int, list[int]] = {}
+    for i, (k, _) in enumerate(stops):
+        stops_at.setdefault(k, []).append(i)
+    states = [None] * len(stops)
     marking = net.initial_vector()
     throughput = list(marking)
-    start_ms = events[0].timestamp_ms if events else at_ms
+    start_ms = events[0].timestamp_ms if events else stops[0][1]
     last_visit: list[int | None] = [start_ms if tokens > 0 else None for tokens in marking]
     nonconforming = 0
     attribute_counts: dict[str, dict[str, int]] = {}
-    for ev in events:
-        for name, value in ev.attributes.items():
-            attribute_counts.setdefault(name, {}).setdefault(value, 0)
-            attribute_counts[name][value] += 1
-        sequence = _firing_sequence(net, marking, ev.activity)
-        if sequence is None:
-            nonconforming += 1
-            continue
-        for t in sequence:
-            for p, n in _fire(net, marking, t):
-                throughput[p] += n
-                last_visit[p] = ev.timestamp_ms
-
-    decay = [
-        0.0 if visit is None
-        else min(1.0, max(0.0, 1.0 - (at_ms - visit) / 1000.0 / decay_seconds))
-        for visit in last_visit
-    ]
-    return TimedStateVector(
-        decay=np.array(decay, dtype=np.float64),
-        throughput=np.array(throughput, dtype=np.int64),
-        marking=np.array(marking, dtype=np.int64),
-        attribute_counts=attribute_counts,
-        nonconforming=nonconforming,
-    )
+    for k in range(max(stops_at) + 1):
+        if k:
+            ev = events[k - 1]
+            for name, value in ev.attributes.items():
+                attribute_counts.setdefault(name, {}).setdefault(value, 0)
+                attribute_counts[name][value] += 1
+            sequence = _cached_firing_sequence(net, marking, ev.activity)
+            if sequence is None:
+                nonconforming += 1
+            else:
+                for t in sequence:
+                    for p, n in _fire(net, marking, t):
+                        throughput[p] += n
+                        last_visit[p] = ev.timestamp_ms
+        for i in stops_at.get(k, ()):
+            at_ms = stops[i][1]
+            decay = [
+                0.0 if visit is None
+                else min(1.0, max(0.0, 1.0 - (at_ms - visit) / 1000.0 / decay_seconds))
+                for visit in last_visit
+            ]
+            states[i] = TimedStateVector(
+                decay=np.array(decay, dtype=np.float64),
+                throughput=np.array(throughput, dtype=np.int64),
+                marking=np.array(marking, dtype=np.int64),
+                attribute_counts={name: dict(counts) for name, counts in attribute_counts.items()},
+                nonconforming=nonconforming,
+            )
+    return states

@@ -313,7 +313,8 @@ class TestHyperparameterValidation:
         [("hidden", 0), ("alpha", -0.5), ("order", -1), ("embedding_dim", 0),
          ("decay_seconds", 0), ("window", 0), ("max_len", 0), ("ngram_k", 0), ("ngram_dim", 0),
          ("ae_hidden", [8, 0]), ("lr", -0.5), ("momentum", 2.0), ("clip_norm", 0.0),
-         ("patience", -1), ("patience", 0), ("lr_decay", 0.0), ("lr_decay", 1.5)],
+         ("patience", -1), ("patience", 0), ("lr_decay", 0.0), ("lr_decay", 1.5),
+         ("hash_seed", -1), ("hash_seed", 2**64)],
     )
     def test_out_of_range_hyperparameter_is_config_error(self, tmp_path, log_csv, name, value):
         config = small_config(

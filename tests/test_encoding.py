@@ -1,4 +1,5 @@
 import functools
+import hashlib
 from datetime import datetime, timezone
 
 import numpy as np
@@ -9,6 +10,7 @@ from ppmbench.encoding import (
     Normalizer,
     PrefixEncoder,
     ngram_hash_encode,
+    ngram_hash_prefixes,
     ngram_universe_size,
     onehot,
     time_features,
@@ -22,7 +24,7 @@ from ppmbench.eventlog import (
     parse_csv,
     parse_timestamp,
 )
-from ppmbench.models import MLPPredictor, TrainConfig
+from ppmbench.models import AutoencoderPredictor, MLPPredictor, TrainConfig
 from ppmbench.splitting import make_prefix_samples
 
 from conftest import TABLE1_CSV, generator_log, make_linear_log, make_random_log
@@ -393,3 +395,51 @@ class TestReferenceEquivalence:
             for j, k in enumerate(ks):
                 ref_values, ref_mask, _ = reference_encode(mlp.encoder, trace.events[:k])
                 assert same_bits(X[j], ref_values.astype(np.float32)) and same_bits(M[j], ref_mask)
+
+
+def reference_ngram_hash_encode(activities, max_n, dim, seed):
+    """The per-prefix hashing loop: every n-gram of the prefix, two blake2b
+    calls each."""
+
+    def hash64(data, person):
+        key = seed.to_bytes(8, "little", signed=False)
+        return int.from_bytes(hashlib.blake2b(data, digest_size=8, key=key, person=person).digest(), "little")
+
+    vec = np.zeros(dim, dtype=np.float64)
+    for length in range(1, max_n + 1):
+        for start in range(0, len(activities) - length + 1):
+            gram = "\x1f".join(activities[start : start + length]).encode("utf-8")
+            vec[hash64(gram, b"slot") % dim] += 1.0 if hash64(gram, b"sign") % 2 == 0 else -1.0
+    return vec
+
+
+class TestNgramPrefixesMatchReference:
+    """One pass per trace with cached gram hashes gives, for every prefix,
+    the bits of the per-prefix loop, in any order of ``ks``; ``dim=1`` puts
+    every gram in one slot."""
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("dim", [1, 7, 64])
+    @pytest.mark.parametrize("max_n", [1, 2, 3, 4])
+    def test_autoencoder_inputs(self, max_n, dim, seed):
+        log = reference_log("generator-3")
+        config = TrainConfig(ngram_k=max_n, ngram_dim=dim, hash_seed=seed, ae_hidden=())
+        predictor = AutoencoderPredictor(log.activity_vocab, config=config)
+        rng = np.random.default_rng(dim)
+        for trace in log.traces[:40]:
+            acts = [ev.activity for ev in trace.events]
+            reference = [reference_ngram_hash_encode(acts[:k], max_n, dim, seed) for k in range(len(acts) + 1)]
+            assert same_bits(ngram_hash_encode(acts, max_n, dim, seed), reference[-1])
+            ascending = list(range(1, len(acts) + 1))
+            for ks in (ascending, list(rng.permutation(ascending)), list(rng.choice(ascending, 2 * len(acts)))):
+                expected = np.array([reference[k] for k in ks])
+                assert same_bits(ngram_hash_prefixes(acts, ks, max_n, dim, seed), expected)
+                X, M = predictor._inputs(trace.events, ks)
+                assert M is None and same_bits(X, expected.astype(np.float32))
+
+    def test_prefix_lengths_must_lie_in_the_sequence(self):
+        assert ngram_hash_prefixes(["A", "B"], [], 2, 8).shape == (0, 8)
+        assert ngram_hash_prefixes(["A", "B"], [0, 0], 2, 8).tolist() == [[0.0] * 8] * 2
+        for ks in ([-1], [3], [2, 3]):
+            with pytest.raises(ValueError, match="prefix length"):
+                ngram_hash_prefixes(["A", "B"], ks, 2, 8)

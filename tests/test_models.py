@@ -268,7 +268,8 @@ class TestNeuralBasics:
         [("alpha", -0.5), ("order", -1), ("decay_seconds", 0.0), ("decay_seconds", -1.0),
          ("ae_hidden", (8, 0)), ("lr", 0.0), ("lr", -0.5), ("lr", float("nan")),
          ("momentum", -0.1), ("momentum", 1.0), ("momentum", 2.0), ("clip_norm", 0.0),
-         ("clip_norm", -1.0), ("lr_decay", 0.0), ("lr_decay", -0.5), ("lr_decay", 1.5)],
+         ("clip_norm", -1.0), ("lr_decay", 0.0), ("lr_decay", -0.5), ("lr_decay", 1.5),
+         ("hash_seed", -1), ("hash_seed", 2**64), ("hash_seed", 1.5)],
     )
     def test_config_rejects_out_of_range(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -279,6 +280,7 @@ class TestNeuralBasics:
                              max_len=1, ngram_k=1, ngram_dim=1, ae_hidden=(1,), patience=1,
                              lr=1e-9, momentum=0.0, clip_norm=1e-9, lr_decay=1.0)
         assert (config.order, config.alpha) == (0, 0.0)
+        assert TrainConfig(hash_seed=2**64 - 1).hash_seed == 2**64 - 1
         assert TrainConfig(momentum=0.999, clip_norm=None, lr_decay=1e-9).clip_norm is None
 
     def test_autoencoder_stages_of_zero_epochs_are_skipped(self, linear_split):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import pickle
 from collections import Counter, deque
 
 import numpy as np
@@ -13,6 +14,7 @@ from ppmbench.petrinet import (
     _firing_sequence,
     load_petri_net,
     load_pnml,
+    replay_prefixes,
     replay_timed_state,
 )
 
@@ -437,22 +439,26 @@ def all_sequences(labels, max_len):
     return seqs
 
 
+def assert_state_is(state, reference, context):
+    """``state`` holds exactly what ``ref_replay_timed_state`` returned;
+    ``context`` names the case in a failure."""
+    decay, throughput, marking, counts, nonconforming = reference
+    for name, got, want in (
+        ("decay", state.decay, decay),
+        ("throughput", state.throughput, throughput),
+        ("marking", state.marking, marking),
+    ):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, context)
+    assert state.attribute_counts == counts, context
+    assert state.nonconforming == nonconforming, context
+
+
 class TestReplayMatchesReference:
     DECAY_S = 4 * 3600.0
 
     def assert_same(self, net, events, at_ms, decay_s):
         state = replay_timed_state(net, events, at_ms, decay_s)
-        decay, throughput, marking, counts, nonconforming = ref_replay_timed_state(
-            net, events, at_ms, decay_s
-        )
-        for name, got, want in (
-            ("decay", state.decay, decay),
-            ("throughput", state.throughput, throughput),
-            ("marking", state.marking, marking),
-        ):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, events)
-        assert state.attribute_counts == counts
-        assert state.nonconforming == nonconforming
+        assert_state_is(state, ref_replay_timed_state(net, events, at_ms, decay_s), events)
 
     def check_prefix(self, net, events, decay_s):
         last = events[-1].timestamp_ms if events else 1_600_000_000_000
@@ -502,3 +508,111 @@ class TestReplayMatchesReference:
             assert got == (None if want is None else want + [2]), max_nodes
             found.append(got is not None)
         assert found == [False] * 5 + [True] * 5
+
+
+def state_bytes(state):
+    return (
+        state.decay.dtype, state.decay.tobytes(), state.throughput.dtype, state.throughput.tobytes(),
+        state.marking.dtype, state.marking.tobytes(), state.attribute_counts, state.nonconforming,
+    )
+
+
+class TestReplayPrefixes:
+    """One replay per trace gives, at each requested k, the state the
+    reference replay of ``events[:k]`` reports at the k-th event, byte for
+    byte, whatever the order of ``ks`` and whatever the net's memo holds."""
+
+    DECAY_S = 4 * 3600.0
+
+    def check(self, net, events, decay_s, *orders):
+        """Replays ``events`` once per order of prefix lengths; returns the
+        states of the last order."""
+        reference = {}
+        for ks in orders:
+            states = replay_prefixes(net, events, ks, decay_s)
+            assert len(states) == len(ks)
+            for k, state in zip(ks, states):
+                if k not in reference:
+                    at_ms = events[k - 1].timestamp_ms
+                    reference[k] = ref_replay_timed_state(net, events[:k], at_ms, decay_s)
+                assert_state_is(state, reference[k], (events, ks, k))
+        return states
+
+    @staticmethod
+    def orders(n, rng):
+        """Ascending, shuffled, and drawn with repeats."""
+        ascending = list(range(1, n + 1))
+        shuffled = [int(k) for k in rng.permutation(ascending)]
+        repeated = [int(k) for k in rng.choice(ascending, size=2 * n)]
+        return ascending, shuffled, repeated
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generator_log_traces(self, seed):
+        log, net = generator_log(seed, 400)
+        rng = np.random.default_rng(seed)
+        for trace in log.traces:
+            self.check(net, trace.events, 30 * 86400.0, *self.orders(len(trace.events), rng))
+
+    @pytest.mark.parametrize(
+        "make_net, labels",
+        [
+            (and_net, "ABCDZ"),
+            (weighted_net, "ABCD"),
+            (shared_label_net, "ABCZ"),
+            (silent_choice_net, "ABC"),
+            (linear_net, "ABZ"),
+            (silent_net, "AB"),
+        ],
+    )
+    def test_hand_built_nets(self, make_net, labels):
+        net = make_net()
+        rng = np.random.default_rng(0)
+        for acts in all_sequences(labels, 4)[1:]:
+            self.check(net, evs(acts, attrs={"res": "r1"}), self.DECAY_S, *self.orders(len(acts), rng))
+
+    def test_search_budget(self):
+        net = budget_net()
+        states = self.check(net, evs(["B", "C", "B", "C"]), self.DECAY_S, [4, 1, 2, 3, 2])
+        assert [s.nonconforming for s in states] == [2, 1, 1, 2, 1]  # each B; each C takes five silent steps
+        assert net._sequences[((1, 0, 0, 0), "B")] is None  # an exhausted search is kept too
+
+    def test_cold_and_warm_memo_agree(self):
+        log, net = generator_log(2, 200)
+        assert net._sequences == {}
+        cold = [list(map(state_bytes, self.check(net, t.events, self.DECAY_S, range(1, len(t) + 1))))
+                for t in log.traces]
+        entries = len(net._sequences)
+        assert entries > 0
+        copy = pickle.loads(pickle.dumps(net))  # a --jobs worker receives the memo with the net
+        for replaying in (net, copy):
+            warm = [
+                list(map(state_bytes, replay_prefixes(replaying, t.events, range(1, len(t) + 1), self.DECAY_S)))
+                for t in log.traces
+            ]
+            assert warm == cold
+            assert len(replaying._sequences) == entries
+
+    def test_nets_in_turn_share_no_entry(self):
+        # the three nets have three places and start at (1, 0, 0), so a memo
+        # keyed on (marking, label) alone would hand one net's firing
+        # sequence to another: A is transition 0 in two nets and 1 in the
+        # third, and weighted_net's A puts two tokens into p1
+        reordered = net_of(
+            ["p0", "p1", "p2"], [("tB", "B"), ("tA", "A")],
+            [("p0", "tA"), ("tA", "p1"), ("p1", "tB"), ("tB", "p2")], {"p0": 1},
+        )
+        nets = [linear_net(), reordered, weighted_net()]
+        for acts in all_sequences("AB", 3)[1:]:
+            for net in nets:
+                self.check(net, evs(acts), self.DECAY_S, range(1, len(acts) + 1))
+        assert [net._sequences[((1, 0, 0), "A")] for net in nets] == [[0], [1], [0]]
+        assert [net._sequences.get(((0, 1, 0), "B")) for net in nets] == [[1], [0], None]
+
+    def test_prefix_lengths_must_lie_in_the_trace(self):
+        events = evs("AB")
+        assert replay_prefixes(linear_net(), events, [], self.DECAY_S) == []
+        for ks in ([0], [3], [1, 3]):
+            with pytest.raises(ValueError, match="prefix length"):
+                replay_prefixes(linear_net(), events, ks, self.DECAY_S)
+        with pytest.raises(ValueError, match="decay_seconds"):
+            replay_prefixes(linear_net(), events, [1], 0.0)
