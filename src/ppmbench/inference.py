@@ -1,7 +1,7 @@
 """Suffix decoding: argmax, random sampling and beam search as one search over
 hypotheses. The recursive remaining-time pathway is
 ``SuffixPrediction.remaining_time``; a model trained on remaining time
-reports it directly from ``predict``."""
+reports it directly from ``predict_batch``."""
 
 from __future__ import annotations
 
@@ -65,10 +65,6 @@ def _extend(events: tuple[Event, ...], activity: str, delta: float, attr_names) 
         attributes={name: MISSING for name in attr_names},
     )
     return events + (predicted,)
-
-
-def _log(p: float) -> float:
-    return math.log(max(p, 1e-300))
 
 
 @dataclass
@@ -139,7 +135,7 @@ def decode_suffix(model: Predictor, prefix: Sequence[Event], cfg: DecodeConfig) 
                         h.events,
                         h.tokens + (idx,),
                         h.deltas + (step_delta,),
-                        h.log_prob + _log(float(probs[idx])),
+                        h.log_prob + math.log(max(float(probs[idx]), 1e-300)),
                         idx == eoc,
                     )
                 )

@@ -24,21 +24,18 @@ def accuracy(predictions: Sequence, truths: Sequence) -> float:
     return hits / len(truths)
 
 
-def brier(prob_vectors: Sequence[np.ndarray], truths: Sequence[int]) -> float:
-    """Multiclass Brier score: mean over samples of the squared distance
-    between the predicted distribution and the one-hot truth; range [0, 2]."""
-    if len(prob_vectors) != len(truths) or not truths:
+def brier(probs, truths: Sequence[int]) -> float:
+    """Multiclass Brier score, in [0, 2]: the mean over the rows of ``probs``
+    of the squared distance to the one-hot truth. Python's ``sum`` adds the
+    rows left to right, so the score equals that of a per-sample loop."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 2 or len(probs) != len(truths) or not len(truths):
         raise ValueError("need equal, non-zero numbers of predictions and truths")
-    total = 0.0
-    for probs, truth in zip(prob_vectors, truths):
-        probs = np.asarray(probs, dtype=np.float64)
-        mass = float(probs.sum())
-        if not np.isfinite(mass) or abs(mass - 1.0) > 1e-6:
-            raise ValueError(f"prediction does not sum to 1: {mass!r}")
-        onehot = np.zeros_like(probs)
-        onehot[truth] = 1.0
-        total += float(((probs - onehot) ** 2).sum())
-    return total / len(truths)
+    off = ~(np.abs(probs.sum(axis=1) - 1.0) <= 1e-6)  # a NaN or infinite sum is off too
+    if off.any():
+        raise ValueError(f"prediction does not sum to 1: {float(probs[off][0].sum())!r}")
+    squared = (probs - np.eye(probs.shape[1])[truths]) ** 2
+    return sum(squared.sum(axis=1).tolist()) / len(truths)
 
 
 def dl_distance(a: Sequence, b: Sequence) -> int:
@@ -90,12 +87,15 @@ def dl_similarity(
 
 
 def mae(predictions: Sequence[float], truths: Sequence[float], unit: str = "days") -> float:
-    """Mean absolute error; second-valued inputs are reported in days by default."""
-    if len(predictions) != len(truths) or not truths:
+    """Mean absolute error of second-valued inputs, reported in days
+    (``unit="days"``) or in the inputs' own unit (``unit="raw"``)."""
+    if unit not in ("days", "raw"):
+        raise ValueError(f"unknown unit {unit!r}")
+    if len(predictions) != len(truths) or not len(truths):
         raise ValueError("need equal, non-zero numbers of predictions and truths")
     scale = SECONDS_PER_DAY if unit == "days" else 1.0
-    total = sum(abs(p - t) for p, t in zip(predictions, truths))
-    return total / len(truths) / scale
+    errors = np.abs(np.subtract(predictions, truths, dtype=np.float64))
+    return sum(errors.tolist()) / len(truths) / scale
 
 
 @dataclass
@@ -107,6 +107,7 @@ class MetricsReport:
     dl_similarity: float | None = None
     mae_next: float | None = None
     mae_remaining: float | None = None
+    truncated_suffixes: int | None = None  # decodes cut at max_len; never a metrics.csv row
     n_samples: dict[str, int] = field(default_factory=dict)
 
     def as_rows(self) -> list[tuple[str, str, float, int]]:
@@ -133,13 +134,13 @@ def evaluate_protocol(
 ) -> MetricsReport:
     """Evaluate a fitted model over every prefix sample of the test part.
 
-    Suffixes are decoded per prefix with a per-sample seed derived as
-    ``decode_cfg.seed XOR sample index``. The model's ``time_target`` decides
-    the time tasks: a ``"next"`` model scores next time from its delta head
-    and remaining time as the sum of the decoded step deltas; a
-    ``"remaining"`` model scores remaining time from its direct head (the
-    time value of the same ``predict`` call as next activity, clamped at 0)
-    and skips next time; a model without a time head skips both.
+    One ``predict_batch`` call, in sample order, scores next activity and
+    the time heads. Suffixes are decoded per prefix with the seed
+    ``decode_cfg.seed XOR sample index``; ``truncated_suffixes`` counts those
+    cut at the length limit. A ``"next"`` model scores next time from its
+    delta head and remaining time as the sum of the decoded step deltas; a
+    ``"remaining"`` model scores remaining time from its direct head, clamped
+    at 0, and skips next time; a model without a time head skips both.
     """
     for task in tasks:
         if task not in ALL_TASKS:
@@ -147,17 +148,7 @@ def evaluate_protocol(
     samples = make_prefix_samples(test, min_k)
     if not samples:
         raise ValueError("test set yields no prefix samples")
-    vocab = model.activity_vocab
-
-    pred_labels: list[str] = []
-    true_labels: list[str] = []
-    prob_rows: list[np.ndarray] = []
-    truth_idx: list[int] = []
-    sims: list[float] = []
-    next_pred: list[float] = []
-    next_true: list[float] = []
-    rem_pred: list[float] = []
-    rem_true: list[float] = []
+    n = len(samples)
 
     want_next = "next_activity" in tasks
     want_suffix = "suffix" in tasks
@@ -165,41 +156,39 @@ def evaluate_protocol(
     want_remaining = "remaining_time" in tasks and model.time_target is not None
     direct = model.time_target == "remaining"
 
-    for i, sample in enumerate(samples):
-        if want_next or want_time or (want_remaining and direct):
-            probs, delta = model.predict(sample.prefix)
-            probs = np.asarray(probs, dtype=np.float64)
-            if want_next:
-                pred_labels.append(vocab.label(int(np.argmax(probs))))
-                true_labels.append(sample.next_activity)
-                prob_rows.append(probs)
-                truth_idx.append(vocab.index(sample.next_activity))
-            if want_time and delta is not None:
-                next_pred.append(float(delta))
-                next_true.append(sample.next_time_delta)
-        if want_suffix or (want_remaining and not direct):
-            per_sample = replace(decode_cfg, seed=decode_cfg.seed ^ i)
-            suffix_pred = decode_suffix(model, sample.prefix, per_sample)
-            if want_suffix:
-                sims.append(dl_similarity(suffix_pred.activities, sample.suffix_activities))
-        if want_remaining:
-            if direct and delta is None:
-                raise ValueError("model emitted no time prediction")
-            rem_pred.append(max(0.0, float(delta)) if direct else suffix_pred.remaining_time)
-            rem_true.append(sample.remaining_time)
-
     report = MetricsReport()
+    if want_next or want_time or (want_remaining and direct):
+        probs, times = model.predict_batch(samples)
     if want_next:
-        report.accuracy = accuracy(pred_labels, true_labels)
-        report.brier = brier(prob_rows, truth_idx)
-        report.n_samples["next_activity"] = len(true_labels)
-    if want_suffix:
-        report.dl_similarity = sum(sims) / len(sims)
-        report.n_samples["suffix"] = len(sims)
-    if want_time and next_true:
-        report.mae_next = mae(next_pred, next_true)
-        report.n_samples["next_time"] = len(next_true)
+        truth = [model.activity_vocab.index(s.next_activity) for s in samples]
+        report.accuracy = accuracy(probs.argmax(axis=1).tolist(), truth)
+        report.brier = brier(probs, truth)
+        report.n_samples["next_activity"] = n
+    if want_time:
+        scored = ~np.isnan(times)
+        if scored.any():
+            next_true = np.array([s.next_time_delta for s in samples])
+            report.mae_next = mae(times[scored], next_true[scored])
+            report.n_samples["next_time"] = int(scored.sum())
+    if want_suffix or (want_remaining and not direct):
+        decoded = [
+            decode_suffix(model, sample.prefix, replace(decode_cfg, seed=decode_cfg.seed ^ i))
+            for i, sample in enumerate(samples)
+        ]
+        report.truncated_suffixes = sum(d.truncated for d in decoded)
+        if want_suffix:
+            sims = [
+                dl_similarity(d.activities, s.suffix_activities) for d, s in zip(decoded, samples)
+            ]
+            report.dl_similarity = sum(sims) / n
+            report.n_samples["suffix"] = n
     if want_remaining:
-        report.mae_remaining = mae(rem_pred, rem_true)
-        report.n_samples["remaining_time"] = len(rem_true)
+        if not direct:
+            remaining = [d.remaining_time for d in decoded]
+        elif np.isnan(times).any():
+            raise ValueError("model emitted no time prediction")
+        else:
+            remaining = np.maximum(times, 0.0)
+        report.mae_remaining = mae(remaining, [s.remaining_time for s in samples])
+        report.n_samples["remaining_time"] = n
     return report

@@ -125,9 +125,10 @@ class TrainReport:
 
 
 class Predictor:
-    """Interface: ``predict`` maps an event prefix to an activity probability
-    vector over the vocabulary (end-of-case included) and an optional
-    non-negative time estimate in seconds (meaning set by ``time_target``)."""
+    """Interface: ``predict_batch`` maps prefix samples to rows of activity
+    probabilities over the vocabulary (end-of-case included) and non-negative
+    times in seconds (meaning set by ``time_target``; NaN for none).
+    ``predict`` scores one event prefix, with ``None`` for no time."""
 
     activity_vocab: Vocabulary
     time_target: str | None = None
@@ -143,6 +144,14 @@ class Predictor:
 
     def predict(self, events: Sequence[Event]) -> tuple[np.ndarray, float | None]:
         raise NotImplementedError
+
+    def predict_batch(self, samples: Sequence[PrefixSample]) -> tuple[np.ndarray, np.ndarray]:
+        """Probabilities (N, C) and times (N,), float64, in sample order; by
+        default ``predict`` of each sample's prefix."""
+        rows = [self.predict(s.prefix) for s in samples]
+        probs = np.array([p for p, _ in rows], dtype=np.float64)
+        times = np.array([np.nan if t is None else t for _, t in rows], dtype=np.float64)
+        return probs.reshape(len(rows), len(self.activity_vocab)), times
 
     def _save(self, path_prefix: Path, seed: int) -> list[Path]:
         """Write the checkpoint: the ``<prefix>.json`` sidecar plus any files
@@ -212,12 +221,10 @@ class MarkovPredictor(Predictor):
     def _mean_nll(self, samples) -> float:
         if not samples:
             return 0.0
-        total = 0.0
-        for sample in samples:
-            probs, _ = self.predict(sample.prefix)
-            p = probs[self.activity_vocab.index(sample.next_activity)]
-            total += -np.log(max(float(p), 1e-12))
-        return total / len(samples)
+        probs, _ = self.predict_batch(samples)
+        truth = [self.activity_vocab.index(s.next_activity) for s in samples]
+        picked = np.maximum(probs[np.arange(len(samples)), truth], 1e-12)
+        return -sum(np.log(picked).tolist()) / len(samples)
 
     def predict(self, events):
         acts = tuple(ev.activity for ev in events)
@@ -421,14 +428,11 @@ class _NeuralPredictor(Predictor):
         samples, then return the training arrays (see :meth:`_arrays`)."""
         self._prepare(train_samples)
         if self.config.time_target is not None:
-            self.time_norm = Normalizer("log").fit(
-                _time_values(train_samples, self.config.time_target)
-            )
+            self.time_norm = Normalizer("log").fit(_time_values(train_samples, self.config.time_target))
         return self._arrays(train_samples)
 
-    def _arrays(self, samples):
-        """Inputs, mask, activity targets and normalized time targets, in
-        sample order; the inputs are encoded once per distinct trace."""
+    def _batch_inputs(self, samples):
+        """Inputs and mask of the samples' prefixes in sample order, encoded once per trace."""
         by_trace: dict[int, list[int]] = {}
         for i, sample in enumerate(samples):
             by_trace.setdefault(id(sample.trace), []).append(i)
@@ -440,9 +444,12 @@ class _NeuralPredictor(Predictor):
         back = np.argsort([i for idx in by_trace.values() for i in idx])
         X = np.concatenate([x for x, _ in parts])[back]
         M = None if parts[0][1] is None else np.concatenate([m for _, m in parts])[back]
-        y_act = np.array(
-            [self.activity_vocab.index(s.next_activity) for s in samples], dtype=np.int64
-        )
+        return X, M
+
+    def _arrays(self, samples):
+        """:meth:`_batch_inputs` plus activity and normalized time targets."""
+        X, M = self._batch_inputs(samples)
+        y_act = np.array([self.activity_vocab.index(s.next_activity) for s in samples], dtype=np.int64)
         y_time = None
         if self.config.time_target is not None:
             y_time = self.time_norm.transform(_time_values(samples, self.config.time_target))
@@ -525,16 +532,24 @@ class _NeuralPredictor(Predictor):
         )
         return replace(report, wall_clock_seconds=time.perf_counter() - start)
 
-    def predict(self, events):
+    def _predictions(self, inputs, *args):
+        """Per row of ``inputs(*args)``: the float64 softmax of the activity
+        logits and the time head in seconds, clamped at 0 (NaN without one)."""
         if not self.params:
             raise RuntimeError("predictor used before fit()")
-        X, M = self._inputs(events, [len(events)])
-        logits, tpred, _ = self._outputs(self.params, X, M)
-        probs = nn.softmax(logits[0].astype(np.float64))
-        delta = None
+        logits, tpred, _ = self._outputs(self.params, *inputs(*args))
+        probs = nn.softmax(logits.astype(np.float64))
+        times = np.full(len(probs), np.nan)
         if tpred is not None and self.time_norm is not None:
-            delta = max(0.0, float(self.time_norm.inverse(np.array([tpred[0, 0]]))[0]))
-        return probs, delta
+            times = np.fmax(0.0, self.time_norm.inverse(tpred[:, 0]))
+        return probs, times
+
+    def predict_batch(self, samples):
+        return self._predictions(self._batch_inputs, samples)
+
+    def predict(self, events):
+        probs, times = self._predictions(self._inputs, events, [len(events)])
+        return probs[0], None if np.isnan(times[0]) else float(times[0])
 
     # checkpointing ---------------------------------------------------------
     def _vocab_sha256(self) -> str:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from ppmbench.eventlog import Event, EventLog, Trace, Vocabulary, augment_eoc, parse_csv
+from ppmbench.models import Predictor
 from ppmbench.petrinet import PetriNet, load_petri_json
 
 TABLE1_CSV = """case_id,activity,timestamp,Resource
@@ -101,7 +102,7 @@ def linear_log() -> EventLog:
     return augment_eoc(make_linear_log())
 
 
-class FixedDistributionModel:
+class FixedDistributionModel(Predictor):
     """Stub predictor that always emits the same distribution; useful for
     decode-strategy tests."""
 
@@ -116,7 +117,7 @@ class FixedDistributionModel:
         return self.probs.copy(), self.delta
 
 
-class HashedRandomModel:
+class HashedRandomModel(Predictor):
     """Deterministic pseudo-random predictor: the distribution is a pure
     function of (seed, prefix activities), so decoding is reproducible."""
 

@@ -257,25 +257,56 @@ class TestZeroWeightDirectModel:
         assert report.mae_remaining == mae([3600.0] * len(truths), truths)
 
 
-class TestOnePredictPerPrefix:
-    def test_direct_model_scores_next_activity_and_remaining_time_from_one_predict(self):
+class TestOnePredictBatchCall:
+    def test_direct_model_scores_next_activity_and_remaining_time_from_one_predict_batch(self):
         log = augment_eoc(make_linear_log(40))
         split = temporal_split(log)
         cfg = TrainConfig(hidden=8, layers=1, epochs=2, patience=2, time_target="remaining")
         model = RecurrentPredictor("gru", log.activity_vocab, config=cfg)
         train(model, split, seed=0)
-        calls = []
-        predict = model.predict
-        model.predict = lambda events: calls.append(len(events)) or predict(events)
+        singles, batches = [], []
+        predict, predict_batch = model.predict, model.predict_batch
+        model.predict = lambda events: singles.append(len(events)) or predict(events)
+
+        def spy_batch(samples):
+            result = predict_batch(samples)
+            batches.append(([(s.trace.case_id, s.k) for s in samples], result))
+            return result
+
+        model.predict_batch = spy_batch
         tasks = ("next_activity", "remaining_time")
         report = evaluate_protocol(model, split.test, DecodeConfig(), tasks=tasks)
         samples = make_prefix_samples(split.test)
-        assert calls == [len(s.prefix) for s in samples]
-        model.predict = predict
-        direct = [model.predict(s.prefix)[1] for s in samples]
+        assert singles == []
+        assert len(batches) == 1
+        scored, (probs, times) = batches[0]
+        assert scored == [(s.trace.case_id, s.k) for s in samples]
+        assert probs.shape == (len(samples), len(log.activity_vocab))
         truths = [s.remaining_time for s in samples]
-        assert report.mae_remaining == mae(direct, truths)
+        assert report.mae_remaining == mae(times, truths)
         assert report.n_samples == {"next_activity": len(samples), "remaining_time": len(samples)}
+        assert report.truncated_suffixes is None  # nothing was decoded
+
+
+class TestTruncatedSuffixCount:
+    def test_a_model_that_never_ends_a_case_truncates_every_decode(self):
+        log = augment_eoc(make_linear_log(12))
+        never_ends = [0.0 if label == EOC else 1.0 for label in log.activity_vocab.labels]
+        model = FixedDistributionModel(log.activity_vocab, np.array(never_ends) / sum(never_ends))
+        cfg = DecodeConfig(max_len=3)
+        report = evaluate_protocol(model, log, cfg, tasks=("next_activity", "suffix"))
+        samples = make_prefix_samples(log)
+        assert report.truncated_suffixes == len(samples)
+        assert all(decode_suffix(model, s.prefix, cfg).truncated for s in samples)
+
+    def test_a_model_that_always_ends_a_case_truncates_none(self):
+        log = augment_eoc(make_linear_log(12))
+        ends = [1.0 if label == EOC else 0.0 for label in log.activity_vocab.labels]
+        model = FixedDistributionModel(log.activity_vocab, ends)
+        report = evaluate_protocol(model, log, DecodeConfig(max_len=3), tasks=("suffix",))
+        assert report.truncated_suffixes == 0
+        n = report.n_samples["suffix"]
+        assert report.as_rows() == [("suffix", "dl_similarity", report.dl_similarity, n)]
 
 
 class TestLazyBeamExtension:

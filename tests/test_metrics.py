@@ -169,6 +169,12 @@ class TestMae:
     def test_seconds_to_days(self):
         assert mae([43200.0], [0.0]) == 0.5
 
+    @pytest.mark.parametrize("unit", ["hours", "seconds", "Days", ""])
+    def test_unknown_unit_rejected(self, unit):
+        # only "days" and "raw" exist; another unit must not read as raw seconds
+        with pytest.raises(ValueError, match="unknown unit"):
+            mae([43200.0], [0.0], unit=unit)
+
 
 class TestEvaluateProtocol:
     def test_markov_on_deterministic_log(self):

@@ -1,3 +1,4 @@
+import functools
 import json
 import shutil
 import time
@@ -12,6 +13,7 @@ from ppmbench.models import (
     AutoencoderPredictor,
     MarkovPredictor,
     MLPPredictor,
+    Predictor,
     RecurrentPredictor,
     TrainConfig,
     build_predictor,
@@ -631,6 +633,91 @@ class TestInputs:
         assert np.array_equal(Xs, X[order]) and np.array_equal(ys_act, y_act[order])
         assert M is None or np.array_equal(Ms, M[order])
         assert y_time is None or np.array_equal(ys_time, y_time[order])
+
+
+@functools.cache
+def generator_split(seed):
+    log, net = generator_log(seed, 600)
+    return log, net, temporal_split(log)
+
+
+class TestPredictBatch:
+    """``predict_batch`` of the test samples against the per-row ``predict``
+    loop. The recurrent models and Markov agree exactly on probabilities; a
+    dense model may not, since BLAS runs one row as gemv and many as gemm.
+    Times come from one output column whose value may depend on the row's
+    position in the batch, so they get a tolerance."""
+
+    SMALL = {"hidden": 16, "layers": 1, "epochs": 2, "patience": 2}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "arch, overrides",
+        [
+            ("gru", {"attributes": ("Resource",), "layers": 2}),
+            ("lstm", {"embedding_dim": 4, "time_target": "remaining"}),
+            ("rnn", {"window": 3, "time_target": None}),
+            ("gru", {"max_len": 4}),
+            ("mlp", {"input_mode": "padded_flat"}),
+            ("mlp", {"input_mode": "single_event"}),
+            ("mlp", {"input_mode": "timed_state", "attributes": ("Resource",)}),
+            ("autoencoder", {"pretrain_epochs": 2, "freeze_epochs": 1}),
+            ("markov", {}),
+        ],
+        ids=[
+            "gru-resource-2-layers", "lstm-embedding-remaining", "rnn-window", "gru-max-len",
+            "mlp-padded-flat", "mlp-single-event", "mlp-timed-state", "autoencoder", "markov",
+        ],
+    )
+    def test_batch_matches_the_predict_loop(self, arch, overrides, seed):
+        log, net, split = generator_split(seed)
+        cfg = TrainConfig(**{**self.SMALL, **overrides})
+        predictor = build_predictor(arch, cfg, log.activity_vocab, log.attribute_vocabs, net)
+        train(predictor, split, seed=seed)
+        samples = make_prefix_samples(split.test)
+        probs, times = predictor.predict_batch(samples)
+        rows = [predictor.predict(s.prefix) for s in samples]
+        loop_probs = np.array([p for p, _ in rows], dtype=np.float64)
+        loop_times = np.array([np.nan if t is None else t for _, t in rows])
+        assert probs.dtype == times.dtype == np.float64
+        assert probs.shape == (len(samples), len(log.activity_vocab)) and times.shape == (len(samples),)
+        assert np.array_equal(probs.argmax(axis=1), loop_probs.argmax(axis=1))
+        if arch in ("markov", "rnn", "lstm", "gru"):
+            assert np.array_equal(probs, loop_probs)
+        else:
+            assert np.max(np.abs(probs - loop_probs)) <= 1e-6
+        if predictor.time_target is None:
+            assert np.isnan(times).all() and np.isnan(loop_times).all()
+        elif arch == "markov":
+            assert np.array_equal(times, loop_times, equal_nan=True)
+        else:
+            # the head regresses log1p(seconds): compare there, where a float32
+            # rounding of the head stays one size whether the time is 0.01 s or days
+            assert np.all(times >= 0.0)
+            assert np.max(np.abs(np.log1p(times) - np.log1p(loop_times))) <= 1e-5
+
+        order = np.random.default_rng(seed).permutation(len(samples))
+        shuffled, _ = predictor.predict_batch([samples[i] for i in order])
+        back = np.empty_like(shuffled)
+        back[order] = shuffled
+        assert np.array_equal(back, probs)
+
+    def test_the_default_stacks_predict_with_nan_for_no_time(self):
+        events = tuple(Event("c", a, 1000 * i) for i, a in enumerate("abab"))
+        log = augment_eoc(EventLog(traces=(Trace("c", events),), activity_vocab=Vocabulary(["a", "b"])))
+        row = np.array([0.25, 0.25, 0.5], dtype=np.float32)
+
+        class TimedAfterB(Predictor):
+            activity_vocab = log.activity_vocab
+
+            def predict(self, events):
+                return row, 5.0 if events[-1].activity == "b" else None
+
+        probs, times = TimedAfterB().predict_batch(make_prefix_samples(log))
+        assert probs.dtype == np.float64 and np.array_equal(probs, [row] * 4)
+        assert np.array_equal(times, [np.nan, 5.0, np.nan, 5.0], equal_nan=True)
+        empty_probs, empty_times = TimedAfterB().predict_batch([])
+        assert empty_probs.shape == (0, 3) and empty_times.shape == (0,)
 
 
 class TestDeterministicLearnability:

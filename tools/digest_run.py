@@ -4,8 +4,9 @@ Runs ``bench.run_matrix`` at seed 1 with one job on two datasets of
 ``perfbench/generator.py``, ``generate(1, 400)`` and ``generate(2, 200)``, each
 with the generator's Petri net. The matrix holds markov,
 autoencoder, mlp (``padded_flat``, ``single_event``, ``timed_state`` with
-Resource), gru (Resource, embedding), lstm (remaining time) and rnn (no time
-head), 2 epochs each, and is decoded twice: argmax and beam-2. Prints
+Resource), gru (Resource, embedding), gru truncating its input at 4 events,
+lstm (remaining time) and rnn (no time head), 2 epochs each, and is decoded
+three times: argmax, random sampling and beam-2. Prints
 ``sha256  path`` for every artifact the runs write, except the cell
 ``*.result.json`` files and ``run_record.json``, which hold wall-clock times.
 
@@ -40,10 +41,15 @@ MODELS = (
     ("mlp-single-event", "mlp", {**SMALL, "input_mode": "single_event"}),
     ("mlp-timed-state", "mlp", {**SMALL, "input_mode": "timed_state", "attributes": ["Resource"]}),
     ("gru", "gru", {**SMALL, "attributes": ["Resource"], "embedding_dim": 4}),
+    ("gru-max-len", "gru", {**SMALL, "max_len": 4}),
     ("lstm", "lstm", {**SMALL, "time_target": "remaining"}),
     ("rnn", "rnn", {**SMALL, "time_target": None}),
 )
-DECODES = {"argmax": {"strategy": "argmax"}, "beam2": {"strategy": "beam", "beam_width": 2}}
+DECODES = {
+    "argmax": {"strategy": "argmax"},
+    "random": {"strategy": "random"},
+    "beam2": {"strategy": "beam", "beam_width": 2},
+}
 UNSTABLE = ("run_record.json",)
 
 
