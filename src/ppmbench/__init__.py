@@ -44,6 +44,6 @@ from .models import (
     save_predictor,
     train,
 )
-from .inference import DecodeConfig, SuffixPrediction, decode_suffix
+from .inference import DecodeConfig, SuffixPrediction, decode_suffix, decode_suffixes
 from .metrics import MetricsReport, accuracy, brier, dl_distance, dl_similarity, evaluate_protocol, mae
 from .bench import BenchmarkConfig, ConfigError, RunRecord, run_matrix

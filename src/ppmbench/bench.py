@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import __version__
+from .atomic import write_text_atomic
 from .eventlog import CsvSchema, augment_eoc, parse_csv
 from .inference import DecodeConfig
 from .metrics import ALL_TASKS, evaluate_protocol
@@ -274,7 +275,7 @@ def run_cell(
         cell_dir = out_dir / "cells"
         cell_dir.mkdir(parents=True, exist_ok=True)
         stem = f"{dataset.name}__{model_spec.name}"
-        (cell_dir / f"{stem}.manifest.csv").write_text(manifest, encoding="utf-8")
+        write_text_atomic(cell_dir / f"{stem}.manifest.csv", lambda: manifest)
         save_predictor(predictor, cell_dir / stem, seed)
         result.artifacts = {
             "manifest": str(cell_dir / f"{stem}.manifest.csv"),
@@ -331,7 +332,7 @@ def _write_cell(out_dir: Path, cell: CellResult) -> None:
     cell_dir = out_dir / "cells"
     cell_dir.mkdir(parents=True, exist_ok=True)
     path = cell_dir / f"{cell.dataset}__{cell.model}.result.json"
-    path.write_text(json.dumps(asdict(cell), indent=2, sort_keys=True), encoding="utf-8")
+    write_text_atomic(path, lambda: json.dumps(asdict(cell), indent=2, sort_keys=True))
 
 
 def metrics_csv(cells: Sequence[CellResult]) -> str:
@@ -386,7 +387,7 @@ def markdown_tables(cells: Sequence[CellResult]) -> str:
 
 
 def emit_reports(record: RunRecord, out_dir: str | Path) -> dict[str, Path]:
-    """Write metrics.csv, report.md, and the full run record JSON."""
+    """Write metrics.csv, report.md, and the full run record JSON, each atomically."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -394,9 +395,7 @@ def emit_reports(record: RunRecord, out_dir: str | Path) -> dict[str, Path]:
         "report_md": out_dir / "report.md",
         "run_record": out_dir / "run_record.json",
     }
-    paths["metrics_csv"].write_text(metrics_csv(record.cells), encoding="utf-8")
-    paths["report_md"].write_text(markdown_tables(record.cells), encoding="utf-8")
-    paths["run_record"].write_text(
-        json.dumps(record.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
-    )
+    write_text_atomic(paths["metrics_csv"], lambda: metrics_csv(record.cells))
+    write_text_atomic(paths["report_md"], lambda: markdown_tables(record.cells))
+    write_text_atomic(paths["run_record"], lambda: json.dumps(record.to_dict(), indent=2, sort_keys=True))
     return paths

@@ -43,11 +43,17 @@ def time_features(events: Sequence[Event]) -> np.ndarray:
     if not events:
         raise ValueError("time_features needs a non-empty prefix")
     ms = np.fromiter((ev.timestamp_ms for ev in events), dtype=np.int64, count=len(events))
+    return _time_columns(ms, np.concatenate([ms[:1], ms[:-1]]), ms[:1])
+
+
+def _time_columns(ms: np.ndarray, prev_ms: np.ndarray, first_ms: np.ndarray) -> np.ndarray:
+    """:func:`time_features` of events at ``ms`` whose previous event is at
+    ``prev_ms`` (its own time for a case's first event) and whose case starts
+    at ``first_ms``, all int64 epoch milliseconds."""
     day, ms_of_day = np.divmod(ms, MS_PER_DAY)  # floor division: pre-1970 days count down
     out = np.empty((len(ms), 4), dtype=np.float64)
-    out[0, 0] = 0.0
-    out[1:, 0] = (ms[1:] - ms[:-1]) / 1000.0
-    out[:, 1] = (ms - ms[0]) / 1000.0
+    out[:, 0] = (ms - prev_ms) / 1000.0
+    out[:, 1] = (ms - first_ms) / 1000.0
     out[:, 2] = ms_of_day / 1000.0
     out[:, 3] = (day + 3) % 7  # 1970-01-01 was a Thursday
     return out
@@ -344,43 +350,64 @@ class PrefixEncoder:
         """Values (len(ks), T, F) and mask (len(ks), T) of ``events[:k]`` for
         each k in ``ks``, each encoded as :meth:`encode` does.
 
-        The feature rows of ``events[:max(ks)]`` are built once, row i from
-        events 0..i only; each prefix takes its left-padded window by index.
+        The feature rows of ``events[:max(ks)]`` are built once, by
+        :meth:`encode_rows`; each prefix takes its window by :meth:`windows`.
         """
         if not self.fitted or self.max_len is None:
             raise NotFittedError("prefix encoder used before fit()")
         if min(ks) < 1:
             raise ValueError("cannot encode an empty prefix")
-        length = self.max_len
-        limit = length if self.window is None else min(self.window, length)
         events = events[: max(ks)]
-        # ``length`` zero rows come first, so slot t of prefix k (event
-        # k - length + t) is row k + t; slots before its window read row 0
-        rows = np.zeros((length + len(events), self.layout.num_features), dtype=np.float64)
-        body = rows[length:]
-        at = np.arange(len(events))
+        ms = np.fromiter((ev.timestamp_ms for ev in events), dtype=np.int64, count=len(events))
+        attributes = [
+            [vocab.index(ev.attributes.get(name, MISSING)) for name, vocab in self.attribute_vocabs.items()]
+            for ev in events
+        ]
+        rows = self.encode_rows(
+            np.array([self.activity_vocab.index(ev.activity) for ev in events]),
+            np.array(attributes, dtype=np.int64),
+            ms,
+            np.concatenate([ms[:1], ms[:-1]]),
+            ms[:1],
+        )
+        rows = np.concatenate([np.zeros((1, rows.shape[1])), rows])
+        return self.windows(rows, np.asarray(ks) + 1, ks)
+
+    def encode_rows(self, activities, attributes, ms, prev_ms, first_ms) -> np.ndarray:
+        """Feature rows (n, F) of n events from per-event arrays: activity
+        indices (n,), attribute indices (n, A) in ``attribute_vocabs`` order,
+        and the event's own, previous and case-start timestamps (see
+        :func:`_time_columns`). Row i reads entry i of each array only."""
+        rows = np.zeros((len(activities), self.layout.num_features), dtype=np.float64)
+        at = np.arange(len(activities))
+        attribute_columns = iter(np.asarray(attributes).T)
         for group in self.layout.groups:
             if group.name == "activity":
-                idx = np.array([self.activity_vocab.index(ev.activity) for ev in events])
                 if group.kind == "onehot":
-                    body[at, group.start + idx] = 1.0
+                    rows[at, group.start + activities] = 1.0
                 else:
-                    body[:, group.start] = idx
+                    rows[:, group.start] = activities
             elif group.kind == "onehot":
-                name = group.name.removeprefix("attr:")
-                vocab = self.attribute_vocabs[name]
-                idx = np.array([vocab.index(ev.attributes.get(name, MISSING)) for ev in events])
-                body[at, group.start + idx] = 1.0
+                rows[at, group.start + next(attribute_columns)] = 1.0
             else:  # time
-                feats = time_features(events)
-                body[:, group.start + 0] = self.delta_norm.transform(feats[:, 0])
-                body[:, group.start + 1] = self.elapsed_norm.transform(feats[:, 1])
-                body[:, group.start + 2] = feats[:, 2] / 86400.0
-                body[:, group.start + 3] = feats[:, 3] / 6.0
+                feats = _time_columns(ms, prev_ms, first_ms)
+                rows[:, group.start + 0] = self.delta_norm.transform(feats[:, 0])
+                rows[:, group.start + 1] = self.elapsed_norm.transform(feats[:, 1])
+                rows[:, group.start + 2] = feats[:, 2] / 86400.0
+                rows[:, group.start + 3] = feats[:, 3] / 6.0
+        return rows
+
+    def windows(self, rows: np.ndarray, ends, ks) -> tuple[np.ndarray, np.ndarray]:
+        """Values (len(ks), T, F) and mask (len(ks), T) of left-padded
+        windows, ``T`` being ``max_len``: window j holds the last
+        ``min(ks[j], window, T)`` rows before ``rows[ends[j]]``, and its
+        padding slots read ``rows[0]``, which must be a zero row."""
+        length = self.max_len
+        limit = length if self.window is None else min(self.window, length)
         ks = np.asarray(ks)[:, None]
         slots = np.arange(length)
         mask = slots >= length - np.minimum(ks, limit)
-        return rows[np.where(mask, ks + slots, 0)], mask
+        return rows[np.where(mask, np.asarray(ends)[:, None] - length + slots, 0)], mask
 
     def state(self) -> dict:
         return {

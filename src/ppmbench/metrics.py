@@ -3,13 +3,14 @@ Damerau-Levenshtein similarity, MAE, and the end-to-end test protocol."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .eventlog import EOC, EventLog, SECONDS_PER_DAY
-from .inference import DecodeConfig, decode_suffix
+# decode_suffix stays bound here: perfbench's tracer patches it by name
+from .inference import DecodeConfig, decode_suffix, decode_suffixes  # noqa: F401
 from .models import Predictor
 from .splitting import make_prefix_samples
 
@@ -18,7 +19,7 @@ ALL_TASKS = ("next_activity", "suffix", "next_time", "remaining_time")
 
 def accuracy(predictions: Sequence, truths: Sequence) -> float:
     """Proportion of exact label matches."""
-    if len(predictions) != len(truths) or not truths:
+    if len(predictions) != len(truths) or not len(truths):
         raise ValueError("need equal, non-zero numbers of predictions and truths")
     hits = sum(1 for p, t in zip(predictions, truths) if p == t)
     return hits / len(truths)
@@ -135,12 +136,13 @@ def evaluate_protocol(
     """Evaluate a fitted model over every prefix sample of the test part.
 
     One ``predict_batch`` call, in sample order, scores next activity and
-    the time heads. Suffixes are decoded per prefix with the seed
-    ``decode_cfg.seed XOR sample index``; ``truncated_suffixes`` counts those
-    cut at the length limit. A ``"next"`` model scores next time from its
-    delta head and remaining time as the sum of the decoded step deltas; a
-    ``"remaining"`` model scores remaining time from its direct head, clamped
-    at 0, and skips next time; a model without a time head skips both.
+    the time heads. One ``decode_suffixes`` search decodes the suffixes of
+    all samples, sample i with the seed ``decode_cfg.seed XOR i``;
+    ``truncated_suffixes`` counts those cut at the length limit. A
+    ``"next"`` model scores next time from its delta head and remaining time
+    as the sum of the decoded step deltas; a ``"remaining"`` model scores
+    remaining time from its direct head, clamped at 0, and skips next time; a
+    model without a time head skips both.
     """
     for task in tasks:
         if task not in ALL_TASKS:
@@ -171,10 +173,7 @@ def evaluate_protocol(
             report.mae_next = mae(times[scored], next_true[scored])
             report.n_samples["next_time"] = int(scored.sum())
     if want_suffix or (want_remaining and not direct):
-        decoded = [
-            decode_suffix(model, sample.prefix, replace(decode_cfg, seed=decode_cfg.seed ^ i))
-            for i, sample in enumerate(samples)
-        ]
+        decoded = decode_suffixes(model, [s.prefix for s in samples], decode_cfg)
         report.truncated_suffixes = sum(d.truncated for d in decoded)
         if want_suffix:
             sims = [

@@ -16,9 +16,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import nnkernel as nn
+from .atomic import write_text_atomic
 # ngram_hash_encode and replay_timed_state stay bound here: perfbench's tracer patches them by name
 from .encoding import Normalizer, PrefixEncoder, ngram_hash_encode, ngram_hash_prefixes
-from .eventlog import Event, Vocabulary
+from .eventlog import MISSING, Event, Vocabulary
 from .petrinet import PetriNet, TimedStateVector, replay_prefixes, replay_timed_state
 from .splitting import PrefixSample, SplitLog, make_prefix_samples
 
@@ -148,10 +149,12 @@ class Predictor:
     def predict_batch(self, samples: Sequence[PrefixSample]) -> tuple[np.ndarray, np.ndarray]:
         """Probabilities (N, C) and times (N,), float64, in sample order; by
         default ``predict`` of each sample's prefix."""
-        rows = [self.predict(s.prefix) for s in samples]
-        probs = np.array([p for p, _ in rows], dtype=np.float64)
-        times = np.array([np.nan if t is None else t for _, t in rows], dtype=np.float64)
-        return probs.reshape(len(rows), len(self.activity_vocab)), times
+        return _stacked([self.predict(s.prefix) for s in samples], len(self.activity_vocab))
+
+    def hypotheses(self, prefixes: Sequence[Sequence[Event]]) -> "EventHypotheses":
+        """Decode hypotheses of the prefixes, row i holding prefix i; by
+        default event tuples, each scored by ``predict``."""
+        return EventHypotheses(self, prefixes)
 
     def _save(self, path_prefix: Path, seed: int) -> list[Path]:
         """Write the checkpoint: the ``<prefix>.json`` sidecar plus any files
@@ -167,8 +170,52 @@ class Predictor:
 
 def _write_sidecar(path_prefix: Path, sidecar: dict) -> Path:
     path = path_prefix.with_suffix(".json")
-    path.write_text(json.dumps(sidecar, indent=2, sort_keys=True), encoding="utf-8")
-    return path
+    return write_text_atomic(path, lambda: json.dumps(sidecar, indent=2, sort_keys=True))
+
+
+def _stacked(rows, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities (N, C) and times (N,), NaN for no time, of ``predict`` results."""
+    probs = np.array([p for p, _ in rows], dtype=np.float64)
+    times = np.array([np.nan if t is None else t for _, t in rows], dtype=np.float64)
+    return probs.reshape(len(rows), n_classes), times
+
+
+def _decoded_ms(last_ms: int, delta: float) -> int:
+    """Timestamp of a decoded event ``delta`` seconds after ``last_ms``, to the millisecond."""
+    return last_ms + int(round(delta * 1000.0))
+
+
+def _extend(events: tuple[Event, ...], activity: str, delta: float) -> tuple[Event, ...]:
+    """``events`` plus one decoded event with every attribute missing."""
+    last = events[-1]
+    decoded = Event(
+        case_id=last.case_id,
+        activity=activity,
+        timestamp_ms=_decoded_ms(last.timestamp_ms, delta),
+        attributes={name: MISSING for name in last.attributes},
+    )
+    return events + (decoded,)
+
+
+class EventHypotheses:
+    """Decode hypotheses kept as event tuples, each scored by one
+    ``model.predict`` call; any object with ``activity_vocab`` and
+    ``predict(events)`` decodes this way."""
+
+    def __init__(self, model, prefixes):
+        self.model = model
+        self.events = [tuple(p) for p in prefixes]
+
+    def predict(self) -> tuple[np.ndarray, np.ndarray]:
+        """Probabilities (N, C) and times (N,) of the hypotheses, NaN for no time."""
+        return _stacked([self.model.predict(e) for e in self.events], len(self.model.activity_vocab))
+
+    def extend(self, parents, tokens, deltas) -> "EventHypotheses":
+        """Row j: hypothesis ``parents[j]`` extended by a decoded event with
+        activity index ``tokens[j]``, ``deltas[j]`` seconds after its last event."""
+        label = self.model.activity_vocab.label
+        events = [_extend(self.events[p], label(t), d) for p, t, d in zip(parents, tokens, deltas)]
+        return type(self)(self.model, events)
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +483,12 @@ class _NeuralPredictor(Predictor):
         by_trace: dict[int, list[int]] = {}
         for i, sample in enumerate(samples):
             by_trace.setdefault(id(sample.trace), []).append(i)
-        parts = [
-            self._inputs(samples[idx[0]].trace.events, [samples[i].k for i in idx])
-            for idx in by_trace.values()
-        ]
+        X, M = _concat(
+            [self._inputs(samples[idx[0]].trace.events, [samples[i].k for i in idx]) for idx in by_trace.values()]
+        )
         # concatenated row j holds the j-th sample index listed; argsort inverts that
         back = np.argsort([i for idx in by_trace.values() for i in idx])
-        X = np.concatenate([x for x, _ in parts])[back]
-        M = None if parts[0][1] is None else np.concatenate([m for _, m in parts])[back]
-        return X, M
+        return X[back], None if M is None else M[back]
 
     def _arrays(self, samples):
         """:meth:`_batch_inputs` plus activity and normalized time targets."""
@@ -470,13 +514,33 @@ class _NeuralPredictor(Predictor):
         """Body then heads: activity logits, the time prediction (None
         without a time head), and the caches of both."""
         features, body_cache = self._body(params, X, M)
+        logits, tpred, act_cache, time_cache = self._heads(params, features)
+        return logits, tpred, (body_cache, act_cache, time_cache)
+
+    def _heads(self, params, features):
         logits, act_cache = nn.affine_forward(features, params["head_act:W"], params["head_act:b"])
         tpred = time_cache = None
         if "head_time:W" in params:
-            tpred, time_cache = nn.affine_forward(
-                features, params["head_time:W"], params["head_time:b"]
-            )
-        return logits, tpred, (body_cache, act_cache, time_cache)
+            tpred, time_cache = nn.affine_forward(features, params["head_time:W"], params["head_time:b"])
+        return logits, tpred, act_cache, time_cache
+
+    def _step_features(self, params, X, M):
+        """Feature vectors (N, F) of a decode step, each row computed alone,
+        as :meth:`predict` computes it."""
+        return np.concatenate(
+            [self._body(params, X[i : i + 1], None if M is None else M[i : i + 1])[0] for i in range(len(X))]
+        )
+
+    def _step_outputs(self, params, X, M):
+        """Activity logits and time predictions of a decode step, each row
+        bit-equal to a one-row :meth:`_outputs`. BLAS rounds a many-row
+        product differently from a one-row one, and a decoded timestamp feeds
+        the next step's inputs, so a last-bit difference in a time prediction
+        can grow step by step into other tokens."""
+        features = self._step_features(params, X, M)
+        heads = [self._heads(params, features[i : i + 1])[:2] for i in range(len(features))]
+        tpred = None if heads[0][1] is None else np.concatenate([t for _, t in heads])
+        return np.concatenate([logits for logits, _ in heads]), tpred
 
     def _head_loss(self, params, X, M, y_act, y_time):
         """Multitask loss of a batch (unweighted sum of the task losses), the
@@ -532,12 +596,13 @@ class _NeuralPredictor(Predictor):
         )
         return replace(report, wall_clock_seconds=time.perf_counter() - start)
 
-    def _predictions(self, inputs, *args):
-        """Per row of ``inputs(*args)``: the float64 softmax of the activity
-        logits and the time head in seconds, clamped at 0 (NaN without one)."""
+    def _predictions(self, forward, inputs, *args):
+        """Per row of ``forward(params, *inputs(*args))`` (``_outputs`` or
+        ``_step_outputs``): the float64 softmax of the activity logits and
+        the time head in seconds, clamped at 0 (NaN without one)."""
         if not self.params:
             raise RuntimeError("predictor used before fit()")
-        logits, tpred, _ = self._outputs(self.params, *inputs(*args))
+        logits, tpred = forward(self.params, *inputs(*args))[:2]
         probs = nn.softmax(logits.astype(np.float64))
         times = np.full(len(probs), np.nan)
         if tpred is not None and self.time_norm is not None:
@@ -545,11 +610,18 @@ class _NeuralPredictor(Predictor):
         return probs, times
 
     def predict_batch(self, samples):
-        return self._predictions(self._batch_inputs, samples)
+        return self._predictions(self._outputs, self._batch_inputs, samples)
 
     def predict(self, events):
-        probs, times = self._predictions(self._inputs, events, [len(events)])
+        probs, times = self._predictions(self._outputs, self._inputs, events, [len(events)])
         return probs[0], None if np.isnan(times[0]) else float(times[0])
+
+    def hypotheses(self, prefixes):
+        """Hypotheses that carry their encoder rows; without a ``PrefixEncoder``
+        (autoencoder, timed-state MLP), event tuples scored in one forward pass."""
+        if self.encoder is None:
+            return _StackedHypotheses(self, prefixes)
+        return _EncodedHypotheses.start(self, prefixes)
 
     # checkpointing ---------------------------------------------------------
     def _vocab_sha256(self) -> str:
@@ -606,6 +678,59 @@ class _NeuralPredictor(Predictor):
         self.params = params
 
 
+def _concat(parts):
+    """One (inputs, mask) pair of the ``_inputs`` results ``parts``, rows in order."""
+    X = np.concatenate([x for x, _ in parts])
+    return X, None if parts[0][1] is None else np.concatenate([m for _, m in parts])
+
+
+class _StackedHypotheses(EventHypotheses):
+    """Event hypotheses of a neural model without a ``PrefixEncoder``: their
+    inputs are re-encoded from the events at every step."""
+
+    def predict(self):
+        model = self.model
+        return model._predictions(
+            model._step_outputs, lambda: _concat([model._inputs(e, [len(e)]) for e in self.events])
+        )
+
+
+class _EncodedHypotheses:
+    """Decode hypotheses of a ``PrefixEncoder`` model. Each carries its input
+    window ``X``/``M`` and the timestamps of its last and first events; a
+    decoded event's row comes from ``encode_rows``, and the window that takes
+    it from ``windows``, as for a training prefix."""
+
+    def __init__(self, model, X, M, last_ms, first_ms):
+        self.model, self.X, self.M, self.last_ms, self.first_ms = model, X, M, last_ms, first_ms
+
+    @classmethod
+    def start(cls, model, prefixes):
+        X, M = _concat([model._inputs(p, [len(p)]) for p in prefixes])
+        last_ms = np.array([p[-1].timestamp_ms for p in prefixes], dtype=np.int64)
+        return cls(model, X, M, last_ms, np.array([p[0].timestamp_ms for p in prefixes], dtype=np.int64))
+
+    def predict(self):
+        return self.model._predictions(self.model._step_outputs, lambda: (self.X, self.M))
+
+    def extend(self, parents, tokens, deltas):
+        encoder = self.model.encoder
+        n, (T, F) = len(parents), self.X.shape[1:]
+        last_ms = self.last_ms[parents]
+        ms = np.array([_decoded_ms(int(t), d) for t, d in zip(last_ms, deltas)], dtype=np.int64)
+        missing = [vocab.index(MISSING) for vocab in encoder.attribute_vocabs.values()]
+        attributes = np.full((n, len(missing)), missing, dtype=np.int64)
+        rows = encoder.encode_rows(np.asarray(tokens), attributes, ms, last_ms, self.first_ms[parents])
+        # row 0 pads; rows 1 + (T + 1) j ... (T + 1)(j + 1) hold parent j's window, then its new row
+        source = np.zeros((1 + n * (T + 1), F), dtype=self.X.dtype)
+        blocks = source[1:].reshape(n, T + 1, F)
+        blocks[:, :T] = self.X[parents]
+        blocks[:, T] = rows
+        # a window shows min(length, window, T) rows: one more than it shows stands for the new length
+        X, M = encoder.windows(source, (T + 1) * np.arange(1, n + 1) + 1, self.M[parents].sum(axis=1) + 1)
+        return _EncodedHypotheses(self.model, X, M, ms, self.first_ms[parents])
+
+
 class RecurrentPredictor(_NeuralPredictor):
     """Stacked recurrent network (vanilla RNN, LSTM, or GRU) over padded
     prefixes; the last real timestep's hidden state feeds a softmax activity
@@ -653,6 +778,18 @@ class RecurrentPredictor(_NeuralPredictor):
             layer_caches.append(caches)
             current = hs
         return current[:, -1, :], (layer_caches, idx, X.shape[1])
+
+    def _step_features(self, params, X, M):
+        # The kernel computes each row as it would alone, so one pass per
+        # window length serves the step: the rows of a pass share their
+        # padding columns, which the kernel skips, and a step holds the
+        # kernel's arrays for the rows of one length at a time.
+        features = np.empty((len(X), self.config.hidden), dtype=X.dtype)
+        lengths = M.sum(axis=1)
+        for length in np.unique(lengths):
+            rows = lengths == length
+            features[rows] = self._body(params, X[rows], M[rows])[0]
+        return features
 
     def _body_backward(self, params, cache, dfeatures):
         cfg = self.config

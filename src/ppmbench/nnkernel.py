@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+
+from .atomic import write_atomic
 
 # gate order of the column blocks of a fused cell's U, W and b
 CELL_GATES = {"rnn": ("h",), "lstm": ("f", "i", "o", "c"), "gru": ("z", "r", "h")}
@@ -401,11 +404,13 @@ def gradcheck(
 # ---------------------------------------------------------------------------
 
 def save_params(path: str | Path, params: Mapping[str, np.ndarray], meta: Mapping | None = None) -> None:
-    """Write named arrays (bit-exact) plus a JSON metadata blob to ``.npz``."""
+    """Write named arrays (bit-exact) plus a JSON metadata blob to ``.npz``
+    (appended to a path without it, as ``np.savez`` does), atomically."""
     payload = {f"param:{k}": np.ascontiguousarray(v) for k, v in params.items()}
     header = {"checkpoint_version": CHECKPOINT_VERSION, "meta": dict(meta or {})}
     payload["__meta__"] = np.frombuffer(json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **payload)
+    path = os.fspath(path)
+    write_atomic(path if path.endswith(".npz") else path + ".npz", lambda handle: np.savez(handle, **payload))
 
 
 def _fuse_v1(params: dict[str, np.ndarray], architecture) -> dict[str, np.ndarray]:

@@ -3,13 +3,16 @@ import json
 import pytest
 
 from ppmbench import bench
+from ppmbench.atomic import write_atomic, write_text_atomic
 from ppmbench.bench import (
     BenchmarkConfig,
     CellResult,
     ConfigError,
     DatasetSpec,
     ModelSpec,
+    RunRecord,
     cell_seed,
+    emit_reports,
     markdown_tables,
     metrics_csv,
     run_matrix,
@@ -247,6 +250,32 @@ class TestReports:
         assert "**2.0000**" not in text
 
 
+class TestAtomicWrites:
+    def test_a_failed_write_keeps_the_previous_file_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        write_text_atomic(path, lambda: "old\n")
+
+        def half_written(handle):
+            handle.write(b"new, but")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError):
+            write_atomic(path, half_written)
+        with pytest.raises(ZeroDivisionError):
+            write_text_atomic(path, lambda: str(1 / 0))
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+
+    def test_reports_that_fail_to_render_keep_the_previous_ones(self, tmp_path, monkeypatch):
+        record = RunRecord("hash", "v", TestReports().make_cells(), 0.0)
+        emit_reports(record, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.setattr(bench, "markdown_tables", lambda cells: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            emit_reports(record, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 class TestParallelJobs:
     def test_jobs_two_matches_serial(self, tmp_path, log_csv):
         serial = small_config(tmp_path, log_csv, out_dir=str(tmp_path / "serial"))
@@ -327,6 +356,16 @@ class TestHyperparameterValidation:
     def test_bad_decode_strategy_is_config_error(self, tmp_path, log_csv):
         config = small_config(tmp_path, log_csv, decode={"strategy": "nucleus"})
         with pytest.raises(ConfigError):
+            config.validate()
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("seed", -1), ("seed", 1.5), ("seed", True), ("max_len", 2.5), ("max_len", False),
+         ("beam_width", 2.0), ("beam_width", True)],
+    )
+    def test_non_integer_or_negative_decode_field_is_config_error(self, tmp_path, log_csv, name, value):
+        config = small_config(tmp_path, log_csv, decode={"strategy": "random", name: value})
+        with pytest.raises(ConfigError, match=name):
             config.validate()
 
     def test_timed_state_model_on_dataset_without_net_is_config_error(self, tmp_path, log_csv):

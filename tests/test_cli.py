@@ -247,6 +247,23 @@ class TestBenchmark:
         assert name in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, value", [("seed", -1), ("seed", 1.5), ("max_len", 2.5), ("beam_width", True)])
+    def test_non_integer_or_negative_decode_field_is_config_error(
+        self, linear_path, tmp_path, capsys, name, value
+    ):
+        config = {
+            "config_version": 1,
+            "out_dir": str(tmp_path / "out"),
+            "datasets": [{"name": "linear", "path": str(linear_path)}],
+            "models": [{"name": "markov", "architecture": "markov"}],
+            "decode": {"strategy": "random", name: value},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["benchmark", str(path)]) == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_timed_state_model_without_net_is_config_error(self, linear_path, tmp_path, capsys):
         config = {
             "config_version": 1,

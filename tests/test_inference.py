@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppmbench.eventlog import EOC, MISSING, Event, Vocabulary, augment_eoc
-from ppmbench import inference
-from ppmbench.inference import DecodeConfig, SuffixPrediction, decode_suffix
+from ppmbench import models
+from ppmbench.inference import DecodeConfig, SuffixPrediction, decode_suffix, decode_suffixes
 from ppmbench.metrics import evaluate_protocol, mae
-from ppmbench.models import RecurrentPredictor, TrainConfig, train
+from ppmbench.models import (
+    AutoencoderPredictor, Predictor, RecurrentPredictor, TrainConfig, build_predictor, train
+)
 from ppmbench.splitting import make_prefix_samples, temporal_split
 
-from conftest import FixedDistributionModel, HashedRandomModel, make_linear_log
+from conftest import FixedDistributionModel, HashedRandomModel, generator_log, make_linear_log
 
 VOCAB3 = Vocabulary([EOC, "a", "b"])
 
@@ -76,6 +78,12 @@ class TestDecodeBasics:
             with pytest.raises(ValueError):
                 decode_suffix(model, one_event_prefix(), DecodeConfig(max_len=3))
 
+    def test_unfitted_neural_model_rejected_before_encoding(self):
+        log = augment_eoc(make_linear_log(5))
+        for model in (RecurrentPredictor("gru", log.activity_vocab), AutoencoderPredictor(log.activity_vocab)):
+            with pytest.raises(RuntimeError, match="before fit"):
+                decode_suffix(model, log.traces[0].events[:2], DecodeConfig(max_len=3))
+
     def test_empty_prefix_rejected(self):
         model = FixedDistributionModel(VOCAB3, [1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
@@ -88,6 +96,10 @@ class TestDecodeBasics:
             DecodeConfig(beam_width=0)
         with pytest.raises(ValueError):
             DecodeConfig(max_len=0)
+        for name, value in (("seed", -1), ("seed", 1.5), ("seed", True), ("max_len", 2.5),
+                            ("max_len", True), ("beam_width", 2.0), ("beam_width", False)):
+            with pytest.raises(ValueError, match=name):
+                DecodeConfig(**{name: value})
 
 
 class TestStrategyEquivalences:
@@ -315,8 +327,8 @@ class TestLazyBeamExtension:
         # the call log of one decode reads P...P E...E per step: the step's
         # predictions, then the extensions of its survivors
         log = []
-        extend = inference._extend
-        monkeypatch.setattr(inference, "_extend", lambda *args: log.append("E") or extend(*args))
+        extend = models._extend
+        monkeypatch.setattr(models, "_extend", lambda *args: log.append("E") or extend(*args))
 
         class LoggingModel(HashedRandomModel):
             def predict(self, events):
@@ -519,6 +531,141 @@ class TestReferenceEquivalence:
                 assert decode_suffix(model, prefix, cfg) == _ref_decode(model, prefix, cfg)
 
 
+class TieModel(Predictor):
+    """Distributions over the vocabulary whose entries come from a few
+    weights, each moved by up to two ulps: many candidates tie exactly, and
+    more only once a score rounds. Keyed on the prefix activities."""
+
+    time_target = "next"
+
+    def __init__(self, vocab, seed):
+        self.activity_vocab = vocab
+        self.seed = seed
+
+    def predict(self, events):
+        key = "\x1f".join(e.activity for e in events).encode("utf-8")
+        digest = hashlib.blake2b(key, digest_size=8, key=self.seed.to_bytes(8, "little")).digest()
+        rng = np.random.default_rng(int.from_bytes(digest, "little"))
+        weights = rng.integers(1, 3, size=len(self.activity_vocab)).astype(np.float64)
+        probs = weights / weights.sum()
+        for i, ulps in enumerate(rng.integers(-2, 3, size=len(probs))):
+            for _ in range(abs(int(ulps))):
+                probs[i] = np.nextafter(probs[i], 2.0 if ulps > 0 else 0.0)
+        return probs, 3600.0
+
+
+class TestPerParentPruning:
+    def test_tied_candidates_are_pruned_as_the_loops_prune_them(self):
+        vocab = Vocabulary([EOC, "a", "b", "c", "d", "e", "f", "g"])
+        rounding_ties = 0
+        for seed in range(30):
+            model = TieModel(vocab, seed)
+            probs, _ = model.predict(attributed_prefix(1, seed))
+            scores = [-6.0 + math.log(p) for p in probs]
+            rounding_ties += sum(
+                a != b and sa == sb for a, sa in zip(probs, scores) for b, sb in zip(probs, scores)
+            )
+            for width in (1, 2, 3, 4):
+                for normalize in (False, True):
+                    cfg = DecodeConfig(strategy="beam", beam_width=width, max_len=5, length_normalize=normalize)
+                    prefix = attributed_prefix(1 + seed % 3, seed)
+                    assert decode_suffix(model, prefix, cfg) == _ref_decode(model, prefix, cfg), (seed, cfg)
+        assert rounding_ties  # the distributions hold probabilities that differ but score alike
+
+
+LOCKSTEP_CONFIGS = [
+    DecodeConfig(strategy="argmax", max_len=8, seed=3),
+    DecodeConfig(strategy="random", max_len=8, seed=3),
+    DecodeConfig(strategy="beam", beam_width=2, max_len=8, length_normalize=True),
+    DecodeConfig(strategy="beam", beam_width=3, max_len=8),
+]
+DECODE_MODELS = (
+    ("markov", {}),
+    ("gru", {"attributes": ("Resource",), "embedding_dim": 4}),
+    ("gru", {"max_len": 4}),
+    ("lstm", {"time_target": "remaining"}),
+    ("rnn", {"time_target": None}),
+    ("mlp", {"input_mode": "padded_flat"}),
+    ("mlp", {"input_mode": "single_event"}),
+    ("mlp", {"input_mode": "timed_state", "attributes": ("Resource",)}),
+    ("autoencoder", {"pretrain_epochs": 1, "freeze_epochs": 1}),
+)
+
+
+@pytest.fixture(scope="module")
+def decode_models():
+    """One trained model of every decoding form and the test prefixes of its log."""
+    log, net = generator_log(3, 120)
+    split = temporal_split(log)
+    trained = []
+    for arch, hp in DECODE_MODELS:
+        config = TrainConfig(hidden=8, layers=1, epochs=1, patience=1, **hp)
+        model = build_predictor(arch, config, split.train.activity_vocab, split.train.attribute_vocabs, net)
+        train(model, split, seed=0)
+        trained.append(model)
+    return trained, [s.prefix for s in make_prefix_samples(split.test)]
+
+
+class TestLockstepSearch:
+    @pytest.mark.parametrize("cfg", LOCKSTEP_CONFIGS, ids=lambda c: f"{c.strategy}{c.beam_width}")
+    def test_one_search_over_all_prefixes_decodes_as_the_per_prefix_loops(self, decode_models, cfg):
+        # the recurrent kernel runs each step once per window length, every
+        # other forward row by row: the batch changes no bit of any row
+        trained, prefixes = decode_models
+        for model in trained:
+            expected = [_ref_decode(model, p, replace(cfg, seed=cfg.seed ^ i)) for i, p in enumerate(prefixes)]
+            assert decode_suffixes(model, prefixes, cfg) == expected, model.architecture
+
+    def test_a_prefix_decodes_alike_alone_and_in_every_batch_order(self, decode_models):
+        trained, prefixes = decode_models
+        prefixes = prefixes[:40]
+        orders = [np.random.default_rng(seed).permutation(len(prefixes)) for seed in range(2)]
+        for model in trained:
+            for cfg in LOCKSTEP_CONFIGS:
+                batch = decode_suffixes(model, prefixes, cfg)
+                for i in (0, 17, 39):
+                    assert decode_suffix(model, prefixes[i], replace(cfg, seed=cfg.seed ^ i)) == batch[i]
+                for order in orders:
+                    shuffled = decode_suffixes(model, [prefixes[i] for i in order], cfg)
+                    if cfg.strategy == "random":  # the generator goes with the position
+                        batch = [
+                            decode_suffix(model, prefixes[i], replace(cfg, seed=cfg.seed ^ j))
+                            for j, i in enumerate(order)
+                        ]
+                        assert shuffled == batch
+                    else:
+                        assert shuffled == [batch[i] for i in order]
+
+    def test_a_gru_decodes_past_its_window_as_the_loops_do(self, decode_models):
+        trained, prefixes = decode_models
+        gru = trained[2]
+        assert gru.encoder.max_len == 4
+        long = [p for p in prefixes if len(p) >= 4]  # every hypothesis outgrows the window
+        assert len(long) >= 10
+        for cfg in LOCKSTEP_CONFIGS:
+            expected = [_ref_decode(gru, p, replace(cfg, seed=cfg.seed ^ i)) for i, p in enumerate(long)]
+            assert decode_suffixes(gru, long, cfg) == expected
+
+    def test_carried_rows_equal_the_rows_of_the_extended_prefixes(self, decode_models):
+        trained, prefixes = decode_models
+        rng = np.random.default_rng(0)
+        for model in trained:
+            if getattr(model, "encoder", None) is None:
+                continue  # markov, the timed-state mlp and the autoencoder re-encode their events
+            hypotheses = model.hypotheses(prefixes)
+            events = [tuple(p) for p in prefixes]
+            for _ in range(6):
+                parents = rng.integers(0, len(events), size=len(events) + 3).tolist()
+                tokens = rng.integers(0, len(model.activity_vocab), size=len(parents)).tolist()
+                deltas = rng.uniform(0.0, 1e6, size=len(parents)).tolist()
+                hypotheses = hypotheses.extend(parents, tokens, deltas)
+                label = model.activity_vocab.label
+                events = [models._extend(events[p], label(t), d) for p, t, d in zip(parents, tokens, deltas)]
+                X, M = models._concat([model._inputs(e, [len(e)]) for e in events])
+                assert np.array_equal(hypotheses.X, X) and hypotheses.X.dtype == X.dtype
+                assert np.array_equal(hypotheses.M, M)
+
+
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
@@ -526,7 +673,10 @@ PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, 
 def decode_cases(draw):
     vocab = Vocabulary([EOC, "a", "b", "c", "d"][: draw(st.integers(2, 5))])
     model = HashedRandomModel(vocab, draw(st.integers(0, 2**63)))
-    prefix = attributed_prefix(draw(st.integers(1, 3)), draw(st.integers(0, 100)))
+    prefixes = [
+        attributed_prefix(draw(st.integers(1, 3)), draw(st.integers(0, 100)))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
     cfg = DecodeConfig(
         strategy=draw(st.sampled_from(["argmax", "random", "beam"])),
         beam_width=draw(st.integers(1, 4)),
@@ -534,25 +684,32 @@ def decode_cases(draw):
         seed=draw(st.integers(0, 2**32 - 1)),
         length_normalize=draw(st.booleans()),
     )
-    return model, prefix, cfg
+    return model, prefixes, cfg
 
 
 class TestDecodeProperties:
     @PROPERTY_SETTINGS
     @given(decode_cases())
     def test_invariants(self, case):
-        model, prefix, cfg = case
-        pred = decode_suffix(model, prefix, cfg)
-        assert 1 <= len(pred.activities) <= cfg.max_len
-        assert (pred.activities[-1] == EOC) == (not pred.truncated)
-        assert EOC not in pred.activities[:-1]
-        assert len(pred.time_deltas) == len(pred.activities)
-        assert pred.remaining_time == sum(pred.time_deltas)
+        model, prefixes, cfg = case
+        for pred in decode_suffixes(model, prefixes, cfg):
+            assert 1 <= len(pred.activities) <= cfg.max_len
+            assert (pred.activities[-1] == EOC) == (not pred.truncated)
+            assert EOC not in pred.activities[:-1]
+            assert len(pred.time_deltas) == len(pred.activities)
+            assert pred.remaining_time == sum(pred.time_deltas)
 
     @PROPERTY_SETTINGS
     @given(decode_cases())
     def test_argmax_equals_beam_of_width_one(self, case):
-        model, prefix, cfg = case
-        argmax = decode_suffix(model, prefix, replace(cfg, strategy="argmax"))
-        beam1 = decode_suffix(model, prefix, replace(cfg, strategy="beam", beam_width=1))
+        model, prefixes, cfg = case
+        argmax = decode_suffixes(model, prefixes, replace(cfg, strategy="argmax"))
+        beam1 = decode_suffixes(model, prefixes, replace(cfg, strategy="beam", beam_width=1))
         assert argmax == beam1
+
+    @PROPERTY_SETTINGS
+    @given(decode_cases())
+    def test_each_prefix_decodes_in_the_batch_as_alone_with_its_seed(self, case):
+        model, prefixes, cfg = case
+        alone = [decode_suffix(model, p, replace(cfg, seed=cfg.seed ^ i)) for i, p in enumerate(prefixes)]
+        assert decode_suffixes(model, prefixes, cfg) == alone

@@ -66,6 +66,11 @@ class TestAccuracy:
         with pytest.raises(ValueError):
             accuracy(["a"], ["a", "b"])
 
+    def test_numpy_arrays(self):
+        assert accuracy(np.array([0, 1, 2, 2]), np.array([0, 1, 1, 2])) == 0.75
+        with pytest.raises(ValueError):
+            accuracy(np.array([], dtype=int), np.array([], dtype=int))
+
 
 class TestBrier:
     def test_perfect_predictions(self):

@@ -516,6 +516,21 @@ class TestCheckpoint:
             assert loaded[k].dtype == np.float32
             assert np.array_equal(loaded[k], params[k])
 
+    def test_npz_suffix_appended_and_a_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        params = {"W": np.arange(6, dtype=np.float32).reshape(2, 3)}
+        nn.save_params(tmp_path / "ckpt", params)
+        saved = (tmp_path / "ckpt.npz").read_bytes()
+
+        def failing_savez(file, **arrays):
+            file.write(b"PK partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", failing_savez)
+        with pytest.raises(OSError):
+            nn.save_params(tmp_path / "ckpt.npz", {"W": np.zeros((2, 3), dtype=np.float32)})
+        assert (tmp_path / "ckpt.npz").read_bytes() == saved
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
+
     def test_version_check(self, tmp_path):
         import json
 

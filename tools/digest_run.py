@@ -6,7 +6,8 @@ with the generator's Petri net. The matrix holds markov,
 autoencoder, mlp (``padded_flat``, ``single_event``, ``timed_state`` with
 Resource), gru (Resource, embedding), gru truncating its input at 4 events,
 lstm (remaining time) and rnn (no time head), 2 epochs each, and is decoded
-three times: argmax, random sampling and beam-2. Prints
+four times: argmax, random sampling, beam-2, and beam-3 with length-normalised
+scores. Prints
 ``sha256  path`` for every artifact the runs write, except the cell
 ``*.result.json`` files and ``run_record.json``, which hold wall-clock times.
 
@@ -49,6 +50,7 @@ DECODES = {
     "argmax": {"strategy": "argmax"},
     "random": {"strategy": "random"},
     "beam2": {"strategy": "beam", "beam_width": 2},
+    "beam3n": {"strategy": "beam", "beam_width": 3, "length_normalize": True},
 }
 UNSTABLE = ("run_record.json",)
 
