@@ -21,7 +21,7 @@ from .inference import DecodeConfig
 from .metrics import ALL_TASKS, evaluate_protocol
 from .models import ARCHITECTURES, TrainConfig, build_predictor, needs_petri_net, save_predictor, train
 from .petrinet import PetriNet, load_petri_net
-from .splitting import SplitLog, split_manifest, temporal_split
+from .splitting import SplitLog, split_manifest, temporal_split, valid_split_fractions
 
 CONFIG_VERSION = 1
 
@@ -157,8 +157,7 @@ class BenchmarkConfig:
                 raise ConfigError(f"dataset file missing: {d.path}")
             if d.petri_net and not Path(d.petri_net).exists():
                 raise ConfigError(f"Petri net file missing: {d.petri_net}")
-        train_frac, val_frac = self.split_fractions
-        if train_frac <= 0 or val_frac <= 0 or train_frac + val_frac >= 1:
+        if not valid_split_fractions(self.split_fractions):
             raise ConfigError(f"invalid split fractions {self.split_fractions!r}")
         for task in self.tasks:
             if task not in ALL_TASKS:

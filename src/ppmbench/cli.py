@@ -28,7 +28,8 @@ from .models import (
     save_predictor,
     train,
 )
-from .splitting import temporal_split, write_split_manifest
+from .atomic import write_text_atomic
+from .splitting import temporal_split, valid_split_fractions, write_split_manifest
 from . import gradchecks
 
 EXIT_OK = 0
@@ -133,13 +134,15 @@ def cmd_stats(args) -> int:
     name = args.name or Path(args.log).stem
     print(stats_table({name: stats}), end="")
     if args.csv:
-        Path(args.csv).write_text(stats_csv({name: stats}), encoding="utf-8")
+        write_text_atomic(args.csv, lambda: stats_csv({name: stats}))
     return EXIT_OK
 
 
 def cmd_split(args) -> int:
     from .eventlog import write_csv
 
+    if not valid_split_fractions((args.train, args.val)):
+        raise ConfigError(f"invalid split fractions {(args.train, args.val)!r}")
     log = parse_csv(args.log, _schema(args))
     split = temporal_split(log, (args.train, args.val))
     out = _out_dir(args)
@@ -178,12 +181,11 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     write_split_manifest(split, out / "split_manifest.csv")
     written = save_predictor(predictor, out / "model", seed=seed)
-    (out / "train_report.json").write_text(
-        json.dumps(
-            {**report.core(), "wall_clock_seconds": report.wall_clock_seconds},
-            indent=2, sort_keys=True,
+    write_text_atomic(
+        out / "train_report.json",
+        lambda: json.dumps(
+            {**report.core(), "wall_clock_seconds": report.wall_clock_seconds}, indent=2, sort_keys=True
         ),
-        encoding="utf-8",
     )
     best_val = report.val_losses[report.best_epoch]
     print(f"trained {args.arch}: {len(report.train_losses)} epochs, "
@@ -212,7 +214,7 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     rows = report.as_rows()
     payload = {task + "/" + metric: value for task, metric, value, _ in rows}
-    (out / "metrics.json").write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
+    write_text_atomic(out / "metrics.json", lambda: json.dumps(payload, indent=2, sort_keys=True))
     for task, metric, value, n in rows:
         print(f"{task:<15} {metric:<14} {value:.6f}  (n={n})")
     return EXIT_OK

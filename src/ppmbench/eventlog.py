@@ -9,6 +9,8 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping
 
+from .atomic import write_text_atomic
+
 EOC = "[EOC]"
 MISSING = "⟨missing⟩"  # reserved label for absent attribute values
 SECONDS_PER_DAY = 86400.0
@@ -338,7 +340,7 @@ def to_csv(log: EventLog, schema: CsvSchema | None = None) -> str:
 
 
 def write_csv(log: EventLog, path: str | Path, schema: CsvSchema | None = None) -> None:
-    Path(path).write_text(to_csv(log, schema), encoding="utf-8")
+    write_text_atomic(path, lambda: to_csv(log, schema))
 
 
 def augment_eoc(log: EventLog) -> EventLog:

@@ -1,7 +1,7 @@
 """Suffix decoding: argmax, random sampling and beam search as one search over
-the hypotheses of every prefix at once. Each step scores every unfinished
-hypothesis in one model call, and a prefix leaves the batch when its search
-ends. The recursive remaining-time pathway is
+the hypotheses of every prefix sample at once. Each step scores every
+unfinished hypothesis in one model call, and a sample leaves the batch when
+its search ends. The recursive remaining-time pathway is
 ``SuffixPrediction.remaining_time``; a model trained on remaining time
 reports it directly from ``predict_batch``."""
 
@@ -13,8 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .eventlog import EOC, Event
+from .eventlog import EOC, Event, Trace
 from .models import EventHypotheses, Predictor
+from .splitting import PrefixSample
 
 
 @dataclass(frozen=True)
@@ -97,34 +98,39 @@ def _best_children(probs, order, log_prob: float, length: int, width: int) -> li
 
 
 def decode_suffixes(
-    model: Predictor, prefixes: Sequence[Sequence[Event]], cfg: DecodeConfig
+    model: Predictor, samples: Sequence[PrefixSample], cfg: DecodeConfig
 ) -> list[SuffixPrediction]:
-    """Decode the activity suffix of each prefix, as :func:`decode_suffix`
-    does, in one search over the hypotheses of all of them; prefix i draws
-    from its own generator, seeded by ``cfg.seed ^ i``.
+    """Decode the activity suffix of each sample's prefix, as
+    :func:`decode_suffix` does, in one search over the hypotheses of all of
+    them; sample i draws from its own generator, seeded by ``cfg.seed ^ i``.
+    A sample with ``k < 1``, or with ``k`` beyond its trace's length, is a
+    ``ValueError``.
 
     Each step makes one call over every unfinished hypothesis: ``predict``
-    of ``model.hypotheses`` (which a neural model batches), or one
-    ``model.predict`` per hypothesis for a model that is not a
-    :class:`Predictor`. One vectorised check then rejects any row that is not
-    a distribution with ``ValueError``.
+    of ``model.hypotheses(samples)`` (which a neural model starts from the
+    inputs ``predict_batch`` reads, and batches), or one ``model.predict``
+    per hypothesis for a model that is not a :class:`Predictor`. One
+    vectorised check then rejects any row that is not a distribution with
+    ``ValueError``.
     """
-    prefixes = [tuple(p) for p in prefixes]
-    if not all(prefixes):
+    if any(s.k < 1 for s in samples):
         raise ValueError("cannot decode from an empty prefix")
-    if not prefixes:
+    if any(s.k > len(s.trace.events) for s in samples):
+        raise ValueError("prefix length exceeds its trace's length")
+    if not samples:
         return []
     eoc = model.activity_vocab.index(EOC)
     width = cfg.beam_width if cfg.strategy == "beam" else 1
     if cfg.strategy == "random":
-        rngs = [np.random.default_rng(cfg.seed ^ i) for i in range(len(prefixes))]
+        rngs = [np.random.default_rng(cfg.seed ^ i) for i in range(len(samples))]
 
     def rank(h: _Hypothesis) -> tuple:
         score = h.log_prob / len(h.tokens) if cfg.length_normalize and h.tokens else h.log_prob
         return (-score, h.tokens)
 
-    rows = model.hypotheses(prefixes) if isinstance(model, Predictor) else EventHypotheses(model, prefixes)
-    beams = [[_Hypothesis((), (), 0.0, False, i)] for i in range(len(prefixes))]
+    duck = not isinstance(model, Predictor)
+    rows = EventHypotheses(model, [s.prefix for s in samples]) if duck else model.hypotheses(samples)
+    beams = [[_Hypothesis((), (), 0.0, False, i)] for i in range(len(samples))]
     for _ in range(cfg.max_len):
         probs, times = rows.predict()
         _check_distributions(probs)
@@ -196,6 +202,10 @@ def decode_suffix(model: Predictor, prefix: Sequence[Event], cfg: DecodeConfig) 
     missing-marker for all attributes. Decoding stops when every hypothesis
     has reached the end-of-case label or after ``max_len`` steps; the best
     finished hypothesis wins over any unfinished one, which is flagged
-    truncated. This is the one-prefix call of :func:`decode_suffixes`.
+    truncated. This is :func:`decode_suffixes` of one sample that holds the
+    whole prefix; an empty prefix is a ``ValueError``.
     """
-    return decode_suffixes(model, [prefix], cfg)[0]
+    prefix = tuple(prefix)
+    if not prefix:
+        raise ValueError("cannot decode from an empty prefix")
+    return decode_suffixes(model, [PrefixSample(Trace(prefix[0].case_id, prefix), len(prefix))], cfg)[0]

@@ -136,8 +136,8 @@ def evaluate_protocol(
     """Evaluate a fitted model over every prefix sample of the test part.
 
     One ``predict_batch`` call, in sample order, scores next activity and
-    the time heads. One ``decode_suffixes`` search decodes the suffixes of
-    all samples, sample i with the seed ``decode_cfg.seed XOR i``;
+    the time heads. One ``decode_suffixes`` search over the same samples
+    decodes all their suffixes, sample i with the seed ``decode_cfg.seed XOR i``;
     ``truncated_suffixes`` counts those cut at the length limit. A
     ``"next"`` model scores next time from its delta head and remaining time
     as the sum of the decoded step deltas; a ``"remaining"`` model scores
@@ -173,7 +173,7 @@ def evaluate_protocol(
             report.mae_next = mae(times[scored], next_true[scored])
             report.n_samples["next_time"] = int(scored.sum())
     if want_suffix or (want_remaining and not direct):
-        decoded = decode_suffixes(model, [s.prefix for s in samples], decode_cfg)
+        decoded = decode_suffixes(model, samples, decode_cfg)
         report.truncated_suffixes = sum(d.truncated for d in decoded)
         if want_suffix:
             sims = [

@@ -151,10 +151,10 @@ class Predictor:
         default ``predict`` of each sample's prefix."""
         return _stacked([self.predict(s.prefix) for s in samples], len(self.activity_vocab))
 
-    def hypotheses(self, prefixes: Sequence[Sequence[Event]]) -> "EventHypotheses":
-        """Decode hypotheses of the prefixes, row i holding prefix i; by
-        default event tuples, each scored by ``predict``."""
-        return EventHypotheses(self, prefixes)
+    def hypotheses(self, samples: Sequence[PrefixSample]) -> "EventHypotheses":
+        """Decode hypotheses of the samples' prefixes, row i holding sample
+        i; by default event tuples, each scored by ``predict``."""
+        return EventHypotheses(self, [s.prefix for s in samples])
 
     def _save(self, path_prefix: Path, seed: int) -> list[Path]:
         """Write the checkpoint: the ``<prefix>.json`` sidecar plus any files
@@ -180,18 +180,14 @@ def _stacked(rows, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
     return probs.reshape(len(rows), n_classes), times
 
 
-def _decoded_ms(last_ms: int, delta: float) -> int:
-    """Timestamp of a decoded event ``delta`` seconds after ``last_ms``, to the millisecond."""
-    return last_ms + int(round(delta * 1000.0))
-
-
 def _extend(events: tuple[Event, ...], activity: str, delta: float) -> tuple[Event, ...]:
-    """``events`` plus one decoded event with every attribute missing."""
+    """``events`` plus one decoded event ``delta`` seconds after the last, to
+    the millisecond, with every attribute missing."""
     last = events[-1]
     decoded = Event(
         case_id=last.case_id,
         activity=activity,
-        timestamp_ms=_decoded_ms(last.timestamp_ms, delta),
+        timestamp_ms=last.timestamp_ms + int(round(delta * 1000.0)),
         attributes={name: MISSING for name in last.attributes},
     )
     return events + (decoded,)
@@ -596,13 +592,13 @@ class _NeuralPredictor(Predictor):
         )
         return replace(report, wall_clock_seconds=time.perf_counter() - start)
 
-    def _predictions(self, forward, inputs, *args):
-        """Per row of ``forward(params, *inputs(*args))`` (``_outputs`` or
-        ``_step_outputs``): the float64 softmax of the activity logits and
-        the time head in seconds, clamped at 0 (NaN without one)."""
+    def _check_fitted(self) -> None:
         if not self.params:
             raise RuntimeError("predictor used before fit()")
-        logits, tpred = forward(self.params, *inputs(*args))[:2]
+
+    def _predictions(self, logits, tpred):
+        """The float64 softmax of the activity logits and the time
+        predictions in seconds, clamped at 0 (NaN without a time head)."""
         probs = nn.softmax(logits.astype(np.float64))
         times = np.full(len(probs), np.nan)
         if tpred is not None and self.time_norm is not None:
@@ -610,18 +606,19 @@ class _NeuralPredictor(Predictor):
         return probs, times
 
     def predict_batch(self, samples):
-        return self._predictions(self._outputs, self._batch_inputs, samples)
+        self._check_fitted()
+        return self._predictions(*self._outputs(self.params, *self._batch_inputs(samples))[:2])
 
     def predict(self, events):
-        probs, times = self._predictions(self._outputs, self._inputs, events, [len(events)])
+        self._check_fitted()
+        probs, times = self._predictions(*self._outputs(self.params, *self._inputs(events, [len(events)]))[:2])
         return probs[0], None if np.isnan(times[0]) else float(times[0])
 
-    def hypotheses(self, prefixes):
-        """Hypotheses that carry their encoder rows; without a ``PrefixEncoder``
-        (autoencoder, timed-state MLP), event tuples scored in one forward pass."""
-        if self.encoder is None:
-            return _StackedHypotheses(self, prefixes)
-        return _EncodedHypotheses.start(self, prefixes)
+    def hypotheses(self, samples):
+        """Hypotheses that start from the samples' :meth:`_batch_inputs`, as
+        ``predict_batch`` does: each trace is encoded once."""
+        self._check_fitted()
+        return _NeuralHypotheses(self, [s.prefix for s in samples], *self._batch_inputs(samples))
 
     # checkpointing ---------------------------------------------------------
     def _vocab_sha256(self) -> str:
@@ -684,51 +681,40 @@ def _concat(parts):
     return X, None if parts[0][1] is None else np.concatenate([m for _, m in parts])
 
 
-class _StackedHypotheses(EventHypotheses):
-    """Event hypotheses of a neural model without a ``PrefixEncoder``: their
-    inputs are re-encoded from the events at every step."""
+class _NeuralHypotheses:
+    """Decode hypotheses of a neural model. Each carries its events and its
+    inputs ``X``/``M``. With a ``PrefixEncoder``, a decoded event's row comes
+    from ``encode_rows``, and the window that takes it from ``windows``, as
+    for a training prefix; without one, the extended events are encoded
+    again by ``_inputs``."""
+
+    def __init__(self, model, events, X, M):
+        self.model, self.events, self.X, self.M = model, events, X, M
 
     def predict(self):
         model = self.model
-        return model._predictions(
-            model._step_outputs, lambda: _concat([model._inputs(e, [len(e)]) for e in self.events])
-        )
-
-
-class _EncodedHypotheses:
-    """Decode hypotheses of a ``PrefixEncoder`` model. Each carries its input
-    window ``X``/``M`` and the timestamps of its last and first events; a
-    decoded event's row comes from ``encode_rows``, and the window that takes
-    it from ``windows``, as for a training prefix."""
-
-    def __init__(self, model, X, M, last_ms, first_ms):
-        self.model, self.X, self.M, self.last_ms, self.first_ms = model, X, M, last_ms, first_ms
-
-    @classmethod
-    def start(cls, model, prefixes):
-        X, M = _concat([model._inputs(p, [len(p)]) for p in prefixes])
-        last_ms = np.array([p[-1].timestamp_ms for p in prefixes], dtype=np.int64)
-        return cls(model, X, M, last_ms, np.array([p[0].timestamp_ms for p in prefixes], dtype=np.int64))
-
-    def predict(self):
-        return self.model._predictions(self.model._step_outputs, lambda: (self.X, self.M))
+        return model._predictions(*model._step_outputs(model.params, self.X, self.M))
 
     def extend(self, parents, tokens, deltas):
-        encoder = self.model.encoder
-        n, (T, F) = len(parents), self.X.shape[1:]
-        last_ms = self.last_ms[parents]
-        ms = np.array([_decoded_ms(int(t), d) for t, d in zip(last_ms, deltas)], dtype=np.int64)
+        model, encoder = self.model, self.model.encoder
+        label = model.activity_vocab.label
+        events = [_extend(self.events[p], label(t), d) for p, t, d in zip(parents, tokens, deltas)]
+        if encoder is None:
+            return _NeuralHypotheses(model, events, *_concat([model._inputs(e, [len(e)]) for e in events]))
+        n, (T, F) = len(events), self.X.shape[1:]
+        ms, last_ms, first_ms = (
+            np.array([e[i].timestamp_ms for e in events], dtype=np.int64) for i in (-1, -2, 0)
+        )
         missing = [vocab.index(MISSING) for vocab in encoder.attribute_vocabs.values()]
         attributes = np.full((n, len(missing)), missing, dtype=np.int64)
-        rows = encoder.encode_rows(np.asarray(tokens), attributes, ms, last_ms, self.first_ms[parents])
+        rows = encoder.encode_rows(np.asarray(tokens), attributes, ms, last_ms, first_ms)
         # row 0 pads; rows 1 + (T + 1) j ... (T + 1)(j + 1) hold parent j's window, then its new row
         source = np.zeros((1 + n * (T + 1), F), dtype=self.X.dtype)
         blocks = source[1:].reshape(n, T + 1, F)
         blocks[:, :T] = self.X[parents]
         blocks[:, T] = rows
-        # a window shows min(length, window, T) rows: one more than it shows stands for the new length
-        X, M = encoder.windows(source, (T + 1) * np.arange(1, n + 1) + 1, self.M[parents].sum(axis=1) + 1)
-        return _EncodedHypotheses(self.model, X, M, ms, self.first_ms[parents])
+        X, M = encoder.windows(source, (T + 1) * np.arange(1, n + 1) + 1, [len(e) for e in events])
+        return _NeuralHypotheses(model, events, X, M)
 
 
 class RecurrentPredictor(_NeuralPredictor):

@@ -150,14 +150,13 @@ def sequence_forward(
     params: Mapping[str, np.ndarray],
     inputs: np.ndarray,
     mask: np.ndarray | None = None,
-    h0: np.ndarray | None = None,
-    C0: np.ndarray | None = None,
 ):
-    """Run a fused recurrent cell over (B, T, D) inputs, carrying state
-    across mask-true steps only; padding steps pass state through unchanged.
+    """Run a fused recurrent cell over (B, T, D) inputs from a zero state,
+    carrying state across mask-true steps only; padding steps pass state
+    through unchanged.
 
     The (B, T) mask must be left-padded. The pass starts at ``t0``, the first
-    column where any row has a real step: ``hs[:, :t0]`` holds the initial
+    column where any row has a real step: ``hs[:, :t0]`` holds the zero
     state, and only the steps from ``t0`` on are run and cached. The input
     projection ``x U + b`` is one matmul over all T columns: BLAS may sum a
     row of a shorter matrix in another order.
@@ -171,9 +170,6 @@ def sequence_forward(
     H = W.shape[0]
     if D != U.shape[0]:
         raise ValueError(f"sequence_forward: input width {D} does not match U with {U.shape[0]} rows")
-    for name, state in (("h0", h0), ("C0", C0)):
-        if state is not None and state.shape != (B, H):
-            raise ValueError(f"sequence_forward: {name} has shape {state.shape}, expected {(B, H)}")
     if mask is not None and np.shape(mask) != (B, T):
         raise ValueError(f"sequence_forward: mask has shape {np.shape(mask)}, expected {(B, T)}")
     mask = np.ones((B, T), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
@@ -181,13 +177,11 @@ def sequence_forward(
         raise ValueError("mask interleaves padding with real steps (left padding required)")
     t0 = T - int(mask.any(axis=0).sum())
     mask = mask[:, :, None]
-    h = np.zeros((B, H), dtype=inputs.dtype) if h0 is None else h0.astype(inputs.dtype)
-    C = None
-    if cell == "lstm":
-        C = np.zeros((B, H), dtype=inputs.dtype) if C0 is None else C0.astype(inputs.dtype)
+    h = np.zeros((B, H), dtype=inputs.dtype)
+    C = np.zeros((B, H), dtype=inputs.dtype) if cell == "lstm" else None
     A = (inputs.reshape(B * T, D) @ U + b).reshape(B, T, -1)
     hs = np.empty((B, T, H), dtype=inputs.dtype)
-    hs[:, :t0] = h[:, None]
+    hs[:, :t0] = 0.0
     steps = []
     for t in range(t0, T):
         m = mask[:, t]

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
+from .atomic import write_text_atomic
 from .eventlog import EOC, EmptyLogError, Event, EventLog, Trace
 
 PARTS = ("train", "validation", "test")
@@ -31,6 +32,12 @@ class SplitLog:
         return getattr(self, name)
 
 
+def valid_split_fractions(fractions: tuple[float, float]) -> bool:
+    """Whether the train and validation fractions are positive and sum to less than 1."""
+    train_frac, val_frac = fractions
+    return train_frac > 0 and val_frac > 0 and train_frac + val_frac < 1
+
+
 def temporal_split(
     log: EventLog, fractions: tuple[float, float] = (0.64, 0.16)
 ) -> SplitLog:
@@ -41,9 +48,9 @@ def temporal_split(
     ``floor((train + val) * n)``; the test part takes the remainder. Purely
     deterministic, no randomness involved.
     """
-    train_frac, val_frac = fractions
-    if train_frac <= 0 or val_frac <= 0 or train_frac + val_frac >= 1:
+    if not valid_split_fractions(fractions):
         raise ValueError(f"invalid split fractions {fractions!r}")
+    train_frac, val_frac = fractions
     n = len(log.traces)
     if n == 0:
         raise EmptyLogError("cannot split an empty log")
@@ -132,7 +139,7 @@ def split_manifest(split: SplitLog) -> str:
 
 
 def write_split_manifest(split: SplitLog, path: str | Path) -> None:
-    Path(path).write_text(split_manifest(split), encoding="utf-8")
+    write_text_atomic(path, lambda: split_manifest(split))
 
 
 def read_split_manifest(path: str | Path) -> dict[str, str]:

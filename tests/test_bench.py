@@ -86,6 +86,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config.validate()
 
+    @pytest.mark.parametrize(
+        "split", [{"train": float("nan"), "validation": 0.1}, {"train": 0.5, "validation": float("nan")}]
+    )
+    def test_nan_fraction_rejected(self, tmp_path, log_csv, split):
+        config = small_config(tmp_path, log_csv, split=split)
+        with pytest.raises(ConfigError, match="split fractions"):
+            config.validate()
+
     @pytest.mark.parametrize("min_k", [0, -1])
     def test_min_k_below_one_rejected(self, tmp_path, log_csv, min_k):
         config = small_config(tmp_path, log_csv, min_k=min_k)

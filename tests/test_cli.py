@@ -1,11 +1,13 @@
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from ppmbench import cli, gradchecks
+from ppmbench import atomic, cli, gradchecks
 from ppmbench.cli import main
-from ppmbench.eventlog import write_csv
+from ppmbench.eventlog import parse_csv, to_csv, write_csv
+from ppmbench.splitting import split_manifest, temporal_split
 
 from conftest import TABLE1_CSV, make_linear_log
 
@@ -104,6 +106,16 @@ class TestUsageErrors:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("fractions", [("0.9", "0.2"), ("0", "0.1"), ("0.5", "-0.1"), ("nan", "0.1")])
+    def test_invalid_split_fractions(self, fractions, tmp_path, capsys):
+        # checked before the log is read: the log does not exist
+        out = tmp_path / "run"
+        argv = ["--out", str(out), "split", str(tmp_path / "missing.csv"),
+                "--train", fractions[0], "--val", fractions[1]]
+        assert main(argv) == 2
+        assert "invalid split fractions" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_timed_state_train_without_net(self, tmp_path, capsys):
         # a usage error, found before the log is read: the log does not exist
         out = tmp_path / "run"
@@ -139,6 +151,32 @@ class TestSplit:
         for part in ("train", "validation", "test"):
             assert (out / f"{part}.csv").exists()
         assert "train=25" in capsys.readouterr().out  # floor(0.64 * 40)
+
+
+class TestAtomicWrites:
+    def test_every_command_output_replaces_its_file_whole(self, linear_path, tmp_path, monkeypatch):
+        replaced = []
+        os_replace = atomic.os.replace
+
+        def spy(src, dst):
+            replaced.append(Path(dst).name)
+            return os_replace(src, dst)
+
+        monkeypatch.setattr(atomic.os, "replace", spy)
+        out = tmp_path / "run"
+        assert main(["stats", str(linear_path), "--csv", str(tmp_path / "stats.csv")]) == 0
+        assert main(["--out", str(out), "split", str(linear_path)]) == 0
+        split = temporal_split(parse_csv(linear_path))
+        assert (out / "split_manifest.csv").read_bytes() == split_manifest(split).encode()
+        for part in ("train", "validation", "test"):
+            assert (out / f"{part}.csv").read_bytes() == to_csv(split.part(part)).encode()
+        assert main(["--out", str(out), "train", str(linear_path), "--arch", "markov"]) == 0
+        assert main(["--out", str(out), "evaluate", str(linear_path), "--checkpoint", str(out / "model")]) == 0
+        assert set(replaced) == {
+            "stats.csv", "split_manifest.csv", "train.csv", "validation.csv", "test.csv",
+            "model.json", "train_report.json", "metrics.json",
+        }
+        assert not [path for path in tmp_path.rglob("*") if path.name.endswith(".tmp")]
 
 
 class TestTrainEvaluate:

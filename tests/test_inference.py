@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppmbench.eventlog import EOC, MISSING, Event, Vocabulary, augment_eoc
+from ppmbench.eventlog import EOC, MISSING, Event, Trace, Vocabulary, augment_eoc
 from ppmbench import models
 from ppmbench.inference import DecodeConfig, SuffixPrediction, decode_suffix, decode_suffixes
 from ppmbench.metrics import evaluate_protocol, mae
 from ppmbench.models import (
     AutoencoderPredictor, Predictor, RecurrentPredictor, TrainConfig, build_predictor, train
 )
-from ppmbench.splitting import make_prefix_samples, temporal_split
+from ppmbench.splitting import PrefixSample, make_prefix_samples, temporal_split
 
 from conftest import FixedDistributionModel, HashedRandomModel, generator_log, make_linear_log
 
@@ -88,6 +88,20 @@ class TestDecodeBasics:
         model = FixedDistributionModel(VOCAB3, [1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             decode_suffix(model, (), DecodeConfig(max_len=3))
+
+    def test_sample_of_no_events_rejected(self):
+        model = FixedDistributionModel(VOCAB3, [1.0, 0.0, 0.0])
+        trace = Trace("c", one_event_prefix())
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="empty prefix"):
+                decode_suffixes(model, [PrefixSample(trace, 1), PrefixSample(trace, k)], DecodeConfig(max_len=3))
+
+    def test_sample_longer_than_its_trace_rejected(self):
+        model = FixedDistributionModel(VOCAB3, [1.0, 0.0, 0.0])
+        trace = Trace("c", one_event_prefix())
+        n = len(trace.events)
+        with pytest.raises(ValueError, match="exceeds its trace"):
+            decode_suffixes(model, [PrefixSample(trace, n), PrefixSample(trace, n + 1)], DecodeConfig(max_len=3))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -603,7 +617,7 @@ def decode_models():
         model = build_predictor(arch, config, split.train.activity_vocab, split.train.attribute_vocabs, net)
         train(model, split, seed=0)
         trained.append(model)
-    return trained, [s.prefix for s in make_prefix_samples(split.test)]
+    return trained, make_prefix_samples(split.test)
 
 
 class TestLockstepSearch:
@@ -611,25 +625,25 @@ class TestLockstepSearch:
     def test_one_search_over_all_prefixes_decodes_as_the_per_prefix_loops(self, decode_models, cfg):
         # the recurrent kernel runs each step once per window length, every
         # other forward row by row: the batch changes no bit of any row
-        trained, prefixes = decode_models
+        trained, samples = decode_models
         for model in trained:
-            expected = [_ref_decode(model, p, replace(cfg, seed=cfg.seed ^ i)) for i, p in enumerate(prefixes)]
-            assert decode_suffixes(model, prefixes, cfg) == expected, model.architecture
+            expected = [_ref_decode(model, s.prefix, replace(cfg, seed=cfg.seed ^ i)) for i, s in enumerate(samples)]
+            assert decode_suffixes(model, samples, cfg) == expected, model.architecture
 
     def test_a_prefix_decodes_alike_alone_and_in_every_batch_order(self, decode_models):
-        trained, prefixes = decode_models
-        prefixes = prefixes[:40]
-        orders = [np.random.default_rng(seed).permutation(len(prefixes)) for seed in range(2)]
+        trained, samples = decode_models
+        samples = samples[:40]
+        orders = [np.random.default_rng(seed).permutation(len(samples)) for seed in range(2)]
         for model in trained:
             for cfg in LOCKSTEP_CONFIGS:
-                batch = decode_suffixes(model, prefixes, cfg)
+                batch = decode_suffixes(model, samples, cfg)
                 for i in (0, 17, 39):
-                    assert decode_suffix(model, prefixes[i], replace(cfg, seed=cfg.seed ^ i)) == batch[i]
+                    assert decode_suffix(model, samples[i].prefix, replace(cfg, seed=cfg.seed ^ i)) == batch[i]
                 for order in orders:
-                    shuffled = decode_suffixes(model, [prefixes[i] for i in order], cfg)
+                    shuffled = decode_suffixes(model, [samples[i] for i in order], cfg)
                     if cfg.strategy == "random":  # the generator goes with the position
                         batch = [
-                            decode_suffix(model, prefixes[i], replace(cfg, seed=cfg.seed ^ j))
+                            decode_suffix(model, samples[i].prefix, replace(cfg, seed=cfg.seed ^ j))
                             for j, i in enumerate(order)
                         ]
                         assert shuffled == batch
@@ -637,23 +651,21 @@ class TestLockstepSearch:
                         assert shuffled == [batch[i] for i in order]
 
     def test_a_gru_decodes_past_its_window_as_the_loops_do(self, decode_models):
-        trained, prefixes = decode_models
+        trained, samples = decode_models
         gru = trained[2]
         assert gru.encoder.max_len == 4
-        long = [p for p in prefixes if len(p) >= 4]  # every hypothesis outgrows the window
+        long = [s for s in samples if s.k >= 4]  # every hypothesis outgrows the window
         assert len(long) >= 10
         for cfg in LOCKSTEP_CONFIGS:
-            expected = [_ref_decode(gru, p, replace(cfg, seed=cfg.seed ^ i)) for i, p in enumerate(long)]
+            expected = [_ref_decode(gru, s.prefix, replace(cfg, seed=cfg.seed ^ i)) for i, s in enumerate(long)]
             assert decode_suffixes(gru, long, cfg) == expected
 
     def test_carried_rows_equal_the_rows_of_the_extended_prefixes(self, decode_models):
-        trained, prefixes = decode_models
+        trained, samples = decode_models
         rng = np.random.default_rng(0)
-        for model in trained:
-            if getattr(model, "encoder", None) is None:
-                continue  # markov, the timed-state mlp and the autoencoder re-encode their events
-            hypotheses = model.hypotheses(prefixes)
-            events = [tuple(p) for p in prefixes]
+        for model in trained[1:]:  # markov carries events alone
+            hypotheses = model.hypotheses(samples)
+            events = [s.prefix for s in samples]
             for _ in range(6):
                 parents = rng.integers(0, len(events), size=len(events) + 3).tolist()
                 tokens = rng.integers(0, len(model.activity_vocab), size=len(parents)).tolist()
@@ -663,10 +675,31 @@ class TestLockstepSearch:
                 events = [models._extend(events[p], label(t), d) for p, t, d in zip(parents, tokens, deltas)]
                 X, M = models._concat([model._inputs(e, [len(e)]) for e in events])
                 assert np.array_equal(hypotheses.X, X) and hypotheses.X.dtype == X.dtype
-                assert np.array_equal(hypotheses.M, M)
+                assert (M is None and hypotheses.M is None) or np.array_equal(hypotheses.M, M)
+
+    def test_a_decode_starts_by_encoding_each_trace_once(self, decode_models, monkeypatch):
+        trained, samples = decode_models
+        traces = {id(s.trace) for s in samples}
+        assert len(traces) < len(samples)
+        for model in (trained[1], trained[7], trained[8]):  # gru, timed-state mlp, autoencoder
+            calls = []
+
+            def counted(events, ks, inputs=model._inputs):
+                calls.append(ks)
+                return inputs(events, ks)
+
+            monkeypatch.setattr(model, "_inputs", counted)
+            model.hypotheses(samples)
+            assert len(calls) == len(traces), model.architecture
+            assert sorted(k for ks in calls for k in ks) == sorted(s.k for s in samples)
 
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def as_samples(prefixes):
+    """One sample per prefix, holding all of its events."""
+    return [PrefixSample(Trace(p[0].case_id, tuple(p)), len(p)) for p in prefixes]
 
 
 @st.composite
@@ -692,7 +725,7 @@ class TestDecodeProperties:
     @given(decode_cases())
     def test_invariants(self, case):
         model, prefixes, cfg = case
-        for pred in decode_suffixes(model, prefixes, cfg):
+        for pred in decode_suffixes(model, as_samples(prefixes), cfg):
             assert 1 <= len(pred.activities) <= cfg.max_len
             assert (pred.activities[-1] == EOC) == (not pred.truncated)
             assert EOC not in pred.activities[:-1]
@@ -703,8 +736,8 @@ class TestDecodeProperties:
     @given(decode_cases())
     def test_argmax_equals_beam_of_width_one(self, case):
         model, prefixes, cfg = case
-        argmax = decode_suffixes(model, prefixes, replace(cfg, strategy="argmax"))
-        beam1 = decode_suffixes(model, prefixes, replace(cfg, strategy="beam", beam_width=1))
+        argmax = decode_suffixes(model, as_samples(prefixes), replace(cfg, strategy="argmax"))
+        beam1 = decode_suffixes(model, as_samples(prefixes), replace(cfg, strategy="beam", beam_width=1))
         assert argmax == beam1
 
     @PROPERTY_SETTINGS
@@ -712,4 +745,4 @@ class TestDecodeProperties:
     def test_each_prefix_decodes_in_the_batch_as_alone_with_its_seed(self, case):
         model, prefixes, cfg = case
         alone = [decode_suffix(model, p, replace(cfg, seed=cfg.seed ^ i)) for i, p in enumerate(prefixes)]
-        assert decode_suffixes(model, prefixes, cfg) == alone
+        assert decode_suffixes(model, as_samples(prefixes), cfg) == alone

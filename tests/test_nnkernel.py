@@ -32,11 +32,9 @@ def step(cell, params, x, h_prev, C_prev=None):
     return h[0], (None if C is None else C[0]), cache
 
 
-def run(cell, params, xs, mask=None, h0=None):
+def run(cell, params, xs, mask=None):
     """Hidden states of one (T, D) sequence."""
-    hs, _ = nn.sequence_forward(
-        cell, params, xs[None], None if mask is None else mask[None], None if h0 is None else h0[None]
-    )
+    hs, _ = nn.sequence_forward(cell, params, xs[None], None if mask is None else mask[None])
     return hs[0]
 
 
@@ -274,12 +272,6 @@ class TestForwardSequence:
         params = zero_params(cell_params("rnn", 2, 3))
         hs = run("rnn", params, np.ones((4, 2)))
         assert np.all(hs == 0.0)
-
-    def test_zero_params_gru_repeated_halving(self):
-        params = zero_params(cell_params("gru", 2, 3))
-        h0 = np.array([1.0, -2.0, 4.0])
-        hs = run("gru", params, np.zeros((3, 2)), h0=h0)
-        assert np.allclose(hs[-1], h0 * 0.5**3, atol=1e-15)
 
     def test_single_real_step_equals_step_op(self):
         rng = rng64(7)
@@ -549,13 +541,8 @@ class TestShapeMismatches:
         with pytest.raises(ValueError, match="input width 5"):
             nn.sequence_forward("lstm", params, np.ones((1, 1, 5)))
 
-    def test_gru_hidden_width(self):
-        params = cell_params("gru", 3, 4)
-        with pytest.raises(ValueError, match="h0"):
-            nn.sequence_forward("gru", params, np.ones((1, 1, 3)), h0=np.ones((1, 2)))
 
-
-def reference_sequence_forward(cell, params, inputs, mask=None, h0=None, C0=None):
+def reference_sequence_forward(cell, params, inputs, mask=None):
     """``sequence_forward`` as it was before passes started at the first real
     column: every one of the T columns is stepped."""
     U, W, b = params["U"], params["W"], params["b"]
@@ -563,10 +550,8 @@ def reference_sequence_forward(cell, params, inputs, mask=None, h0=None, C0=None
     H = W.shape[0]
     mask = np.ones((B, T), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     mask = mask[:, :, None]
-    h = np.zeros((B, H), dtype=inputs.dtype) if h0 is None else h0.astype(inputs.dtype)
-    C = None
-    if cell == "lstm":
-        C = np.zeros((B, H), dtype=inputs.dtype) if C0 is None else C0.astype(inputs.dtype)
+    h = np.zeros((B, H), dtype=inputs.dtype)
+    C = np.zeros((B, H), dtype=inputs.dtype) if cell == "lstm" else None
     A = (inputs.reshape(B * T, D) @ U + b).reshape(B, T, -1)
     hs = np.empty((B, T, H), dtype=inputs.dtype)
     steps = []
@@ -623,39 +608,36 @@ class TestFirstRealColumn:
     reference that steps through every column."""
 
     T = 7
-    # name -> (real steps per row, or None for no mask; initial state given;
-    # upstream gradient only on the skipped columns)
+    # name -> (real steps per row, or None for no mask; upstream gradient
+    # only on the skipped columns)
     CASES = {
-        "no-mask": (None, False, False),
-        "every-row-starts-late": ([4, 2, 3], False, False),
-        "one-all-padding-row": ([5, 0, 2], False, False),
-        "all-padding": ([0, 0, 0], False, False),
-        "initial-state": ([3, 1, 2], True, False),
-        "upstream-only-on-skipped-columns": ([3, 1, 2], True, True),
+        "no-mask": (None, False),
+        "every-row-starts-late": ([4, 2, 3], False),
+        "one-all-padding-row": ([5, 0, 2], False),
+        "all-padding": ([0, 0, 0], False),
+        "upstream-only-on-skipped-columns": ([3, 1, 2], True),
     }
 
     def inputs(self, case, cell, dtype):
-        lengths, with_state, skipped_upstream = self.CASES[case]
+        lengths, skipped_upstream = self.CASES[case]
         rng = rng64(sum(map(ord, case + cell)))
         B, D, H = 3, 5, 4
         params = {k: v.astype(dtype) for k, v in cell_params(cell, D, H, seed=3).items()}
         params["b"] = params["b"] + rng.normal(scale=0.5, size=params["b"].shape).astype(dtype)
         X = rng.normal(size=(B, self.T, D)).astype(dtype)
         mask = None if lengths is None else left_padded(lengths, self.T)
-        h0 = rng.normal(size=(B, H)).astype(dtype) if with_state else None
-        C0 = rng.normal(size=(B, H)).astype(dtype) if with_state and cell == "lstm" else None
         dhs = rng.normal(size=(B, self.T, H)).astype(dtype)
         if skipped_upstream:
             dhs[:, self.T - max(lengths) :] = 0.0
-        return params, X, mask, h0, C0, dhs
+        return params, X, mask, dhs
 
     @pytest.mark.parametrize("case", list(CASES))
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("cell", nn.CELLS)
     def test_bit_equal_to_every_column_reference(self, cell, dtype, case):
-        params, X, mask, h0, C0, dhs = self.inputs(case, cell, dtype)
-        hs, caches = nn.sequence_forward(cell, params, X, mask, h0, C0)
-        ref_hs, ref_caches = reference_sequence_forward(cell, params, X, mask, h0, C0)
+        params, X, mask, dhs = self.inputs(case, cell, dtype)
+        hs, caches = nn.sequence_forward(cell, params, X, mask)
+        ref_hs, ref_caches = reference_sequence_forward(cell, params, X, mask)
         assert hs.dtype == ref_hs.dtype and np.array_equal(hs, ref_hs)
         dxs, grads = nn.sequence_backward(cell, params, caches, dhs)
         ref_dxs, ref_grads = reference_sequence_backward(cell, params, ref_caches, dhs)
@@ -667,13 +649,12 @@ class TestFirstRealColumn:
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_skipped_columns_hold_state_and_get_zero_gradient(self, case):
-        params, X, mask, h0, C0, dhs = self.inputs(case, "lstm", np.float64)
+        params, X, mask, dhs = self.inputs(case, "lstm", np.float64)
         lengths = self.CASES[case][0]
         t0 = 0 if lengths is None else self.T - max(lengths)
-        hs, caches = nn.sequence_forward("lstm", params, X, mask, h0, C0)
+        hs, caches = nn.sequence_forward("lstm", params, X, mask)
         assert len(caches[2]) == self.T - t0  # only the real columns are stepped
-        initial = np.zeros((3, 4)) if h0 is None else h0
-        assert np.array_equal(hs[:, :t0], np.broadcast_to(initial[:, None], (3, t0, 4)))
+        assert np.all(hs[:, :t0] == 0.0)
         dxs, _ = nn.sequence_backward("lstm", params, caches, dhs)
         assert np.all(dxs[:, :t0] == 0.0)
 

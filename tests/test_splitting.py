@@ -54,6 +54,12 @@ class TestTemporalSplit:
             with pytest.raises(ValueError):
                 temporal_split(log, fractions)
 
+    def test_nan_fractions_rejected(self):
+        log = make_linear_log(10)
+        for fractions in ((float("nan"), 0.1), (0.5, float("nan"))):
+            with pytest.raises(ValueError, match="invalid split fractions"):
+                temporal_split(log, fractions)
+
     def test_deterministic(self):
         log = make_linear_log(50)
         a = temporal_split(log)
