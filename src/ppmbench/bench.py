@@ -256,6 +256,7 @@ def run_cell(
         result.train_report = {
             **report.core(),
             "wall_clock_seconds": report.wall_clock_seconds,
+            "epoch_seconds": report.epoch_seconds,
         }
 
         decode_kwargs = dict(config.decode)

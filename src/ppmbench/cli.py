@@ -184,7 +184,13 @@ def cmd_train(args) -> int:
     write_text_atomic(
         out / "train_report.json",
         lambda: json.dumps(
-            {**report.core(), "wall_clock_seconds": report.wall_clock_seconds}, indent=2, sort_keys=True
+            {
+                **report.core(),
+                "wall_clock_seconds": report.wall_clock_seconds,
+                "epoch_seconds": report.epoch_seconds,
+            },
+            indent=2,
+            sort_keys=True,
         ),
     )
     best_val = report.val_losses[report.best_epoch]

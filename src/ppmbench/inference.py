@@ -15,7 +15,7 @@ import numpy as np
 
 from .eventlog import EOC, Event, Trace
 from .models import EventHypotheses, Predictor
-from .splitting import PrefixSample
+from .splitting import PrefixSample, check_prefix_samples
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,7 @@ def decode_suffixes(
     vectorised check then rejects any row that is not a distribution with
     ``ValueError``.
     """
-    if any(s.k < 1 for s in samples):
-        raise ValueError("cannot decode from an empty prefix")
-    if any(s.k > len(s.trace.events) for s in samples):
-        raise ValueError("prefix length exceeds its trace's length")
+    check_prefix_samples(samples)
     if not samples:
         return []
     eoc = model.activity_vocab.index(EOC)

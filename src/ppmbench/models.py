@@ -21,7 +21,7 @@ from .atomic import write_text_atomic
 from .encoding import Normalizer, PrefixEncoder, ngram_hash_encode, ngram_hash_prefixes
 from .eventlog import MISSING, Event, Vocabulary
 from .petrinet import PetriNet, TimedStateVector, replay_prefixes, replay_timed_state
-from .splitting import PrefixSample, SplitLog, make_prefix_samples
+from .splitting import PrefixSample, SplitLog, check_prefix_samples, make_prefix_samples
 
 ARCHITECTURES = ("markov", "mlp", "rnn", "lstm", "gru", "autoencoder")
 INPUT_MODES = ("padded_flat", "single_event", "timed_state")  # what the mlp reads
@@ -106,14 +106,17 @@ class TrainConfig:
 class TrainReport:
     """Per-epoch losses and the retained best epoch.
 
-    ``wall_clock_seconds`` is informational and excluded from reproducibility
-    comparisons; everything else is bit-reproducible for a fixed seed.
+    ``wall_clock_seconds`` (the whole fit) and ``epoch_seconds`` (each epoch
+    of the last training stage, its validation included) are informational
+    and excluded from reproducibility comparisons (:meth:`core`); everything
+    else is bit-reproducible for a fixed seed.
     """
 
     train_losses: tuple[float, ...]
     val_losses: tuple[float, ...]
     best_epoch: int
     wall_clock_seconds: float
+    epoch_seconds: tuple[float, ...]
     seed: int
 
     def core(self) -> dict:
@@ -148,7 +151,9 @@ class Predictor:
 
     def predict_batch(self, samples: Sequence[PrefixSample]) -> tuple[np.ndarray, np.ndarray]:
         """Probabilities (N, C) and times (N,), float64, in sample order; by
-        default ``predict`` of each sample's prefix."""
+        default ``predict`` of each sample's prefix. A sample whose ``k`` is
+        not within 1 to its trace's length is a ``ValueError``."""
+        check_prefix_samples(samples)
         return _stacked([self.predict(s.prefix) for s in samples], len(self.activity_vocab))
 
     def hypotheses(self, samples: Sequence[PrefixSample]) -> "EventHypotheses":
@@ -253,11 +258,13 @@ class MarkovPredictor(Predictor):
                 self.tables[j][ctx] = (counts, delta_sum + sample.next_time_delta)
         train_nll = self._mean_nll(train_samples)
         val_nll = self._mean_nll(val_samples) if val_samples else train_nll
+        seconds = time.perf_counter() - start
         return TrainReport(
             train_losses=(train_nll,),
             val_losses=(val_nll,),
             best_epoch=0,
-            wall_clock_seconds=time.perf_counter() - start,
+            wall_clock_seconds=seconds,
+            epoch_seconds=(seconds,),
             seed=seed,
         )
 
@@ -344,6 +351,26 @@ def _time_values(samples, time_target: str) -> np.ndarray:
     return np.array([s.remaining_time for s in samples], dtype=np.float64)
 
 
+POOL_BATCHES = 32  # batches per length-sorted pool of a recurrent model's epoch
+
+
+def _epoch_batches(rng, n_train: int, batch_size: int, lengths: np.ndarray | None = None) -> list[np.ndarray]:
+    """The index batches of one epoch: consecutive slices of
+    ``rng.permutation(n_train)``, or with ``lengths``, slices of it after
+    each pool of ``POOL_BATCHES`` batches is sorted stably by length, run in
+    the order of a second permutation drawn from ``rng``."""
+    order = rng.permutation(n_train)
+    if lengths is not None:
+        pool = POOL_BATCHES * batch_size
+        for s in range(0, n_train, pool):
+            chunk = order[s : s + pool]
+            order[s : s + pool] = chunk[np.argsort(lengths[chunk], kind="stable")]
+    batches = [order[s : s + batch_size] for s in range(0, n_train, batch_size)]
+    if lengths is None:
+        return batches
+    return [batches[i] for i in rng.permutation(len(batches))]
+
+
 def _sgd_train(
     params: dict[str, np.ndarray],
     batch_step: Callable[[dict, np.ndarray], tuple[float, dict]],
@@ -351,35 +378,44 @@ def _sgd_train(
     n_train: int,
     config: TrainConfig,
     seed: int,
+    lengths: np.ndarray | None = None,
 ) -> tuple[dict[str, np.ndarray], TrainReport]:
     """Mini-batch SGD with per-epoch validation, early stopping, and
     best-validation checkpointing. Deterministic for a fixed seed. A
     non-finite batch loss stops training with ``ValueError`` before the
-    update it would feed."""
+    update it would feed.
+
+    Batch order: each epoch draws one permutation of the training rows and
+    cuts it into batches of ``config.batch_size``. A recurrent model, whose
+    kernel steps only the columns where some row of its batch has a real
+    step, passes each row's prefix length as ``lengths``: then the
+    permutation is cut into pools of ``POOL_BATCHES`` batches, each pool is
+    sorted stably by length before its batches are cut, and the batches run
+    in a second permutation's order (see :func:`_epoch_batches`)."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     opt = nn.SGD(config.lr, config.momentum, config.clip_norm)
     train_hist: list[float] = []
     val_hist: list[float] = []
+    epoch_seconds: list[float] = []
     best_val = np.inf
     best_epoch = 0
     best_params = {k: v.copy() for k, v in params.items()}
     for epoch in range(config.epochs):
-        order = rng.permutation(n_train)
+        epoch_start = time.perf_counter()
         total = 0.0
-        batches = 0
-        for s in range(0, n_train, config.batch_size):
-            idx = order[s : s + config.batch_size]
+        batches = _epoch_batches(rng, n_train, config.batch_size, lengths)
+        for idx in batches:
             loss, grads = batch_step(params, idx)
             if not np.isfinite(loss):
                 raise ValueError(f"non-finite training loss {loss!r} in epoch {epoch}")
             opt.step(params, grads)
             total += loss
-            batches += 1
-        train_loss = total / max(batches, 1)
+        train_loss = total / max(len(batches), 1)
         train_hist.append(train_loss)
         val = val_loss_fn(params) if val_loss_fn is not None else train_loss
         val_hist.append(val)
+        epoch_seconds.append(time.perf_counter() - epoch_start)
         if val < best_val:
             best_val = val
             best_epoch = epoch
@@ -394,6 +430,7 @@ def _sgd_train(
         val_losses=tuple(val_hist),
         best_epoch=best_epoch,
         wall_clock_seconds=time.perf_counter() - start,
+        epoch_seconds=tuple(epoch_seconds),
         seed=seed,
     )
     return best_params, report
@@ -452,6 +489,11 @@ class _NeuralPredictor(Predictor):
     def _body_backward(self, params, cache, dfeatures) -> dict[str, np.ndarray]:
         """Gradients of the body's parameters given the feature gradient."""
         raise NotImplementedError
+
+    def _batch_lengths(self, M):
+        """Per-row lengths by which :func:`_sgd_train` buckets the training
+        batches, or None for plain shuffled batches (the default)."""
+        return None
 
     # shared --------------------------------------------------------------
     def _make_encoder(self) -> PrefixEncoder:
@@ -588,7 +630,7 @@ class _NeuralPredictor(Predictor):
             )
 
         self.params, report = _sgd_train(
-            params, batch_step, val_loss, len(train_samples), self.config, seed
+            params, batch_step, val_loss, len(train_samples), self.config, seed, self._batch_lengths(M)
         )
         return replace(report, wall_clock_seconds=time.perf_counter() - start)
 
@@ -607,6 +649,7 @@ class _NeuralPredictor(Predictor):
 
     def predict_batch(self, samples):
         self._check_fitted()
+        check_prefix_samples(samples)
         return self._predictions(*self._outputs(self.params, *self._batch_inputs(samples))[:2])
 
     def predict(self, events):
@@ -764,6 +807,10 @@ class RecurrentPredictor(_NeuralPredictor):
             layer_caches.append(caches)
             current = hs
         return current[:, -1, :], (layer_caches, idx, X.shape[1])
+
+    def _batch_lengths(self, M):
+        # the kernel steps a batch from its longest prefix's first column on
+        return M.sum(axis=1)
 
     def _step_features(self, params, X, M):
         # The kernel computes each row as it would alone, so one pass per

@@ -6,7 +6,7 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .atomic import write_text_atomic
 from .eventlog import EOC, EmptyLogError, Event, EventLog, Trace
@@ -110,6 +110,19 @@ class PrefixSample:
     @property
     def remaining_time(self) -> float:
         return (self.trace.end_ms - self.trace.events[self.k - 1].timestamp_ms) / 1000.0
+
+
+def check_prefix_samples(samples: Sequence[PrefixSample]) -> None:
+    """``ValueError`` unless every sample's prefix holds 1 to all of its
+    trace's events: the inputs a model scores or decodes from."""
+    for sample in samples:
+        if sample.k < 1:
+            raise ValueError(f"sample of case {sample.case_id!r} has an empty prefix (k={sample.k})")
+        if sample.k > len(sample.trace.events):
+            raise ValueError(
+                f"sample of case {sample.case_id!r}: prefix length {sample.k} exceeds its trace's "
+                f"length {len(sample.trace.events)}"
+            )
 
 
 def make_prefix_samples(log: EventLog, min_k: int = 1) -> list[PrefixSample]:

@@ -156,6 +156,15 @@ class TestRunMatrix:
         record_json = json.loads((out / "run_record.json").read_text())
         assert record_json["config_hash"] == config.canonical_hash()
 
+    def test_epoch_seconds_reach_the_cell_json_but_not_metrics_csv(self, tmp_path, log_csv):
+        run_matrix(small_config(tmp_path, log_csv))
+        out = tmp_path / "out"
+        for model, epochs in (("markov", 1), ("mlp", 3)):
+            report = json.loads((out / "cells" / f"linear__{model}.result.json").read_text())["train_report"]
+            assert len(report["epoch_seconds"]) == len(report["train_losses"]) == epochs
+        assert "epoch_seconds" not in (out / "metrics.csv").read_text()
+        assert "epoch_seconds" not in (out / "report.md").read_text()
+
     def test_identical_split_manifests_across_models(self, tmp_path, log_csv):
         config = small_config(tmp_path, log_csv)
         record = run_matrix(config)

@@ -188,7 +188,8 @@ class TestTrainEvaluate:
         )
         assert code == 0
         assert (out / "model.json").exists()
-        assert (out / "train_report.json").exists()
+        report = json.loads((out / "train_report.json").read_text())
+        assert len(report["epoch_seconds"]) == len(report["train_losses"]) == 1
         assert capsys.readouterr().out.splitlines()[-1] == f"checkpoint: {out / 'model.json'}"
 
         code = main(

@@ -8,21 +8,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ppmbench import models
+from ppmbench import nnkernel as nn
 from ppmbench.eventlog import EOC, Event, EventLog, Trace, Vocabulary, augment_eoc
 from ppmbench.models import (
+    POOL_BATCHES,
     AutoencoderPredictor,
     MarkovPredictor,
     MLPPredictor,
     Predictor,
     RecurrentPredictor,
     TrainConfig,
+    TrainReport,
     build_predictor,
     load_predictor,
     save_predictor,
     train,
 )
 from ppmbench.petrinet import PetriNet, Transition
-from ppmbench.splitting import make_prefix_samples, temporal_split
+from ppmbench.splitting import PrefixSample, make_prefix_samples, temporal_split
 
 from conftest import generator_log, make_linear_log, make_random_log
 
@@ -404,6 +408,19 @@ class TestTrainingLoop:
         report = train(predictor, split, seed=0)
         assert report.wall_clock_seconds >= 0.5 * (time.perf_counter() - start)
 
+    @pytest.mark.parametrize("arch", ["markov", "mlp", "gru", "autoencoder"])
+    def test_epoch_seconds_one_per_epoch_and_outside_core(self, arch, linear_split):
+        log, split = linear_split
+        cfg = fast_config(
+            epochs=3, time_target=None if arch == "autoencoder" else "next",
+            ngram_dim=16, ae_hidden=(8, 4), pretrain_epochs=2, freeze_epochs=1,
+        )
+        report = train(build_predictor(arch, cfg, log.activity_vocab), split, seed=0)
+        assert len(report.epoch_seconds) == len(report.train_losses)
+        assert all(s >= 0.0 for s in report.epoch_seconds)
+        assert sum(report.epoch_seconds) <= report.wall_clock_seconds
+        assert set(report.core()) == {"train_losses", "val_losses", "best_epoch", "seed"}
+
     def test_autoencoder_recon_losses_non_increasing(self, linear_split):
         # cross-stage ordering of the final reconstruction losses is scale- and
         # seed-dependent (each stage reconstructs a different signal); assert
@@ -420,6 +437,146 @@ class TestTrainingLoop:
         assert finals[1] <= finals[0]
         for losses in predictor.recon_losses:
             assert losses[-1] <= losses[0]
+
+
+def reference_sgd_train(params, batch_step, val_loss_fn, n_train, config, seed, lengths=None):
+    """The SGD loop as it was before recurrent batches were bucketed by
+    length: each epoch's batches are consecutive slices of one permutation,
+    whatever ``lengths`` says."""
+    rng = np.random.default_rng(seed)
+    opt = nn.SGD(config.lr, config.momentum, config.clip_norm)
+    train_hist, val_hist = [], []
+    best_val, best_epoch, best_params = np.inf, 0, {k: v.copy() for k, v in params.items()}
+    for epoch in range(config.epochs):
+        order = rng.permutation(n_train)
+        total, batches = 0.0, 0
+        for s in range(0, n_train, config.batch_size):
+            loss, grads = batch_step(params, order[s : s + config.batch_size])
+            opt.step(params, grads)
+            total += loss
+            batches += 1
+        train_hist.append(total / max(batches, 1))
+        val_hist.append(val_loss_fn(params) if val_loss_fn is not None else train_hist[-1])
+        if val_hist[-1] < best_val:
+            best_val, best_epoch, best_params = val_hist[-1], epoch, {k: v.copy() for k, v in params.items()}
+        stalled = epoch - best_epoch
+        if stalled >= config.patience:
+            break
+        if config.lr_decay < 1.0 and stalled > 0 and stalled % config.lr_patience == 0:
+            opt.lr *= config.lr_decay
+    report = TrainReport(
+        train_losses=tuple(train_hist), val_losses=tuple(val_hist), best_epoch=best_epoch,
+        wall_clock_seconds=0.0, epoch_seconds=(0.0,) * len(train_hist), seed=seed,
+    )
+    return best_params, report
+
+
+class TestBatchOrder:
+    """A recurrent model's epoch: one permutation cut into pools of
+    ``POOL_BATCHES`` batches, each pool sorted stably by prefix length, its
+    batches cut, and the batch order permuted by the same generator. Every
+    other model keeps the plain permutation's consecutive batches."""
+
+    @staticmethod
+    def lengths(n, seed=0):
+        return np.random.default_rng(seed).integers(1, 16, size=n)
+
+    @pytest.mark.parametrize("n, batch_size", [(0, 4), (1, 4), (37, 4), (128, 4), (1000, 3), (4516, 32)])
+    def test_every_index_once_per_epoch(self, n, batch_size):
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            batches = models._epoch_batches(rng, n, batch_size, self.lengths(n))
+            assert len(batches) == -(-n // batch_size)
+            assert sorted(len(b) for b in batches)[1:] == [batch_size] * (len(batches) - 1)
+            assert np.array_equal(np.sort(np.concatenate(batches + [np.empty(0, int)])), np.arange(n))
+
+    @pytest.mark.parametrize("n, batch_size", [(37, 4), (1000, 3), (4516, 32)])
+    def test_pools_are_sorted_stably_by_length(self, n, batch_size):
+        lengths = self.lengths(n, seed=n)
+        batches = models._epoch_batches(np.random.default_rng(9), n, batch_size, lengths)
+        replay = np.random.default_rng(9)
+        permutation = replay.permutation(n)
+        batch_order = replay.permutation(len(batches))
+        cut = [None] * len(batches)
+        for j, i in enumerate(batch_order):
+            cut[i] = batches[j]
+        sequence = np.concatenate(cut)
+        pool = POOL_BATCHES * batch_size
+        rank = np.empty(n, dtype=np.int64)
+        rank[permutation] = np.arange(n)  # position in the permutation
+        for s in range(0, n, pool):
+            rows = sequence[s : s + pool]
+            assert set(rows.tolist()) == set(permutation[s : s + pool].tolist())
+            keys = list(zip(lengths[rows].tolist(), rank[rows].tolist()))
+            assert keys == sorted(keys)  # by length, ties in permutation order
+
+    def test_deterministic_for_a_fixed_seed(self):
+        lengths = self.lengths(500)
+
+        def epochs(seed):
+            rng = np.random.default_rng(seed)
+            return [np.concatenate(models._epoch_batches(rng, 500, 8, lengths)) for _ in range(3)]
+
+        assert all(np.array_equal(a, b) for a, b in zip(epochs(4), epochs(4), strict=True))
+        assert not all(np.array_equal(a, b) for a, b in zip(epochs(4), epochs(5), strict=True))
+
+    def test_without_lengths_the_plain_permutation(self):
+        batches = models._epoch_batches(np.random.default_rng(2), 50, 8)
+        order = np.random.default_rng(2).permutation(50)
+        assert len(batches) == 7
+        assert all(np.array_equal(b, order[s : s + 8]) for b, s in zip(batches, range(0, 50, 8)))
+
+    @pytest.mark.parametrize(
+        "arch, overrides",
+        [
+            ("mlp", {"input_mode": "padded_flat", "attributes": ("Resource",)}),
+            ("mlp", {"input_mode": "single_event"}),
+            ("mlp", {"input_mode": "timed_state"}),
+            ("autoencoder", {"ngram_dim": 16, "ae_hidden": (8, 4), "pretrain_epochs": 2, "freeze_epochs": 2}),
+        ],
+        ids=["mlp-padded-flat", "mlp-single-event", "mlp-timed-state", "autoencoder"],
+    )
+    def test_non_recurrent_training_keeps_the_plain_order(self, arch, overrides, monkeypatch):
+        log, net, split = generator_split(1)
+        cfg = TrainConfig(hidden=8, layers=1, epochs=3, patience=3, batch_size=16, **overrides)
+
+        def fit():
+            predictor = build_predictor(arch, cfg, log.activity_vocab, log.attribute_vocabs, net)
+            return predictor, train(predictor, split, seed=3)
+
+        predictor, report = fit()
+        monkeypatch.setattr(models, "_sgd_train", reference_sgd_train)
+        reference, reference_report = fit()
+        assert report.core() == reference_report.core()
+        assert predictor.params.keys() == reference.params.keys()
+        for name in predictor.params:
+            assert np.array_equal(predictor.params[name], reference.params[name]), name
+
+    def test_recurrent_batches_step_at_most_half_the_columns(self, monkeypatch):
+        log, net, split = generator_split(1)
+        cfg = TrainConfig(hidden=8, layers=1, epochs=3, patience=3, time_target=None)
+        steps = []
+        forward = nn.sequence_forward
+
+        def counting_forward(cell, params, inputs, mask=None):
+            hs, caches = forward(cell, params, inputs, mask)
+            if len(inputs) <= cfg.batch_size:  # a training batch, not the validation set
+                steps.append(len(caches[2]))
+            return hs, caches
+
+        monkeypatch.setattr(nn, "sequence_forward", counting_forward)
+        predictor = RecurrentPredictor("gru", log.activity_vocab, config=cfg)
+        report = train(predictor, split, seed=1)
+        samples = make_prefix_samples(split.train)
+        lengths = predictor._batch_inputs(samples)[1].sum(axis=1)
+        rng = np.random.default_rng(1)  # today's order steps each batch to its longest prefix
+        plain = [
+            lengths[batch].max()
+            for _ in report.train_losses
+            for batch in models._epoch_batches(rng, len(samples), cfg.batch_size)
+        ]
+        assert len(steps) == len(plain) == 3 * -(-len(samples) // cfg.batch_size)
+        assert np.mean(steps) <= 0.5 * np.mean(plain)
 
 
 class TestEmbeddingPath:
@@ -701,6 +858,29 @@ class TestPredictBatch:
         back = np.empty_like(shuffled)
         back[order] = shuffled
         assert np.array_equal(back, probs)
+
+    @pytest.mark.parametrize(
+        "arch, overrides",
+        [
+            ("markov", {}),
+            ("gru", {}),
+            ("autoencoder", {"pretrain_epochs": 1, "freeze_epochs": 1}),
+            ("mlp", {"input_mode": "timed_state"}),
+        ],
+        ids=["markov", "gru", "autoencoder", "mlp-timed-state"],
+    )
+    def test_a_prefix_outside_its_trace_is_rejected(self, arch, overrides):
+        log, net, split = generator_split(1)
+        cfg = TrainConfig(**{**self.SMALL, "epochs": 1, **overrides})
+        predictor = build_predictor(arch, cfg, log.activity_vocab, log.attribute_vocabs, net)
+        train(predictor, split, seed=1)
+        trace = split.test.traces[0]
+        for k, message in ((len(trace) + 2, "exceeds its trace"), (len(trace) + 1, "exceeds its trace"),
+                           (0, "empty prefix"), (-1, "empty prefix")):
+            with pytest.raises(ValueError, match=message):
+                predictor.predict_batch([PrefixSample(trace, 1), PrefixSample(trace, k)])
+        probs, _ = predictor.predict_batch([PrefixSample(trace, len(trace))])
+        assert probs.shape == (1, len(log.activity_vocab))
 
     def test_the_default_stacks_predict_with_nan_for_no_time(self):
         events = tuple(Event("c", a, 1000 * i) for i, a in enumerate("abab"))
