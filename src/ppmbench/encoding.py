@@ -199,6 +199,29 @@ def ngram_hash_prefixes(
     return out
 
 
+def ngram_hash_extend(
+    vectors: np.ndarray, tails: Sequence[tuple[str, ...]], labels: Sequence[str], max_n: int, seed: int = 0
+) -> tuple[np.ndarray, list[tuple[str, ...]]]:
+    """Hashed n-gram vectors of sequences extended by one label each: row i
+    is ``vectors[i]``, the float64 vector of a sequence whose last labels
+    (up to ``max_n - 1`` of them) are ``tails[i]``, plus the n-grams that end
+    at ``labels[i]``; returned with the new tails. Exact, as
+    :func:`ngram_hash_prefixes` is."""
+    dim = vectors.shape[1]
+    rows, slots, signs, new_tails = [], [], [], []
+    for row, (tail, label) in enumerate(zip(tails, labels)):
+        gram = tail + (label,)
+        for start in range(len(gram)):
+            slot_hash, sign = _gram_code(gram[start:], seed)
+            rows.append(row)
+            slots.append(slot_hash % dim)
+            signs.append(sign)
+        new_tails.append(gram[max(0, len(gram) + 1 - max_n) :])
+    vectors = vectors.copy()
+    np.add.at(vectors, (rows, slots), signs)
+    return vectors, new_tails
+
+
 @lru_cache(maxsize=1 << 14)
 def _gram_code(gram: tuple[str, ...], seed: int) -> tuple[int, float]:
     """Slot hash and sign of one n-gram. Cached: the grams of a log repeat

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nnkernel as nn
-from .eventlog import Event, EventLog, Trace, Vocabulary, augment_eoc
+from .eventlog import MISSING, Event, EventLog, Trace, Vocabulary, augment_eoc
 from .models import TrainConfig, _reconstruction_loss, build_predictor
 from .splitting import make_prefix_samples
 
@@ -16,10 +16,14 @@ GRADCHECK_ARCHITECTURES = ("mlp", "rnn", "lstm", "gru", "autoencoder")
 
 
 def _tiny_samples(seed: int = 0):
-    """A few short traces with varied activities and gaps; enough structure to
-    exercise every parameter."""
+    """A few short traces with varied activities, gaps and values of one
+    attribute, ``res``; enough structure to exercise every parameter. The
+    attribute values come from a generator of their own, so the activities
+    and gaps do not depend on them."""
     rng = np.random.default_rng(seed)
+    values = np.random.default_rng([seed, 1])
     acts = ("A", "B", "C")
+    resources = Vocabulary((MISSING, "r1", "r2"))
     traces = []
     base = 1_600_000_000_000
     for i in range(4):
@@ -28,31 +32,35 @@ def _tiny_samples(seed: int = 0):
         events = []
         for j in range(length):
             t += int(rng.integers(1, 5)) * 3_600_000
+            res = resources.label(int(values.integers(1, 3)))
             events.append(
-                Event(case_id=f"c{i}", activity=acts[int(rng.integers(0, 3))], timestamp_ms=t)
+                Event(case_id=f"c{i}", activity=acts[int(rng.integers(0, 3))], timestamp_ms=t, attributes={"res": res})
             )
         traces.append(Trace(case_id=f"c{i}", events=tuple(events)))
-    log = augment_eoc(EventLog(traces=tuple(traces), activity_vocab=Vocabulary(acts)))
-    return make_prefix_samples(log), log.activity_vocab
+    log = EventLog(traces=tuple(traces), activity_vocab=Vocabulary(acts), attribute_vocabs={"res": resources})
+    log = augment_eoc(log)
+    return make_prefix_samples(log), log.activity_vocab, log.attribute_vocabs
 
 
 def architecture_gradcheck(arch: str, seed: int = 0) -> float:
     """Max relative gradient error of one architecture's shipped training
     loss; for the autoencoder, the larger of its fine-tune loss and its
     layerwise reconstruction loss. The lstm and gru learn an activity
-    embedding, and the rnn and gru regress the remaining time."""
+    embedding, the lstm also reads a one-hot attribute, and the rnn and gru
+    regress the remaining time."""
     if arch not in GRADCHECK_ARCHITECTURES:
         raise ValueError(f"unknown architecture {arch!r}")
-    samples, vocab = _tiny_samples(seed)
+    samples, vocab, attribute_vocabs = _tiny_samples(seed)
     config = TrainConfig(
         hidden=6,
         layers=2,
         time_target="remaining" if arch in ("rnn", "gru") else "next",
         embedding_dim=3 if arch in ("lstm", "gru") else None,
+        attributes=("res",) if arch == "lstm" else (),
         ngram_dim=10,
         ae_hidden=(8, 5),
     )
-    predictor = build_predictor(arch, config, vocab)
+    predictor = build_predictor(arch, config, vocab, attribute_vocabs)
     predictor.dtype = np.float64
     X, M, y_act, y_time = predictor._fit_arrays(samples)
     rng = np.random.default_rng(seed)

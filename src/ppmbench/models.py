@@ -18,9 +18,9 @@ import numpy as np
 from . import nnkernel as nn
 from .atomic import write_text_atomic
 # ngram_hash_encode and replay_timed_state stay bound here: perfbench's tracer patches them by name
-from .encoding import Normalizer, PrefixEncoder, ngram_hash_encode, ngram_hash_prefixes
+from .encoding import Normalizer, PrefixEncoder, ngram_hash_encode, ngram_hash_extend, ngram_hash_prefixes
 from .eventlog import MISSING, Event, Vocabulary
-from .petrinet import PetriNet, TimedStateVector, replay_prefixes, replay_timed_state
+from .petrinet import PetriNet, TimedStates, TimedStateVector, replay_states, replay_timed_state
 from .splitting import PrefixSample, SplitLog, check_prefix_samples, make_prefix_samples
 
 ARCHITECTURES = ("markov", "mlp", "rnn", "lstm", "gru", "autoencoder")
@@ -185,6 +185,11 @@ def _stacked(rows, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
     return probs.reshape(len(rows), n_classes), times
 
 
+def _delta_ms(delta: float) -> int:
+    """A decoded event's delta of ``delta`` seconds, to the millisecond."""
+    return int(round(delta * 1000.0))
+
+
 def _extend(events: tuple[Event, ...], activity: str, delta: float) -> tuple[Event, ...]:
     """``events`` plus one decoded event ``delta`` seconds after the last, to
     the millisecond, with every attribute missing."""
@@ -192,7 +197,7 @@ def _extend(events: tuple[Event, ...], activity: str, delta: float) -> tuple[Eve
     decoded = Event(
         case_id=last.case_id,
         activity=activity,
-        timestamp_ms=last.timestamp_ms + int(round(delta * 1000.0)),
+        timestamp_ms=last.timestamp_ms + _delta_ms(delta),
         attributes={name: MISSING for name in last.attributes},
     )
     return events + (decoded,)
@@ -352,6 +357,7 @@ def _time_values(samples, time_target: str) -> np.ndarray:
 
 
 POOL_BATCHES = 32  # batches per length-sorted pool of a recurrent model's epoch
+REPLAY_CHUNK = 64  # traces per timed-state replay pass; bounds the pass's (events, places) arrays
 
 
 def _epoch_batches(rng, n_train: int, batch_size: int, lengths: np.ndarray | None = None) -> list[np.ndarray]:
@@ -661,7 +667,10 @@ class _NeuralPredictor(Predictor):
         """Hypotheses that start from the samples' :meth:`_batch_inputs`, as
         ``predict_batch`` does: each trace is encoded once."""
         self._check_fitted()
-        return _NeuralHypotheses(self, [s.prefix for s in samples], *self._batch_inputs(samples))
+        times = [(s.trace.events[0].timestamp_ms, s.trace.events[s.k - 1].timestamp_ms) for s in samples]
+        first_ms, last_ms = np.array(times, dtype=np.int64).reshape(-1, 2).T
+        lengths = np.array([s.k for s in samples], dtype=np.int64)
+        return _WindowHypotheses(self, *self._batch_inputs(samples), first_ms, last_ms, lengths)
 
     # checkpointing ---------------------------------------------------------
     def _vocab_sha256(self) -> str:
@@ -725,29 +734,40 @@ def _concat(parts):
 
 
 class _NeuralHypotheses:
-    """Decode hypotheses of a neural model. Each carries its events and its
-    inputs ``X``/``M``. With a ``PrefixEncoder``, a decoded event's row comes
-    from ``encode_rows``, and the window that takes it from ``windows``, as
-    for a training prefix; without one, the extended events are encoded
-    again by ``_inputs``."""
+    """Decode hypotheses of a neural model: the inputs ``X``/``M`` of each,
+    scored as ``predict`` scores them. A subclass carries what stepping its
+    inputs by one decoded event needs, and its ``extend`` takes that step
+    for every surviving hypothesis at once."""
 
-    def __init__(self, model, events, X, M):
-        self.model, self.events, self.X, self.M = model, events, X, M
+    def __init__(self, model, X, M):
+        self.model, self.X, self.M = model, X, M
 
     def predict(self):
         model = self.model
         return model._predictions(*model._step_outputs(model.params, self.X, self.M))
 
+
+def _decoded_ms(last_ms: np.ndarray, deltas) -> np.ndarray:
+    """Timestamps of decoded events ``deltas`` seconds after ``last_ms``, as ``_extend`` sets them."""
+    return last_ms + np.array([_delta_ms(d) for d in deltas], dtype=np.int64)
+
+
+class _WindowHypotheses(_NeuralHypotheses):
+    """Hypotheses of a ``PrefixEncoder`` model. Each carries its window, its
+    case start, its last timestamp and its length; a decoded event's row
+    comes from ``encode_rows``, and the window that takes it from
+    ``windows``, as for a training prefix."""
+
+    def __init__(self, model, X, M, first_ms, last_ms, lengths):
+        super().__init__(model, X, M)
+        self.first_ms, self.last_ms, self.lengths = first_ms, last_ms, lengths
+
     def extend(self, parents, tokens, deltas):
-        model, encoder = self.model, self.model.encoder
-        label = model.activity_vocab.label
-        events = [_extend(self.events[p], label(t), d) for p, t, d in zip(parents, tokens, deltas)]
-        if encoder is None:
-            return _NeuralHypotheses(model, events, *_concat([model._inputs(e, [len(e)]) for e in events]))
-        n, (T, F) = len(events), self.X.shape[1:]
-        ms, last_ms, first_ms = (
-            np.array([e[i].timestamp_ms for e in events], dtype=np.int64) for i in (-1, -2, 0)
-        )
+        encoder = self.model.encoder
+        n, (T, F) = len(parents), self.X.shape[1:]
+        first_ms, last_ms = self.first_ms[parents], self.last_ms[parents]
+        ms = _decoded_ms(last_ms, deltas)
+        lengths = self.lengths[parents] + 1
         missing = [vocab.index(MISSING) for vocab in encoder.attribute_vocabs.values()]
         attributes = np.full((n, len(missing)), missing, dtype=np.int64)
         rows = encoder.encode_rows(np.asarray(tokens), attributes, ms, last_ms, first_ms)
@@ -756,8 +776,43 @@ class _NeuralHypotheses:
         blocks = source[1:].reshape(n, T + 1, F)
         blocks[:, :T] = self.X[parents]
         blocks[:, T] = rows
-        X, M = encoder.windows(source, (T + 1) * np.arange(1, n + 1) + 1, [len(e) for e in events])
-        return _NeuralHypotheses(model, events, X, M)
+        X, M = encoder.windows(source, (T + 1) * np.arange(1, n + 1) + 1, lengths)
+        return _WindowHypotheses(self.model, X, M, first_ms, ms, lengths)
+
+
+class _ReplayHypotheses(_NeuralHypotheses):
+    """Hypotheses of a timed-state MLP. Each carries its replay state
+    (marking, throughput, last visits, attribute counts, last timestamp) and
+    the attribute counts a decoded event adds: every attribute its last real
+    event holds, as missing."""
+
+    def __init__(self, model, states: TimedStates, decoded_counts: np.ndarray):
+        super().__init__(model, states.vectors(model.petri_net, model.decay_seconds, model.dtype), None)
+        self.states, self.decoded_counts = states, decoded_counts
+
+    def extend(self, parents, tokens, deltas):
+        model, decoded_counts = self.model, self.decoded_counts[parents]
+        labels = [model.activity_vocab.label(t) for t in tokens]
+        at_ms = _decoded_ms(self.states.at_ms[parents], deltas)
+        states = self.states.step(model.petri_net, parents, labels, at_ms, decoded_counts)
+        return _ReplayHypotheses(model, states, decoded_counts)
+
+
+class _NgramHypotheses(_NeuralHypotheses):
+    """Hypotheses of the autoencoder. Each carries its float64 n-gram vector
+    and its last ``ngram_k - 1`` labels."""
+
+    def __init__(self, model, vectors, tails):
+        super().__init__(model, vectors.astype(model.dtype), None)
+        self.vectors, self.tails = vectors, tails
+
+    def extend(self, parents, tokens, deltas):
+        cfg, label = self.model.config, self.model.activity_vocab.label
+        vectors, tails = ngram_hash_extend(
+            self.vectors[parents], [self.tails[p] for p in parents], [label(t) for t in tokens],
+            cfg.ngram_k, cfg.hash_seed,
+        )
+        return _NgramHypotheses(self.model, vectors, tails)
 
 
 class RecurrentPredictor(_NeuralPredictor):
@@ -885,12 +940,57 @@ class MLPPredictor(_NeuralPredictor):
     def _timed_state_vocabs(self) -> dict[str, Vocabulary]:
         return {name: self.attribute_vocabs[name] for name in self.config.attributes}
 
+    def _replay(self, traces, trace_of, ks) -> TimedStates:
+        """``replay_states`` of the prefixes, each read at its last event,
+        with counts of the configured attributes."""
+        return replay_states(self.petri_net, traces, trace_of, ks, None, self._timed_state_vocabs())
+
+    def _replayed(self, samples):
+        """(sample indices, their :meth:`_replay` states) for each chunk of
+        ``REPLAY_CHUNK`` traces of the samples, each trace replayed once."""
+        by_trace: dict[int, list[int]] = {}
+        for i, sample in enumerate(samples):
+            by_trace.setdefault(id(sample.trace), []).append(i)
+        groups = list(by_trace.values())
+        for c in range(0, len(groups), REPLAY_CHUNK):
+            chunk = groups[c : c + REPLAY_CHUNK]
+            idx = [i for group in chunk for i in group]
+            trace_of = [j for j, group in enumerate(chunk) for _ in group]
+            traces = [samples[group[0]].trace.events for group in chunk]
+            yield idx, self._replay(traces, trace_of, [samples[i].k for i in idx])
+
     def _inputs(self, events, ks):
         if self.config.input_mode != "timed_state":
             return super()._inputs(events, ks)
-        attr_vocabs = self._timed_state_vocabs()
-        states = replay_prefixes(self.petri_net, events, ks, self.decay_seconds)
-        return np.array([state.to_vector(attr_vocabs) for state in states], dtype=self.dtype), None
+        if min(ks) < 1:
+            raise ValueError("cannot encode an empty prefix")
+        states = self._replay([events], [0] * len(ks), ks)
+        return states.vectors(self.petri_net, self.decay_seconds, self.dtype), None
+
+    def _batch_inputs(self, samples):
+        if self.config.input_mode != "timed_state":
+            return super()._batch_inputs(samples)
+        X = np.empty((len(samples), TimedStateVector.width(self.petri_net, self._timed_state_vocabs())), self.dtype)
+        for idx, states in self._replayed(samples):
+            X[idx] = states.vectors(self.petri_net, self.decay_seconds, self.dtype)
+        return X, None
+
+    def hypotheses(self, samples):
+        """Timed-state hypotheses start from the replay states of the
+        samples' prefixes, replayed as :meth:`_batch_inputs` replays them."""
+        if self.config.input_mode != "timed_state":
+            return super().hypotheses(samples)
+        self._check_fitted()
+        parts = list(self._replayed(samples))
+        states = TimedStates.concatenate([states for _, states in parts])
+        states = states.take(np.argsort([i for idx, _ in parts for i in idx]))
+        decoded_counts = np.zeros_like(states.attribute_counts)
+        offset = 0
+        for name, vocab in self._timed_state_vocabs().items():
+            held = [name in s.trace.events[s.k - 1].attributes for s in samples]
+            decoded_counts[:, offset + vocab.index(MISSING)] = held
+            offset += len(vocab)
+        return _ReplayHypotheses(self, states, decoded_counts)
 
     def _build_params(self, rng):
         cfg = self.config
@@ -975,6 +1075,16 @@ class AutoencoderPredictor(_NeuralPredictor):
         acts = [ev.activity for ev in events]
         rows = ngram_hash_prefixes(acts, ks, cfg.ngram_k, cfg.ngram_dim, cfg.hash_seed)
         return rows.astype(self.dtype), None
+
+    def hypotheses(self, samples):
+        """Hypotheses that start from the samples' :meth:`_batch_inputs`;
+        the float32 rows hold small integers, so their float64 copy is the
+        hashed vector itself."""
+        self._check_fitted()
+        X, _ = self._batch_inputs(samples)
+        start = 1 - self.config.ngram_k
+        tails = [tuple(ev.activity for ev in s.trace.events[max(0, s.k + start) : s.k]) for s in samples]
+        return _NgramHypotheses(self, X.astype(np.float64), tails)
 
     def _build_params(self, rng):
         params: dict[str, np.ndarray] = {}

@@ -364,8 +364,15 @@ def gradcheck(
     ``loss_fn(params)`` must return (scalar loss, gradient dict). For every
     parameter entry the analytic gradient is compared to
     (L(p + eps) - L(p - eps)) / (2 eps); the result is the maximum of
-    |ga - gn| / max(|ga|, |gn|, 1e-8) over all entries. Parameters are cast
+    |ga - gn| / max(|ga|, |gn|, floor) over all entries. Parameters are cast
     to float64 first; the total parameter count is capped at 10^4.
+
+    The difference resolves a gradient only to about u |L| / eps, u being
+    the float64 unit roundoff, because the loss is rounded to about u |L| at
+    either point. ``floor`` is the gradient size at which that rounding is a
+    1e-5 relative error, 1e5 u |L| / eps (at least 1e-8); a smaller entry's
+    error is measured against it, since central differences cannot resolve it
+    any better.
     """
     work = {k: np.asarray(v, dtype=np.float64).copy() for k, v in params.items()}
     total = sum(v.size for v in work.values())
@@ -374,6 +381,7 @@ def gradcheck(
     loss, grads = loss_fn(work)
     if not math.isfinite(loss):
         raise ValueError(f"non-finite loss {loss!r}")
+    floor = max(1e-8, 1e5 * (np.finfo(np.float64).eps / 2) * abs(loss) / epsilon)
     worst = 0.0
     for name in sorted(work):
         array = work[name]
@@ -388,7 +396,7 @@ def gradcheck(
             flat[j] = original
             numeric = (up - down) / (2.0 * epsilon)
             ga = float(analytic.reshape(-1)[j])
-            denom = max(abs(ga), abs(numeric), 1e-8)
+            denom = max(abs(ga), abs(numeric), floor)
             worst = max(worst, abs(ga - numeric) / denom)
     return worst
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import xml.etree.ElementTree as ET
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -68,6 +68,7 @@ class PetriNet:
         # as replay reaches them: the search is deterministic and the net
         # never changes after construction
         self._sequences: dict[tuple[tuple[int, ...], str], list[int] | None] = {}
+        self._table = _ReplayTable(self)
 
     @property
     def num_places(self) -> int:
@@ -238,6 +239,265 @@ def _cached_firing_sequence(net: PetriNet, marking: list[int], label: str) -> li
         return sequence
 
 
+SKIPPED, START = 0, 1  # effect ids: an event that replay skips, and a case start
+
+
+def _append(table: np.ndarray, n: int, row) -> np.ndarray:
+    """``table`` with ``row`` written at index ``n``; its capacity doubles when full."""
+    if n == len(table):
+        table = np.concatenate([table, np.zeros_like(table)])
+    table[n] = row
+    return table
+
+
+class _ReplayTable:
+    """What replaying one event does on a net, for each (marking, label)
+    pair, filled as replay reaches it; kept because the net never changes
+    after construction.
+
+    Markings are interned: ``ids`` maps each marking met to its row in
+    ``markings``. ``effects`` maps (marking id, label) to (next marking id,
+    effect id). Effect e adds row e of ``throughput`` to the throughput and
+    visits the places of row e of ``touched``. Effect ``SKIPPED`` changes
+    nothing and marks its event nonconforming; ``START`` puts the initial
+    tokens at a case start."""
+
+    def __init__(self, net: PetriNet):
+        self.net = net
+        initial = net.initial_vector()
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.markings = np.zeros((16, len(initial)), dtype=np.int64)
+        self.effects: dict[tuple[int, str], tuple[int, int]] = {}
+        self.throughput = np.zeros((16, len(initial)), dtype=np.int64)
+        self.touched = np.zeros((16, len(initial)), dtype=bool)
+        self.throughput[START] = initial
+        self.touched[START] = [tokens > 0 for tokens in initial]
+        self.n_effects = 2
+        self.initial = self._intern(tuple(initial))
+
+    def _intern(self, marking: tuple[int, ...]) -> int:
+        mid = self.ids.get(marking)
+        if mid is None:
+            mid = self.ids[marking] = len(self.ids)
+            self.markings = _append(self.markings, mid, marking)
+        return mid
+
+    def effect(self, mid: int, label: str) -> tuple[int, int]:
+        """(next marking id, effect id) of a ``label`` event at marking
+        ``mid``: the firing sequence ``_cached_firing_sequence`` gives, or
+        ``SKIPPED`` without one."""
+        key = (mid, label)
+        found = self.effects.get(key)
+        if found is None:
+            marking = self.markings[mid].tolist()
+            sequence = _cached_firing_sequence(self.net, marking, label)
+            if sequence is None:
+                found = (mid, SKIPPED)
+            else:
+                delta = [0] * len(marking)
+                for t in sequence:
+                    for p, n in _fire(self.net, marking, t):
+                        delta[p] += n
+                eid = self.n_effects
+                self.throughput = _append(self.throughput, eid, delta)
+                self.touched = _append(self.touched, eid, [n > 0 for n in delta])
+                self.n_effects += 1
+                found = (self._intern(tuple(marking)), eid)
+            self.effects[key] = found
+        return found
+
+
+@dataclass(frozen=True)
+class TimedStates:
+    """Replay states of S prefixes as arrays over the net's P places and the
+    W values of some attribute vocabularies (one block per vocabulary, in
+    its order). A place is ``visited`` once it has received a token;
+    ``last_visit_ms`` is read only where it is. Decay is read at ``at_ms``."""
+
+    marking_ids: np.ndarray  # (S,) rows of the net's marking table
+    throughput: np.ndarray  # (S, P) int64
+    last_visit_ms: np.ndarray  # (S, P) int64
+    visited: np.ndarray  # (S, P) bool
+    attribute_counts: np.ndarray  # (S, W) int64
+    nonconforming: np.ndarray  # (S,) int64
+    at_ms: np.ndarray  # (S,) int64
+
+    def decay(self, decay_seconds: float) -> np.ndarray:
+        """(S, P) decay values: ``1 - (at - last_visit) / decay_T`` clamped
+        to [0, 1], and 0 for places never visited."""
+        if decay_seconds <= 0:
+            raise ValueError("decay_seconds must be positive")
+        decay = (self.at_ms[:, None] - self.last_visit_ms) / 1000.0
+        decay /= decay_seconds
+        np.subtract(1.0, decay, out=decay)
+        np.clip(decay, 0.0, 1.0, out=decay)
+        decay[~self.visited] = 0.0
+        return decay
+
+    def vectors(self, net: PetriNet, decay_seconds: float, dtype=np.float64) -> np.ndarray:
+        """(S, 3P + W) rows laid out as :meth:`TimedStateVector.to_vector`,
+        cast to ``dtype``."""
+        places = self.throughput.shape[1]
+        out = np.empty((len(self.at_ms), 3 * places + self.attribute_counts.shape[1]), dtype=dtype)
+        out[:, :places] = self.decay(decay_seconds)
+        out[:, places : 2 * places] = self.throughput
+        out[:, 2 * places : 3 * places] = net._table.markings[self.marking_ids]
+        out[:, 3 * places :] = self.attribute_counts
+        return out
+
+    @staticmethod
+    def concatenate(parts: Sequence["TimedStates"]) -> "TimedStates":
+        """The states of ``parts``, one after the other."""
+        return TimedStates(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(TimedStates)))
+
+    def take(self, rows) -> "TimedStates":
+        """The states at ``rows``, in that order."""
+        return TimedStates(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def step(self, net: PetriNet, rows, labels: Sequence[str], at_ms: np.ndarray, attribute_steps) -> "TimedStates":
+        """The states at ``rows``, each advanced by one event: state
+        ``rows[i]`` by label ``labels[i]`` at ``at_ms[i]``, adding row i of
+        ``attribute_steps`` to its attribute counts; decay is then read at
+        ``at_ms``."""
+        table = net._table
+        found = [table.effect(mid, label) for mid, label in zip(self.marking_ids[rows].tolist(), labels)]
+        marking_ids, eids = np.array(found, dtype=np.int64).reshape(-1, 2).T
+        touched = table.touched[eids]
+        states = self.take(rows)  # fresh arrays, advanced in place
+        states.throughput[...] += table.throughput[eids]
+        np.copyto(states.last_visit_ms, at_ms[:, None], where=touched)
+        states.visited[...] |= touched
+        states.attribute_counts[...] += attribute_steps
+        states.nonconforming[...] += eids == SKIPPED
+        return replace(states, marking_ids=marking_ids, at_ms=at_ms)
+
+
+def replay_states(
+    net: PetriNet,
+    traces: Sequence[Sequence[Event]],
+    trace_of: Sequence[int],
+    ks: Sequence[int],
+    at_ms: Sequence[int] | None = None,
+    attribute_vocabs: Mapping[str, Vocabulary] | None = None,
+) -> TimedStates:
+    """Timed state i of ``traces[trace_of[i]][:ks[i]]``, decay read at
+    ``at_ms[i]`` (None: at each prefix's last event), as
+    ``replay_timed_state`` defines it; attribute counts are kept for the
+    values of ``attribute_vocabs`` alone, and a value outside its vocabulary
+    is an ``UnknownLabelError``. A k outside 0..len(trace), or a k of 0
+    without ``at_ms``, is a ``ValueError``.
+
+    One array pass: a Python loop walks each trace once, up to its longest
+    prefix asked for, and looks up each event's effect in the net's
+    ``_ReplayTable``; each trace starts with a row for its case start.
+    Throughput, attribute counts and nonconforming counts are cumulative sums
+    over the rows, restarted at each case start, and each place's last visit
+    is the running maximum of the rows that touched it, which is no visit when
+    it lies before the case start.
+    """
+    trace_of = np.asarray(trace_of, dtype=np.int64)
+    ks = np.asarray(ks, dtype=np.int64)
+    lengths = np.array([len(events) for events in traces], dtype=np.int64)
+    bad = (ks < 0) | (ks > lengths[trace_of])
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"prefix length {int(ks[i])} outside 0..{int(lengths[trace_of[i]])}")
+    if at_ms is None and not ks.all():
+        raise ValueError("a prefix of no events has no last event to read its decay at")
+    upto = np.zeros(len(traces), dtype=np.int64)
+    np.maximum.at(upto, trace_of, ks)
+    vocabs = [(name, vocab) for name, vocab in (attribute_vocabs or {}).items()]
+    offsets = np.cumsum([0] + [len(vocab) for _, vocab in vocabs]).tolist()
+    table = net._table
+    effects = table.effects
+    marking_ids: list[int] = []
+    effect_ids: list[int] = []
+    ms: list[int] = []
+    hits: list[int] = []  # (row, attribute column) pairs, flattened
+    starts = []
+    for events, n in zip(traces, upto.tolist()):
+        starts.append(len(ms))
+        mid = table.initial
+        marking_ids.append(mid)
+        effect_ids.append(START)
+        ms.append(events[0].timestamp_ms if events else 0)
+        for ev in events[:n]:
+            mid, eid = effects.get((mid, ev.activity)) or table.effect(mid, ev.activity)
+            marking_ids.append(mid)
+            effect_ids.append(eid)
+            ms.append(ev.timestamp_ms)
+            for (name, vocab), offset in zip(vocabs, offsets):
+                if name in ev.attributes:
+                    hits += (len(ms) - 1, offset + vocab.index(ev.attributes[name]))
+    places, width = net.num_places, offsets[-1]
+    effect_ids = np.array(effect_ids, dtype=np.int64)
+    n_rows = len(effect_ids)
+    steps = np.zeros((n_rows + 1, places + width + 1), dtype=np.int64)  # row 0 is the sum before any row
+    steps[1:, :places] = table.throughput[effect_ids]
+    hits = np.array(hits, dtype=np.int64).reshape(-1, 2)
+    steps[hits[:, 0] + 1, places + hits[:, 1]] = 1
+    steps[1:, -1] = effect_ids == SKIPPED
+    np.cumsum(steps, axis=0, out=steps)
+    first = np.array(starts, dtype=np.int64)[trace_of]
+    rows = first + ks
+    totals = steps[rows + 1] - steps[first]
+    visits = np.where(table.touched[effect_ids], np.arange(n_rows)[:, None], -1)
+    np.maximum.accumulate(visits, axis=0, out=visits)
+    last = visits[rows]
+    visited = last >= first[:, None]
+    ms = np.array(ms, dtype=np.int64)
+    at = ms[rows] if at_ms is None else np.asarray(at_ms, dtype=np.int64)
+    # the case starts at its first event; a prefix of no events, when it is read
+    visit_ms = np.where(ks[:, None] == 0, at[:, None], ms[last])
+    return TimedStates(
+        marking_ids=np.array(marking_ids, dtype=np.int64)[rows],
+        throughput=totals[:, :places],
+        last_visit_ms=np.where(visited, visit_ms, 0),
+        visited=visited,
+        attribute_counts=totals[:, places:-1],
+        nonconforming=totals[:, -1],
+        at_ms=at,
+    )
+
+
+def _state_objects(
+    net: PetriNet, events: Sequence[Event], ks: Sequence[int], at_ms, decay_seconds: float
+) -> list[TimedStateVector]:
+    """The ``TimedStateVector`` of ``events[:k]`` for each k in ``ks``, read
+    off :func:`replay_states` with a vocabulary of every attribute value the
+    events hold."""
+    if decay_seconds <= 0:
+        raise ValueError("decay_seconds must be positive")
+    if not len(ks):
+        return []
+    seen: dict[str, dict[str, None]] = {}
+    for ev in events[: max(ks)]:
+        for name, value in ev.attributes.items():
+            seen.setdefault(name, {})[value] = None
+    vocabs = {name: Vocabulary(values) for name, values in seen.items()}
+    states = replay_states(net, [events], [0] * len(ks), ks, at_ms, vocabs)
+    decay = states.decay(decay_seconds)
+    markings = net._table.markings[states.marking_ids]
+    result = []
+    for i, counts in enumerate(states.attribute_counts.tolist()):
+        attribute_counts = {}
+        for name, vocab in vocabs.items():
+            values = {value: c for value, c in zip(vocab.labels, counts) if c}
+            counts = counts[len(vocab) :]
+            if values:
+                attribute_counts[name] = values
+        result.append(
+            TimedStateVector(
+                decay=decay[i],
+                throughput=states.throughput[i],
+                marking=markings[i],
+                attribute_counts=attribute_counts,
+                nonconforming=int(states.nonconforming[i]),
+            )
+        )
+    return result
+
+
 def replay_timed_state(
     net: PetriNet,
     events: Sequence[Event],
@@ -255,7 +515,7 @@ def replay_timed_state(
     finds; an event without one is skipped and counted as nonconforming, and
     the marking is left untouched.
     """
-    return _replay(net, events, [(len(events), at_ms)], decay_seconds)[0]
+    return _state_objects(net, events, [len(events)], [at_ms], decay_seconds)[0]
 
 
 def replay_prefixes(
@@ -271,58 +531,4 @@ def replay_prefixes(
     for k in ks:
         if not 1 <= k <= len(events):
             raise ValueError(f"prefix length {k} outside 1..{len(events)}")
-    return _replay(net, events, [(k, events[k - 1].timestamp_ms) for k in ks], decay_seconds)
-
-
-def _replay(
-    net: PetriNet,
-    events: Sequence[Event],
-    stops: Sequence[tuple[int, int]],
-    decay_seconds: float,
-) -> list[TimedStateVector]:
-    """One replay of ``events``, up to the longest stop; for each stop
-    ``(k, at_ms)``, in order, the state after the first k events with decay
-    read at ``at_ms`` (see ``replay_timed_state``)."""
-    if decay_seconds <= 0:
-        raise ValueError("decay_seconds must be positive")
-    if not stops:
-        return []
-    stops_at: dict[int, list[int]] = {}
-    for i, (k, _) in enumerate(stops):
-        stops_at.setdefault(k, []).append(i)
-    states = [None] * len(stops)
-    marking = net.initial_vector()
-    throughput = list(marking)
-    start_ms = events[0].timestamp_ms if events else stops[0][1]
-    last_visit: list[int | None] = [start_ms if tokens > 0 else None for tokens in marking]
-    nonconforming = 0
-    attribute_counts: dict[str, dict[str, int]] = {}
-    for k in range(max(stops_at) + 1):
-        if k:
-            ev = events[k - 1]
-            for name, value in ev.attributes.items():
-                attribute_counts.setdefault(name, {}).setdefault(value, 0)
-                attribute_counts[name][value] += 1
-            sequence = _cached_firing_sequence(net, marking, ev.activity)
-            if sequence is None:
-                nonconforming += 1
-            else:
-                for t in sequence:
-                    for p, n in _fire(net, marking, t):
-                        throughput[p] += n
-                        last_visit[p] = ev.timestamp_ms
-        for i in stops_at.get(k, ()):
-            at_ms = stops[i][1]
-            decay = [
-                0.0 if visit is None
-                else min(1.0, max(0.0, 1.0 - (at_ms - visit) / 1000.0 / decay_seconds))
-                for visit in last_visit
-            ]
-            states[i] = TimedStateVector(
-                decay=np.array(decay, dtype=np.float64),
-                throughput=np.array(throughput, dtype=np.int64),
-                marking=np.array(marking, dtype=np.int64),
-                attribute_counts={name: dict(counts) for name, counts in attribute_counts.items()},
-                nonconforming=nonconforming,
-            )
-    return states
+    return _state_objects(net, events, list(ks), None, decay_seconds)

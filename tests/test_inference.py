@@ -620,6 +620,20 @@ def decode_models():
     return trained, make_prefix_samples(split.test)
 
 
+@pytest.fixture(scope="module")
+def ngram_models():
+    """Autoencoders at ngram_k 1 and 4 on the log of ``decode_models``."""
+    log, _ = generator_log(3, 120)
+    split = temporal_split(log)
+    trained = []
+    for ngram_k in (1, 4):
+        config = TrainConfig(epochs=1, patience=1, ngram_k=ngram_k, pretrain_epochs=1, freeze_epochs=1)
+        model = build_predictor("autoencoder", config, split.train.activity_vocab, split.train.attribute_vocabs)
+        train(model, split, seed=0)
+        trained.append(model)
+    return trained
+
+
 class TestLockstepSearch:
     @pytest.mark.parametrize("cfg", LOCKSTEP_CONFIGS, ids=lambda c: f"{c.strategy}{c.beam_width}")
     def test_one_search_over_all_prefixes_decodes_as_the_per_prefix_loops(self, decode_models, cfg):
@@ -660,11 +674,15 @@ class TestLockstepSearch:
             expected = [_ref_decode(gru, s.prefix, replace(cfg, seed=cfg.seed ^ i)) for i, s in enumerate(long)]
             assert decode_suffixes(gru, long, cfg) == expected
 
-    def test_carried_rows_equal_the_rows_of_the_extended_prefixes(self, decode_models):
+    def test_carried_rows_equal_the_rows_of_the_extended_prefixes(self, decode_models, ngram_models):
+        # random tokens take the timed-state mlp's hypotheses out of its net;
+        # the autoencoders at ngram_k 1 and 4 carry no labels and three
         trained, samples = decode_models
         rng = np.random.default_rng(0)
-        for model in trained[1:]:  # markov carries events alone
+        for model in trained[1:] + ngram_models:  # markov carries events alone
             hypotheses = model.hypotheses(samples)
+            if model.config.input_mode == "timed_state":
+                assert not hypotheses.states.nonconforming.any()
             events = [s.prefix for s in samples]
             for _ in range(6):
                 parents = rng.integers(0, len(events), size=len(events) + 3).tolist()
@@ -676,22 +694,33 @@ class TestLockstepSearch:
                 X, M = models._concat([model._inputs(e, [len(e)]) for e in events])
                 assert np.array_equal(hypotheses.X, X) and hypotheses.X.dtype == X.dtype
                 assert (M is None and hypotheses.M is None) or np.array_equal(hypotheses.M, M)
+            if model.config.input_mode == "timed_state":
+                states = [models.replay_timed_state(model.petri_net, e, e[-1].timestamp_ms, 1.0) for e in events]
+                nonconforming = [state.nonconforming for state in states]
+                assert hypotheses.states.nonconforming.tolist() == nonconforming
+                assert min(nonconforming) > 0  # every test prefix replays, and every hypothesis has left the net
 
     def test_a_decode_starts_by_encoding_each_trace_once(self, decode_models, monkeypatch):
         trained, samples = decode_models
         traces = {id(s.trace) for s in samples}
         assert len(traces) < len(samples)
-        for model in (trained[1], trained[7], trained[8]):  # gru, timed-state mlp, autoencoder
-            calls = []
+        for model, hook in ((trained[1], "_inputs"), (trained[8], "_inputs"), (trained[7], "_replay")):
+            calls = []  # (traces, ks) of each call; _inputs takes one trace, the chunked replay several
+            if hook == "_inputs":
+                def counted(events, ks, inputs=model._inputs):
+                    calls.append(([events], ks))
+                    return inputs(events, ks)
+            else:
+                def counted(traces, trace_of, ks, replay=model._replay):
+                    calls.append((traces, ks))
+                    return replay(traces, trace_of, ks)
 
-            def counted(events, ks, inputs=model._inputs):
-                calls.append(ks)
-                return inputs(events, ks)
-
-            monkeypatch.setattr(model, "_inputs", counted)
+            monkeypatch.setattr(model, hook, counted)
             model.hypotheses(samples)
-            assert len(calls) == len(traces), model.architecture
-            assert sorted(k for ks in calls for k in ks) == sorted(s.k for s in samples)
+            replayed = [id(events) for chunk, _ in calls for events in chunk]
+            assert sorted(replayed) == sorted({id(s.trace.events) for s in samples}), model.architecture
+            assert sorted(k for _, ks in calls for k in ks) == sorted(s.k for s in samples)
+        assert len(calls) == -(-len(traces) // models.REPLAY_CHUNK)  # the timed-state mlp's chunks
 
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)

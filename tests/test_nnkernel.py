@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ppmbench import gradchecks
 from ppmbench import nnkernel as nn
 
 
@@ -435,6 +436,37 @@ class TestGradcheck:
             return loss, {"used": 2.0 * p["used"], "unused": np.zeros(1)}
 
         assert nn.gradcheck(loss_fn, params) < 1e-7
+
+    def test_a_wrong_gradient_is_caught_at_every_size_the_difference_resolves(self):
+        # loss 1 + s w^2 at w = 1 rounds to about 1.1e-16, so the central
+        # difference resolves gradients down to about 1.1e-6, the floor
+        for scale in (1.0, 1e-3, 1e-5):
+            def loss_fn(p, scale=scale):
+                return float(1.0 + scale * p["w"][0] ** 2), {"w": 2.0 * scale * p["w"] * 1.01}
+
+            assert nn.gradcheck(loss_fn, {"w": np.ones(1)}) == pytest.approx(0.01 / 1.01, rel=1e-3)
+
+    def test_a_gradient_below_the_floor_is_measured_against_it(self):
+        # the gradient 1e-8 is exact, but the difference of two losses near 1
+        # is off by float64 rounding, about 1e-3 of it
+        def loss_fn(p):
+            return float(1.0 + 1e-8 * p["w"][0]), {"w": np.full(1, 1e-8)}
+
+        params = {"w": np.full(1, 0.3)}
+        up, down = loss_fn({"w": params["w"] + 1e-5})[0], loss_fn({"w": params["w"] - 1e-5})[0]
+        assert abs((up - down) / 2e-5 - 1e-8) / 1e-8 > 1e-4  # what the relative error alone would read
+        assert nn.gradcheck(loss_fn, params) < 1e-4
+
+    def test_the_gate_reaches_the_attribute_one_hots(self, monkeypatch):
+        built = []
+        build = gradchecks.build_predictor
+        monkeypatch.setattr(gradchecks, "build_predictor", lambda *args: built.append(build(*args)) or built[-1])
+        assert gradchecks.architecture_gradcheck("lstm", seed=2) < gradchecks.GRADCHECK_GATE
+        encoder = built[0].encoder
+        group = encoder.layout.group("attr:res")
+        samples, _, _ = gradchecks._tiny_samples(2)
+        X, M = built[0]._batch_inputs(samples)
+        assert group.size == 3 and X[M][:, group.start + 1 : group.start + 3].any(axis=0).all()  # r1 and r2 both read
 
     def test_non_finite_loss_rejected(self):
         def loss_fn(p):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import pickle
@@ -6,17 +7,21 @@ from collections import Counter, deque
 import numpy as np
 import pytest
 
-from ppmbench.eventlog import Event, Vocabulary
+from ppmbench.eventlog import MISSING, Event, Vocabulary
+from ppmbench.models import REPLAY_CHUNK, MLPPredictor, TrainConfig
 from ppmbench.petrinet import (
     PetriNet,
+    TimedStates,
     TimedStateVector,
     Transition,
     _firing_sequence,
     load_petri_net,
     load_pnml,
     replay_prefixes,
+    replay_states,
     replay_timed_state,
 )
+from ppmbench.splitting import make_prefix_samples
 
 from conftest import generator_log
 
@@ -192,8 +197,6 @@ class TestReplayProperties:
             previous = state.decay[1]
 
     def test_to_vector_with_attribute_vocabs(self):
-        from ppmbench.eventlog import MISSING
-
         events = evs(["A"], attrs={"res": "r1"})
         state = replay_timed_state(linear_net(), events, events[-1].timestamp_ms, 3600.0)
         vocabs = {"res": Vocabulary([MISSING, "r1", "r2"])}
@@ -616,3 +619,107 @@ class TestReplayPrefixes:
                 replay_prefixes(linear_net(), events, ks, self.DECAY_S)
         with pytest.raises(ValueError, match="decay_seconds"):
             replay_prefixes(linear_net(), events, [1], 0.0)
+
+
+def ref_vector(net, events, at_ms, decay_seconds, vocabs):
+    """``to_vector(vocabs)`` of the reference replay's state."""
+    decay, throughput, marking, counts, nonconforming = ref_replay_timed_state(net, events, at_ms, decay_seconds)
+    return TimedStateVector(decay, throughput, marking, counts, nonconforming).to_vector(vocabs)
+
+
+def two_token_net():
+    """``and_net`` after A: one initial token in each of p1 and p2."""
+    net = and_net()
+    return net_of(net.places, [(t.tid, t.label) for t in net.transitions], net.arcs, {"p1": 1, "p2": 1})
+
+
+class TestReplayPass:
+    """``replay_states`` rows equal the reference replay's ``to_vector`` byte
+    for byte, for any order of the prefixes and any grouping of the traces,
+    and a state stepped by one event equals the pass at the longer prefix."""
+
+    DECAY_S = 30 * 86400.0
+
+    def check_rows(self, net, traces, vocabs, rng):
+        """Every prefix of every trace in one pass in trace order, then in a
+        shuffled order; returns the (trace, k) pairs and their reference rows."""
+        prefixes = [(j, k) for j, events in enumerate(traces) for k in range(1, len(events) + 1)]
+        expected = np.array(
+            [ref_vector(net, traces[j][:k], traces[j][k - 1].timestamp_ms, self.DECAY_S, vocabs) for j, k in prefixes]
+        )
+        for order in (np.arange(len(prefixes)), rng.permutation(len(prefixes))):
+            trace_of, ks = np.array(prefixes, dtype=np.int64)[order].T
+            rows = replay_states(net, traces, trace_of, ks, None, vocabs).vectors(net, self.DECAY_S)
+            assert rows.dtype == np.float64 and rows.tobytes() == expected[order].tobytes()
+        return prefixes, expected
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generator_log_prefixes(self, seed):
+        log, net = generator_log(seed, 400)
+        rng = np.random.default_rng(seed)
+        samples = make_prefix_samples(log)
+        assert len(log.traces) > REPLAY_CHUNK
+        for attributes in ((), ("Resource",)):
+            vocabs = {name: log.attribute_vocabs[name] for name in attributes}
+            prefixes, expected = self.check_rows(net, [t.events for t in log.traces], vocabs, rng)
+            # the mlp replays shuffled samples in chunks of REPLAY_CHUNK traces
+            row_of = {(log.traces[j].case_id, k): row for row, (j, k) in zip(expected, prefixes)}
+            shuffled = [samples[i] for i in rng.permutation(len(samples))]
+            config = TrainConfig(input_mode="timed_state", attributes=attributes, decay_seconds=self.DECAY_S)
+            mlp = MLPPredictor(log.activity_vocab, log.attribute_vocabs, config, net)
+            X, M = mlp._batch_inputs(shuffled)
+            want = np.array([row_of[s.case_id, s.k] for s in shuffled], dtype=np.float32)
+            assert M is None and X.tobytes() == want.tobytes()
+
+    def test_hand_built_traces(self):
+        # an unknown label (Z), events whose transition no silent path
+        # enables (B at the start of linear_net, A and D in two_token_net),
+        # two initial tokens in two places, and events that share a timestamp
+        rng = np.random.default_rng(0)
+        vocabs = {"res": Vocabulary([MISSING, "r1", "r2"])}
+        for net, acts in (
+            (linear_net(), ["AZB", "BAB", "ZZ", "ABZA"]),
+            (two_token_net(), ["BCD", "CBD", "DBC", "ABCD", "BBCD"]),
+            (silent_choice_net(), ["BCAB", "CCZ", "BBBC"]),
+        ):
+            traces = []
+            for i, labels in enumerate(acts):
+                traces.append(evs(labels, gap_ms=0, attrs={"res": "r1"}))  # one timestamp for every event
+                traces.append(evs(labels, gap_ms=HOUR_MS * (i % 2)))  # no attributes
+            traces.append(tuple(
+                Event("c", a, 1_600_000_000_000 + HOUR_MS * (i // 2), {"res": "r2"}) for i, a in enumerate(acts[0])
+            ))  # pairs of events at one time
+            prefixes, _ = self.check_rows(net, traces, vocabs, rng)
+            nonconforming = replay_states(net, traces, *zip(*prefixes)).nonconforming
+            assert 0 < np.count_nonzero(nonconforming) < len(prefixes)
+
+    def test_empty_prefix_and_decay_time(self):
+        net = two_token_net()
+        events = evs("BC")
+        at = events[-1].timestamp_ms + 1800_000
+        states = replay_states(net, [(), events], [0, 1, 1], [0, 0, 2], [at, at, at])
+        for (events_k, row) in zip(((), (), events), states.vectors(net, 3600.0)):
+            assert row.tobytes() == ref_vector(net, events_k, at, 3600.0, {}).tobytes()
+        with pytest.raises(ValueError, match="prefix length 3 outside 0..2"):
+            replay_states(net, [events], [0], [3])
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_a_step_equals_the_pass_one_event_on(self, seed):
+        log, net = generator_log(seed, 200)
+        vocabs = {"Resource": log.attribute_vocabs["Resource"]}
+        traces = [t.events for t in log.traces]
+        trace_of = np.arange(len(traces))
+        states = replay_states(net, traces, trace_of, np.ones(len(traces), dtype=np.int64), None, vocabs)
+        for k in range(2, max(map(len, traces)) + 1):
+            rows = np.flatnonzero([len(events) >= k for events in traces])
+            events = [traces[j][k - 1] for j in rows]
+            steps = np.zeros((len(rows), len(vocabs["Resource"])), dtype=np.int64)
+            steps[np.arange(len(rows)), [vocabs["Resource"].index(ev.attributes["Resource"]) for ev in events]] = 1
+            at = np.array([ev.timestamp_ms for ev in events], dtype=np.int64)
+            states = states.step(net, np.searchsorted(trace_of, rows), [ev.activity for ev in events], at, steps)
+            trace_of = rows
+            expected = replay_states(net, traces, rows, np.full(len(rows), k), None, vocabs)
+            for field in dataclasses.fields(TimedStates):
+                got, want = getattr(states, field.name), getattr(expected, field.name)
+                want = np.where(expected.visited, want, got) if field.name == "last_visit_ms" else want
+                assert got.dtype == want.dtype and np.array_equal(got, want), (k, field.name)
