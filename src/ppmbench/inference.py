@@ -13,9 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .eventlog import EOC, Event, Trace
+from .eventlog import EOC, Event
 from .models import EventHypotheses, Predictor
-from .splitting import PrefixSample, check_prefix_samples
+from .splitting import PrefixSample, check_prefix_samples, whole_prefix_sample
 
 
 @dataclass(frozen=True)
@@ -107,11 +107,12 @@ def decode_suffixes(
     ``ValueError``.
 
     Each step makes one call over every unfinished hypothesis: ``predict``
-    of ``model.hypotheses(samples)`` (which a neural model starts from the
-    inputs ``predict_batch`` reads, and batches), or one ``model.predict``
-    per hypothesis for a model that is not a :class:`Predictor`. One
-    vectorised check then rejects any row that is not a distribution with
-    ``ValueError``.
+    of ``model.hypotheses(samples)`` (which starts from what
+    ``predict_batch`` reads: a neural model's inputs, the Markov model's
+    contexts), or one ``model.predict`` per hypothesis for an object that is
+    not a :class:`Predictor` but has ``activity_vocab`` and
+    ``predict(events)``. One vectorised check then rejects any row that is
+    not a distribution with ``ValueError``.
     """
     check_prefix_samples(samples)
     if not samples:
@@ -202,7 +203,4 @@ def decode_suffix(model: Predictor, prefix: Sequence[Event], cfg: DecodeConfig) 
     truncated. This is :func:`decode_suffixes` of one sample that holds the
     whole prefix; an empty prefix is a ``ValueError``.
     """
-    prefix = tuple(prefix)
-    if not prefix:
-        raise ValueError("cannot decode from an empty prefix")
-    return decode_suffixes(model, [PrefixSample(Trace(prefix[0].case_id, prefix), len(prefix))], cfg)[0]
+    return decode_suffixes(model, [whole_prefix_sample(prefix)], cfg)[0]

@@ -21,7 +21,7 @@ from .atomic import write_text_atomic
 from .encoding import Normalizer, PrefixEncoder, ngram_hash_encode, ngram_hash_extend, ngram_hash_prefixes
 from .eventlog import MISSING, Event, Vocabulary
 from .petrinet import PetriNet, TimedStates, TimedStateVector, replay_states, replay_timed_state
-from .splitting import PrefixSample, SplitLog, check_prefix_samples, make_prefix_samples
+from .splitting import PrefixSample, SplitLog, check_prefix_samples, make_prefix_samples, whole_prefix_sample
 
 ARCHITECTURES = ("markov", "mlp", "rnn", "lstm", "gru", "autoencoder")
 INPUT_MODES = ("padded_flat", "single_event", "timed_state")  # what the mlp reads
@@ -129,10 +129,14 @@ class TrainReport:
 
 
 class Predictor:
-    """Interface: ``predict_batch`` maps prefix samples to rows of activity
-    probabilities over the vocabulary (end-of-case included) and non-negative
-    times in seconds (meaning set by ``time_target``; NaN for none).
-    ``predict`` scores one event prefix, with ``None`` for no time."""
+    """Interface of two inference methods. ``predict_batch`` maps prefix
+    samples to float64 activity probabilities (N, C) over the vocabulary
+    (end-of-case included) and non-negative times (N,) in seconds (meaning
+    set by ``time_target``; NaN for none); a sample with ``k`` outside
+    1..len(trace) is a ``ValueError``. ``hypotheses`` starts a decode from
+    the samples: its ``predict()`` scores each row as ``predict_batch``
+    scores its prefix, and ``extend(parents, tokens, deltas)`` steps rows
+    ``parents`` by one decoded event each."""
 
     activity_vocab: Vocabulary
     time_target: str | None = None
@@ -146,20 +150,17 @@ class Predictor:
     ) -> TrainReport:
         raise NotImplementedError
 
-    def predict(self, events: Sequence[Event]) -> tuple[np.ndarray, float | None]:
+    def predict_batch(self, samples: Sequence[PrefixSample]) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def predict_batch(self, samples: Sequence[PrefixSample]) -> tuple[np.ndarray, np.ndarray]:
-        """Probabilities (N, C) and times (N,), float64, in sample order; by
-        default ``predict`` of each sample's prefix. A sample whose ``k`` is
-        not within 1 to its trace's length is a ``ValueError``."""
-        check_prefix_samples(samples)
-        return _stacked([self.predict(s.prefix) for s in samples], len(self.activity_vocab))
+    def hypotheses(self, samples: Sequence[PrefixSample]):
+        raise NotImplementedError
 
-    def hypotheses(self, samples: Sequence[PrefixSample]) -> "EventHypotheses":
-        """Decode hypotheses of the samples' prefixes, row i holding sample
-        i; by default event tuples, each scored by ``predict``."""
-        return EventHypotheses(self, [s.prefix for s in samples])
+    def predict(self, events: Sequence[Event]) -> tuple[np.ndarray, float | None]:
+        """``predict_batch`` of the sample holding ``events``: probabilities
+        (C,) and time (None for none). An empty prefix is a ``ValueError``."""
+        probs, times = self.predict_batch([whole_prefix_sample(events)])
+        return probs[0], None if np.isnan(times[0]) else float(times[0])
 
     def _save(self, path_prefix: Path, seed: int) -> list[Path]:
         """Write the checkpoint: the ``<prefix>.json`` sidecar plus any files
@@ -205,8 +206,8 @@ def _extend(events: tuple[Event, ...], activity: str, delta: float) -> tuple[Eve
 
 class EventHypotheses:
     """Decode hypotheses kept as event tuples, each scored by one
-    ``model.predict`` call; any object with ``activity_vocab`` and
-    ``predict(events)`` decodes this way."""
+    ``model.predict`` call: how an object that is not a :class:`Predictor`,
+    but has ``activity_vocab`` and ``predict(events)``, decodes."""
 
     def __init__(self, model, prefixes):
         self.model = model
@@ -239,7 +240,11 @@ class MarkovPredictor(Predictor):
     P(a | context) = (count(context, a) + alpha) / (count(context) + alpha |A|),
     and the time estimate is that context's mean delta. With no observations
     at any order the distribution is uniform (the pure-smoothing limit) and
-    there is no time estimate."""
+    there is no time estimate.
+
+    A prefix's row depends only on its context, its last ``order`` labels
+    (all when fewer); each context's walk runs once, into a memo that
+    ``fit`` and loading clear."""
 
     architecture = "markov"
 
@@ -247,12 +252,14 @@ class MarkovPredictor(Predictor):
         self.activity_vocab = activity_vocab
         self.config = config or TrainConfig()
         self.time_target = "next"
-        self.tables: list[dict[tuple[str, ...], tuple[Counter, float]]] = []
+        self.tables: list[dict[tuple[str, ...], tuple[Counter, float]]] = [{} for _ in range(self.config.order + 1)]
+        self._memo: dict[tuple[str, ...], tuple[np.ndarray, float]] = {}
 
     def fit(self, train_samples, val_samples, seed=0) -> TrainReport:
         start = time.perf_counter()
         order = self.config.order
         self.tables = [{} for _ in range(order + 1)]
+        self._memo = {}
         for sample in train_samples:
             acts = sample.prefix_activities
             target = self.activity_vocab.index(sample.next_activity)
@@ -264,14 +271,8 @@ class MarkovPredictor(Predictor):
         train_nll = self._mean_nll(train_samples)
         val_nll = self._mean_nll(val_samples) if val_samples else train_nll
         seconds = time.perf_counter() - start
-        return TrainReport(
-            train_losses=(train_nll,),
-            val_losses=(val_nll,),
-            best_epoch=0,
-            wall_clock_seconds=seconds,
-            epoch_seconds=(seconds,),
-            seed=seed,
-        )
+        return TrainReport(train_losses=(train_nll,), val_losses=(val_nll,), best_epoch=0,
+                           wall_clock_seconds=seconds, epoch_seconds=(seconds,), seed=seed)
 
     def _mean_nll(self, samples) -> float:
         if not samples:
@@ -281,28 +282,35 @@ class MarkovPredictor(Predictor):
         picked = np.maximum(probs[np.arange(len(samples)), truth], 1e-12)
         return -sum(np.log(picked).tolist()) / len(samples)
 
-    def predict(self, events):
-        acts = tuple(ev.activity for ev in events)
-        k = len(self.activity_vocab)
-        alpha = self.config.alpha
-        for j in range(min(len(self.tables) - 1, len(acts)), -1, -1):
-            counts, delta_sum = self.tables[j].get(acts[len(acts) - j :]) or (None, 0.0)
+    def _context(self, labels: Sequence[str]) -> tuple[str, ...]:
+        """The last ``order`` of ``labels``, or all of them when fewer."""
+        return tuple(labels[len(labels) - min(self.config.order, len(labels)) :])
+
+    def _row(self, context: tuple[str, ...]) -> tuple[np.ndarray, float]:
+        """Probabilities (C,) and time (NaN for none) of a context's backoff walk."""
+        k, alpha = len(self.activity_vocab), self.config.alpha
+        for j in range(len(context), -1, -1):
+            counts, delta_sum = self.tables[j].get(context[len(context) - j :]) or (None, 0.0)
             if counts:
                 total = sum(counts.values())
                 probs = np.full(k, float(alpha), dtype=np.float64)
                 for idx, c in counts.items():
                     probs[idx] += c
                 return probs / (total + alpha * k), max(0.0, delta_sum / total)
-        return np.full(k, 1.0 / k, dtype=np.float64), None
+        return np.full(k, 1.0 / k, dtype=np.float64), np.nan
+
+    def predict_batch(self, samples):
+        check_prefix_samples(samples)
+        return self.hypotheses(samples).predict()
+
+    def hypotheses(self, samples):
+        return _MarkovHypotheses(self, [self._context(s.prefix_activities) for s in samples])
 
     def _save(self, path_prefix, seed):
         """The JSON sidecar alone: the tables are the whole model. Each order
         is written twice, as its ``counts`` rows and its ``deltas`` rows
         (context, delta sum, observation count)."""
-
-        def ctx_key(ctx):
-            return "\x1f".join(ctx)
-
+        rows = [[("\x1f".join(ctx), counts, delta_sum) for ctx, (counts, delta_sum) in t.items()] for t in self.tables]
         sidecar = {
             "format_version": SIDECAR_VERSION,
             "architecture": "markov",
@@ -311,39 +319,50 @@ class MarkovPredictor(Predictor):
             "activity_vocab": list(self.activity_vocab.labels),
             "attribute_vocabs": {},
             "state": {
-                "counts": [
-                    [[ctx_key(ctx), {str(k): v for k, v in counts.items()}]
-                     for ctx, (counts, _) in table.items()]
-                    for table in self.tables
-                ],
-                "deltas": [
-                    [[ctx_key(ctx), delta_sum, sum(counts.values())]
-                     for ctx, (counts, delta_sum) in table.items()]
-                    for table in self.tables
-                ],
+                "counts": [[[key, {str(k): v for k, v in counts.items()}] for key, counts, _ in t] for t in rows],
+                "deltas": [[[key, delta_sum, sum(counts.values())] for key, counts, delta_sum in t] for t in rows],
             },
         }
         return [_write_sidecar(path_prefix, sidecar)]
 
     def _restore(self, sidecar, path_prefix):
-        """Rebuild the tables; ``counts`` and ``deltas`` must list the same
-        contexts in the same order, or the sidecar is a ``ValueError``."""
-        state = sidecar["state"]
-        if len(state["counts"]) != len(state["deltas"]):
-            raise ValueError("markov sidecar has counts and deltas for different orders")
-        self.tables = []
-        for count_rows, delta_rows in zip(state["counts"], state["deltas"]):
+        """Rebuild the tables. A sidecar is a ``ValueError`` unless it holds
+        ``order + 1`` orders whose ``counts`` and ``deltas`` list the same
+        contexts in order, each count a positive int of a class index."""
+        counts, deltas = sidecar["state"]["counts"], sidecar["state"]["deltas"]
+        if not len(counts) == len(deltas) == self.config.order + 1:
+            raise ValueError(f"markov sidecar holds {len(counts)}/{len(deltas)} orders, order {self.config.order}")
+        classes = {str(i): i for i in range(len(self.activity_vocab))}
+        self.tables, self._memo = [], {}
+        for count_rows, delta_rows in zip(counts, deltas):
             if [row[0] for row in count_rows] != [row[0] for row in delta_rows]:
                 raise ValueError("markov sidecar counts and deltas name different contexts")
-            self.tables.append(
-                {
-                    tuple(ctx.split("\x1f")) if ctx else (): (
-                        Counter({int(k): v for k, v in counts.items()}),
-                        delta_sum,
-                    )
-                    for (ctx, counts), (_, delta_sum, _) in zip(count_rows, delta_rows)
-                }
-            )
+            for k, v in (item for _, row in count_rows for item in row.items()):
+                if k not in classes or type(v) is not int or v < 1:
+                    raise ValueError(f"markov sidecar count {k!r}: {v!r}, not a positive int of a vocabulary class")
+            self.tables.append({
+                tuple(ctx.split("\x1f")) if ctx else (): (Counter({classes[k]: v for k, v in row.items()}), delta_sum)
+                for (ctx, row), (_, delta_sum, _) in zip(count_rows, delta_rows)
+            })
+
+
+class _MarkovHypotheses:
+    """Markov decode hypotheses: each carries its context, stepped by one label per decoded event."""
+
+    def __init__(self, model: MarkovPredictor, contexts: list[tuple[str, ...]]):
+        self.model, self.contexts = model, contexts
+
+    def predict(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each context's row, read from the model's memo (which a new context joins)."""
+        model, memo = self.model, self.model._memo
+        rows = [memo.get(c) or memo.setdefault(c, model._row(c)) for c in self.contexts]
+        probs = np.array([p for p, _ in rows], dtype=np.float64).reshape(len(rows), len(model.activity_vocab))
+        return probs, np.array([t for _, t in rows], dtype=np.float64)
+
+    def extend(self, parents, tokens, deltas) -> "_MarkovHypotheses":
+        model, label = self.model, self.model.activity_vocab.label
+        contexts = [model._context(self.contexts[p] + (label(t),)) for p, t in zip(parents, tokens)]
+        return _MarkovHypotheses(model, contexts)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +461,14 @@ def _sgd_train(
     return best_params, report
 
 
+def _trace_groups(samples) -> list[list[int]]:
+    """The indices of the samples of each trace, traces in order of first appearance."""
+    by_trace: dict[int, list[int]] = {}
+    for i, sample in enumerate(samples):
+        by_trace.setdefault(id(sample.trace), []).append(i)
+    return list(by_trace.values())
+
+
 def _layer_params(params: Mapping[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
     return {k.split(":", 1)[1]: v for k, v in params.items() if k.startswith(prefix + ":")}
 
@@ -524,15 +551,12 @@ class _NeuralPredictor(Predictor):
 
     def _batch_inputs(self, samples):
         """Inputs and mask of the samples' prefixes in sample order, encoded once per trace."""
-        by_trace: dict[int, list[int]] = {}
-        for i, sample in enumerate(samples):
-            by_trace.setdefault(id(sample.trace), []).append(i)
-        X, M = _concat(
-            [self._inputs(samples[idx[0]].trace.events, [samples[i].k for i in idx]) for idx in by_trace.values()]
-        )
+        groups = _trace_groups(samples)
+        parts = [self._inputs(samples[group[0]].trace.events, [samples[i].k for i in group]) for group in groups]
         # concatenated row j holds the j-th sample index listed; argsort inverts that
-        back = np.argsort([i for idx in by_trace.values() for i in idx])
-        return X[back], None if M is None else M[back]
+        back = np.argsort([i for group in groups for i in group])
+        X = np.concatenate([x for x, _ in parts])[back]
+        return X, None if parts[0][1] is None else np.concatenate([m for _, m in parts])[back]
 
     def _arrays(self, samples):
         """:meth:`_batch_inputs` plus activity and normalized time targets."""
@@ -570,7 +594,7 @@ class _NeuralPredictor(Predictor):
 
     def _step_features(self, params, X, M):
         """Feature vectors (N, F) of a decode step, each row computed alone,
-        as :meth:`predict` computes it."""
+        as a one-sample :meth:`predict_batch` computes it."""
         return np.concatenate(
             [self._body(params, X[i : i + 1], None if M is None else M[i : i + 1])[0] for i in range(len(X))]
         )
@@ -658,11 +682,6 @@ class _NeuralPredictor(Predictor):
         check_prefix_samples(samples)
         return self._predictions(*self._outputs(self.params, *self._batch_inputs(samples))[:2])
 
-    def predict(self, events):
-        self._check_fitted()
-        probs, times = self._predictions(*self._outputs(self.params, *self._inputs(events, [len(events)]))[:2])
-        return probs[0], None if np.isnan(times[0]) else float(times[0])
-
     def hypotheses(self, samples):
         """Hypotheses that start from the samples' :meth:`_batch_inputs`, as
         ``predict_batch`` does: each trace is encoded once."""
@@ -727,17 +746,11 @@ class _NeuralPredictor(Predictor):
         self.params = params
 
 
-def _concat(parts):
-    """One (inputs, mask) pair of the ``_inputs`` results ``parts``, rows in order."""
-    X = np.concatenate([x for x, _ in parts])
-    return X, None if parts[0][1] is None else np.concatenate([m for _, m in parts])
-
-
 class _NeuralHypotheses:
     """Decode hypotheses of a neural model: the inputs ``X``/``M`` of each,
-    scored as ``predict`` scores them. A subclass carries what stepping its
-    inputs by one decoded event needs, and its ``extend`` takes that step
-    for every surviving hypothesis at once."""
+    scored as a one-sample ``predict_batch`` scores them. A subclass carries
+    what stepping its inputs by one decoded event needs, and its ``extend``
+    takes that step for every surviving hypothesis at once."""
 
     def __init__(self, model, X, M):
         self.model, self.X, self.M = model, X, M
@@ -940,32 +953,18 @@ class MLPPredictor(_NeuralPredictor):
     def _timed_state_vocabs(self) -> dict[str, Vocabulary]:
         return {name: self.attribute_vocabs[name] for name in self.config.attributes}
 
-    def _replay(self, traces, trace_of, ks) -> TimedStates:
-        """``replay_states`` of the prefixes, each read at its last event,
-        with counts of the configured attributes."""
-        return replay_states(self.petri_net, traces, trace_of, ks, None, self._timed_state_vocabs())
-
     def _replayed(self, samples):
-        """(sample indices, their :meth:`_replay` states) for each chunk of
-        ``REPLAY_CHUNK`` traces of the samples, each trace replayed once."""
-        by_trace: dict[int, list[int]] = {}
-        for i, sample in enumerate(samples):
-            by_trace.setdefault(id(sample.trace), []).append(i)
-        groups = list(by_trace.values())
+        """(sample indices, their ``replay_states``) per chunk of
+        ``REPLAY_CHUNK`` traces of the samples, each trace replayed once, read
+        at each prefix's last event with the configured attributes."""
+        groups = _trace_groups(samples)
         for c in range(0, len(groups), REPLAY_CHUNK):
             chunk = groups[c : c + REPLAY_CHUNK]
             idx = [i for group in chunk for i in group]
             trace_of = [j for j, group in enumerate(chunk) for _ in group]
             traces = [samples[group[0]].trace.events for group in chunk]
-            yield idx, self._replay(traces, trace_of, [samples[i].k for i in idx])
-
-    def _inputs(self, events, ks):
-        if self.config.input_mode != "timed_state":
-            return super()._inputs(events, ks)
-        if min(ks) < 1:
-            raise ValueError("cannot encode an empty prefix")
-        states = self._replay([events], [0] * len(ks), ks)
-        return states.vectors(self.petri_net, self.decay_seconds, self.dtype), None
+            ks = [samples[i].k for i in idx]
+            yield idx, replay_states(self.petri_net, traces, trace_of, ks, None, self._timed_state_vocabs())
 
     def _batch_inputs(self, samples):
         if self.config.input_mode != "timed_state":

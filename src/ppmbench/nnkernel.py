@@ -63,9 +63,8 @@ def init_cell(cell: str, rng, in_dim: int, hidden: int, dtype=np.float32):
     ``CELL_GATES[cell]``.
 
     Each gate's input block, then its recurrent block, is drawn in gate
-    order, so the arrays equal the per-gate layout of checkpoint version 1
-    concatenated. The LSTM forget-gate bias starts at +1.0, which helps
-    toy-scale convergence.
+    order. The LSTM forget-gate bias starts at +1.0, which helps toy-scale
+    convergence.
     """
     if cell not in CELLS:
         raise ValueError(f"unknown cell {cell!r}")
@@ -415,41 +414,18 @@ def save_params(path: str | Path, params: Mapping[str, np.ndarray], meta: Mappin
     write_atomic(path if path.endswith(".npz") else path + ".npz", lambda handle: np.savez(handle, **payload))
 
 
-def _fuse_v1(params: dict[str, np.ndarray], architecture) -> dict[str, np.ndarray]:
-    """Concatenate the per-gate arrays of a version-1 LSTM/GRU checkpoint
-    (``l<n>:U<gate>``, ``l<n>:W<gate>``, ``l<n>:b<gate>``) into the fused
-    ``l<n>:U``/``W``/``b``. Version 1 named the LSTM input weights ``U*``
-    and the GRU input weights ``W*``. A layer with a missing gate array is
-    left unfused, for the caller's parameter check to reject."""
-    if architecture not in ("lstm", "gru"):
-        return params
-    gates = CELL_GATES[architecture]
-    inp, rec = ("U", "W") if architecture == "lstm" else ("W", "U")
-    fused = dict(params)
-    layer = 0
-    while f"l{layer}:b{gates[0]}" in fused:
-        for new, old in (("U", inp), ("W", rec), ("b", "b")):
-            keys = [f"l{layer}:{old}{gate}" for gate in gates]
-            if all(key in fused for key in keys):
-                fused[f"l{layer}:{new}"] = np.concatenate([fused.pop(key) for key in keys], axis=-1)
-        layer += 1
-    return fused
-
-
 def load_params(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Named arrays and metadata of a checkpoint; a version-1 checkpoint has
-    its recurrent cells fused (see :func:`_fuse_v1`)."""
+    """Named arrays and metadata of a checkpoint; a file of another
+    ``checkpoint_version`` (version 1 kept one array per gate) is a
+    ``ValueError``."""
     with np.load(path) as data:
         header = json.loads(bytes(data["__meta__"]).decode("utf-8"))
         version = header.get("checkpoint_version")
-        if version not in (1, CHECKPOINT_VERSION):
+        if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version!r}")
         params = {
             k.removeprefix("param:"): data[k].copy()
             for k in data.files
             if k.startswith("param:")
         }
-    meta = header.get("meta", {})
-    if version == 1:
-        params = _fuse_v1(params, meta.get("architecture"))
-    return params, meta
+    return params, header.get("meta", {})

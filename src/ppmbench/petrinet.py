@@ -460,44 +460,6 @@ def replay_states(
     )
 
 
-def _state_objects(
-    net: PetriNet, events: Sequence[Event], ks: Sequence[int], at_ms, decay_seconds: float
-) -> list[TimedStateVector]:
-    """The ``TimedStateVector`` of ``events[:k]`` for each k in ``ks``, read
-    off :func:`replay_states` with a vocabulary of every attribute value the
-    events hold."""
-    if decay_seconds <= 0:
-        raise ValueError("decay_seconds must be positive")
-    if not len(ks):
-        return []
-    seen: dict[str, dict[str, None]] = {}
-    for ev in events[: max(ks)]:
-        for name, value in ev.attributes.items():
-            seen.setdefault(name, {})[value] = None
-    vocabs = {name: Vocabulary(values) for name, values in seen.items()}
-    states = replay_states(net, [events], [0] * len(ks), ks, at_ms, vocabs)
-    decay = states.decay(decay_seconds)
-    markings = net._table.markings[states.marking_ids]
-    result = []
-    for i, counts in enumerate(states.attribute_counts.tolist()):
-        attribute_counts = {}
-        for name, vocab in vocabs.items():
-            values = {value: c for value, c in zip(vocab.labels, counts) if c}
-            counts = counts[len(vocab) :]
-            if values:
-                attribute_counts[name] = values
-        result.append(
-            TimedStateVector(
-                decay=decay[i],
-                throughput=states.throughput[i],
-                marking=markings[i],
-                attribute_counts=attribute_counts,
-                nonconforming=int(states.nonconforming[i]),
-            )
-        )
-    return result
-
-
 def replay_timed_state(
     net: PetriNet,
     events: Sequence[Event],
@@ -513,22 +475,24 @@ def replay_timed_state(
     place is ``1 - (at - last_visit) / decay_T`` clamped to [0, 1], and 0 for
     places never visited. Each event fires the sequence ``_firing_sequence``
     finds; an event without one is skipped and counted as nonconforming, and
-    the marking is left untouched.
+    the marking is left untouched. The state is read off :func:`replay_states`,
+    with a vocabulary of every attribute value the events hold.
     """
-    return _state_objects(net, events, [len(events)], [at_ms], decay_seconds)[0]
-
-
-def replay_prefixes(
-    net: PetriNet,
-    events: Sequence[Event],
-    ks: Sequence[int],
-    decay_seconds: float,
-) -> list[TimedStateVector]:
-    """``replay_timed_state(net, events[:k], events[k - 1].timestamp_ms,
-    decay_seconds)`` for each k in ``ks``, from one replay of
-    ``events[:max(ks)]``. ``ks`` may be in any order and may repeat; each
-    k lies in 1..len(events)."""
-    for k in ks:
-        if not 1 <= k <= len(events):
-            raise ValueError(f"prefix length {k} outside 1..{len(events)}")
-    return _state_objects(net, events, list(ks), None, decay_seconds)
+    seen: dict[str, dict[str, None]] = {}
+    for ev in events:
+        for name, value in ev.attributes.items():
+            seen.setdefault(name, {})[value] = None
+    vocabs = {name: Vocabulary(values) for name, values in seen.items()}
+    states = replay_states(net, [events], [0], [len(events)], [at_ms], vocabs)
+    counts = states.attribute_counts[0].tolist()
+    attribute_counts = {}
+    for name, vocab in vocabs.items():
+        attribute_counts[name] = dict(zip(vocab.labels, counts))
+        counts = counts[len(vocab) :]
+    return TimedStateVector(
+        decay=states.decay(decay_seconds)[0],
+        throughput=states.throughput[0],
+        marking=net._table.markings[states.marking_ids][0],
+        attribute_counts=attribute_counts,
+        nonconforming=int(states.nonconforming[0]),
+    )

@@ -125,6 +125,15 @@ def check_prefix_samples(samples: Sequence[PrefixSample]) -> None:
             )
 
 
+def whole_prefix_sample(events: Sequence[Event]) -> PrefixSample:
+    """The sample that holds all of ``events``: the one-sample batch in which
+    a single prefix is scored or decoded. An empty prefix is a ``ValueError``."""
+    events = tuple(events)
+    if not events:
+        raise ValueError("cannot score or decode an empty prefix")
+    return PrefixSample(Trace(events[0].case_id, events), len(events))
+
+
 def make_prefix_samples(log: EventLog, min_k: int = 1) -> list[PrefixSample]:
     """Generate every prefix sample of an EOC-augmented log.
 

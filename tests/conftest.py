@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from ppmbench.eventlog import Event, EventLog, Trace, Vocabulary, augment_eoc, parse_csv
-from ppmbench.models import Predictor
+from ppmbench.models import EventHypotheses, Predictor
 from ppmbench.petrinet import PetriNet, load_petri_json
+from ppmbench.splitting import check_prefix_samples
 
 TABLE1_CSV = """case_id,activity,timestamp,Resource
 Case2118,Assign seriousness,14-01-2010 07:52:50,Resource 2
@@ -102,7 +103,20 @@ def linear_log() -> EventLog:
     return augment_eoc(make_linear_log())
 
 
-class FixedDistributionModel(Predictor):
+class EventPredictor(Predictor):
+    """Base of the stub predictors, which define ``predict(events)``:
+    ``predict_batch`` and ``hypotheses`` score each prefix or hypothesis
+    with one ``predict`` call, as event tuples."""
+
+    def predict_batch(self, samples):
+        check_prefix_samples(samples)
+        return self.hypotheses(samples).predict()
+
+    def hypotheses(self, samples):
+        return EventHypotheses(self, [s.prefix for s in samples])
+
+
+class FixedDistributionModel(EventPredictor):
     """Stub predictor that always emits the same distribution; useful for
     decode-strategy tests."""
 
@@ -117,7 +131,7 @@ class FixedDistributionModel(Predictor):
         return self.probs.copy(), self.delta
 
 
-class HashedRandomModel(Predictor):
+class HashedRandomModel(EventPredictor):
     """Deterministic pseudo-random predictor: the distribution is a pure
     function of (seed, prefix activities), so decoding is reproducible."""
 

@@ -12,11 +12,11 @@ from ppmbench import models
 from ppmbench.inference import DecodeConfig, SuffixPrediction, decode_suffix, decode_suffixes
 from ppmbench.metrics import evaluate_protocol, mae
 from ppmbench.models import (
-    AutoencoderPredictor, Predictor, RecurrentPredictor, TrainConfig, build_predictor, train
+    AutoencoderPredictor, RecurrentPredictor, TrainConfig, build_predictor, train
 )
 from ppmbench.splitting import PrefixSample, make_prefix_samples, temporal_split
 
-from conftest import FixedDistributionModel, HashedRandomModel, generator_log, make_linear_log
+from conftest import EventPredictor, FixedDistributionModel, HashedRandomModel, generator_log, make_linear_log
 
 VOCAB3 = Vocabulary([EOC, "a", "b"])
 
@@ -545,7 +545,7 @@ class TestReferenceEquivalence:
                 assert decode_suffix(model, prefix, cfg) == _ref_decode(model, prefix, cfg)
 
 
-class TieModel(Predictor):
+class TieModel(EventPredictor):
     """Distributions over the vocabulary whose entries come from a few
     weights, each moved by up to two ulps: many candidates tie exactly, and
     more only once a score rounds. Keyed on the prefix activities."""
@@ -676,10 +676,11 @@ class TestLockstepSearch:
 
     def test_carried_rows_equal_the_rows_of_the_extended_prefixes(self, decode_models, ngram_models):
         # random tokens take the timed-state mlp's hypotheses out of its net;
-        # the autoencoders at ngram_k 1 and 4 carry no labels and three
+        # the autoencoders at ngram_k 1 and 4 carry no labels and three, and
+        # markov the last order labels that its rows depend on
         trained, samples = decode_models
         rng = np.random.default_rng(0)
-        for model in trained[1:] + ngram_models:  # markov carries events alone
+        for model in trained + ngram_models:
             hypotheses = model.hypotheses(samples)
             if model.config.input_mode == "timed_state":
                 assert not hypotheses.states.nonconforming.any()
@@ -691,7 +692,11 @@ class TestLockstepSearch:
                 hypotheses = hypotheses.extend(parents, tokens, deltas)
                 label = model.activity_vocab.label
                 events = [models._extend(events[p], label(t), d) for p, t, d in zip(parents, tokens, deltas)]
-                X, M = models._concat([model._inputs(e, [len(e)]) for e in events])
+                if model.architecture == "markov":
+                    order = model.config.order
+                    assert hypotheses.contexts == [tuple(ev.activity for ev in e[len(e) - order :]) for e in events]
+                    continue
+                X, M = model._batch_inputs(as_samples(events))
                 assert np.array_equal(hypotheses.X, X) and hypotheses.X.dtype == X.dtype
                 assert (M is None and hypotheses.M is None) or np.array_equal(hypotheses.M, M)
             if model.config.input_mode == "timed_state":
@@ -704,18 +709,20 @@ class TestLockstepSearch:
         trained, samples = decode_models
         traces = {id(s.trace) for s in samples}
         assert len(traces) < len(samples)
-        for model, hook in ((trained[1], "_inputs"), (trained[8], "_inputs"), (trained[7], "_replay")):
+        for model in (trained[1], trained[8], trained[7]):
             calls = []  # (traces, ks) of each call; _inputs takes one trace, the chunked replay several
-            if hook == "_inputs":
+            if model.architecture == "mlp":
+                def counted(net, traces, trace_of, ks, *args, replay=models.replay_states):
+                    calls.append((traces, ks))
+                    return replay(net, traces, trace_of, ks, *args)
+
+                monkeypatch.setattr(models, "replay_states", counted)
+            else:
                 def counted(events, ks, inputs=model._inputs):
                     calls.append(([events], ks))
                     return inputs(events, ks)
-            else:
-                def counted(traces, trace_of, ks, replay=model._replay):
-                    calls.append((traces, ks))
-                    return replay(traces, trace_of, ks)
 
-            monkeypatch.setattr(model, hook, counted)
+                monkeypatch.setattr(model, "_inputs", counted)
             model.hypotheses(samples)
             replayed = [id(events) for chunk, _ in calls for events in chunk]
             assert sorted(replayed) == sorted({id(s.trace.events) for s in samples}), model.architecture

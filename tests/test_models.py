@@ -1,9 +1,7 @@
 import functools
 import json
-import shutil
 import time
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +9,7 @@ import pytest
 from ppmbench import models
 from ppmbench import nnkernel as nn
 from ppmbench.eventlog import EOC, Event, EventLog, Trace, Vocabulary, augment_eoc
+from ppmbench.inference import DecodeConfig, decode_suffixes
 from ppmbench.models import (
     POOL_BATCHES,
     AutoencoderPredictor,
@@ -29,9 +28,6 @@ from ppmbench.petrinet import PetriNet, Transition
 from ppmbench.splitting import PrefixSample, make_prefix_samples, temporal_split
 
 from conftest import generator_log, make_linear_log, make_random_log
-
-DATA = Path(__file__).parent / "data"
-
 
 def npz_arrays(path):
     with np.load(path) as data:
@@ -251,6 +247,97 @@ class TestMarkovReferenceEquivalence:
                         probs, ref_markov_predict(counts, acts, order, alpha, vocab)
                     ), (order, alpha, acts)
                     assert delta == ref_delta(deltas, acts, order), (order, alpha, acts)
+
+
+def ref_backoff_walk(predictor, events):
+    """The one-prefix backoff walk ``MarkovPredictor.predict`` ran before
+    rows were kept per context, copied as it was: probabilities and time,
+    None for no time."""
+    acts = tuple(ev.activity for ev in events)
+    k = len(predictor.activity_vocab)
+    alpha = predictor.config.alpha
+    for j in range(min(len(predictor.tables) - 1, len(acts)), -1, -1):
+        counts, delta_sum = predictor.tables[j].get(acts[len(acts) - j :]) or (None, 0.0)
+        if counts:
+            total = sum(counts.values())
+            probs = np.full(k, float(alpha), dtype=np.float64)
+            for idx, c in counts.items():
+                probs[idx] += c
+            return probs / (total + alpha * k), max(0.0, delta_sum / total)
+    return np.full(k, 1.0 / k, dtype=np.float64), None
+
+
+class BackoffWalkModel:
+    """A fitted Markov model scored as it was before: one backoff walk per
+    prefix. It is not a ``Predictor``, so it decodes through event tuples,
+    as the Markov model did."""
+
+    time_target = "next"
+
+    def __init__(self, predictor):
+        self.predictor, self.activity_vocab = predictor, predictor.activity_vocab
+
+    def predict(self, events):
+        return ref_backoff_walk(self.predictor, events)
+
+
+def ref_mean_nll(predictor, samples):
+    """The fit report's mean negative log-likelihood over the backoff walks."""
+    probs = np.array([ref_backoff_walk(predictor, s.prefix)[0] for s in samples])
+    truth = [predictor.activity_vocab.index(s.next_activity) for s in samples]
+    return -sum(np.log(np.maximum(probs[np.arange(len(samples)), truth], 1e-12)).tolist()) / len(samples)
+
+
+class TestMarkovContextRows:
+    """Rows kept per context, scored and decoded in batches, equal the
+    backoff walk of each prefix bit for bit."""
+
+    DECODES = [
+        DecodeConfig(strategy="argmax", max_len=8, seed=3),
+        DecodeConfig(strategy="random", max_len=8, seed=3),
+        DecodeConfig(strategy="beam", beam_width=2, max_len=8, length_normalize=True),
+        DecodeConfig(strategy="beam", beam_width=3, max_len=8),
+    ]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rows_fit_reports_and_decodes_equal_the_backoff_walk(self, seed):
+        log, _ = generator_log(seed, 120)
+        split = temporal_split(log)
+        train_samples, val_samples = make_prefix_samples(split.train), make_prefix_samples(split.validation)
+        samples = make_prefix_samples(split.test) + train_samples[::7]
+        rng = np.random.default_rng(seed)
+        samples = [samples[i] for i in rng.permutation(len(samples))]
+        for order in range(4):
+            for alpha in (0.0, 1.0):
+                predictor = MarkovPredictor(log.activity_vocab, TrainConfig(order=order, alpha=alpha))
+                report = predictor.fit(train_samples, val_samples, seed=0)
+                assert report.train_losses == (ref_mean_nll(predictor, train_samples),)
+                assert report.val_losses == (ref_mean_nll(predictor, val_samples),)
+                probs, times = predictor.predict_batch(samples)
+                for row, time_s, sample in zip(probs, times, samples):
+                    want, want_time = ref_backoff_walk(predictor, sample.prefix)
+                    assert row.tobytes() == want.tobytes(), (order, alpha, sample.prefix_activities)
+                    assert time_s == want_time if want_time is not None else np.isnan(time_s)
+                reference = BackoffWalkModel(predictor)
+                for cfg in self.DECODES:
+                    assert decode_suffixes(predictor, samples[:60], cfg) == decode_suffixes(
+                        reference, samples[:60], cfg
+                    ), (order, alpha, cfg)
+
+    def test_a_refit_or_reload_clears_the_memo(self, linear_split, tmp_path):
+        log, split = linear_split
+        predictor = MarkovPredictor(log.activity_vocab)
+        train(predictor, split, seed=0)
+        samples = make_prefix_samples(split.test)
+        before = predictor.predict_batch(samples)[0]
+        assert predictor._memo
+        save_predictor(predictor, tmp_path / "model")
+        other = augment_eoc(make_linear_log(20, acts=("A", "C", "B", "D")))
+        predictor.fit(make_prefix_samples(other), [], seed=0)
+        assert not np.array_equal(predictor.predict_batch(samples)[0], before)
+        predictor._restore(json.loads((tmp_path / "model.json").read_text(encoding="utf-8")), tmp_path / "model")
+        assert not predictor._memo
+        assert np.array_equal(predictor.predict_batch(samples)[0], before)
 
 
 class TestNeuralBasics:
@@ -636,6 +723,39 @@ class TestCheckpointRoundTrip:
         with pytest.raises(ValueError, match="vocab_sha256"):
             load_predictor(tmp_path / "model")
 
+    MARKOV_FAULTS = {
+        "orders-cut": "orders",
+        "orders-added": "orders",
+        "class-negative": "count '-1': 1, not a positive int of a vocabulary class",
+        "class-past-the-vocabulary": "count '5': 1, not a positive int of a vocabulary class",
+        "count-zero": ": 0, not a positive int",
+        "count-float": ": 1.0, not a positive int",
+        "count-bool": ": True, not a positive int",
+    }
+
+    @pytest.mark.parametrize("fault", MARKOV_FAULTS)
+    def test_malformed_markov_sidecar_rejected(self, fault, linear_split, tmp_path):
+        log, split = linear_split
+        predictor = MarkovPredictor(log.activity_vocab)
+        train(predictor, split, seed=0)
+        save_predictor(predictor, tmp_path / "model")
+        path = tmp_path / "model.json"
+        sidecar = json.loads(path.read_text(encoding="utf-8"))
+        state = sidecar["state"]
+        counts = state["counts"][2][0][1]  # the first order-2 context
+        if fault == "orders-cut":
+            state["counts"], state["deltas"] = state["counts"][:2], state["deltas"][:2]
+        elif fault == "orders-added":
+            state["counts"].append([])
+            state["deltas"].append([])
+        elif fault.startswith("class"):
+            counts["-1" if fault == "class-negative" else str(len(log.activity_vocab))] = 1
+        else:
+            counts[next(iter(counts))] = {"count-zero": 0, "count-float": 1.0, "count-bool": True}[fault]
+        path.write_text(json.dumps(sidecar), encoding="utf-8")
+        with pytest.raises(ValueError, match=self.MARKOV_FAULTS[fault]):
+            load_predictor(tmp_path / "model")
+
     @pytest.mark.parametrize("fault", ["truncated", "missing"])
     @pytest.mark.parametrize("arch", ["gru", "mlp", "autoencoder"])
     def test_malformed_parameters_rejected(self, arch, fault, linear_split, tmp_path):
@@ -655,37 +775,6 @@ class TestCheckpointRoundTrip:
             del arrays["param:head_act:b"]
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match="'head_act:b'"):
-            load_predictor(tmp_path / "model")
-
-
-class TestVersion1Checkpoints:
-    """``tests/data/v1_{lstm,gru}`` were written with per-gate cell arrays
-    (checkpoint version 1): hidden 4, 2 layers, embedding_dim 2, 20 epochs
-    with patience 20 and batch size 16 on ``make_linear_log(60)``, seed 0.
-    ``v1_predictions.json`` holds their ``predict`` output on the first 10
-    test prefixes."""
-
-    @pytest.mark.parametrize("arch", ["lstm", "gru"])
-    def test_loads_with_fused_cells(self, arch, linear_split):
-        _, split = linear_split
-        expected = json.loads((DATA / "v1_predictions.json").read_text(encoding="utf-8"))[arch]
-        loaded = load_predictor(DATA / f"v1_{arch}")
-        assert sorted(k for k in loaded.params if k.startswith("l1:")) == ["l1:U", "l1:W", "l1:b"]
-        samples = make_prefix_samples(split.test)[:10]
-        for sample, probs, delta in zip(samples, expected["probs"], expected["deltas"], strict=True):
-            p, d = loaded.predict(sample.prefix)
-            assert np.abs(p - probs).max() <= 1e-6
-            assert np.argmax(p) == np.argmax(probs)
-            assert d == pytest.approx(delta, rel=1e-5)
-
-    def test_truncated_gate_array_rejected(self, tmp_path):
-        for suffix in (".json", ".npz"):
-            shutil.copy(DATA / f"v1_lstm{suffix}", tmp_path / f"model{suffix}")
-        path = tmp_path / "model.npz"
-        arrays = npz_arrays(path)
-        arrays["param:l1:bo"] = arrays["param:l1:bo"][:3]
-        np.savez(path, **arrays)
-        with pytest.raises(ValueError, match="'l1:b'"):
             load_predictor(tmp_path / "model")
 
 
@@ -748,9 +837,10 @@ class TestTimedStateMlp:
 
 
 class TestInputs:
-    """``_inputs`` of a whole trace equals ``_inputs`` of each prefix alone,
-    bit for bit, so no input reads an event past its prefix; ``_arrays`` puts
-    them in sample order, whatever that order is."""
+    """``_batch_inputs`` of a whole trace's prefixes equals
+    ``_batch_inputs`` of each prefix alone, bit for bit, so no input reads an
+    event past its prefix; ``_arrays`` puts them in sample order, whatever
+    that order is."""
 
     @pytest.mark.parametrize(
         "arch, overrides",
@@ -775,9 +865,9 @@ class TestInputs:
         rows = []
         for trace in log.traces:
             ks = list(range(1, len(trace)))
-            Xt, Mt = predictor._inputs(trace.events, ks)
+            Xt, Mt = predictor._batch_inputs([PrefixSample(trace, k) for k in ks])
             for j, k in enumerate(ks):
-                Xk, Mk = predictor._inputs(trace.events[:k], [k])
+                Xk, Mk = predictor._batch_inputs([PrefixSample(Trace(trace.case_id, trace.events[:k]), k)])
                 assert np.array_equal(Xt[j], Xk[0])
                 assert (Mt is None and Mk is None) or np.array_equal(Mt[j], Mk[0])
                 rows.append((Xt[j], None if Mt is None else Mt[j]))
@@ -887,17 +977,39 @@ class TestPredictBatch:
         log = augment_eoc(EventLog(traces=(Trace("c", events),), activity_vocab=Vocabulary(["a", "b"])))
         row = np.array([0.25, 0.25, 0.5], dtype=np.float32)
 
-        class TimedAfterB(Predictor):
+        class TimedAfterB:
             activity_vocab = log.activity_vocab
 
             def predict(self, events):
                 return row, 5.0 if events[-1].activity == "b" else None
 
-        probs, times = TimedAfterB().predict_batch(make_prefix_samples(log))
+        prefixes = [s.prefix for s in make_prefix_samples(log)]
+        probs, times = models.EventHypotheses(TimedAfterB(), prefixes).predict()
         assert probs.dtype == np.float64 and np.array_equal(probs, [row] * 4)
         assert np.array_equal(times, [np.nan, 5.0, np.nan, 5.0], equal_nan=True)
-        empty_probs, empty_times = TimedAfterB().predict_batch([])
+        empty_probs, empty_times = models.EventHypotheses(TimedAfterB(), []).predict()
         assert empty_probs.shape == (0, 3) and empty_times.shape == (0,)
+
+    def test_a_predictor_scores_through_predict_batch_alone(self):
+        class PredictOnly(Predictor):
+            activity_vocab = Vocabulary(["a", EOC])
+
+            def predict(self, events):
+                return np.array([0.5, 0.5]), None
+
+        sample = PrefixSample(Trace("c", (Event("c", "a", 0),)), 1)
+        for method in (PredictOnly().predict_batch, PredictOnly().hypotheses):
+            with pytest.raises(NotImplementedError):
+                method([sample])
+
+    @pytest.mark.parametrize("arch", ["markov", "gru", "mlp", "autoencoder"])
+    def test_an_empty_prefix_is_rejected(self, arch):
+        log, net, split = generator_split(1)
+        cfg = TrainConfig(**{**self.SMALL, "epochs": 1, "pretrain_epochs": 1, "freeze_epochs": 1})
+        predictor = build_predictor(arch, cfg, log.activity_vocab, log.attribute_vocabs, net)
+        train(predictor, split, seed=1)
+        with pytest.raises(ValueError, match="empty prefix"):
+            predictor.predict(())
 
 
 class TestDeterministicLearnability:

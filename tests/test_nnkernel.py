@@ -559,12 +559,13 @@ class TestCheckpoint:
         import json
 
         path = tmp_path / "bad.npz"
-        payload = {"__meta__": np.frombuffer(
-            json.dumps({"checkpoint_version": 999, "meta": {}}).encode(), dtype=np.uint8
-        )}
-        np.savez(path, **payload)
-        with pytest.raises(ValueError):
-            nn.load_params(path)
+        for version in (1, 999):  # version 1 kept one array per gate, and no longer loads
+            payload = {"__meta__": np.frombuffer(
+                json.dumps({"checkpoint_version": version, "meta": {}}).encode(), dtype=np.uint8
+            )}
+            np.savez(path, **payload)
+            with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}"):
+                nn.load_params(path)
 
 
 class TestShapeMismatches:

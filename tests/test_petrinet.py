@@ -17,7 +17,6 @@ from ppmbench.petrinet import (
     _firing_sequence,
     load_petri_net,
     load_pnml,
-    replay_prefixes,
     replay_states,
     replay_timed_state,
 )
@@ -513,32 +512,44 @@ class TestReplayMatchesReference:
         assert found == [False] * 5 + [True] * 5
 
 
-def state_bytes(state):
-    return (
-        state.decay.dtype, state.decay.tobytes(), state.throughput.dtype, state.throughput.tobytes(),
-        state.marking.dtype, state.marking.tobytes(), state.attribute_counts, state.nonconforming,
-    )
+def attribute_vocabs(events):
+    """A vocabulary per attribute of every value it takes in ``events``."""
+    seen = {}
+    for ev in events:
+        for name, value in ev.attributes.items():
+            seen.setdefault(name, {})[value] = None
+    return {name: Vocabulary(values) for name, values in seen.items()}
+
+
+def state_rows(net, states, decay_s):
+    """The rows and nonconforming counts of ``states``, as bytes and ints."""
+    return [row.tobytes() for row in states.vectors(net, decay_s)], states.nonconforming.tolist()
 
 
 class TestReplayPrefixes:
-    """One replay per trace gives, at each requested k, the state the
-    reference replay of ``events[:k]`` reports at the k-th event, byte for
-    byte, whatever the order of ``ks`` and whatever the net's memo holds."""
+    """``replay_states`` of prefixes of one trace gives, at each requested k,
+    the state the reference replay of ``events[:k]`` reports at the k-th
+    event, byte for byte, whatever the order of ``ks`` and whatever the net's
+    memo holds."""
 
     DECAY_S = 4 * 3600.0
 
     def check(self, net, events, decay_s, *orders):
         """Replays ``events`` once per order of prefix lengths; returns the
         states of the last order."""
+        vocabs = attribute_vocabs(events)
         reference = {}
         for ks in orders:
-            states = replay_prefixes(net, events, ks, decay_s)
-            assert len(states) == len(ks)
-            for k, state in zip(ks, states):
+            ks = list(ks)
+            states = replay_states(net, [events], [0] * len(ks), ks, None, vocabs)
+            rows, nonconforming = state_rows(net, states, decay_s)
+            assert len(rows) == len(ks)
+            for k, row, count in zip(ks, rows, nonconforming):
                 if k not in reference:
                     at_ms = events[k - 1].timestamp_ms
-                    reference[k] = ref_replay_timed_state(net, events[:k], at_ms, decay_s)
-                assert_state_is(state, reference[k], (events, ks, k))
+                    state = TimedStateVector(*ref_replay_timed_state(net, events[:k], at_ms, decay_s))
+                    reference[k] = (state.to_vector(vocabs).tobytes(), state.nonconforming)
+                assert (row, count) == reference[k], (events, ks, k)
         return states
 
     @staticmethod
@@ -576,21 +587,27 @@ class TestReplayPrefixes:
     def test_search_budget(self):
         net = budget_net()
         states = self.check(net, evs(["B", "C", "B", "C"]), self.DECAY_S, [4, 1, 2, 3, 2])
-        assert [s.nonconforming for s in states] == [2, 1, 1, 2, 1]  # each B; each C takes five silent steps
+        assert states.nonconforming.tolist() == [2, 1, 1, 2, 1]  # each B; each C takes five silent steps
         assert net._sequences[((1, 0, 0, 0), "B")] is None  # an exhausted search is kept too
 
     def test_cold_and_warm_memo_agree(self):
         log, net = generator_log(2, 200)
         assert net._sequences == {}
-        cold = [list(map(state_bytes, self.check(net, t.events, self.DECAY_S, range(1, len(t) + 1))))
-                for t in log.traces]
+        ks = [range(1, len(t) + 1) for t in log.traces]
+        cold = [
+            state_rows(net, self.check(net, t.events, self.DECAY_S, k), self.DECAY_S) for t, k in zip(log.traces, ks)
+        ]
         entries = len(net._sequences)
         assert entries > 0
         copy = pickle.loads(pickle.dumps(net))  # a --jobs worker receives the memo with the net
         for replaying in (net, copy):
             warm = [
-                list(map(state_bytes, replay_prefixes(replaying, t.events, range(1, len(t) + 1), self.DECAY_S)))
-                for t in log.traces
+                state_rows(
+                    replaying,
+                    replay_states(replaying, [t.events], [0] * len(k), k, None, attribute_vocabs(t.events)),
+                    self.DECAY_S,
+                )
+                for t, k in zip(log.traces, ks)
             ]
             assert warm == cold
             assert len(replaying._sequences) == entries
@@ -613,12 +630,18 @@ class TestReplayPrefixes:
 
     def test_prefix_lengths_must_lie_in_the_trace(self):
         events = evs("AB")
-        assert replay_prefixes(linear_net(), events, [], self.DECAY_S) == []
-        for ks in ([0], [3], [1, 3]):
+        assert len(replay_states(linear_net(), [events], [], []).at_ms) == 0
+        for ks in ([-1], [3], [1, 3]):
             with pytest.raises(ValueError, match="prefix length"):
-                replay_prefixes(linear_net(), events, ks, self.DECAY_S)
-        with pytest.raises(ValueError, match="decay_seconds"):
-            replay_prefixes(linear_net(), events, [1], 0.0)
+                replay_states(linear_net(), [events], [0] * len(ks), ks)
+        with pytest.raises(ValueError, match="no last event"):
+            replay_states(linear_net(), [events], [0], [0])
+
+    def test_decay_needs_a_positive_horizon(self):
+        states = replay_states(linear_net(), [evs("AB")], [0], [1])
+        for decay_s in (0.0, -1.0):
+            with pytest.raises(ValueError, match="decay_seconds"):
+                states.decay(decay_s)
 
 
 def ref_vector(net, events, at_ms, decay_seconds, vocabs):

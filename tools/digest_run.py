@@ -2,8 +2,8 @@
 
 Runs ``bench.run_matrix`` at seed 1 with one job on two datasets of
 ``perfbench/generator.py``, ``generate(1, 400)`` and ``generate(2, 200)``, each
-with the generator's Petri net. The matrix holds markov,
-autoencoder, mlp (``padded_flat``, ``single_event``, ``timed_state`` with
+with the generator's Petri net. The matrix holds markov (order 2, and
+order 3 with alpha 1), autoencoder, mlp (``padded_flat``, ``single_event``, ``timed_state`` with
 Resource), gru (Resource, embedding), gru truncating its input at 4 events,
 lstm (remaining time) and rnn (no time head), 2 epochs each, and is decoded
 four times: argmax, random sampling, beam-2, and beam-3 with length-normalised
@@ -37,6 +37,7 @@ EPOCHS = {"epochs": 2, "patience": 2}
 SMALL = {"hidden": 16, "layers": 2, **EPOCHS}
 MODELS = (
     ("markov", "markov", {}),
+    ("markov3", "markov", {"order": 3, "alpha": 1.0}),
     ("autoencoder", "autoencoder", {**EPOCHS, "pretrain_epochs": 2, "freeze_epochs": 1}),
     ("mlp-padded-flat", "mlp", {**SMALL, "input_mode": "padded_flat"}),
     ("mlp-single-event", "mlp", {**SMALL, "input_mode": "single_event"}),
