@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -81,7 +82,7 @@ class Normalizer:
         self.std = 0.0
 
     def fit(self, values: Iterable[float]) -> "Normalizer":
-        data = np.asarray(list(values), dtype=np.float64)
+        data = np.array(values if isinstance(values, np.ndarray) else list(values), dtype=np.float64)
         if data.size == 0:
             raise ValueError("cannot fit a normalizer on no values")
         if self.method == "log":
@@ -279,6 +280,55 @@ class FeatureMatrix:
             raise ValueError("FeatureMatrix needs values (T, F) and mask (T,)")
 
 
+@dataclass(frozen=True)
+class FlatPrefixes:
+    """N prefixes as flat event columns: the events of each distinct trace
+    once, up to its longest prefix asked for, traces in order of first
+    appearance; for each event its epoch ms, its previous event's ms (its
+    own at a case start) and its case start's ms; and for prefix i its
+    length ``ks[i]`` and ``ends[i]``, the index one past its last event."""
+
+    events: list[Event]
+    ms: np.ndarray
+    prev_ms: np.ndarray
+    first_ms: np.ndarray
+    ks: np.ndarray
+    ends: np.ndarray
+
+    @classmethod
+    def of(cls, traces: Sequence[Sequence[Event]], trace_of: Sequence[int], ks: Sequence[int]) -> "FlatPrefixes":
+        """Prefix i is ``traces[trace_of[i]][:ks[i]]``; a k outside
+        1..len(trace) is a ``ValueError``."""
+        trace_of = np.asarray(trace_of, dtype=np.int64)
+        ks = np.asarray(ks, dtype=np.int64)
+        lengths = np.array([len(events) for events in traces], dtype=np.int64)[trace_of]
+        for bad, message in ((ks < 1, "cannot encode an empty prefix"), (ks > lengths, "prefix exceeds its trace")):
+            if bad.any():
+                i = int(np.flatnonzero(bad)[0])
+                raise ValueError(f"{message} (k={int(ks[i])}, trace length {int(lengths[i])})")
+        upto = np.zeros(len(traces), dtype=np.int64)
+        np.maximum.at(upto, trace_of, ks)
+        events = list(chain.from_iterable(events[:n] for events, n in zip(traces, upto.tolist())))
+        starts = np.cumsum(upto) - upto
+        ms = np.fromiter((ev.timestamp_ms for ev in events), dtype=np.int64, count=len(events))
+        begin = np.repeat(starts, upto)  # the index of each event's case start
+        previous = np.maximum(np.arange(len(events)) - 1, begin)
+        return cls(events, ms, ms[previous], ms[begin], ks, starts[trace_of] + ks)
+
+    @classmethod
+    def of_samples(cls, samples: Iterable[PrefixSample]) -> "FlatPrefixes":
+        """The samples' prefixes, in sample order; samples of one trace share its events."""
+        slots: dict[int, int] = {}
+        traces, trace_of, ks = [], [], []
+        for sample in samples:
+            slot = slots.setdefault(id(sample.trace), len(slots))
+            if slot == len(traces):
+                traces.append(sample.trace.events)
+            trace_of.append(slot)
+            ks.append(sample.k)
+        return cls.of(traces, trace_of, ks)
+
+
 class PrefixEncoder:
     """Turns event prefixes into fixed-size left-padded feature matrices.
 
@@ -315,20 +365,19 @@ class PrefixEncoder:
     def fit(self, samples: Iterable[PrefixSample]) -> "PrefixEncoder":
         """Fit sequence length and time statistics on training samples only.
 
-        The time normalizers are min-max, so the time features of each trace
-        are read once, up to its longest sampled prefix.
+        The time normalizers are min-max, so they read the time columns of
+        :meth:`FlatPrefixes.of_samples`, which holds each trace's events
+        once, up to its longest sampled prefix.
         """
-        # the last of a trace's samples in ascending k is its longest one
-        longest = {id(s.trace): s for s in sorted(samples, key=lambda s: s.k)}
-        if not longest:
+        flat = FlatPrefixes.of_samples(samples)
+        if not len(flat.ks):
             raise ValueError("cannot fit an encoder on zero samples")
         if self.max_len is None:
-            k = max(sample.k for sample in longest.values())
+            k = int(flat.ks.max())
             self.max_len = k if self.window is None else min(k, self.window)
         if self.include_time:
-            feats = np.concatenate([time_features(s.prefix) for s in longest.values()])
-            self.delta_norm = Normalizer("log").fit(feats[:, 0])
-            self.elapsed_norm = Normalizer("log").fit(feats[:, 1])
+            self.delta_norm = Normalizer("log").fit((flat.ms - flat.prev_ms) / 1000.0)
+            self.elapsed_norm = Normalizer("log").fit((flat.ms - flat.first_ms) / 1000.0)
         self.fitted = True
         return self
 
@@ -371,30 +420,41 @@ class PrefixEncoder:
         self, events: Sequence[Event], ks: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Values (len(ks), T, F) and mask (len(ks), T) of ``events[:k]`` for
-        each k in ``ks``, each encoded as :meth:`encode` does.
+        each k in ``ks``, each encoded as :meth:`encode` does: the one-trace
+        case of :meth:`encode_flat`."""
+        return self.encode_flat(FlatPrefixes.of([events], np.zeros(len(ks), dtype=np.int64), ks))
 
-        The feature rows of ``events[:max(ks)]`` are built once, by
-        :meth:`encode_rows`; each prefix takes its window by :meth:`windows`.
+    def encode_samples(self, samples: Sequence[PrefixSample], dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`encode_flat` of the samples' prefixes, in sample order."""
+        return self.encode_flat(FlatPrefixes.of_samples(samples), dtype)
+
+    def encode_flat(self, flat: FlatPrefixes, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+        """Values (N, T, F) as ``dtype`` and mask (N, T) of the N prefixes
+        of ``flat``, each encoded as :meth:`encode` does.
+
+        One pass: :meth:`encode_rows` builds the feature rows of all of
+        ``flat``'s events, and :meth:`windows` cuts each prefix's window from
+        them. The rows are cast before windowing, so the float64 copy is one
+        row per event, not T per prefix.
         """
         if not self.fitted or self.max_len is None:
             raise NotFittedError("prefix encoder used before fit()")
-        if min(ks) < 1:
-            raise ValueError("cannot encode an empty prefix")
-        events = events[: max(ks)]
-        ms = np.fromiter((ev.timestamp_ms for ev in events), dtype=np.int64, count=len(events))
+        activity = self.activity_vocab.index
+        attribute_vocabs = list(self.attribute_vocabs.items())
+        events = flat.events
         attributes = [
-            [vocab.index(ev.attributes.get(name, MISSING)) for name, vocab in self.attribute_vocabs.items()]
-            for ev in events
+            vocab.index(ev.attributes.get(name, MISSING)) for ev in events for name, vocab in attribute_vocabs
         ]
         rows = self.encode_rows(
-            np.array([self.activity_vocab.index(ev.activity) for ev in events]),
-            np.array(attributes, dtype=np.int64),
-            ms,
-            np.concatenate([ms[:1], ms[:-1]]),
-            ms[:1],
+            np.array([activity(ev.activity) for ev in events], dtype=np.int64),
+            np.array(attributes, dtype=np.int64).reshape(len(events), len(attribute_vocabs)),
+            flat.ms,
+            flat.prev_ms,
+            flat.first_ms,
         )
-        rows = np.concatenate([np.zeros((1, rows.shape[1])), rows])
-        return self.windows(rows, np.asarray(ks) + 1, ks)
+        padded = np.zeros((len(rows) + 1, rows.shape[1]), dtype=dtype)  # row 0 pads
+        padded[1:] = rows
+        return self.windows(padded, flat.ends + 1, flat.ks)
 
     def encode_rows(self, activities, attributes, ms, prev_ms, first_ms) -> np.ndarray:
         """Feature rows (n, F) of n events from per-event arrays: activity

@@ -18,7 +18,9 @@ import numpy as np
 from . import nnkernel as nn
 from .atomic import write_text_atomic
 # ngram_hash_encode and replay_timed_state stay bound here: perfbench's tracer patches them by name
-from .encoding import Normalizer, PrefixEncoder, ngram_hash_encode, ngram_hash_extend, ngram_hash_prefixes
+from .encoding import (
+    FlatPrefixes, Normalizer, PrefixEncoder, ngram_hash_encode, ngram_hash_extend, ngram_hash_prefixes,
+)
 from .eventlog import MISSING, Event, Vocabulary
 from .petrinet import PetriNet, TimedStates, TimedStateVector, replay_states, replay_timed_state
 from .splitting import PrefixSample, SplitLog, check_prefix_samples, make_prefix_samples, whole_prefix_sample
@@ -502,12 +504,6 @@ class _NeuralPredictor(Predictor):
     def _prepare(self, train_samples) -> None:
         self.encoder = self._make_encoder().fit(train_samples)
 
-    def _inputs(self, events, ks):
-        """Network inputs and mask (or None) of ``events[:k]`` for each k in
-        ``ks``, stacked in that order; an input never reads past its prefix."""
-        X, M = self.encoder.encode_prefixes(events, ks)
-        return X.astype(self.dtype), M
-
     def _build_params(self, rng) -> dict[str, np.ndarray]:
         raise NotImplementedError
 
@@ -550,13 +546,10 @@ class _NeuralPredictor(Predictor):
         return self._arrays(train_samples)
 
     def _batch_inputs(self, samples):
-        """Inputs and mask of the samples' prefixes in sample order, encoded once per trace."""
-        groups = _trace_groups(samples)
-        parts = [self._inputs(samples[group[0]].trace.events, [samples[i].k for i in group]) for group in groups]
-        # concatenated row j holds the j-th sample index listed; argsort inverts that
-        back = np.argsort([i for group in groups for i in group])
-        X = np.concatenate([x for x, _ in parts])[back]
-        return X, None if parts[0][1] is None else np.concatenate([m for _, m in parts])[back]
+        """Network inputs and mask (or None) of the samples' prefixes, in
+        sample order; an input never reads past its prefix. The encoder
+        encodes all of them in one pass over their traces' events."""
+        return self.encoder.encode_samples(samples, self.dtype)
 
     def _arrays(self, samples):
         """:meth:`_batch_inputs` plus activity and normalized time targets."""
@@ -683,13 +676,15 @@ class _NeuralPredictor(Predictor):
         return self._predictions(*self._outputs(self.params, *self._batch_inputs(samples))[:2])
 
     def hypotheses(self, samples):
-        """Hypotheses that start from the samples' :meth:`_batch_inputs`, as
-        ``predict_batch`` does: each trace is encoded once."""
+        """Hypotheses that start from the samples' inputs, encoded as
+        :meth:`_batch_inputs` encodes them; their case starts, last
+        timestamps and lengths come from the same flat event columns, so a
+        decode start reads the events once."""
         self._check_fitted()
-        times = [(s.trace.events[0].timestamp_ms, s.trace.events[s.k - 1].timestamp_ms) for s in samples]
-        first_ms, last_ms = np.array(times, dtype=np.int64).reshape(-1, 2).T
-        lengths = np.array([s.k for s in samples], dtype=np.int64)
-        return _WindowHypotheses(self, *self._batch_inputs(samples), first_ms, last_ms, lengths)
+        flat = FlatPrefixes.of_samples(samples)
+        last = flat.ends - 1
+        X, M = self.encoder.encode_flat(flat, self.dtype)
+        return _WindowHypotheses(self, X, M, flat.first_ms[last], flat.ms[last], flat.ks)
 
     # checkpointing ---------------------------------------------------------
     def _vocab_sha256(self) -> str:
@@ -1007,7 +1002,7 @@ class MLPPredictor(_NeuralPredictor):
         return params
 
     def _body(self, params, X, M):
-        current = X.reshape(X.shape[0], -1) if X.ndim == 3 else X
+        current = X.reshape(X.shape[0], X.shape[1] * X.shape[2]) if X.ndim == 3 else X
         layer_caches = []
         for layer in range(self.config.layers):
             z, a_cache = nn.affine_forward(current, params[f"l{layer}:W"], params[f"l{layer}:b"])
@@ -1069,11 +1064,16 @@ class AutoencoderPredictor(_NeuralPredictor):
     def _prepare(self, train_samples) -> None:
         self.encoder = None
 
-    def _inputs(self, events, ks):
+    def _batch_inputs(self, samples):
+        """Hashed n-gram vectors of the samples' prefixes, in sample order,
+        each trace hashed in one pass; no mask."""
         cfg = self.config
-        acts = [ev.activity for ev in events]
-        rows = ngram_hash_prefixes(acts, ks, cfg.ngram_k, cfg.ngram_dim, cfg.hash_seed)
-        return rows.astype(self.dtype), None
+        X = np.empty((len(samples), cfg.ngram_dim), dtype=self.dtype)
+        for group in _trace_groups(samples):
+            acts = [ev.activity for ev in samples[group[0]].trace.events]
+            ks = [samples[i].k for i in group]
+            X[group] = ngram_hash_prefixes(acts, ks, cfg.ngram_k, cfg.ngram_dim, cfg.hash_seed)
+        return X, None
 
     def hypotheses(self, samples):
         """Hypotheses that start from the samples' :meth:`_batch_inputs`;

@@ -178,7 +178,7 @@ def sequence_forward(
     mask = mask[:, :, None]
     h = np.zeros((B, H), dtype=inputs.dtype)
     C = np.zeros((B, H), dtype=inputs.dtype) if cell == "lstm" else None
-    A = (inputs.reshape(B * T, D) @ U + b).reshape(B, T, -1)
+    A = (inputs.reshape(B * T, D) @ U + b).reshape(B, T, U.shape[1])
     hs = np.empty((B, T, H), dtype=inputs.dtype)
     hs[:, :t0] = 0.0
     steps = []

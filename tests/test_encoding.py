@@ -1,11 +1,14 @@
 import functools
 import hashlib
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
+from ppmbench import models
 from ppmbench.encoding import (
+    FlatPrefixes,
     NotFittedError,
     Normalizer,
     PrefixEncoder,
@@ -18,14 +21,16 @@ from ppmbench.encoding import (
 from ppmbench.eventlog import (
     MISSING,
     Event,
+    EventLog,
+    Trace,
     UnknownLabelError,
     Vocabulary,
     augment_eoc,
     parse_csv,
     parse_timestamp,
 )
-from ppmbench.models import AutoencoderPredictor, MLPPredictor, TrainConfig
-from ppmbench.splitting import make_prefix_samples
+from ppmbench.models import AutoencoderPredictor, MLPPredictor, TrainConfig, build_predictor
+from ppmbench.splitting import PrefixSample, make_prefix_samples, temporal_split
 
 from conftest import TABLE1_CSV, generator_log, make_linear_log, make_random_log
 
@@ -391,10 +396,143 @@ class TestReferenceEquivalence:
         assert mlp.encoder.state() == expected_state
         for trace in log.traces:
             ks = list(range(1, len(trace)))
-            X, M = mlp._inputs(trace.events, ks)
+            X, M = mlp._batch_inputs([PrefixSample(trace, k) for k in ks])
             for j, k in enumerate(ks):
                 ref_values, ref_mask, _ = reference_encode(mlp.encoder, trace.events[:k])
                 assert same_bits(X[j], ref_values.astype(np.float32)) and same_bits(M[j], ref_mask)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-trace encode that the flat pass replaced. ``fit`` reads
+# each trace's time features on its longest sampled prefix; ``_batch_inputs``
+# encodes each trace's prefixes alone, then argsorts the rows into sample order.
+# ---------------------------------------------------------------------------
+
+def ref_fit(encoder, samples):
+    longest = {id(s.trace): s for s in sorted(samples, key=lambda s: s.k)}
+    if encoder.max_len is None:
+        k = max(s.k for s in longest.values())
+        encoder.max_len = k if encoder.window is None else min(k, encoder.window)
+    if encoder.include_time:
+        feats = np.concatenate([time_features(s.prefix) for s in longest.values()])
+        encoder.delta_norm = Normalizer("log").fit(feats[:, 0])
+        encoder.elapsed_norm = Normalizer("log").fit(feats[:, 1])
+    encoder.fitted = True
+    return encoder
+
+
+def ref_encode_trace(encoder, events, ks):
+    events = events[: max(ks)]
+    ms = np.fromiter((ev.timestamp_ms for ev in events), dtype=np.int64, count=len(events))
+    attributes = [
+        [vocab.index(ev.attributes.get(name, MISSING)) for name, vocab in encoder.attribute_vocabs.items()]
+        for ev in events
+    ]
+    rows = encoder.encode_rows(
+        np.array([encoder.activity_vocab.index(ev.activity) for ev in events]),
+        np.array(attributes, dtype=np.int64),
+        ms,
+        np.concatenate([ms[:1], ms[:-1]]),
+        ms[:1],
+    )
+    rows = np.concatenate([np.zeros((1, rows.shape[1])), rows])
+    return encoder.windows(rows, np.asarray(ks) + 1, ks)
+
+
+def ref_batch_inputs(model, samples):
+    groups = models._trace_groups(samples)
+    parts = [ref_encode_trace(model.encoder, samples[g[0]].trace.events, [samples[i].k for i in g]) for g in groups]
+    back = np.argsort([i for group in groups for i in group])
+    X = np.concatenate([x.astype(model.dtype) for x, _ in parts])[back]
+    return X, np.concatenate([m for _, m in parts])[back]
+
+
+@functools.cache
+def mixed_samples(seed: int):
+    """Training samples and a shuffled mix of training and test samples of
+    ``generator_log(seed, 120)``, about one event in four stripped of its
+    attributes (an absent attribute encodes as missing); the mix holds whole
+    traces too, whose last event is the end-of-case one."""
+    log, _ = generator_log(seed, 120)
+    rng = np.random.default_rng(seed)
+    traces = tuple(
+        Trace(t.case_id, tuple(replace(ev, attributes={}) if rng.random() < 0.25 else ev for ev in t.events))
+        for t in log.traces
+    )
+    log = EventLog(traces=traces, activity_vocab=log.activity_vocab, attribute_vocabs=log.attribute_vocabs)
+    split = temporal_split(log)
+    train = make_prefix_samples(split.train)
+    mix = train[::3] + make_prefix_samples(split.test) + [PrefixSample(t, len(t)) for t in split.test.traces]
+    return log, train, [mix[i] for i in rng.permutation(len(mix))]
+
+
+class TestFlatEncodeMatchesPerTrace:
+    """The encoder fits and encodes a sample set in one flat pass, to the
+    state and the bits (dtype included) of the per-trace code it replaced."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "arch, overrides",
+        [
+            ("gru", {}),
+            ("gru", {"embedding_dim": 4}),
+            ("gru", {"attributes": ("Resource",)}),
+            ("gru", {"include_time": False}),
+            ("gru", {"window": 3}),
+            ("gru", {"max_len": 4}),
+            ("gru", {"embedding_dim": 4, "attributes": ("Resource",), "include_time": False, "window": 3}),
+            ("mlp", {"input_mode": "single_event", "attributes": ("Resource",)}),
+        ],
+        ids=["onehot", "index", "attributes", "untimed", "window", "max-len", "index-untimed-window",
+             "single-event-mlp"],
+    )
+    def test_state_and_inputs_equal_the_per_trace_encode(self, seed, arch, overrides):
+        log, train, mix = mixed_samples(seed)
+        model = build_predictor(arch, TrainConfig(**overrides), log.activity_vocab, log.attribute_vocabs)
+        expected = ref_fit(model._make_encoder(), train[::-1]).state()
+        model._prepare(train)
+        assert model.encoder.state() == expected
+        assert len({(s.trace.case_id, s.k) for s in mix}) == len(mix)
+        for samples in (train, mix, mix[:1]):
+            X, M = model._batch_inputs(samples)
+            ref_X, ref_M = ref_batch_inputs(model, samples)
+            assert same_bits(X, ref_X) and same_bits(M, ref_M)
+
+    def test_flat_columns_hold_each_trace_once(self):
+        log, _, mix = mixed_samples(1)
+        flat = FlatPrefixes.of_samples(mix)
+        traces = list({id(s.trace): s.trace for s in mix}.values())  # in order of first appearance
+        longest = {id(t): max(s.k for s in mix if s.trace is t) for t in traces}
+        spans = [(t, i) for t in traces for i in range(longest[id(t)])]
+        assert flat.events == [t.events[i] for t, i in spans]
+        assert flat.ms.tolist() == [t.events[i].timestamp_ms for t, i in spans]
+        assert flat.prev_ms.tolist() == [t.events[max(i - 1, 0)].timestamp_ms for t, i in spans]
+        assert flat.first_ms.tolist() == [t.start_ms for t, _ in spans]
+        assert flat.ks.tolist() == [s.k for s in mix]
+        assert [flat.events[e - 1] for e in flat.ends] == [s.trace.events[s.k - 1] for s in mix]
+
+    def test_no_samples_encode_to_no_rows(self):
+        log, train, _ = mixed_samples(1)
+        encoder = PrefixEncoder(log.activity_vocab, attribute_vocabs=log.attribute_vocabs).fit(train)
+        for dtype in (np.float64, np.float32):
+            X, M = encoder.encode_samples([], dtype)
+            assert X.shape == (0, encoder.max_len, encoder.num_features) and X.dtype == dtype
+            assert M.shape == (0, encoder.max_len) and M.dtype == bool
+        with pytest.raises(ValueError, match="zero samples"):
+            PrefixEncoder(log.activity_vocab).fit([])
+
+    def test_a_prefix_outside_its_trace_is_rejected(self):
+        log, train, _ = mixed_samples(1)
+        encoder = PrefixEncoder(log.activity_vocab).fit(train)
+        trace = train[0].trace
+        for k, message in ((0, "empty prefix"), (len(trace) + 1, "exceeds its trace")):
+            for samples in ([PrefixSample(trace, k)], [PrefixSample(trace, 1), PrefixSample(trace, k)]):
+                with pytest.raises(ValueError, match=message):
+                    encoder.encode_samples(samples)
+                with pytest.raises(ValueError, match=message):
+                    PrefixEncoder(log.activity_vocab).fit(samples)
+        with pytest.raises(NotFittedError):
+            PrefixEncoder(log.activity_vocab).encode_samples(train)
 
 
 def reference_ngram_hash_encode(activities, max_n, dim, seed):
@@ -434,7 +572,7 @@ class TestNgramPrefixesMatchReference:
             for ks in (ascending, list(rng.permutation(ascending)), list(rng.choice(ascending, 2 * len(acts)))):
                 expected = np.array([reference[k] for k in ks])
                 assert same_bits(ngram_hash_prefixes(acts, ks, max_n, dim, seed), expected)
-                X, M = predictor._inputs(trace.events, ks)
+                X, M = predictor._batch_inputs([PrefixSample(trace, k) for k in ks])
                 assert M is None and same_bits(X, expected.astype(np.float32))
 
     def test_prefix_lengths_must_lie_in_the_sequence(self):

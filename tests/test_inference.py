@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppmbench.encoding import FlatPrefixes
 from ppmbench.eventlog import EOC, MISSING, Event, Trace, Vocabulary, augment_eoc
 from ppmbench import models
 from ppmbench.inference import DecodeConfig, SuffixPrediction, decode_suffix, decode_suffixes
@@ -707,26 +708,34 @@ class TestLockstepSearch:
 
     def test_a_decode_starts_by_encoding_each_trace_once(self, decode_models, monkeypatch):
         trained, samples = decode_models
-        traces = {id(s.trace) for s in samples}
+        traces = {id(s.trace): s.trace for s in samples}
         assert len(traces) < len(samples)
+        expected = sorted(trace.activities for trace in traces.values())
         for model in (trained[1], trained[8], trained[7]):
-            calls = []  # (traces, ks) of each call; _inputs takes one trace, the chunked replay several
-            if model.architecture == "mlp":
+            calls = []  # (activities of each trace, ks) of each call
+            if model.architecture == "gru":  # one flat encode over every trace
+                def counted(traces, trace_of, ks, of=FlatPrefixes.of.__func__):
+                    calls.append(([tuple(ev.activity for ev in e) for e in traces], ks))
+                    return of(FlatPrefixes, traces, trace_of, ks)
+
+                monkeypatch.setattr(FlatPrefixes, "of", counted)
+            elif model.architecture == "mlp":  # one replay per chunk of traces
                 def counted(net, traces, trace_of, ks, *args, replay=models.replay_states):
-                    calls.append((traces, ks))
+                    calls.append(([tuple(ev.activity for ev in e) for e in traces], ks))
                     return replay(net, traces, trace_of, ks, *args)
 
                 monkeypatch.setattr(models, "replay_states", counted)
-            else:
-                def counted(events, ks, inputs=model._inputs):
-                    calls.append(([events], ks))
-                    return inputs(events, ks)
+            else:  # one hashing pass per trace
+                def counted(acts, ks, *args, hash_prefixes=models.ngram_hash_prefixes):
+                    calls.append(([tuple(acts)], ks))
+                    return hash_prefixes(acts, ks, *args)
 
-                monkeypatch.setattr(model, "_inputs", counted)
+                monkeypatch.setattr(models, "ngram_hash_prefixes", counted)
             model.hypotheses(samples)
-            replayed = [id(events) for chunk, _ in calls for events in chunk]
-            assert sorted(replayed) == sorted({id(s.trace.events) for s in samples}), model.architecture
+            assert sorted(acts for chunk, _ in calls for acts in chunk) == expected, model.architecture
             assert sorted(k for _, ks in calls for k in ks) == sorted(s.k for s in samples)
+            if model.architecture == "gru":
+                assert len(calls) == 1
         assert len(calls) == -(-len(traces) // models.REPLAY_CHUNK)  # the timed-state mlp's chunks
 
 

@@ -1002,6 +1002,22 @@ class TestPredictBatch:
             with pytest.raises(NotImplementedError):
                 method([sample])
 
+    @pytest.mark.parametrize(
+        "arch, overrides",
+        [(arch, {}) for arch in models.ARCHITECTURES]
+        + [("mlp", {"input_mode": "single_event"}), ("mlp", {"input_mode": "timed_state"})],
+        ids=[*models.ARCHITECTURES, "mlp-single-event", "mlp-timed-state"],
+    )
+    def test_no_samples_score_and_decode_to_nothing(self, arch, overrides):
+        log, net, split = generator_split(1)
+        cfg = TrainConfig(**{**self.SMALL, "epochs": 1, "pretrain_epochs": 1, "freeze_epochs": 1, **overrides})
+        predictor = build_predictor(arch, cfg, log.activity_vocab, log.attribute_vocabs, net)
+        train(predictor, split, seed=1)
+        probs, times = predictor.predict_batch([])
+        assert probs.shape == (0, len(log.activity_vocab)) and probs.dtype == np.float64
+        assert times.shape == (0,) and times.dtype == np.float64
+        assert decode_suffixes(predictor, [], DecodeConfig()) == []
+
     @pytest.mark.parametrize("arch", ["markov", "gru", "mlp", "autoencoder"])
     def test_an_empty_prefix_is_rejected(self, arch):
         log, net, split = generator_split(1)
