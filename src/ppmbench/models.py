@@ -188,19 +188,26 @@ def _stacked(rows, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
     return probs.reshape(len(rows), n_classes), times
 
 
-def _delta_ms(delta: float) -> int:
-    """A decoded event's delta of ``delta`` seconds, to the millisecond."""
-    return int(round(delta * 1000.0))
+MAX_STEP_MS = 2**53  # a decoded event lies at most this many ms after the one before it
+
+
+def _decoded_ms(last_ms, deltas) -> np.ndarray:
+    """Timestamps of decoded events ``deltas`` seconds after ``last_ms``: each
+    step rounded to the millisecond, half to even as ``round`` does, and
+    clipped to [0, ``MAX_STEP_MS``], so a huge or infinite predicted delta
+    still gives an int64 timestamp."""
+    steps = np.rint(np.minimum(np.asarray(deltas, dtype=np.float64), MAX_STEP_MS) * 1000.0)
+    return last_ms + np.clip(steps, 0, MAX_STEP_MS).astype(np.int64)
 
 
 def _extend(events: tuple[Event, ...], activity: str, delta: float) -> tuple[Event, ...]:
-    """``events`` plus one decoded event ``delta`` seconds after the last, to
-    the millisecond, with every attribute missing."""
+    """``events`` plus one decoded event ``delta`` seconds after the last, as
+    :func:`_decoded_ms` places it, with every attribute missing."""
     last = events[-1]
     decoded = Event(
         case_id=last.case_id,
         activity=activity,
-        timestamp_ms=last.timestamp_ms + _delta_ms(delta),
+        timestamp_ms=int(_decoded_ms(last.timestamp_ms, [delta])[0]),
         attributes={name: MISSING for name in last.attributes},
     )
     return events + (decoded,)
@@ -379,6 +386,7 @@ def _time_values(samples, time_target: str) -> np.ndarray:
 
 POOL_BATCHES = 32  # batches per length-sorted pool of a recurrent model's epoch
 REPLAY_CHUNK = 64  # traces per timed-state replay pass; bounds the pass's (events, places) arrays
+ROW_BLOCK = 64  # rows per inference forward, the last block zero-padded (see _NeuralPredictor._infer)
 
 
 def _epoch_batches(rng, n_train: int, batch_size: int, lengths: np.ndarray | None = None) -> list[np.ndarray]:
@@ -585,24 +593,6 @@ class _NeuralPredictor(Predictor):
             tpred, time_cache = nn.affine_forward(features, params["head_time:W"], params["head_time:b"])
         return logits, tpred, act_cache, time_cache
 
-    def _step_features(self, params, X, M):
-        """Feature vectors (N, F) of a decode step, each row computed alone,
-        as a one-sample :meth:`predict_batch` computes it."""
-        return np.concatenate(
-            [self._body(params, X[i : i + 1], None if M is None else M[i : i + 1])[0] for i in range(len(X))]
-        )
-
-    def _step_outputs(self, params, X, M):
-        """Activity logits and time predictions of a decode step, each row
-        bit-equal to a one-row :meth:`_outputs`. BLAS rounds a many-row
-        product differently from a one-row one, and a decoded timestamp feeds
-        the next step's inputs, so a last-bit difference in a time prediction
-        can grow step by step into other tokens."""
-        features = self._step_features(params, X, M)
-        heads = [self._heads(params, features[i : i + 1])[:2] for i in range(len(features))]
-        tpred = None if heads[0][1] is None else np.concatenate([t for _, t in heads])
-        return np.concatenate([logits for logits, _ in heads]), tpred
-
     def _head_loss(self, params, X, M, y_act, y_time):
         """Multitask loss of a batch (unweighted sum of the task losses), the
         heads' gradients, the body cache and the gradient on the features.
@@ -661,19 +651,33 @@ class _NeuralPredictor(Predictor):
         if not self.params:
             raise RuntimeError("predictor used before fit()")
 
-    def _predictions(self, logits, tpred):
-        """The float64 softmax of the activity logits and the time
-        predictions in seconds, clamped at 0 (NaN without a time head)."""
-        probs = nn.softmax(logits.astype(np.float64))
+    def _infer(self, X, M):
+        """The float64 softmax of the activity logits of the rows of ``X`` and
+        their time predictions in seconds, clamped at 0 (NaN without a time
+        head). The plain :meth:`_outputs` runs on consecutive blocks of
+        ``ROW_BLOCK`` rows, the last zero-padded with a False mask: every row
+        goes through products of one shape, so its outputs do not depend on
+        the batch it came in, and a forward holds one block's arrays at a time."""
+
+        def block(a, s):
+            rows = a[s : s + ROW_BLOCK]
+            return np.pad(rows, [(0, ROW_BLOCK - len(rows))] + [(0, 0)] * (a.ndim - 1))
+
+        outputs = [
+            self._outputs(self.params, block(X, s), None if M is None else block(M, s))[:2]
+            for s in range(0, max(len(X), 1), ROW_BLOCK)
+        ]
+        probs = nn.softmax(np.concatenate([logits for logits, _ in outputs])[: len(X)].astype(np.float64))
         times = np.full(len(probs), np.nan)
-        if tpred is not None and self.time_norm is not None:
+        if outputs[0][1] is not None and self.time_norm is not None:
+            tpred = np.concatenate([tpred for _, tpred in outputs])[: len(X)]
             times = np.fmax(0.0, self.time_norm.inverse(tpred[:, 0]))
         return probs, times
 
     def predict_batch(self, samples):
         self._check_fitted()
         check_prefix_samples(samples)
-        return self._predictions(*self._outputs(self.params, *self._batch_inputs(samples))[:2])
+        return self._infer(*self._batch_inputs(samples))
 
     def hypotheses(self, samples):
         """Hypotheses that start from the samples' inputs, encoded as
@@ -743,21 +747,15 @@ class _NeuralPredictor(Predictor):
 
 class _NeuralHypotheses:
     """Decode hypotheses of a neural model: the inputs ``X``/``M`` of each,
-    scored as a one-sample ``predict_batch`` scores them. A subclass carries
-    what stepping its inputs by one decoded event needs, and its ``extend``
-    takes that step for every surviving hypothesis at once."""
+    scored by the model's ``_infer``, as ``predict_batch`` scores them. A
+    subclass carries what stepping its inputs by one decoded event needs,
+    and its ``extend`` takes that step for every surviving hypothesis at once."""
 
     def __init__(self, model, X, M):
         self.model, self.X, self.M = model, X, M
 
     def predict(self):
-        model = self.model
-        return model._predictions(*model._step_outputs(model.params, self.X, self.M))
-
-
-def _decoded_ms(last_ms: np.ndarray, deltas) -> np.ndarray:
-    """Timestamps of decoded events ``deltas`` seconds after ``last_ms``, as ``_extend`` sets them."""
-    return last_ms + np.array([_delta_ms(d) for d in deltas], dtype=np.int64)
+        return self.model._infer(self.X, self.M)
 
 
 class _WindowHypotheses(_NeuralHypotheses):
@@ -874,18 +872,6 @@ class RecurrentPredictor(_NeuralPredictor):
     def _batch_lengths(self, M):
         # the kernel steps a batch from its longest prefix's first column on
         return M.sum(axis=1)
-
-    def _step_features(self, params, X, M):
-        # The kernel computes each row as it would alone, so one pass per
-        # window length serves the step: the rows of a pass share their
-        # padding columns, which the kernel skips, and a step holds the
-        # kernel's arrays for the rows of one length at a time.
-        features = np.empty((len(X), self.config.hidden), dtype=X.dtype)
-        lengths = M.sum(axis=1)
-        for length in np.unique(lengths):
-            rows = lengths == length
-            features[rows] = self._body(params, X[rows], M[rows])[0]
-        return features
 
     def _body_backward(self, params, cache, dfeatures):
         cfg = self.config

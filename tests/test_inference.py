@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -635,15 +637,44 @@ def ngram_models():
     return trained
 
 
+WIDE_MODELS = (
+    ("gru", {"hidden": 64, "layers": 2}),
+    ("lstm", {"hidden": 128, "layers": 1}),
+    ("mlp", {"hidden": 128, "layers": 2, "input_mode": "padded_flat"}),
+    ("mlp", {"hidden": 64, "layers": 2, "input_mode": "timed_state"}),
+)
+
+
+@pytest.fixture(scope="module")
+def wide_models():
+    """Models at hidden 64 and 128, where a one-row product rounds otherwise
+    than a many-row one, and the test prefixes of the log of ``decode_models``."""
+    log, net = generator_log(3, 120)
+    split = temporal_split(log)
+    trained = []
+    for arch, hp in WIDE_MODELS:
+        config = TrainConfig(epochs=1, patience=1, **hp)
+        model = build_predictor(arch, config, split.train.activity_vocab, split.train.attribute_vocabs, net)
+        train(model, split, seed=0)
+        trained.append(model)
+    return trained, make_prefix_samples(split.test)
+
+
 class TestLockstepSearch:
     @pytest.mark.parametrize("cfg", LOCKSTEP_CONFIGS, ids=lambda c: f"{c.strategy}{c.beam_width}")
     def test_one_search_over_all_prefixes_decodes_as_the_per_prefix_loops(self, decode_models, cfg):
-        # the recurrent kernel runs each step once per window length, every
-        # other forward row by row: the batch changes no bit of any row
+        # every forward runs blocks of ROW_BLOCK rows: the batch changes no bit of any row
         trained, samples = decode_models
         for model in trained:
             expected = [_ref_decode(model, s.prefix, replace(cfg, seed=cfg.seed ^ i)) for i, s in enumerate(samples)]
             assert decode_suffixes(model, samples, cfg) == expected, model.architecture
+
+    @pytest.mark.parametrize("cfg", LOCKSTEP_CONFIGS, ids=lambda c: f"{c.strategy}{c.beam_width}")
+    def test_wide_models_decode_as_the_per_prefix_loops(self, wide_models, cfg):
+        trained, samples = wide_models
+        for model in trained:
+            expected = [_ref_decode(model, s.prefix, replace(cfg, seed=cfg.seed ^ i)) for i, s in enumerate(samples)]
+            assert decode_suffixes(model, samples, cfg) == expected, (model.architecture, model.config.hidden)
 
     def test_a_prefix_decodes_alike_alone_and_in_every_batch_order(self, decode_models):
         trained, samples = decode_models
@@ -737,6 +768,74 @@ class TestLockstepSearch:
             if model.architecture == "gru":
                 assert len(calls) == 1
         assert len(calls) == -(-len(traces) // models.REPLAY_CHUNK)  # the timed-state mlp's chunks
+
+
+@pytest.fixture(scope="module")
+def timed_models(decode_models):
+    """A gru reading a window of 3 events and the timed-state mlp of
+    ``decode_models``, both with a next-time head, and the test prefixes."""
+    trained, samples = decode_models
+    log, net = generator_log(3, 120)
+    split = temporal_split(log)
+    gru = build_predictor("gru", TrainConfig(hidden=8, layers=1, epochs=1, patience=1, window=3), log.activity_vocab)
+    train(gru, split, seed=0)
+    return (gru, trained[7]), samples
+
+
+class TestHugeTimePredictions:
+    """A time head that predicts deltas past the int64 millisecond range, or
+    infinite ones, still decodes to the end: a decoded event's step is
+    rounded to the millisecond and clipped to [0, MAX_STEP_MS], while the
+    suffix keeps the predicted deltas."""
+
+    def test_steps_round_half_to_even_and_clip(self):
+        deltas = [0.0, 0.0004, 0.0005, 0.0015, 0.0025, 1.2345, 86400.5, 3.7e9, 9e12]
+        ms = models._decoded_ms(np.full(len(deltas), 7, dtype=np.int64), deltas)
+        assert ms.dtype == np.int64
+        assert ms.tolist() == [7 + int(round(d * 1000.0)) for d in deltas]
+        huge = models._decoded_ms(np.zeros(5, dtype=np.int64), [-1.0, -math.inf, 1e200, sys.float_info.max, math.inf])
+        assert huge.tolist() == [0, 0] + [models.MAX_STEP_MS] * 3
+
+    @pytest.mark.parametrize("bias", [30.0, 1e4], ids=["huge", "infinite"])
+    @pytest.mark.parametrize("which", [0, 1], ids=["gru-window", "mlp-timed-state"])
+    def test_a_model_decodes_to_the_end(self, timed_models, which, bias):
+        trained, samples = timed_models
+        model = copy.deepcopy(trained[which])
+        model.params["head_time:b"][:] = bias  # about 1e200 s at 30; expm1 overflows to inf at 1e4
+        samples = samples[:24]
+        with np.errstate(over="ignore"):
+            _, times = model.predict_batch(samples)
+            start = model.hypotheses(samples[:1])
+            stepped = start.extend([0], [0], [float(times[0])])
+            for cfg in LOCKSTEP_CONFIGS:
+                suffixes = decode_suffixes(model, samples, cfg)
+                for i, (sample, suffix) in enumerate(zip(samples, suffixes)):
+                    assert suffix == decode_suffix(model, sample.prefix, replace(cfg, seed=cfg.seed ^ i))
+                    assert suffix.truncated == (len(suffix.activities) == cfg.max_len and suffix.activities[-1] != EOC)
+                    assert all(d >= 1e150 for d in suffix.time_deltas)
+        assert np.isinf(times).all() if bias > 100 else np.isfinite(times).all() and (times > 1e150).all()
+        if which == 0:
+            assert stepped.last_ms[0] == start.last_ms[0] + models.MAX_STEP_MS
+        else:
+            assert stepped.states.at_ms[0] == start.states.at_ms[0] + models.MAX_STEP_MS
+
+    @pytest.mark.parametrize("delta", [1e200, math.inf], ids=["huge", "infinite"])
+    def test_a_duck_typed_model_decodes_to_the_end(self, delta):
+        seen = []
+
+        class HugeDeltaModel:  # not a Predictor: it decodes through EventHypotheses
+            activity_vocab = VOCAB3
+            time_target = "next"
+
+            def predict(self, events):
+                seen.append(events[-1].timestamp_ms)
+                return np.array([1.0, 0.0, 0.0] if len(events) >= 4 else [0.0, 1.0, 0.0]), delta
+
+        prefix = one_event_prefix()
+        result = decode_suffix(HugeDeltaModel(), prefix, DecodeConfig(max_len=8))
+        assert result.activities == ("a", "a", "a", EOC) and not result.truncated
+        assert seen == [prefix[0].timestamp_ms + i * models.MAX_STEP_MS for i in range(4)]
+        assert result.time_deltas == (min(delta, sys.float_info.max),) * 4  # the search reads inf as the largest float
 
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)

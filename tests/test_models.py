@@ -890,10 +890,7 @@ def generator_split(seed):
 
 class TestPredictBatch:
     """``predict_batch`` of the test samples against the per-row ``predict``
-    loop. The recurrent models and Markov agree exactly on probabilities; a
-    dense model may not, since BLAS runs one row as gemv and many as gemm.
-    Times come from one output column whose value may depend on the row's
-    position in the batch, so they get a tolerance."""
+    loop: probabilities and times agree bit for bit."""
 
     SMALL = {"hidden": 16, "layers": 1, "epochs": 2, "patience": 2}
 
@@ -902,6 +899,7 @@ class TestPredictBatch:
         "arch, overrides",
         [
             ("gru", {"attributes": ("Resource",), "layers": 2}),
+            ("gru", {"hidden": 64, "layers": 2}),
             ("lstm", {"embedding_dim": 4, "time_target": "remaining"}),
             ("rnn", {"window": 3, "time_target": None}),
             ("gru", {"max_len": 4}),
@@ -912,7 +910,7 @@ class TestPredictBatch:
             ("markov", {}),
         ],
         ids=[
-            "gru-resource-2-layers", "lstm-embedding-remaining", "rnn-window", "gru-max-len",
+            "gru-resource-2-layers", "gru-64-2-layers", "lstm-embedding-remaining", "rnn-window", "gru-max-len",
             "mlp-padded-flat", "mlp-single-event", "mlp-timed-state", "autoencoder", "markov",
         ],
     )
@@ -928,20 +926,12 @@ class TestPredictBatch:
         loop_times = np.array([np.nan if t is None else t for _, t in rows])
         assert probs.dtype == times.dtype == np.float64
         assert probs.shape == (len(samples), len(log.activity_vocab)) and times.shape == (len(samples),)
-        assert np.array_equal(probs.argmax(axis=1), loop_probs.argmax(axis=1))
-        if arch in ("markov", "rnn", "lstm", "gru"):
-            assert np.array_equal(probs, loop_probs)
-        else:
-            assert np.max(np.abs(probs - loop_probs)) <= 1e-6
+        assert np.array_equal(probs, loop_probs)
+        assert np.array_equal(times, loop_times, equal_nan=True)
         if predictor.time_target is None:
-            assert np.isnan(times).all() and np.isnan(loop_times).all()
-        elif arch == "markov":
-            assert np.array_equal(times, loop_times, equal_nan=True)
+            assert np.isnan(times).all()
         else:
-            # the head regresses log1p(seconds): compare there, where a float32
-            # rounding of the head stays one size whether the time is 0.01 s or days
             assert np.all(times >= 0.0)
-            assert np.max(np.abs(np.log1p(times) - np.log1p(loop_times))) <= 1e-5
 
         order = np.random.default_rng(seed).permutation(len(samples))
         shuffled, _ = predictor.predict_batch([samples[i] for i in order])
@@ -1026,6 +1016,56 @@ class TestPredictBatch:
         train(predictor, split, seed=1)
         with pytest.raises(ValueError, match="empty prefix"):
             predictor.predict(())
+
+
+@functools.cache
+def invariance_split():
+    log, net = generator_log(1, 200)
+    return log, net, temporal_split(log)
+
+
+class TestBatchInvariance:
+    """Each test row's ``predict_batch`` output is bit-equal alone, in the
+    full batch and in a shuffled batch, at every width: inference runs
+    blocks of ``ROW_BLOCK`` rows, so every row goes through products of one
+    shape. (A one-row product rounds differently from a many-row one at
+    hidden 64 and 128.)"""
+
+    @pytest.mark.parametrize("hidden", [16, 64, 128])
+    @pytest.mark.parametrize(
+        "arch, overrides",
+        [
+            ("gru", {"attributes": ("Resource",)}),
+            ("lstm", {"embedding_dim": 4, "time_target": "remaining"}),
+            ("rnn", {}),
+            ("mlp", {"input_mode": "padded_flat"}),
+            ("mlp", {"input_mode": "single_event"}),
+            ("mlp", {"input_mode": "timed_state", "attributes": ("Resource",)}),
+            ("autoencoder", {"pretrain_epochs": 1, "freeze_epochs": 1}),
+        ],
+        ids=[
+            "gru-resource", "lstm-embedding-remaining", "rnn", "mlp-padded-flat", "mlp-single-event",
+            "mlp-timed-state", "autoencoder",
+        ],
+    )
+    def test_a_row_scores_alike_alone_in_the_batch_and_shuffled(self, arch, overrides, hidden):
+        log, net, split = invariance_split()
+        if arch == "autoencoder":  # two encoder layers, the wider one ``hidden`` units
+            overrides = {**overrides, "ngram_dim": 2 * hidden, "ae_hidden": (hidden, hidden // 2)}
+        cfg = TrainConfig(hidden=hidden, layers=2, epochs=1, patience=1, **overrides)
+        predictor = build_predictor(arch, cfg, log.activity_vocab, log.attribute_vocabs, net)
+        train(predictor, split, seed=1)
+        samples = make_prefix_samples(split.test)
+        assert len(samples) % models.ROW_BLOCK  # the last block is padded
+        probs, times = predictor.predict_batch(samples)
+        order = np.random.default_rng(hidden).permutation(len(samples))
+        shuffled_probs, shuffled_times = predictor.predict_batch([samples[i] for i in order])
+        assert np.array_equal(shuffled_probs, probs[order])
+        assert np.array_equal(shuffled_times, times[order], equal_nan=True)
+        for i, sample in enumerate(samples):
+            row_probs, row_times = predictor.predict_batch([sample])
+            assert np.array_equal(row_probs[0], probs[i]), i
+            assert np.array_equal(row_times[0], times[i], equal_nan=True), i
 
 
 class TestDeterministicLearnability:
