@@ -253,11 +253,7 @@ def run_cell(
             model_spec.architecture, train_cfg, split.train.activity_vocab, split.train.attribute_vocabs, net
         )
         report = train(predictor, split, seed=seed, min_k=config.min_k)
-        result.train_report = {
-            **report.core(),
-            "wall_clock_seconds": report.wall_clock_seconds,
-            "epoch_seconds": report.epoch_seconds,
-        }
+        result.train_report = asdict(report)
 
         decode_kwargs = dict(config.decode)
         if decode_kwargs.get("max_len") is None:

@@ -9,7 +9,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -183,15 +183,7 @@ def cmd_train(args) -> int:
     written = save_predictor(predictor, out / "model", seed=seed)
     write_text_atomic(
         out / "train_report.json",
-        lambda: json.dumps(
-            {
-                **report.core(),
-                "wall_clock_seconds": report.wall_clock_seconds,
-                "epoch_seconds": report.epoch_seconds,
-            },
-            indent=2,
-            sort_keys=True,
-        ),
+        lambda: json.dumps(asdict(report), indent=2, sort_keys=True),
     )
     best_val = report.val_losses[report.best_epoch]
     print(f"trained {args.arch}: {len(report.train_losses)} epochs, "

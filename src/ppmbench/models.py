@@ -111,7 +111,11 @@ class TrainReport:
     ``wall_clock_seconds`` (the whole fit) and ``epoch_seconds`` (each epoch
     of the last training stage, its validation included) are informational
     and excluded from reproducibility comparisons (:meth:`core`); everything
-    else is bit-reproducible for a fixed seed.
+    else is bit-reproducible for a fixed seed. ``grad_norms`` (each epoch's
+    mean global gradient norm before clipping) and ``clipped_batches`` (each
+    epoch's count of batches whose gradient was clipped) describe the last
+    SGD stage; they stay outside :meth:`core` too, and a model that trains
+    no SGD stage (Markov) leaves them empty.
     """
 
     train_losses: tuple[float, ...]
@@ -120,6 +124,8 @@ class TrainReport:
     wall_clock_seconds: float
     epoch_seconds: tuple[float, ...]
     seed: int
+    grad_norms: tuple[float, ...] = ()
+    clipped_batches: tuple[int, ...] = ()
 
     def core(self) -> dict:
         return {
@@ -433,21 +439,28 @@ def _sgd_train(
     train_hist: list[float] = []
     val_hist: list[float] = []
     epoch_seconds: list[float] = []
+    grad_norms: list[float] = []
+    clipped_batches: list[int] = []
     best_val = np.inf
     best_epoch = 0
     best_params = {k: v.copy() for k, v in params.items()}
     for epoch in range(config.epochs):
         epoch_start = time.perf_counter()
-        total = 0.0
+        total = norms = 0.0
+        clipped = 0
         batches = _epoch_batches(rng, n_train, config.batch_size, lengths)
         for idx in batches:
             loss, grads = batch_step(params, idx)
             if not np.isfinite(loss):
                 raise ValueError(f"non-finite training loss {loss!r} in epoch {epoch}")
-            opt.step(params, grads)
+            norm = opt.step(params, grads)
             total += loss
+            norms += norm
+            clipped += opt.clip_norm is not None and norm > opt.clip_norm
         train_loss = total / max(len(batches), 1)
         train_hist.append(train_loss)
+        grad_norms.append(norms / max(len(batches), 1))
+        clipped_batches.append(clipped)
         val = val_loss_fn(params) if val_loss_fn is not None else train_loss
         val_hist.append(val)
         epoch_seconds.append(time.perf_counter() - epoch_start)
@@ -467,6 +480,8 @@ def _sgd_train(
         wall_clock_seconds=time.perf_counter() - start,
         epoch_seconds=tuple(epoch_seconds),
         seed=seed,
+        grad_norms=tuple(grad_norms),
+        clipped_batches=tuple(clipped_batches),
     )
     return best_params, report
 
@@ -657,10 +672,15 @@ class _NeuralPredictor(Predictor):
         head). The plain :meth:`_outputs` runs on consecutive blocks of
         ``ROW_BLOCK`` rows, the last zero-padded with a False mask: every row
         goes through products of one shape, so its outputs do not depend on
-        the batch it came in, and a forward holds one block's arrays at a time."""
+        the batch it came in, and a forward holds one block's arrays at a time.
+        A recurrent model's rows are blocked longest first (a stable sort by
+        :meth:`_batch_lengths`), so each block steps from about its own rows'
+        first column; the outputs come back in the rows' order."""
+        lengths = None if M is None else self._batch_lengths(M)
+        order = None if lengths is None else np.argsort(-lengths, kind="stable")
 
         def block(a, s):
-            rows = a[s : s + ROW_BLOCK]
+            rows = a[s : s + ROW_BLOCK] if order is None else a[order[s : s + ROW_BLOCK]]
             return np.pad(rows, [(0, ROW_BLOCK - len(rows))] + [(0, 0)] * (a.ndim - 1))
 
         outputs = [
@@ -672,6 +692,9 @@ class _NeuralPredictor(Predictor):
         if outputs[0][1] is not None and self.time_norm is not None:
             tpred = np.concatenate([tpred for _, tpred in outputs])[: len(X)]
             times = np.fmax(0.0, self.time_norm.inverse(tpred[:, 0]))
+        if order is not None:
+            back = np.argsort(order)
+            probs, times = probs[back], times[back]
         return probs, times
 
     def predict_batch(self, samples):

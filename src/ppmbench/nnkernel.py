@@ -156,9 +156,9 @@ def sequence_forward(
 
     The (B, T) mask must be left-padded. The pass starts at ``t0``, the first
     column where any row has a real step: ``hs[:, :t0]`` holds the zero
-    state, and only the steps from ``t0`` on are run and cached. The input
-    projection ``x U + b`` is one matmul over all T columns: BLAS may sum a
-    row of a shorter matrix in another order.
+    state, and only columns ``t0..T-1`` are projected (one ``x U + b``
+    matmul over their B·(T - t0) rows), stepped and cached; the inputs of
+    the columns before ``t0`` are never read.
 
     Returns (hs, caches) where hs has shape (B, T, H).
     """
@@ -174,17 +174,18 @@ def sequence_forward(
     mask = np.ones((B, T), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if np.any(mask[:, :-1] & ~mask[:, 1:]):
         raise ValueError("mask interleaves padding with real steps (left padding required)")
-    t0 = T - int(mask.any(axis=0).sum())
+    S = int(mask.any(axis=0).sum())
+    t0 = T - S
     mask = mask[:, :, None]
     h = np.zeros((B, H), dtype=inputs.dtype)
     C = np.zeros((B, H), dtype=inputs.dtype) if cell == "lstm" else None
-    A = (inputs.reshape(B * T, D) @ U + b).reshape(B, T, U.shape[1])
+    A = (inputs[:, t0:].reshape(B * S, D) @ U + b).reshape(B, S, U.shape[1])
     hs = np.empty((B, T, H), dtype=inputs.dtype)
     hs[:, :t0] = 0.0
     steps = []
     for t in range(t0, T):
         m = mask[:, t]
-        h_new, C_new, cache = _step_forward(cell, W, A[:, t], h, C)
+        h_new, C_new, cache = _step_forward(cell, W, A[:, t - t0], h, C)
         h = np.where(m, h_new, h)
         if C is not None:
             C = np.where(m, C_new, C)
@@ -203,19 +204,23 @@ def sequence_backward(
 
     ``dhs`` is the upstream gradient on every step's hidden output, shape
     (B, T, H). Returns (dxs, grads) with dxs shaped like the inputs. The
-    time loop runs over the cached steps only; the columns before them get
-    zero input gradients. The per-step pre-activation gradients are stacked,
-    so the gradients of ``U``, ``W`` and ``b`` and the input gradient come
-    from matmuls after the time loop. Those matmuls span all T columns, the
-    skipped ones as zero rows, so they sum in the order of a pass that ran
-    every column.
+    time loop runs over the cached steps, columns ``t0..T-1``, only; the
+    columns before them get zero input gradients. The per-step
+    pre-activation gradients are stacked, so the gradients of ``U``, ``W``
+    and ``b`` and the input gradient come from matmuls after the time loop,
+    over the B·(T - t0) rows of the stepped columns. A pass that stepped no
+    column (all padding) has zero gradients.
     """
     inputs, mask, steps = caches
     U, W = params["U"], params["W"]
     B, T, D = inputs.shape
     H = W.shape[0]
-    t0 = T - len(steps)
-    dA = np.zeros((B, T, W.shape[1]), dtype=dhs.dtype)
+    S = len(steps)
+    t0 = T - S
+    dxs = np.zeros((B, T, D), dtype=dhs.dtype)
+    if not steps:
+        return dxs, {name: np.zeros_like(params[name], dtype=dhs.dtype) for name in ("U", "W", "b")}
+    dA = np.empty((B, S, W.shape[1]), dtype=dhs.dtype)
     dh = np.zeros((B, H), dtype=dhs.dtype)
     dC = np.zeros((B, H), dtype=dhs.dtype) if cell == "lstm" else None
     for t in reversed(range(t0, T)):
@@ -224,21 +229,20 @@ def sequence_backward(
         da, dh_prev, dC_prev = _step_backward(
             cell, W, steps[t - t0], dh_total * m, None if dC is None else dC * m
         )
-        dA[:, t] = da
+        dA[:, t - t0] = da
         dh = np.where(m, dh_prev, dh_total)
         if dC is not None:
             dC = np.where(m, dC_prev, dC)
-    dA = dA.reshape(B * T, -1)
-    skipped = [np.zeros((B, H), dtype=inputs.dtype)] * t0
-    h_prev = np.stack(skipped + [cache[0] for cache in steps], axis=1).reshape(B * T, H)
+    dA = dA.reshape(B * S, -1)
+    h_prev = np.stack([cache[0] for cache in steps], axis=1).reshape(B * S, H)
     if cell == "gru":
-        rh = np.stack(skipped + [cache[2] for cache in steps], axis=1).reshape(B * T, H)
+        rh = np.stack([cache[2] for cache in steps], axis=1).reshape(B * S, H)
         dW = np.concatenate([h_prev.T @ dA[:, : 2 * H], rh.T @ dA[:, 2 * H :]], axis=1)
     else:
         dW = h_prev.T @ dA
-    flat = inputs.reshape(B * T, D)
-    grads = {"U": flat.T @ dA, "W": dW, "b": dA.sum(axis=0)}
-    return (dA @ U.T).reshape(B, T, D), grads
+    grads = {"U": inputs[:, t0:].reshape(B * S, D).T @ dA, "W": dW, "b": dA.sum(axis=0)}
+    dxs[:, t0:] = (dA @ U.T).reshape(B, S, D)
+    return dxs, grads
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +338,13 @@ class SGD:
         self.clip_norm = clip_norm
         self.velocity: dict[str, np.ndarray] = {}
 
-    def step(self, params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
+    def step(self, params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> float:
+        """Update ``params`` from ``grads``; returns the gradients' global
+        norm before clipping."""
+        norm = global_norm(grads)
         scale = 1.0
-        if self.clip_norm is not None:
-            norm = global_norm(grads)
-            if norm > self.clip_norm:
-                scale = self.clip_norm / norm
+        if self.clip_norm is not None and norm > self.clip_norm:
+            scale = self.clip_norm / norm
         for name, grad in grads.items():
             v = self.velocity.get(name)
             if v is None:
@@ -347,6 +352,7 @@ class SGD:
             v = self.momentum * v - self.lr * scale * grad
             self.velocity[name] = v
             params[name] = params[name] + v
+        return norm
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,16 @@ class TestRunMatrix:
         assert "epoch_seconds" not in (out / "metrics.csv").read_text()
         assert "epoch_seconds" not in (out / "report.md").read_text()
 
+    def test_gradient_norms_and_clip_counts_reach_the_cell_json_but_not_metrics_csv(self, tmp_path, log_csv):
+        run_matrix(small_config(tmp_path, log_csv))
+        out = tmp_path / "out"
+        for model, epochs in (("markov", 0), ("mlp", 3)):
+            report = json.loads((out / "cells" / f"linear__{model}.result.json").read_text())["train_report"]
+            assert len(report["grad_norms"]) == len(report["clipped_batches"]) == epochs
+        for name in ("metrics.csv", "report.md"):
+            text = (out / name).read_text()
+            assert "grad_norms" not in text and "clipped_batches" not in text
+
     def test_identical_split_manifests_across_models(self, tmp_path, log_csv):
         config = small_config(tmp_path, log_csv)
         record = run_matrix(config)

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import time
 from collections import Counter
 
@@ -506,6 +507,23 @@ class TestTrainingLoop:
         assert len(report.epoch_seconds) == len(report.train_losses)
         assert all(s >= 0.0 for s in report.epoch_seconds)
         assert sum(report.epoch_seconds) <= report.wall_clock_seconds
+        assert set(report.core()) == {"train_losses", "val_losses", "best_epoch", "seed"}
+
+    @pytest.mark.parametrize("clip_norm", [1e-9, None])
+    @pytest.mark.parametrize("arch", ["mlp", "gru", "autoencoder"])
+    def test_clip_count_and_gradient_norm_per_epoch(self, arch, clip_norm, linear_split):
+        log, split = linear_split
+        cfg = fast_config(
+            epochs=3, clip_norm=clip_norm, time_target=None if arch == "autoencoder" else "next",
+            ngram_dim=16, ae_hidden=(8, 4), pretrain_epochs=2, freeze_epochs=1,
+        )
+        report = train(build_predictor(arch, cfg, log.activity_vocab), split, seed=0)
+        epochs = len(report.train_losses)
+        batches = -(-len(make_prefix_samples(split.train)) // cfg.batch_size)
+        # a clip norm below every gradient's clips every batch; none clips none
+        assert report.clipped_batches == ((batches if clip_norm else 0),) * epochs
+        assert len(report.grad_norms) == epochs
+        assert all(math.isfinite(norm) and norm > 1e-9 for norm in report.grad_norms)
         assert set(report.core()) == {"train_losses", "val_losses", "best_epoch", "seed"}
 
     def test_autoencoder_recon_losses_non_increasing(self, linear_split):
@@ -1066,6 +1084,27 @@ class TestBatchInvariance:
             row_probs, row_times = predictor.predict_batch([sample])
             assert np.array_equal(row_probs[0], probs[i]), i
             assert np.array_equal(row_times[0], times[i], equal_nan=True), i
+
+
+    def test_a_recurrent_forward_blocks_its_rows_longest_first(self, monkeypatch):
+        log, net, split = invariance_split()
+        cfg = TrainConfig(hidden=16, layers=1, epochs=1, patience=1)
+        predictor = build_predictor("gru", cfg, log.activity_vocab)
+        train(predictor, split, seed=1)
+        samples = make_prefix_samples(split.test)
+        stepped = []
+        forward = nn.sequence_forward
+
+        def counting_forward(cell, params, inputs, mask=None):
+            hs, caches = forward(cell, params, inputs, mask)
+            stepped.append(len(caches[2]))
+            return hs, caches
+
+        monkeypatch.setattr(nn, "sequence_forward", counting_forward)
+        predictor.predict_batch(samples)
+        lengths = np.sort(predictor._batch_inputs(samples)[1].sum(axis=1))[::-1]
+        # a block steps from the first column of its longest row
+        assert stepped == [lengths[s] for s in range(0, len(samples), models.ROW_BLOCK)]
 
 
 class TestDeterministicLearnability:

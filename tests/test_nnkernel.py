@@ -496,6 +496,12 @@ class TestOptimizer:
         opt.step(params, {"w": np.array([3.0, 4.0])})  # norm 5 -> scaled by 1/5
         assert np.allclose(params["w"], [-0.6, -0.8])
 
+    @pytest.mark.parametrize("clip_norm", [None, 1.0, 10.0])
+    def test_step_returns_the_norm_before_clipping(self, clip_norm):
+        opt = nn.SGD(lr=1.0, momentum=0.0, clip_norm=clip_norm)
+        grads = {"w": np.array([3.0, 0.0]), "b": np.array([4.0])}
+        assert opt.step({"w": np.zeros(2), "b": np.zeros(1)}, grads) == 5.0
+
     def test_determinism_bit_identical(self):
         def run():
             rng = np.random.default_rng(42)
@@ -691,6 +697,25 @@ class TestFirstRealColumn:
         dxs, _ = nn.sequence_backward("lstm", params, caches, dhs)
         assert np.all(dxs[:, :t0] == 0.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cell", nn.CELLS)
+    def test_inputs_of_skipped_columns_are_never_read(self, cell, dtype):
+        case = "every-row-starts-late"
+        params, X, mask, dhs = self.inputs(case, cell, dtype)
+        t0 = self.T - max(self.CASES[case][0])
+        X[:, :t0] = 0.0
+        garbage = X.copy()
+        garbage[:, :t0] = np.nan
+        hs, caches = nn.sequence_forward(cell, params, X, mask)
+        dxs, grads = nn.sequence_backward(cell, params, caches, dhs)
+        garbage_hs, garbage_caches = nn.sequence_forward(cell, params, garbage, mask)
+        garbage_dxs, garbage_grads = nn.sequence_backward(cell, params, garbage_caches, dhs)
+        pairs = [("hs", garbage_hs, hs), ("dxs", garbage_dxs, dxs)]
+        pairs += [(name, garbage_grads[name], grad) for name, grad in grads.items()]
+        for name, got, want in pairs:
+            assert np.all(np.isfinite(got)), name
+            assert np.array_equal(got, want), name
+
     @pytest.mark.parametrize(
         "arch, overrides",
         [
@@ -717,6 +742,50 @@ class TestFirstRealColumn:
             ref_probs, ref_delta = predictor.predict(prefix)
             assert np.array_equal(probs, ref_probs), len(prefix)
             assert delta == ref_delta, len(prefix)
+
+
+class TestTrainingShapes:
+    """The passes against the every-column reference at training shapes: a
+    batch of 32 rows and 15 columns whose rows, bucketed by length, are all
+    shorter than 9 steps, so the passes start at t0 >= 7. Hidden states and
+    input gradients are bit-equal. The weight gradients sum over the
+    B·(T - t0) stepped rows where the reference sums over B·T, so BLAS may
+    block the sum differently: each entry is held to ``RTOL`` of the
+    reference, measured against the larger of its own size and the largest
+    entry of its gradient (a sum that cancels may keep few exact bits)."""
+
+    RTOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("hidden", [32, 64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cell", nn.CELLS)
+    def test_matches_the_every_column_reference(self, cell, dtype, hidden, layers):
+        B, T, D = 32, 15, 40
+        rng = rng64(hidden + layers)
+        mask = left_padded(np.sort(rng.integers(1, 9, size=B)), T)
+        stack = [
+            {k: v.astype(dtype) for k, v in nn.init_cell(cell, rng, D if i == 0 else hidden, hidden).items()}
+            for i in range(layers)
+        ]
+        hs = ref_hs = rng.normal(size=(B, T, D)).astype(dtype)
+        caches, ref_caches = [], []
+        for params in stack:
+            hs, cache = nn.sequence_forward(cell, params, hs, mask)
+            ref_hs, ref_cache = reference_sequence_forward(cell, params, ref_hs, mask)
+            assert np.array_equal(hs, ref_hs)
+            caches.append(cache)
+            ref_caches.append(ref_cache)
+        dxs = ref_dxs = rng.normal(size=hs.shape).astype(dtype)
+        rtol = self.RTOL[dtype]
+        for params, cache, ref_cache in reversed(list(zip(stack, caches, ref_caches))):
+            dxs, grads = nn.sequence_backward(cell, params, cache, dxs)
+            ref_dxs, ref_grads = reference_sequence_backward(cell, params, ref_cache, ref_dxs)
+            assert dxs.dtype == ref_dxs.dtype and np.array_equal(dxs, ref_dxs)
+            for name, grad in grads.items():
+                ref = ref_grads[name]
+                assert grad.dtype == ref.dtype, name
+                np.testing.assert_allclose(grad, ref, rtol=rtol, atol=rtol * np.abs(ref).max(), err_msg=name)
 
 
 class TestMaskShape:
