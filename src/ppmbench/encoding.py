@@ -6,13 +6,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .eventlog import MISSING, Event, Vocabulary
-from .splitting import PrefixSample
+from .splitting import FlatPrefixes, PrefixSample
 
 
 MS_PER_DAY = 86_400_000
@@ -166,36 +165,41 @@ def ngram_hash_encode(
     independent hash, which counters collision bias. Both hashes are
     deterministic functions of the joined label sequence and ``seed``.
     """
-    return ngram_hash_prefixes(activities, [len(activities)], max_n, dim, seed)[0]
+    return ngram_hash_prefixes(activities, [len(activities)], [len(activities)], max_n, dim, seed)[0]
 
 
 def ngram_hash_prefixes(
-    activities: Sequence[str], ks: Sequence[int], max_n: int, dim: int, seed: int = 0
+    labels: Sequence[str], ends, ks, max_n: int, dim: int, seed: int = 0, dtype=np.float64
 ) -> np.ndarray:
-    """``ngram_hash_encode(activities[:k], max_n, dim, seed)`` for each k in
-    ``ks`` (any order, repeats allowed), as the rows of one float64 array.
+    """Row i is ``ngram_hash_encode(labels[ends[i] - ks[i] : ends[i]],
+    max_n, dim, seed)`` as ``dtype``, for prefixes laid out as in
+    :class:`~ppmbench.splitting.FlatPrefixes`: each starts at its trace's start.
 
-    One pass over ``activities[:max(ks)]``: prefix k + 1 is prefix k plus the
-    n-grams that end at its last label. The result is exact, because every
-    update adds +1 or -1 to an integer-valued float64.
+    One pass over the labels, restarting at each trace start, writes each row
+    at its prefix's last label; an empty prefix's row stays zero. Exact: each
+    update adds +1 or -1 to an integer-valued float64, and a float32 row
+    holds those small integers exactly.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    acts = tuple(activities)
+    labels, ends, ks = tuple(labels), np.asarray(ends).tolist(), np.asarray(ks).tolist()
+    resets = {end - k for end, k in zip(ends, ks)}
     rows_at: dict[int, list[int]] = {}
-    for row, k in enumerate(ks):
-        if not 0 <= k <= len(acts):
-            raise ValueError(f"prefix length {k} outside 0..{len(acts)}")
-        rows_at.setdefault(k, []).append(row)
-    out = np.zeros((len(ks), dim), dtype=np.float64)
+    for row, (end, k) in enumerate(zip(ends, ks)):
+        if k:
+            rows_at.setdefault(end - 1, []).append(row)
+    out = np.zeros((len(ends), dim), dtype=dtype)
     vec = [0.0] * dim
-    for end in range(max(rows_at, default=0) + 1):
-        for length in range(1, min(max_n, end) + 1):
-            slot_hash, sign = _gram_code(acts[end - length : end], seed)
+    begin = 0
+    for last in range(max(rows_at, default=-1) + 1):
+        if last in resets:
+            vec, begin = [0.0] * dim, last
+        for length in range(1, min(max_n, last + 1 - begin) + 1):
+            slot_hash, sign = _gram_code(labels[last + 1 - length : last + 1], seed)
             vec[slot_hash % dim] += sign
-        for row in rows_at.get(end, ()):
+        for row in rows_at.get(last, ()):
             out[row] = vec
     return out
 
@@ -280,53 +284,10 @@ class FeatureMatrix:
             raise ValueError("FeatureMatrix needs values (T, F) and mask (T,)")
 
 
-@dataclass(frozen=True)
-class FlatPrefixes:
-    """N prefixes as flat event columns: the events of each distinct trace
-    once, up to its longest prefix asked for, traces in order of first
-    appearance; for each event its epoch ms, its previous event's ms (its
-    own at a case start) and its case start's ms; and for prefix i its
-    length ``ks[i]`` and ``ends[i]``, the index one past its last event."""
-
-    events: list[Event]
-    ms: np.ndarray
-    prev_ms: np.ndarray
-    first_ms: np.ndarray
-    ks: np.ndarray
-    ends: np.ndarray
-
-    @classmethod
-    def of(cls, traces: Sequence[Sequence[Event]], trace_of: Sequence[int], ks: Sequence[int]) -> "FlatPrefixes":
-        """Prefix i is ``traces[trace_of[i]][:ks[i]]``; a k outside
-        1..len(trace) is a ``ValueError``."""
-        trace_of = np.asarray(trace_of, dtype=np.int64)
-        ks = np.asarray(ks, dtype=np.int64)
-        lengths = np.array([len(events) for events in traces], dtype=np.int64)[trace_of]
-        for bad, message in ((ks < 1, "cannot encode an empty prefix"), (ks > lengths, "prefix exceeds its trace")):
-            if bad.any():
-                i = int(np.flatnonzero(bad)[0])
-                raise ValueError(f"{message} (k={int(ks[i])}, trace length {int(lengths[i])})")
-        upto = np.zeros(len(traces), dtype=np.int64)
-        np.maximum.at(upto, trace_of, ks)
-        events = list(chain.from_iterable(events[:n] for events, n in zip(traces, upto.tolist())))
-        starts = np.cumsum(upto) - upto
-        ms = np.fromiter((ev.timestamp_ms for ev in events), dtype=np.int64, count=len(events))
-        begin = np.repeat(starts, upto)  # the index of each event's case start
-        previous = np.maximum(np.arange(len(events)) - 1, begin)
-        return cls(events, ms, ms[previous], ms[begin], ks, starts[trace_of] + ks)
-
-    @classmethod
-    def of_samples(cls, samples: Iterable[PrefixSample]) -> "FlatPrefixes":
-        """The samples' prefixes, in sample order; samples of one trace share its events."""
-        slots: dict[int, int] = {}
-        traces, trace_of, ks = [], [], []
-        for sample in samples:
-            slot = slots.setdefault(id(sample.trace), len(slots))
-            if slot == len(traces):
-                traces.append(sample.trace.events)
-            trace_of.append(slot)
-            ks.append(sample.k)
-        return cls.of(traces, trace_of, ks)
+def _check_nonempty(flat: FlatPrefixes) -> None:
+    """``ValueError`` if some prefix of ``flat`` holds no events: it has no row to encode."""
+    if not flat.ks.all():
+        raise ValueError(f"cannot encode an empty prefix (prefix {int(np.argmin(flat.ks))} of {len(flat.ks)})")
 
 
 class PrefixEncoder:
@@ -372,6 +333,7 @@ class PrefixEncoder:
         flat = FlatPrefixes.of_samples(samples)
         if not len(flat.ks):
             raise ValueError("cannot fit an encoder on zero samples")
+        _check_nonempty(flat)
         if self.max_len is None:
             k = int(flat.ks.max())
             self.max_len = k if self.window is None else min(k, self.window)
@@ -411,22 +373,10 @@ class PrefixEncoder:
         up to the encoder's sequence length; prefixes that still exceed it keep
         the most recent events and the layout carries a truncation flag.
         """
-        values, mask = self.encode_prefixes(events, [len(events)])
+        values, mask = self.encode_flat(FlatPrefixes.of([events], [0], [len(events)]))
         rows = len(events) if self.window is None else min(len(events), self.window)
         layout = replace(self.layout, truncated=rows > self.max_len)
         return FeatureMatrix(values=values[0], mask=mask[0], layout=layout)
-
-    def encode_prefixes(
-        self, events: Sequence[Event], ks: Sequence[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Values (len(ks), T, F) and mask (len(ks), T) of ``events[:k]`` for
-        each k in ``ks``, each encoded as :meth:`encode` does: the one-trace
-        case of :meth:`encode_flat`."""
-        return self.encode_flat(FlatPrefixes.of([events], np.zeros(len(ks), dtype=np.int64), ks))
-
-    def encode_samples(self, samples: Sequence[PrefixSample], dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`encode_flat` of the samples' prefixes, in sample order."""
-        return self.encode_flat(FlatPrefixes.of_samples(samples), dtype)
 
     def encode_flat(self, flat: FlatPrefixes, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
         """Values (N, T, F) as ``dtype`` and mask (N, T) of the N prefixes
@@ -435,10 +385,11 @@ class PrefixEncoder:
         One pass: :meth:`encode_rows` builds the feature rows of all of
         ``flat``'s events, and :meth:`windows` cuts each prefix's window from
         them. The rows are cast before windowing, so the float64 copy is one
-        row per event, not T per prefix.
+        row per event, not T per prefix. An empty prefix is a ``ValueError``.
         """
         if not self.fitted or self.max_len is None:
             raise NotFittedError("prefix encoder used before fit()")
+        _check_nonempty(flat)
         activity = self.activity_vocab.index
         attribute_vocabs = list(self.attribute_vocabs.items())
         events = flat.events

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
@@ -18,12 +19,12 @@ import numpy as np
 from . import nnkernel as nn
 from .atomic import write_text_atomic
 # ngram_hash_encode and replay_timed_state stay bound here: perfbench's tracer patches them by name
-from .encoding import (
-    FlatPrefixes, Normalizer, PrefixEncoder, ngram_hash_encode, ngram_hash_extend, ngram_hash_prefixes,
-)
+from .encoding import Normalizer, PrefixEncoder, ngram_hash_encode, ngram_hash_extend, ngram_hash_prefixes
 from .eventlog import MISSING, Event, Vocabulary
 from .petrinet import PetriNet, TimedStates, TimedStateVector, replay_states, replay_timed_state
-from .splitting import PrefixSample, SplitLog, check_prefix_samples, make_prefix_samples, whole_prefix_sample
+from .splitting import (
+    FlatPrefixes, PrefixSample, SplitLog, check_prefix_samples, make_prefix_samples, whole_prefix_sample,
+)
 
 ARCHITECTURES = ("markov", "mlp", "rnn", "lstm", "gru", "autoencoder")
 INPUT_MODES = ("padded_flat", "single_event", "timed_state")  # what the mlp reads
@@ -188,7 +189,7 @@ def _write_sidecar(path_prefix: Path, sidecar: dict) -> Path:
 
 
 def _stacked(rows, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities (N, C) and times (N,), NaN for no time, of ``predict`` results."""
+    """Probabilities (N, C) and times (N,), NaN for no time, of (probabilities, time) rows."""
     probs = np.array([p for p, _ in rows], dtype=np.float64)
     times = np.array([np.nan if t is None else t for _, t in rows], dtype=np.float64)
     return probs.reshape(len(rows), n_classes), times
@@ -275,11 +276,10 @@ class MarkovPredictor(Predictor):
         order = self.config.order
         self.tables = [{} for _ in range(order + 1)]
         self._memo = {}
-        for sample in train_samples:
-            acts = sample.prefix_activities
+        for sample, context in zip(train_samples, FlatPrefixes.of_samples(train_samples).last_activities(order)):
             target = self.activity_vocab.index(sample.next_activity)
-            for j in range(min(order, len(acts)) + 1):
-                ctx = acts[len(acts) - j :]
+            for j in range(len(context) + 1):
+                ctx = context[len(context) - j :]
                 counts, delta_sum = self.tables[j].get(ctx) or (Counter(), 0.0)
                 counts[target] += 1
                 self.tables[j][ctx] = (counts, delta_sum + sample.next_time_delta)
@@ -296,10 +296,6 @@ class MarkovPredictor(Predictor):
         truth = [self.activity_vocab.index(s.next_activity) for s in samples]
         picked = np.maximum(probs[np.arange(len(samples)), truth], 1e-12)
         return -sum(np.log(picked).tolist()) / len(samples)
-
-    def _context(self, labels: Sequence[str]) -> tuple[str, ...]:
-        """The last ``order`` of ``labels``, or all of them when fewer."""
-        return tuple(labels[len(labels) - min(self.config.order, len(labels)) :])
 
     def _row(self, context: tuple[str, ...]) -> tuple[np.ndarray, float]:
         """Probabilities (C,) and time (NaN for none) of a context's backoff walk."""
@@ -319,7 +315,7 @@ class MarkovPredictor(Predictor):
         return self.hypotheses(samples).predict()
 
     def hypotheses(self, samples):
-        return _MarkovHypotheses(self, [self._context(s.prefix_activities) for s in samples])
+        return _MarkovHypotheses(self, FlatPrefixes.of_samples(samples).last_activities(self.config.order))
 
     def _save(self, path_prefix, seed):
         """The JSON sidecar alone: the tables are the whole model. Each order
@@ -343,7 +339,9 @@ class MarkovPredictor(Predictor):
     def _restore(self, sidecar, path_prefix):
         """Rebuild the tables. A sidecar is a ``ValueError`` unless it holds
         ``order + 1`` orders whose ``counts`` and ``deltas`` list the same
-        contexts in order, each count a positive int of a class index."""
+        contexts in order, each count a positive int of a class index, and
+        each ``deltas`` row a finite, non-negative delta sum over as many
+        observations as its ``counts`` row sums to."""
         counts, deltas = sidecar["state"]["counts"], sidecar["state"]["deltas"]
         if not len(counts) == len(deltas) == self.config.order + 1:
             raise ValueError(f"markov sidecar holds {len(counts)}/{len(deltas)} orders, order {self.config.order}")
@@ -355,6 +353,11 @@ class MarkovPredictor(Predictor):
             for k, v in (item for _, row in count_rows for item in row.items()):
                 if k not in classes or type(v) is not int or v < 1:
                     raise ValueError(f"markov sidecar count {k!r}: {v!r}, not a positive int of a vocabulary class")
+            for (ctx, row), (_, delta_sum, observed) in zip(count_rows, delta_rows):
+                finite = type(delta_sum) in (int, float) and math.isfinite(delta_sum)
+                if not (observed == sum(row.values()) and finite and delta_sum >= 0):
+                    raise ValueError(f"markov sidecar context {ctx!r}: deltas row ({delta_sum!r}, {observed!r}) needs "
+                                     f"a finite delta sum >= 0 over the {sum(row.values())} observations of its counts")
             self.tables.append({
                 tuple(ctx.split("\x1f")) if ctx else (): (Counter({classes[k]: v for k, v in row.items()}), delta_sum)
                 for (ctx, row), (_, delta_sum, _) in zip(count_rows, delta_rows)
@@ -371,13 +374,13 @@ class _MarkovHypotheses:
         """Each context's row, read from the model's memo (which a new context joins)."""
         model, memo = self.model, self.model._memo
         rows = [memo.get(c) or memo.setdefault(c, model._row(c)) for c in self.contexts]
-        probs = np.array([p for p, _ in rows], dtype=np.float64).reshape(len(rows), len(model.activity_vocab))
-        return probs, np.array([t for _, t in rows], dtype=np.float64)
+        return _stacked(rows, len(model.activity_vocab))
 
     def extend(self, parents, tokens, deltas) -> "_MarkovHypotheses":
-        model, label = self.model, self.model.activity_vocab.label
-        contexts = [model._context(self.contexts[p] + (label(t),)) for p, t in zip(parents, tokens)]
-        return _MarkovHypotheses(model, contexts)
+        """Each parent's context plus its label, cut to the last ``order`` labels."""
+        order, label = self.model.config.order, self.model.activity_vocab.label
+        contexts = [self.contexts[p] + (label(t),) for p, t in zip(parents, tokens)]
+        return _MarkovHypotheses(self.model, [c[max(0, len(c) - order) :] for c in contexts])
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +394,7 @@ def _time_values(samples, time_target: str) -> np.ndarray:
 
 
 POOL_BATCHES = 32  # batches per length-sorted pool of a recurrent model's epoch
-REPLAY_CHUNK = 64  # traces per timed-state replay pass; bounds the pass's (events, places) arrays
+REPLAY_CHUNK = 256  # samples per timed-state replay pass; bounds the pass's (events, places) arrays
 ROW_BLOCK = 64  # rows per inference forward, the last block zero-padded (see _NeuralPredictor._infer)
 
 
@@ -486,14 +489,6 @@ def _sgd_train(
     return best_params, report
 
 
-def _trace_groups(samples) -> list[list[int]]:
-    """The indices of the samples of each trace, traces in order of first appearance."""
-    by_trace: dict[int, list[int]] = {}
-    for i, sample in enumerate(samples):
-        by_trace.setdefault(id(sample.trace), []).append(i)
-    return list(by_trace.values())
-
-
 def _layer_params(params: Mapping[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
     return {k.split(":", 1)[1]: v for k, v in params.items() if k.startswith(prefix + ":")}
 
@@ -572,7 +567,7 @@ class _NeuralPredictor(Predictor):
         """Network inputs and mask (or None) of the samples' prefixes, in
         sample order; an input never reads past its prefix. The encoder
         encodes all of them in one pass over their traces' events."""
-        return self.encoder.encode_samples(samples, self.dtype)
+        return self.encoder.encode_flat(FlatPrefixes.of_samples(samples), self.dtype)
 
     def _arrays(self, samples):
         """:meth:`_batch_inputs` plus activity and normalized time targets."""
@@ -747,7 +742,8 @@ class _NeuralPredictor(Predictor):
 
     def _restore(self, sidecar, path_prefix):
         """Load the parameters and encoders; a parameter whose name or shape
-        differs from what the restored config builds is a ``ValueError``."""
+        differs from what the restored config builds, or that holds a NaN or
+        an infinity, is a ``ValueError``."""
         if sidecar.get("vocab_sha256") != self._vocab_sha256():
             raise ValueError("checkpoint vocabularies do not match their vocab_sha256")
         params, _ = nn.load_params(path_prefix.with_suffix(".npz"))
@@ -765,6 +761,8 @@ class _NeuralPredictor(Predictor):
                 raise ValueError(
                     f"checkpoint parameter {name!r} has shape {found}, the config builds {want}"
                 )
+            if not np.isfinite(params[name]).all():
+                raise ValueError(f"checkpoint parameter {name!r} holds a NaN or an infinity")
         self.params = params
 
 
@@ -943,10 +941,10 @@ class MLPPredictor(_NeuralPredictor):
 
     def _prepare(self, train_samples) -> None:
         if self.config.input_mode == "timed_state":
-            if self.decay_seconds is None:
+            self.decay_seconds = self.config.decay_seconds
+            if self.decay_seconds is None:  # this fit's longest training case
                 longest = max(
-                    (s.trace.events[s.k - 1].timestamp_ms - s.trace.start_ms) / 1000.0
-                    + s.remaining_time
+                    (s.trace.events[s.k - 1].timestamp_ms - s.trace.start_ms) / 1000.0 + s.remaining_time
                     for s in train_samples
                 )
                 self.decay_seconds = max(longest, 1.0)
@@ -958,40 +956,36 @@ class MLPPredictor(_NeuralPredictor):
         return {name: self.attribute_vocabs[name] for name in self.config.attributes}
 
     def _replayed(self, samples):
-        """(sample indices, their ``replay_states``) per chunk of
-        ``REPLAY_CHUNK`` traces of the samples, each trace replayed once, read
-        at each prefix's last event with the configured attributes."""
-        groups = _trace_groups(samples)
-        for c in range(0, len(groups), REPLAY_CHUNK):
-            chunk = groups[c : c + REPLAY_CHUNK]
-            idx = [i for group in chunk for i in group]
-            trace_of = [j for j, group in enumerate(chunk) for _ in group]
-            traces = [samples[group[0]].trace.events for group in chunk]
-            ks = [samples[i].k for i in idx]
-            yield idx, replay_states(self.petri_net, traces, trace_of, ks, None, self._timed_state_vocabs())
+        """(layout, ``replay_states``) of each consecutive range of
+        ``REPLAY_CHUNK`` samples, read at each prefix's last event with the
+        configured attributes: the states come out in sample order."""
+        for s in range(0, len(samples), REPLAY_CHUNK):
+            flat = FlatPrefixes.of_samples(samples[s : s + REPLAY_CHUNK])
+            yield flat, replay_states(self.petri_net, flat, None, self._timed_state_vocabs())
 
     def _batch_inputs(self, samples):
         if self.config.input_mode != "timed_state":
             return super()._batch_inputs(samples)
         X = np.empty((len(samples), TimedStateVector.width(self.petri_net, self._timed_state_vocabs())), self.dtype)
-        for idx, states in self._replayed(samples):
-            X[idx] = states.vectors(self.petri_net, self.decay_seconds, self.dtype)
+        for s, (_, states) in zip(range(0, len(samples), REPLAY_CHUNK), self._replayed(samples)):
+            X[s : s + REPLAY_CHUNK] = states.vectors(self.petri_net, self.decay_seconds, self.dtype)
         return X, None
 
     def hypotheses(self, samples):
         """Timed-state hypotheses start from the replay states of the
-        samples' prefixes, replayed as :meth:`_batch_inputs` replays them."""
+        samples' prefixes, replayed as :meth:`_batch_inputs` replays them; a
+        decoded event counts as missing each attribute that its prefix's last
+        event holds."""
         if self.config.input_mode != "timed_state":
             return super().hypotheses(samples)
         self._check_fitted()
         parts = list(self._replayed(samples))
         states = TimedStates.concatenate([states for _, states in parts])
-        states = states.take(np.argsort([i for idx, _ in parts for i in idx]))
+        last = [flat.events[end - 1] for flat, _ in parts for end in flat.ends.tolist()]
         decoded_counts = np.zeros_like(states.attribute_counts)
         offset = 0
         for name, vocab in self._timed_state_vocabs().items():
-            held = [name in s.trace.events[s.k - 1].attributes for s in samples]
-            decoded_counts[:, offset + vocab.index(MISSING)] = held
+            decoded_counts[:, offset + vocab.index(MISSING)] = [name in ev.attributes for ev in last]
             offset += len(vocab)
         return _ReplayHypotheses(self, states, decoded_counts)
 
@@ -1034,8 +1028,13 @@ class MLPPredictor(_NeuralPredictor):
         return {"decay_seconds": self.decay_seconds}
 
     def _restore(self, sidecar, path_prefix):
-        extra = sidecar.get("extra") or {}
-        self.decay_seconds = extra.get("decay_seconds")
+        """A timed-state sidecar's ``decay_seconds`` must be a finite
+        positive number; anything else is a ``ValueError``."""
+        decay_seconds = (sidecar.get("extra") or {}).get("decay_seconds")
+        finite = type(decay_seconds) in (int, float) and math.isfinite(decay_seconds)
+        if self.config.input_mode == "timed_state" and not (finite and decay_seconds > 0):
+            raise ValueError(f"timed-state checkpoint decay_seconds {decay_seconds!r}, not a finite positive number")
+        self.decay_seconds = decay_seconds
         super()._restore(sidecar, path_prefix)
 
 
@@ -1073,26 +1072,22 @@ class AutoencoderPredictor(_NeuralPredictor):
     def _prepare(self, train_samples) -> None:
         self.encoder = None
 
+    def _hashed(self, flat: FlatPrefixes, dtype) -> np.ndarray:
+        """Hashed n-gram vectors of ``flat``'s prefixes as ``dtype``, in one pass over its labels."""
+        k, dim, seed = self.config.ngram_k, self.config.ngram_dim, self.config.hash_seed
+        return ngram_hash_prefixes(flat.activities, flat.ends, flat.ks, k, dim, seed, dtype)
+
     def _batch_inputs(self, samples):
-        """Hashed n-gram vectors of the samples' prefixes, in sample order,
-        each trace hashed in one pass; no mask."""
-        cfg = self.config
-        X = np.empty((len(samples), cfg.ngram_dim), dtype=self.dtype)
-        for group in _trace_groups(samples):
-            acts = [ev.activity for ev in samples[group[0]].trace.events]
-            ks = [samples[i].k for i in group]
-            X[group] = ngram_hash_prefixes(acts, ks, cfg.ngram_k, cfg.ngram_dim, cfg.hash_seed)
-        return X, None
+        """Hashed n-gram vectors of the samples' prefixes, in sample order; no mask."""
+        return self._hashed(FlatPrefixes.of_samples(samples), self.dtype), None
 
     def hypotheses(self, samples):
-        """Hypotheses that start from the samples' :meth:`_batch_inputs`;
-        the float32 rows hold small integers, so their float64 copy is the
-        hashed vector itself."""
+        """Hypotheses that start from the float64 vectors whose float32
+        copies :meth:`_batch_inputs` gives, and each prefix's last
+        ``ngram_k - 1`` labels."""
         self._check_fitted()
-        X, _ = self._batch_inputs(samples)
-        start = 1 - self.config.ngram_k
-        tails = [tuple(ev.activity for ev in s.trace.events[max(0, s.k + start) : s.k]) for s in samples]
-        return _NgramHypotheses(self, X.astype(np.float64), tails)
+        flat = FlatPrefixes.of_samples(samples)
+        return _NgramHypotheses(self, self._hashed(flat, np.float64), flat.last_activities(self.config.ngram_k - 1))
 
     def _build_params(self, rng):
         params: dict[str, np.ndarray] = {}

@@ -12,6 +12,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .eventlog import Event, Vocabulary
+from .splitting import FlatPrefixes
 
 
 @dataclass(frozen=True)
@@ -350,10 +351,6 @@ class TimedStates:
         """The states of ``parts``, one after the other."""
         return TimedStates(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(TimedStates)))
 
-    def take(self, rows) -> "TimedStates":
-        """The states at ``rows``, in that order."""
-        return TimedStates(*(getattr(self, f.name)[rows] for f in fields(self)))
-
     def step(self, net: PetriNet, rows, labels: Sequence[str], at_ms: np.ndarray, attribute_steps) -> "TimedStates":
         """The states at ``rows``, each advanced by one event: state
         ``rows[i]`` by label ``labels[i]`` at ``at_ms[i]``, adding row i of
@@ -363,7 +360,7 @@ class TimedStates:
         found = [table.effect(mid, label) for mid, label in zip(self.marking_ids[rows].tolist(), labels)]
         marking_ids, eids = np.array(found, dtype=np.int64).reshape(-1, 2).T
         touched = table.touched[eids]
-        states = self.take(rows)  # fresh arrays, advanced in place
+        states = TimedStates(*(getattr(self, f.name)[rows] for f in fields(self)))  # fresh arrays, advanced in place
         states.throughput[...] += table.throughput[eids]
         np.copyto(states.last_visit_ms, at_ms[:, None], where=touched)
         states.visited[...] |= touched
@@ -374,61 +371,44 @@ class TimedStates:
 
 def replay_states(
     net: PetriNet,
-    traces: Sequence[Sequence[Event]],
-    trace_of: Sequence[int],
-    ks: Sequence[int],
+    flat: FlatPrefixes,
     at_ms: Sequence[int] | None = None,
     attribute_vocabs: Mapping[str, Vocabulary] | None = None,
 ) -> TimedStates:
-    """Timed state i of ``traces[trace_of[i]][:ks[i]]``, decay read at
-    ``at_ms[i]`` (None: at each prefix's last event), as
-    ``replay_timed_state`` defines it; attribute counts are kept for the
-    values of ``attribute_vocabs`` alone, and a value outside its vocabulary
-    is an ``UnknownLabelError``. A k outside 0..len(trace), or a k of 0
-    without ``at_ms``, is a ``ValueError``.
+    """Timed state i of prefix i of ``flat``, decay read at ``at_ms[i]``
+    (None: at each prefix's last event), as ``replay_timed_state`` defines
+    it; attribute counts are kept for the values of ``attribute_vocabs``
+    alone, and a value outside its vocabulary is an ``UnknownLabelError``. A
+    prefix of no events without ``at_ms`` is a ``ValueError``.
 
-    One array pass: a Python loop walks each trace once, up to its longest
-    prefix asked for, and looks up each event's effect in the net's
-    ``_ReplayTable``; each trace starts with a row for its case start.
-    Throughput, attribute counts and nonconforming counts are cumulative sums
-    over the rows, restarted at each case start, and each place's last visit
-    is the running maximum of the rows that touched it, which is no visit when
-    it lies before the case start.
+    One array pass: a Python loop walks ``flat``'s events and looks up each
+    one's effect in the net's ``_ReplayTable``; trace j's rows are a case
+    start row, then its events' rows, each shifted by j + 1. Throughput,
+    attribute and nonconforming counts are cumulative sums over the rows,
+    restarted at each case start; a place's last visit is the running
+    maximum of the rows that touched it, no visit when before the case start.
     """
-    trace_of = np.asarray(trace_of, dtype=np.int64)
-    ks = np.asarray(ks, dtype=np.int64)
-    lengths = np.array([len(events) for events in traces], dtype=np.int64)
-    bad = (ks < 0) | (ks > lengths[trace_of])
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise ValueError(f"prefix length {int(ks[i])} outside 0..{int(lengths[trace_of[i]])}")
-    if at_ms is None and not ks.all():
+    if at_ms is None and not flat.ks.all():
         raise ValueError("a prefix of no events has no last event to read its decay at")
-    upto = np.zeros(len(traces), dtype=np.int64)
-    np.maximum.at(upto, trace_of, ks)
     vocabs = [(name, vocab) for name, vocab in (attribute_vocabs or {}).items()]
     offsets = np.cumsum([0] + [len(vocab) for _, vocab in vocabs]).tolist()
     table = net._table
     effects = table.effects
     marking_ids: list[int] = []
     effect_ids: list[int] = []
-    ms: list[int] = []
     hits: list[int] = []  # (row, attribute column) pairs, flattened
-    starts = []
-    for events, n in zip(traces, upto.tolist()):
-        starts.append(len(ms))
+    bounds = flat.starts.tolist()
+    for begin, stop in zip(bounds, bounds[1:]):
         mid = table.initial
         marking_ids.append(mid)
         effect_ids.append(START)
-        ms.append(events[0].timestamp_ms if events else 0)
-        for ev in events[:n]:
+        for ev in flat.events[begin:stop]:
             mid, eid = effects.get((mid, ev.activity)) or table.effect(mid, ev.activity)
             marking_ids.append(mid)
             effect_ids.append(eid)
-            ms.append(ev.timestamp_ms)
             for (name, vocab), offset in zip(vocabs, offsets):
                 if name in ev.attributes:
-                    hits += (len(ms) - 1, offset + vocab.index(ev.attributes[name]))
+                    hits += (len(effect_ids) - 1, offset + vocab.index(ev.attributes[name]))
     places, width = net.num_places, offsets[-1]
     effect_ids = np.array(effect_ids, dtype=np.int64)
     n_rows = len(effect_ids)
@@ -438,17 +418,19 @@ def replay_states(
     steps[hits[:, 0] + 1, places + hits[:, 1]] = 1
     steps[1:, -1] = effect_ids == SKIPPED
     np.cumsum(steps, axis=0, out=steps)
-    first = np.array(starts, dtype=np.int64)[trace_of]
-    rows = first + ks
+    first = flat.starts[flat.trace_of] + flat.trace_of
+    rows = flat.ends + flat.trace_of
     totals = steps[rows + 1] - steps[first]
     visits = np.where(table.touched[effect_ids], np.arange(n_rows)[:, None], -1)
     np.maximum.accumulate(visits, axis=0, out=visits)
     last = visits[rows]
     visited = last >= first[:, None]
-    ms = np.array(ms, dtype=np.int64)
+    # a case start row at its trace's first event (any time for a trace of no events walked)
+    starts = flat.starts[:-1]
+    ms = np.insert(flat.ms, starts, np.append(flat.ms, 0)[starts])
     at = ms[rows] if at_ms is None else np.asarray(at_ms, dtype=np.int64)
     # the case starts at its first event; a prefix of no events, when it is read
-    visit_ms = np.where(ks[:, None] == 0, at[:, None], ms[last])
+    visit_ms = np.where(flat.ks[:, None] == 0, at[:, None], ms[last])
     return TimedStates(
         marking_ids=np.array(marking_ids, dtype=np.int64)[rows],
         throughput=totals[:, :places],
@@ -483,7 +465,7 @@ def replay_timed_state(
         for name, value in ev.attributes.items():
             seen.setdefault(name, {})[value] = None
     vocabs = {name: Vocabulary(values) for name, values in seen.items()}
-    states = replay_states(net, [events], [0], [len(events)], [at_ms], vocabs)
+    states = replay_states(net, FlatPrefixes.of([events], [0], [len(events)]), [at_ms], vocabs)
     counts = states.attribute_counts[0].tolist()
     attribute_counts = {}
     for name, vocab in vocabs.items():

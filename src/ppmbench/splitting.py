@@ -5,8 +5,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .atomic import write_text_atomic
 from .eventlog import EOC, EmptyLogError, Event, EventLog, Trace
@@ -123,6 +127,71 @@ def check_prefix_samples(samples: Sequence[PrefixSample]) -> None:
                 f"sample of case {sample.case_id!r}: prefix length {sample.k} exceeds its trace's "
                 f"length {len(sample.trace.events)}"
             )
+
+
+@dataclass(frozen=True)
+class FlatPrefixes:
+    """N prefixes of T traces as flat event columns: the layout in which a
+    sample set is encoded, replayed, hashed and cut into contexts.
+
+    ``events`` holds each trace's events once, up to its longest prefix, in
+    order of first appearance: trace j's are ``events[starts[j]:starts[j + 1]]``.
+    Per event, ``ms`` is its epoch ms, ``prev_ms`` its previous event's (its
+    own at a case start) and ``first_ms`` its case start's. Prefix i is the
+    first ``ks[i]`` events of trace ``trace_of[i]``; ``ends[i]`` is one past
+    its last event."""
+
+    events: list[Event]
+    starts: np.ndarray  # (T + 1,)
+    ms: np.ndarray
+    prev_ms: np.ndarray
+    first_ms: np.ndarray
+    trace_of: np.ndarray
+    ks: np.ndarray
+    ends: np.ndarray
+
+    @classmethod
+    def of(cls, traces: Sequence[Sequence[Event]], trace_of: Sequence[int], ks: Sequence[int]) -> "FlatPrefixes":
+        """Prefix i is ``traces[trace_of[i]][:ks[i]]``; a k outside
+        0..len(trace) is a ``ValueError``."""
+        trace_of = np.asarray(trace_of, dtype=np.int64)
+        ks = np.asarray(ks, dtype=np.int64)
+        lengths = np.array([len(events) for events in traces], dtype=np.int64)[trace_of]
+        bad = (ks < 0) | (ks > lengths)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise ValueError(f"prefix length {int(ks[i])} outside 0..{int(lengths[i])}")
+        upto = np.zeros(len(traces), dtype=np.int64)
+        np.maximum.at(upto, trace_of, ks)
+        events = list(chain.from_iterable(events[:n] for events, n in zip(traces, upto.tolist())))
+        starts = np.concatenate([[0], np.cumsum(upto)])
+        ms = np.fromiter((ev.timestamp_ms for ev in events), dtype=np.int64, count=len(events))
+        begin = np.repeat(starts[:-1], upto)  # the index of each event's case start
+        previous = np.maximum(np.arange(len(events)) - 1, begin)
+        return cls(events, starts, ms, ms[previous], ms[begin], trace_of, ks, starts[trace_of] + ks)
+
+    @classmethod
+    def of_samples(cls, samples: Iterable[PrefixSample]) -> "FlatPrefixes":
+        """The samples' prefixes, in sample order; samples of one trace share its events."""
+        slots: dict[int, int] = {}
+        traces, trace_of, ks = [], [], []
+        for sample in samples:
+            slot = slots.setdefault(id(sample.trace), len(slots))
+            if slot == len(traces):
+                traces.append(sample.trace.events)
+            trace_of.append(slot)
+            ks.append(sample.k)
+        return cls.of(traces, trace_of, ks)
+
+    @cached_property
+    def activities(self) -> list[str]:
+        """The activity label of each event."""
+        return [ev.activity for ev in self.events]
+
+    def last_activities(self, m: int) -> list[tuple[str, ...]]:
+        """The last ``min(m, ks[i])`` activity labels of each prefix i."""
+        labels = self.activities
+        return [tuple(labels[end - min(m, k) : end]) for end, k in zip(self.ends.tolist(), self.ks.tolist())]
 
 
 def whole_prefix_sample(events: Sequence[Event]) -> PrefixSample:

@@ -6,9 +6,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from ppmbench import models
 from ppmbench.encoding import (
-    FlatPrefixes,
     NotFittedError,
     Normalizer,
     PrefixEncoder,
@@ -29,8 +27,8 @@ from ppmbench.eventlog import (
     parse_csv,
     parse_timestamp,
 )
-from ppmbench.models import AutoencoderPredictor, MLPPredictor, TrainConfig, build_predictor
-from ppmbench.splitting import PrefixSample, make_prefix_samples, temporal_split
+from ppmbench.models import REPLAY_CHUNK, AutoencoderPredictor, MLPPredictor, TrainConfig, build_predictor
+from ppmbench.splitting import FlatPrefixes, PrefixSample, make_prefix_samples, temporal_split
 
 from conftest import TABLE1_CSV, generator_log, make_linear_log, make_random_log
 
@@ -374,7 +372,7 @@ class TestReferenceEquivalence:
             ks = list(range(1, len(trace)))
             if not ks:
                 continue
-            values, mask = encoder.encode_prefixes(trace.events, ks)
+            values, mask = encoder.encode_flat(FlatPrefixes.of([trace.events], [0] * len(ks), ks))
             for j, k in enumerate(ks):
                 ref_values, ref_mask, ref_truncated = reference_encode(encoder, trace.events[:k])
                 assert same_bits(values[j], ref_values) and same_bits(mask[j], ref_mask)
@@ -440,7 +438,10 @@ def ref_encode_trace(encoder, events, ks):
 
 
 def ref_batch_inputs(model, samples):
-    groups = models._trace_groups(samples)
+    by_trace = {}
+    for i, sample in enumerate(samples):
+        by_trace.setdefault(id(sample.trace), []).append(i)
+    groups = list(by_trace.values())
     parts = [ref_encode_trace(model.encoder, samples[g[0]].trace.events, [samples[i].k for i in g]) for g in groups]
     back = np.argsort([i for group in groups for i in group])
     X = np.concatenate([x.astype(model.dtype) for x, _ in parts])[back]
@@ -515,7 +516,7 @@ class TestFlatEncodeMatchesPerTrace:
         log, train, _ = mixed_samples(1)
         encoder = PrefixEncoder(log.activity_vocab, attribute_vocabs=log.attribute_vocabs).fit(train)
         for dtype in (np.float64, np.float32):
-            X, M = encoder.encode_samples([], dtype)
+            X, M = encoder.encode_flat(FlatPrefixes.of_samples([]), dtype)
             assert X.shape == (0, encoder.max_len, encoder.num_features) and X.dtype == dtype
             assert M.shape == (0, encoder.max_len) and M.dtype == bool
         with pytest.raises(ValueError, match="zero samples"):
@@ -525,14 +526,16 @@ class TestFlatEncodeMatchesPerTrace:
         log, train, _ = mixed_samples(1)
         encoder = PrefixEncoder(log.activity_vocab).fit(train)
         trace = train[0].trace
-        for k, message in ((0, "empty prefix"), (len(trace) + 1, "exceeds its trace")):
+        for k, message in ((0, "cannot encode an empty prefix"), (len(trace) + 1, f"outside 0..{len(trace)}")):
             for samples in ([PrefixSample(trace, k)], [PrefixSample(trace, 1), PrefixSample(trace, k)]):
                 with pytest.raises(ValueError, match=message):
-                    encoder.encode_samples(samples)
+                    encoder.encode_flat(FlatPrefixes.of_samples(samples))
                 with pytest.raises(ValueError, match=message):
                     PrefixEncoder(log.activity_vocab).fit(samples)
+        with pytest.raises(ValueError, match="cannot encode an empty prefix"):
+            encoder.encode(())
         with pytest.raises(NotFittedError):
-            PrefixEncoder(log.activity_vocab).encode_samples(train)
+            PrefixEncoder(log.activity_vocab).encode_flat(FlatPrefixes.of_samples(train))
 
 
 def reference_ngram_hash_encode(activities, max_n, dim, seed):
@@ -552,9 +555,9 @@ def reference_ngram_hash_encode(activities, max_n, dim, seed):
 
 
 class TestNgramPrefixesMatchReference:
-    """One pass per trace with cached gram hashes gives, for every prefix,
-    the bits of the per-prefix loop, in any order of ``ks``; ``dim=1`` puts
-    every gram in one slot."""
+    """One pass over a layout's labels with cached gram hashes gives, for
+    every prefix, the bits of the per-prefix loop, in any order of ``ks``;
+    ``dim=1`` puts every gram in one slot."""
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     @pytest.mark.parametrize("dim", [1, 7, 64])
@@ -571,13 +574,69 @@ class TestNgramPrefixesMatchReference:
             ascending = list(range(1, len(acts) + 1))
             for ks in (ascending, list(rng.permutation(ascending)), list(rng.choice(ascending, 2 * len(acts)))):
                 expected = np.array([reference[k] for k in ks])
-                assert same_bits(ngram_hash_prefixes(acts, ks, max_n, dim, seed), expected)
+                assert same_bits(ngram_hash_prefixes(acts, ks, ks, max_n, dim, seed), expected)
                 X, M = predictor._batch_inputs([PrefixSample(trace, k) for k in ks])
                 assert M is None and same_bits(X, expected.astype(np.float32))
 
     def test_prefix_lengths_must_lie_in_the_sequence(self):
-        assert ngram_hash_prefixes(["A", "B"], [], 2, 8).shape == (0, 8)
-        assert ngram_hash_prefixes(["A", "B"], [0, 0], 2, 8).tolist() == [[0.0] * 8] * 2
+        assert ngram_hash_prefixes(["A", "B"], [], [], 2, 8).shape == (0, 8)
+        assert ngram_hash_prefixes(["A", "B"], [0, 0], [0, 0], 2, 8).tolist() == [[0.0] * 8] * 2
         for ks in ([-1], [3], [2, 3]):
             with pytest.raises(ValueError, match="prefix length"):
-                ngram_hash_prefixes(["A", "B"], ks, 2, 8)
+                FlatPrefixes.of([evs_of("AB")], [0] * len(ks), ks)
+
+
+
+def evs_of(labels, case="c"):
+    """Events of ``labels``, an hour apart."""
+    return tuple(Event(case, a, 1_600_000_000_000 + 3_600_000 * i) for i, a in enumerate(labels))
+
+
+class TestFlatLayout:
+    """One layout serves every reader: prefixes of no events and traces of
+    no events lay out as zero rows, and a sample set shuffled, repeated and
+    cut into several ``REPLAY_CHUNK`` ranges hashes and encodes to the bits
+    of ``reference_ngram_hash_encode`` and ``encode``, prefix by prefix."""
+
+    def test_empty_prefixes_and_traces(self):
+        traces = [(), evs_of("ABCA"), (), evs_of("BB"), evs_of("C")]
+        trace_of = [1, 0, 3, 1, 2, 1, 4, 3, 1]
+        ks = [2, 0, 0, 4, 0, 0, 1, 2, 3]
+        flat = FlatPrefixes.of(traces, trace_of, ks)
+        # trace 3 is walked to its longest prefix, trace 4 never appears
+        assert flat.activities == list("ABCA") + list("BB") + ["C"]
+        assert flat.starts.tolist() == [0, 0, 4, 4, 6, 7]
+        assert flat.trace_of.tolist() == trace_of and flat.ks.tolist() == ks
+        assert flat.ends.tolist() == [flat.starts[t] + k for t, k in zip(trace_of, ks)]
+        for m in (0, 1, 2, 5):
+            assert flat.last_activities(m) == [
+                tuple(ev.activity for ev in traces[t][:k][max(0, k - m) :]) for t, k in zip(trace_of, ks)
+            ]
+        for max_n, dim, seed in ((1, 7, 0), (3, 64, 5), (4, 1, 2**64 - 1)):
+            expected = [
+                reference_ngram_hash_encode([ev.activity for ev in traces[t][:k]], max_n, dim, seed)
+                for t, k in zip(trace_of, ks)
+            ]
+            rows = ngram_hash_prefixes(flat.activities, flat.ends, flat.ks, max_n, dim, seed)
+            assert same_bits(rows, np.array(expected))
+        empty = FlatPrefixes.of([(), ()], [1, 0, 1], [0, 0, 0])
+        assert empty.events == [] and empty.starts.tolist() == [0, 0, 0] and empty.ends.tolist() == [0, 0, 0]
+        assert same_bits(ngram_hash_prefixes([], empty.ends, empty.ks, 2, 8), np.zeros((3, 8)))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_shuffled_repeated_ranges_hash_and_encode_as_the_references(self, seed):
+        log, train, mix = mixed_samples(seed)
+        rng = np.random.default_rng(seed)
+        samples = [mix[i] for i in rng.choice(len(mix), size=3 * REPLAY_CHUNK + 5)]  # repeats too
+        assert len({id(s) for s in samples}) < len(samples)
+        config = TrainConfig(ngram_k=3, ngram_dim=16, hash_seed=seed, ae_hidden=())
+        autoencoder = AutoencoderPredictor(log.activity_vocab, config=config)
+        X, M = autoencoder._batch_inputs(samples)
+        expected = [reference_ngram_hash_encode(list(s.prefix_activities), 3, 16, seed) for s in samples]
+        assert M is None and same_bits(X, np.array(expected, dtype=np.float32))
+        gru = build_predictor("gru", TrainConfig(attributes=("Resource",)), log.activity_vocab, log.attribute_vocabs)
+        gru._prepare(train)
+        X, M = gru._batch_inputs(samples)
+        for j in rng.choice(len(samples), size=40):
+            mat = gru.encoder.encode(samples[j].prefix)
+            assert same_bits(X[j], mat.values.astype(np.float32)) and same_bits(M[j], mat.mask)

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppmbench.encoding import FlatPrefixes
 from ppmbench.eventlog import EOC, MISSING, Event, Trace, Vocabulary, augment_eoc
 from ppmbench import models
 from ppmbench.inference import DecodeConfig, SuffixPrediction, decode_suffix, decode_suffixes
@@ -737,37 +736,57 @@ class TestLockstepSearch:
                 assert hypotheses.states.nonconforming.tolist() == nonconforming
                 assert min(nonconforming) > 0  # every test prefix replays, and every hypothesis has left the net
 
-    def test_a_decode_starts_by_encoding_each_trace_once(self, decode_models, monkeypatch):
+    def test_a_decode_starts_with_one_pass_per_sample_set(self, decode_models, monkeypatch):
+        # the gru encodes, and the autoencoder hashes, its whole sample set
+        # in one pass; the timed-state mlp replays it in consecutive ranges of
+        # REPLAY_CHUNK samples. The samples are drawn with repeats, so a
+        # trace's samples fall in several ranges, and about one event in four
+        # lacks its attributes.
         trained, samples = decode_models
+        rng = np.random.default_rng(0)
         traces = {id(s.trace): s.trace for s in samples}
-        assert len(traces) < len(samples)
-        expected = sorted(trace.activities for trace in traces.values())
+        stripped = {
+            key: Trace(t.case_id, tuple(replace(ev, attributes={}) if rng.random() < 0.25 else ev for ev in t.events))
+            for key, t in traces.items()
+        }
+        drawn = rng.choice(len(samples), size=2 * models.REPLAY_CHUNK + 7)
+        samples = [PrefixSample(stripped[id(samples[i].trace)], samples[i].k) for i in drawn]
+        prefixes = [s.prefix_activities for s in samples]
         for model in (trained[1], trained[8], trained[7]):
-            calls = []  # (activities of each trace, ks) of each call
-            if model.architecture == "gru":  # one flat encode over every trace
-                def counted(traces, trace_of, ks, of=FlatPrefixes.of.__func__):
-                    calls.append(([tuple(ev.activity for ev in e) for e in traces], ks))
-                    return of(FlatPrefixes, traces, trace_of, ks)
+            calls = []  # the prefixes of each call's layout, in its order
+            if model.architecture == "gru":
+                def counted(flat, *args, encode_flat=model.encoder.encode_flat):
+                    calls.append([tuple(flat.activities[e - k : e]) for e, k in zip(flat.ends, flat.ks)])
+                    return encode_flat(flat, *args)
 
-                monkeypatch.setattr(FlatPrefixes, "of", counted)
-            elif model.architecture == "mlp":  # one replay per chunk of traces
-                def counted(net, traces, trace_of, ks, *args, replay=models.replay_states):
-                    calls.append(([tuple(ev.activity for ev in e) for e in traces], ks))
-                    return replay(net, traces, trace_of, ks, *args)
+                monkeypatch.setattr(model.encoder, "encode_flat", counted)
+            elif model.architecture == "mlp":
+                def counted(net, flat, *args, replay=models.replay_states):
+                    calls.append([tuple(flat.activities[e - k : e]) for e, k in zip(flat.ends, flat.ks)])
+                    return replay(net, flat, *args)
 
                 monkeypatch.setattr(models, "replay_states", counted)
-            else:  # one hashing pass per trace
-                def counted(acts, ks, *args, hash_prefixes=models.ngram_hash_prefixes):
-                    calls.append(([tuple(acts)], ks))
-                    return hash_prefixes(acts, ks, *args)
+            else:
+                def counted(labels, ends, ks, *args, hash_prefixes=models.ngram_hash_prefixes):
+                    calls.append([tuple(labels[e - k : e]) for e, k in zip(ends, ks)])
+                    return hash_prefixes(labels, ends, ks, *args)
 
                 monkeypatch.setattr(models, "ngram_hash_prefixes", counted)
-            model.hypotheses(samples)
-            assert sorted(acts for chunk, _ in calls for acts in chunk) == expected, model.architecture
-            assert sorted(k for _, ks in calls for k in ks) == sorted(s.k for s in samples)
-            if model.architecture == "gru":
-                assert len(calls) == 1
-        assert len(calls) == -(-len(traces) // models.REPLAY_CHUNK)  # the timed-state mlp's chunks
+            hypotheses = model.hypotheses(samples)
+            assert [p for call in calls for p in call] == prefixes, model.architecture
+            chunks = -(-len(samples) // models.REPLAY_CHUNK) if model.config.input_mode == "timed_state" else 1
+            assert len(calls) == chunks, model.architecture
+            X, M = model._batch_inputs(samples)
+            assert np.array_equal(hypotheses.X, X) and hypotheses.X.dtype == X.dtype
+            assert (M is None and hypotheses.M is None) or np.array_equal(hypotheses.M, M)
+        # the last hypotheses are the timed-state mlp's
+        missing = trained[7].attribute_vocabs["Resource"].index(MISSING)
+        held = [["Resource" in s.trace.events[s.k - 1].attributes] for s in samples]
+        assert 0 < sum(map(sum, held)) < len(held)
+        assert hypotheses.decoded_counts[:, [missing]].tolist() == held
+        assert hypotheses.decoded_counts.sum() == sum(map(sum, held))
+        markov = trained[0]
+        assert markov.hypotheses(samples).contexts == [p[max(0, len(p) - markov.config.order) :] for p in prefixes]
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@ import json
 import math
 import time
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -749,6 +750,11 @@ class TestCheckpointRoundTrip:
         "count-zero": ": 0, not a positive int",
         "count-float": ": 1.0, not a positive int",
         "count-bool": ": True, not a positive int",
+        "observations-miscounted": r"deltas row \(\S+, \d+\) needs a finite delta sum >= 0 over the \d+ observations",
+        "delta-sum-negative": r"deltas row \(-1\.0, \d+\) needs a finite delta sum >= 0",
+        "delta-sum-infinite": r"deltas row \(inf, ",
+        "delta-sum-nan": r"deltas row \(nan, ",
+        "delta-sum-string": r"deltas row \('1\.0', ",
     }
 
     @pytest.mark.parametrize("fault", MARKOV_FAULTS)
@@ -761,6 +767,7 @@ class TestCheckpointRoundTrip:
         sidecar = json.loads(path.read_text(encoding="utf-8"))
         state = sidecar["state"]
         counts = state["counts"][2][0][1]  # the first order-2 context
+        deltas = state["deltas"][2][0]  # its context, delta sum and observation count
         if fault == "orders-cut":
             state["counts"], state["deltas"] = state["counts"][:2], state["deltas"][:2]
         elif fault == "orders-added":
@@ -768,13 +775,17 @@ class TestCheckpointRoundTrip:
             state["deltas"].append([])
         elif fault.startswith("class"):
             counts["-1" if fault == "class-negative" else str(len(log.activity_vocab))] = 1
+        elif fault == "observations-miscounted":
+            deltas[2] += 1
+        elif fault.startswith("delta-sum"):
+            deltas[1] = {"negative": -1.0, "infinite": math.inf, "nan": math.nan, "string": "1.0"}[fault[10:]]
         else:
             counts[next(iter(counts))] = {"count-zero": 0, "count-float": 1.0, "count-bool": True}[fault]
         path.write_text(json.dumps(sidecar), encoding="utf-8")
         with pytest.raises(ValueError, match=self.MARKOV_FAULTS[fault]):
             load_predictor(tmp_path / "model")
 
-    @pytest.mark.parametrize("fault", ["truncated", "missing"])
+    @pytest.mark.parametrize("fault", ["truncated", "missing", "nan", "inf"])
     @pytest.mark.parametrize("arch", ["gru", "mlp", "autoencoder"])
     def test_malformed_parameters_rejected(self, arch, fault, linear_split, tmp_path):
         log, split = linear_split
@@ -789,10 +800,13 @@ class TestCheckpointRoundTrip:
         arrays = npz_arrays(path)
         if fault == "truncated":
             arrays["param:head_act:b"] = arrays["param:head_act:b"][:1]
-        else:
+        elif fault == "missing":
             del arrays["param:head_act:b"]
+        else:
+            arrays["param:head_act:b"][-1] = {"nan": np.nan, "inf": -np.inf}[fault]
         np.savez(path, **arrays)
-        with pytest.raises(ValueError, match="'head_act:b'"):
+        message = "'head_act:b'" + (" holds a NaN or an infinity" if fault in ("nan", "inf") else "")
+        with pytest.raises(ValueError, match=message):
             load_predictor(tmp_path / "model")
 
 
@@ -838,6 +852,51 @@ class TestTimedStateMlp:
         )
         with pytest.raises(ValueError, match="'l0:W'"):
             load_predictor(tmp_path / "model", bigger)
+
+    @pytest.mark.parametrize(
+        "decay_seconds", ["missing", None, 0, -1.0, math.inf, math.nan, "3600", True],
+        ids=["missing", "null", "zero", "negative", "infinite", "nan", "string", "bool"],
+    )
+    def test_sidecar_decay_horizon_must_be_finite_and_positive(self, decay_seconds, linear_split, tmp_path):
+        log, split = linear_split
+        cfg = fast_config(input_mode="timed_state", epochs=1)
+        predictor = MLPPredictor(log.activity_vocab, log.attribute_vocabs, cfg, petri_net=linear_net())
+        train(predictor, split, seed=0)
+        save_predictor(predictor, tmp_path / "model")
+        path = tmp_path / "model.json"
+        sidecar = json.loads(path.read_text(encoding="utf-8"))
+        if decay_seconds == "missing":
+            del sidecar["extra"]["decay_seconds"]
+        else:
+            sidecar["extra"]["decay_seconds"] = decay_seconds
+        path.write_text(json.dumps(sidecar), encoding="utf-8")
+        with pytest.raises(ValueError, match="decay_seconds"):
+            load_predictor(tmp_path / "model", linear_net())
+
+    def test_a_refit_equals_a_fresh_fit(self):
+        # the horizon defaults to the longest training case of each fit: a
+        # refit on more cases must not keep the first fit's
+        log, net = generator_log(1, 120)
+        split = temporal_split(log)
+        samples = make_prefix_samples(split.train)
+        cfg = fast_config(input_mode="timed_state", epochs=2, attributes=("Resource",))
+
+        def fitted(*sample_sets):
+            predictor = MLPPredictor(log.activity_vocab, log.attribute_vocabs, cfg, petri_net=net)
+            for train_samples in sample_sets:
+                predictor.fit(train_samples, [], seed=3)
+            return predictor
+
+        refit, fresh = fitted(samples[:50], samples), fitted(samples)
+        assert refit.decay_seconds == fresh.decay_seconds > fitted(samples[:50]).decay_seconds
+        assert refit.params.keys() == fresh.params.keys()
+        for name in fresh.params:
+            assert refit.params[name].tobytes() == fresh.params[name].tobytes(), name
+        given = replace(cfg, decay_seconds=1234.5)
+        predictor = MLPPredictor(log.activity_vocab, log.attribute_vocabs, given, petri_net=net)
+        for train_samples in (samples[:50], samples):
+            predictor.fit(train_samples, [], seed=3)
+            assert predictor.decay_seconds == 1234.5
 
     def test_sidecar_with_stored_width_still_loads(self, linear_split, tmp_path):
         log, split = linear_split

@@ -20,7 +20,7 @@ from ppmbench.petrinet import (
     replay_states,
     replay_timed_state,
 )
-from ppmbench.splitting import make_prefix_samples
+from ppmbench.splitting import FlatPrefixes, make_prefix_samples
 
 from conftest import generator_log
 
@@ -541,7 +541,7 @@ class TestReplayPrefixes:
         reference = {}
         for ks in orders:
             ks = list(ks)
-            states = replay_states(net, [events], [0] * len(ks), ks, None, vocabs)
+            states = replay_states(net, FlatPrefixes.of([events], [0] * len(ks), ks), None, vocabs)
             rows, nonconforming = state_rows(net, states, decay_s)
             assert len(rows) == len(ks)
             for k, row, count in zip(ks, rows, nonconforming):
@@ -604,7 +604,9 @@ class TestReplayPrefixes:
             warm = [
                 state_rows(
                     replaying,
-                    replay_states(replaying, [t.events], [0] * len(k), k, None, attribute_vocabs(t.events)),
+                    replay_states(
+                        replaying, FlatPrefixes.of([t.events], [0] * len(k), k), None, attribute_vocabs(t.events)
+                    ),
                     self.DECAY_S,
                 )
                 for t, k in zip(log.traces, ks)
@@ -630,15 +632,15 @@ class TestReplayPrefixes:
 
     def test_prefix_lengths_must_lie_in_the_trace(self):
         events = evs("AB")
-        assert len(replay_states(linear_net(), [events], [], []).at_ms) == 0
+        assert len(replay_states(linear_net(), FlatPrefixes.of([events], [], [])).at_ms) == 0
         for ks in ([-1], [3], [1, 3]):
             with pytest.raises(ValueError, match="prefix length"):
-                replay_states(linear_net(), [events], [0] * len(ks), ks)
+                FlatPrefixes.of([events], [0] * len(ks), ks)
         with pytest.raises(ValueError, match="no last event"):
-            replay_states(linear_net(), [events], [0], [0])
+            replay_states(linear_net(), FlatPrefixes.of([events], [0], [0]))
 
     def test_decay_needs_a_positive_horizon(self):
-        states = replay_states(linear_net(), [evs("AB")], [0], [1])
+        states = replay_states(linear_net(), FlatPrefixes.of([evs("AB")], [0], [1]))
         for decay_s in (0.0, -1.0):
             with pytest.raises(ValueError, match="decay_seconds"):
                 states.decay(decay_s)
@@ -672,7 +674,7 @@ class TestReplayPass:
         )
         for order in (np.arange(len(prefixes)), rng.permutation(len(prefixes))):
             trace_of, ks = np.array(prefixes, dtype=np.int64)[order].T
-            rows = replay_states(net, traces, trace_of, ks, None, vocabs).vectors(net, self.DECAY_S)
+            rows = replay_states(net, FlatPrefixes.of(traces, trace_of, ks), None, vocabs).vectors(net, self.DECAY_S)
             assert rows.dtype == np.float64 and rows.tobytes() == expected[order].tobytes()
         return prefixes, expected
 
@@ -681,13 +683,14 @@ class TestReplayPass:
         log, net = generator_log(seed, 400)
         rng = np.random.default_rng(seed)
         samples = make_prefix_samples(log)
-        assert len(log.traces) > REPLAY_CHUNK
+        assert len(samples) > 3 * REPLAY_CHUNK
         for attributes in ((), ("Resource",)):
             vocabs = {name: log.attribute_vocabs[name] for name in attributes}
             prefixes, expected = self.check_rows(net, [t.events for t in log.traces], vocabs, rng)
-            # the mlp replays shuffled samples in chunks of REPLAY_CHUNK traces
+            # the mlp replays shuffled samples, some repeated, in ranges of REPLAY_CHUNK samples
             row_of = {(log.traces[j].case_id, k): row for row, (j, k) in zip(expected, prefixes)}
             shuffled = [samples[i] for i in rng.permutation(len(samples))]
+            shuffled += [samples[i] for i in rng.choice(len(samples), size=REPLAY_CHUNK // 2)]
             config = TrainConfig(input_mode="timed_state", attributes=attributes, decay_seconds=self.DECAY_S)
             mlp = MLPPredictor(log.activity_vocab, log.attribute_vocabs, config, net)
             X, M = mlp._batch_inputs(shuffled)
@@ -713,18 +716,36 @@ class TestReplayPass:
                 Event("c", a, 1_600_000_000_000 + HOUR_MS * (i // 2), {"res": "r2"}) for i, a in enumerate(acts[0])
             ))  # pairs of events at one time
             prefixes, _ = self.check_rows(net, traces, vocabs, rng)
-            nonconforming = replay_states(net, traces, *zip(*prefixes)).nonconforming
+            nonconforming = replay_states(net, FlatPrefixes.of(traces, *zip(*prefixes))).nonconforming
             assert 0 < np.count_nonzero(nonconforming) < len(prefixes)
 
     def test_empty_prefix_and_decay_time(self):
         net = two_token_net()
         events = evs("BC")
         at = events[-1].timestamp_ms + 1800_000
-        states = replay_states(net, [(), events], [0, 1, 1], [0, 0, 2], [at, at, at])
+        states = replay_states(net, FlatPrefixes.of([(), events], [0, 1, 1], [0, 0, 2]), [at, at, at])
         for (events_k, row) in zip(((), (), events), states.vectors(net, 3600.0)):
             assert row.tobytes() == ref_vector(net, events_k, at, 3600.0, {}).tobytes()
         with pytest.raises(ValueError, match="prefix length 3 outside 0..2"):
-            replay_states(net, [events], [0], [3])
+            FlatPrefixes.of([events], [0], [3])
+
+    def test_empty_prefixes_among_walked_traces(self):
+        # k=0 rows of walked traces, of traces never walked and of traces of
+        # no events, in one layout, each read at its own time
+        net = two_token_net()
+        vocabs = {"res": Vocabulary([MISSING, "r1"])}
+        traces = [evs("BCD", attrs={"res": "r1"}), (), evs("CB"), evs("DZB", gap_ms=0), (), evs("BC")]
+        trace_of = [1, 0, 2, 5, 0, 3, 4, 0, 2, 1, 3, 0, 5]
+        ks = [0, 2, 0, 0, 0, 0, 0, 3, 1, 0, 3, 1, 0]
+        rng = np.random.default_rng(7)
+        at = 1_600_000_000_000 + rng.integers(0, 10 * HOUR_MS, size=len(ks))
+        states = replay_states(net, FlatPrefixes.of(traces, trace_of, ks), at, vocabs)
+        rows = states.vectors(net, self.DECAY_S)
+        for row, j, k, at_ms in zip(rows, trace_of, ks, at.tolist()):
+            assert row.tobytes() == ref_vector(net, traces[j][:k], at_ms, self.DECAY_S, vocabs).tobytes(), (j, k)
+        assert states.nonconforming.tolist() == [
+            ref_replay_timed_state(net, traces[j][:k], 0, 1.0)[4] for j, k in zip(trace_of, ks)
+        ]
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_a_step_equals_the_pass_one_event_on(self, seed):
@@ -732,7 +753,7 @@ class TestReplayPass:
         vocabs = {"Resource": log.attribute_vocabs["Resource"]}
         traces = [t.events for t in log.traces]
         trace_of = np.arange(len(traces))
-        states = replay_states(net, traces, trace_of, np.ones(len(traces), dtype=np.int64), None, vocabs)
+        states = replay_states(net, FlatPrefixes.of(traces, trace_of, np.ones_like(trace_of)), None, vocabs)
         for k in range(2, max(map(len, traces)) + 1):
             rows = np.flatnonzero([len(events) >= k for events in traces])
             events = [traces[j][k - 1] for j in rows]
@@ -741,7 +762,7 @@ class TestReplayPass:
             at = np.array([ev.timestamp_ms for ev in events], dtype=np.int64)
             states = states.step(net, np.searchsorted(trace_of, rows), [ev.activity for ev in events], at, steps)
             trace_of = rows
-            expected = replay_states(net, traces, rows, np.full(len(rows), k), None, vocabs)
+            expected = replay_states(net, FlatPrefixes.of(traces, rows, np.full(len(rows), k)), None, vocabs)
             for field in dataclasses.fields(TimedStates):
                 got, want = getattr(states, field.name), getattr(expected, field.name)
                 want = np.where(expected.visited, want, got) if field.name == "last_visit_ms" else want

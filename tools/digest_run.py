@@ -7,8 +7,10 @@ order 3 with alpha 1), autoencoder, mlp (``padded_flat``, ``single_event``,
 ``timed_state`` with Resource), gru (Resource, embedding), gru truncating its
 input at 4 events, lstm (remaining time) and rnn (no time head), 2 epochs
 each; a second matrix, ``later/``, holds a gru reading a window of 3 events
-without time features, and a third, ``wide/``, a gru at hidden 64 with 2
-layers (the width of a default ``gru64``), 2 epochs. Each is decoded four
+without time features; a third, ``wide/``, a gru at hidden 64 with 2
+layers (the width of a default ``gru64``), 2 epochs; and a fourth,
+``edge/``, markov at order 0 (every context empty) and an autoencoder at
+``ngram_k`` 1 (every carried tail empty). Each is decoded four
 times: argmax, random sampling, beam-2, and beam-3 with length-normalised
 scores. Prints
 ``sha256  path`` for every artifact the runs write, except the cell
@@ -52,12 +54,16 @@ MODELS = (
 )
 # A cell's seed depends on the number of models in its matrix, and metrics.csv
 # holds a row per cell, so models added after the listing was anchored run in
-# a matrix of their own (``later/``, then ``wide/``); the older lines stay.
+# a matrix of their own (``later/``, then ``wide/``, then ``edge/``); the older lines stay.
 LATER_MODELS = (
     ("gru-window", "gru", {**SMALL, "window": 3, "include_time": False}),
 )
 WIDE_MODELS = (
     ("gru64", "gru", {"hidden": 64, "layers": 2, **EPOCHS}),
+)
+EDGE_MODELS = (
+    ("markov0", "markov", {"order": 0}),
+    ("autoencoder-k1", "autoencoder", {**EPOCHS, "pretrain_epochs": 2, "freeze_epochs": 1, "ngram_k": 1}),
 )
 DECODES = {
     "argmax": {"strategy": "argmax"},
@@ -86,7 +92,8 @@ def run(out: Path) -> None:
         csv_path = out / f"{name}.csv"
         generator.write_csv(generator.generate(seed, cases), csv_path)
         datasets.append(bench.DatasetSpec(name, str(csv_path), petri_net=str(net_path)))
-    for root, specs in ((out, MODELS), (out / "later", LATER_MODELS), (out / "wide", WIDE_MODELS)):
+    matrices = ((out, MODELS), (out / "later", LATER_MODELS), (out / "wide", WIDE_MODELS), (out / "edge", EDGE_MODELS))
+    for root, specs in matrices:
         models = tuple(bench.ModelSpec(name, arch, dict(hp)) for name, arch, hp in specs)
         for name, decode in DECODES.items():
             config = bench.BenchmarkConfig(
