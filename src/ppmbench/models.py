@@ -379,7 +379,8 @@ class _MarkovHypotheses:
     def extend(self, parents, tokens, deltas) -> "_MarkovHypotheses":
         """Each parent's context plus its label, cut to the last ``order`` labels."""
         order, label = self.model.config.order, self.model.activity_vocab.label
-        contexts = [self.contexts[p] + (label(t),) for p, t in zip(parents, tokens)]
+        pairs = zip(np.asarray(parents).tolist(), np.asarray(tokens).tolist())
+        contexts = [self.contexts[p] + (label(t),) for p, t in pairs]
         return _MarkovHypotheses(self.model, [c[max(0, len(c) - order) :] for c in contexts])
 
 
@@ -673,10 +674,13 @@ class _NeuralPredictor(Predictor):
         first column; the outputs come back in the rows' order."""
         lengths = None if M is None else self._batch_lengths(M)
         order = None if lengths is None else np.argsort(-lengths, kind="stable")
+        rows = np.arange(len(X)) if order is None else order
 
-        def block(a, s):
-            rows = a[s : s + ROW_BLOCK] if order is None else a[order[s : s + ROW_BLOCK]]
-            return np.pad(rows, [(0, ROW_BLOCK - len(rows))] + [(0, 0)] * (a.ndim - 1))
+        def block(a, s):  # rows s.. in block order, zero-padded to ROW_BLOCK
+            picked = rows[s : s + ROW_BLOCK]
+            out = np.zeros((ROW_BLOCK,) + a.shape[1:], dtype=a.dtype)
+            np.take(a, picked, axis=0, out=out[: len(picked)])
+            return out
 
         outputs = [
             self._outputs(self.params, block(X, s), None if M is None else block(M, s))[:2]

@@ -95,10 +95,6 @@ class PrefixSample:
         return self.trace.case_id
 
     @property
-    def prefix_activities(self) -> tuple[str, ...]:
-        return tuple(ev.activity for ev in self.prefix)
-
-    @property
     def next_activity(self) -> str:
         return self.trace.events[self.k].activity
 

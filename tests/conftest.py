@@ -98,6 +98,11 @@ def generator_log(seed: int, cases: int) -> tuple[EventLog, PetriNet]:
     return augment_eoc(log), load_petri_json(generator.petri_net_json())
 
 
+def prefix_activities(sample) -> tuple[str, ...]:
+    """The activity labels of a prefix sample's events."""
+    return tuple(e.activity for e in sample.prefix)
+
+
 @pytest.fixture
 def linear_log() -> EventLog:
     return augment_eoc(make_linear_log())

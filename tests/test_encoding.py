@@ -30,7 +30,7 @@ from ppmbench.eventlog import (
 from ppmbench.models import REPLAY_CHUNK, AutoencoderPredictor, MLPPredictor, TrainConfig, build_predictor
 from ppmbench.splitting import FlatPrefixes, PrefixSample, make_prefix_samples, temporal_split
 
-from conftest import TABLE1_CSV, generator_log, make_linear_log, make_random_log
+from conftest import TABLE1_CSV, generator_log, make_linear_log, make_random_log, prefix_activities
 
 
 def events_at(acts, times, case="c"):
@@ -632,7 +632,7 @@ class TestFlatLayout:
         config = TrainConfig(ngram_k=3, ngram_dim=16, hash_seed=seed, ae_hidden=())
         autoencoder = AutoencoderPredictor(log.activity_vocab, config=config)
         X, M = autoencoder._batch_inputs(samples)
-        expected = [reference_ngram_hash_encode(list(s.prefix_activities), 3, 16, seed) for s in samples]
+        expected = [reference_ngram_hash_encode(list(prefix_activities(s)), 3, 16, seed) for s in samples]
         assert M is None and same_bits(X, np.array(expected, dtype=np.float32))
         gru = build_predictor("gru", TrainConfig(attributes=("Resource",)), log.activity_vocab, log.attribute_vocabs)
         gru._prepare(train)

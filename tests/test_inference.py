@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppmbench.eventlog import EOC, MISSING, Event, Trace, Vocabulary, augment_eoc
+from ppmbench.eventlog import EOC, MISSING, Event, EventLog, Trace, Vocabulary, augment_eoc
 from ppmbench import models
 from ppmbench.inference import DecodeConfig, SuffixPrediction, decode_suffix, decode_suffixes
 from ppmbench.metrics import evaluate_protocol, mae
@@ -18,7 +18,10 @@ from ppmbench.models import (
 )
 from ppmbench.splitting import PrefixSample, make_prefix_samples, temporal_split
 
-from conftest import EventPredictor, FixedDistributionModel, HashedRandomModel, generator_log, make_linear_log
+from conftest import (
+    EventPredictor, FixedDistributionModel, HashedRandomModel, generator_log, make_linear_log, make_random_log,
+    prefix_activities,
+)
 
 VOCAB3 = Vocabulary([EOC, "a", "b"])
 
@@ -449,7 +452,8 @@ def _ref_beam_score(beam, length_normalize):
     return beam.log_prob
 
 
-def _ref_beam_decode(model, events, cfg, attr_names):
+def _ref_beam_decode(model, events, cfg, attr_names, final=None):
+    # ``final``, when given, receives the beams the search ends with
     vocab = model.activity_vocab
     eoc_idx = vocab.index(EOC)
     beams = [_RefBeam(events, (), (), 0.0, False)]
@@ -477,6 +481,8 @@ def _ref_beam_decode(model, events, cfg, attr_names):
                     )
         candidates.sort(key=lambda b: (-_ref_beam_score(b, cfg.length_normalize), b.tokens))
         beams = candidates[: cfg.beam_width]
+    if final is not None:
+        final.extend(beams)
     best = min(beams, key=lambda b: (not b.finished, -_ref_beam_score(b, cfg.length_normalize), b.tokens))
     return SuffixPrediction(
         activities=tuple(vocab.label(i) for i in best.tokens),
@@ -751,7 +757,7 @@ class TestLockstepSearch:
         }
         drawn = rng.choice(len(samples), size=2 * models.REPLAY_CHUNK + 7)
         samples = [PrefixSample(stripped[id(samples[i].trace)], samples[i].k) for i in drawn]
-        prefixes = [s.prefix_activities for s in samples]
+        prefixes = [prefix_activities(s) for s in samples]
         for model in (trained[1], trained[8], trained[7]):
             calls = []  # the prefixes of each call's layout, in its order
             if model.architecture == "gru":
@@ -787,6 +793,179 @@ class TestLockstepSearch:
         assert hypotheses.decoded_counts.sum() == sum(map(sum, held))
         markov = trained[0]
         assert markov.hypotheses(samples).contexts == [p[max(0, len(p) - markov.config.order) :] for p in prefixes]
+
+
+def _log_rule_pools():
+    """Probabilities in [0.01, 0.15) from a fixed generator, split into those
+    on which the running numpy's ``np.log`` rounds otherwise than ``math.log`` and
+    the rest."""
+    candidates = np.random.default_rng(0).uniform(0.01, 0.15, 100_000)
+    apart = np.log(candidates) != np.array([math.log(p) for p in candidates.tolist()])
+    return candidates[apart], candidates[~apart]
+
+
+LOG_APART, LOG_ALIKE = _log_rule_pools()
+
+
+class LogRuleModel(EventPredictor):
+    """Distributions whose entries, all but one, are probabilities on which
+    ``np.log`` and ``math.log`` round apart (any probabilities when the
+    running numpy has none); the last entry takes the rest of the mass.
+    Keyed on the prefix activities."""
+
+    time_target = "next"
+
+    def __init__(self, vocab, seed):
+        self.activity_vocab = vocab
+        self.seed = seed
+
+    def predict(self, events):
+        key = "\x1f".join(e.activity for e in events).encode("utf-8")
+        digest = hashlib.blake2b(key, digest_size=8, key=self.seed.to_bytes(8, "little")).digest()
+        rng = np.random.default_rng(int.from_bytes(digest, "little"))
+        probs = rng.choice(LOG_APART if len(LOG_APART) else LOG_ALIKE, size=len(self.activity_vocab))
+        rest = int(rng.integers(len(probs)))
+        probs[rest] = 0.0
+        probs[rest] = 1.0 - probs.sum()
+        return probs, 3600.0
+
+
+class TestLogRule:
+    VOCAB = Vocabulary([EOC, "a", "b", "c", "d", "e"])
+
+    def test_the_stub_holds_probabilities_that_np_log_rounds_apart(self):
+        if not len(LOG_APART):
+            pytest.skip("np.log and math.log agree on every probability tried")
+        probs, _ = LogRuleModel(self.VOCAB, 0).predict(attributed_prefix(1, 0))
+        assert (np.log(probs) != np.array([math.log(p) for p in probs.tolist()])).sum() >= len(probs) - 1
+
+    def test_scores_compose_with_math_log(self):
+        for seed in range(12):
+            model = LogRuleModel(self.VOCAB, seed)
+            prefix = attributed_prefix(1 + seed % 3, seed)
+            for width in (1, 2, 3, 4):
+                for normalize in (False, True):
+                    cfg = DecodeConfig(strategy="beam", beam_width=width, max_len=5, length_normalize=normalize)
+                    assert decode_suffix(model, prefix, cfg) == _ref_decode(model, prefix, cfg), (seed, cfg)
+
+
+@pytest.fixture(scope="module")
+def three_label_models():
+    """A markov and a gru over two activities and the end-of-case label, and
+    the test prefixes of their log."""
+    log = augment_eoc(make_random_log(np.random.default_rng(5), 60, n_acts=2))
+    split = temporal_split(log)
+    trained = []
+    for arch in ("markov", "gru"):
+        model = build_predictor(arch, TrainConfig(hidden=8, layers=1, epochs=1, patience=1), log.activity_vocab)
+        train(model, split, seed=0)
+        trained.append(model)
+    return trained, make_prefix_samples(split.test)
+
+
+def sharing_tie_markov(eoc_first):
+    """An order-2 markov at alpha 0 fitted on the cases A B and A B C D: after
+    A it gives B EOC and B C D the same probability, 1/2, and B C D EOC too.
+    ``eoc_first`` puts the end-of-case label first in its vocabulary, or last."""
+    traces = tuple(
+        Trace(f"c{i}", tuple(Event(f"c{i}", a, 1_500_000_000_000 + j * 60_000) for j, a in enumerate(acts)))
+        for i, acts in enumerate((("A", "B"), ("A", "B", "C", "D")))
+    )
+    log = augment_eoc(EventLog(traces=traces, activity_vocab=Vocabulary(["A", "B", "C", "D"])))
+    vocab = Vocabulary([EOC, "A", "B", "C", "D"] if eoc_first else ["A", "B", "C", "D", EOC])
+    model = models.MarkovPredictor(vocab, TrainConfig(order=2, alpha=0.0))
+    model.fit(make_prefix_samples(log), [], seed=0)
+    return model, [s for s in make_prefix_samples(log) if s.k == 1]
+
+
+def _ties_across_lengths(final, length_normalize):
+    """Whether a finished beam ties in score with a longer one that shares its first token."""
+    return any(
+        f.finished and len(b.tokens) > len(f.tokens) and b.tokens[0] == f.tokens[0]
+        and _ref_beam_score(f, length_normalize) == _ref_beam_score(b, length_normalize)
+        for f in final for b in final
+    )
+
+
+class TestSearchEdges:
+    @pytest.mark.parametrize("width", [3, 4, 6])
+    def test_a_beam_wider_than_the_vocabulary(self, three_label_models, width):
+        trained, samples = three_label_models
+        for model in trained:
+            assert len(model.activity_vocab) == 3
+            for normalize in (False, True):
+                cfg = DecodeConfig(strategy="beam", beam_width=width, max_len=5, length_normalize=normalize)
+                expected = [_ref_decode(model, s.prefix, cfg) for s in samples]
+                assert decode_suffixes(model, samples, cfg) == expected, (model.architecture, cfg)
+
+    def test_max_len_cuts_beams_of_finished_and_unfinished_hypotheses(self, decode_models):
+        trained, samples = decode_models
+        samples = samples[:40]
+        for model in trained[:2]:  # markov, gru
+            mixed = 0
+            for max_len in (1, 3):
+                for normalize in (False, True):
+                    cfg = DecodeConfig(strategy="beam", beam_width=3, max_len=max_len, length_normalize=normalize)
+                    expected = []
+                    for s in samples:
+                        final = []
+                        expected.append(_ref_beam_decode(model, s.prefix, cfg, tuple(s.prefix[-1].attributes), final))
+                        mixed += len({b.finished for b in final}) == 2
+                    assert decode_suffixes(model, samples, cfg) == expected, (model.architecture, cfg)
+            assert mixed, model.architecture
+
+    @pytest.mark.parametrize("eoc_first", [True, False])
+    def test_a_finished_hypothesis_ties_a_longer_one_on_markov(self, eoc_first):
+        model, samples = sharing_tie_markov(eoc_first)
+        ties = 0
+        for width in (1, 2, 3, 4):
+            for normalize in (False, True):
+                cfg = DecodeConfig(strategy="beam", beam_width=width, max_len=6, length_normalize=normalize)
+                for s in samples:
+                    final = []
+                    expected = _ref_beam_decode(model, s.prefix, cfg, tuple(s.prefix[-1].attributes), final)
+                    ties += _ties_across_lengths(final, normalize)
+                    assert decode_suffix(model, s.prefix, cfg) == expected, (width, normalize)
+        assert ties
+        # at width 1 the tie after A B is the whole search: B EOC against B C
+        cfg = DecodeConfig(strategy="beam", beam_width=1, max_len=6)
+        assert decode_suffix(model, samples[0].prefix, cfg).activities == (
+            ("B", EOC) if eoc_first else ("B", "C", "D", EOC)
+        )
+
+    def test_a_finished_hypothesis_ties_a_longer_one_on_gru(self, decode_models):
+        # the head gives every prefix the same probability, 1/2 or 1/3, for
+        # the end-of-case label and one or two others, and about 1e-22 for
+        # every other label: normalised scores of lengths 1, 2 and 4 tie. One
+        # gru has the end-of-case label last in its vocabulary, the other first
+        trained, samples = decode_models
+        samples = samples[:20]
+        log, _ = generator_log(3, 120)
+        labels = [label for label in log.activity_vocab.labels if label != EOC]
+        log = replace(log, activity_vocab=Vocabulary([EOC] + labels))
+        eoc_first = build_predictor("gru", TrainConfig(hidden=8, layers=1, epochs=1, patience=1), log.activity_vocab)
+        train(eoc_first, temporal_split(log), seed=0)
+        ties = 0
+        for gru in (copy.deepcopy(trained[1]), eoc_first):
+            eoc = gru.activity_vocab.index(EOC)
+            others = [i for i in range(len(gru.activity_vocab)) if i != eoc]
+            for tied in ([eoc, others[0]], [eoc, others[0], others[1]]):
+                bias = np.full(len(gru.activity_vocab), -50.0)
+                bias[tied] = 0.0
+                gru.params["head_act:W"] = np.zeros_like(gru.params["head_act:W"])
+                gru.params["head_act:b"] = bias.astype(gru.params["head_act:b"].dtype)
+                assert (gru.predict_batch(samples)[0][:, tied] == 1.0 / len(tied)).all()
+                for width in (1, 2, 3, 4):
+                    for normalize in (False, True):
+                        cfg = DecodeConfig(strategy="beam", beam_width=width, max_len=5, length_normalize=normalize)
+                        expected = []
+                        for s in samples:
+                            final = []
+                            attr_names = tuple(s.prefix[-1].attributes)
+                            expected.append(_ref_beam_decode(gru, s.prefix, cfg, attr_names, final))
+                            ties += _ties_across_lengths(final, normalize)
+                        assert decode_suffixes(gru, samples, cfg) == expected, (eoc, tied, cfg)
+        assert ties
 
 
 @pytest.fixture(scope="module")

@@ -29,7 +29,7 @@ from ppmbench.models import (
 from ppmbench.petrinet import PetriNet, Transition
 from ppmbench.splitting import PrefixSample, make_prefix_samples, temporal_split
 
-from conftest import generator_log, make_linear_log, make_random_log
+from conftest import generator_log, make_linear_log, make_random_log, prefix_activities
 
 def npz_arrays(path):
     with np.load(path) as data:
@@ -118,11 +118,11 @@ class TestMarkov:
         for sample in samples[:50]:
             probs, _ = predictor.predict(sample.prefix)
             j = min(order, len(sample.prefix))
-            ctx = sample.prefix_activities[len(sample.prefix) - j :]
+            ctx = prefix_activities(sample)[len(sample.prefix) - j :]
             matches = [
                 s
                 for s in samples
-                if len(s.prefix) >= j and s.prefix_activities[len(s.prefix) - j :] == ctx
+                if len(s.prefix) >= j and prefix_activities(s)[len(s.prefix) - j :] == ctx
             ]
             assert matches  # the sample itself matches its own context
             counts = {}
@@ -170,7 +170,7 @@ class TestMarkov:
 def ref_fit_ngram_counts(samples, order, vocab):
     tables = [{} for _ in range(order + 1)]
     for sample in samples:
-        acts = sample.prefix_activities
+        acts = prefix_activities(sample)
         target = vocab.index(sample.next_activity)
         for j in range(0, order + 1):
             if j > len(acts):
@@ -180,8 +180,8 @@ def ref_fit_ngram_counts(samples, order, vocab):
     return tables
 
 
-def ref_markov_predict(tables, prefix_activities, order, alpha, vocab):
-    acts = tuple(prefix_activities)
+def ref_markov_predict(tables, activities, order, alpha, vocab):
+    acts = tuple(activities)
     k = len(vocab)
     for j in range(min(order, len(acts)), -1, -1):
         ctx = acts[len(acts) - j :]
@@ -198,7 +198,7 @@ def ref_markov_predict(tables, prefix_activities, order, alpha, vocab):
 def ref_delta_tables(samples, order):
     delta_tables = [{} for _ in range(order + 1)]
     for sample in samples:
-        acts = sample.prefix_activities
+        acts = prefix_activities(sample)
         for j in range(0, order + 1):
             if j > len(acts):
                 break
@@ -237,7 +237,7 @@ class TestMarkovReferenceEquivalence:
             + ((EOC,) if i % 2 else ())
             for i in range(40)
         ]
-        queries = [s.prefix_activities for s in make_prefix_samples(split.test)] + unseen
+        queries = [prefix_activities(s) for s in make_prefix_samples(split.test)] + unseen
         for order in range(4):
             counts = ref_fit_ngram_counts(train_samples, order, vocab)
             deltas = ref_delta_tables(train_samples, order)
@@ -318,7 +318,7 @@ class TestMarkovContextRows:
                 probs, times = predictor.predict_batch(samples)
                 for row, time_s, sample in zip(probs, times, samples):
                     want, want_time = ref_backoff_walk(predictor, sample.prefix)
-                    assert row.tobytes() == want.tobytes(), (order, alpha, sample.prefix_activities)
+                    assert row.tobytes() == want.tobytes(), (order, alpha, prefix_activities(sample))
                     assert time_s == want_time if want_time is not None else np.isnan(time_s)
                 reference = BackoffWalkModel(predictor)
                 for cfg in self.DECODES:

@@ -17,6 +17,7 @@ from ppmbench.eventlog import (
     parse_csv,
 )
 from ppmbench.splitting import (
+    FlatPrefixes,
     apply_split_manifest,
     make_prefix_samples,
     read_split_manifest,
@@ -95,11 +96,9 @@ class TestPrefixSamples:
         log = augment_eoc(parse_csv(table1_csv.encode()))
         samples = make_prefix_samples(log)
         sample = next(s for s in samples if s.case_id == "Case2088" and s.k == 3)
-        assert sample.prefix_activities == (
-            "Assign seriousness",
-            "Take in charge ticket",
-            "Create SW anomaly",
-        )
+        assert FlatPrefixes.of_samples([sample]).last_activities(sample.k) == [
+            ("Assign seriousness", "Take in charge ticket", "Create SW anomaly")
+        ]
         assert sample.suffix_activities == ("Resolve ticket", "Closed", EOC)
         assert sample.next_activity == "Resolve ticket"
 
@@ -133,8 +132,10 @@ class TestPrefixSamples:
         for _ in range(10):
             log = augment_eoc(make_random_log(rng, 8))
             trace_acts = {t.case_id: t.activities for t in log.traces}
-            for sample in make_prefix_samples(log):
-                assert sample.prefix_activities + sample.suffix_activities == trace_acts[sample.case_id]
+            samples = make_prefix_samples(log)
+            prefixes = FlatPrefixes.of_samples(samples).last_activities(max(s.k for s in samples))
+            for sample, prefix in zip(samples, prefixes, strict=True):
+                assert prefix + sample.suffix_activities == trace_acts[sample.case_id]
 
     def test_sample_count_is_length_minus_one(self):
         rng = np.random.default_rng(29)
