@@ -113,10 +113,11 @@ class TrainReport:
     of the last training stage, its validation included) are informational
     and excluded from reproducibility comparisons (:meth:`core`); everything
     else is bit-reproducible for a fixed seed. ``grad_norms`` (each epoch's
-    mean global gradient norm before clipping) and ``clipped_batches`` (each
-    epoch's count of batches whose gradient was clipped) describe the last
-    SGD stage; they stay outside :meth:`core` too, and a model that trains
-    no SGD stage (Markov) leaves them empty.
+    mean global gradient norm before clipping), ``clipped_batches`` (each
+    epoch's count of batches whose gradient was clipped) and
+    ``learning_rates`` (the rate each epoch ran at) describe the last SGD
+    stage; they stay outside :meth:`core` too, and a model that trains no
+    SGD stage (Markov) leaves them empty.
     """
 
     train_losses: tuple[float, ...]
@@ -127,6 +128,7 @@ class TrainReport:
     seed: int
     grad_norms: tuple[float, ...] = ()
     clipped_batches: tuple[int, ...] = ()
+    learning_rates: tuple[float, ...] = ()
 
     def core(self) -> dict:
         return {
@@ -396,7 +398,7 @@ def _time_values(samples, time_target: str) -> np.ndarray:
 
 POOL_BATCHES = 32  # batches per length-sorted pool of a recurrent model's epoch
 REPLAY_CHUNK = 256  # samples per timed-state replay pass; bounds the pass's (events, places) arrays
-ROW_BLOCK = 64  # rows per inference forward, the last block zero-padded (see _NeuralPredictor._infer)
+ROW_BLOCK = 64  # rows per inference forward, the last block zero-padded (see _NeuralPredictor._blocked_outputs)
 
 
 def _epoch_batches(rng, n_train: int, batch_size: int, lengths: np.ndarray | None = None) -> list[np.ndarray]:
@@ -428,7 +430,11 @@ def _sgd_train(
     """Mini-batch SGD with per-epoch validation, early stopping, and
     best-validation checkpointing. Deterministic for a fixed seed. A
     non-finite batch loss stops training with ``ValueError`` before the
-    update it would feed.
+    update it would feed. ``val_loss_fn`` scores the parameters after each
+    epoch (a neural model through its inference forward,
+    :meth:`_NeuralPredictor._blocked_outputs`); without it the epoch's mean
+    training loss stands in. Each ``config.lr_patience`` stalled epochs
+    multiply the learning rate by ``config.lr_decay``.
 
     Batch order: each epoch draws one permutation of the training rows and
     cuts it into batches of ``config.batch_size``. A recurrent model, whose
@@ -445,6 +451,7 @@ def _sgd_train(
     epoch_seconds: list[float] = []
     grad_norms: list[float] = []
     clipped_batches: list[int] = []
+    learning_rates: list[float] = []
     best_val = np.inf
     best_epoch = 0
     best_params = {k: v.copy() for k, v in params.items()}
@@ -465,6 +472,7 @@ def _sgd_train(
         train_hist.append(train_loss)
         grad_norms.append(norms / max(len(batches), 1))
         clipped_batches.append(clipped)
+        learning_rates.append(opt.lr)
         val = val_loss_fn(params) if val_loss_fn is not None else train_loss
         val_hist.append(val)
         epoch_seconds.append(time.perf_counter() - epoch_start)
@@ -486,6 +494,7 @@ def _sgd_train(
         seed=seed,
         grad_norms=tuple(grad_norms),
         clipped_batches=tuple(clipped_batches),
+        learning_rates=tuple(learning_rates),
     )
     return best_params, report
 
@@ -636,10 +645,14 @@ class _NeuralPredictor(Predictor):
         X, M, y_act, y_time = self._fit_arrays(train_samples)
         val_loss = None
         if val_samples:
-            val_arrays = self._arrays(val_samples)
+            X_val, M_val, y_act_val, y_time_val = self._arrays(val_samples)
 
-            def val_loss(p):
-                return self._head_loss(p, *val_arrays)[0]
+            def val_loss(p):  # the inference forward: no backward cache, and no padded row counts
+                logits, tpred = self._blocked_outputs(p, X_val, M_val)
+                losses = [nn.softmax_cross_entropy(logits, y_act_val)[0]]
+                if tpred is not None and y_time_val is not None:
+                    losses.append(nn.mae_loss(tpred[:, 0], y_time_val)[0])
+                return nn.combine_losses(losses)
 
         rng = np.random.default_rng(seed)
         params = self._pretrain(self._build_params(rng), X, y_act, rng, seed)
@@ -662,19 +675,18 @@ class _NeuralPredictor(Predictor):
         if not self.params:
             raise RuntimeError("predictor used before fit()")
 
-    def _infer(self, X, M):
-        """The float64 softmax of the activity logits of the rows of ``X`` and
-        their time predictions in seconds, clamped at 0 (NaN without a time
-        head). The plain :meth:`_outputs` runs on consecutive blocks of
-        ``ROW_BLOCK`` rows, the last zero-padded with a False mask: every row
-        goes through products of one shape, so its outputs do not depend on
-        the batch it came in, and a forward holds one block's arrays at a time.
-        A recurrent model's rows are blocked longest first (a stable sort by
-        :meth:`_batch_lengths`), so each block steps from about its own rows'
-        first column; the outputs come back in the rows' order."""
+    def _blocked_outputs(self, params, X, M):
+        """The activity logits and the time predictions (None without a time
+        head) of the rows of ``X`` under ``params``, in the rows' order. The
+        plain :meth:`_outputs` runs on consecutive blocks of ``ROW_BLOCK``
+        rows, the last zero-padded with a False mask whose rows' outputs are
+        dropped: every row goes through products of one shape, so its
+        outputs do not depend on the batch it came in, and a forward holds
+        one block's arrays at a time. A recurrent model's rows are blocked
+        longest first (a stable sort by :meth:`_batch_lengths`), so each
+        block steps from about its own rows' first column."""
         lengths = None if M is None else self._batch_lengths(M)
-        order = None if lengths is None else np.argsort(-lengths, kind="stable")
-        rows = np.arange(len(X)) if order is None else order
+        rows = np.arange(len(X)) if lengths is None else np.argsort(-lengths, kind="stable")
 
         def block(a, s):  # rows s.. in block order, zero-padded to ROW_BLOCK
             picked = rows[s : s + ROW_BLOCK]
@@ -683,17 +695,25 @@ class _NeuralPredictor(Predictor):
             return out
 
         outputs = [
-            self._outputs(self.params, block(X, s), None if M is None else block(M, s))[:2]
+            self._outputs(params, block(X, s), None if M is None else block(M, s))[:2]
             for s in range(0, max(len(X), 1), ROW_BLOCK)
         ]
-        probs = nn.softmax(np.concatenate([logits for logits, _ in outputs])[: len(X)].astype(np.float64))
+        logits = np.concatenate([logits for logits, _ in outputs])[: len(X)]
+        tpred = None if outputs[0][1] is None else np.concatenate([tpred for _, tpred in outputs])[: len(X)]
+        if lengths is not None:  # back to the rows' order
+            back = np.argsort(rows)
+            logits, tpred = logits[back], None if tpred is None else tpred[back]
+        return logits, tpred
+
+    def _infer(self, X, M):
+        """The float64 softmax of the activity logits of the rows of ``X`` and
+        their time predictions in seconds, clamped at 0 (NaN without a time
+        head), from :meth:`_blocked_outputs` under the fitted parameters."""
+        logits, tpred = self._blocked_outputs(self.params, X, M)
+        probs = nn.softmax(logits.astype(np.float64))
         times = np.full(len(probs), np.nan)
-        if outputs[0][1] is not None and self.time_norm is not None:
-            tpred = np.concatenate([tpred for _, tpred in outputs])[: len(X)]
+        if tpred is not None and self.time_norm is not None:
             times = np.fmax(0.0, self.time_norm.inverse(tpred[:, 0]))
-        if order is not None:
-            back = np.argsort(order)
-            probs, times = probs[back], times[back]
         return probs, times
 
     def predict_batch(self, samples):

@@ -170,10 +170,13 @@ class TestRunMatrix:
         out = tmp_path / "out"
         for model, epochs in (("markov", 0), ("mlp", 3)):
             report = json.loads((out / "cells" / f"linear__{model}.result.json").read_text())["train_report"]
-            assert len(report["grad_norms"]) == len(report["clipped_batches"]) == epochs
+            fields = ("grad_norms", "clipped_batches", "learning_rates")
+            assert [len(report[name]) for name in fields] == [epochs] * 3
+        record = json.loads((out / "run_record.json").read_text())
+        assert all("learning_rates" in cell["train_report"] for cell in record["cells"])
         for name in ("metrics.csv", "report.md"):
             text = (out / name).read_text()
-            assert "grad_norms" not in text and "clipped_batches" not in text
+            assert "grad_norms" not in text and "clipped_batches" not in text and "learning_rates" not in text
 
     def test_identical_split_manifests_across_models(self, tmp_path, log_csv):
         config = small_config(tmp_path, log_csv)

@@ -190,6 +190,7 @@ class TestTrainEvaluate:
         assert (out / "model.json").exists()
         report = json.loads((out / "train_report.json").read_text())
         assert len(report["epoch_seconds"]) == len(report["train_losses"]) == 1
+        assert report["learning_rates"] == []  # Markov trains no SGD stage
         assert capsys.readouterr().out.splitlines()[-1] == f"checkpoint: {out / 'model.json'}"
 
         code = main(

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -527,6 +528,28 @@ class TestTrainingLoop:
         assert all(math.isfinite(norm) and norm > 1e-9 for norm in report.grad_norms)
         assert set(report.core()) == {"train_losses", "val_losses", "best_epoch", "seed"}
 
+    def test_learning_rate_halves_after_each_stalled_epoch(self):
+        val_losses = iter([3.0, 2.0, 2.5, 2.6, 1.0, 1.5, 1.7])
+        config = TrainConfig(epochs=7, patience=7, lr=0.1, lr_decay=0.5, lr_patience=1)
+        _, report = models._sgd_train(
+            {"w": np.zeros(2)}, lambda p, idx: (0.0, {"w": np.zeros(2)}), lambda p: next(val_losses), 4, config, 0
+        )
+        # epochs 2, 3 and 5 stall; each halves the rate of the epoch after it
+        assert report.learning_rates == (0.1, 0.1, 0.1, 0.05, 0.025, 0.025, 0.0125)
+        assert "learning_rates" not in report.core()
+
+    def test_learning_rates_follow_the_stalls_of_a_real_run(self, linear_split):
+        log, split = linear_split
+        cfg = fast_config(epochs=8, patience=8, lr=0.5, lr_decay=0.5, lr_patience=1)
+        report = train(RecurrentPredictor("gru", log.activity_vocab, config=cfg), split, seed=0)
+        rate, expected = cfg.lr, []
+        for epoch, loss in enumerate(report.val_losses):
+            expected.append(rate)
+            if epoch > 0 and loss >= min(report.val_losses[:epoch]):  # no new best: a stalled epoch
+                rate *= cfg.lr_decay
+        assert report.learning_rates == tuple(expected)
+        assert report.learning_rates[-1] < cfg.lr  # the run stalled at least once
+
     def test_autoencoder_recon_losses_non_increasing(self, linear_split):
         # cross-stage ordering of the final reconstruction losses is scale- and
         # seed-dependent (each stage reconstructs a different signal); assert
@@ -666,7 +689,7 @@ class TestBatchOrder:
 
         def counting_forward(cell, params, inputs, mask=None):
             hs, caches = forward(cell, params, inputs, mask)
-            if len(inputs) <= cfg.batch_size:  # a training batch, not the validation set
+            if len(inputs) <= cfg.batch_size:  # a training batch, not a validation block
                 steps.append(len(caches[2]))
             return hs, caches
 
@@ -1164,6 +1187,116 @@ class TestBatchInvariance:
         lengths = np.sort(predictor._batch_inputs(samples)[1].sum(axis=1))[::-1]
         # a block steps from the first column of its longest row
         assert stepped == [lengths[s] for s in range(0, len(samples), models.ROW_BLOCK)]
+
+
+def fit_keeping_val_loss(monkeypatch, predictor, train_samples, val_samples):
+    """Fit the predictor and return the validation-loss function its last
+    SGD stage ran with."""
+    kept = []
+    sgd_train = models._sgd_train
+
+    def keeping_sgd_train(params, batch_step, val_loss_fn, *args):
+        if val_loss_fn is not None:
+            kept.append(val_loss_fn)
+        return sgd_train(params, batch_step, val_loss_fn, *args)
+
+    monkeypatch.setattr(models, "_sgd_train", keeping_sgd_train)
+    predictor.fit(train_samples, val_samples, seed=1)
+    monkeypatch.setattr(models, "_sgd_train", sgd_train)
+    [val_loss] = kept
+    return val_loss
+
+
+class TestValidationLoss:
+    """The per-epoch validation loss runs the blocked inference forward: its
+    cross-entropy is the mean negative log of ``predict_batch``'s probability
+    of each true activity, bit for bit, so the padded rows of the last block
+    never count; the whole loss agrees with a whole-set ``_head_loss`` to
+    float32 rounding; and it holds one block's caches at a time."""
+
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize(
+        "arch, overrides",
+        [
+            ("gru", {"attributes": ("Resource",)}),
+            ("lstm", {"embedding_dim": 4, "time_target": "remaining"}),
+            ("mlp", {"input_mode": "timed_state"}),
+            ("autoencoder", {"ngram_dim": 16, "ae_hidden": (8, 4), "pretrain_epochs": 1, "freeze_epochs": 1}),
+        ],
+        ids=["gru-resource", "lstm-embedding-remaining", "mlp-timed-state", "autoencoder"],
+    )
+    def test_the_loss_is_the_inference_forward_over_the_real_rows(self, arch, overrides, rows, monkeypatch):
+        log, net, split = invariance_split()
+        cfg = TrainConfig(hidden=8, layers=1, epochs=1, patience=1, **overrides)
+        predictor = build_predictor(arch, cfg, log.activity_vocab, log.attribute_vocabs, net)
+        val = make_prefix_samples(split.validation)[:rows]
+        assert len(val) == rows
+        val_loss = fit_keeping_val_loss(monkeypatch, predictor, make_prefix_samples(split.train), val)
+        cross_entropies = []
+        cross_entropy = nn.softmax_cross_entropy
+
+        def recording_cross_entropy(logits, targets):
+            loss, dlogits = cross_entropy(logits, targets)
+            cross_entropies.append(loss)
+            return loss, dlogits
+
+        monkeypatch.setattr(nn, "softmax_cross_entropy", recording_cross_entropy)
+        loss = val_loss(predictor.params)
+        monkeypatch.setattr(nn, "softmax_cross_entropy", cross_entropy)
+        probs, _ = predictor.predict_batch(val)
+        targets = np.array([log.activity_vocab.index(s.next_activity) for s in val])
+        assert cross_entropies == [float(-np.log(np.maximum(probs[np.arange(rows), targets], 1e-300)).mean())]
+        whole_set = predictor._head_loss(predictor.params, *predictor._arrays(val))[0]
+        assert loss == pytest.approx(whole_set, rel=1e-6)
+        if predictor.time_target is None:  # the autoencoder has no time head
+            assert loss == cross_entropies[0]
+        else:
+            assert loss > cross_entropies[0]
+        order = np.random.default_rng(rows).permutation(rows)
+        logits, _ = predictor._blocked_outputs(predictor.params, *predictor._batch_inputs(val))
+        shuffled, _ = predictor._blocked_outputs(predictor.params, *predictor._batch_inputs([val[i] for i in order]))
+        assert np.array_equal(shuffled, logits[order])
+
+    def test_a_recurrent_validation_forward_steps_each_block_from_its_longest_row(self, monkeypatch):
+        log, net, split = invariance_split()
+        cfg = TrainConfig(hidden=16, layers=1, epochs=2, patience=2, batch_size=16)
+        val = make_prefix_samples(split.validation)
+        stepped = []
+        forward = nn.sequence_forward
+
+        def counting_forward(cell, params, inputs, mask=None):
+            hs, caches = forward(cell, params, inputs, mask)
+            if len(inputs) == models.ROW_BLOCK:  # a validation block, not a training batch
+                stepped.append(len(caches[2]))
+            return hs, caches
+
+        monkeypatch.setattr(nn, "sequence_forward", counting_forward)
+        predictor = build_predictor("gru", cfg, log.activity_vocab)
+        report = predictor.fit(make_prefix_samples(split.train), val, seed=1)
+        lengths = np.sort(predictor._batch_inputs(val)[1].sum(axis=1))[::-1]
+        per_epoch = [lengths[s] for s in range(0, len(val), models.ROW_BLOCK)]
+        assert len(report.val_losses) == 2
+        assert stepped == per_epoch * 2
+        assert per_epoch[-1] < lengths[0]  # the shortest rows' block steps fewer columns
+
+    def test_validation_memory_does_not_grow_with_rows_times_columns_times_hidden(self, monkeypatch):
+        log, net, split = invariance_split()
+        cfg = TrainConfig(hidden=64, layers=2, epochs=1, patience=1, attributes=("Resource",))
+        train_samples = make_prefix_samples(split.train)
+        block_pair = make_prefix_samples(split.validation)[: 2 * models.ROW_BLOCK]
+        peaks = {}
+        for blocks in (2, 16):
+            predictor = build_predictor("gru", cfg, log.activity_vocab, log.attribute_vocabs)
+            val_loss = fit_keeping_val_loss(monkeypatch, predictor, train_samples, block_pair * (blocks // 2))
+            tracemalloc.start()
+            try:
+                val_loss(predictor.params)
+                peaks[blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # per extra row: eight float64 copies of its logits and time prediction
+        extra_rows = (16 - 2) * models.ROW_BLOCK
+        assert peaks[16] - peaks[2] <= extra_rows * 8 * 8 * (len(log.activity_vocab) + 1)
 
 
 class TestDeterministicLearnability:
