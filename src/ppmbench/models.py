@@ -429,12 +429,19 @@ def _sgd_train(
 ) -> tuple[dict[str, np.ndarray], TrainReport]:
     """Mini-batch SGD with per-epoch validation, early stopping, and
     best-validation checkpointing. Deterministic for a fixed seed. A
-    non-finite batch loss stops training with ``ValueError`` before the
-    update it would feed. ``val_loss_fn`` scores the parameters after each
-    epoch (a neural model through its inference forward,
-    :meth:`_NeuralPredictor._blocked_outputs`); without it the epoch's mean
-    training loss stands in. Each ``config.lr_patience`` stalled epochs
-    multiply the learning rate by ``config.lr_decay``.
+    non-finite batch loss or gradient norm stops training with a
+    ``ValueError`` that names the epoch, before the update it would feed.
+    The call's one :class:`nn.SGD` copies the parameters that the first
+    batch's gradients name into one flat buffer and rebinds them in
+    ``params`` to views of it; it takes each batch's gradient norm as one
+    float64 dot over the concatenated gradients. The caller's arrays are
+    never written, and each training stage (the autoencoder's pretraining
+    and frozen-encoder stages) gets a buffer of its own. ``val_loss_fn``
+    scores the parameters after each epoch (a neural model through its
+    inference forward, :meth:`_NeuralPredictor._blocked_outputs`); without
+    it the epoch's mean training loss stands in. Each
+    ``config.lr_patience`` stalled epochs multiply the learning rate by
+    ``config.lr_decay``.
 
     Batch order: each epoch draws one permutation of the training rows and
     cuts it into batches of ``config.batch_size``. A recurrent model, whose
@@ -464,7 +471,10 @@ def _sgd_train(
             loss, grads = batch_step(params, idx)
             if not np.isfinite(loss):
                 raise ValueError(f"non-finite training loss {loss!r} in epoch {epoch}")
-            norm = opt.step(params, grads)
+            try:
+                norm = opt.step(params, grads)
+            except ValueError as error:
+                raise ValueError(f"{error} in epoch {epoch}") from error
             total += loss
             norms += norm
             clipped += opt.clip_norm is not None and norm > opt.clip_norm

@@ -323,6 +323,9 @@ def combine_losses(task_losses: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 
 def global_norm(grads: Mapping[str, np.ndarray]) -> float:
+    """Euclidean norm of all the gradients' entries together, summed in
+    float64 one array at a time. :meth:`SGD.step` takes the same norm as one
+    float64 dot, which may round differently in the last bits."""
     total = 0.0
     for g in grads.values():
         total += float((g.astype(np.float64) ** 2).sum())
@@ -330,28 +333,68 @@ def global_norm(grads: Mapping[str, np.ndarray]) -> float:
 
 
 class SGD:
-    """SGD with classical momentum and optional global gradient-norm clipping."""
+    """SGD with classical momentum and optional global gradient-norm clipping.
+
+    The first :meth:`step` copies the parameters its gradients name into one
+    flat buffer, in the gradients' key order, and rebinds each of those
+    ``params[name]`` to a view of the buffer; the caller's arrays are never
+    written, and a parameter that gets no gradient is left alone. Every step
+    then updates the buffer and one flat velocity in place, so between steps
+    each ``params[name]`` must stay bound to its view."""
 
     def __init__(self, lr: float = 0.01, momentum: float = 0.9, clip_norm: float | None = 5.0):
         self.lr = lr
         self.momentum = momentum
         self.clip_norm = clip_norm
-        self.velocity: dict[str, np.ndarray] = {}
+        self._shapes: dict[str, tuple[int, ...]] = {}  # bound parameters, in buffer order
+        self._flat: np.ndarray | None = None
+        self._velocity: np.ndarray | None = None
+
+    def _bind(self, params: dict[str, np.ndarray], names: list[str]) -> None:
+        missing = [name for name in names if name not in params]
+        if missing:
+            raise ValueError(f"gradients for parameters that do not exist: {missing}")
+        dtypes = {params[name].dtype for name in names}
+        if len(dtypes) != 1:
+            raise ValueError(f"the parameters to update must share one dtype, got {sorted(map(str, dtypes))}")
+        self._flat = np.concatenate([params[name].ravel() for name in names])
+        self._velocity = np.zeros_like(self._flat)
+        offset = 0
+        for name in names:
+            shape = params[name].shape
+            size = math.prod(shape)
+            params[name] = self._flat[offset : offset + size].reshape(shape)
+            self._shapes[name] = shape
+            offset += size
 
     def step(self, params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> float:
         """Update ``params`` from ``grads``; returns the gradients' global
-        norm before clipping."""
-        norm = global_norm(grads)
+        norm before clipping. Gradients of another key set, shape or dtype
+        than the bound parameters, and a non-finite norm, raise
+        ``ValueError`` before anything is written."""
+        if self._flat is None:
+            self._bind(params, list(grads))
+        if grads.keys() != self._shapes.keys():
+            raise ValueError(f"gradients for {sorted(grads)}, but this optimiser updates {sorted(self._shapes)}")
+        flat, v = self._flat, self._velocity
+        parts = [grads[name] for name in self._shapes]
+        if [part.shape for part in parts] != list(self._shapes.values()):
+            raise ValueError(f"gradient shapes {[part.shape for part in parts]} differ from {list(self._shapes.values())}")
+        try:
+            g = np.concatenate([part.ravel() for part in parts], dtype=flat.dtype, casting="no")
+        except TypeError:
+            raise ValueError(f"gradient dtypes {[str(part.dtype) for part in parts]} differ from {flat.dtype}") from None
+        g64 = g.astype(np.float64, copy=False)
+        norm = math.sqrt(float(np.dot(g64, g64)))
+        if not math.isfinite(norm):
+            raise ValueError(f"non-finite gradient norm {norm!r}")
         scale = 1.0
         if self.clip_norm is not None and norm > self.clip_norm:
             scale = self.clip_norm / norm
-        for name, grad in grads.items():
-            v = self.velocity.get(name)
-            if v is None:
-                v = np.zeros_like(params[name])
-            v = self.momentum * v - self.lr * scale * grad
-            self.velocity[name] = v
-            params[name] = params[name] + v
+        g *= self.lr * scale
+        v *= self.momentum
+        v -= g
+        flat += v
         return norm
 
 

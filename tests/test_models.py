@@ -486,6 +486,29 @@ class TestTrainingLoop:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite.*epoch"):
             train(predictor, split, seed=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_gradient_stops_training_before_its_update(self, bad):
+        # a finite loss with a non-finite gradient in the second epoch's first batch
+        rng = np.random.default_rng(0)
+        params = {"W": rng.normal(size=(3, 2)).astype(np.float32), "b": np.zeros(2, np.float32)}
+        before = {}
+
+        def batch_step(p, idx):
+            grads = {k: np.full_like(v, 0.1) for k, v in p.items()}
+            batch_step.calls += 1
+            if batch_step.calls == 5:
+                before.update({k: v.copy() for k, v in p.items()})
+                grads["W"][1, 0] = bad
+            return 1.0, grads
+
+        batch_step.calls = 0
+        config = TrainConfig(epochs=3, patience=3, batch_size=2, lr=0.1)
+        with pytest.raises(ValueError, match=r"non-finite gradient norm (nan|inf) in epoch 1"):
+            models._sgd_train(params, batch_step, None, 8, config, 0)
+        assert batch_step.calls == 5
+        for k in params:
+            assert np.array_equal(params[k], before[k]), k
+
     def test_wall_clock_covers_whole_fit(self, linear_split):
         # the autoencoder spends most of its fit before the fine-tune stage
         log, split = linear_split

@@ -531,6 +531,237 @@ class TestOptimizer:
             assert np.array_equal(a[k], b[k])
 
 
+class reference_sgd:
+    """The dict optimiser that the flat-buffer ``nn.SGD`` replaced: a float64
+    norm summed one parameter at a time, then a new velocity and a new
+    parameter array for every gradient."""
+
+    def __init__(self, lr=0.01, momentum=0.9, clip_norm=5.0):
+        self.lr = lr
+        self.momentum = momentum
+        self.clip_norm = clip_norm
+        self.velocity = {}
+
+    def step(self, params, grads):
+        total = 0.0
+        for g in grads.values():
+            total += float((g.astype(np.float64) ** 2).sum())
+        norm = math.sqrt(total)
+        scale = 1.0
+        if self.clip_norm is not None and norm > self.clip_norm:
+            scale = self.clip_norm / norm
+        for name, grad in grads.items():
+            v = self.velocity.get(name)
+            if v is None:
+                v = np.zeros_like(params[name])
+            v = self.momentum * v - self.lr * scale * grad
+            self.velocity[name] = v
+            params[name] = params[name] + v
+        return norm
+
+
+SGD_SHAPES = {"U": (5, 12), "W": (4, 12), "b": (12,), "head:W": (4, 3), "head:b": (3,), "head:s": ()}
+
+
+def random_arrays(rng, keys, dtype, scale=1.0):
+    return {k: (scale * rng.normal(size=SGD_SHAPES[k])).astype(dtype) for k in keys}
+
+
+def flat_velocity(ref, keys):
+    return np.concatenate([np.ravel(ref.velocity[k]) for k in keys])
+
+
+class TestFlatSGD:
+    """``nn.SGD`` keeps the parameters its first gradients name in one flat
+    buffer and one flat velocity. Against ``reference_sgd``: the updates are
+    the same elementwise operations, so unclipped steps are bit-equal; the
+    norm is one float64 dot, so it and a clipped step's scale may round
+    differently in the last bits."""
+
+    LR, MOMENTUM, CLIP = 0.05, 0.9, 5.0
+    # clipped steps: the two scales differ by a few float64 ulps, which moves a
+    # float32 scale by at most one ulp; over 200 steps the parameters stay
+    # within 64 machine epsilons of the reference's largest entry
+    CLIPPED_ULPS = 64
+
+    def pair(self):
+        return nn.SGD(self.LR, self.MOMENTUM, self.CLIP), reference_sgd(self.LR, self.MOMENTUM, self.CLIP)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unclipped_steps_are_bit_equal_to_the_reference(self, dtype):
+        rng = rng64(3)
+        params = random_arrays(rng, SGD_SHAPES, dtype)
+        ref_params = dict(params)
+        opt, ref = self.pair()
+        for _ in range(200):
+            grads = random_arrays(rng, SGD_SHAPES, dtype, scale=0.1)
+            norm, ref_norm = opt.step(params, grads), ref.step(ref_params, grads)
+            assert ref_norm < self.CLIP
+            assert norm == pytest.approx(ref_norm, rel=1e-12, abs=0)
+            for k in SGD_SHAPES:
+                assert params[k].dtype == dtype and params[k].shape == SGD_SHAPES[k]
+                assert np.array_equal(params[k], ref_params[k]), k
+            assert np.array_equal(opt._velocity, flat_velocity(ref, SGD_SHAPES))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_clipped_steps_stay_within_the_stated_tolerance(self, dtype):
+        rng = rng64(4)
+        params = random_arrays(rng, SGD_SHAPES, dtype)
+        ref_params = dict(params)
+        opt, ref = self.pair()
+        for _ in range(200):
+            grads = random_arrays(rng, SGD_SHAPES, dtype, scale=10.0)
+            norm, ref_norm = opt.step(params, grads), ref.step(ref_params, grads)
+            assert ref_norm > self.CLIP
+            assert norm == pytest.approx(ref_norm, rel=1e-12, abs=0)
+        largest = max(float(np.abs(v).max()) for v in ref_params.values())
+        for k in SGD_SHAPES:
+            atol = self.CLIPPED_ULPS * np.finfo(dtype).eps * largest
+            assert np.allclose(params[k], ref_params[k], rtol=0, atol=atol), k
+
+    def test_a_gradient_subset_leaves_the_other_parameters_alone(self):
+        rng = rng64(5)
+        params = random_arrays(rng, SGD_SHAPES, np.float32)
+        frozen = {k: params[k] for k in ("U", "head:s")}
+        frozen_copies = {k: v.copy() for k, v in frozen.items()}
+        trained = ("W", "b", "head:W", "head:b")
+        ref_params = dict(params)
+        opt, ref = self.pair()
+        for _ in range(20):
+            grads = random_arrays(rng, trained, np.float32, scale=0.1)
+            opt.step(params, grads)
+            ref.step(ref_params, grads)
+        for k, v in frozen.items():
+            assert params[k] is v and np.array_equal(v, frozen_copies[k])
+        for k in trained:
+            assert np.array_equal(params[k], ref_params[k]), k
+        assert opt._flat.size == sum(math.prod(SGD_SHAPES[k]) for k in trained)
+
+    def test_the_callers_arrays_are_never_written(self):
+        rng = rng64(6)
+        params = random_arrays(rng, SGD_SHAPES, np.float32)
+        originals = dict(params)
+        copies = {k: v.copy() for k, v in params.items()}
+        opt = nn.SGD(self.LR, self.MOMENTUM, self.CLIP)
+        for _ in range(10):
+            opt.step(params, random_arrays(rng, SGD_SHAPES, np.float32, scale=0.1))
+        for k in SGD_SHAPES:
+            assert params[k] is not originals[k]
+            assert np.array_equal(originals[k], copies[k]), k
+            assert not np.array_equal(params[k], copies[k]), k
+
+    def test_stages_over_different_key_sets_train_independently(self):
+        # the autoencoder's pattern: a pretraining stage over a layer dict that
+        # shares the encoder's arrays, a head stage with the encoder frozen,
+        # then a finetuning stage over every parameter, each with its own SGD
+        rng = rng64(7)
+        init = random_arrays(rng, ("U", "b", "head:W", "head:b"), np.float32)
+        init.update(Wd=rng.normal(size=(12, 5)).astype(np.float32), bd=np.zeros(5, np.float32))
+        init_copies = {k: v.copy() for k, v in init.items()}
+        stage_shapes = [
+            {"We": (5, 12), "be": (12,), "Wd": (12, 5), "bd": (5,)},
+            {"head:W": (4, 3), "head:b": (3,)},
+            {"U": (5, 12), "b": (12,), "head:W": (4, 3), "head:b": (3,)},
+        ]
+        grads = [
+            [{k: (0.1 * rng.normal(size=s)).astype(np.float32) for k, s in shapes.items()} for _ in range(30)]
+            for shapes in stage_shapes
+        ]
+
+        def run(make_sgd):
+            stages = [make_sgd(self.LR, self.MOMENTUM, self.CLIP) for _ in stage_shapes]
+            params = {k: init[k] for k in ("U", "b", "head:W", "head:b")}
+            layer = {"We": params["U"], "be": params["b"], "Wd": init["Wd"], "bd": init["bd"]}
+            for step_grads in grads[0]:
+                stages[0].step(layer, step_grads)
+            params["U"], params["b"] = layer["We"], layer["be"]
+            layer_after = {k: v.copy() for k, v in layer.items()}
+            for stage, stage_grads in zip(stages[1:], grads[1:]):
+                for step_grads in stage_grads:
+                    stage.step(params, step_grads)
+            return stages, params, layer, layer_after
+
+        stages, params, layer, layer_after = run(nn.SGD)
+        _, ref_params, ref_layer, _ = run(reference_sgd)
+        for k in ref_params:
+            assert np.array_equal(params[k], ref_params[k]), k
+        for k, v in layer.items():  # the later stages never wrote the first stage's buffer
+            assert np.array_equal(v, layer_after[k]) and np.array_equal(v, ref_layer[k]), k
+        assert [stage._flat.size for stage in stages] == [60 + 12 + 60 + 5, 12 + 3, 60 + 12 + 12 + 3]
+        for k, v in init.items():
+            assert np.array_equal(v, init_copies[k]), k
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_non_finite_gradient_raises_before_writing(self, bad, dtype):
+        rng = rng64(8)
+        params = random_arrays(rng, SGD_SHAPES, dtype)
+        opt = nn.SGD(self.LR, self.MOMENTUM, self.CLIP)
+        for _ in range(3):
+            opt.step(params, random_arrays(rng, SGD_SHAPES, dtype, scale=0.1))
+        before = {k: v.copy() for k, v in params.items()}
+        velocity = opt._velocity.copy()
+        grads = random_arrays(rng, SGD_SHAPES, dtype, scale=0.1)
+        grads["W"][2, 7] = bad
+        with pytest.raises(ValueError, match="non-finite gradient norm"):
+            opt.step(params, grads)
+        for k in SGD_SHAPES:
+            assert np.array_equal(params[k], before[k]), k
+        assert np.array_equal(opt._velocity, velocity)
+
+    def test_a_non_finite_first_gradient_leaves_the_values(self):
+        params = {"w": np.array([1.0, 2.0], np.float32)}
+        with pytest.raises(ValueError, match="non-finite gradient norm"):
+            nn.SGD().step(params, {"w": np.array([np.nan, 0.0], np.float32)})
+        assert np.array_equal(params["w"], [1.0, 2.0])
+
+
+class TestSGDRejectsMismatchedGradients:
+    def bound(self):
+        params = {"W": np.zeros((2, 3), np.float32), "b": np.zeros(3, np.float32)}
+        opt = nn.SGD()
+        opt.step(params, {"W": np.ones((2, 3), np.float32), "b": np.ones(3, np.float32)})
+        return opt, params, {k: v.copy() for k, v in params.items()}
+
+    @pytest.mark.parametrize("b_shape", [(4,), (2,), (1, 3), (3, 1)])
+    def test_wrong_total_size_or_shape(self, b_shape):
+        opt, params, before = self.bound()
+        with pytest.raises(ValueError, match="gradient shapes"):
+            opt.step(params, {"W": np.ones((2, 3), np.float32), "b": np.ones(b_shape, np.float32)})
+        with pytest.raises(ValueError, match="gradient shapes"):  # same total size, transposed
+            opt.step(params, {"W": np.ones((3, 2), np.float32), "b": np.ones(3, np.float32)})
+        for k in before:
+            assert np.array_equal(params[k], before[k])
+
+    @pytest.mark.parametrize("grad_dtype", [np.float64, np.float16, np.int32])
+    def test_wrong_dtype(self, grad_dtype):
+        opt, params, before = self.bound()
+        with pytest.raises(ValueError, match="gradient dtypes"):
+            opt.step(params, {"W": np.ones((2, 3), np.float32), "b": np.ones(3, grad_dtype)})
+        for k in before:
+            assert params[k].dtype == np.float32 and np.array_equal(params[k], before[k])
+
+    def test_parameters_of_mixed_dtypes(self):
+        params = {"W": np.zeros((2, 3), np.float32), "b": np.zeros(3, np.float64)}
+        grads = {"W": np.ones((2, 3), np.float32), "b": np.ones(3, np.float64)}
+        with pytest.raises(ValueError, match="share one dtype"):
+            nn.SGD().step(params, grads)
+        assert params["b"].dtype == np.float64 and not params["b"].any()
+
+    def test_a_key_missing_from_params(self):
+        params = {"W": np.zeros((2, 3), np.float32)}
+        with pytest.raises(ValueError, match="do not exist.*'b'"):
+            nn.SGD().step(params, {"W": np.ones((2, 3), np.float32), "b": np.ones(3, np.float32)})
+        assert set(params) == {"W"} and not params["W"].any()
+
+    def test_another_key_set_after_the_first_step(self):
+        opt, params, before = self.bound()
+        with pytest.raises(ValueError, match="this optimiser updates"):
+            opt.step(params, {"W": np.ones((2, 3), np.float32)})
+        for k in before:
+            assert np.array_equal(params[k], before[k])
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact_float32(self, tmp_path):
         rng = rng64(8)

@@ -15,6 +15,10 @@ times: argmax, random sampling, beam-2, and beam-3 with length-normalised
 scores. Prints
 ``sha256  path`` for every artifact the runs write, except the cell
 ``*.result.json`` files and ``run_record.json``, which hold wall-clock times.
+Prints to stderr the total of ``clipped_batches`` over those cell result
+files: the batches of each cell's last training stage whose gradient norm
+exceeded ``clip_norm``. A change that rounds the gradient norm differently
+can move a result only through such a batch.
 
 ``ppmbench`` is imported from ``PYTHONPATH``, so one copy of this script digests
 any checkout:
@@ -29,6 +33,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -115,6 +120,15 @@ def digests(out: Path) -> list[tuple[str, str]]:
     ]
 
 
+def clipped_batches(out: Path) -> int:
+    """Total ``clipped_batches`` of the train reports in the cell ``*.result.json`` files under ``out``."""
+    total = 0
+    for path in sorted(out.rglob("*.result.json")):
+        report = json.loads(path.read_text())["train_report"] or {}
+        total += sum(report.get("clipped_batches", ()))
+    return total
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -127,6 +141,7 @@ def main(argv: list[str] | None = None) -> int:
         run(out)
         for digest, path in digests(out):
             print(f"{digest}  {path}")
+        print(f"clipped batches: {clipped_batches(out)}", file=sys.stderr)
     return 0
 
 
