@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from itertools import compress, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .atomic import write_text_atomic
 
@@ -17,6 +22,14 @@ SECONDS_PER_DAY = 86400.0
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _DAY_FIRST_FORMAT = "%d-%m-%Y %H:%M:%S"
+_TIMESTAMP = attrgetter("timestamp_ms")
+# Naive ISO-8601, ``YYYY-MM-DD[ T]HH:MM[:SS[.f{1,6}]]``: the form numpy reads
+# exactly as parse_timestamp does. Year 0000, which numpy accepts and
+# datetime does not, is left to parse_timestamp to reject.
+_PLAIN_ISO = re.compile(
+    r"(?!0000)[0-9]{4}-(?:0[1-9]|1[0-2])-(?:0[1-9]|[12][0-9]|3[01])"
+    r"[T ](?:[01][0-9]|2[0-3]):[0-5][0-9](?::[0-5][0-9](?:\.[0-9]{1,6})?)?"
+)
 
 
 class LogParseError(ValueError):
@@ -61,7 +74,34 @@ def parse_timestamp(text: str) -> int:
 def format_timestamp(ms: int) -> str:
     """Render epoch milliseconds as ``YYYY-MM-DD HH:MM:SS.mmm`` (UTC), round-trip safe."""
     dt = _EPOCH + timedelta(milliseconds=ms)
-    return f"{dt:%Y-%m-%d %H:%M:%S}.{ms % 1000:03d}"
+    return f"{dt.year:04d}-{dt:%m-%d %H:%M:%S}.{ms % 1000:03d}"
+
+
+def _epoch_ms(texts: list[str]) -> tuple[list[int], LogParseError | None]:
+    """Epoch milliseconds of stripped timestamp texts, as :func:`parse_timestamp`
+    reads each, up to the first text it rejects, and that text's error (None
+    when every text parses).
+
+    The plain ISO texts are read in one numpy conversion at microseconds,
+    floored to milliseconds as parse_timestamp floors them; every other text
+    goes through parse_timestamp. If the conversion rejects a plain text (an
+    impossible date such as 2010-02-30), every text goes through
+    parse_timestamp, so the first bad one is found in order."""
+    plain = list(compress(texts, map(_PLAIN_ISO.fullmatch, texts)))
+    try:
+        fast = (np.array(plain, dtype="datetime64[us]").astype(np.int64) // 1000).tolist()
+    except ValueError:
+        fast = []
+    if len(fast) == len(texts):
+        return fast, None
+    converted = iter(fast)
+    stamps: list[int] = []
+    for text in texts:
+        try:
+            stamps.append(next(converted) if fast and _PLAIN_ISO.fullmatch(text) else parse_timestamp(text))
+        except LogParseError as error:
+            return stamps, error
+    return stamps, None
 
 
 class Vocabulary:
@@ -209,28 +249,38 @@ class CsvSchema:
 
 
 def _open_text(source: str | Path | bytes | IO[str] | IO[bytes]) -> IO[str]:
+    """The source as text, without a leading UTF-8 byte-order mark."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
+        return open(source, "r", encoding="utf-8-sig", newline="")
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
+        return io.StringIO(source.decode("utf-8-sig"))
     data = source.read()
     if isinstance(data, bytes):
-        return io.StringIO(data.decode("utf-8"))
-    return io.StringIO(data)
+        return io.StringIO(data.decode("utf-8-sig"))
+    return io.StringIO(data.removeprefix("\ufeff"))
 
 
 def parse_csv(
     source: str | Path | bytes | IO[str] | IO[bytes],
     schema: CsvSchema | None = None,
 ) -> EventLog:
-    """Parse a CSV event log (header row, UTF-8, RFC-4180 quoting).
+    """Parse a CSV event log (header row, UTF-8 with or without a byte-order
+    mark, RFC-4180 quoting).
 
     Events are grouped by case id and each trace is sorted by timestamp with a
     stable sort, so file order is preserved on ties. Columns beyond the three
     schema columns become categorical event attributes; empty cells map to the
     missing-marker. Vocabularies are built in sorted label order (attribute
     vocabularies reserve index 0 for the missing-marker), which makes indices
-    independent of row order.
+    independent of row order. Timestamps are read as :func:`parse_timestamp`
+    reads them; the plain ISO ones in one array conversion.
+
+    Errors: the first faulty data row in file order raises. A row is faulty
+    if it has more cells than the header or an empty required cell, which
+    the read finds and stops at, or if its timestamp does not parse or it
+    repeats an earlier row's (activity, case id, timestamp), which are
+    checked once the read ends. A row of the first kind raises only if no
+    earlier row is of the second.
 
     Raises:
         LogParseError: missing column, malformed row, or bad timestamp
@@ -246,71 +296,85 @@ def parse_csv(
         if header is None:
             raise EmptyLogError("event log file is empty")
         header = [h.strip() for h in header]
-        positions = {}
-        for column in (schema.case_id, schema.activity, schema.timestamp):
+        required = (schema.case_id, schema.activity, schema.timestamp)
+        for column in required:
             if column not in header:
                 raise LogParseError(f"required column {column!r} not in header {header}")
-            positions[column] = header.index(column)
+        case_pos, activity_pos, ts_pos = (header.index(column) for column in required)
         attr_columns = [
             (i, name)
             for i, name in enumerate(header)
-            if i not in positions.values()
+            if i not in (case_pos, activity_pos, ts_pos)
         ]
 
-        by_case: dict[str, list[Event]] = {}
-        seen: set[tuple[str, str, int]] = set()
-        activities: set[str] = set()
-        attr_values: dict[str, set[str]] = {name: set() for _, name in attr_columns}
+        # one list per column, one entry per data row
+        case_ids: list[str] = []
+        activities: list[str] = []
+        ts_texts: list[str] = []
+        row_nums: list[int] = []
+        attr_values: list[list[str]] = [[] for _ in attr_columns]
+        width = len(header)
+        fault = None  # the structural fault that ended the read, if any
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) > width:
+                    raise LogParseError(f"row {reader.line_num}: {len(row)} cells for {width} columns")
+                if len(row) < width:
+                    row += [""] * (width - len(row))
+                case_id = row[case_pos].strip()
+                activity = row[activity_pos].strip()
+                ts_text = row[ts_pos].strip()
+                if not case_id or not activity or not ts_text:
+                    raise LogParseError(f"row {reader.line_num}: empty required cell")
+                case_ids.append(case_id)
+                activities.append(activity)
+                ts_texts.append(ts_text)
+                row_nums.append(reader.line_num)
+                for values, (i, _) in zip(attr_values, attr_columns):
+                    values.append(row[i].strip() or MISSING)
+        except (ValueError, csv.Error) as error:  # a malformed row, cell or encoding
+            fault = error
+    finally:
+        stream.close()
 
-        for row in reader:
-            row_num = reader.line_num
-            if not row:
-                continue
-            if len(row) > len(header):
-                raise LogParseError(f"row {row_num}: {len(row)} cells for {len(header)} columns")
-            row = row + [""] * (len(header) - len(row))
-            case_id = row[positions[schema.case_id]].strip()
-            activity = row[positions[schema.activity]].strip()
-            ts_text = row[positions[schema.timestamp]].strip()
-            if not case_id or not activity or not ts_text:
-                raise LogParseError(f"row {row_num}: empty required cell")
-            try:
-                ts = parse_timestamp(ts_text)
-            except LogParseError as exc:
-                raise LogParseError(f"row {row_num}: {exc}") from None
-            key = (activity, case_id, ts)
+    timestamps, bad_timestamp = _epoch_ms(ts_texts)
+    if len(set(zip(activities, case_ids, timestamps))) < len(timestamps):
+        seen: set[tuple[str, str, int]] = set()
+        for key in zip(activities, case_ids, timestamps):
             if key in seen:
+                activity, case_id, ts = key
                 raise UniquenessViolationError(
                     f"duplicate event (activity={activity!r}, case={case_id!r}, "
                     f"timestamp={format_timestamp(ts)!r})"
                 )
             seen.add(key)
-            attributes = {}
-            for i, name in attr_columns:
-                value = row[i].strip()
-                attributes[name] = value if value else MISSING
-                attr_values[name].add(attributes[name])
-            activities.add(activity)
-            by_case.setdefault(case_id, []).append(
-                Event(case_id=case_id, activity=activity, timestamp_ms=ts, attributes=attributes)
-            )
-    finally:
-        stream.close()
-
-    if not by_case:
+    if bad_timestamp is not None:
+        raise LogParseError(f"row {row_nums[len(timestamps)]}: {bad_timestamp}")
+    if fault is not None:
+        raise fault
+    if not case_ids:
         raise EmptyLogError("event log has a header but no data rows")
+    del ts_texts, row_nums  # freed before the events are built, to keep the peak memory down
 
+    attr_names = [name for _, name in attr_columns]
+    attr_rows = zip(*attr_values) if attr_values else repeat(())
+    attributes = map(dict, map(zip, repeat(attr_names), attr_rows))
+    by_case: dict[str, list[Event]] = {}
+    for event in map(Event, case_ids, activities, timestamps, attributes):
+        by_case.setdefault(event.case_id, []).append(event)
     traces = tuple(
-        Trace(case_id=case_id, events=tuple(sorted(events, key=lambda e: e.timestamp_ms)))
+        Trace(case_id=case_id, events=tuple(sorted(events, key=_TIMESTAMP)))
         for case_id, events in by_case.items()
     )
     attribute_vocabs = {
-        name: Vocabulary([MISSING] + sorted(attr_values[name] - {MISSING}))
-        for _, name in attr_columns
+        name: Vocabulary([MISSING] + sorted(set(values) - {MISSING}))
+        for name, values in zip(attr_names, attr_values)
     }
     return EventLog(
         traces=traces,
-        activity_vocab=Vocabulary(sorted(activities)),
+        activity_vocab=Vocabulary(sorted(set(activities))),
         attribute_vocabs=attribute_vocabs,
     )
 

@@ -117,7 +117,11 @@ class TrainReport:
     epoch's count of batches whose gradient was clipped) and
     ``learning_rates`` (the rate each epoch ran at) describe the last SGD
     stage; they stay outside :meth:`core` too, and a model that trains no
-    SGD stage (Markov) leaves them empty.
+    SGD stage (Markov) leaves them empty. ``stage_clipped_batches`` holds
+    ``clipped_batches`` of each SGD stage that runs before the last one, in
+    order (the autoencoder's layerwise pretraining and frozen-encoder
+    stages; a stage of no epochs has ``()``); it is ``()`` for the other
+    models.
     """
 
     train_losses: tuple[float, ...]
@@ -129,6 +133,7 @@ class TrainReport:
     grad_norms: tuple[float, ...] = ()
     clipped_batches: tuple[int, ...] = ()
     learning_rates: tuple[float, ...] = ()
+    stage_clipped_batches: tuple[tuple[int, ...], ...] = ()
 
     def core(self) -> dict:
         return {
@@ -545,9 +550,10 @@ class _NeuralPredictor(Predictor):
     def _build_params(self, rng) -> dict[str, np.ndarray]:
         raise NotImplementedError
 
-    def _pretrain(self, params, X, y_act, rng, seed: int) -> dict[str, np.ndarray]:
-        """Training stages that run before the shared one; none by default."""
-        return params
+    def _pretrain(self, params, X, y_act, rng, seed: int) -> tuple[dict[str, np.ndarray], tuple]:
+        """Training stages that run before the shared one, and each stage's
+        ``clipped_batches``; none by default."""
+        return params, ()
 
     def _body(self, params, X, M):
         """Feature vectors (B, F) of a batch and the cache for the backward."""
@@ -665,7 +671,7 @@ class _NeuralPredictor(Predictor):
                 return nn.combine_losses(losses)
 
         rng = np.random.default_rng(seed)
-        params = self._pretrain(self._build_params(rng), X, y_act, rng, seed)
+        params, stage_clipped_batches = self._pretrain(self._build_params(rng), X, y_act, rng, seed)
 
         def batch_step(p, idx):
             return self._batch_loss(
@@ -679,7 +685,11 @@ class _NeuralPredictor(Predictor):
         self.params, report = _sgd_train(
             params, batch_step, val_loss, len(train_samples), self.config, seed, self._batch_lengths(M)
         )
-        return replace(report, wall_clock_seconds=time.perf_counter() - start)
+        return replace(
+            report,
+            wall_clock_seconds=time.perf_counter() - start,
+            stage_clipped_batches=stage_clipped_batches,
+        )
 
     def _check_fitted(self) -> None:
         if not self.params:
@@ -1138,16 +1148,20 @@ class AutoencoderPredictor(_NeuralPredictor):
         then a head warmup with the encoder frozen."""
         cfg = self.config
 
+        clipped = []  # each stage's clipped_batches
+
         def stage(params, batch_step, n_train, epochs, seed):
             """One SGD stage and its per-epoch losses; a stage of no epochs
             leaves the parameters as they are."""
             if epochs < 1:
+                clipped.append(())
                 return params, ()
             config = TrainConfig(
                 epochs=epochs, patience=epochs, batch_size=cfg.batch_size,
                 lr=cfg.lr, momentum=cfg.momentum, clip_norm=cfg.clip_norm,
             )
             params, report = _sgd_train(params, batch_step, None, n_train, config, seed)
+            clipped.append(report.clipped_batches)
             return params, report.train_losses
 
         self.recon_losses = []
@@ -1177,7 +1191,7 @@ class AutoencoderPredictor(_NeuralPredictor):
             return loss, grads
 
         params, _ = stage(params, head_step, X.shape[0], cfg.freeze_epochs, seed + 101)
-        return params
+        return params, tuple(clipped)
 
     def _body(self, params, X, M):
         current = X

@@ -172,8 +172,10 @@ class TestRunMatrix:
             report = json.loads((out / "cells" / f"linear__{model}.result.json").read_text())["train_report"]
             fields = ("grad_norms", "clipped_batches", "learning_rates")
             assert [len(report[name]) for name in fields] == [epochs] * 3
+            assert report["stage_clipped_batches"] == []  # one training stage
         record = json.loads((out / "run_record.json").read_text())
         assert all("learning_rates" in cell["train_report"] for cell in record["cells"])
+        assert all("stage_clipped_batches" in cell["train_report"] for cell in record["cells"])
         for name in ("metrics.csv", "report.md"):
             text = (out / name).read_text()
             assert "grad_norms" not in text and "clipped_batches" not in text and "learning_rates" not in text

@@ -31,5 +31,12 @@ def test_clipped_batches_sums_every_cell_result(tmp_path):
     assert digest_run.clipped_batches(tmp_path) == 7
 
 
+def test_clipped_batches_adds_every_earlier_stage(tmp_path):
+    report = {"clipped_batches": [1, 0], "stage_clipped_batches": [[2, 3], [], [4]]}
+    write_result(tmp_path / "argmax" / "cells" / "d__autoencoder.result.json", report)
+    write_result(tmp_path / "argmax" / "cells" / "d__gru.result.json", {"clipped_batches": [5], "stage_clipped_batches": []})
+    assert digest_run.clipped_batches(tmp_path) == 15
+
+
 def test_no_cell_results_count_zero(tmp_path):
     assert digest_run.clipped_batches(tmp_path) == 0

@@ -1,9 +1,13 @@
+import csv
 import io
+import warnings
+from datetime import datetime, timedelta
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ppmbench import eventlog
 from ppmbench.eventlog import (
     EOC,
     MISSING,
@@ -26,7 +30,7 @@ from ppmbench.eventlog import (
     to_csv,
 )
 
-from conftest import make_random_log
+from conftest import _perfbench_generator, make_random_log
 
 import numpy as np
 
@@ -60,6 +64,13 @@ class TestTimestampParsing:
     def test_malformed(self):
         with pytest.raises(LogParseError):
             parse_timestamp("not a date")
+
+    @pytest.mark.parametrize("text", [
+        "0001-01-01 00:00:00.000", "0999-03-04 05:06:07.089", "1000-01-01 00:00:00.000",
+        "9999-12-31 23:59:59.999",
+    ])
+    def test_format_round_trips_every_year(self, text):
+        assert format_timestamp(parse_timestamp(text)) == text
 
 
 class TestParseCsv:
@@ -147,6 +158,29 @@ class TestRoundTrip:
             text = to_csv(log)
             assert parse_csv(text.encode()) == log
             assert parse_csv(io.BytesIO(text.encode())) == log
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("kind", ["path", "bytes", "binary stream", "text stream"])
+    def test_parses_equal_with_and_without_the_mark(self, kind, table1_csv, tmp_path):
+        def source(text):
+            if kind == "path":
+                path = tmp_path / f"log{len(text)}.csv"
+                path.write_bytes(text.encode("utf-8"))
+                return path
+            if kind == "bytes":
+                return text.encode("utf-8")
+            if kind == "binary stream":
+                return io.BytesIO(text.encode("utf-8"))
+            return io.StringIO(text)
+
+        plain = parse_csv(source(table1_csv))
+        assert parse_csv(source("\ufeff" + table1_csv)) == plain
+        assert plain.attribute_names == ("Resource",)
+
+    def test_quoted_header_after_the_mark(self):
+        text = '\ufeff"case_id",activity,timestamp\nc1,A,2020-01-01 00:00:00\n'
+        assert parse_csv(text.encode("utf-8")).traces[0].case_id == "c1"
 
 
 class TestAugmentEoc:
@@ -306,8 +340,9 @@ class TestRfc4180Quoting:
 # whitespace (cells are stripped on parse), and not the reserved marker.
 csv_labels = st.text(min_size=1, max_size=6).filter(lambda s: s == s.strip() and s != MISSING)
 REQUIRED_COLUMNS = ("case_id", "activity", "timestamp")
-# 1900-01-01 .. 2100-01-01 UTC in epoch milliseconds
-TIMESTAMPS_MS = st.integers(-2_208_988_800_000, 4_102_444_800_000)
+# 0001-01-01 00:00:00.000 .. 9999-12-31 23:59:59.999 UTC in epoch milliseconds
+MIN_MS, MAX_MS = -62_135_596_800_000, 253_402_300_799_999
+TIMESTAMPS_MS = st.integers(MIN_MS, MAX_MS)
 
 
 @st.composite
@@ -325,7 +360,7 @@ def csv_logs(draw):
         t = draw(TIMESTAMPS_MS)
         events = []
         for _ in range(draw(st.integers(1, 4))):
-            t += draw(st.integers(0, 3 * DAY_MS))  # zero gaps make timestamp ties
+            t += draw(st.integers(0, min(3 * DAY_MS, MAX_MS - t)))  # zero gaps make timestamp ties
             attributes = {name: draw(values) for name in attr_names}
             events.append(Event(case_id, draw(st.sampled_from(acts)), t, attributes))
         traces.append(Trace(case_id, tuple(events)))
@@ -356,3 +391,240 @@ class TestCsvRoundTripProperty:
         assert parsed.activity_vocab == log.activity_vocab
         assert parsed.attribute_vocabs == log.attribute_vocabs
         assert parsed == log
+
+
+def reference_parse_csv(text: str, schema: CsvSchema | None = None) -> EventLog:
+    """The row-by-row parser that ``parse_csv`` replaced, kept as the
+    reference for its results and errors: each row is checked, its timestamp
+    parsed and its key checked for a duplicate before the next row is read."""
+    schema = schema or CsvSchema()
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None:
+        raise EmptyLogError("event log file is empty")
+    header = [h.strip() for h in header]
+    positions = {}
+    for column in (schema.case_id, schema.activity, schema.timestamp):
+        if column not in header:
+            raise LogParseError(f"required column {column!r} not in header {header}")
+        positions[column] = header.index(column)
+    attr_columns = [(i, name) for i, name in enumerate(header) if i not in positions.values()]
+
+    by_case: dict[str, list[Event]] = {}
+    seen: set[tuple[str, str, int]] = set()
+    activities: set[str] = set()
+    attr_values: dict[str, set[str]] = {name: set() for _, name in attr_columns}
+    for row in reader:
+        row_num = reader.line_num
+        if not row:
+            continue
+        if len(row) > len(header):
+            raise LogParseError(f"row {row_num}: {len(row)} cells for {len(header)} columns")
+        row = row + [""] * (len(header) - len(row))
+        case_id = row[positions[schema.case_id]].strip()
+        activity = row[positions[schema.activity]].strip()
+        ts_text = row[positions[schema.timestamp]].strip()
+        if not case_id or not activity or not ts_text:
+            raise LogParseError(f"row {row_num}: empty required cell")
+        try:
+            ts = parse_timestamp(ts_text)
+        except LogParseError as exc:
+            raise LogParseError(f"row {row_num}: {exc}") from None
+        key = (activity, case_id, ts)
+        if key in seen:
+            raise UniquenessViolationError(
+                f"duplicate event (activity={activity!r}, case={case_id!r}, "
+                f"timestamp={format_timestamp(ts)!r})"
+            )
+        seen.add(key)
+        attributes = {}
+        for i, name in attr_columns:
+            value = row[i].strip()
+            attributes[name] = value if value else MISSING
+            attr_values[name].add(attributes[name])
+        activities.add(activity)
+        by_case.setdefault(case_id, []).append(
+            Event(case_id=case_id, activity=activity, timestamp_ms=ts, attributes=attributes)
+        )
+    if not by_case:
+        raise EmptyLogError("event log has a header but no data rows")
+    traces = tuple(
+        Trace(case_id=case_id, events=tuple(sorted(events, key=lambda e: e.timestamp_ms)))
+        for case_id, events in by_case.items()
+    )
+    return EventLog(
+        traces=traces,
+        activity_vocab=Vocabulary(sorted(activities)),
+        attribute_vocabs={
+            name: Vocabulary([MISSING] + sorted(attr_values[name] - {MISSING})) for _, name in attr_columns
+        },
+    )
+
+
+def parse_outcome(parse, source):
+    """The log a parser returns, or the type and message of what it raises."""
+    try:
+        return parse(source)
+    except (LogParseError, EmptyLogError, UniquenessViolationError) as error:
+        return type(error), str(error)
+
+
+def iso_text(when: datetime, sep: str = " ", digits: int | None = 0) -> str:
+    """``when`` as plain ISO: minutes only (``digits`` None), or seconds with
+    ``digits`` fractional digits, the microseconds cut, not rounded."""
+    text = f"{when.year:04d}-{when:%m-%d}{sep}{when:%H:%M}"
+    if digits is not None:
+        text += f":{when:%S}"
+        if digits:
+            text += "." + f"{when.microsecond:06d}"[:digits]
+    return text
+
+
+@st.composite
+def plain_iso_texts(draw):
+    when = draw(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59, 999_999)))
+    return iso_text(when, draw(st.sampled_from("T ")), draw(st.one_of(st.none(), st.integers(0, 6))))
+
+
+@st.composite
+def other_timestamp_texts(draw):
+    """Forms that parse_timestamp reads and the array conversion leaves to it."""
+    when = draw(st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30)))
+    form = draw(st.sampled_from(["zulu", "offset", "day_first", "hour_only"]))
+    if form == "zulu":
+        return when.isoformat() + "Z"
+    if form == "offset":
+        return when.isoformat() + draw(st.sampled_from(["+02:00", "-05:30", "+00:00"]))
+    if form == "day_first":
+        return f"{when:%d-%m}-{when.year:04d} {when:%H:%M:%S}"
+    return f"{when.year:04d}-{when:%m-%dT%H}"
+
+
+IMPOSSIBLE_PLAIN = ["2010-02-30 00:00:00", "2011-02-29T10:00", "2010-04-31 00:00:00.5"]
+
+
+class TestTimestampArrayPath:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(plain_iso_texts(), min_size=1, max_size=20))
+    @example(["0001-01-01T00:00", "9999-12-31 23:59:59.999999", "1969-12-31 23:59:59.999999", "1900-03-01 00:00:00.5"])
+    def test_equals_parse_timestamp_on_plain_iso(self, texts):
+        assert all(eventlog._PLAIN_ISO.fullmatch(text) for text in texts)  # the array path reads them
+        assert eventlog._epoch_ms(texts) == ([parse_timestamp(text) for text in texts], None)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.one_of(plain_iso_texts(), other_timestamp_texts()), min_size=1, max_size=20))
+    def test_mixed_forms_read_as_parse_timestamp_reads_each(self, texts):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eventlog._epoch_ms(texts) == ([parse_timestamp(text) for text in texts], None)
+
+    def test_year_zero_is_left_to_parse_timestamp(self):
+        assert not eventlog._PLAIN_ISO.fullmatch("0000-01-01 00:00:00")
+        for text in IMPOSSIBLE_PLAIN:
+            assert eventlog._PLAIN_ISO.fullmatch(text)  # numpy rejects these itself
+
+    @pytest.mark.parametrize("bad", ["0000-01-01 00:00:00", "banana", *IMPOSSIBLE_PLAIN])
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(before=st.lists(plain_iso_texts(), max_size=5), after=st.lists(plain_iso_texts(), max_size=5))
+    def test_first_rejected_text_raises_as_today(self, bad, before, after):
+        stamps, error = eventlog._epoch_ms(before + [bad] + after + ["2010-02-30 00:00:00"])
+        assert stamps == [parse_timestamp(text) for text in before]
+        with pytest.raises(LogParseError) as want:
+            parse_timestamp(bad)
+        assert type(error) is LogParseError and str(error) == str(want.value)
+
+    def test_zone_and_offset_timestamps_parse_without_warning(self):
+        text = (
+            "case_id,activity,timestamp\n"
+            "c1,A,2010-01-14T07:52:50Z\n"
+            "c1,B,2010-01-14T09:52:51+02:00\n"
+            "c1,C,2010-01-14 07:52:52\n"
+            "c1,D,14-01-2010 07:52:53\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log = parse_csv(text.encode())
+        start = parse_timestamp("2010-01-14 07:52:50")
+        assert [e.timestamp_ms for e in log.traces[0].events] == [start, start + 1000, start + 2000, start + 3000]
+
+
+# Row kinds of the fault-injection logs. The valid ones write their instant
+# in every form parse_timestamp reads; a duplicate repeats an earlier valid
+# row's case, activity and instant, maybe in another form.
+VALID_KINDS = ["plain", "fraction", "minute", "zulu", "offset", "day_first", "padded", "multiline", "short"]
+FAULT_KINDS = ["blank", "too_many", "empty_required", "bad_text", "impossible", "year_zero", "duplicate"]
+
+
+@st.composite
+def faulty_csvs(draw):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["case_id", "activity", "timestamp", "Resource"])
+    base = draw(st.sampled_from([datetime(1969, 12, 31, 23, 30), datetime(2010, 1, 1, 8, 0)]))
+    written: list[tuple[str, str, datetime]] = []
+    for kind in draw(st.lists(st.sampled_from(VALID_KINDS * 2 + FAULT_KINDS), max_size=14)):
+        case, activity = draw(st.sampled_from(["c1", "c2", "c,3"])), draw(st.sampled_from(["A", "B"]))
+        when = base + timedelta(minutes=draw(st.integers(0, 40)), microseconds=draw(st.integers(0, 2)) * 700)
+        if kind == "duplicate" and written:
+            case, activity, when = draw(st.sampled_from(written))
+            kind = draw(st.sampled_from(VALID_KINDS))
+        if kind == "blank":
+            buffer.write("\n")
+            continue
+        stamp = {
+            "fraction": iso_text(when, "T", 6),
+            "minute": iso_text(when.replace(second=0, microsecond=0), " ", None),
+            "zulu": when.isoformat() + "Z",
+            "offset": (when + timedelta(hours=2)).isoformat() + "+02:00",
+            "day_first": f"{when:%d-%m-%Y %H:%M:%S}",
+            "padded": f"  {iso_text(when, ' ', 3)} ",
+            "bad_text": "banana",
+            "impossible": draw(st.sampled_from(IMPOSSIBLE_PLAIN)),
+            "year_zero": "0000-01-01 00:00:00",
+        }.get(kind, iso_text(when, " ", 3))
+        cells = [case, activity, stamp, draw(st.sampled_from(["", "R1", "R2"]))]
+        if kind == "multiline":
+            cells[3] = "line\nbreak"
+        elif kind == "short":
+            cells = cells[:3]
+        elif kind == "too_many":
+            cells.append("extra")
+        elif kind == "empty_required":
+            cells[draw(st.integers(0, 2))] = draw(st.sampled_from(["", "  "]))
+        writer.writerow(cells)
+        if kind in VALID_KINDS:  # the instant as the row's text gives it
+            written.append((case, activity, datetime(1970, 1, 1) + timedelta(milliseconds=parse_timestamp(stamp))))
+    return buffer.getvalue()
+
+
+class TestParseCsvEquivalence:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(faulty_csvs())
+    def test_same_log_or_same_error_as_the_row_by_row_parser(self, text):
+        assert parse_outcome(parse_csv, text.encode()) == parse_outcome(reference_parse_csv, text)
+
+    @pytest.mark.parametrize("rows, error, message", [
+        (["c1,A,banana", "c1,B,2010-01-01 00:00:00,R,extra"], LogParseError, "row 2: unparseable"),
+        (["c1,B,2010-01-01 00:00:00,R,extra", "c1,A,banana"], LogParseError, "row 2: 5 cells"),
+        (["c1,A,2010-01-01 00:00:00", "c1,A,2010-01-01T00:00:00Z", "c1,B,2010-02-30 00:00:00"],
+         UniquenessViolationError, "duplicate event"),
+        (["c1,A,2010-01-01 00:00:00", "c1,B,2010-02-30 00:00:00", "c1,A,2010-01-01 00:00:00"],
+         LogParseError, "row 3: unparseable timestamp: '2010-02-30 00:00:00'"),
+        (["c1,A,2010-01-01 00:00:00", "c1,A,2010-01-01 00:00:00", ",B,2010-01-02 00:00:00"],
+         UniquenessViolationError, "duplicate event"),
+        (['c1,A,2010-01-01 00:00:00,"two\nlines"', "", "c1,B,0000-01-01 00:00:00"],
+         LogParseError, "row 5: unparseable timestamp: '0000-01-01 00:00:00'"),
+    ])
+    def test_first_faulty_row_raises(self, rows, error, message):
+        text = "\n".join(["case_id,activity,timestamp,Resource", *rows]) + "\n"
+        with pytest.raises(error) as got:
+            parse_csv(text.encode())
+        assert str(got.value).startswith(message)
+        assert parse_outcome(reference_parse_csv, text) == (error, str(got.value))
+
+    @pytest.mark.parametrize("seed, cases", [(1, 400), (2, 150)])
+    def test_generator_log_equals_the_row_by_row_parse(self, seed, cases, tmp_path):
+        generator = _perfbench_generator()
+        path = tmp_path / "log.csv"
+        generator.write_csv(generator.generate(seed, cases), path)
+        assert parse_csv(path) == reference_parse_csv(path.read_text(encoding="utf-8"))

@@ -551,6 +551,28 @@ class TestTrainingLoop:
         assert all(math.isfinite(norm) and norm > 1e-9 for norm in report.grad_norms)
         assert set(report.core()) == {"train_losses", "val_losses", "best_epoch", "seed"}
 
+    @pytest.mark.parametrize("clip_norm", [1e-9, None])
+    @pytest.mark.parametrize("pretrain_epochs", [2, 0])
+    def test_every_earlier_stage_reports_its_clip_counts(self, clip_norm, pretrain_epochs, linear_split):
+        log, split = linear_split
+        cfg = fast_config(
+            epochs=2, clip_norm=clip_norm, time_target=None, ngram_dim=16, ae_hidden=(8, 4),
+            pretrain_epochs=pretrain_epochs, freeze_epochs=1,
+        )
+        report = train(build_predictor("autoencoder", cfg, log.activity_vocab), split, seed=0)
+        batches = -(-len(make_prefix_samples(split.train)) // cfg.batch_size) if clip_norm else 0
+        # two layerwise reconstruction stages, then the frozen-encoder stage
+        pretrain = (batches,) * pretrain_epochs
+        assert report.stage_clipped_batches == (pretrain, pretrain, (batches,))
+        assert "stage_clipped_batches" not in report.core()
+
+    @pytest.mark.parametrize("arch", ["markov", "mlp", "gru"])
+    def test_single_stage_models_report_no_earlier_stages(self, arch, linear_split):
+        log, split = linear_split
+        cfg = fast_config(epochs=2, clip_norm=1e-9)
+        report = train(build_predictor(arch, cfg, log.activity_vocab), split, seed=0)
+        assert report.stage_clipped_batches == ()
+
     def test_learning_rate_halves_after_each_stalled_epoch(self):
         val_losses = iter([3.0, 2.0, 2.5, 2.6, 1.0, 1.5, 1.7])
         config = TrainConfig(epochs=7, patience=7, lr=0.1, lr_decay=0.5, lr_patience=1)

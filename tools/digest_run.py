@@ -15,10 +15,12 @@ times: argmax, random sampling, beam-2, and beam-3 with length-normalised
 scores. Prints
 ``sha256  path`` for every artifact the runs write, except the cell
 ``*.result.json`` files and ``run_record.json``, which hold wall-clock times.
-Prints to stderr the total of ``clipped_batches`` over those cell result
-files: the batches of each cell's last training stage whose gradient norm
-exceeded ``clip_norm``. A change that rounds the gradient norm differently
-can move a result only through such a batch.
+Prints to stderr the total of ``clipped_batches`` and
+``stage_clipped_batches`` over those cell result files: the batches of every
+training stage of each cell (the autoencoder's pretraining and
+frozen-encoder stages included) whose gradient norm exceeded ``clip_norm``.
+A change that rounds the gradient norm differently can move a result only
+through such a batch.
 
 ``ppmbench`` is imported from ``PYTHONPATH``, so one copy of this script digests
 any checkout:
@@ -121,11 +123,14 @@ def digests(out: Path) -> list[tuple[str, str]]:
 
 
 def clipped_batches(out: Path) -> int:
-    """Total ``clipped_batches`` of the train reports in the cell ``*.result.json`` files under ``out``."""
+    """Total clipped batches of every training stage, ``clipped_batches`` plus
+    ``stage_clipped_batches``, of the train reports in the cell
+    ``*.result.json`` files under ``out``."""
     total = 0
     for path in sorted(out.rglob("*.result.json")):
         report = json.loads(path.read_text())["train_report"] or {}
         total += sum(report.get("clipped_batches", ()))
+        total += sum(sum(stage) for stage in report.get("stage_clipped_batches", ()))
     return total
 
 
