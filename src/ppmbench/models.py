@@ -514,10 +514,6 @@ def _sgd_train(
     return best_params, report
 
 
-def _layer_params(params: Mapping[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
-    return {k.split(":", 1)[1]: v for k, v in params.items() if k.startswith(prefix + ":")}
-
-
 class _NeuralPredictor(Predictor):
     """Encoder handling, the shared output heads, the fit/predict scaffolding,
     and checkpointing shared by the numpy models. Subclasses provide
@@ -928,7 +924,7 @@ class RecurrentPredictor(_NeuralPredictor):
         layer_caches = []
         current = inputs
         for layer in range(cfg.layers):
-            lp = _layer_params(params, f"l{layer}")
+            lp = {name: params[f"l{layer}:{name}"] for name in ("U", "W", "b")}
             hs, caches = nn.sequence_forward(self.cell, lp, current, M)
             layer_caches.append(caches)
             current = hs
@@ -946,10 +942,12 @@ class RecurrentPredictor(_NeuralPredictor):
         upstream = np.zeros((B, T, H), dtype=dfeatures.dtype)
         upstream[:, -1, :] = dfeatures
         for layer in reversed(range(cfg.layers)):
-            lp = _layer_params(params, f"l{layer}")
-            dxs, layer_grads = nn.sequence_backward(self.cell, lp, layer_caches[layer], upstream)
+            lp = {name: params[f"l{layer}:{name}"] for name in ("U", "W", "b")}
+            # the first layer's input gradient is read only by an embedding
+            upstream, layer_grads = nn.sequence_backward(
+                self.cell, lp, layer_caches[layer], upstream, input_grad=layer > 0 or bool(cfg.embedding_dim)
+            )
             grads.update({f"l{layer}:{k}": v for k, v in layer_grads.items()})
-            upstream = dxs
         if cfg.embedding_dim:
             demb = upstream[:, :, : cfg.embedding_dim]
             grads["emb"] = nn.embedding_backward(params["emb"], idx, demb)

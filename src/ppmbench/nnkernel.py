@@ -158,9 +158,13 @@ def sequence_forward(
     column where any row has a real step: ``hs[:, :t0]`` holds the zero
     state, and only columns ``t0..T-1`` are projected (one ``x U + b``
     matmul over their B·(T - t0) rows), stepped and cached; the inputs of
-    the columns before ``t0`` are never read.
+    the columns before ``t0`` are never read. The mask is applied only on
+    the columns that hold padding; from the first column whose rows are all
+    real on, each step's state is taken as it is. Hidden states are
+    bit-equal to masking every column.
 
-    Returns (hs, caches) where hs has shape (B, T, H).
+    Returns (hs, caches) where hs has shape (B, T, H); ``caches[2]`` lists
+    the step caches of the stepped columns.
     """
     if cell not in CELLS:
         raise ValueError(f"unknown cell {cell!r}")
@@ -174,8 +178,11 @@ def sequence_forward(
     mask = np.ones((B, T), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if np.any(mask[:, :-1] & ~mask[:, 1:]):
         raise ValueError("mask interleaves padding with real steps (left padding required)")
-    S = int(mask.any(axis=0).sum())
-    t0 = T - S
+    # rows real per column; left padding makes it non-decreasing
+    real = mask.sum(axis=0)
+    t0 = int(np.searchsorted(real, 1))  # first column with a real row
+    full = int(np.searchsorted(real, B))  # first column whose rows are all real
+    S = T - t0
     mask = mask[:, :, None]
     h = np.zeros((B, H), dtype=inputs.dtype)
     C = np.zeros((B, H), dtype=inputs.dtype) if cell == "lstm" else None
@@ -184,14 +191,16 @@ def sequence_forward(
     hs[:, :t0] = 0.0
     steps = []
     for t in range(t0, T):
-        m = mask[:, t]
         h_new, C_new, cache = _step_forward(cell, W, A[:, t - t0], h, C)
-        h = np.where(m, h_new, h)
-        if C is not None:
-            C = np.where(m, C_new, C)
+        if t < full:  # padded rows keep their state
+            m = mask[:, t]
+            h_new = np.where(m, h_new, h)
+            if C is not None:
+                C_new = np.where(m, C_new, C)
+        h, C = h_new, C_new
         hs[:, t] = h
         steps.append(cache)
-    return hs, (inputs, mask, steps)
+    return hs, (inputs, mask, steps, full)
 
 
 def sequence_backward(
@@ -199,40 +208,48 @@ def sequence_backward(
     params: Mapping[str, np.ndarray],
     caches,
     dhs: np.ndarray,
+    input_grad: bool = True,
 ):
     """Backpropagation through time over a cached forward pass.
 
     ``dhs`` is the upstream gradient on every step's hidden output, shape
-    (B, T, H). Returns (dxs, grads) with dxs shaped like the inputs. The
-    time loop runs over the cached steps, columns ``t0..T-1``, only; the
-    columns before them get zero input gradients. The per-step
-    pre-activation gradients are stacked, so the gradients of ``U``, ``W``
-    and ``b`` and the input gradient come from matmuls after the time loop,
-    over the B·(T - t0) rows of the stepped columns. A pass that stepped no
-    column (all padding) has zero gradients.
+    (B, T, H). Returns (dxs, grads) with dxs shaped like the inputs, or None
+    when ``input_grad`` is false: then the input gradient is not computed
+    at all, which a caller that does not read it saves. The time loop runs
+    over the cached steps, columns ``t0..T-1``, only; the columns before
+    them get zero input gradients. As in the forward, the mask is applied
+    only on the columns that hold padding. The per-step pre-activation
+    gradients are stacked, so the gradients of ``U``, ``W`` and ``b`` and
+    the input gradient come from matmuls after the time loop, over the
+    B·(T - t0) rows of the stepped columns. A pass that stepped no column
+    (all padding) has zero gradients. Every gradient is bit-equal to
+    masking every column.
     """
-    inputs, mask, steps = caches
+    inputs, mask, steps, full = caches
     U, W = params["U"], params["W"]
     B, T, D = inputs.shape
     H = W.shape[0]
     S = len(steps)
     t0 = T - S
-    dxs = np.zeros((B, T, D), dtype=dhs.dtype)
+    dxs = np.zeros((B, T, D), dtype=dhs.dtype) if input_grad else None
     if not steps:
         return dxs, {name: np.zeros_like(params[name], dtype=dhs.dtype) for name in ("U", "W", "b")}
     dA = np.empty((B, S, W.shape[1]), dtype=dhs.dtype)
     dh = np.zeros((B, H), dtype=dhs.dtype)
     dC = np.zeros((B, H), dtype=dhs.dtype) if cell == "lstm" else None
     for t in reversed(range(t0, T)):
-        m = mask[:, t]
         dh_total = dh + dhs[:, t]
-        da, dh_prev, dC_prev = _step_backward(
-            cell, W, steps[t - t0], dh_total * m, None if dC is None else dC * m
-        )
+        if t < full:  # padded rows pass their gradient through
+            m = mask[:, t]
+            da, dh_prev, dC_prev = _step_backward(
+                cell, W, steps[t - t0], dh_total * m, None if dC is None else dC * m
+            )
+            dh = np.where(m, dh_prev, dh_total)
+            if dC is not None:
+                dC = np.where(m, dC_prev, dC)
+        else:
+            da, dh, dC = _step_backward(cell, W, steps[t - t0], dh_total, dC)
         dA[:, t - t0] = da
-        dh = np.where(m, dh_prev, dh_total)
-        if dC is not None:
-            dC = np.where(m, dC_prev, dC)
     dA = dA.reshape(B * S, -1)
     h_prev = np.stack([cache[0] for cache in steps], axis=1).reshape(B * S, H)
     if cell == "gru":
@@ -241,7 +258,8 @@ def sequence_backward(
     else:
         dW = h_prev.T @ dA
     grads = {"U": inputs[:, t0:].reshape(B * S, D).T @ dA, "W": dW, "b": dA.sum(axis=0)}
-    dxs[:, t0:] = (dA @ U.T).reshape(B, S, D)
+    if input_grad:
+        dxs[:, t0:] = (dA @ U.T).reshape(B, S, D)
     return dxs, grads
 
 

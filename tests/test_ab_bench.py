@@ -99,3 +99,32 @@ def test_source_diff_hash_matches_the_commit_made_from_it(tmp_path):
     git("commit", "-q", "-m", "change")
     committed = git("diff", "--binary", "HEAD~1", "HEAD", "--", "src", "perfbench")
     assert measured == hashlib.sha256(committed).hexdigest()
+
+
+def test_both_trees_lie_at_paths_of_one_length_and_the_change_holds_uncommitted_edits(tmp_path):
+    repo = tmp_path / "repo"
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
+                       check=True, capture_output=True)
+
+    for name, text in [("src/pkg/a.py", "x = 1\n"), ("perfbench/run.py", "run = 1\n"),
+                       ("BENCHMARK.json", "{}\n"), ("README", "not measured\n")]:
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (repo / "src" / "pkg" / "a.py").write_text("x = 2\n")
+    (repo / "src" / "pkg" / "__pycache__").mkdir()
+    (repo / "src" / "pkg" / "__pycache__" / "a.pyc").write_bytes(b"stale")
+    work = tmp_path / "work"
+    work.mkdir()
+    trees = ab.prepare_trees(repo, "HEAD", work)
+    assert set(trees) == {"parent", "change"}
+    assert len(str(trees["parent"])) == len(str(trees["change"]))
+    assert (trees["parent"] / "src" / "pkg" / "a.py").read_text() == "x = 1\n"
+    assert (trees["change"] / "src" / "pkg" / "a.py").read_text() == "x = 2\n"
+    for tree in trees.values():
+        files = sorted(str(p.relative_to(tree)) for p in tree.rglob("*") if p.is_file())
+        assert files == ["BENCHMARK.json", "perfbench/run.py", "src/pkg/a.py"]

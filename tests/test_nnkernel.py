@@ -812,59 +812,147 @@ class TestShapeMismatches:
             nn.sequence_forward("lstm", params, np.ones((1, 1, 5)))
 
 
-def reference_sequence_forward(cell, params, inputs, mask=None):
-    """``sequence_forward`` as it was before passes started at the first real
-    column: every one of the T columns is stepped."""
+# Frozen copies of the kernel's step and sequence passes, so that an edit to
+# ``nnkernel`` cannot also edit the oracle it is checked against.
+
+def frozen_sigmoid(x):
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def frozen_step_forward(cell, W, a, h_prev, C_prev):
+    """``nnkernel._step_forward`` as frozen here: one step of a fused cell."""
+    H = h_prev.shape[1]
+    if cell == "rnn":
+        h = np.tanh(a + h_prev @ W)
+        return h, None, (h_prev, h)
+    if cell == "lstm":
+        pre = a + h_prev @ W
+        s = frozen_sigmoid(pre[:, : 3 * H])
+        c_tilde = np.tanh(pre[:, 3 * H :])
+        C = s[:, :H] * C_prev + s[:, H : 2 * H] * c_tilde
+        tC = np.tanh(C)
+        h = s[:, 2 * H :] * tC
+        return h, C, (h_prev, C_prev, s, c_tilde, tC)
+    zr = frozen_sigmoid(a[:, : 2 * H] + h_prev @ W[:, : 2 * H])
+    z = zr[:, :H]
+    rh = zr[:, H:] * h_prev
+    h_tilde = np.tanh(a[:, 2 * H :] + rh @ W[:, 2 * H :])
+    h = z * h_prev + (1.0 - z) * h_tilde
+    return h, None, (h_prev, zr, rh, h_tilde)
+
+
+def frozen_step_backward(cell, W, cache, dh, dC):
+    """``nnkernel._step_backward`` as frozen here: (da, dh_prev, dC_prev)."""
+    H = dh.shape[1]
+    if cell == "rnn":
+        _, h = cache
+        da = dh * (1.0 - h * h)
+        return da, da @ W.T, None
+    if cell == "lstm":
+        _, C_prev, s, c_tilde, tC = cache
+        dC = dC + dh * s[:, 2 * H :] * (1.0 - tC * tC)
+        ds = np.concatenate([dC * C_prev, dC * c_tilde, dh * tC], axis=1) * s * (1.0 - s)
+        da_c = dC * s[:, H : 2 * H] * (1.0 - c_tilde * c_tilde)
+        da = np.concatenate([ds, da_c], axis=1)
+        return da, da @ W.T, dC * s[:, :H]
+    h_prev, zr, _, h_tilde = cache
+    z = zr[:, :H]
+    da_h = dh * (1.0 - z) * (1.0 - h_tilde * h_tilde)
+    drh = da_h @ W[:, 2 * H :].T
+    dzr = np.concatenate([dh * (h_prev - h_tilde), drh * h_prev], axis=1) * zr * (1.0 - zr)
+    dh_prev = dh * z + drh * zr[:, H:] + dzr @ W[:, : 2 * H].T
+    return np.concatenate([dzr, da_h], axis=1), dh_prev, None
+
+
+def masked_backward_loop(cell, W, mask, steps, dhs, columns):
+    """The backward time loop over ``columns``, masking every one of them;
+    returns the stacked pre-activation gradients (B, len(columns), gH)."""
+    B, _, H = dhs.shape
+    dA = np.empty((B, len(steps), W.shape[1]), dtype=dhs.dtype)
+    dh = np.zeros((B, H), dtype=dhs.dtype)
+    dC = np.zeros((B, H), dtype=dhs.dtype) if cell == "lstm" else None
+    for i, t in reversed(list(enumerate(columns))):
+        m = mask[:, t]
+        dh_total = dh + dhs[:, t]
+        da, dh_prev, dC_prev = frozen_step_backward(cell, W, steps[i], dh_total * m, None if dC is None else dC * m)
+        dA[:, i] = da
+        dh = np.where(m, dh_prev, dh_total)
+        if dC is not None:
+            dC = np.where(m, dC_prev, dC)
+    return dA
+
+
+def weight_grads(cell, H, inputs, steps, dA):
+    """Gradients of U, W and b from the stacked rows of the stepped columns."""
+    dA = dA.reshape(-1, dA.shape[2])
+    h_prev = np.stack([cache[0] for cache in steps], axis=1).reshape(-1, H)
+    if cell == "gru":
+        rh = np.stack([cache[2] for cache in steps], axis=1).reshape(-1, H)
+        dW = np.concatenate([h_prev.T @ dA[:, : 2 * H], rh.T @ dA[:, 2 * H :]], axis=1)
+    else:
+        dW = h_prev.T @ dA
+    return {"U": inputs.reshape(-1, inputs.shape[2]).T @ dA, "W": dW, "b": dA.sum(axis=0)}
+
+
+def masked_forward(cell, params, inputs, mask, t0):
+    """Columns ``t0..T-1`` stepped with the mask applied on each of them."""
     U, W, b = params["U"], params["W"], params["b"]
     B, T, D = inputs.shape
-    H = W.shape[0]
+    H, S = W.shape[0], T - t0
     mask = np.ones((B, T), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     mask = mask[:, :, None]
     h = np.zeros((B, H), dtype=inputs.dtype)
     C = np.zeros((B, H), dtype=inputs.dtype) if cell == "lstm" else None
-    A = (inputs.reshape(B * T, D) @ U + b).reshape(B, T, -1)
+    A = (inputs[:, t0:].reshape(B * S, D) @ U + b).reshape(B, S, U.shape[1])
     hs = np.empty((B, T, H), dtype=inputs.dtype)
+    hs[:, :t0] = 0.0
     steps = []
-    for t in range(T):
-        m = mask[:, t]
-        h_new, C_new, cache = nn._step_forward(cell, W, A[:, t], h, C)
-        h = np.where(m, h_new, h)
+    for t in range(t0, T):
+        h_new, C_new, cache = frozen_step_forward(cell, W, A[:, t - t0], h, C)
+        h = np.where(mask[:, t], h_new, h)
         if C is not None:
-            C = np.where(m, C_new, C)
+            C = np.where(mask[:, t], C_new, C)
         hs[:, t] = h
         steps.append(cache)
     return hs, (inputs, mask, steps)
 
 
+def masked_backward(cell, params, caches, dhs):
+    """Backward of :func:`masked_forward` over the columns it stepped."""
+    inputs, mask, steps = caches
+    B, T, D = inputs.shape
+    t0 = T - len(steps)
+    dxs = np.zeros((B, T, D), dtype=dhs.dtype)
+    if not steps:
+        return dxs, {name: np.zeros_like(params[name], dtype=dhs.dtype) for name in ("U", "W", "b")}
+    dA = masked_backward_loop(cell, params["W"], mask, steps, dhs, range(t0, T))
+    grads = weight_grads(cell, params["W"].shape[0], inputs[:, t0:], steps, dA)
+    dxs[:, t0:] = (dA.reshape(-1, dA.shape[2]) @ params["U"].T).reshape(B, T - t0, D)
+    return dxs, grads
+
+
+def reference_sequence_forward(cell, params, inputs, mask=None):
+    """``sequence_forward`` as it was before passes started at the first real
+    column: every one of the T columns is stepped and masked."""
+    return masked_forward(cell, params, inputs, mask, 0)
+
+
 def reference_sequence_backward(cell, params, caches, dhs):
     """``sequence_backward`` of :func:`reference_sequence_forward`."""
-    inputs, mask, steps = caches
-    U, W = params["U"], params["W"]
-    B, T, D = inputs.shape
-    H = W.shape[0]
-    dA = np.empty((B, T, W.shape[1]), dtype=dhs.dtype)
-    dh = np.zeros((B, H), dtype=dhs.dtype)
-    dC = np.zeros((B, H), dtype=dhs.dtype) if cell == "lstm" else None
-    for t in reversed(range(T)):
-        m = mask[:, t]
-        dh_total = dh + dhs[:, t]
-        da, dh_prev, dC_prev = nn._step_backward(
-            cell, W, steps[t], dh_total * m, None if dC is None else dC * m
-        )
-        dA[:, t] = da
-        dh = np.where(m, dh_prev, dh_total)
-        if dC is not None:
-            dC = np.where(m, dC_prev, dC)
-    dA = dA.reshape(B * T, -1)
-    h_prev = np.stack([cache[0] for cache in steps], axis=1).reshape(B * T, H)
-    if cell == "gru":
-        rh = np.stack([cache[2] for cache in steps], axis=1).reshape(B * T, H)
-        dW = np.concatenate([h_prev.T @ dA[:, : 2 * H], rh.T @ dA[:, 2 * H :]], axis=1)
-    else:
-        dW = h_prev.T @ dA
-    flat = inputs.reshape(B * T, D)
-    grads = {"U": flat.T @ dA, "W": dW, "b": dA.sum(axis=0)}
-    return (dA @ U.T).reshape(B, T, D), grads
+    return masked_backward(cell, params, caches, dhs)
+
+
+def parent_sequence_forward(cell, params, inputs, mask=None):
+    """``sequence_forward`` as it was before the mask was skipped on full
+    columns: columns from the first real one on, each of them masked."""
+    real = np.ones(inputs.shape[:2], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    return masked_forward(cell, params, inputs, mask, inputs.shape[1] - int(real.any(axis=0).sum()))
+
+
+def parent_sequence_backward(cell, params, caches, dhs, input_grad=True):
+    """``sequence_backward`` of :func:`parent_sequence_forward`; it always
+    computes the input gradient, so ``input_grad`` is ignored."""
+    return masked_backward(cell, params, caches, dhs)
 
 
 def left_padded(lengths, T):
@@ -873,9 +961,10 @@ def left_padded(lengths, T):
 
 
 class TestFirstRealColumn:
-    """The passes start at the first column where any row is real; hidden
-    states, input gradients and parameter gradients stay bit-equal to the
-    reference that steps through every column."""
+    """The passes start at the first column where any row is real and mask
+    only the columns that hold padding; hidden states, input gradients and
+    parameter gradients stay bit-equal to the reference that steps and masks
+    every column, and to the parent that masks every column it steps."""
 
     T = 7
     # name -> (real steps per row, or None for no mask; upstream gradient
@@ -886,6 +975,8 @@ class TestFirstRealColumn:
         "one-all-padding-row": ([5, 0, 2], False),
         "all-padding": ([0, 0, 0], False),
         "upstream-only-on-skipped-columns": ([3, 1, 2], True),
+        "every-row-one-length": ([4, 4, 4], False),  # every stepped column full
+        "a-row-starts-in-the-last-column": ([6, 3, 1], False),  # a full column after padded ones
     }
 
     def inputs(self, case, cell, dtype):
@@ -907,15 +998,33 @@ class TestFirstRealColumn:
     def test_bit_equal_to_every_column_reference(self, cell, dtype, case):
         params, X, mask, dhs = self.inputs(case, cell, dtype)
         hs, caches = nn.sequence_forward(cell, params, X, mask)
-        ref_hs, ref_caches = reference_sequence_forward(cell, params, X, mask)
-        assert hs.dtype == ref_hs.dtype and np.array_equal(hs, ref_hs)
         dxs, grads = nn.sequence_backward(cell, params, caches, dhs)
-        ref_dxs, ref_grads = reference_sequence_backward(cell, params, ref_caches, dhs)
-        assert dxs.dtype == ref_dxs.dtype and np.array_equal(dxs, ref_dxs)
-        assert grads.keys() == ref_grads.keys()
+        for forward, backward in [
+            (reference_sequence_forward, reference_sequence_backward),
+            (parent_sequence_forward, parent_sequence_backward),
+        ]:
+            ref_hs, ref_caches = forward(cell, params, X, mask)
+            assert hs.dtype == ref_hs.dtype and np.array_equal(hs, ref_hs)
+            ref_dxs, ref_grads = backward(cell, params, ref_caches, dhs)
+            assert dxs.dtype == ref_dxs.dtype and np.array_equal(dxs, ref_dxs)
+            assert grads.keys() == ref_grads.keys()
+            for name, grad in grads.items():
+                assert grad.dtype == ref_grads[name].dtype, name
+                assert np.array_equal(grad, ref_grads[name]), name
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cell", nn.CELLS)
+    def test_weight_gradients_without_the_input_gradient_are_bit_equal(self, cell, dtype, case):
+        params, X, mask, dhs = self.inputs(case, cell, dtype)
+        _, caches = nn.sequence_forward(cell, params, X, mask)
+        _, grads = nn.sequence_backward(cell, params, caches, dhs)
+        dxs, bare_grads = nn.sequence_backward(cell, params, caches, dhs, input_grad=False)
+        assert dxs is None
+        assert bare_grads.keys() == grads.keys()
         for name, grad in grads.items():
-            assert grad.dtype == ref_grads[name].dtype, name
-            assert np.array_equal(grad, ref_grads[name]), name
+            assert bare_grads[name].dtype == grad.dtype, name
+            assert np.array_equal(bare_grads[name], grad), name
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_skipped_columns_hold_state_and_get_zero_gradient(self, case):
@@ -976,14 +1085,16 @@ class TestFirstRealColumn:
 
 
 class TestTrainingShapes:
-    """The passes against the every-column reference at training shapes: a
-    batch of 32 rows and 15 columns whose rows, bucketed by length, are all
-    shorter than 9 steps, so the passes start at t0 >= 7. Hidden states and
-    input gradients are bit-equal. The weight gradients sum over the
-    B·(T - t0) stepped rows where the reference sums over B·T, so BLAS may
-    block the sum differently: each entry is held to ``RTOL`` of the
-    reference, measured against the larger of its own size and the largest
-    entry of its gradient (a sum that cancels may keep few exact bits)."""
+    """The passes at training shapes: a batch of 32 rows and 15 columns
+    whose rows, bucketed by length, are all shorter than 9 steps, so the
+    passes start at t0 >= 7 and mask only their first columns. Everything is
+    bit-equal to the frozen parent, which masks every column it steps.
+    Against the every-column reference, hidden states and input gradients
+    are bit-equal; its weight gradients sum over B·T rows where the passes
+    sum over B·(T - t0), so BLAS may block the sum differently: each entry
+    is held to ``RTOL`` of the reference, measured against the larger of its
+    own size and the largest entry of its gradient (a sum that cancels may
+    keep few exact bits)."""
 
     RTOL = {np.float32: 1e-5, np.float64: 1e-12}
 
@@ -999,24 +1110,68 @@ class TestTrainingShapes:
             {k: v.astype(dtype) for k, v in nn.init_cell(cell, rng, D if i == 0 else hidden, hidden).items()}
             for i in range(layers)
         ]
-        hs = ref_hs = rng.normal(size=(B, T, D)).astype(dtype)
-        caches, ref_caches = [], []
+        hs = parent_hs = ref_hs = rng.normal(size=(B, T, D)).astype(dtype)
+        caches, parent_caches, ref_caches = [], [], []
         for params in stack:
             hs, cache = nn.sequence_forward(cell, params, hs, mask)
+            parent_hs, parent_cache = parent_sequence_forward(cell, params, parent_hs, mask)
             ref_hs, ref_cache = reference_sequence_forward(cell, params, ref_hs, mask)
-            assert np.array_equal(hs, ref_hs)
+            assert np.array_equal(hs, parent_hs) and np.array_equal(hs, ref_hs)
             caches.append(cache)
+            parent_caches.append(parent_cache)
             ref_caches.append(ref_cache)
-        dxs = ref_dxs = rng.normal(size=hs.shape).astype(dtype)
+        dxs = parent_dxs = ref_dxs = rng.normal(size=hs.shape).astype(dtype)
         rtol = self.RTOL[dtype]
-        for params, cache, ref_cache in reversed(list(zip(stack, caches, ref_caches))):
+        for params, cache, parent_cache, ref_cache in reversed(list(zip(stack, caches, parent_caches, ref_caches))):
             dxs, grads = nn.sequence_backward(cell, params, cache, dxs)
+            parent_dxs, parent_grads = parent_sequence_backward(cell, params, parent_cache, parent_dxs)
             ref_dxs, ref_grads = reference_sequence_backward(cell, params, ref_cache, ref_dxs)
-            assert dxs.dtype == ref_dxs.dtype and np.array_equal(dxs, ref_dxs)
+            assert dxs.dtype == parent_dxs.dtype and np.array_equal(dxs, parent_dxs)
+            assert np.array_equal(dxs, ref_dxs)
             for name, grad in grads.items():
+                assert grad.dtype == parent_grads[name].dtype, name
+                assert np.array_equal(grad, parent_grads[name]), name
                 ref = ref_grads[name]
-                assert grad.dtype == ref.dtype, name
                 np.testing.assert_allclose(grad, ref, rtol=rtol, atol=rtol * np.abs(ref).max(), err_msg=name)
+
+
+class TestRecurrentBatchLoss:
+    """``RecurrentPredictor._batch_loss`` against the same model on the frozen
+    parent passes, which always compute the first layer's input gradient:
+    loss and every gradient are bit-equal, whether the first layer's input
+    gradient is skipped (one-hot inputs) or read by an embedding."""
+
+    @pytest.mark.parametrize("batch", ["bucketed", "mixed"])
+    @pytest.mark.parametrize(
+        "arch, overrides",
+        [
+            ("gru", {"attributes": ("Resource",)}),
+            ("gru", {"embedding_dim": 4}),
+            ("lstm", {"embedding_dim": 4, "time_target": "remaining"}),
+        ],
+    )
+    def test_gradients_bit_equal_to_the_parent_passes(self, monkeypatch, arch, overrides, batch):
+        from conftest import generator_log
+        from ppmbench.models import TrainConfig, build_predictor
+        from ppmbench.splitting import make_prefix_samples, temporal_split
+
+        log, _ = generator_log(4, 200)
+        samples = make_prefix_samples(temporal_split(log).train)
+        config = TrainConfig(**{"hidden": 16, "layers": 2, **overrides})
+        predictor = build_predictor(arch, config, log.activity_vocab, log.attribute_vocabs)
+        X, M, y_act, y_time = predictor._fit_arrays(samples)
+        rows = np.argsort(M.sum(axis=1), kind="stable")[100:132] if batch == "bucketed" else np.arange(40)
+        args = (X[rows], M[rows], y_act[rows], None if y_time is None else y_time[rows])
+        params = predictor._build_params(np.random.default_rng(0))
+        loss, grads = predictor._batch_loss(params, *args)
+        monkeypatch.setattr(nn, "sequence_forward", parent_sequence_forward)
+        monkeypatch.setattr(nn, "sequence_backward", parent_sequence_backward)
+        parent_loss, parent_grads = predictor._batch_loss(params, *args)
+        assert loss == parent_loss
+        assert grads.keys() == parent_grads.keys() == params.keys()
+        for name, grad in grads.items():
+            assert grad.dtype == parent_grads[name].dtype == np.float32, name
+            assert np.array_equal(grad, parent_grads[name]), name
 
 
 class TestMaskShape:

@@ -1,22 +1,26 @@
 """Paired A/B run of the pipeline benchmark: a parent revision against this checkout.
 
-Extracts ``--parent`` (default ``HEAD``) with ``git archive`` into a temporary
-directory, then for each ``--workload`` runs ``perfbench/run.py --trace 0``
-``--pairs`` times in each tree, alternating the trees and switching which one
-runs first on every pair, so that drift in the machine's speed falls on both
-sides alike. Each run lasts as long as ``perfbench/run.py`` decides by
-default. The change side is this checkout's working tree as it is on disk,
-uncommitted edits included, so keep it still while the tool runs. An entry
-names the measured code by ``commit`` plus ``source_diff_sha256``, the sha256
-of ``git diff --binary HEAD -- src perfbench`` (null when that diff is empty);
-once the edits are committed, ``git diff --binary <commit> <new commit> -- src
-perfbench | sha256sum`` gives the same hash.
+Lays out two trees side by side in one temporary directory, ``parent/`` and
+``change/``, so that both paths have the same length: ``parent/`` holds the
+measured paths (``src``, ``perfbench`` and ``BENCHMARK.json``) of ``--parent``
+(default ``HEAD``), extracted with ``git archive``, and ``change/`` a snapshot
+of the same paths of this checkout's working tree, uncommitted edits included,
+taken once before the first run. For each ``--workload`` it then runs
+``perfbench/run.py --trace 0`` ``--pairs`` times in each tree, alternating the
+trees and switching which one runs first on every pair, so that drift in the
+machine's speed falls on both sides alike, and neither side gains from where
+its tree lies. Each run lasts as long as ``perfbench/run.py`` decides by
+default. An entry names the measured code by ``commit`` plus
+``source_diff_sha256``, the sha256 of ``git diff --binary HEAD -- src
+perfbench`` (null when that diff is empty); once the edits are committed,
+``git diff --binary <commit> <new commit> -- src perfbench | sha256sum`` gives
+the same hash.
 
 For every end-to-end metric that ``BENCHMARK.json`` gates it prints both
 medians, both quartiles and in how many pairs the change was better, and it
 appends one entry per workload to ``BENCH_<workload>.json`` at the repository
-root. Nothing is registered in ``.git``; the temporary tree is removed at the
-end. Run from anywhere:
+root. Nothing is registered in ``.git``; the temporary trees are removed at
+the end. Run from anywhere:
 
     python3 tools/ab_bench.py --parent HEAD~1 --workload decode-gru --pairs 10 --seed 1
 """
@@ -30,6 +34,7 @@ import importlib.metadata
 import json
 import os
 import platform
+import shutil
 import signal
 import statistics
 import subprocess
@@ -40,6 +45,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("train-gru", "decode-gru", "matrix")
 MEASURED = ("src", "perfbench")  # what a benchmark run executes
+TREE_PATHS = (*MEASURED, "BENCHMARK.json")  # what each side's tree holds
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -96,13 +102,36 @@ def source_diff_sha256(root: Path) -> str | None:
     return hashlib.sha256(diff).hexdigest() if diff else None
 
 
-def extract(rev: str, dest: Path) -> None:
-    """The committed tree of ``rev`` under ``dest``."""
-    archive = subprocess.Popen(["git", "archive", "--format=tar", rev], cwd=ROOT, stdout=subprocess.PIPE)
+def extract(root: Path, rev: str, dest: Path) -> None:
+    """The measured paths of the committed tree of ``rev`` under ``dest``."""
+    dest.mkdir()
+    archive = subprocess.Popen(["git", "archive", "--format=tar", rev, "--", *TREE_PATHS], cwd=root,
+                               stdout=subprocess.PIPE)
     untar = subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=False)
     archive.stdout.close()
     if archive.wait() != 0 or untar.returncode != 0:
         raise SystemExit(f"ab_bench: could not extract {rev!r}")
+
+
+def snapshot(root: Path, dest: Path) -> None:
+    """The measured paths of the working tree under ``dest``: every tracked
+    file as it is on disk, so uncommitted edits are in and build leftovers
+    such as ``__pycache__`` are not. A tracked file deleted from disk is
+    left out, as the change would leave it out."""
+    for name in git("ls-files", "-z", "--", *TREE_PATHS, root=root).split("\0"):
+        source = root / name
+        if name and source.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(source, dest / name)
+
+
+def prepare_trees(root: Path, rev: str, tmp: Path) -> dict[str, Path]:
+    """side -> tree: ``rev`` extracted under ``tmp/parent`` and the working
+    tree's snapshot under ``tmp/change``, two paths of one length."""
+    trees = {"parent": tmp / "parent", "change": tmp / "change"}
+    extract(root, rev, trees["parent"])
+    snapshot(root, trees["change"])
+    return trees
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -189,11 +218,10 @@ def main(argv: list[str] | None = None) -> int:
     commit = git("rev-parse", "HEAD")
     diff_sha = source_diff_sha256(ROOT)
     gated = gated_metrics(ROOT)
-    # on SIGTERM unwind as on Ctrl-C: the running benchmark is killed, the temporary tree removed
+    # on SIGTERM unwind as on Ctrl-C: the running benchmark is killed, the temporary trees removed
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
-    with tempfile.TemporaryDirectory(prefix="ab-bench-parent-") as tmp:
-        extract(parent, Path(tmp))
-        trees = {"parent": Path(tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="ab-bench-") as tmp:
+        trees = prepare_trees(ROOT, parent, Path(tmp))
         for workload in args.workload or WORKLOADS:
             runs = measure(trees, workload, args.pairs, args.seed)
             entry = workload_entry(workload, runs, gated, args, commit, diff_sha, parent)
