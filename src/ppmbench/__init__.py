@@ -23,7 +23,7 @@ from .eventlog import (
     parse_csv,
     to_csv,
 )
-from .splitting import PrefixSample, SplitLog, make_prefix_samples, temporal_split
+from .splitting import PrefixSample, SampleSet, SplitLog, make_prefix_samples, temporal_split
 from .encoding import (
     FeatureMatrix,
     Normalizer,

@@ -11,7 +11,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .eventlog import MISSING, Event, Vocabulary
-from .splitting import FlatPrefixes, PrefixSample
+from .splitting import FlatPrefixes, PrefixSample, SampleSet
 
 
 MS_PER_DAY = 86_400_000
@@ -327,10 +327,10 @@ class PrefixEncoder:
         """Fit sequence length and time statistics on training samples only.
 
         The time normalizers are min-max, so they read the time columns of
-        :meth:`FlatPrefixes.of_samples`, which holds each trace's events
-        once, up to its longest sampled prefix.
+        the samples' :attr:`SampleSet.flat` layout, which holds each
+        trace's events once, up to its longest sampled prefix.
         """
-        flat = FlatPrefixes.of_samples(samples)
+        flat = SampleSet.of(samples).flat
         if not len(flat.ks):
             raise ValueError("cannot fit an encoder on zero samples")
         _check_nonempty(flat)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .eventlog import EOC, Event
 from .models import EventHypotheses, Predictor
-from .splitting import PrefixSample, check_prefix_samples, whole_prefix_sample
+from .splitting import PrefixSample, SampleSet, whole_prefix_sample
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def decode_suffixes(
     ``predict(events)``. One vectorised check then rejects any row that is
     not a distribution with ``ValueError``.
     """
-    check_prefix_samples(samples)
+    samples = SampleSet.of(samples).check()
     if not samples:
         return []
     n, vocab = len(samples), model.activity_vocab

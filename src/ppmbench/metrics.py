@@ -12,7 +12,7 @@ from .eventlog import EOC, EventLog, SECONDS_PER_DAY
 # decode_suffix stays bound here: perfbench's tracer patches it by name
 from .inference import DecodeConfig, decode_suffix, decode_suffixes  # noqa: F401
 from .models import Predictor
-from .splitting import make_prefix_samples
+from .splitting import SampleSet, make_prefix_samples
 
 ALL_TASKS = ("next_activity", "suffix", "next_time", "remaining_time")
 
@@ -133,7 +133,8 @@ def evaluate_protocol(
     tasks: Sequence[str] = ALL_TASKS,
     min_k: int = 1,
 ) -> MetricsReport:
-    """Evaluate a fitted model over every prefix sample of the test part.
+    """Evaluate a fitted model over every prefix sample of the test part, in
+    one :class:`~ppmbench.splitting.SampleSet` that every task reads.
 
     One ``predict_batch`` call, in sample order, scores next activity and
     the time heads. One ``decode_suffixes`` search over the same samples
@@ -147,7 +148,7 @@ def evaluate_protocol(
     for task in tasks:
         if task not in ALL_TASKS:
             raise ValueError(f"unknown task {task!r}")
-    samples = make_prefix_samples(test, min_k)
+    samples = SampleSet(make_prefix_samples(test, min_k))
     if not samples:
         raise ValueError("test set yields no prefix samples")
     n = len(samples)
@@ -162,23 +163,20 @@ def evaluate_protocol(
     if want_next or want_time or (want_remaining and direct):
         probs, times = model.predict_batch(samples)
     if want_next:
-        truth = [model.activity_vocab.index(s.next_activity) for s in samples]
+        truth = samples.next_activity_indices(model.activity_vocab).tolist()
         report.accuracy = accuracy(probs.argmax(axis=1).tolist(), truth)
         report.brier = brier(probs, truth)
         report.n_samples["next_activity"] = n
     if want_time:
         scored = ~np.isnan(times)
         if scored.any():
-            next_true = np.array([s.next_time_delta for s in samples])
-            report.mae_next = mae(times[scored], next_true[scored])
+            report.mae_next = mae(times[scored], samples.next_time_deltas[scored])
             report.n_samples["next_time"] = int(scored.sum())
     if want_suffix or (want_remaining and not direct):
         decoded = decode_suffixes(model, samples, decode_cfg)
         report.truncated_suffixes = sum(d.truncated for d in decoded)
         if want_suffix:
-            sims = [
-                dl_similarity(d.activities, s.suffix_activities) for d, s in zip(decoded, samples)
-            ]
+            sims = [dl_similarity(d.activities, suffix) for d, suffix in zip(decoded, samples.suffix_activities)]
             report.dl_similarity = sum(sims) / n
             report.n_samples["suffix"] = n
     if want_remaining:
@@ -188,6 +186,6 @@ def evaluate_protocol(
             raise ValueError("model emitted no time prediction")
         else:
             remaining = np.maximum(times, 0.0)
-        report.mae_remaining = mae(remaining, [s.remaining_time for s in samples])
+        report.mae_remaining = mae(remaining, samples.remaining_times)
         report.n_samples["remaining_time"] = n
     return report

@@ -22,9 +22,7 @@ from .atomic import write_text_atomic
 from .encoding import Normalizer, PrefixEncoder, ngram_hash_encode, ngram_hash_extend, ngram_hash_prefixes
 from .eventlog import MISSING, Event, Vocabulary
 from .petrinet import PetriNet, TimedStates, TimedStateVector, replay_states, replay_timed_state
-from .splitting import (
-    FlatPrefixes, PrefixSample, SplitLog, check_prefix_samples, make_prefix_samples, whole_prefix_sample,
-)
+from .splitting import FlatPrefixes, PrefixSample, SampleSet, SplitLog, make_prefix_samples, whole_prefix_sample
 
 ARCHITECTURES = ("markov", "mlp", "rnn", "lstm", "gru", "autoencoder")
 INPUT_MODES = ("padded_flat", "single_event", "timed_state")  # what the mlp reads
@@ -145,14 +143,17 @@ class TrainReport:
 
 
 class Predictor:
-    """Interface of two inference methods. ``predict_batch`` maps prefix
-    samples to float64 activity probabilities (N, C) over the vocabulary
-    (end-of-case included) and non-negative times (N,) in seconds (meaning
-    set by ``time_target``; NaN for none); a sample with ``k`` outside
-    1..len(trace) is a ``ValueError``. ``hypotheses`` starts a decode from
-    the samples: its ``predict()`` scores each row as ``predict_batch``
-    scores its prefix, and ``extend(parents, tokens, deltas)`` steps rows
-    ``parents`` by one decoded event each."""
+    """Interface of training and two inference methods; each takes a
+    :class:`~ppmbench.splitting.SampleSet` or a sequence that it wraps in one.
+    ``fit`` rejects a sample with ``k`` outside 1..len(trace) - 1 (no target)
+    with ``ValueError`` before it changes the predictor. ``predict_batch``
+    maps prefix samples to float64 activity probabilities (N, C) over the
+    vocabulary (end-of-case included) and non-negative times (N,) in seconds
+    (meaning set by ``time_target``; NaN for none); a sample with ``k``
+    outside 1..len(trace) is a ``ValueError``. ``hypotheses`` starts a decode
+    from the samples: its ``predict()``, the default ``predict_batch``, scores
+    each row as ``predict_batch`` scores its prefix, and ``extend(parents,
+    tokens, deltas)`` steps rows ``parents`` by one decoded event each."""
 
     activity_vocab: Vocabulary
     time_target: str | None = None
@@ -167,7 +168,7 @@ class Predictor:
         raise NotImplementedError
 
     def predict_batch(self, samples: Sequence[PrefixSample]) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
+        return self.hypotheses(SampleSet.of(samples).check()).predict()
 
     def hypotheses(self, samples: Sequence[PrefixSample]):
         raise NotImplementedError
@@ -280,27 +281,29 @@ class MarkovPredictor(Predictor):
 
     def fit(self, train_samples, val_samples, seed=0) -> TrainReport:
         start = time.perf_counter()
+        train, val = SampleSet.of(train_samples), SampleSet.of(val_samples)
+        truth, val_truth = (samples.next_activity_indices(self.activity_vocab) for samples in (train, val))
         order = self.config.order
         self.tables = [{} for _ in range(order + 1)]
         self._memo = {}
-        for sample, context in zip(train_samples, FlatPrefixes.of_samples(train_samples).last_activities(order)):
-            target = self.activity_vocab.index(sample.next_activity)
+        for target, delta, context in zip(
+            truth.tolist(), train.next_time_deltas.tolist(), train.flat.last_activities(order)
+        ):
             for j in range(len(context) + 1):
                 ctx = context[len(context) - j :]
                 counts, delta_sum = self.tables[j].get(ctx) or (Counter(), 0.0)
                 counts[target] += 1
-                self.tables[j][ctx] = (counts, delta_sum + sample.next_time_delta)
-        train_nll = self._mean_nll(train_samples)
-        val_nll = self._mean_nll(val_samples) if val_samples else train_nll
+                self.tables[j][ctx] = (counts, delta_sum + delta)
+        train_nll = self._mean_nll(train, truth)
+        val_nll = self._mean_nll(val, val_truth) if val else train_nll
         seconds = time.perf_counter() - start
         return TrainReport(train_losses=(train_nll,), val_losses=(val_nll,), best_epoch=0,
                            wall_clock_seconds=seconds, epoch_seconds=(seconds,), seed=seed)
 
-    def _mean_nll(self, samples) -> float:
+    def _mean_nll(self, samples, truth) -> float:
         if not samples:
             return 0.0
         probs, _ = self.predict_batch(samples)
-        truth = [self.activity_vocab.index(s.next_activity) for s in samples]
         picked = np.maximum(probs[np.arange(len(samples)), truth], 1e-12)
         return -sum(np.log(picked).tolist()) / len(samples)
 
@@ -317,12 +320,8 @@ class MarkovPredictor(Predictor):
                 return probs / (total + alpha * k), max(0.0, delta_sum / total)
         return np.full(k, 1.0 / k, dtype=np.float64), np.nan
 
-    def predict_batch(self, samples):
-        check_prefix_samples(samples)
-        return self.hypotheses(samples).predict()
-
     def hypotheses(self, samples):
-        return _MarkovHypotheses(self, FlatPrefixes.of_samples(samples).last_activities(self.config.order))
+        return _MarkovHypotheses(self, SampleSet.of(samples).flat.last_activities(self.config.order))
 
     def _save(self, path_prefix, seed):
         """The JSON sidecar alone: the tables are the whole model. Each order
@@ -394,12 +393,6 @@ class _MarkovHypotheses:
 # ---------------------------------------------------------------------------
 # shared neural plumbing
 # ---------------------------------------------------------------------------
-
-def _time_values(samples, time_target: str) -> np.ndarray:
-    if time_target == "next":
-        return np.array([s.next_time_delta for s in samples], dtype=np.float64)
-    return np.array([s.remaining_time for s in samples], dtype=np.float64)
-
 
 POOL_BATCHES = 32  # batches per length-sorted pool of a recurrent model's epoch
 REPLAY_CHUNK = 256  # samples per timed-state replay pass; bounds the pass's (events, places) arrays
@@ -540,8 +533,8 @@ class _NeuralPredictor(Predictor):
         self.dtype = np.float32
 
     # hooks -------------------------------------------------------------
-    def _prepare(self, train_samples) -> None:
-        self.encoder = self._make_encoder().fit(train_samples)
+    def _prepare(self, train: SampleSet) -> None:
+        self.encoder = self._make_encoder().fit(train)
 
     def _build_params(self, rng) -> dict[str, np.ndarray]:
         raise NotImplementedError
@@ -577,28 +570,25 @@ class _NeuralPredictor(Predictor):
             max_len=cfg.max_len,
         )
 
-    def _fit_arrays(self, train_samples):
-        """Fit the input encoding and the time normalizer on the training
-        samples, then return the training arrays (see :meth:`_arrays`)."""
-        self._prepare(train_samples)
-        if self.config.time_target is not None:
-            self.time_norm = Normalizer("log").fit(_time_values(train_samples, self.config.time_target))
-        return self._arrays(train_samples)
-
     def _batch_inputs(self, samples):
         """Network inputs and mask (or None) of the samples' prefixes, in
         sample order; an input never reads past its prefix. The encoder
         encodes all of them in one pass over their traces' events."""
-        return self.encoder.encode_flat(FlatPrefixes.of_samples(samples), self.dtype)
+        return self.encoder.encode_flat(SampleSet.of(samples).flat, self.dtype)
 
-    def _arrays(self, samples):
-        """:meth:`_batch_inputs` plus activity and normalized time targets."""
-        X, M = self._batch_inputs(samples)
-        y_act = np.array([self.activity_vocab.index(s.next_activity) for s in samples], dtype=np.int64)
-        y_time = None
-        if self.config.time_target is not None:
-            y_time = self.time_norm.transform(_time_values(samples, self.config.time_target))
-        return X, M, y_act, y_time
+    def _fit_arrays(self, train_samples, val_samples=()):
+        """Read every target of both sample sets, fit the input encoding and the time normalizer
+        on the training set, and return each set's inputs, mask, activity indices and time targets."""
+        sets, target = (SampleSet.of(train_samples), SampleSet.of(val_samples)), self.config.time_target
+        if not sets[0]:
+            raise ValueError("no training samples")
+        y_acts = [s.next_activity_indices(self.activity_vocab) for s in sets]
+        y_times = [target and (s.next_time_deltas if target == "next" else s.remaining_times) for s in sets]
+        self._prepare(sets[0])
+        if target is not None:
+            self.time_norm = Normalizer("log").fit(y_times[0])
+            y_times = [self.time_norm.transform(y_time) for y_time in y_times]
+        return [(*self._batch_inputs(s), y_act, y_time) for s, y_act, y_time in zip(sets, y_acts, y_times)]
 
     def _init_heads(self, rng, n_features: int) -> dict[str, np.ndarray]:
         n_classes = len(self.activity_vocab)
@@ -652,12 +642,9 @@ class _NeuralPredictor(Predictor):
 
     def fit(self, train_samples, val_samples, seed=0) -> TrainReport:
         start = time.perf_counter()
-        if not train_samples:
-            raise ValueError("no training samples")
-        X, M, y_act, y_time = self._fit_arrays(train_samples)
+        (X, M, y_act, y_time), (X_val, M_val, y_act_val, y_time_val) = self._fit_arrays(train_samples, val_samples)
         val_loss = None
-        if val_samples:
-            X_val, M_val, y_act_val, y_time_val = self._arrays(val_samples)
+        if len(X_val):
 
             def val_loss(p):  # the inference forward: no backward cache, and no padded row counts
                 logits, tpred = self._blocked_outputs(p, X_val, M_val)
@@ -679,7 +666,7 @@ class _NeuralPredictor(Predictor):
             )
 
         self.params, report = _sgd_train(
-            params, batch_step, val_loss, len(train_samples), self.config, seed, self._batch_lengths(M)
+            params, batch_step, val_loss, len(X), self.config, seed, self._batch_lengths(M)
         )
         return replace(
             report,
@@ -734,8 +721,7 @@ class _NeuralPredictor(Predictor):
 
     def predict_batch(self, samples):
         self._check_fitted()
-        check_prefix_samples(samples)
-        return self._infer(*self._batch_inputs(samples))
+        return self._infer(*self._batch_inputs(SampleSet.of(samples).check()))
 
     def hypotheses(self, samples):
         """Hypotheses that start from the samples' inputs, encoded as
@@ -743,7 +729,7 @@ class _NeuralPredictor(Predictor):
         timestamps and lengths come from the same flat event columns, so a
         decode start reads the events once."""
         self._check_fitted()
-        flat = FlatPrefixes.of_samples(samples)
+        flat = SampleSet.of(samples).flat
         last = flat.ends - 1
         X, M = self.encoder.encode_flat(flat, self.dtype)
         return _WindowHypotheses(self, X, M, flat.first_ms[last], flat.ms[last], flat.ks)
@@ -981,18 +967,14 @@ class MLPPredictor(_NeuralPredictor):
             encoder.max_len = 1
         return encoder
 
-    def _prepare(self, train_samples) -> None:
+    def _prepare(self, train) -> None:
         if self.config.input_mode == "timed_state":
             self.decay_seconds = self.config.decay_seconds
             if self.decay_seconds is None:  # this fit's longest training case
-                longest = max(
-                    (s.trace.events[s.k - 1].timestamp_ms - s.trace.start_ms) / 1000.0 + s.remaining_time
-                    for s in train_samples
-                )
-                self.decay_seconds = max(longest, 1.0)
+                self.decay_seconds = max(float(np.max(train.elapsed_times + train.remaining_times)), 1.0)
             self.encoder = None
         else:
-            super()._prepare(train_samples)
+            super()._prepare(train)
 
     def _timed_state_vocabs(self) -> dict[str, Vocabulary]:
         return {name: self.attribute_vocabs[name] for name in self.config.attributes}
@@ -1002,7 +984,7 @@ class MLPPredictor(_NeuralPredictor):
         ``REPLAY_CHUNK`` samples, read at each prefix's last event with the
         configured attributes: the states come out in sample order."""
         for s in range(0, len(samples), REPLAY_CHUNK):
-            flat = FlatPrefixes.of_samples(samples[s : s + REPLAY_CHUNK])
+            flat = SampleSet.of(samples[s : s + REPLAY_CHUNK]).flat
             yield flat, replay_states(self.petri_net, flat, None, self._timed_state_vocabs())
 
     def _batch_inputs(self, samples):
@@ -1111,7 +1093,7 @@ class AutoencoderPredictor(_NeuralPredictor):
                 )
         self.recon_losses: list[tuple[float, ...]] = []
 
-    def _prepare(self, train_samples) -> None:
+    def _prepare(self, train) -> None:
         self.encoder = None
 
     def _hashed(self, flat: FlatPrefixes, dtype) -> np.ndarray:
@@ -1121,14 +1103,14 @@ class AutoencoderPredictor(_NeuralPredictor):
 
     def _batch_inputs(self, samples):
         """Hashed n-gram vectors of the samples' prefixes, in sample order; no mask."""
-        return self._hashed(FlatPrefixes.of_samples(samples), self.dtype), None
+        return self._hashed(SampleSet.of(samples).flat, self.dtype), None
 
     def hypotheses(self, samples):
         """Hypotheses that start from the float64 vectors whose float32
         copies :meth:`_batch_inputs` gives, and each prefix's last
         ``ngram_k - 1`` labels."""
         self._check_fitted()
-        flat = FlatPrefixes.of_samples(samples)
+        flat = SampleSet.of(samples).flat
         return _NgramHypotheses(self, self._hashed(flat, np.float64), flat.last_activities(self.config.ngram_k - 1))
 
     def _build_params(self, rng):
@@ -1242,9 +1224,7 @@ def train(
 ) -> TrainReport:
     """Fit a predictor on a chronological split; encoders and normalization
     statistics are fitted on the training part only."""
-    train_samples = make_prefix_samples(split.train, min_k)
-    val_samples = make_prefix_samples(split.validation, min_k) if split.validation.traces else []
-    return predictor.fit(train_samples, val_samples, seed)
+    return predictor.fit(make_prefix_samples(split.train, min_k), make_prefix_samples(split.validation, min_k), seed)
 
 
 def save_predictor(predictor: Predictor, path_prefix: str | Path, seed: int = 0) -> list[Path]:

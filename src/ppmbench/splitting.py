@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -112,19 +112,6 @@ class PrefixSample:
         return (self.trace.end_ms - self.trace.events[self.k - 1].timestamp_ms) / 1000.0
 
 
-def check_prefix_samples(samples: Sequence[PrefixSample]) -> None:
-    """``ValueError`` unless every sample's prefix holds 1 to all of its
-    trace's events: the inputs a model scores or decodes from."""
-    for sample in samples:
-        if sample.k < 1:
-            raise ValueError(f"sample of case {sample.case_id!r} has an empty prefix (k={sample.k})")
-        if sample.k > len(sample.trace.events):
-            raise ValueError(
-                f"sample of case {sample.case_id!r}: prefix length {sample.k} exceeds its trace's "
-                f"length {len(sample.trace.events)}"
-            )
-
-
 @dataclass(frozen=True)
 class FlatPrefixes:
     """N prefixes of T traces as flat event columns: the layout in which a
@@ -166,19 +153,6 @@ class FlatPrefixes:
         previous = np.maximum(np.arange(len(events)) - 1, begin)
         return cls(events, starts, ms, ms[previous], ms[begin], trace_of, ks, starts[trace_of] + ks)
 
-    @classmethod
-    def of_samples(cls, samples: Iterable[PrefixSample]) -> "FlatPrefixes":
-        """The samples' prefixes, in sample order; samples of one trace share its events."""
-        slots: dict[int, int] = {}
-        traces, trace_of, ks = [], [], []
-        for sample in samples:
-            slot = slots.setdefault(id(sample.trace), len(slots))
-            if slot == len(traces):
-                traces.append(sample.trace.events)
-            trace_of.append(slot)
-            ks.append(sample.k)
-        return cls.of(traces, trace_of, ks)
-
     @cached_property
     def activities(self) -> list[str]:
         """The activity label of each event."""
@@ -188,6 +162,92 @@ class FlatPrefixes:
         """The last ``min(m, ks[i])`` activity labels of each prefix i."""
         labels = self.activities
         return [tuple(labels[end - min(m, k) : end]) for end, k in zip(self.ends.tolist(), self.ks.tolist())]
+
+
+class SampleSet(Sequence[PrefixSample]):
+    """An immutable sequence of prefix samples that builds on first read, and
+    then keeps, what its readers share: the samples' one :class:`FlatPrefixes`
+    (:attr:`flat`), one check of their prefix lengths (:meth:`check`) and their
+    target columns, each equal per sample to the :class:`PrefixSample` property
+    of its name (times in float64 seconds from int64 ms). Reading a column is a
+    ``ValueError``, naming the case, unless ``1 <= k < len(trace)``."""
+
+    def __init__(self, samples: Iterable[PrefixSample] = ()):
+        self._samples = tuple(samples)
+        self._checked = False
+
+    @classmethod
+    def of(cls, samples: Iterable[PrefixSample]) -> "SampleSet":
+        """``samples`` itself if it is a set, else a set of them."""
+        return samples if isinstance(samples, SampleSet) else cls(samples)
+
+    def __len__(self) -> int:
+        return len(self._samples)
+
+    def __getitem__(self, i):
+        return SampleSet(self._samples[i]) if isinstance(i, slice) else self._samples[i]
+
+    @cached_property
+    def _index(self) -> tuple[list[tuple[Event, ...]], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each trace's events, in order of first appearance, and per sample its trace
+        among them, its k, and where that trace starts and stops in them laid end to end."""
+        traces = {id(sample.trace): sample.trace.events for sample in self._samples}
+        slots = {key: slot for slot, key in enumerate(traces)}
+        trace_of = np.array([slots[id(sample.trace)] for sample in self._samples], dtype=np.int64)
+        bounds = np.cumsum([0] + [len(events) for events in traces.values()], dtype=np.int64)
+        ks = np.array([sample.k for sample in self._samples], dtype=np.int64)
+        return list(traces.values()), trace_of, ks, bounds[trace_of], bounds[trace_of + 1]
+
+    def _first_outside(self, shortest: int, cut: int) -> PrefixSample | None:
+        """The first sample whose k lies outside ``shortest..len(trace) - cut``, if any."""
+        _, _, ks, starts, stops = self._index
+        bad = np.flatnonzero((ks < shortest) | (ks > stops - starts - cut))
+        return self._samples[bad[0]] if len(bad) else None
+
+    @cached_property
+    def flat(self) -> FlatPrefixes:
+        """The samples' prefixes, in sample order; samples of one trace share its events."""
+        return FlatPrefixes.of(*self._index[:3])
+
+    def check(self) -> "SampleSet":
+        """This set; ``ValueError`` unless every sample's prefix holds 1 to
+        all of its trace's events: the inputs a model scores or decodes from."""
+        bad = None if self._checked else self._first_outside(1, 0)
+        if bad is not None:
+            raise ValueError(f"sample of case {bad.case_id!r} has an empty prefix (k={bad.k})" if bad.k < 1 else
+                             f"sample of case {bad.case_id!r}: prefix length {bad.k} exceeds its trace's length "
+                             f"{len(bad.trace.events)}")
+        self._checked = True
+        return self
+
+    @cached_property
+    def _columns(self) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The traces' labels laid end to end, each sample's next event there, and the time columns."""
+        bad = self._first_outside(1, 1)
+        if bad is not None:
+            raise ValueError(f"sample of case {bad.case_id!r} has no target: its prefix length {bad.k} lies outside "
+                             f"1..{len(bad.trace.events) - 1}")
+        traces, _, ks, starts, stops = self._index
+        events = list(chain.from_iterable(traces))
+        ms = np.fromiter((ev.timestamp_ms for ev in events), dtype=np.int64, count=len(events))
+        heads = starts + ks
+        last = ms[heads - 1]
+        seconds = [(ms[heads] - last) / 1000.0, (ms[stops - 1] - last) / 1000.0, (last - ms[starts]) / 1000.0]
+        return [ev.activity for ev in events], heads, *seconds
+
+    next_time_deltas = property(lambda self: self._columns[2])
+    remaining_times = property(lambda self: self._columns[3])
+    elapsed_times = property(lambda self: self._columns[4])  # from the case start to the prefix's last event
+
+    def next_activity_indices(self, vocab) -> np.ndarray:
+        """The int64 index in ``vocab`` of each sample's next activity."""
+        labels, heads = self._columns[:2]
+        return np.fromiter((vocab.index(labels[i]) for i in heads.tolist()), dtype=np.int64, count=len(self))
+
+    @cached_property
+    def suffix_activities(self) -> list[tuple[str, ...]]:
+        labels, heads = self._columns[:2]
+        return [tuple(labels[head:stop]) for head, stop in zip(heads.tolist(), self._index[4].tolist())]
 
 
 def whole_prefix_sample(events: Sequence[Event]) -> PrefixSample:
@@ -227,42 +287,3 @@ def split_manifest(split: SplitLog) -> str:
 
 def write_split_manifest(split: SplitLog, path: str | Path) -> None:
     write_text_atomic(path, lambda: split_manifest(split))
-
-
-def read_split_manifest(path: str | Path) -> dict[str, str]:
-    text = Path(path).read_text(encoding="utf-8")
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != ["case_id", "part"]:
-        raise ValueError(f"not a split manifest: header {header!r}")
-    assignment: dict[str, str] = {}
-    for row in reader:
-        if not row:
-            continue
-        case_id, part = row
-        if part not in PARTS:
-            raise ValueError(f"unknown part {part!r} for case {case_id!r}")
-        assignment[case_id] = part
-    return assignment
-
-
-def apply_split_manifest(log: EventLog, assignment: Mapping[str, str]) -> SplitLog:
-    """Partition ``log`` according to a previously written manifest."""
-    buckets: dict[str, list[Trace]] = {part: [] for part in PARTS}
-    for trace in log.traces:
-        part = assignment.get(trace.case_id)
-        if part is None:
-            raise ValueError(f"case {trace.case_id!r} missing from manifest")
-        buckets[part].append(trace)
-    extra = set(assignment) - {t.case_id for t in log.traces}
-    if extra:
-        raise ValueError(f"manifest names unknown cases: {sorted(extra)[:5]}")
-    train, validation, test = (
-        EventLog(
-            traces=tuple(buckets[part]),
-            activity_vocab=log.activity_vocab,
-            attribute_vocabs=log.attribute_vocabs,
-        )
-        for part in PARTS
-    )
-    return SplitLog(train=train, validation=validation, test=test)

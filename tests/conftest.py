@@ -16,7 +16,6 @@ import pytest
 from ppmbench.eventlog import Event, EventLog, Trace, Vocabulary, augment_eoc, parse_csv
 from ppmbench.models import EventHypotheses, Predictor
 from ppmbench.petrinet import PetriNet, load_petri_json
-from ppmbench.splitting import check_prefix_samples
 
 TABLE1_CSV = """case_id,activity,timestamp,Resource
 Case2118,Assign seriousness,14-01-2010 07:52:50,Resource 2
@@ -109,13 +108,9 @@ def linear_log() -> EventLog:
 
 
 class EventPredictor(Predictor):
-    """Base of the stub predictors, which define ``predict(events)``:
-    ``predict_batch`` and ``hypotheses`` score each prefix or hypothesis
-    with one ``predict`` call, as event tuples."""
-
-    def predict_batch(self, samples):
-        check_prefix_samples(samples)
-        return self.hypotheses(samples).predict()
+    """Base of the stub predictors, which define ``predict(events)``: their
+    ``hypotheses``, which the default ``predict_batch`` reads too, score
+    each prefix or hypothesis with one ``predict`` call, as event tuples."""
 
     def hypotheses(self, samples):
         return EventHypotheses(self, [s.prefix for s in samples])

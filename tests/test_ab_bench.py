@@ -1,5 +1,6 @@
 """The pure parts of ``tools/ab_bench.py``: the paired summary and the BENCH file."""
 
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -66,6 +67,53 @@ def test_gated_metrics_follow_benchmark_json():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert list(gated) == [m["name"] for m in spec["end_to_end"]]
     assert all(m["better"] in ("lower", "higher") for m in gated.values())
+
+
+def test_recorded_metrics_are_the_gated_ones_then_the_raw_seconds_ungated():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    recorded = ab.recorded_metrics(ab.gated_metrics(ROOT))
+    gated = [m["name"] for m in spec["end_to_end"]]
+    assert list(recorded) == gated + ["setup_raw_s", "workload_raw_s", "reference_s"]
+    assert [m["gated"] for m in recorded.values()] == [True] * len(gated) + [False] * 3
+    assert all(recorded[name]["unit"] == "s" and recorded[name]["better"] == "lower" for name in ab.RAW)
+
+
+def test_an_entry_summarizes_every_recorded_metric_and_reads_correctness_from_failures(capsys):
+    recorded = ab.recorded_metrics(ab.gated_metrics(ROOT))
+
+    def run(scale, failures=()):  # a --json-result line: every figure under values, and the failures
+        values = {name: scale * (i + 1) for i, name in enumerate(recorded)}
+        return {"values": {**values, "brier": 0.5}, "failures": list(failures)}
+
+    runs = {"parent": [run(2.0), run(2.2)], "change": [run(1.0), run(3.0, ["quality changed"])]}
+    entry = ab.workload_entry("matrix", runs, recorded, argparse.Namespace(seed=1, pairs=2), "c" * 40, None, "p" * 40)
+    assert list(entry["metrics"]) == list(recorded)
+    raw = entry["metrics"]["workload_raw_s"]
+    position = list(recorded).index("workload_raw_s") + 1
+    assert raw["parent"] == [2.0 * position, 2.2 * position] and raw["change"] == [1.0 * position, 3.0 * position]
+    assert raw["gated"] is False and raw["unit"] == "s" and (raw["change_better"], raw["change_worse"]) == (1, 1)
+    assert entry["metrics"]["setup_s"]["gated"] is True
+    assert entry["correct"] == {"parent": True, "change": False}
+    ab.print_entry(entry)
+    out = capsys.readouterr().out
+    rows = {line.split()[0]: line for line in out.splitlines() if line.startswith("  ")}
+    assert [name for name, line in rows.items() if line.endswith("(ungated)")] == list(ab.RAW)
+    assert "checks failed" in out
+
+
+def test_a_run_reads_the_full_result_of_the_benchmark(monkeypatch, tmp_path):
+    seen = []
+    line = {"values": {"setup_s": 1.0, "setup_raw_s": 0.9}, "failures": []}
+
+    def fake_run(command, cwd, **kwargs):
+        seen.append((command, cwd))
+        return subprocess.CompletedProcess(command, 0, stdout="progress\n" + json.dumps(line) + "\n", stderr="")
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    assert ab.run_once(tmp_path, "matrix", 3) == line
+    [(command, cwd)] = seen
+    assert cwd == tmp_path
+    assert command[1:] == ["perfbench/run.py", "--workload", "matrix", "--seed", "3", "--trace", "0", "--json-result"]
 
 
 def test_entries_append_to_one_file_per_workload(tmp_path):

@@ -28,7 +28,7 @@ from ppmbench.eventlog import (
     parse_timestamp,
 )
 from ppmbench.models import REPLAY_CHUNK, AutoencoderPredictor, MLPPredictor, TrainConfig, build_predictor
-from ppmbench.splitting import FlatPrefixes, PrefixSample, make_prefix_samples, temporal_split
+from ppmbench.splitting import FlatPrefixes, PrefixSample, SampleSet, make_prefix_samples, temporal_split
 
 from conftest import TABLE1_CSV, generator_log, make_linear_log, make_random_log, prefix_activities
 
@@ -501,7 +501,7 @@ class TestFlatEncodeMatchesPerTrace:
 
     def test_flat_columns_hold_each_trace_once(self):
         log, _, mix = mixed_samples(1)
-        flat = FlatPrefixes.of_samples(mix)
+        flat = SampleSet(mix).flat
         traces = list({id(s.trace): s.trace for s in mix}.values())  # in order of first appearance
         longest = {id(t): max(s.k for s in mix if s.trace is t) for t in traces}
         spans = [(t, i) for t in traces for i in range(longest[id(t)])]
@@ -516,7 +516,7 @@ class TestFlatEncodeMatchesPerTrace:
         log, train, _ = mixed_samples(1)
         encoder = PrefixEncoder(log.activity_vocab, attribute_vocabs=log.attribute_vocabs).fit(train)
         for dtype in (np.float64, np.float32):
-            X, M = encoder.encode_flat(FlatPrefixes.of_samples([]), dtype)
+            X, M = encoder.encode_flat(SampleSet([]).flat, dtype)
             assert X.shape == (0, encoder.max_len, encoder.num_features) and X.dtype == dtype
             assert M.shape == (0, encoder.max_len) and M.dtype == bool
         with pytest.raises(ValueError, match="zero samples"):
@@ -529,13 +529,13 @@ class TestFlatEncodeMatchesPerTrace:
         for k, message in ((0, "cannot encode an empty prefix"), (len(trace) + 1, f"outside 0..{len(trace)}")):
             for samples in ([PrefixSample(trace, k)], [PrefixSample(trace, 1), PrefixSample(trace, k)]):
                 with pytest.raises(ValueError, match=message):
-                    encoder.encode_flat(FlatPrefixes.of_samples(samples))
+                    encoder.encode_flat(SampleSet(samples).flat)
                 with pytest.raises(ValueError, match=message):
                     PrefixEncoder(log.activity_vocab).fit(samples)
         with pytest.raises(ValueError, match="cannot encode an empty prefix"):
             encoder.encode(())
         with pytest.raises(NotFittedError):
-            PrefixEncoder(log.activity_vocab).encode_flat(FlatPrefixes.of_samples(train))
+            PrefixEncoder(log.activity_vocab).encode_flat(SampleSet(train).flat)
 
 
 def reference_ngram_hash_encode(activities, max_n, dim, seed):

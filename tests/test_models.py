@@ -1,8 +1,10 @@
 import functools
+import gc
 import json
 import math
 import time
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -13,6 +15,7 @@ from ppmbench import models
 from ppmbench import nnkernel as nn
 from ppmbench.eventlog import EOC, Event, EventLog, Trace, Vocabulary, augment_eoc
 from ppmbench.inference import DecodeConfig, decode_suffixes
+from ppmbench.metrics import evaluate_protocol
 from ppmbench.models import (
     POOL_BATCHES,
     AutoencoderPredictor,
@@ -28,7 +31,7 @@ from ppmbench.models import (
     train,
 )
 from ppmbench.petrinet import PetriNet, Transition
-from ppmbench.splitting import PrefixSample, make_prefix_samples, temporal_split
+from ppmbench.splitting import FlatPrefixes, PrefixSample, SampleSet, make_prefix_samples, temporal_split
 
 from conftest import generator_log, make_linear_log, make_random_log, prefix_activities
 
@@ -984,8 +987,8 @@ class TestTimedStateMlp:
 class TestInputs:
     """``_batch_inputs`` of a whole trace's prefixes equals
     ``_batch_inputs`` of each prefix alone, bit for bit, so no input reads an
-    event past its prefix; ``_arrays`` puts them in sample order, whatever
-    that order is."""
+    event past its prefix; ``_fit_arrays`` puts each set's arrays in sample
+    order, whatever that order is."""
 
     @pytest.mark.parametrize(
         "arch, overrides",
@@ -1006,7 +1009,9 @@ class TestInputs:
             arch, TrainConfig(**overrides), log.activity_vocab, log.attribute_vocabs, net
         )
         samples = make_prefix_samples(log)
-        X, M, y_act, y_time = predictor._fit_arrays(samples)
+        order = np.random.default_rng(0).permutation(len(samples))
+        shuffled = [samples[i] for i in order]
+        (X, M, y_act, y_time), (Xs, Ms, ys_act, ys_time) = predictor._fit_arrays(samples, shuffled)
         rows = []
         for trace in log.traces:
             ks = list(range(1, len(trace)))
@@ -1019,9 +1024,6 @@ class TestInputs:
         assert len(rows) == len(samples)
         assert np.array_equal(X, np.stack([x for x, _ in rows]))
         assert M is None or np.array_equal(M, np.stack([m for _, m in rows]))
-
-        order = np.random.default_rng(0).permutation(len(samples))
-        Xs, Ms, ys_act, ys_time = predictor._arrays([samples[i] for i in order])
         assert np.array_equal(Xs, X[order]) and np.array_equal(ys_act, y_act[order])
         assert M is None or np.array_equal(Ms, M[order])
         assert y_time is None or np.array_equal(ys_time, y_time[order])
@@ -1276,7 +1278,8 @@ class TestValidationLoss:
         predictor = build_predictor(arch, cfg, log.activity_vocab, log.attribute_vocabs, net)
         val = make_prefix_samples(split.validation)[:rows]
         assert len(val) == rows
-        val_loss = fit_keeping_val_loss(monkeypatch, predictor, make_prefix_samples(split.train), val)
+        train_samples = make_prefix_samples(split.train)
+        val_loss = fit_keeping_val_loss(monkeypatch, predictor, train_samples, val)
         cross_entropies = []
         cross_entropy = nn.softmax_cross_entropy
 
@@ -1291,7 +1294,9 @@ class TestValidationLoss:
         probs, _ = predictor.predict_batch(val)
         targets = np.array([log.activity_vocab.index(s.next_activity) for s in val])
         assert cross_entropies == [float(-np.log(np.maximum(probs[np.arange(rows), targets], 1e-300)).mean())]
-        whole_set = predictor._head_loss(predictor.params, *predictor._arrays(val))[0]
+        # a refit of the encoding on the same samples gives the state the fit trained with
+        val_arrays = predictor._fit_arrays(train_samples, val)[1]
+        whole_set = predictor._head_loss(predictor.params, *val_arrays)[0]
         assert loss == pytest.approx(whole_set, rel=1e-6)
         if predictor.time_target is None:  # the autoencoder has no time head
             assert loss == cross_entropies[0]
@@ -1360,3 +1365,110 @@ class TestDeterministicLearnability:
             == s.next_activity
         )
         assert hits / len(samples) == 1.0
+
+
+@pytest.fixture
+def layouts(monkeypatch):
+    """The prefix count of each ``FlatPrefixes.of`` call, in call order."""
+    counted = []
+    of = FlatPrefixes.of.__func__
+
+    def counting(cls, traces, trace_of, ks):
+        counted.append(len(ks))
+        return of(cls, traces, trace_of, ks)
+
+    monkeypatch.setattr(FlatPrefixes, "of", classmethod(counting))
+    return counted
+
+
+SET_READERS = [
+    ("markov", {}),
+    ("gru", {"embedding_dim": 4}),
+    ("mlp", {"input_mode": "timed_state", "attributes": ("Resource",)}),
+    ("autoencoder", {"ngram_dim": 16, "ae_hidden": (8, 4), "pretrain_epochs": 1, "freeze_epochs": 1}),
+]
+SET_READER_IDS = ["markov", "gru-embedding", "mlp-timed-state", "autoencoder"]
+
+
+def set_reader(arch, overrides, log, net):
+    config = TrainConfig(**{"hidden": 8, "layers": 1, "epochs": 2, "patience": 2, **overrides})
+    return build_predictor(arch, config, log.activity_vocab, log.attribute_vocabs, net)
+
+
+def fitted_state(predictor) -> dict:
+    """What a fit leaves: the Markov tables, or the parameter bytes, encoder,
+    normalizer and decay horizon of a neural model."""
+    if isinstance(predictor, MarkovPredictor):
+        return {"tables": predictor.tables}
+    return {
+        "params": {k: (v.dtype, v.shape, v.tobytes()) for k, v in predictor.params.items()},
+        "encoder": predictor.encoder.state() if predictor.encoder else None,
+        "time_norm": predictor.time_norm.state() if predictor.time_norm else None,
+        "decay_seconds": getattr(predictor, "decay_seconds", None),
+    }
+
+
+class TestSampleSetReaders:
+    """Every model reads a :class:`SampleSet` as it reads the list of its
+    samples; a fit, a protocol run and a decode lay each set out once, and a
+    fit rejects a sample without a target before it changes anything."""
+
+    @pytest.mark.parametrize("arch, overrides", SET_READERS, ids=SET_READER_IDS)
+    def test_a_set_fits_as_its_list(self, arch, overrides):
+        log, net, split = invariance_split()
+        train_samples, val_samples = make_prefix_samples(split.train), make_prefix_samples(split.validation)
+        from_list, from_set = (set_reader(arch, overrides, log, net) for _ in range(2))
+        report = from_list.fit(train_samples, val_samples, seed=3)
+        assert from_set.fit(SampleSet(train_samples), SampleSet(val_samples), seed=3).core() == report.core()
+        assert fitted_state(from_set) == fitted_state(from_list)
+
+    @pytest.mark.parametrize("part", ["train", "validation"])
+    @pytest.mark.parametrize("arch", ["markov", "gru", "mlp", "autoencoder"])
+    def test_a_sample_without_a_target_is_rejected_before_the_fit_changes_anything(self, arch, part):
+        log = augment_eoc(make_linear_log(30))
+        split = temporal_split(log)
+        config = TrainConfig(hidden=8, layers=1, epochs=1, patience=1, ngram_dim=16, ae_hidden=(8,))
+        trace = split.part(part).traces[0]
+        for k in (0, len(trace)):
+            samples = {"train": make_prefix_samples(split.train), "validation": make_prefix_samples(split.validation)}
+            samples[part] = samples[part][:3] + [PrefixSample(trace, k)]
+            predictor = build_predictor(arch, config, log.activity_vocab, log.attribute_vocabs)
+            untouched = fitted_state(predictor)
+            with pytest.raises(ValueError, match=f"case {trace.case_id!r} has no target: its prefix length {k}"):
+                predictor.fit(samples["train"], samples["validation"])
+            assert fitted_state(predictor) == untouched
+            assert predictor.tables == [{}] * 3 if arch == "markov" else predictor.params == {}
+
+    @pytest.mark.parametrize("arch, overrides", [r for r in SET_READERS if r[0] != "mlp"],
+                             ids=[i for i in SET_READER_IDS if i != "mlp-timed-state"])
+    def test_a_fit_lays_each_set_out_once_and_keeps_neither(self, arch, overrides, layouts):
+        log, net, split = invariance_split()
+        train_set = SampleSet(make_prefix_samples(split.train))
+        val_set = SampleSet(make_prefix_samples(split.validation))
+        sizes = [len(train_set), len(val_set)]
+        kept = [weakref.ref(train_set), weakref.ref(val_set)]
+        set_reader(arch, overrides, log, net).fit(train_set, val_set)
+        assert layouts == sizes
+        del train_set, val_set
+        gc.collect()
+        assert [ref() for ref in kept] == [None, None]
+
+    @pytest.mark.parametrize("arch, overrides", [r for r in SET_READERS if r[0] != "mlp"],
+                             ids=[i for i in SET_READER_IDS if i != "mlp-timed-state"])
+    def test_the_protocol_lays_out_and_checks_its_test_set_once(self, arch, overrides, layouts, monkeypatch):
+        log, net, split = invariance_split()
+        predictor = set_reader(arch, overrides, log, net)
+        train(predictor, split)
+        layouts.clear()
+        bounds = []
+        first_outside = SampleSet._first_outside
+
+        def counting(self, shortest, cut):
+            bounds.append((shortest, cut))
+            return first_outside(self, shortest, cut)
+
+        monkeypatch.setattr(SampleSet, "_first_outside", counting)
+        report = evaluate_protocol(predictor, split.test, DecodeConfig(strategy="beam", beam_width=2, max_len=4))
+        assert layouts == [len(make_prefix_samples(split.test))]
+        assert bounds == [(1, 0), (1, 1)]  # the scored prefixes, then the targets
+        assert report.accuracy is not None and report.dl_similarity is not None

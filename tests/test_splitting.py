@@ -17,16 +17,16 @@ from ppmbench.eventlog import (
     parse_csv,
 )
 from ppmbench.splitting import (
-    FlatPrefixes,
-    apply_split_manifest,
+    PARTS,
+    PrefixSample,
+    SampleSet,
     make_prefix_samples,
-    read_split_manifest,
     split_manifest,
     temporal_split,
     write_split_manifest,
 )
 
-from conftest import make_linear_log, make_random_log
+from conftest import generator_log, make_linear_log, make_random_log
 
 
 class TestTemporalSplit:
@@ -96,7 +96,7 @@ class TestPrefixSamples:
         log = augment_eoc(parse_csv(table1_csv.encode()))
         samples = make_prefix_samples(log)
         sample = next(s for s in samples if s.case_id == "Case2088" and s.k == 3)
-        assert FlatPrefixes.of_samples([sample]).last_activities(sample.k) == [
+        assert SampleSet([sample]).flat.last_activities(sample.k) == [
             ("Assign seriousness", "Take in charge ticket", "Create SW anomaly")
         ]
         assert sample.suffix_activities == ("Resolve ticket", "Closed", EOC)
@@ -133,7 +133,7 @@ class TestPrefixSamples:
             log = augment_eoc(make_random_log(rng, 8))
             trace_acts = {t.case_id: t.activities for t in log.traces}
             samples = make_prefix_samples(log)
-            prefixes = FlatPrefixes.of_samples(samples).last_activities(max(s.k for s in samples))
+            prefixes = SampleSet(samples).flat.last_activities(max(s.k for s in samples))
             for sample, prefix in zip(samples, prefixes, strict=True):
                 assert prefix + sample.suffix_activities == trace_acts[sample.case_id]
 
@@ -161,40 +161,95 @@ class TestPrefixSamples:
             assert sample.next_activity == sample.suffix_activities[0]
 
 
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def odd_ms_log(seed: int, n_traces: int) -> EventLog:
+    """An EOC-augmented log whose steps are arbitrary ms counts, up to about
+    11 days, after epochs near 2**40 ms: every delta has digits below the second."""
+    rng = np.random.default_rng(seed)
+    traces = []
+    for i in range(n_traces):
+        ms = 1_600_000_000_000 + np.cumsum(rng.integers(0, 10**9, size=int(rng.integers(1, 7))))
+        traces.append(Trace(f"c{i}", tuple(Event(f"c{i}", "AB"[j % 2], int(t)) for j, t in enumerate(ms))))
+    return augment_eoc(EventLog(traces=tuple(traces), activity_vocab=Vocabulary(["A", "B"])))
+
+
+class TestSampleSet:
+    """A set's target columns equal the ``PrefixSample`` properties bit for
+    bit, in any sample order, and its check and its targets name the first
+    bad case. Its layout is checked in ``tests/test_encoding.py``."""
+
+    @pytest.mark.parametrize("log_name", ["generator-1", "generator-2", "odd-ms"])
+    def test_target_columns_equal_the_sample_properties(self, log_name):
+        log = odd_ms_log(5, 80) if log_name == "odd-ms" else generator_log(int(log_name[-1]), 120)[0]
+        parts = [make_prefix_samples(temporal_split(log).part(name)) for name in PARTS]
+        rng = np.random.default_rng(len(log.traces))
+        pooled = [s for part in parts for s in part]
+        shuffled = [pooled[i] for i in rng.permutation(len(pooled))]
+        first = shuffled[0].trace
+        at = [i for i, s in enumerate(shuffled) if s.trace is first]
+        assert len(at) > 1 and at[-1] - at[0] >= len(at)  # one trace's samples lie apart
+        for samples in (*parts, shuffled):
+            assert samples
+            columns = SampleSet(samples)
+            elapsed = [(s.trace.events[s.k - 1].timestamp_ms - s.trace.start_ms) / 1000.0 for s in samples]
+            assert columns.next_activity_indices(log.activity_vocab).tolist() == [
+                log.activity_vocab.index(s.next_activity) for s in samples
+            ]
+            assert same_bits(columns.next_time_deltas, np.array([s.next_time_delta for s in samples]))
+            assert same_bits(columns.remaining_times, np.array([s.remaining_time for s in samples]))
+            assert same_bits(columns.elapsed_times, np.array(elapsed))
+            assert columns.suffix_activities == [s.suffix_activities for s in samples]
+
+    def test_a_set_passes_through_and_a_slice_is_a_set_of_its_own(self):
+        samples = make_prefix_samples(augment_eoc(make_linear_log(4)))
+        whole = SampleSet.of(samples)
+        assert SampleSet.of(whole) is whole and whole.flat is whole.flat
+        assert list(whole) == samples and len(whole) == len(samples) and whole[3] is samples[3]
+        part = whole[2:7]
+        assert isinstance(part, SampleSet) and list(part) == samples[2:7]
+        assert part.flat.ks.tolist() == [s.k for s in samples[2:7]]
+
+    def test_check_and_targets_name_the_first_bad_case(self):
+        log = augment_eoc(make_linear_log(2))
+        good, trace = log.traces
+        n = len(trace)
+        too_long = f"prefix length {n + 1} exceeds its trace's length {n}"
+        for k, message in ((0, r"has an empty prefix \(k=0\)"), (n + 1, too_long)):
+            # the first bad sample is named, not the later bad one of case c0
+            mixed = [PrefixSample(good, 1), PrefixSample(trace, k), PrefixSample(good, 0)]
+            for samples in ([PrefixSample(trace, k)], mixed):
+                with pytest.raises(ValueError, match=f"case 'c1'.*{message}"):
+                    SampleSet(samples).check()
+        whole = SampleSet([PrefixSample(good, 1), PrefixSample(trace, n)])
+        assert whole.check() is whole  # a whole trace is a prefix to score, but has no target
+        for k in (0, n, n + 1):
+            for read in (
+                lambda s: s.next_activity_indices(log.activity_vocab),
+                lambda s: s.next_time_deltas, lambda s: s.remaining_times, lambda s: s.elapsed_times,
+                lambda s: s.suffix_activities,
+            ):
+                no_target = f"case 'c1' has no target: its prefix length {k} lies outside 1..{n - 1}"
+                with pytest.raises(ValueError, match=no_target):
+                    read(SampleSet([PrefixSample(good, 1), PrefixSample(trace, k)]))
+
+
 class TestManifest:
-    def test_round_trip(self, tmp_path):
+    def test_written_manifest_lists_every_case_once_by_part(self, tmp_path):
         split = temporal_split(make_linear_log(25))
         path = tmp_path / "manifest.csv"
         write_split_manifest(split, path)
-        assignment = read_split_manifest(path)
-        assert len(assignment) == 25
-        rebuilt = apply_split_manifest(make_linear_log(25), assignment)
-        assert rebuilt.train == split.train
-        assert rebuilt.validation == split.validation
-        assert rebuilt.test == split.test
+        assert path.read_text(encoding="utf-8") == split_manifest(split)
+        rows = [line.split(",") for line in split_manifest(split).splitlines()]
+        assert rows[0] == ["case_id", "part"]
+        assert rows[1:] == [[t.case_id, part] for part in PARTS for t in split.part(part).traces]
+        assert len({case for case, _ in rows[1:]}) == 25
 
     def test_manifest_text_deterministic(self):
         split = temporal_split(make_linear_log(10))
         assert split_manifest(split) == split_manifest(split)
-
-    def test_unknown_case_rejected(self):
-        split = temporal_split(make_linear_log(5))
-        assignment = read_split_manifest_text(split_manifest(split))
-        assignment["ghost"] = "train"
-        with pytest.raises(ValueError):
-            apply_split_manifest(make_linear_log(5), assignment)
-
-    def test_missing_case_rejected(self):
-        split = temporal_split(make_linear_log(5))
-        assignment = read_split_manifest_text(split_manifest(split))
-        assignment.pop(next(iter(assignment)))
-        with pytest.raises(ValueError):
-            apply_split_manifest(make_linear_log(5), assignment)
-
-
-def read_split_manifest_text(text: str) -> dict[str, str]:
-    lines = text.strip().splitlines()[1:]
-    return dict(line.split(",") for line in lines)
 
 
 @st.composite

@@ -16,10 +16,13 @@ perfbench`` (null when that diff is empty); once the edits are committed,
 ``git diff --binary <commit> <new commit> -- src perfbench | sha256sum`` gives
 the same hash.
 
-For every end-to-end metric that ``BENCHMARK.json`` gates it prints both
-medians, both quartiles and in how many pairs the change was better, and it
-appends one entry per workload to ``BENCH_<workload>.json`` at the repository
-root. Nothing is registered in ``.git``; the temporary trees are removed at
+For every end-to-end metric that ``BENCHMARK.json`` gates, and for the raw
+seconds of each run beside them (``setup_raw_s``, ``workload_raw_s`` and
+``reference_s``, before any scaling by the reference kernel; ungated), it
+prints both medians, both quartiles and in how many pairs the change was
+better, and it appends one entry per workload to ``BENCH_<workload>.json``
+at the repository root. The raw seconds show whether a move of a scaled
+figure came from the pass or from the reference kernel. Nothing is registered in ``.git``; the temporary trees are removed at
 the end. Run from anywhere:
 
     python3 tools/ab_bench.py --parent HEAD~1 --workload decode-gru --pairs 10 --seed 1
@@ -46,6 +49,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("train-gru", "decode-gru", "matrix")
 MEASURED = ("src", "perfbench")  # what a benchmark run executes
 TREE_PATHS = (*MEASURED, "BENCHMARK.json")  # what each side's tree holds
+RAW = ("setup_raw_s", "workload_raw_s", "reference_s")  # recorded beside the gated metrics, ungated
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -85,6 +89,15 @@ def gated_metrics(root: Path) -> dict[str, dict]:
     """name -> {"unit", "better", "bound"} of the end-to-end metrics ``BENCHMARK.json`` gates."""
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     return {m["name"]: m for m in spec["end_to_end"]}
+
+
+def recorded_metrics(gated: dict[str, dict]) -> dict[str, dict]:
+    """name -> {"unit", "better", "gated"} of every metric an entry records:
+    the gated ones, then the raw seconds."""
+    return {
+        **{name: {"unit": m["unit"], "better": m["better"], "gated": True} for name, m in gated.items()},
+        **{name: {"unit": "s", "better": "lower", "gated": False} for name in RAW},
+    }
 
 
 def git(*args: str, root: Path = ROOT) -> str:
@@ -135,35 +148,38 @@ def prepare_trees(root: Path, rev: str, tmp: Path) -> dict[str, Path]:
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
-    """The JSON line of one ``perfbench/run.py --trace 0`` run in ``tree``."""
-    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    """The result of one ``perfbench/run.py --trace 0 --json-result`` run in
+    ``tree``: every end-to-end figure under ``values``, and ``failures``."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0",
+               "--json-result"]
     proc = subprocess.run(command, cwd=tree, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise SystemExit(f"ab_bench: {workload} in {tree} exited with {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def measure(trees: dict[str, Path], workload: str, pairs: int, seed: int) -> dict:
-    """``pairs`` alternated runs per tree; the first tree to run switches every pair."""
+def measure(trees: dict[str, Path], workload: str, pairs: int, seed: int, shown) -> dict:
+    """``pairs`` alternated runs per tree; the first tree to run switches
+    every pair. Each run's ``shown`` values go to stderr."""
     runs = {side: [] for side in trees}
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             result = run_once(trees[side], workload, seed)
             runs[side].append(result)
-            values = " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items())
+            values = " ".join(f"{name}={result['values'][name]:.4g}" for name in shown)
             print(f"  pair {i + 1}/{pairs} {side:<6} {values}", file=sys.stderr, flush=True)
     return runs
 
 
-def workload_entry(workload: str, runs: dict, gated: dict, args, commit: str, diff_sha: str | None,
+def workload_entry(workload: str, runs: dict, recorded: dict, args, commit: str, diff_sha: str | None,
                    parent: str) -> dict:
     metrics = {}
-    for name, spec in gated.items():
-        parent_values = [r["metrics"][name]["value"] for r in runs["parent"]]
-        change_values = [r["metrics"][name]["value"] for r in runs["change"]]
+    for name, spec in recorded.items():
+        parent_values = [r["values"][name] for r in runs["parent"]]
+        change_values = [r["values"][name] for r in runs["change"]]
         metrics[name] = {
-            "unit": spec["unit"], "better": spec["better"],
+            "unit": spec["unit"], "better": spec["better"], "gated": spec["gated"],
             **summarize(parent_values, change_values, spec["better"]),
             "parent": parent_values, "change": change_values,
         }
@@ -178,7 +194,7 @@ def workload_entry(workload: str, runs: dict, gated: dict, args, commit: str, di
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
-        "correct": {side: all(r["correct"] for r in side_runs) for side, side_runs in runs.items()},
+        "correct": {side: not any(r["failures"] for r in side_runs) for side, side_runs in runs.items()},
         "metrics": metrics,
     }
 
@@ -187,11 +203,12 @@ def print_entry(entry: dict) -> None:
     print(f"{entry['workload']} seed={entry['seed']} pairs={entry['pairs']} "
           f"parent={entry['parent'][:12]} change={entry['commit'][:12]}"
           f"{'+' + entry['source_diff_sha256'][:12] if entry['source_diff_sha256'] else ''}")
-    print(f"  {'metric':<12} {'parent median [Q1, Q3]':>30} {'change median [Q1, Q3]':>30}  change better")
+    print(f"  {'metric':<14} {'parent median [Q1, Q3]':>30} {'change median [Q1, Q3]':>30}  change better")
     for name, m in entry["metrics"].items():
         parent = f"{m['parent_median']:.4g} [{m['parent_q1']:.4g}, {m['parent_q3']:.4g}]"
         change = f"{m['change_median']:.4g} [{m['change_q1']:.4g}, {m['change_q3']:.4g}]"
-        print(f"  {name:<12} {parent:>30} {change:>30}  {m['change_better']} of {m['pairs']}")
+        ungated = "" if m["gated"] else "  (ungated)"
+        print(f"  {name:<14} {parent:>30} {change:>30}  {m['change_better']} of {m['pairs']}{ungated}")
     if not all(entry["correct"].values()):
         print(f"  checks failed: {entry['correct']}")
 
@@ -217,14 +234,14 @@ def main(argv: list[str] | None = None) -> int:
     parent = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     commit = git("rev-parse", "HEAD")
     diff_sha = source_diff_sha256(ROOT)
-    gated = gated_metrics(ROOT)
+    recorded = recorded_metrics(gated_metrics(ROOT))
     # on SIGTERM unwind as on Ctrl-C: the running benchmark is killed, the temporary trees removed
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     with tempfile.TemporaryDirectory(prefix="ab-bench-") as tmp:
         trees = prepare_trees(ROOT, parent, Path(tmp))
         for workload in args.workload or WORKLOADS:
-            runs = measure(trees, workload, args.pairs, args.seed)
-            entry = workload_entry(workload, runs, gated, args, commit, diff_sha, parent)
+            runs = measure(trees, workload, args.pairs, args.seed, recorded)
+            entry = workload_entry(workload, runs, recorded, args, commit, diff_sha, parent)
             print_entry(entry)
             print(f"  appended to {append_entry(ROOT, entry)}")
     return 0
