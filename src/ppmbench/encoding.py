@@ -208,10 +208,10 @@ def ngram_hash_extend(
     vectors: np.ndarray, tails: Sequence[tuple[str, ...]], labels: Sequence[str], max_n: int, seed: int = 0
 ) -> tuple[np.ndarray, list[tuple[str, ...]]]:
     """Hashed n-gram vectors of sequences extended by one label each: row i
-    is ``vectors[i]``, the float64 vector of a sequence whose last labels
-    (up to ``max_n - 1`` of them) are ``tails[i]``, plus the n-grams that end
-    at ``labels[i]``; returned with the new tails. Exact, as
-    :func:`ngram_hash_prefixes` is."""
+    is ``vectors[i]``, the vector of a sequence whose last labels (up to
+    ``max_n - 1`` of them) are ``tails[i]``, plus the n-grams that end at
+    ``labels[i]``, in the dtype of ``vectors``; returned with the new tails.
+    Exact, as :func:`ngram_hash_prefixes` is, in float64 or float32."""
     dim = vectors.shape[1]
     rows, slots, signs, new_tails = [], [], [], []
     for row, (tail, label) in enumerate(zip(tails, labels)):

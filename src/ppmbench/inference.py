@@ -119,18 +119,26 @@ def decode_suffixes(
     candidates in token-sequence order, then keeps each sample's
     ``beam_width`` best. A sample leaves the arrays when its search ends.
 
-    Each step makes one call over every unfinished hypothesis: ``predict``
-    of ``model.hypotheses(samples)`` (which starts from what
-    ``predict_batch`` reads: a neural model's inputs, the Markov model's
-    contexts), or one ``model.predict`` per hypothesis for an object that is
-    not a :class:`Predictor` but has ``activity_vocab`` and
-    ``predict(events)``. One vectorised check then rejects any row that is
-    not a distribution with ``ValueError``.
+    The search starts from ``model.hypotheses(samples)``, whose ``predict``
+    is what ``predict_batch`` scores, and each step makes one call over every
+    unfinished hypothesis: ``predict`` of the hypotheses, or one
+    ``model.predict`` per hypothesis for an object that is not a
+    :class:`Predictor` but has ``activity_vocab`` and ``predict(events)``.
+    One vectorised check then rejects any row that is not a distribution
+    with ``ValueError``.
     """
     samples = SampleSet.of(samples).check()
     if not samples:
         return []
-    n, vocab = len(samples), model.activity_vocab
+    duck = not isinstance(model, Predictor)
+    start = EventHypotheses(model, [s.prefix for s in samples]) if duck else model.hypotheses(samples)
+    return _search(model, start, len(samples), cfg)
+
+
+def _search(model, rows, n: int, cfg: DecodeConfig) -> list[SuffixPrediction]:
+    """The search of :func:`decode_suffixes` from ``rows``, the start of its
+    n samples, which the search reads and never changes."""
+    vocab = model.activity_vocab
     eoc = vocab.index(EOC)
     width = cfg.beam_width if cfg.strategy == "beam" else 1
     if cfg.strategy == "random":
@@ -139,8 +147,6 @@ def decode_suffixes(
     def score(log_prob, length):
         return log_prob / length if cfg.length_normalize else log_prob
 
-    duck = not isinstance(model, Predictor)
-    rows = EventHypotheses(model, [s.prefix for s in samples]) if duck else model.hypotheses(samples)
     sample, log_prob = np.arange(n), np.zeros(n)
     tokens, deltas = np.empty((n, 0), dtype=np.int64), np.empty((n, 0))
     length, finished = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .eventlog import EOC, EventLog, SECONDS_PER_DAY
 # decode_suffix stays bound here: perfbench's tracer patches it by name
-from .inference import DecodeConfig, decode_suffix, decode_suffixes  # noqa: F401
+from .inference import DecodeConfig, _search, decode_suffix  # noqa: F401
 from .models import Predictor
 from .splitting import SampleSet, make_prefix_samples
 
@@ -136,10 +136,11 @@ def evaluate_protocol(
     """Evaluate a fitted model over every prefix sample of the test part, in
     one :class:`~ppmbench.splitting.SampleSet` that every task reads.
 
-    One ``predict_batch`` call, in sample order, scores next activity and
-    the time heads. One ``decode_suffixes`` search over the same samples
-    decodes all their suffixes, sample i with the seed ``decode_cfg.seed XOR i``;
-    ``truncated_suffixes`` counts those cut at the length limit. A
+    The model's one start of the samples, ``model.hypotheses``, serves
+    every task: its ``predict()``, as ``predict_batch`` scores, gives next
+    activity and the time heads, and the ``decode_suffixes`` search from it
+    decodes all their suffixes, sample i with the seed ``decode_cfg.seed XOR
+    i``; ``truncated_suffixes`` counts those cut at the length limit. A
     ``"next"`` model scores next time from its delta head and remaining time
     as the sum of the decoded step deltas; a ``"remaining"`` model scores
     remaining time from its direct head, clamped at 0, and skips next time; a
@@ -158,10 +159,14 @@ def evaluate_protocol(
     want_time = "next_time" in tasks and model.time_target == "next"
     want_remaining = "remaining_time" in tasks and model.time_target is not None
     direct = model.time_target == "remaining"
+    scoring = want_next or want_time or (want_remaining and direct)
+    decoding = want_suffix or (want_remaining and not direct)
 
     report = MetricsReport()
-    if want_next or want_time or (want_remaining and direct):
-        probs, times = model.predict_batch(samples)
+    if scoring or decoding:
+        start = model.hypotheses(samples.check())
+    if scoring:
+        probs, times = start.predict()
     if want_next:
         truth = samples.next_activity_indices(model.activity_vocab).tolist()
         report.accuracy = accuracy(probs.argmax(axis=1).tolist(), truth)
@@ -172,8 +177,8 @@ def evaluate_protocol(
         if scored.any():
             report.mae_next = mae(times[scored], samples.next_time_deltas[scored])
             report.n_samples["next_time"] = int(scored.sum())
-    if want_suffix or (want_remaining and not direct):
-        decoded = decode_suffixes(model, samples, decode_cfg)
+    if decoding:
+        decoded = _search(model, start, n, decode_cfg)
         report.truncated_suffixes = sum(d.truncated for d in decoded)
         if want_suffix:
             sims = [dl_similarity(d.activities, suffix) for d, suffix in zip(decoded, samples.suffix_activities)]

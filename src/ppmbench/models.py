@@ -10,7 +10,8 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -22,7 +23,7 @@ from .atomic import write_text_atomic
 from .encoding import Normalizer, PrefixEncoder, ngram_hash_encode, ngram_hash_extend, ngram_hash_prefixes
 from .eventlog import MISSING, Event, Vocabulary
 from .petrinet import PetriNet, TimedStates, TimedStateVector, replay_states, replay_timed_state
-from .splitting import FlatPrefixes, PrefixSample, SampleSet, SplitLog, make_prefix_samples, whole_prefix_sample
+from .splitting import PrefixSample, SampleSet, SplitLog, make_prefix_samples, whole_prefix_sample
 
 ARCHITECTURES = ("markov", "mlp", "rnn", "lstm", "gru", "autoencoder")
 INPUT_MODES = ("padded_flat", "single_event", "timed_state")  # what the mlp reads
@@ -143,17 +144,20 @@ class TrainReport:
 
 
 class Predictor:
-    """Interface of training and two inference methods; each takes a
+    """Interface of training and inference; each method takes a
     :class:`~ppmbench.splitting.SampleSet` or a sequence that it wraps in one.
     ``fit`` rejects a sample with ``k`` outside 1..len(trace) - 1 (no target)
-    with ``ValueError`` before it changes the predictor. ``predict_batch``
-    maps prefix samples to float64 activity probabilities (N, C) over the
-    vocabulary (end-of-case included) and non-negative times (N,) in seconds
-    (meaning set by ``time_target``; NaN for none); a sample with ``k``
-    outside 1..len(trace) is a ``ValueError``. ``hypotheses`` starts a decode
-    from the samples: its ``predict()``, the default ``predict_batch``, scores
-    each row as ``predict_batch`` scores its prefix, and ``extend(parents,
-    tokens, deltas)`` steps rows ``parents`` by one decoded event each."""
+    with ``ValueError`` before it changes the predictor. A subclass turns
+    samples into inputs in one place, :meth:`_start`, the hypotheses a
+    decode starts from; a neural ``fit`` trains on its training set's.
+    ``hypotheses`` is the start of a fitted predictor: its ``predict()``
+    gives float64 activity probabilities (N, C) over the vocabulary
+    (end-of-case included) and non-negative times (N,) in seconds (meaning
+    set by ``time_target``; NaN for none), and ``extend(parents, tokens,
+    deltas)`` steps rows ``parents`` by one decoded event each into new
+    arrays, never changing the start. ``predict_batch`` is ``predict()`` of
+    the start of checked samples: ``k`` outside 1..len(trace) is a
+    ``ValueError``."""
 
     activity_vocab: Vocabulary
     time_target: str | None = None
@@ -171,6 +175,13 @@ class Predictor:
         return self.hypotheses(SampleSet.of(samples).check()).predict()
 
     def hypotheses(self, samples: Sequence[PrefixSample]):
+        self._check_fitted()
+        return self._start(SampleSet.of(samples))
+
+    def _check_fitted(self) -> None:
+        """``RuntimeError`` unless the predictor can score; by default it always can."""
+
+    def _start(self, samples: SampleSet):
         raise NotImplementedError
 
     def predict(self, events: Sequence[Event]) -> tuple[np.ndarray, float | None]:
@@ -320,8 +331,8 @@ class MarkovPredictor(Predictor):
                 return probs / (total + alpha * k), max(0.0, delta_sum / total)
         return np.full(k, 1.0 / k, dtype=np.float64), np.nan
 
-    def hypotheses(self, samples):
-        return _MarkovHypotheses(self, SampleSet.of(samples).flat.last_activities(self.config.order))
+    def _start(self, samples):
+        return _MarkovHypotheses(self, samples.flat.last_activities(self.config.order))
 
     def _save(self, path_prefix, seed):
         """The JSON sidecar alone: the tables are the whole model. Each order
@@ -396,7 +407,7 @@ class _MarkovHypotheses:
 
 POOL_BATCHES = 32  # batches per length-sorted pool of a recurrent model's epoch
 REPLAY_CHUNK = 256  # samples per timed-state replay pass; bounds the pass's (events, places) arrays
-ROW_BLOCK = 64  # rows per inference forward, the last block zero-padded (see _NeuralPredictor._blocked_outputs)
+ROW_BLOCK = 64  # rows per block of the forward that scores hypotheses (see _NeuralPredictor._blocked_outputs)
 
 
 def _epoch_batches(rng, n_train: int, batch_size: int, lengths: np.ndarray | None = None) -> list[np.ndarray]:
@@ -570,12 +581,6 @@ class _NeuralPredictor(Predictor):
             max_len=cfg.max_len,
         )
 
-    def _batch_inputs(self, samples):
-        """Network inputs and mask (or None) of the samples' prefixes, in
-        sample order; an input never reads past its prefix. The encoder
-        encodes all of them in one pass over their traces' events."""
-        return self.encoder.encode_flat(SampleSet.of(samples).flat, self.dtype)
-
     def _fit_arrays(self, train_samples, val_samples=()):
         """Read every target of both sample sets, fit the input encoding and the time normalizer
         on the training set, and return each set's inputs, mask, activity indices and time targets."""
@@ -588,7 +593,9 @@ class _NeuralPredictor(Predictor):
         if target is not None:
             self.time_norm = Normalizer("log").fit(y_times[0])
             y_times = [self.time_norm.transform(y_time) for y_time in y_times]
-        return [(*self._batch_inputs(s), y_act, y_time) for s, y_act, y_time in zip(sets, y_acts, y_times)]
+        # each start is dropped once its inputs are read, before the next is built
+        inputs = attrgetter("X", "M")
+        return [(*inputs(self._start(s)), y_act, y_time) for s, y_act, y_time in zip(sets, y_acts, y_times)]
 
     def _init_heads(self, rng, n_features: int) -> dict[str, np.ndarray]:
         n_classes = len(self.activity_vocab)
@@ -605,15 +612,11 @@ class _NeuralPredictor(Predictor):
         """Body then heads: activity logits, the time prediction (None
         without a time head), and the caches of both."""
         features, body_cache = self._body(params, X, M)
-        logits, tpred, act_cache, time_cache = self._heads(params, features)
-        return logits, tpred, (body_cache, act_cache, time_cache)
-
-    def _heads(self, params, features):
         logits, act_cache = nn.affine_forward(features, params["head_act:W"], params["head_act:b"])
         tpred = time_cache = None
         if "head_time:W" in params:
             tpred, time_cache = nn.affine_forward(features, params["head_time:W"], params["head_time:b"])
-        return logits, tpred, act_cache, time_cache
+        return logits, tpred, (body_cache, act_cache, time_cache)
 
     def _head_loss(self, params, X, M, y_act, y_time):
         """Multitask loss of a batch (unweighted sum of the task losses), the
@@ -630,8 +633,7 @@ class _NeuralPredictor(Predictor):
             losses.append(mae)
             dtime, time_grads = nn.affine_backward(time_cache, dtpred[:, None])
             dfeatures = dfeatures + dtime
-            grads["head_time:W"] = time_grads["W"]
-            grads["head_time:b"] = time_grads["b"]
+            grads.update({f"head_time:{k}": v for k, v in time_grads.items()})
         return nn.combine_losses(losses), grads, body_cache, dfeatures
 
     def _batch_loss(self, params, X, M, y_act, y_time):
@@ -657,13 +659,8 @@ class _NeuralPredictor(Predictor):
         params, stage_clipped_batches = self._pretrain(self._build_params(rng), X, y_act, rng, seed)
 
         def batch_step(p, idx):
-            return self._batch_loss(
-                p,
-                X[idx],
-                M[idx] if M is not None else None,
-                y_act[idx],
-                y_time[idx] if y_time is not None else None,
-            )
+            M_batch, y_time_batch = (None if a is None else a[idx] for a in (M, y_time))
+            return self._batch_loss(p, X[idx], M_batch, y_act[idx], y_time_batch)
 
         self.params, report = _sgd_train(
             params, batch_step, val_loss, len(X), self.config, seed, self._batch_lengths(M)
@@ -719,17 +716,12 @@ class _NeuralPredictor(Predictor):
             times = np.fmax(0.0, self.time_norm.inverse(tpred[:, 0]))
         return probs, times
 
-    def predict_batch(self, samples):
-        self._check_fitted()
-        return self._infer(*self._batch_inputs(SampleSet.of(samples).check()))
-
-    def hypotheses(self, samples):
-        """Hypotheses that start from the samples' inputs, encoded as
-        :meth:`_batch_inputs` encodes them; their case starts, last
-        timestamps and lengths come from the same flat event columns, so a
-        decode start reads the events once."""
-        self._check_fitted()
-        flat = SampleSet.of(samples).flat
+    def _start(self, samples):
+        """Hypotheses that start from the samples' encoder windows, in sample
+        order, encoded in one pass over their traces' events; no window reads
+        past its prefix. Their case starts, last timestamps and lengths come
+        from the same flat event columns, so a start reads the events once."""
+        flat = samples.flat
         last = flat.ends - 1
         X, M = self.encoder.encode_flat(flat, self.dtype)
         return _WindowHypotheses(self, X, M, flat.first_ms[last], flat.ms[last], flat.ks)
@@ -793,10 +785,11 @@ class _NeuralPredictor(Predictor):
 
 
 class _NeuralHypotheses:
-    """Decode hypotheses of a neural model: the inputs ``X``/``M`` of each,
-    scored by the model's ``_infer``, as ``predict_batch`` scores them. A
-    subclass carries what stepping its inputs by one decoded event needs,
-    and its ``extend`` takes that step for every surviving hypothesis at once."""
+    """Hypotheses of a neural model: the network inputs ``X``/``M`` of each,
+    scored by the model's ``_infer``. A start's are the inputs that ``fit``
+    trains on and ``predict_batch`` scores. A subclass carries what stepping
+    its inputs by one decoded event needs, and its ``extend`` takes that step
+    for every surviving hypothesis at once, into new arrays."""
 
     def __init__(self, model, X, M):
         self.model, self.X, self.M = model, X, M
@@ -839,8 +832,8 @@ class _ReplayHypotheses(_NeuralHypotheses):
     the attribute counts a decoded event adds: every attribute its last real
     event holds, as missing."""
 
-    def __init__(self, model, states: TimedStates, decoded_counts: np.ndarray):
-        super().__init__(model, states.vectors(model.petri_net, model.decay_seconds, model.dtype), None)
+    def __init__(self, model, X, states: TimedStates, decoded_counts: np.ndarray):
+        super().__init__(model, X, None)
         self.states, self.decoded_counts = states, decoded_counts
 
     def extend(self, parents, tokens, deltas):
@@ -848,24 +841,24 @@ class _ReplayHypotheses(_NeuralHypotheses):
         labels = [model.activity_vocab.label(t) for t in tokens]
         at_ms = _decoded_ms(self.states.at_ms[parents], deltas)
         states = self.states.step(model.petri_net, parents, labels, at_ms, decoded_counts)
-        return _ReplayHypotheses(model, states, decoded_counts)
+        X = states.vectors(model.petri_net, model.decay_seconds, model.dtype)
+        return _ReplayHypotheses(model, X, states, decoded_counts)
 
 
 class _NgramHypotheses(_NeuralHypotheses):
-    """Hypotheses of the autoencoder. Each carries its float64 n-gram vector
-    and its last ``ngram_k - 1`` labels."""
+    """Hypotheses of the autoencoder. Each carries its hashed n-gram vector,
+    which is its input row (small integers, exact in the model's dtype), and
+    its last ``ngram_k - 1`` labels."""
 
-    def __init__(self, model, vectors, tails):
-        super().__init__(model, vectors.astype(model.dtype), None)
-        self.vectors, self.tails = vectors, tails
+    def __init__(self, model, X, tails):
+        super().__init__(model, X, None)
+        self.tails = tails
 
     def extend(self, parents, tokens, deltas):
         cfg, label = self.model.config, self.model.activity_vocab.label
-        vectors, tails = ngram_hash_extend(
-            self.vectors[parents], [self.tails[p] for p in parents], [label(t) for t in tokens],
-            cfg.ngram_k, cfg.hash_seed,
-        )
-        return _NgramHypotheses(self.model, vectors, tails)
+        parent_tails, labels = [self.tails[p] for p in parents], [label(t) for t in tokens]
+        X, tails = ngram_hash_extend(self.X[parents], parent_tails, labels, cfg.ngram_k, cfg.hash_seed)
+        return _NgramHypotheses(self.model, X, tails)
 
 
 class RecurrentPredictor(_NeuralPredictor):
@@ -898,22 +891,16 @@ class RecurrentPredictor(_NeuralPredictor):
 
     def _body(self, params, X, M):
         """The last timestep's hidden state of the top layer."""
-        cfg = self.config
-        if cfg.embedding_dim:
+        idx, current, layer_caches = None, X, []
+        if self.config.embedding_dim:
             group = self.encoder.layout.group("activity")
             idx = X[:, :, group.start].astype(np.int64)
             dense = np.delete(X, group.start, axis=2)
-            inputs = np.concatenate([params["emb"][idx], dense], axis=2).astype(X.dtype)
-        else:
-            idx = None
-            inputs = X
-        layer_caches = []
-        current = inputs
-        for layer in range(cfg.layers):
+            current = np.concatenate([params["emb"][idx], dense], axis=2).astype(X.dtype)
+        for layer in range(self.config.layers):
             lp = {name: params[f"l{layer}:{name}"] for name in ("U", "W", "b")}
-            hs, caches = nn.sequence_forward(self.cell, lp, current, M)
+            current, caches = nn.sequence_forward(self.cell, lp, current, M)
             layer_caches.append(caches)
-            current = hs
         return current[:, -1, :], (layer_caches, idx, X.shape[1])
 
     def _batch_lengths(self, M):
@@ -979,39 +966,34 @@ class MLPPredictor(_NeuralPredictor):
     def _timed_state_vocabs(self) -> dict[str, Vocabulary]:
         return {name: self.attribute_vocabs[name] for name in self.config.attributes}
 
-    def _replayed(self, samples):
-        """(layout, ``replay_states``) of each consecutive range of
-        ``REPLAY_CHUNK`` samples, read at each prefix's last event with the
-        configured attributes: the states come out in sample order."""
-        for s in range(0, len(samples), REPLAY_CHUNK):
-            flat = SampleSet.of(samples[s : s + REPLAY_CHUNK]).flat
-            yield flat, replay_states(self.petri_net, flat, None, self._timed_state_vocabs())
-
-    def _batch_inputs(self, samples):
-        if self.config.input_mode != "timed_state":
-            return super()._batch_inputs(samples)
-        X = np.empty((len(samples), TimedStateVector.width(self.petri_net, self._timed_state_vocabs())), self.dtype)
-        for s, (_, states) in zip(range(0, len(samples), REPLAY_CHUNK), self._replayed(samples)):
-            X[s : s + REPLAY_CHUNK] = states.vectors(self.petri_net, self.decay_seconds, self.dtype)
-        return X, None
-
-    def hypotheses(self, samples):
+    def _start(self, samples):
         """Timed-state hypotheses start from the replay states of the
-        samples' prefixes, replayed as :meth:`_batch_inputs` replays them; a
-        decoded event counts as missing each attribute that its prefix's last
-        event holds."""
+        samples' prefixes, read at each prefix's last event with the
+        configured attributes. Each consecutive range of ``REPLAY_CHUNK``
+        samples is replayed in one pass (an empty set in one pass of no
+        samples), and its states and input rows are copied into arrays of
+        every sample's row before the next pass, so only one range's states
+        are held twice. A decoded event counts as missing each attribute that
+        its prefix's last event holds."""
         if self.config.input_mode != "timed_state":
-            return super().hypotheses(samples)
-        self._check_fitted()
-        parts = list(self._replayed(samples))
-        states = TimedStates.concatenate([states for _, states in parts])
-        last = [flat.events[end - 1] for flat, _ in parts for end in flat.ends.tolist()]
+            return super()._start(samples)
+        net, vocabs, n = self.petri_net, self._timed_state_vocabs(), len(samples)
+        X, columns = np.empty((n, TimedStateVector.width(net, vocabs)), self.dtype), None
+        for s in range(0, max(n, 1), REPLAY_CHUNK):
+            part = replay_states(net, samples[s : s + REPLAY_CHUNK].flat, None, vocabs)
+            X[s : s + REPLAY_CHUNK] = part.vectors(net, self.decay_seconds, self.dtype)
+            arrays = [getattr(part, f.name) for f in fields(TimedStates)]
+            columns = columns or [np.empty((n,) + a.shape[1:], a.dtype) for a in arrays]
+            for column, a in zip(columns, arrays):
+                column[s : s + REPLAY_CHUNK] = a
+        states = TimedStates(*columns)
+        last = [sample.trace.events[sample.k - 1].attributes for sample in samples]
         decoded_counts = np.zeros_like(states.attribute_counts)
         offset = 0
-        for name, vocab in self._timed_state_vocabs().items():
-            decoded_counts[:, offset + vocab.index(MISSING)] = [name in ev.attributes for ev in last]
+        for name, vocab in vocabs.items():
+            decoded_counts[:, offset + vocab.index(MISSING)] = [name in attributes for attributes in last]
             offset += len(vocab)
-        return _ReplayHypotheses(self, states, decoded_counts)
+        return _ReplayHypotheses(self, X, states, decoded_counts)
 
     def _build_params(self, rng):
         cfg = self.config
@@ -1021,9 +1003,7 @@ class MLPPredictor(_NeuralPredictor):
             in_dim = self.encoder.num_features * self.encoder.max_len
         params: dict[str, np.ndarray] = {}
         for layer in range(cfg.layers):
-            dense = nn.init_dense(rng, in_dim, cfg.hidden, self.dtype)
-            params[f"l{layer}:W"] = dense["W"]
-            params[f"l{layer}:b"] = dense["b"]
+            params.update({f"l{layer}:{k}": v for k, v in nn.init_dense(rng, in_dim, cfg.hidden, self.dtype).items()})
             in_dim = cfg.hidden
         params.update(self._init_heads(rng, cfg.hidden))
         return params
@@ -1044,8 +1024,7 @@ class MLPPredictor(_NeuralPredictor):
             a_cache, r_cache = cache[layer]
             upstream = nn.relu_backward(r_cache, upstream)
             upstream, layer_grads = nn.affine_backward(a_cache, upstream)
-            grads[f"l{layer}:W"] = layer_grads["W"]
-            grads[f"l{layer}:b"] = layer_grads["b"]
+            grads.update({f"l{layer}:{k}": v for k, v in layer_grads.items()})
         return grads
 
     def _sidecar_extra(self) -> dict:
@@ -1096,22 +1075,13 @@ class AutoencoderPredictor(_NeuralPredictor):
     def _prepare(self, train) -> None:
         self.encoder = None
 
-    def _hashed(self, flat: FlatPrefixes, dtype) -> np.ndarray:
-        """Hashed n-gram vectors of ``flat``'s prefixes as ``dtype``, in one pass over its labels."""
-        k, dim, seed = self.config.ngram_k, self.config.ngram_dim, self.config.hash_seed
-        return ngram_hash_prefixes(flat.activities, flat.ends, flat.ks, k, dim, seed, dtype)
-
-    def _batch_inputs(self, samples):
-        """Hashed n-gram vectors of the samples' prefixes, in sample order; no mask."""
-        return self._hashed(SampleSet.of(samples).flat, self.dtype), None
-
-    def hypotheses(self, samples):
-        """Hypotheses that start from the float64 vectors whose float32
-        copies :meth:`_batch_inputs` gives, and each prefix's last
-        ``ngram_k - 1`` labels."""
-        self._check_fitted()
-        flat = SampleSet.of(samples).flat
-        return _NgramHypotheses(self, self._hashed(flat, np.float64), flat.last_activities(self.config.ngram_k - 1))
+    def _start(self, samples):
+        """Hypotheses that start from the samples' hashed n-gram vectors in
+        the model's dtype, hashed in one pass over their layout's labels, and
+        each prefix's last ``ngram_k - 1`` labels; no mask."""
+        flat, k, dim, seed = samples.flat, self.config.ngram_k, self.config.ngram_dim, self.config.hash_seed
+        X = ngram_hash_prefixes(flat.activities, flat.ends, flat.ks, k, dim, seed, self.dtype)
+        return _NgramHypotheses(self, X, flat.last_activities(k - 1))
 
     def _build_params(self, rng):
         params: dict[str, np.ndarray] = {}
@@ -1189,8 +1159,7 @@ class AutoencoderPredictor(_NeuralPredictor):
             a_cache, activated = cache[layer]
             upstream = upstream * (1.0 - activated * activated)
             upstream, layer_grads = nn.affine_backward(a_cache, upstream)
-            grads[f"enc{layer}:W"] = layer_grads["W"]
-            grads[f"enc{layer}:b"] = layer_grads["b"]
+            grads.update({f"enc{layer}:{k}": v for k, v in layer_grads.items()})
         return grads
 
 
@@ -1242,25 +1211,49 @@ def needs_petri_net(architecture: str, config: TrainConfig) -> bool:
     return architecture == "mlp" and config.input_mode == "timed_state"
 
 
-def _read_sidecar(path_prefix: Path) -> dict:
+def _is_label_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(label, str) for label in value)
+
+
+def _read_sidecar(path_prefix: Path) -> tuple[dict, TrainConfig]:
+    """The sidecar and its config. Unless the sidecar is a JSON object of
+    this format version with a known ``architecture``, a ``config`` mapping
+    that ``TrainConfig`` takes, an ``activity_vocab`` list of labels and an
+    ``attribute_vocabs`` object of such lists, it is a ``ValueError`` that
+    names the field."""
     sidecar = json.loads(path_prefix.with_suffix(".json").read_text(encoding="utf-8"))
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"checkpoint sidecar holds a JSON {type(sidecar).__name__}, not an object")
     if sidecar.get("format_version") != SIDECAR_VERSION:
         raise ValueError(f"unsupported sidecar version {sidecar.get('format_version')!r}")
-    return sidecar
+    if sidecar.get("architecture") not in ARCHITECTURES:
+        raise ValueError(f"checkpoint architecture {sidecar.get('architecture')!r}, not one of {ARCHITECTURES}")
+    if not isinstance(sidecar.get("config"), dict):
+        raise ValueError(f"checkpoint config {sidecar.get('config')!r}, not a mapping")
+    try:
+        config = TrainConfig(**sidecar["config"])
+    except (TypeError, ValueError) as error:
+        raise ValueError(f"checkpoint config: {error}") from None
+    if not _is_label_list(sidecar.get("activity_vocab")):
+        raise ValueError("checkpoint activity_vocab is not a list of labels")
+    vocabs = sidecar.get("attribute_vocabs")
+    if not (isinstance(vocabs, dict) and all(map(_is_label_list, vocabs.values()))):
+        raise ValueError("checkpoint attribute_vocabs is not an object of label lists")
+    return sidecar, config
 
 
 def checkpoint_needs_petri_net(path_prefix: str | Path) -> bool:
     """``needs_petri_net`` of a checkpoint, read from its sidecar alone."""
-    sidecar = _read_sidecar(Path(path_prefix))
-    return needs_petri_net(sidecar["architecture"], TrainConfig(**sidecar["config"]))
+    sidecar, config = _read_sidecar(Path(path_prefix))
+    return needs_petri_net(sidecar["architecture"], config)
 
 
 def load_predictor(path_prefix: str | Path, petri_net: PetriNet | None = None) -> Predictor:
     path_prefix = Path(path_prefix)
-    sidecar = _read_sidecar(path_prefix)
+    sidecar, config = _read_sidecar(path_prefix)
     predictor = build_predictor(
         sidecar["architecture"],
-        TrainConfig(**sidecar["config"]),
+        config,
         Vocabulary(sidecar["activity_vocab"]),
         {k: Vocabulary(v) for k, v in sidecar["attribute_vocabs"].items()},
         petri_net,

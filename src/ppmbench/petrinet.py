@@ -346,11 +346,6 @@ class TimedStates:
         out[:, 3 * places :] = self.attribute_counts
         return out
 
-    @staticmethod
-    def concatenate(parts: Sequence["TimedStates"]) -> "TimedStates":
-        """The states of ``parts``, one after the other."""
-        return TimedStates(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(TimedStates)))
-
     def step(self, net: PetriNet, rows, labels: Sequence[str], at_ms: np.ndarray, attribute_steps) -> "TimedStates":
         """The states at ``rows``, each advanced by one event: state
         ``rows[i]`` by label ``labels[i]`` at ``at_ms[i]``, adding row i of

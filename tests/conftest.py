@@ -1,5 +1,5 @@
 """Shared fixtures and helpers: the ticketing-log excerpt, synthetic process
-logs, and deterministic stub predictors."""
+logs, deterministic stub predictors, and reference model inputs."""
 
 from __future__ import annotations
 
@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ppmbench.eventlog import Event, EventLog, Trace, Vocabulary, augment_eoc, parse_csv
+from ppmbench.eventlog import MISSING, Event, EventLog, Trace, Vocabulary, augment_eoc, parse_csv
 from ppmbench.models import EventHypotheses, Predictor
 from ppmbench.petrinet import PetriNet, load_petri_json
+from ppmbench.splitting import SampleSet
 
 TABLE1_CSV = """case_id,activity,timestamp,Resource
 Case2118,Assign seriousness,14-01-2010 07:52:50,Resource 2
@@ -109,10 +110,11 @@ def linear_log() -> EventLog:
 
 class EventPredictor(Predictor):
     """Base of the stub predictors, which define ``predict(events)``: their
-    ``hypotheses``, which the default ``predict_batch`` reads too, score
-    each prefix or hypothesis with one ``predict`` call, as event tuples."""
+    start, which ``hypotheses`` and the default ``predict_batch`` read,
+    scores each prefix or hypothesis with one ``predict`` call, as event
+    tuples."""
 
-    def hypotheses(self, samples):
+    def _start(self, samples):
         return EventHypotheses(self, [s.prefix for s in samples])
 
 
@@ -149,3 +151,53 @@ class HashedRandomModel(EventPredictor):
         rng = np.random.default_rng(int.from_bytes(digest, "little"))
         probs = rng.dirichlet(np.ones(len(self.activity_vocab)))
         return probs, float(rng.uniform(60.0, 86400.0))
+
+
+# ---------------------------------------------------------------------------
+# Model inputs: a model's start, and references that do not run it on the
+# whole sample set. ``ref_batch_inputs`` is the per-trace encode that the flat
+# pass replaced: it encodes each trace's prefixes alone, then argsorts the
+# rows into sample order.
+# ---------------------------------------------------------------------------
+
+def start_inputs(model, samples):
+    """The inputs ``X`` and mask ``M`` (None for none) of the model's start of ``samples``."""
+    start = model._start(SampleSet.of(samples))
+    return start.X, start.M
+
+
+def ref_encode_trace(encoder, events, ks):
+    events = events[: max(ks)]
+    ms = np.fromiter((ev.timestamp_ms for ev in events), dtype=np.int64, count=len(events))
+    attributes = [
+        [vocab.index(ev.attributes.get(name, MISSING)) for name, vocab in encoder.attribute_vocabs.items()]
+        for ev in events
+    ]
+    rows = encoder.encode_rows(
+        np.array([encoder.activity_vocab.index(ev.activity) for ev in events]),
+        np.array(attributes, dtype=np.int64),
+        ms,
+        np.concatenate([ms[:1], ms[:-1]]),
+        ms[:1],
+    )
+    rows = np.concatenate([np.zeros((1, rows.shape[1])), rows])
+    return encoder.windows(rows, np.asarray(ks) + 1, ks)
+
+
+def ref_batch_inputs(model, samples):
+    by_trace = {}
+    for i, sample in enumerate(samples):
+        by_trace.setdefault(id(sample.trace), []).append(i)
+    groups = list(by_trace.values())
+    parts = [ref_encode_trace(model.encoder, samples[g[0]].trace.events, [samples[i].k for i in g]) for g in groups]
+    back = np.argsort([i for group in groups for i in group])
+    X = np.concatenate([x.astype(model.dtype) for x, _ in parts])[back]
+    return X, np.concatenate([m for _, m in parts])[back]
+
+
+def reference_inputs(model, samples):
+    """``ref_batch_inputs`` of an encoder model; for the timed-state mlp and
+    the autoencoder, the inputs of each sample's start alone, stacked."""
+    if model.encoder is not None:
+        return ref_batch_inputs(model, samples)
+    return np.concatenate([start_inputs(model, [sample])[0] for sample in samples]), None

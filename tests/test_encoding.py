@@ -30,7 +30,9 @@ from ppmbench.eventlog import (
 from ppmbench.models import REPLAY_CHUNK, AutoencoderPredictor, MLPPredictor, TrainConfig, build_predictor
 from ppmbench.splitting import FlatPrefixes, PrefixSample, SampleSet, make_prefix_samples, temporal_split
 
-from conftest import TABLE1_CSV, generator_log, make_linear_log, make_random_log, prefix_activities
+from conftest import (
+    TABLE1_CSV, generator_log, make_linear_log, make_random_log, prefix_activities, ref_batch_inputs, start_inputs,
+)
 
 
 def events_at(acts, times, case="c"):
@@ -394,16 +396,16 @@ class TestReferenceEquivalence:
         assert mlp.encoder.state() == expected_state
         for trace in log.traces:
             ks = list(range(1, len(trace)))
-            X, M = mlp._batch_inputs([PrefixSample(trace, k) for k in ks])
+            X, M = start_inputs(mlp, [PrefixSample(trace, k) for k in ks])
             for j, k in enumerate(ks):
                 ref_values, ref_mask, _ = reference_encode(mlp.encoder, trace.events[:k])
                 assert same_bits(X[j], ref_values.astype(np.float32)) and same_bits(M[j], ref_mask)
 
 
 # ---------------------------------------------------------------------------
-# Reference: the per-trace encode that the flat pass replaced. ``fit`` reads
-# each trace's time features on its longest sampled prefix; ``_batch_inputs``
-# encodes each trace's prefixes alone, then argsorts the rows into sample order.
+# Reference: the per-trace fit that the flat pass replaced. ``fit`` reads
+# each trace's time features on its longest sampled prefix; the encode is
+# ``conftest.ref_batch_inputs``.
 # ---------------------------------------------------------------------------
 
 def ref_fit(encoder, samples):
@@ -417,35 +419,6 @@ def ref_fit(encoder, samples):
         encoder.elapsed_norm = Normalizer("log").fit(feats[:, 1])
     encoder.fitted = True
     return encoder
-
-
-def ref_encode_trace(encoder, events, ks):
-    events = events[: max(ks)]
-    ms = np.fromiter((ev.timestamp_ms for ev in events), dtype=np.int64, count=len(events))
-    attributes = [
-        [vocab.index(ev.attributes.get(name, MISSING)) for name, vocab in encoder.attribute_vocabs.items()]
-        for ev in events
-    ]
-    rows = encoder.encode_rows(
-        np.array([encoder.activity_vocab.index(ev.activity) for ev in events]),
-        np.array(attributes, dtype=np.int64),
-        ms,
-        np.concatenate([ms[:1], ms[:-1]]),
-        ms[:1],
-    )
-    rows = np.concatenate([np.zeros((1, rows.shape[1])), rows])
-    return encoder.windows(rows, np.asarray(ks) + 1, ks)
-
-
-def ref_batch_inputs(model, samples):
-    by_trace = {}
-    for i, sample in enumerate(samples):
-        by_trace.setdefault(id(sample.trace), []).append(i)
-    groups = list(by_trace.values())
-    parts = [ref_encode_trace(model.encoder, samples[g[0]].trace.events, [samples[i].k for i in g]) for g in groups]
-    back = np.argsort([i for group in groups for i in group])
-    X = np.concatenate([x.astype(model.dtype) for x, _ in parts])[back]
-    return X, np.concatenate([m for _, m in parts])[back]
 
 
 @functools.cache
@@ -495,7 +468,7 @@ class TestFlatEncodeMatchesPerTrace:
         assert model.encoder.state() == expected
         assert len({(s.trace.case_id, s.k) for s in mix}) == len(mix)
         for samples in (train, mix, mix[:1]):
-            X, M = model._batch_inputs(samples)
+            X, M = start_inputs(model, samples)
             ref_X, ref_M = ref_batch_inputs(model, samples)
             assert same_bits(X, ref_X) and same_bits(M, ref_M)
 
@@ -575,7 +548,7 @@ class TestNgramPrefixesMatchReference:
             for ks in (ascending, list(rng.permutation(ascending)), list(rng.choice(ascending, 2 * len(acts)))):
                 expected = np.array([reference[k] for k in ks])
                 assert same_bits(ngram_hash_prefixes(acts, ks, ks, max_n, dim, seed), expected)
-                X, M = predictor._batch_inputs([PrefixSample(trace, k) for k in ks])
+                X, M = start_inputs(predictor, [PrefixSample(trace, k) for k in ks])
                 assert M is None and same_bits(X, expected.astype(np.float32))
 
     def test_prefix_lengths_must_lie_in_the_sequence(self):
@@ -631,12 +604,12 @@ class TestFlatLayout:
         assert len({id(s) for s in samples}) < len(samples)
         config = TrainConfig(ngram_k=3, ngram_dim=16, hash_seed=seed, ae_hidden=())
         autoencoder = AutoencoderPredictor(log.activity_vocab, config=config)
-        X, M = autoencoder._batch_inputs(samples)
+        X, M = start_inputs(autoencoder, samples)
         expected = [reference_ngram_hash_encode(list(prefix_activities(s)), 3, 16, seed) for s in samples]
         assert M is None and same_bits(X, np.array(expected, dtype=np.float32))
         gru = build_predictor("gru", TrainConfig(attributes=("Resource",)), log.activity_vocab, log.attribute_vocabs)
         gru._prepare(train)
-        X, M = gru._batch_inputs(samples)
+        X, M = start_inputs(gru, samples)
         for j in rng.choice(len(samples), size=40):
             mat = gru.encoder.encode(samples[j].prefix)
             assert same_bits(X[j], mat.values.astype(np.float32)) and same_bits(M[j], mat.mask)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ppmbench.eventlog import EOC, MISSING, Event, EventLog, Trace, Vocabulary, augment_eoc
 from ppmbench import models
 from ppmbench.inference import DecodeConfig, SuffixPrediction, decode_suffix, decode_suffixes
-from ppmbench.metrics import evaluate_protocol, mae
+from ppmbench.metrics import dl_similarity, evaluate_protocol, mae
 from ppmbench.models import (
     AutoencoderPredictor, RecurrentPredictor, TrainConfig, build_predictor, train
 )
@@ -20,7 +20,7 @@ from ppmbench.splitting import PrefixSample, make_prefix_samples, temporal_split
 
 from conftest import (
     EventPredictor, FixedDistributionModel, HashedRandomModel, generator_log, make_linear_log, make_random_log,
-    prefix_activities,
+    prefix_activities, reference_inputs,
 )
 
 VOCAB3 = Vocabulary([EOC, "a", "b"])
@@ -288,35 +288,73 @@ class TestZeroWeightDirectModel:
         assert report.mae_remaining == mae([3600.0] * len(truths), truths)
 
 
-class TestOnePredictBatchCall:
-    def test_direct_model_scores_next_activity_and_remaining_time_from_one_predict_batch(self):
+class TestOneStart:
+    """The protocol builds one start of its test samples and reads it twice:
+    its ``predict()`` scores, and the decode searches from it."""
+
+    def test_direct_model_scores_next_activity_and_remaining_time_from_one_start(self):
         log = augment_eoc(make_linear_log(40))
         split = temporal_split(log)
         cfg = TrainConfig(hidden=8, layers=1, epochs=2, patience=2, time_target="remaining")
         model = RecurrentPredictor("gru", log.activity_vocab, config=cfg)
         train(model, split, seed=0)
-        singles, batches = [], []
-        predict, predict_batch = model.predict, model.predict_batch
+        singles, starts = [], []
+        predict, hypotheses = model.predict, model.hypotheses
         model.predict = lambda events: singles.append(len(events)) or predict(events)
 
-        def spy_batch(samples):
-            result = predict_batch(samples)
-            batches.append(([(s.trace.case_id, s.k) for s in samples], result))
-            return result
+        def spy_start(samples):
+            starts.append([(s.trace.case_id, s.k) for s in samples])
+            return hypotheses(samples)
 
-        model.predict_batch = spy_batch
+        model.hypotheses = spy_start
         tasks = ("next_activity", "remaining_time")
         report = evaluate_protocol(model, split.test, DecodeConfig(), tasks=tasks)
         samples = make_prefix_samples(split.test)
         assert singles == []
-        assert len(batches) == 1
-        scored, (probs, times) = batches[0]
-        assert scored == [(s.trace.case_id, s.k) for s in samples]
+        assert starts == [[(s.trace.case_id, s.k) for s in samples]]
+        probs, times = hypotheses(samples).predict()
         assert probs.shape == (len(samples), len(log.activity_vocab))
         truths = [s.remaining_time for s in samples]
         assert report.mae_remaining == mae(times, truths)
         assert report.n_samples == {"next_activity": len(samples), "remaining_time": len(samples)}
         assert report.truncated_suffixes is None  # nothing was decoded
+
+    @pytest.mark.parametrize(
+        "arch, overrides, counted",
+        [
+            ("mlp", {"input_mode": "timed_state", "attributes": ("Resource",)}, "replay_states"),
+            ("autoencoder", {"ngram_dim": 16, "ae_hidden": (8, 4)}, "ngram_hash_prefixes"),
+        ],
+        ids=["mlp-timed-state", "autoencoder"],
+    )
+    def test_the_protocol_replays_or_hashes_its_test_set_once(self, arch, overrides, counted, monkeypatch):
+        log, net = generator_log(1, 600)
+        split = temporal_split(log)
+        samples = make_prefix_samples(split.test)
+        n = len(samples)
+        assert n > 2 * models.REPLAY_CHUNK
+        small = dict(hidden=8, layers=1, epochs=1, patience=1, pretrain_epochs=1, freeze_epochs=1)
+        model = build_predictor(arch, TrainConfig(**small, **overrides), log.activity_vocab, log.attribute_vocabs, net)
+        train(model, split, seed=1)
+        calls = []
+
+        def counting(*args, original=getattr(models, counted)):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(models, counted, counting)
+        cfg = DecodeConfig(strategy="beam", beam_width=2, max_len=6)
+        report = evaluate_protocol(model, split.test, cfg)
+        assert len(calls) == (-(-n // models.REPLAY_CHUNK) if arch == "mlp" else 1)
+        # the shared start scores and decodes as two starts of their own do
+        probs, _ = model.predict_batch(samples)
+        truth = [log.activity_vocab.index(s.next_activity) for s in samples]
+        assert report.accuracy == sum(int(p == t) for p, t in zip(probs.argmax(axis=1).tolist(), truth)) / n
+        decoded = decode_suffixes(model, samples, cfg)
+        assert report.truncated_suffixes == sum(d.truncated for d in decoded)
+        assert report.dl_similarity == sum(
+            dl_similarity(d.activities, s.suffix_activities) for d, s in zip(decoded, samples)
+        ) / n
 
 
 class TestTruncatedSuffixCount:
@@ -733,7 +771,7 @@ class TestLockstepSearch:
                     order = model.config.order
                     assert hypotheses.contexts == [tuple(ev.activity for ev in e[len(e) - order :]) for e in events]
                     continue
-                X, M = model._batch_inputs(as_samples(events))
+                X, M = reference_inputs(model, as_samples(events))
                 assert np.array_equal(hypotheses.X, X) and hypotheses.X.dtype == X.dtype
                 assert (M is None and hypotheses.M is None) or np.array_equal(hypotheses.M, M)
             if model.config.input_mode == "timed_state":
@@ -782,7 +820,7 @@ class TestLockstepSearch:
             assert [p for call in calls for p in call] == prefixes, model.architecture
             chunks = -(-len(samples) // models.REPLAY_CHUNK) if model.config.input_mode == "timed_state" else 1
             assert len(calls) == chunks, model.architecture
-            X, M = model._batch_inputs(samples)
+            X, M = reference_inputs(model, samples)
             assert np.array_equal(hypotheses.X, X) and hypotheses.X.dtype == X.dtype
             assert (M is None and hypotheses.M is None) or np.array_equal(hypotheses.M, M)
         # the last hypotheses are the timed-state mlp's

@@ -13,11 +13,13 @@ import pytest
 
 from ppmbench import models
 from ppmbench import nnkernel as nn
+from ppmbench.encoding import ngram_hash_prefixes
 from ppmbench.eventlog import EOC, Event, EventLog, Trace, Vocabulary, augment_eoc
 from ppmbench.inference import DecodeConfig, decode_suffixes
 from ppmbench.metrics import evaluate_protocol
 from ppmbench.models import (
     POOL_BATCHES,
+    REPLAY_CHUNK,
     AutoencoderPredictor,
     MarkovPredictor,
     MLPPredictor,
@@ -30,10 +32,12 @@ from ppmbench.models import (
     save_predictor,
     train,
 )
-from ppmbench.petrinet import PetriNet, Transition
+from ppmbench.petrinet import PetriNet, TimedStateVector, Transition, replay_states
 from ppmbench.splitting import FlatPrefixes, PrefixSample, SampleSet, make_prefix_samples, temporal_split
 
-from conftest import generator_log, make_linear_log, make_random_log, prefix_activities
+from conftest import (
+    generator_log, make_linear_log, make_random_log, prefix_activities, ref_batch_inputs, start_inputs,
+)
 
 def npz_arrays(path):
     with np.load(path) as data:
@@ -745,7 +749,7 @@ class TestBatchOrder:
         predictor = RecurrentPredictor("gru", log.activity_vocab, config=cfg)
         report = train(predictor, split, seed=1)
         samples = make_prefix_samples(split.train)
-        lengths = predictor._batch_inputs(samples)[1].sum(axis=1)
+        lengths = ref_batch_inputs(predictor, samples)[1].sum(axis=1)
         rng = np.random.default_rng(1)  # today's order steps each batch to its longest prefix
         plain = [
             lengths[batch].max()
@@ -855,6 +859,47 @@ class TestCheckpointRoundTrip:
         path.write_text(json.dumps(sidecar), encoding="utf-8")
         with pytest.raises(ValueError, match=self.MARKOV_FAULTS[fault]):
             load_predictor(tmp_path / "model")
+
+    SIDECAR_FAULTS = {
+        "not-an-object": "sidecar holds a JSON list, not an object",
+        "architecture-missing": "checkpoint architecture None, not one of",
+        "architecture-unknown": "checkpoint architecture 'transformer', not one of",
+        "config-not-a-mapping": r"checkpoint config \[64, 2\], not a mapping",
+        "config-unknown-key": "checkpoint config: .*'flat_dim'",
+        "config-bad-value": "checkpoint config: hidden must be >= 1",
+        "config-bad-type": "checkpoint config: .*'str' and 'int'",
+        "activity-vocab-not-a-list": "checkpoint activity_vocab is not a list of labels",
+        "activity-vocab-not-labels": "checkpoint activity_vocab is not a list of labels",
+        "attribute-vocabs-not-an-object": "checkpoint attribute_vocabs is not an object of label lists",
+        "attribute-vocab-not-a-list": "checkpoint attribute_vocabs is not an object of label lists",
+    }
+
+    @pytest.mark.parametrize("reader", ["load_predictor", "checkpoint_needs_petri_net"])
+    @pytest.mark.parametrize("fault", SIDECAR_FAULTS)
+    def test_malformed_sidecar_rejected(self, fault, reader, linear_split, tmp_path):
+        log, split = linear_split
+        predictor = RecurrentPredictor("gru", log.activity_vocab, config=fast_config(epochs=1))
+        train(predictor, split, seed=0)
+        save_predictor(predictor, tmp_path / "model")
+        path = tmp_path / "model.json"
+        sidecar = json.loads(path.read_text(encoding="utf-8"))
+        edits = {
+            "architecture-missing": lambda: sidecar.pop("architecture"),
+            "architecture-unknown": lambda: sidecar.update(architecture="transformer"),
+            "config-not-a-mapping": lambda: sidecar.update(config=[64, 2]),
+            "config-unknown-key": lambda: sidecar["config"].update(flat_dim=15),
+            "config-bad-value": lambda: sidecar["config"].update(hidden=0),
+            "config-bad-type": lambda: sidecar["config"].update(hidden="64"),
+            "activity-vocab-not-a-list": lambda: sidecar.update(activity_vocab="ABCD"),
+            "activity-vocab-not-labels": lambda: sidecar["activity_vocab"].append(5),
+            "attribute-vocabs-not-an-object": lambda: sidecar.update(attribute_vocabs=[["r1"]]),
+            "attribute-vocab-not-a-list": lambda: sidecar["attribute_vocabs"].update(Resource="r1"),
+        }
+        if fault in edits:
+            edits[fault]()
+        path.write_text(json.dumps([sidecar] if fault == "not-an-object" else sidecar), encoding="utf-8")
+        with pytest.raises(ValueError, match=self.SIDECAR_FAULTS[fault]):
+            getattr(models, reader)(tmp_path / "model")
 
     @pytest.mark.parametrize("fault", ["truncated", "missing", "nan", "inf"])
     @pytest.mark.parametrize("arch", ["gru", "mlp", "autoencoder"])
@@ -985,10 +1030,10 @@ class TestTimedStateMlp:
 
 
 class TestInputs:
-    """``_batch_inputs`` of a whole trace's prefixes equals
-    ``_batch_inputs`` of each prefix alone, bit for bit, so no input reads an
-    event past its prefix; ``_fit_arrays`` puts each set's arrays in sample
-    order, whatever that order is."""
+    """The start of a whole trace's prefixes equals the start of each prefix
+    alone, bit for bit, so no input reads an event past its prefix;
+    ``_fit_arrays`` puts each set's arrays in sample order, whatever that
+    order is."""
 
     @pytest.mark.parametrize(
         "arch, overrides",
@@ -1015,9 +1060,9 @@ class TestInputs:
         rows = []
         for trace in log.traces:
             ks = list(range(1, len(trace)))
-            Xt, Mt = predictor._batch_inputs([PrefixSample(trace, k) for k in ks])
+            Xt, Mt = start_inputs(predictor, [PrefixSample(trace, k) for k in ks])
             for j, k in enumerate(ks):
-                Xk, Mk = predictor._batch_inputs([PrefixSample(Trace(trace.case_id, trace.events[:k]), k)])
+                Xk, Mk = start_inputs(predictor, [PrefixSample(Trace(trace.case_id, trace.events[:k]), k)])
                 assert np.array_equal(Xt[j], Xk[0])
                 assert (Mt is None and Mk is None) or np.array_equal(Mt[j], Mk[0])
                 rows.append((Xt[j], None if Mt is None else Mt[j]))
@@ -1027,6 +1072,66 @@ class TestInputs:
         assert np.array_equal(Xs, X[order]) and np.array_equal(ys_act, y_act[order])
         assert M is None or np.array_equal(Ms, M[order])
         assert y_time is None or np.array_equal(ys_time, y_time[order])
+
+
+def frozen_batch_inputs(model, samples):
+    """Inputs and mask (None for none) of the samples, as the three input
+    paths that fed ``fit`` and ``predict_batch`` before each model read them
+    from its start built them, kept here unchanged: the encoder's flat
+    encode, the timed-state replay in ranges of ``REPLAY_CHUNK`` samples
+    written into one array, and the n-gram hash made in the model's dtype."""
+    if isinstance(model, AutoencoderPredictor):
+        flat, cfg = SampleSet.of(samples).flat, model.config
+        k, dim, seed = cfg.ngram_k, cfg.ngram_dim, cfg.hash_seed
+        return ngram_hash_prefixes(flat.activities, flat.ends, flat.ks, k, dim, seed, model.dtype), None
+    if model.config.input_mode != "timed_state":
+        return model.encoder.encode_flat(SampleSet.of(samples).flat, model.dtype)
+    vocabs = {name: model.attribute_vocabs[name] for name in model.config.attributes}
+    X = np.empty((len(samples), TimedStateVector.width(model.petri_net, vocabs)), model.dtype)
+    for s in range(0, len(samples), REPLAY_CHUNK):
+        states = replay_states(model.petri_net, SampleSet.of(samples[s : s + REPLAY_CHUNK]).flat, None, vocabs)
+        X[s : s + REPLAY_CHUNK] = states.vectors(model.petri_net, model.decay_seconds, model.dtype)
+    return X, None
+
+
+class TestFrozenInputPaths:
+    """Every neural model, in every input mode and with the Resource
+    attribute on, trains and scores on the bits that the frozen input paths
+    give: the arrays of ``_fit_arrays`` and the outputs of ``predict_batch``
+    (on the test samples, and on a shuffle of them with repeats that cuts
+    each trace across several replay ranges)."""
+
+    @pytest.mark.parametrize(
+        "arch, overrides",
+        [
+            ("mlp", {"input_mode": "padded_flat"}),
+            ("mlp", {"input_mode": "single_event"}),
+            ("mlp", {"input_mode": "timed_state"}),
+            ("rnn", {"window": 3}),
+            ("lstm", {"embedding_dim": 4, "time_target": "remaining"}),
+            ("gru", {"layers": 2}),
+            ("autoencoder", {"ngram_dim": 16, "ae_hidden": (8, 4), "pretrain_epochs": 1, "freeze_epochs": 1}),
+        ],
+        ids=["mlp-padded-flat", "mlp-single-event", "mlp-timed-state", "rnn-window", "lstm-embedding-remaining",
+             "gru", "autoencoder"],
+    )
+    def test_fit_arrays_and_scores_equal_the_frozen_paths(self, arch, overrides):
+        log, net, split = generator_split(1)
+        cfg = TrainConfig(**{"hidden": 8, "layers": 1, "epochs": 1, "patience": 1, **overrides},
+                          attributes=("Resource",))
+        model = build_predictor(arch, cfg, log.activity_vocab, log.attribute_vocabs, net)
+        train_samples, val = make_prefix_samples(split.train), make_prefix_samples(split.validation)
+        model.fit(train_samples, val, seed=1)
+        for (X, M, _, _), samples in zip(model._fit_arrays(train_samples, val), (train_samples, val)):
+            frozen_X, frozen_M = frozen_batch_inputs(model, samples)
+            assert X.dtype == frozen_X.dtype and X.tobytes() == frozen_X.tobytes()
+            assert (M is None and frozen_M is None) or M.tobytes() == frozen_M.tobytes()
+        test = make_prefix_samples(split.test)
+        mixed = [test[i] for i in np.random.default_rng(1).choice(len(test), size=len(test) + 50)]
+        for samples in (test, mixed):
+            probs, times = model.predict_batch(samples)
+            frozen_probs, frozen_times = model._infer(*frozen_batch_inputs(model, samples))
+            assert probs.tobytes() == frozen_probs.tobytes() and times.tobytes() == frozen_times.tobytes()
 
 
 @functools.cache
@@ -1150,9 +1255,9 @@ class TestPredictBatch:
         cfg = TrainConfig(**{**self.SMALL, "epochs": 1, "pretrain_epochs": 1, "freeze_epochs": 1, **overrides})
         predictor = build_predictor(arch, cfg, log.activity_vocab, log.attribute_vocabs, net)
         train(predictor, split, seed=1)
-        probs, times = predictor.predict_batch([])
-        assert probs.shape == (0, len(log.activity_vocab)) and probs.dtype == np.float64
-        assert times.shape == (0,) and times.dtype == np.float64
+        for probs, times in (predictor.predict_batch([]), predictor.hypotheses([]).predict()):
+            assert probs.shape == (0, len(log.activity_vocab)) and probs.dtype == np.float64
+            assert times.shape == (0,) and times.dtype == np.float64
         assert decode_suffixes(predictor, [], DecodeConfig()) == []
 
     @pytest.mark.parametrize("arch", ["markov", "gru", "mlp", "autoencoder"])
@@ -1231,7 +1336,7 @@ class TestBatchInvariance:
 
         monkeypatch.setattr(nn, "sequence_forward", counting_forward)
         predictor.predict_batch(samples)
-        lengths = np.sort(predictor._batch_inputs(samples)[1].sum(axis=1))[::-1]
+        lengths = np.sort(ref_batch_inputs(predictor, samples)[1].sum(axis=1))[::-1]
         # a block steps from the first column of its longest row
         assert stepped == [lengths[s] for s in range(0, len(samples), models.ROW_BLOCK)]
 
@@ -1303,8 +1408,8 @@ class TestValidationLoss:
         else:
             assert loss > cross_entropies[0]
         order = np.random.default_rng(rows).permutation(rows)
-        logits, _ = predictor._blocked_outputs(predictor.params, *predictor._batch_inputs(val))
-        shuffled, _ = predictor._blocked_outputs(predictor.params, *predictor._batch_inputs([val[i] for i in order]))
+        logits, _ = predictor._blocked_outputs(predictor.params, *start_inputs(predictor, val))
+        shuffled, _ = predictor._blocked_outputs(predictor.params, *start_inputs(predictor, [val[i] for i in order]))
         assert np.array_equal(shuffled, logits[order])
 
     def test_a_recurrent_validation_forward_steps_each_block_from_its_longest_row(self, monkeypatch):
@@ -1323,7 +1428,7 @@ class TestValidationLoss:
         monkeypatch.setattr(nn, "sequence_forward", counting_forward)
         predictor = build_predictor("gru", cfg, log.activity_vocab)
         report = predictor.fit(make_prefix_samples(split.train), val, seed=1)
-        lengths = np.sort(predictor._batch_inputs(val)[1].sum(axis=1))[::-1]
+        lengths = np.sort(ref_batch_inputs(predictor, val)[1].sum(axis=1))[::-1]
         per_epoch = [lengths[s] for s in range(0, len(val), models.ROW_BLOCK)]
         assert len(report.val_losses) == 2
         assert stepped == per_epoch * 2

@@ -6,6 +6,8 @@ import pytest
 from ppmbench import gradchecks
 from ppmbench import nnkernel as nn
 
+from conftest import ref_batch_inputs
+
 
 def zero_params(template):
     return {k: np.zeros_like(v) for k, v in template.items()}
@@ -465,7 +467,7 @@ class TestGradcheck:
         encoder = built[0].encoder
         group = encoder.layout.group("attr:res")
         samples, _, _ = gradchecks._tiny_samples(2)
-        X, M = built[0]._batch_inputs(samples)
+        X, M = ref_batch_inputs(built[0], samples)
         assert group.size == 3 and X[M][:, group.start + 1 : group.start + 3].any(axis=0).all()  # r1 and r2 both read
 
     def test_non_finite_loss_rejected(self):

@@ -22,7 +22,7 @@ from ppmbench.petrinet import (
 )
 from ppmbench.splitting import FlatPrefixes, make_prefix_samples
 
-from conftest import generator_log
+from conftest import generator_log, start_inputs
 
 HOUR_MS = 3_600_000
 
@@ -693,7 +693,7 @@ class TestReplayPass:
             shuffled += [samples[i] for i in rng.choice(len(samples), size=REPLAY_CHUNK // 2)]
             config = TrainConfig(input_mode="timed_state", attributes=attributes, decay_seconds=self.DECAY_S)
             mlp = MLPPredictor(log.activity_vocab, log.attribute_vocabs, config, net)
-            X, M = mlp._batch_inputs(shuffled)
+            X, M = start_inputs(mlp, shuffled)
             want = np.array([row_of[s.case_id, s.k] for s in shuffled], dtype=np.float32)
             assert M is None and X.tobytes() == want.tobytes()
 
