@@ -11,7 +11,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .eventlog import MISSING, Event, Vocabulary
-from .splitting import FlatPrefixes, PrefixSample, SampleSet
+from .splitting import FlatPrefixes, PrefixSample, SampleSet, suffix_ids
 
 
 MS_PER_DAY = 86_400_000
@@ -173,64 +173,88 @@ def ngram_hash_prefixes(
 ) -> np.ndarray:
     """Row i is ``ngram_hash_encode(labels[ends[i] - ks[i] : ends[i]],
     max_n, dim, seed)`` as ``dtype``, for prefixes laid out as in
-    :class:`~ppmbench.splitting.FlatPrefixes`: each starts at its trace's start.
+    :class:`~ppmbench.splitting.FlatPrefixes`: each starts at its trace's
+    start. It is :func:`ngram_hash_codes` of the labels coded in order of
+    first appearance, since a gram's hash depends on its labels alone."""
+    distinct = Vocabulary(dict.fromkeys(labels))
+    return ngram_hash_codes(distinct.indices(labels), distinct.labels, ends, ks, max_n, dim, seed, dtype)
 
-    One pass over the labels, restarting at each trace start, writes each row
-    at its prefix's last label; an empty prefix's row stays zero. Exact: each
-    update adds +1 or -1 to an integer-valued float64, and a float32 row
-    holds those small integers exactly.
+
+def ngram_hash_codes(
+    codes, labels: Sequence[str], ends, ks, max_n: int, dim: int, seed: int = 0, dtype=np.float64
+) -> np.ndarray:
+    """Row i is the hashed n-gram vector, as ``dtype``, of the labels
+    ``labels[c]`` of the codes ``codes[ends[i] - ks[i] : ends[i]]``, for
+    prefixes laid out as in :class:`~ppmbench.splitting.FlatPrefixes`: each
+    starts at its trace's start, and none starts inside another.
+
+    Array passes: for each n, the gram of n labels that ends at each event,
+    within its prefix, gets an id from :func:`~ppmbench.splitting.suffix_ids`
+    and ``_gram_code`` runs once per distinct gram. One ``np.add.at`` per n
+    adds the signs into an int32 (events + 1, dim) accumulator, whose
+    cumulative sum gives each prefix's row as the sum at its end minus the
+    sum at its start; an empty prefix's row is zero. Exact: every entry is a
+    small integer, the difference of two wrapped int32 sums included, and a
+    float32 row holds it exactly.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    labels, ends, ks = tuple(labels), np.asarray(ends).tolist(), np.asarray(ks).tolist()
-    resets = {end - k for end, k in zip(ends, ks)}
-    rows_at: dict[int, list[int]] = {}
-    for row, (end, k) in enumerate(zip(ends, ks)):
-        if k:
-            rows_at.setdefault(end - 1, []).append(row)
-    out = np.zeros((len(ends), dim), dtype=dtype)
-    vec = [0.0] * dim
-    begin = 0
-    for last in range(max(rows_at, default=-1) + 1):
-        if last in resets:
-            vec, begin = [0.0] * dim, last
-        for length in range(1, min(max_n, last + 1 - begin) + 1):
-            slot_hash, sign = _gram_code(labels[last + 1 - length : last + 1], seed)
-            vec[slot_hash % dim] += sign
-        for row in rows_at.get(last, ()):
-            out[row] = vec
-    return out
+    codes = np.asarray(codes, dtype=np.int64)
+    ends, ks = np.asarray(ends, dtype=np.int64), np.asarray(ks, dtype=np.int64)
+    starts = ends - ks
+    if len(ends) and (starts.min() < 0 or ks.min() < 0 or ends.max() > len(codes)):
+        raise ValueError(f"a prefix lies outside the {len(codes)} labels")
+    at = np.arange(len(codes))
+    reset = np.zeros(len(codes) + 1, dtype=bool)
+    reset[starts] = True
+    back = at - np.maximum.accumulate(np.where(reset[:-1], at, 0))  # events before each one in its prefix
+    padded = np.append(codes, -1)
+    columns = [padded[np.where(back >= j, at - j, -1)] for j in range(min(max_n, int(back.max(initial=-1)) + 1))]
+    sums = np.zeros((len(codes) + 1, dim), dtype=np.int32)  # row e + 1: the signs of the grams ending at event e
+    for rows, slots, signs in _hashed_grams(columns, labels, dim, seed):
+        np.add.at(sums, (rows + 1, slots), signs)
+    np.cumsum(sums, axis=0, out=sums)
+    return (sums[ends] - sums[starts]).astype(dtype)
 
 
 def ngram_hash_extend(
-    vectors: np.ndarray, tails: Sequence[tuple[str, ...]], labels: Sequence[str], max_n: int, seed: int = 0
-) -> tuple[np.ndarray, list[tuple[str, ...]]]:
-    """Hashed n-gram vectors of sequences extended by one label each: row i
-    is ``vectors[i]``, the vector of a sequence whose last labels (up to
-    ``max_n - 1`` of them) are ``tails[i]``, plus the n-grams that end at
-    ``labels[i]``, in the dtype of ``vectors``; returned with the new tails.
-    Exact, as :func:`ngram_hash_prefixes` is, in float64 or float32."""
-    dim = vectors.shape[1]
-    rows, slots, signs, new_tails = [], [], [], []
-    for row, (tail, label) in enumerate(zip(tails, labels)):
-        gram = tail + (label,)
-        for start in range(len(gram)):
-            slot_hash, sign = _gram_code(gram[start:], seed)
-            rows.append(row)
-            slots.append(slot_hash % dim)
-            signs.append(sign)
-        new_tails.append(gram[max(0, len(gram) + 1 - max_n) :])
+    vectors: np.ndarray, tails: np.ndarray, tokens, labels: Sequence[str], max_n: int, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hashed n-gram vectors of sequences extended by one code each: row i
+    is ``vectors[i]``, the vector of a sequence whose last codes are
+    ``tails[i]`` (``max_n - 1`` slots, as
+    :meth:`~ppmbench.splitting.FlatPrefixes.last_codes` holds them), plus
+    the n-grams that end at code ``tokens[i]``, codes read into ``labels``,
+    in the dtype of ``vectors``; returned with the new tails. Exact, as
+    :func:`ngram_hash_codes` is, in float64 or float32."""
+    tokens = np.asarray(tokens, dtype=np.int64)
     vectors = vectors.copy()
-    np.add.at(vectors, (rows, slots), signs)
-    return vectors, new_tails
+    columns = [tokens] + [tails[:, -j] for j in range(1, max_n)]
+    for rows, slots, signs in _hashed_grams(columns, labels, vectors.shape[1], seed):
+        np.add.at(vectors, (rows, slots), signs)
+    return vectors, np.column_stack([tails, tokens])[:, 1:]
+
+
+def _hashed_grams(columns: list[np.ndarray], labels: Sequence[str], dim: int, seed: int):
+    """For n = 1 .. len(columns): the rows whose codes go back n places in
+    ``columns`` (as :func:`~ppmbench.splitting.suffix_ids` reads them), with
+    the slot and the int8 sign of each one's gram, the labels of those n
+    codes oldest first. ``_gram_code`` runs once per distinct gram."""
+    for n, (rows, ids, first) in enumerate(suffix_ids(columns), 1):
+        grams = np.stack([column[first] for column in columns[n - 1 :: -1]], axis=1).tolist()
+        hashed = [_gram_code(tuple(map(labels.__getitem__, gram)), seed) for gram in grams]
+        slots = np.array([slot_hash % dim for slot_hash, _ in hashed], dtype=np.int64)
+        signs = np.array([sign for _, sign in hashed], dtype=np.int8)
+        yield rows, slots[ids], signs[ids]
 
 
 @lru_cache(maxsize=1 << 14)
 def _gram_code(gram: tuple[str, ...], seed: int) -> tuple[int, float]:
     """Slot hash and sign of one n-gram. Cached: the grams of a log repeat
-    across its prefixes and traces, and each costs two blake2b calls."""
+    across the sample sets and decode steps that hash them, and each costs
+    two blake2b calls."""
     data = "\x1f".join(gram).encode("utf-8")
     sign = 1.0 if _hash64(data, seed, b"sign") % 2 == 0 else -1.0
     return _hash64(data, seed, b"slot"), sign
@@ -383,26 +407,23 @@ class PrefixEncoder:
         of ``flat``, each encoded as :meth:`encode` does.
 
         One pass: :meth:`encode_rows` builds the feature rows of all of
-        ``flat``'s events, and :meth:`windows` cuts each prefix's window from
-        them. The rows are cast before windowing, so the float64 copy is one
-        row per event, not T per prefix. An empty prefix is a ``ValueError``.
+        ``flat``'s events from their label codes (:meth:`FlatPrefixes.codes`;
+        an absent attribute is missing), and :meth:`windows` cuts each
+        prefix's window from them. The rows are cast before windowing, so the
+        float64 copy is one row per event, not T per prefix. An empty prefix
+        is a ``ValueError``.
         """
         if not self.fitted or self.max_len is None:
             raise NotFittedError("prefix encoder used before fit()")
         _check_nonempty(flat)
-        activity = self.activity_vocab.index
-        attribute_vocabs = list(self.attribute_vocabs.items())
-        events = flat.events
-        attributes = [
-            vocab.index(ev.attributes.get(name, MISSING)) for ev in events for name, vocab in attribute_vocabs
-        ]
-        rows = self.encode_rows(
-            np.array([activity(ev.activity) for ev in events], dtype=np.int64),
-            np.array(attributes, dtype=np.int64).reshape(len(events), len(attribute_vocabs)),
-            flat.ms,
-            flat.prev_ms,
-            flat.first_ms,
-        )
+        activities = flat.codes(self.activity_vocab)
+        attributes = np.empty((len(activities), len(self.attribute_vocabs)), dtype=np.int64)
+        for column, (name, vocab) in zip(attributes.T, self.attribute_vocabs.items()):
+            column[:] = flat.codes(vocab, name)
+            absent = column < 0
+            if absent.any():
+                column[absent] = vocab.index(MISSING)
+        rows = self.encode_rows(activities, attributes, flat.ms, flat.prev_ms, flat.first_ms)
         padded = np.zeros((len(rows) + 1, rows.shape[1]), dtype=dtype)  # row 0 pads
         padded[1:] = rows
         return self.windows(padded, flat.ends + 1, flat.ks)

@@ -125,6 +125,14 @@ class Vocabulary:
         except KeyError:
             raise UnknownLabelError(f"label not in vocabulary: {label!r}") from None
 
+    def indices(self, labels: Iterable[str], count: int = -1) -> np.ndarray:
+        """The int64 index of each label, read in one pass; the first label
+        outside the vocabulary is an ``UnknownLabelError`` naming it."""
+        try:
+            return np.fromiter(map(self._lookup.__getitem__, labels), dtype=np.int64, count=count)
+        except KeyError as missing:
+            raise UnknownLabelError(f"label not in vocabulary: {missing.args[0]!r}") from None
+
     def label(self, index: int) -> str:
         return self._labels[index]
 

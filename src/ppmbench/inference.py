@@ -135,9 +135,10 @@ def decode_suffixes(
     return _search(model, start, len(samples), cfg)
 
 
-def _search(model, rows, n: int, cfg: DecodeConfig) -> list[SuffixPrediction]:
+def _search(model, rows, n: int, cfg: DecodeConfig, first=None) -> list[SuffixPrediction]:
     """The search of :func:`decode_suffixes` from ``rows``, the start of its
-    n samples, which the search reads and never changes."""
+    n samples, which the search reads and never changes; ``first``, when
+    given, is ``rows.predict()`` already made, and the first step reads it."""
     vocab = model.activity_vocab
     eoc = vocab.index(EOC)
     width = cfg.beam_width if cfg.strategy == "beam" else 1
@@ -152,7 +153,8 @@ def _search(model, rows, n: int, cfg: DecodeConfig) -> list[SuffixPrediction]:
     length, finished = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
     results: list[SuffixPrediction | None] = [None] * n
     for step in range(cfg.max_len):
-        probs, times = rows.predict()
+        probs, times = rows.predict() if first is None else first
+        first = None
         _check_distributions(probs)
         step_deltas = np.nan_to_num(times, nan=0.0) if model.time_target == "next" else np.zeros(len(probs))
         # the candidates: each child's parent (``origin``), the parent's row

@@ -138,9 +138,10 @@ def evaluate_protocol(
 
     The model's one start of the samples, ``model.hypotheses``, serves
     every task: its ``predict()``, as ``predict_batch`` scores, gives next
-    activity and the time heads, and the ``decode_suffixes`` search from it
-    decodes all their suffixes, sample i with the seed ``decode_cfg.seed XOR
-    i``; ``truncated_suffixes`` counts those cut at the length limit. A
+    activity and the time heads, and the ``decode_suffixes`` search from it,
+    whose first step reads those same scores, decodes all their suffixes,
+    sample i with the seed ``decode_cfg.seed XOR i``;
+    ``truncated_suffixes`` counts those cut at the length limit. A
     ``"next"`` model scores next time from its delta head and remaining time
     as the sum of the decoded step deltas; a ``"remaining"`` model scores
     remaining time from its direct head, clamped at 0, and skips next time; a
@@ -178,7 +179,7 @@ def evaluate_protocol(
             report.mae_next = mae(times[scored], samples.next_time_deltas[scored])
             report.n_samples["next_time"] = int(scored.sum())
     if decoding:
-        decoded = _search(model, start, n, decode_cfg)
+        decoded = _search(model, start, n, decode_cfg, (probs, times) if scoring else None)
         report.truncated_suffixes = sum(d.truncated for d in decoded)
         if want_suffix:
             sims = [dl_similarity(d.activities, suffix) for d, suffix in zip(decoded, samples.suffix_activities)]

@@ -20,10 +20,10 @@ import numpy as np
 from . import nnkernel as nn
 from .atomic import write_text_atomic
 # ngram_hash_encode and replay_timed_state stay bound here: perfbench's tracer patches them by name
-from .encoding import Normalizer, PrefixEncoder, ngram_hash_encode, ngram_hash_extend, ngram_hash_prefixes
+from .encoding import Normalizer, PrefixEncoder, ngram_hash_codes, ngram_hash_encode, ngram_hash_extend
 from .eventlog import MISSING, Event, Vocabulary
 from .petrinet import PetriNet, TimedStates, TimedStateVector, replay_states, replay_timed_state
-from .splitting import PrefixSample, SampleSet, SplitLog, make_prefix_samples, whole_prefix_sample
+from .splitting import PrefixSample, SampleSet, SplitLog, make_prefix_samples, suffix_ids, whole_prefix_sample
 
 ARCHITECTURES = ("markov", "mlp", "rnn", "lstm", "gru", "autoencoder")
 INPUT_MODES = ("padded_flat", "single_event", "timed_state")  # what the mlp reads
@@ -277,9 +277,13 @@ class MarkovPredictor(Predictor):
     at any order the distribution is uniform (the pure-smoothing limit) and
     there is no time estimate.
 
-    A prefix's row depends only on its context, its last ``order`` labels
-    (all when fewer); each context's walk runs once, into a memo that
-    ``fit`` and loading clear."""
+    Both read the prefixes' last ``order`` activity codes
+    (:meth:`~ppmbench.splitting.FlatPrefixes.last_codes`). ``fit`` counts
+    each order's contexts and (context, class) pairs with ``np.unique`` and
+    sums the deltas in sample order with ``np.add.at``; contexts, and each
+    one's classes, keep their order of first appearance. A prefix's row
+    depends only on its context, so a batch runs each distinct context's
+    walk once, through a memo that ``fit`` and loading clear, and gathers."""
 
     architecture = "markov"
 
@@ -288,28 +292,38 @@ class MarkovPredictor(Predictor):
         self.config = config or TrainConfig()
         self.time_target = "next"
         self.tables: list[dict[tuple[str, ...], tuple[Counter, float]]] = [{} for _ in range(self.config.order + 1)]
-        self._memo: dict[tuple[str, ...], tuple[np.ndarray, float]] = {}
+        self._memo: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
 
     def fit(self, train_samples, val_samples, seed=0) -> TrainReport:
         start = time.perf_counter()
         train, val = SampleSet.of(train_samples), SampleSet.of(val_samples)
         truth, val_truth = (samples.next_activity_indices(self.activity_vocab) for samples in (train, val))
-        order = self.config.order
-        self.tables = [{} for _ in range(order + 1)]
-        self._memo = {}
-        for target, delta, context in zip(
-            truth.tolist(), train.next_time_deltas.tolist(), train.flat.last_activities(order)
-        ):
-            for j in range(len(context) + 1):
-                ctx = context[len(context) - j :]
-                counts, delta_sum = self.tables[j].get(ctx) or (Counter(), 0.0)
-                counts[target] += 1
-                self.tables[j][ctx] = (counts, delta_sum + delta)
+        tails = train.flat.last_codes(self.activity_vocab, self.config.order)
+        self.tables, self._memo = self._count(tails, truth, train.next_time_deltas), {}
         train_nll = self._mean_nll(train, truth)
         val_nll = self._mean_nll(val, val_truth) if val else train_nll
         seconds = time.perf_counter() - start
         return TrainReport(train_losses=(train_nll,), val_losses=(val_nll,), best_epoch=0,
                            wall_clock_seconds=seconds, epoch_seconds=(seconds,), seed=seed)
+
+    def _count(self, tails: np.ndarray, truth: np.ndarray, deltas: np.ndarray) -> list[dict]:
+        """The tables of samples whose last codes are ``tails`` (N, order),
+        next activities ``truth`` and next deltas ``deltas``."""
+        labels, n_classes, order = self.activity_vocab.labels, len(self.activity_vocab), tails.shape[1]
+        tables = []
+        for j, (rows, ids, first) in enumerate(_context_groups(tails)):
+            delta_sums = np.zeros(len(first))
+            np.add.at(delta_sums, ids, deltas[rows])  # in index order: the sums of a loop over the samples
+            pairs, pair_first, counts = np.unique(ids * n_classes + truth[rows], return_index=True, return_counts=True)
+            contexts = [tuple(map(labels.__getitem__, c)) for c in tails[first, order - j :].tolist()]
+            sums, table = delta_sums.tolist(), {}
+            # pairs in order of first appearance: so are the contexts they add, and each context's classes
+            ordered = np.argsort(pair_first)
+            pairs, counts = pairs[ordered], counts[ordered]
+            for ctx, target, count in zip(*(a.tolist() for a in (pairs // n_classes, pairs % n_classes, counts))):
+                table.setdefault(contexts[ctx], (Counter(), sums[ctx]))[0][target] = count
+            tables.append(table)
+        return tables
 
     def _mean_nll(self, samples, truth) -> float:
         if not samples:
@@ -318,9 +332,11 @@ class MarkovPredictor(Predictor):
         picked = np.maximum(probs[np.arange(len(samples)), truth], 1e-12)
         return -sum(np.log(picked).tolist()) / len(samples)
 
-    def _row(self, context: tuple[str, ...]) -> tuple[np.ndarray, float]:
-        """Probabilities (C,) and time (NaN for none) of a context's backoff walk."""
+    def _row(self, context: tuple[int, ...]) -> tuple[np.ndarray, float]:
+        """Probabilities (C,) and time (NaN for none) of the backoff walk
+        from a context of codes, -1 in its empty slots."""
         k, alpha = len(self.activity_vocab), self.config.alpha
+        context = tuple(self.activity_vocab.labels[c] for c in context if c >= 0)
         for j in range(len(context), -1, -1):
             counts, delta_sum = self.tables[j].get(context[len(context) - j :]) or (None, 0.0)
             if counts:
@@ -332,7 +348,7 @@ class MarkovPredictor(Predictor):
         return np.full(k, 1.0 / k, dtype=np.float64), np.nan
 
     def _start(self, samples):
-        return _MarkovHypotheses(self, samples.flat.last_activities(self.config.order))
+        return _MarkovHypotheses(self, samples.flat.last_codes(self.activity_vocab, self.config.order))
 
     def _save(self, path_prefix, seed):
         """The JSON sidecar alone: the tables are the whole model. Each order
@@ -381,24 +397,36 @@ class MarkovPredictor(Predictor):
             })
 
 
-class _MarkovHypotheses:
-    """Markov decode hypotheses: each carries its context, stepped by one label per decoded event."""
+def _context_groups(tails: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """For j = 0 .. m, the rows of ``tails`` (N, m) whose codes, read from
+    the right, go back j places, a dense id per distinct context of j codes
+    and the first row of each id: every row in one empty context at j = 0,
+    then :func:`~ppmbench.splitting.suffix_ids`."""
+    every = np.arange(len(tails))
+    columns = [tails[:, -j] for j in range(1, tails.shape[1] + 1)]
+    return [(every, np.zeros(len(every), dtype=np.int64), every[:1]), *suffix_ids(columns)]
 
-    def __init__(self, model: MarkovPredictor, contexts: list[tuple[str, ...]]):
+
+class _MarkovHypotheses:
+    """Markov decode hypotheses: each carries its context, its last
+    ``order`` codes (-1 in the empty slots), stepped by one code per decoded
+    event."""
+
+    def __init__(self, model: MarkovPredictor, contexts: np.ndarray):
         self.model, self.contexts = model, contexts
 
     def predict(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each context's row, read from the model's memo (which a new context joins)."""
+        """Each distinct context's row, read from the model's memo (which a
+        new context joins), gathered to the hypotheses."""
         model, memo = self.model, self.model._memo
-        rows = [memo.get(c) or memo.setdefault(c, model._row(c)) for c in self.contexts]
-        return _stacked(rows, len(model.activity_vocab))
+        _, ids, first = _context_groups(self.contexts + 1)[-1]  # the empty slots count as code 0
+        rows = [memo.get(c) or memo.setdefault(c, model._row(c)) for c in map(tuple, self.contexts[first].tolist())]
+        probs, times = _stacked(rows, len(model.activity_vocab))
+        return probs[ids], times[ids]
 
     def extend(self, parents, tokens, deltas) -> "_MarkovHypotheses":
-        """Each parent's context plus its label, cut to the last ``order`` labels."""
-        order, label = self.model.config.order, self.model.activity_vocab.label
-        pairs = zip(np.asarray(parents).tolist(), np.asarray(tokens).tolist())
-        contexts = [self.contexts[p] + (label(t),) for p, t in pairs]
-        return _MarkovHypotheses(self.model, [c[max(0, len(c) - order) :] for c in contexts])
+        """Each parent's context shifted by its code, to the last ``order`` codes."""
+        return _MarkovHypotheses(self.model, np.column_stack([self.contexts[parents], tokens])[:, 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +435,7 @@ class _MarkovHypotheses:
 
 POOL_BATCHES = 32  # batches per length-sorted pool of a recurrent model's epoch
 REPLAY_CHUNK = 256  # samples per timed-state replay pass; bounds the pass's (events, places) arrays
+START_INT32 = ("throughput", "attribute_counts", "nonconforming")  # TimedStates counts a start holds narrower
 ROW_BLOCK = 64  # rows per block of the forward that scores hypotheses (see _NeuralPredictor._blocked_outputs)
 
 
@@ -679,20 +708,21 @@ class _NeuralPredictor(Predictor):
         """The activity logits and the time predictions (None without a time
         head) of the rows of ``X`` under ``params``, in the rows' order. The
         plain :meth:`_outputs` runs on consecutive blocks of ``ROW_BLOCK``
-        rows, the last zero-padded with a False mask whose rows' outputs are
-        dropped: every row goes through products of one shape, so its
-        outputs do not depend on the batch it came in, and a forward holds
-        one block's arrays at a time. A recurrent model's rows are blocked
-        longest first (a stable sort by :meth:`_batch_lengths`), so each
-        block steps from about its own rows' first column."""
+        rows, the last filled up with copies of its last row, under that
+        row's mask, whose outputs are dropped: every row goes through
+        products of one shape, so its outputs do not depend on the batch it
+        came in, and a forward holds one block's arrays at a time. A
+        recurrent model's rows are blocked longest first (a stable sort by
+        :meth:`_batch_lengths`), so each block steps from about its own
+        rows' first column, and the copies share the shortest row's columns."""
         lengths = None if M is None else self._batch_lengths(M)
         rows = np.arange(len(X)) if lengths is None else np.argsort(-lengths, kind="stable")
+        filled = np.append(rows, np.repeat(rows[-1:], -len(rows) % ROW_BLOCK))  # the last row repeated
 
-        def block(a, s):  # rows s.. in block order, zero-padded to ROW_BLOCK
-            picked = rows[s : s + ROW_BLOCK]
-            out = np.zeros((ROW_BLOCK,) + a.shape[1:], dtype=a.dtype)
-            np.take(a, picked, axis=0, out=out[: len(picked)])
-            return out
+        def block(a, s):  # rows s.. in block order
+            if not len(rows):  # no rows: one zero block, whose outputs are all dropped
+                return np.zeros((ROW_BLOCK,) + a.shape[1:], dtype=a.dtype)
+            return a[filled[s : s + ROW_BLOCK]]
 
         outputs = [
             self._outputs(params, block(X, s), None if M is None else block(M, s))[:2]
@@ -848,16 +878,15 @@ class _ReplayHypotheses(_NeuralHypotheses):
 class _NgramHypotheses(_NeuralHypotheses):
     """Hypotheses of the autoencoder. Each carries its hashed n-gram vector,
     which is its input row (small integers, exact in the model's dtype), and
-    its last ``ngram_k - 1`` labels."""
+    its last ``ngram_k - 1`` activity codes (-1 in the empty slots)."""
 
     def __init__(self, model, X, tails):
         super().__init__(model, X, None)
         self.tails = tails
 
     def extend(self, parents, tokens, deltas):
-        cfg, label = self.model.config, self.model.activity_vocab.label
-        parent_tails, labels = [self.tails[p] for p in parents], [label(t) for t in tokens]
-        X, tails = ngram_hash_extend(self.X[parents], parent_tails, labels, cfg.ngram_k, cfg.hash_seed)
+        cfg, labels = self.model.config, self.model.activity_vocab.labels
+        X, tails = ngram_hash_extend(self.X[parents], self.tails[parents], tokens, labels, cfg.ngram_k, cfg.hash_seed)
         return _NgramHypotheses(self.model, X, tails)
 
 
@@ -973,8 +1002,9 @@ class MLPPredictor(_NeuralPredictor):
         samples is replayed in one pass (an empty set in one pass of no
         samples), and its states and input rows are copied into arrays of
         every sample's row before the next pass, so only one range's states
-        are held twice. A decoded event counts as missing each attribute that
-        its prefix's last event holds."""
+        are held twice; the counts are held as int32 (``START_INT32``),
+        which ``vectors`` casts exactly. A decoded event counts as missing
+        each attribute that its prefix's last event holds."""
         if self.config.input_mode != "timed_state":
             return super()._start(samples)
         net, vocabs, n = self.petri_net, self._timed_state_vocabs(), len(samples)
@@ -983,7 +1013,10 @@ class MLPPredictor(_NeuralPredictor):
             part = replay_states(net, samples[s : s + REPLAY_CHUNK].flat, None, vocabs)
             X[s : s + REPLAY_CHUNK] = part.vectors(net, self.decay_seconds, self.dtype)
             arrays = [getattr(part, f.name) for f in fields(TimedStates)]
-            columns = columns or [np.empty((n,) + a.shape[1:], a.dtype) for a in arrays]
+            columns = columns or [
+                np.empty((n,) + a.shape[1:], np.int32 if f.name in START_INT32 else a.dtype)
+                for f, a in zip(fields(TimedStates), arrays)
+            ]
             for column, a in zip(columns, arrays):
                 column[s : s + REPLAY_CHUNK] = a
         states = TimedStates(*columns)
@@ -1077,11 +1110,12 @@ class AutoencoderPredictor(_NeuralPredictor):
 
     def _start(self, samples):
         """Hypotheses that start from the samples' hashed n-gram vectors in
-        the model's dtype, hashed in one pass over their layout's labels, and
-        each prefix's last ``ngram_k - 1`` labels; no mask."""
-        flat, k, dim, seed = samples.flat, self.config.ngram_k, self.config.ngram_dim, self.config.hash_seed
-        X = ngram_hash_prefixes(flat.activities, flat.ends, flat.ks, k, dim, seed, self.dtype)
-        return _NgramHypotheses(self, X, flat.last_activities(k - 1))
+        the model's dtype, hashed in array passes over their layout's
+        activity codes, and each prefix's last ``ngram_k - 1`` codes; no mask."""
+        flat, vocab, cfg = samples.flat, self.activity_vocab, self.config
+        k, dim, seed = cfg.ngram_k, cfg.ngram_dim, cfg.hash_seed
+        X = ngram_hash_codes(flat.codes(vocab), vocab.labels, flat.ends, flat.ks, k, dim, seed, self.dtype)
+        return _NgramHypotheses(self, X, flat.last_codes(vocab, k - 1))
 
     def _build_params(self, rng):
         params: dict[str, np.ndarray] = {}

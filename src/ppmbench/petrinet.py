@@ -6,6 +6,7 @@ import json
 import xml.etree.ElementTree as ET
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -316,11 +317,11 @@ class TimedStates:
     ``last_visit_ms`` is read only where it is. Decay is read at ``at_ms``."""
 
     marking_ids: np.ndarray  # (S,) rows of the net's marking table
-    throughput: np.ndarray  # (S, P) int64
+    throughput: np.ndarray  # (S, P) int64, or int32
     last_visit_ms: np.ndarray  # (S, P) int64
     visited: np.ndarray  # (S, P) bool
-    attribute_counts: np.ndarray  # (S, W) int64
-    nonconforming: np.ndarray  # (S,) int64
+    attribute_counts: np.ndarray  # (S, W) int64, or int32
+    nonconforming: np.ndarray  # (S,) int64, or int32
     at_ms: np.ndarray  # (S,) int64
 
     def decay(self, decay_seconds: float) -> np.ndarray:
@@ -376,41 +377,44 @@ def replay_states(
     alone, and a value outside its vocabulary is an ``UnknownLabelError``. A
     prefix of no events without ``at_ms`` is a ``ValueError``.
 
-    One array pass: a Python loop walks ``flat``'s events and looks up each
-    one's effect in the net's ``_ReplayTable``; trace j's rows are a case
-    start row, then its events' rows, each shifted by j + 1. Throughput,
-    attribute and nonconforming counts are cumulative sums over the rows,
-    restarted at each case start; a place's last visit is the running
-    maximum of the rows that touched it, no visit when before the case start.
+    One array pass: a Python loop walks ``flat``'s activity labels and looks
+    up each one's effect in the net's ``_ReplayTable``; trace j's rows are a
+    case start row, then its events' rows, each shifted by j + 1. Attribute
+    hits are read from the layout's attribute codes
+    (:meth:`~ppmbench.splitting.FlatPrefixes.codes`), one array write per
+    attribute. Throughput, attribute and nonconforming counts are cumulative
+    sums over the rows, restarted at each case start; a place's last visit
+    is the running maximum of the rows that touched it, no visit when before
+    the case start.
     """
     if at_ms is None and not flat.ks.all():
         raise ValueError("a prefix of no events has no last event to read its decay at")
-    vocabs = [(name, vocab) for name, vocab in (attribute_vocabs or {}).items()]
+    vocabs = list((attribute_vocabs or {}).items())
     offsets = np.cumsum([0] + [len(vocab) for _, vocab in vocabs]).tolist()
     table = net._table
     effects = table.effects
     marking_ids: list[int] = []
     effect_ids: list[int] = []
-    hits: list[int] = []  # (row, attribute column) pairs, flattened
     bounds = flat.starts.tolist()
+    labels = list(map(attrgetter("activity"), flat.events))
     for begin, stop in zip(bounds, bounds[1:]):
         mid = table.initial
         marking_ids.append(mid)
         effect_ids.append(START)
-        for ev in flat.events[begin:stop]:
-            mid, eid = effects.get((mid, ev.activity)) or table.effect(mid, ev.activity)
+        for label in labels[begin:stop]:
+            mid, eid = effects.get((mid, label)) or table.effect(mid, label)
             marking_ids.append(mid)
             effect_ids.append(eid)
-            for (name, vocab), offset in zip(vocabs, offsets):
-                if name in ev.attributes:
-                    hits += (len(effect_ids) - 1, offset + vocab.index(ev.attributes[name]))
     places, width = net.num_places, offsets[-1]
     effect_ids = np.array(effect_ids, dtype=np.int64)
     n_rows = len(effect_ids)
     steps = np.zeros((n_rows + 1, places + width + 1), dtype=np.int64)  # row 0 is the sum before any row
     steps[1:, :places] = table.throughput[effect_ids]
-    hits = np.array(hits, dtype=np.int64).reshape(-1, 2)
-    steps[hits[:, 0] + 1, places + hits[:, 1]] = 1
+    event_rows = np.arange(len(labels)) + np.repeat(np.arange(1, len(bounds)), np.diff(flat.starts)) + 1
+    for (name, vocab), offset in zip(vocabs, offsets):
+        codes = flat.codes(vocab, name)
+        held = codes >= 0
+        steps[event_rows[held], places + offset + codes[held]] = 1
     steps[1:, -1] = effect_ids == SKIPPED
     np.cumsum(steps, axis=0, out=steps)
     first = flat.starts[flat.trace_of] + flat.trace_of

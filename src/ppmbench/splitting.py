@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .atomic import write_text_atomic
-from .eventlog import EOC, EmptyLogError, Event, EventLog, Trace
+from .eventlog import EOC, EmptyLogError, Event, EventLog, Trace, Vocabulary
 
 PARTS = ("train", "validation", "test")
 
@@ -122,7 +123,8 @@ class FlatPrefixes:
     Per event, ``ms`` is its epoch ms, ``prev_ms`` its previous event's (its
     own at a case start) and ``first_ms`` its case start's. Prefix i is the
     first ``ks[i]`` events of trace ``trace_of[i]``; ``ends[i]`` is one past
-    its last event."""
+    its last event. Integer codes of the events' labels (:meth:`codes`) are
+    built on first read, once per vocabulary."""
 
     events: list[Event]
     starts: np.ndarray  # (T + 1,)
@@ -132,6 +134,7 @@ class FlatPrefixes:
     trace_of: np.ndarray
     ks: np.ndarray
     ends: np.ndarray
+    _codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, traces: Sequence[Sequence[Event]], trace_of: Sequence[int], ks: Sequence[int]) -> "FlatPrefixes":
@@ -153,15 +156,49 @@ class FlatPrefixes:
         previous = np.maximum(np.arange(len(events)) - 1, begin)
         return cls(events, starts, ms, ms[previous], ms[begin], trace_of, ks, starts[trace_of] + ks)
 
-    @cached_property
-    def activities(self) -> list[str]:
-        """The activity label of each event."""
-        return [ev.activity for ev in self.events]
+    def codes(self, vocab: Vocabulary, attribute: str | None = None) -> np.ndarray:
+        """The int64 index in ``vocab`` of each event's activity or, with
+        ``attribute``, of its value of that attribute (-1 where it holds
+        none). Built in one pass on first read for each vocabulary, and kept;
+        a label outside ``vocab`` is an ``UnknownLabelError``."""
+        key = (attribute, vocab.labels)
+        found = self._codes.get(key)
+        if found is None:
+            events = self.events
+            if attribute is None:
+                found = vocab.indices(map(attrgetter("activity"), events), len(events))
+            else:
+                found = np.full(len(events), -1, dtype=np.int64)
+                held = [i for i, ev in enumerate(events) if attribute in ev.attributes]
+                found[held] = vocab.indices((events[i].attributes[attribute] for i in held), len(held))
+            self._codes[key] = found
+        return found
 
-    def last_activities(self, m: int) -> list[tuple[str, ...]]:
-        """The last ``min(m, ks[i])`` activity labels of each prefix i."""
-        labels = self.activities
-        return [tuple(labels[end - min(m, k) : end]) for end, k in zip(self.ends.tolist(), self.ks.tolist())]
+    def last_codes(self, vocab: Vocabulary, m: int) -> np.ndarray:
+        """(N, m) int64: row i holds the :meth:`codes` of prefix i's last
+        ``min(m, ks[i])`` activities, right-aligned after -1 in the empty slots."""
+        back = np.arange(m, 0, -1)  # how far before its prefix's end each slot reads
+        at = np.where(self.ks[:, None] >= back, self.ends[:, None] - back, -1)
+        return np.append(self.codes(vocab), -1)[at]
+
+
+def suffix_ids(columns: Sequence[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """For n = 1 .. len(columns), of rows whose codes ``columns[j][row]``
+    (codes >= -1, as :meth:`FlatPrefixes.last_codes` holds them, read from
+    the right) go back at least n places: those rows, one dense id per
+    distinct tuple of their first n codes, ascending with the tuples read
+    from ``columns[0]`` on, and the first row of each id. Row r goes back
+    n places when ``columns[j][r] >= 0`` for every j < n. Each id stays
+    below the number of rows, so tuples of any length fit int64."""
+    rows = np.arange(len(columns[0]) if columns else 0)
+    ids = np.zeros(len(rows), dtype=np.int64)
+    for column in columns:
+        codes = column[rows]
+        held = codes >= 0
+        rows, codes = rows[held], codes[held]
+        _, first, ids = np.unique(ids[held] * (int(codes.max(initial=0)) + 1) + codes, return_index=True,
+                                  return_inverse=True)
+        yield rows, ids, rows[first]
 
 
 class SampleSet(Sequence[PrefixSample]):
@@ -242,7 +279,7 @@ class SampleSet(Sequence[PrefixSample]):
     def next_activity_indices(self, vocab) -> np.ndarray:
         """The int64 index in ``vocab`` of each sample's next activity."""
         labels, heads = self._columns[:2]
-        return np.fromiter((vocab.index(labels[i]) for i in heads.tolist()), dtype=np.int64, count=len(self))
+        return vocab.indices(map(labels.__getitem__, heads.tolist()), len(self))
 
     @cached_property
     def suffix_activities(self) -> list[tuple[str, ...]]:

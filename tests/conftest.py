@@ -103,6 +103,16 @@ def prefix_activities(sample) -> tuple[str, ...]:
     return tuple(e.activity for e in sample.prefix)
 
 
+def flat_labels(flat) -> list[str]:
+    """The activity label of each event of a ``FlatPrefixes`` layout."""
+    return [ev.activity for ev in flat.events]
+
+
+def last_labels(flat, vocab, m) -> list[tuple[str, ...]]:
+    """The labels of each prefix's last ``m`` activity codes of a layout."""
+    return [tuple(vocab.label(c) for c in row if c >= 0) for row in flat.last_codes(vocab, m).tolist()]
+
+
 @pytest.fixture
 def linear_log() -> EventLog:
     return augment_eoc(make_linear_log())

@@ -31,7 +31,8 @@ from ppmbench.models import REPLAY_CHUNK, AutoencoderPredictor, MLPPredictor, Tr
 from ppmbench.splitting import FlatPrefixes, PrefixSample, SampleSet, make_prefix_samples, temporal_split
 
 from conftest import (
-    TABLE1_CSV, generator_log, make_linear_log, make_random_log, prefix_activities, ref_batch_inputs, start_inputs,
+    TABLE1_CSV, flat_labels, generator_log, last_labels, make_linear_log, make_random_log, prefix_activities,
+    ref_batch_inputs, start_inputs,
 )
 
 
@@ -577,12 +578,15 @@ class TestFlatLayout:
         ks = [2, 0, 0, 4, 0, 0, 1, 2, 3]
         flat = FlatPrefixes.of(traces, trace_of, ks)
         # trace 3 is walked to its longest prefix, trace 4 never appears
-        assert flat.activities == list("ABCA") + list("BB") + ["C"]
+        vocab = Vocabulary(["C", "B", "A"])
+        assert flat_labels(flat) == list("ABCA") + list("BB") + ["C"]
+        assert flat.codes(vocab).tolist() == [2, 1, 0, 2, 1, 1, 0]
         assert flat.starts.tolist() == [0, 0, 4, 4, 6, 7]
         assert flat.trace_of.tolist() == trace_of and flat.ks.tolist() == ks
         assert flat.ends.tolist() == [flat.starts[t] + k for t, k in zip(trace_of, ks)]
         for m in (0, 1, 2, 5):
-            assert flat.last_activities(m) == [
+            assert flat.last_codes(vocab, m).shape == (len(ks), m)
+            assert last_labels(flat, vocab, m) == [
                 tuple(ev.activity for ev in traces[t][:k][max(0, k - m) :]) for t, k in zip(trace_of, ks)
             ]
         for max_n, dim, seed in ((1, 7, 0), (3, 64, 5), (4, 1, 2**64 - 1)):
@@ -590,7 +594,7 @@ class TestFlatLayout:
                 reference_ngram_hash_encode([ev.activity for ev in traces[t][:k]], max_n, dim, seed)
                 for t, k in zip(trace_of, ks)
             ]
-            rows = ngram_hash_prefixes(flat.activities, flat.ends, flat.ks, max_n, dim, seed)
+            rows = ngram_hash_prefixes(flat_labels(flat), flat.ends, flat.ks, max_n, dim, seed)
             assert same_bits(rows, np.array(expected))
         empty = FlatPrefixes.of([(), ()], [1, 0, 1], [0, 0, 0])
         assert empty.events == [] and empty.starts.tolist() == [0, 0, 0] and empty.ends.tolist() == [0, 0, 0]

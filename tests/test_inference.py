@@ -19,8 +19,8 @@ from ppmbench.models import (
 from ppmbench.splitting import PrefixSample, make_prefix_samples, temporal_split
 
 from conftest import (
-    EventPredictor, FixedDistributionModel, HashedRandomModel, generator_log, make_linear_log, make_random_log,
-    prefix_activities, reference_inputs,
+    EventPredictor, FixedDistributionModel, HashedRandomModel, flat_labels, generator_log, make_linear_log,
+    make_random_log, prefix_activities, reference_inputs,
 )
 
 VOCAB3 = Vocabulary([EOC, "a", "b"])
@@ -292,6 +292,24 @@ class TestOneStart:
     """The protocol builds one start of its test samples and reads it twice:
     its ``predict()`` scores, and the decode searches from it."""
 
+    def test_the_protocol_scores_the_start_once(self, monkeypatch):
+        # the decode's first step reads the scores of the start, so only the
+        # rows still unfinished after it are scored again
+        log = augment_eoc(make_linear_log(40))
+        split = temporal_split(log)
+        model = RecurrentPredictor("gru", log.activity_vocab, config=TrainConfig(hidden=8, layers=1, epochs=1))
+        train(model, split, seed=0)
+        rows = []
+        infer = model._infer
+
+        def counting(X, M):
+            rows.append(len(X))
+            return infer(X, M)
+
+        monkeypatch.setattr(model, "_infer", counting)
+        evaluate_protocol(model, split.test, DecodeConfig(max_len=3))
+        assert rows == [32, 24, 24]
+
     def test_direct_model_scores_next_activity_and_remaining_time_from_one_start(self):
         log = augment_eoc(make_linear_log(40))
         split = temporal_split(log)
@@ -323,7 +341,7 @@ class TestOneStart:
         "arch, overrides, counted",
         [
             ("mlp", {"input_mode": "timed_state", "attributes": ("Resource",)}, "replay_states"),
-            ("autoencoder", {"ngram_dim": 16, "ae_hidden": (8, 4)}, "ngram_hash_prefixes"),
+            ("autoencoder", {"ngram_dim": 16, "ae_hidden": (8, 4)}, "ngram_hash_codes"),
         ],
         ids=["mlp-timed-state", "autoencoder"],
     )
@@ -751,8 +769,8 @@ class TestLockstepSearch:
 
     def test_carried_rows_equal_the_rows_of_the_extended_prefixes(self, decode_models, ngram_models):
         # random tokens take the timed-state mlp's hypotheses out of its net;
-        # the autoencoders at ngram_k 1 and 4 carry no labels and three, and
-        # markov the last order labels that its rows depend on
+        # the autoencoders at ngram_k 1 and 4 carry no codes and three, and
+        # markov the last order codes that its rows depend on
         trained, samples = decode_models
         rng = np.random.default_rng(0)
         for model in trained + ngram_models:
@@ -769,7 +787,8 @@ class TestLockstepSearch:
                 events = [models._extend(events[p], label(t), d) for p, t, d in zip(parents, tokens, deltas)]
                 if model.architecture == "markov":
                     order = model.config.order
-                    assert hypotheses.contexts == [tuple(ev.activity for ev in e[len(e) - order :]) for e in events]
+                    contexts = [tuple(label(c) for c in row if c >= 0) for row in hypotheses.contexts.tolist()]
+                    assert contexts == [tuple(ev.activity for ev in e[len(e) - order :]) for e in events]
                     continue
                 X, M = reference_inputs(model, as_samples(events))
                 assert np.array_equal(hypotheses.X, X) and hypotheses.X.dtype == X.dtype
@@ -800,22 +819,22 @@ class TestLockstepSearch:
             calls = []  # the prefixes of each call's layout, in its order
             if model.architecture == "gru":
                 def counted(flat, *args, encode_flat=model.encoder.encode_flat):
-                    calls.append([tuple(flat.activities[e - k : e]) for e, k in zip(flat.ends, flat.ks)])
+                    calls.append([tuple(flat_labels(flat)[e - k : e]) for e, k in zip(flat.ends, flat.ks)])
                     return encode_flat(flat, *args)
 
                 monkeypatch.setattr(model.encoder, "encode_flat", counted)
             elif model.architecture == "mlp":
                 def counted(net, flat, *args, replay=models.replay_states):
-                    calls.append([tuple(flat.activities[e - k : e]) for e, k in zip(flat.ends, flat.ks)])
+                    calls.append([tuple(flat_labels(flat)[e - k : e]) for e, k in zip(flat.ends, flat.ks)])
                     return replay(net, flat, *args)
 
                 monkeypatch.setattr(models, "replay_states", counted)
             else:
-                def counted(labels, ends, ks, *args, hash_prefixes=models.ngram_hash_prefixes):
-                    calls.append([tuple(labels[e - k : e]) for e, k in zip(ends, ks)])
-                    return hash_prefixes(labels, ends, ks, *args)
+                def counted(codes, labels, ends, ks, *args, hash_codes=models.ngram_hash_codes):
+                    calls.append([tuple(labels[c] for c in codes[e - k : e]) for e, k in zip(ends, ks)])
+                    return hash_codes(codes, labels, ends, ks, *args)
 
-                monkeypatch.setattr(models, "ngram_hash_prefixes", counted)
+                monkeypatch.setattr(models, "ngram_hash_codes", counted)
             hypotheses = model.hypotheses(samples)
             assert [p for call in calls for p in call] == prefixes, model.architecture
             chunks = -(-len(samples) // models.REPLAY_CHUNK) if model.config.input_mode == "timed_state" else 1
@@ -830,7 +849,11 @@ class TestLockstepSearch:
         assert hypotheses.decoded_counts[:, [missing]].tolist() == held
         assert hypotheses.decoded_counts.sum() == sum(map(sum, held))
         markov = trained[0]
-        assert markov.hypotheses(samples).contexts == [p[max(0, len(p) - markov.config.order) :] for p in prefixes]
+        contexts = markov.hypotheses(samples).contexts.tolist()
+        label = markov.activity_vocab.label
+        assert [tuple(label(c) for c in row if c >= 0) for row in contexts] == [
+            p[max(0, len(p) - markov.config.order) :] for p in prefixes
+        ]
 
 
 def _log_rule_pools():

@@ -36,7 +36,7 @@ from ppmbench.petrinet import PetriNet, TimedStateVector, Transition, replay_sta
 from ppmbench.splitting import FlatPrefixes, PrefixSample, SampleSet, make_prefix_samples, temporal_split
 
 from conftest import (
-    generator_log, make_linear_log, make_random_log, prefix_activities, ref_batch_inputs, start_inputs,
+    flat_labels, generator_log, make_linear_log, make_random_log, prefix_activities, ref_batch_inputs, start_inputs,
 )
 
 def npz_arrays(path):
@@ -1083,7 +1083,7 @@ def frozen_batch_inputs(model, samples):
     if isinstance(model, AutoencoderPredictor):
         flat, cfg = SampleSet.of(samples).flat, model.config
         k, dim, seed = cfg.ngram_k, cfg.ngram_dim, cfg.hash_seed
-        return ngram_hash_prefixes(flat.activities, flat.ends, flat.ks, k, dim, seed, model.dtype), None
+        return ngram_hash_prefixes(flat_labels(flat), flat.ends, flat.ks, k, dim, seed, model.dtype), None
     if model.config.input_mode != "timed_state":
         return model.encoder.encode_flat(SampleSet.of(samples).flat, model.dtype)
     vocabs = {name: model.attribute_vocabs[name] for name in model.config.attributes}
@@ -1276,6 +1276,24 @@ def invariance_split():
     return log, net, temporal_split(log)
 
 
+def zero_padded_blocked_outputs(predictor, X, M):
+    """``_blocked_outputs`` as it was when it padded a short last block with
+    zero rows under an all-False mask, kept as the reference."""
+    lengths = predictor._batch_lengths(M)
+    rows = np.argsort(-lengths, kind="stable")
+
+    def block(a, s):
+        picked = rows[s : s + models.ROW_BLOCK]
+        out = np.zeros((models.ROW_BLOCK,) + a.shape[1:], dtype=a.dtype)
+        np.take(a, picked, axis=0, out=out[: len(picked)])
+        return out
+
+    outputs = [predictor._outputs(predictor.params, block(X, s), block(M, s))[:2] for s in range(0, len(X), models.ROW_BLOCK)]
+    back = np.argsort(rows)
+    logits = np.concatenate([logits for logits, _ in outputs])[: len(X)][back]
+    return logits, np.concatenate([tpred for _, tpred in outputs])[: len(X)][back]
+
+
 class TestBatchInvariance:
     """Each test row's ``predict_batch`` output is bit-equal alone, in the
     full batch and in a shuffled batch, at every width: inference runs
@@ -1319,6 +1337,22 @@ class TestBatchInvariance:
             assert np.array_equal(row_probs[0], probs[i]), i
             assert np.array_equal(row_times[0], times[i], equal_nan=True), i
 
+
+    @pytest.mark.parametrize(
+        "arch, overrides, layers",
+        [("gru", {}, 1), ("lstm", {"embedding_dim": 4}, 1), ("gru", {"attributes": ("Resource",)}, 2)],
+        ids=["gru", "lstm-embedding", "gru-2-layers"],
+    )
+    def test_a_short_last_block_filled_with_real_rows_scores_as_zero_padding(self, arch, overrides, layers):
+        log, net, split = invariance_split()
+        cfg = TrainConfig(hidden=16, layers=layers, epochs=1, patience=1, **overrides)
+        predictor = build_predictor(arch, cfg, log.activity_vocab, log.attribute_vocabs)
+        train(predictor, split, seed=1)
+        X, M = start_inputs(predictor, make_prefix_samples(split.test))
+        assert len(X) % models.ROW_BLOCK
+        logits, tpred = predictor._blocked_outputs(predictor.params, X, M)
+        zero_logits, zero_tpred = zero_padded_blocked_outputs(predictor, X, M)
+        assert logits.tobytes() == zero_logits.tobytes() and tpred.tobytes() == zero_tpred.tobytes()
 
     def test_a_recurrent_forward_blocks_its_rows_longest_first(self, monkeypatch):
         log, net, split = invariance_split()

@@ -26,7 +26,7 @@ from ppmbench.splitting import (
     write_split_manifest,
 )
 
-from conftest import generator_log, make_linear_log, make_random_log
+from conftest import generator_log, last_labels, make_linear_log, make_random_log
 
 
 class TestTemporalSplit:
@@ -96,7 +96,7 @@ class TestPrefixSamples:
         log = augment_eoc(parse_csv(table1_csv.encode()))
         samples = make_prefix_samples(log)
         sample = next(s for s in samples if s.case_id == "Case2088" and s.k == 3)
-        assert SampleSet([sample]).flat.last_activities(sample.k) == [
+        assert last_labels(SampleSet([sample]).flat, log.activity_vocab, sample.k) == [
             ("Assign seriousness", "Take in charge ticket", "Create SW anomaly")
         ]
         assert sample.suffix_activities == ("Resolve ticket", "Closed", EOC)
@@ -133,7 +133,7 @@ class TestPrefixSamples:
             log = augment_eoc(make_random_log(rng, 8))
             trace_acts = {t.case_id: t.activities for t in log.traces}
             samples = make_prefix_samples(log)
-            prefixes = SampleSet(samples).flat.last_activities(max(s.k for s in samples))
+            prefixes = last_labels(SampleSet(samples).flat, log.activity_vocab, max(s.k for s in samples))
             for sample, prefix in zip(samples, prefixes, strict=True):
                 assert prefix + sample.suffix_activities == trace_acts[sample.case_id]
 
