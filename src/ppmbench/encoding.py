@@ -165,19 +165,9 @@ def ngram_hash_encode(
     independent hash, which counters collision bias. Both hashes are
     deterministic functions of the joined label sequence and ``seed``.
     """
-    return ngram_hash_prefixes(activities, [len(activities)], [len(activities)], max_n, dim, seed)[0]
-
-
-def ngram_hash_prefixes(
-    labels: Sequence[str], ends, ks, max_n: int, dim: int, seed: int = 0, dtype=np.float64
-) -> np.ndarray:
-    """Row i is ``ngram_hash_encode(labels[ends[i] - ks[i] : ends[i]],
-    max_n, dim, seed)`` as ``dtype``, for prefixes laid out as in
-    :class:`~ppmbench.splitting.FlatPrefixes`: each starts at its trace's
-    start. It is :func:`ngram_hash_codes` of the labels coded in order of
-    first appearance, since a gram's hash depends on its labels alone."""
-    distinct = Vocabulary(dict.fromkeys(labels))
-    return ngram_hash_codes(distinct.indices(labels), distinct.labels, ends, ks, max_n, dim, seed, dtype)
+    distinct = Vocabulary(dict.fromkeys(activities))  # a gram's hash depends on its labels alone
+    n = len(activities)
+    return ngram_hash_codes(distinct.indices(activities), distinct.labels, [n], [n], max_n, dim, seed)[0]
 
 
 def ngram_hash_codes(

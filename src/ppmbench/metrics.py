@@ -59,32 +59,17 @@ def dl_distance(a: Sequence, b: Sequence) -> int:
     return d[m][n]
 
 
-def dl_similarity(
-    predicted: Sequence[str],
-    truth: Sequence[str],
-    strip_eoc: bool = True,
-    divisor: str = "max",
-) -> float:
+def dl_similarity(predicted: Sequence[str], truth: Sequence[str]) -> float:
     """1 - distance / max(|predicted|, |truth|), in [0, 1]; both empty -> 1.
 
     The end-of-case terminator is a protocol artifact, not a process activity,
-    so it is stripped from both sequences by default. ``divisor="mean"`` is
-    available for sensitivity runs.
+    so it is stripped from both sequences.
     """
-    pred = list(predicted)
-    true = list(truth)
-    if strip_eoc:
-        pred = [x for x in pred if x != EOC]
-        true = [x for x in true if x != EOC]
+    pred = [x for x in predicted if x != EOC]
+    true = [x for x in truth if x != EOC]
     if not pred and not true:
         return 1.0
-    if divisor == "max":
-        denom = max(len(pred), len(true))
-    elif divisor == "mean":
-        denom = (len(pred) + len(true)) / 2.0
-    else:
-        raise ValueError(f"unknown divisor {divisor!r}")
-    return 1.0 - dl_distance(pred, true) / denom
+    return 1.0 - dl_distance(pred, true) / max(len(pred), len(true))
 
 
 def mae(predictions: Sequence[float], truths: Sequence[float], unit: str = "days") -> float:

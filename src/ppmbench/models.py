@@ -9,7 +9,6 @@ import hashlib
 import json
 import math
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
@@ -28,7 +27,7 @@ from .splitting import PrefixSample, SampleSet, SplitLog, make_prefix_samples, s
 ARCHITECTURES = ("markov", "mlp", "rnn", "lstm", "gru", "autoencoder")
 INPUT_MODES = ("padded_flat", "single_event", "timed_state")  # what the mlp reads
 
-SIDECAR_VERSION = 1
+SIDECAR_VERSION = 2
 
 
 @dataclass
@@ -157,7 +156,14 @@ class Predictor:
     deltas)`` steps rows ``parents`` by one decoded event each into new
     arrays, never changing the start. ``predict_batch`` is ``predict()`` of
     the start of checked samples: ``k`` outside 1..len(trace) is a
-    ``ValueError``."""
+    ``ValueError``.
+
+    A checkpoint of a model with ``params``, ``config`` and vocabularies is
+    one path for every model: ``<prefix>.npz`` holds the parameters, and the
+    JSON sidecar the config, the vocabularies with their ``vocab_sha256``
+    and the model's :meth:`_sidecar_state`. Loading checks what every
+    parameter holds, then the model's own :meth:`_load` checks the arrays
+    against its config."""
 
     activity_vocab: Vocabulary
     time_target: str | None = None
@@ -190,15 +196,52 @@ class Predictor:
         probs, times = self.predict_batch([whole_prefix_sample(events)])
         return probs[0], None if np.isnan(times[0]) else float(times[0])
 
+    # checkpointing ---------------------------------------------------------
+    def _vocab_sha256(self) -> str:
+        attributes = {k: list(v.labels) for k, v in self.attribute_vocabs.items()}
+        blob = json.dumps({"activities": list(self.activity_vocab.labels), "attributes": attributes}, sort_keys=True)
+        return hashlib.sha256(blob.encode()).hexdigest()
+
+    def _sidecar_state(self) -> dict:
+        """The sidecar fields of a model's own state; none by default."""
+        return {}
+
     def _save(self, path_prefix: Path, seed: int) -> list[Path]:
-        """Write the checkpoint: the ``<prefix>.json`` sidecar plus any files
-        the model keeps next to it, and return their paths. The directory
-        exists."""
-        raise NotImplementedError
+        """``<prefix>.npz`` with the parameters plus the JSON sidecar; the
+        directory exists."""
+        npz = path_prefix.with_suffix(".npz")
+        nn.save_params(npz, self.params, {"architecture": self.architecture})
+        sidecar = {
+            "format_version": SIDECAR_VERSION,
+            "architecture": self.architecture,
+            "seed": seed,
+            "config": asdict(self.config),
+            "activity_vocab": list(self.activity_vocab.labels),
+            "attribute_vocabs": {k: list(v.labels) for k, v in self.attribute_vocabs.items()},
+            "vocab_sha256": self._vocab_sha256(),
+            **self._sidecar_state(),
+        }
+        return [npz, _write_sidecar(path_prefix, sidecar)]
 
     def _restore(self, sidecar: Mapping, path_prefix: Path) -> None:
-        """Load the trained state that :meth:`_save` wrote into a predictor
-        built from the sidecar's architecture, config and vocabularies."""
+        """Load what :meth:`_save` wrote into a predictor built from the
+        sidecar's architecture, config and vocabularies. Vocabularies that do
+        not match their ``vocab_sha256``, or a parameter that is not numeric
+        or holds a NaN or an infinity, are a ``ValueError``; then
+        :meth:`_load` checks the parameters against the model."""
+        if sidecar.get("vocab_sha256") != self._vocab_sha256():
+            raise ValueError("checkpoint vocabularies do not match their vocab_sha256")
+        params, _ = nn.load_params(path_prefix.with_suffix(".npz"))
+        for name in sorted(params):
+            if params[name].dtype.kind not in "biuf":
+                raise ValueError(f"checkpoint parameter {name!r} holds {params[name].dtype}, not numbers")
+            if not np.isfinite(params[name]).all():
+                raise ValueError(f"checkpoint parameter {name!r} holds a NaN or an infinity")
+        self._load(sidecar, params)
+
+    def _load(self, sidecar: Mapping, params: dict[str, np.ndarray]) -> None:
+        """Take the sidecar's state and ``params``, a ``ValueError`` unless
+        they are what the model's config and vocabularies build."""
         raise NotImplementedError
 
 
@@ -268,30 +311,33 @@ class MarkovPredictor(Predictor):
     """Backoff n-gram model over activity sequences; doubles as the
     enumeration oracle for the neural models.
 
-    ``tables[j]`` maps each order-``j`` context (the last ``j`` activities of
-    a training prefix) to its next-activity counts and its sum of next-event
-    deltas. Prediction backs off from the longest context with observations,
-    one order at a time down to the unigram:
+    Its parameters hold, for each order ``j`` up to ``order``, the distinct
+    contexts (the last ``j`` activity codes of a training prefix) in order
+    of first appearance as ``o{j}:contexts`` (n, j), their next-activity
+    counts ``o{j}:counts`` (n, C) int64 and their sums of next-event deltas
+    ``o{j}:delta_sums`` (n,) float64. Prediction backs off from the longest
+    context with observations, one order at a time down to the unigram:
     P(a | context) = (count(context, a) + alpha) / (count(context) + alpha |A|),
     and the time estimate is that context's mean delta. With no observations
     at any order the distribution is uniform (the pure-smoothing limit) and
     there is no time estimate.
 
     Both read the prefixes' last ``order`` activity codes
-    (:meth:`~ppmbench.splitting.FlatPrefixes.last_codes`). ``fit`` counts
-    each order's contexts and (context, class) pairs with ``np.unique`` and
-    sums the deltas in sample order with ``np.add.at``; contexts, and each
-    one's classes, keep their order of first appearance. A prefix's row
-    depends only on its context, so a batch runs each distinct context's
-    walk once, through a memo that ``fit`` and loading clear, and gathers."""
+    (:meth:`~ppmbench.splitting.FlatPrefixes.last_codes`). ``fit`` groups
+    each order's contexts with ``np.unique`` and adds up the counts and, in
+    sample order, the deltas with ``np.add.at``. A prefix's row depends only
+    on its context, so a batch runs each distinct context's walk once,
+    through a memo that ``fit`` and loading clear, and gathers."""
 
     architecture = "markov"
 
     def __init__(self, activity_vocab: Vocabulary, config: TrainConfig | None = None):
         self.activity_vocab = activity_vocab
+        self.attribute_vocabs: dict[str, Vocabulary] = {}
         self.config = config or TrainConfig()
         self.time_target = "next"
-        self.tables: list[dict[tuple[str, ...], tuple[Counter, float]]] = [{} for _ in range(self.config.order + 1)]
+        self.params: dict[str, np.ndarray] = {}
+        self._rows: list[dict[tuple[int, ...], int]] = [{} for _ in range(self.config.order + 1)]
         self._memo: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
 
     def fit(self, train_samples, val_samples, seed=0) -> TrainReport:
@@ -299,31 +345,35 @@ class MarkovPredictor(Predictor):
         train, val = SampleSet.of(train_samples), SampleSet.of(val_samples)
         truth, val_truth = (samples.next_activity_indices(self.activity_vocab) for samples in (train, val))
         tails = train.flat.last_codes(self.activity_vocab, self.config.order)
-        self.tables, self._memo = self._count(tails, truth, train.next_time_deltas), {}
+        self._take(self._count(tails, truth, train.next_time_deltas))
         train_nll = self._mean_nll(train, truth)
         val_nll = self._mean_nll(val, val_truth) if val else train_nll
         seconds = time.perf_counter() - start
         return TrainReport(train_losses=(train_nll,), val_losses=(val_nll,), best_epoch=0,
                            wall_clock_seconds=seconds, epoch_seconds=(seconds,), seed=seed)
 
-    def _count(self, tails: np.ndarray, truth: np.ndarray, deltas: np.ndarray) -> list[dict]:
-        """The tables of samples whose last codes are ``tails`` (N, order),
+    def _count(self, tails: np.ndarray, truth: np.ndarray, deltas: np.ndarray) -> dict[str, np.ndarray]:
+        """The parameters of samples whose last codes are ``tails`` (N, order),
         next activities ``truth`` and next deltas ``deltas``."""
-        labels, n_classes, order = self.activity_vocab.labels, len(self.activity_vocab), tails.shape[1]
-        tables = []
+        params, order = {}, tails.shape[1]
         for j, (rows, ids, first) in enumerate(_context_groups(tails)):
+            ordered = np.argsort(first)  # the ids in order of first appearance
+            ids, first = np.argsort(ordered)[ids], first[ordered]
+            counts = np.zeros((len(first), len(self.activity_vocab)), dtype=np.int64)
+            np.add.at(counts, (ids, truth[rows]), 1)
             delta_sums = np.zeros(len(first))
             np.add.at(delta_sums, ids, deltas[rows])  # in index order: the sums of a loop over the samples
-            pairs, pair_first, counts = np.unique(ids * n_classes + truth[rows], return_index=True, return_counts=True)
-            contexts = [tuple(map(labels.__getitem__, c)) for c in tails[first, order - j :].tolist()]
-            sums, table = delta_sums.tolist(), {}
-            # pairs in order of first appearance: so are the contexts they add, and each context's classes
-            ordered = np.argsort(pair_first)
-            pairs, counts = pairs[ordered], counts[ordered]
-            for ctx, target, count in zip(*(a.tolist() for a in (pairs // n_classes, pairs % n_classes, counts))):
-                table.setdefault(contexts[ctx], (Counter(), sums[ctx]))[0][target] = count
-            tables.append(table)
-        return tables
+            params.update({f"o{j}:contexts": tails[first, order - j :], f"o{j}:counts": counts,
+                           f"o{j}:delta_sums": delta_sums})
+        return params
+
+    def _take(self, params: dict[str, np.ndarray]) -> None:
+        """Hold ``params``, index each order's contexts and clear the memo."""
+        self.params, self._memo = params, {}
+        self._rows = [
+            {context: row for row, context in enumerate(map(tuple, params[f"o{j}:contexts"].tolist()))}
+            for j in range(self.config.order + 1)
+        ]
 
     def _mean_nll(self, samples, truth) -> float:
         if not samples:
@@ -335,66 +385,47 @@ class MarkovPredictor(Predictor):
     def _row(self, context: tuple[int, ...]) -> tuple[np.ndarray, float]:
         """Probabilities (C,) and time (NaN for none) of the backoff walk
         from a context of codes, -1 in its empty slots."""
-        k, alpha = len(self.activity_vocab), self.config.alpha
-        context = tuple(self.activity_vocab.labels[c] for c in context if c >= 0)
+        k, alpha = len(self.activity_vocab), float(self.config.alpha)
+        context = tuple(c for c in context if c >= 0)
         for j in range(len(context), -1, -1):
-            counts, delta_sum = self.tables[j].get(context[len(context) - j :]) or (None, 0.0)
-            if counts:
-                total = sum(counts.values())
-                probs = np.full(k, float(alpha), dtype=np.float64)
-                for idx, c in counts.items():
-                    probs[idx] += c
-                return probs / (total + alpha * k), max(0.0, delta_sum / total)
+            row = self._rows[j].get(context[len(context) - j :])
+            if row is not None:
+                counts = self.params[f"o{j}:counts"][row]
+                total = int(counts.sum())
+                delta_sum = float(self.params[f"o{j}:delta_sums"][row])
+                return (counts + alpha) / (total + alpha * k), max(0.0, delta_sum / total)
         return np.full(k, 1.0 / k, dtype=np.float64), np.nan
 
     def _start(self, samples):
         return _MarkovHypotheses(self, samples.flat.last_codes(self.activity_vocab, self.config.order))
 
-    def _save(self, path_prefix, seed):
-        """The JSON sidecar alone: the tables are the whole model. Each order
-        is written twice, as its ``counts`` rows and its ``deltas`` rows
-        (context, delta sum, observation count)."""
-        rows = [[("\x1f".join(ctx), counts, delta_sum) for ctx, (counts, delta_sum) in t.items()] for t in self.tables]
-        sidecar = {
-            "format_version": SIDECAR_VERSION,
-            "architecture": "markov",
-            "seed": seed,
-            "config": {"order": self.config.order, "alpha": self.config.alpha},
-            "activity_vocab": list(self.activity_vocab.labels),
-            "attribute_vocabs": {},
-            "state": {
-                "counts": [[[key, {str(k): v for k, v in counts.items()}] for key, counts, _ in t] for t in rows],
-                "deltas": [[[key, delta_sum, sum(counts.values())] for key, counts, delta_sum in t] for t in rows],
-            },
-        }
-        return [_write_sidecar(path_prefix, sidecar)]
-
-    def _restore(self, sidecar, path_prefix):
-        """Rebuild the tables. A sidecar is a ``ValueError`` unless it holds
-        ``order + 1`` orders whose ``counts`` and ``deltas`` list the same
-        contexts in order, each count a positive int of a class index, and
-        each ``deltas`` row a finite, non-negative delta sum over as many
-        observations as its ``counts`` row sums to."""
-        counts, deltas = sidecar["state"]["counts"], sidecar["state"]["deltas"]
-        if not len(counts) == len(deltas) == self.config.order + 1:
-            raise ValueError(f"markov sidecar holds {len(counts)}/{len(deltas)} orders, order {self.config.order}")
-        classes = {str(i): i for i in range(len(self.activity_vocab))}
-        self.tables, self._memo = [], {}
-        for count_rows, delta_rows in zip(counts, deltas):
-            if [row[0] for row in count_rows] != [row[0] for row in delta_rows]:
-                raise ValueError("markov sidecar counts and deltas name different contexts")
-            for k, v in (item for _, row in count_rows for item in row.items()):
-                if k not in classes or type(v) is not int or v < 1:
-                    raise ValueError(f"markov sidecar count {k!r}: {v!r}, not a positive int of a vocabulary class")
-            for (ctx, row), (_, delta_sum, observed) in zip(count_rows, delta_rows):
-                finite = type(delta_sum) in (int, float) and math.isfinite(delta_sum)
-                if not (observed == sum(row.values()) and finite and delta_sum >= 0):
-                    raise ValueError(f"markov sidecar context {ctx!r}: deltas row ({delta_sum!r}, {observed!r}) needs "
-                                     f"a finite delta sum >= 0 over the {sum(row.values())} observations of its counts")
-            self.tables.append({
-                tuple(ctx.split("\x1f")) if ctx else (): (Counter({classes[k]: v for k, v in row.items()}), delta_sum)
-                for (ctx, row), (_, delta_sum, _) in zip(count_rows, delta_rows)
-            })
+    def _load(self, sidecar, params):
+        """Orders 0 .. ``order`` must each hold int64 ``contexts`` (n, j) of
+        distinct codes of the vocabulary, int64 ``counts`` (n, C) >= 0 with
+        at least one observation per context, and float64 ``delta_sums``
+        (n,) >= 0; anything else is a ``ValueError``."""
+        n_classes, names = len(self.activity_vocab), ("contexts", "counts", "delta_sums")
+        expected = {f"o{j}:{name}" for j in range(self.config.order + 1) for name in names}
+        if params.keys() != expected:
+            raise ValueError(f"markov checkpoint holds {sorted(params)}, order {self.config.order} needs "
+                             f"{sorted(expected)}")
+        for j in range(self.config.order + 1):
+            contexts, counts, delta_sums = (params[f"o{j}:{name}"] for name in names)
+            n = contexts.shape[:1]
+            for name, array, shape, dtype in zip(names, (contexts, counts, delta_sums),
+                                                 (n + (j,), n + (n_classes,), n), (np.int64, np.int64, np.float64)):
+                if array.shape != shape or array.dtype != dtype:
+                    raise ValueError(f"markov checkpoint o{j}:{name} is {array.dtype} {array.shape}, "
+                                     f"not {np.dtype(dtype)} {shape}")
+            if ((contexts < 0) | (contexts >= n_classes)).any():
+                raise ValueError(f"markov checkpoint o{j}:contexts holds a code outside the {n_classes} activities")
+            if len(np.unique(contexts, axis=0)) < len(contexts):
+                raise ValueError(f"markov checkpoint o{j}:contexts repeats a context")
+            if (counts < 0).any() or (counts.sum(axis=1) < 1).any():
+                raise ValueError(f"markov checkpoint o{j}:counts needs counts >= 0 and an observation per context")
+            if (delta_sums < 0).any():
+                raise ValueError(f"markov checkpoint o{j}:delta_sums holds a negative delta sum")
+        self._take(params)
 
 
 def _context_groups(tails: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -549,7 +580,8 @@ def _sgd_train(
 
 class _NeuralPredictor(Predictor):
     """Encoder handling, the shared output heads, the fit/predict scaffolding,
-    and checkpointing shared by the numpy models. Subclasses provide
+    and the checkpoint state (encoder, time normalizer, parameter shapes)
+    shared by the numpy models. Subclasses provide
     parameter construction and the body: the network that maps the inputs to
     one feature vector per row, and its backward.
 
@@ -757,48 +789,18 @@ class _NeuralPredictor(Predictor):
         return _WindowHypotheses(self, X, M, flat.first_ms[last], flat.ms[last], flat.ks)
 
     # checkpointing ---------------------------------------------------------
-    def _vocab_sha256(self) -> str:
-        blob = json.dumps(
-            {
-                "activities": list(self.activity_vocab.labels),
-                "attributes": {k: list(v.labels) for k, v in self.attribute_vocabs.items()},
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-    def _sidecar_extra(self) -> dict:
-        return {}
-
-    def _save(self, path_prefix, seed):
-        """``<prefix>.npz`` with the parameters plus the JSON sidecar."""
-        npz = path_prefix.with_suffix(".npz")
-        nn.save_params(npz, self.params, {"architecture": self.architecture})
-        sidecar = {
-            "format_version": SIDECAR_VERSION,
-            "architecture": self.architecture,
-            "seed": seed,
-            "config": asdict(self.config),
-            "activity_vocab": list(self.activity_vocab.labels),
-            "attribute_vocabs": {k: list(v.labels) for k, v in self.attribute_vocabs.items()},
+    def _sidecar_state(self) -> dict:
+        return {
             "encoder": self.encoder.state() if self.encoder else None,
             "time_norm": self.time_norm.state() if self.time_norm else None,
-            "extra": self._sidecar_extra(),
-            "vocab_sha256": self._vocab_sha256(),
+            "extra": {},
         }
-        return [npz, _write_sidecar(path_prefix, sidecar)]
 
-    def _restore(self, sidecar, path_prefix):
-        """Load the parameters and encoders; a parameter whose name or shape
-        differs from what the restored config builds, or that holds a NaN or
-        an infinity, is a ``ValueError``."""
-        if sidecar.get("vocab_sha256") != self._vocab_sha256():
-            raise ValueError("checkpoint vocabularies do not match their vocab_sha256")
-        params, _ = nn.load_params(path_prefix.with_suffix(".npz"))
+    def _load(self, sidecar, params):
+        """Load the encoders; a parameter whose name or shape differs from
+        what the restored config builds is a ``ValueError``."""
         if sidecar.get("encoder"):
-            self.encoder = PrefixEncoder.from_state(
-                sidecar["encoder"], self.activity_vocab, self.attribute_vocabs
-            )
+            self.encoder = PrefixEncoder.from_state(sidecar["encoder"], self.activity_vocab, self.attribute_vocabs)
         if sidecar.get("time_norm"):
             self.time_norm = Normalizer.from_state(sidecar["time_norm"])
         expected = self._build_params(np.random.default_rng(0))
@@ -806,11 +808,7 @@ class _NeuralPredictor(Predictor):
             want = expected[name].shape if name in expected else None
             found = params[name].shape if name in params else None
             if want != found:
-                raise ValueError(
-                    f"checkpoint parameter {name!r} has shape {found}, the config builds {want}"
-                )
-            if not np.isfinite(params[name]).all():
-                raise ValueError(f"checkpoint parameter {name!r} holds a NaN or an infinity")
+                raise ValueError(f"checkpoint parameter {name!r} has shape {found}, the config builds {want}")
         self.params = params
 
 
@@ -1060,10 +1058,10 @@ class MLPPredictor(_NeuralPredictor):
             grads.update({f"l{layer}:{k}": v for k, v in layer_grads.items()})
         return grads
 
-    def _sidecar_extra(self) -> dict:
-        return {"decay_seconds": self.decay_seconds}
+    def _sidecar_state(self) -> dict:
+        return {**super()._sidecar_state(), "extra": {"decay_seconds": self.decay_seconds}}
 
-    def _restore(self, sidecar, path_prefix):
+    def _load(self, sidecar, params):
         """A timed-state sidecar's ``decay_seconds`` must be a finite
         positive number; anything else is a ``ValueError``."""
         decay_seconds = (sidecar.get("extra") or {}).get("decay_seconds")
@@ -1071,7 +1069,7 @@ class MLPPredictor(_NeuralPredictor):
         if self.config.input_mode == "timed_state" and not (finite and decay_seconds > 0):
             raise ValueError(f"timed-state checkpoint decay_seconds {decay_seconds!r}, not a finite positive number")
         self.decay_seconds = decay_seconds
-        super()._restore(sidecar, path_prefix)
+        super()._load(sidecar, params)
 
 
 def _reconstruction_loss(params, x):
@@ -1231,9 +1229,8 @@ def train(
 
 
 def save_predictor(predictor: Predictor, path_prefix: str | Path, seed: int = 0) -> list[Path]:
-    """Checkpoint = a JSON sidecar sufficient to reload and predict without
-    retraining, plus the parameter file of a neural model. Returns the paths
-    written."""
+    """Checkpoint = the parameter file plus a JSON sidecar, sufficient to
+    reload and predict without retraining. Returns the paths written."""
     path_prefix = Path(path_prefix)
     path_prefix.parent.mkdir(parents=True, exist_ok=True)
     return predictor._save(path_prefix, seed)
@@ -1259,7 +1256,8 @@ def _read_sidecar(path_prefix: Path) -> tuple[dict, TrainConfig]:
     if not isinstance(sidecar, dict):
         raise ValueError(f"checkpoint sidecar holds a JSON {type(sidecar).__name__}, not an object")
     if sidecar.get("format_version") != SIDECAR_VERSION:
-        raise ValueError(f"unsupported sidecar version {sidecar.get('format_version')!r}")
+        raise ValueError(f"unsupported sidecar version {sidecar.get('format_version')!r}: "
+                         f"this version reads version {SIDECAR_VERSION}")
     if sidecar.get("architecture") not in ARCHITECTURES:
         raise ValueError(f"checkpoint architecture {sidecar.get('architecture')!r}, not one of {ARCHITECTURES}")
     if not isinstance(sidecar.get("config"), dict):

@@ -66,10 +66,6 @@ class PetriNet:
         for i, t in enumerate(self.transitions):
             if t.label is not None:
                 self._by_label.setdefault(t.label, []).append(i)
-        # _firing_sequence results by (marking, label), None included, filled
-        # as replay reaches them: the search is deterministic and the net
-        # never changes after construction
-        self._sequences: dict[tuple[tuple[int, ...], str], list[int] | None] = {}
         self._table = _ReplayTable(self)
 
     @property
@@ -230,17 +226,6 @@ def _firing_sequence(
     return None
 
 
-def _cached_firing_sequence(net: PetriNet, marking: list[int], label: str) -> list[int] | None:
-    """``_firing_sequence`` with the default budget, searched once per net
-    for each (marking, label) pair."""
-    key = (tuple(marking), label)
-    try:
-        return net._sequences[key]
-    except KeyError:
-        sequence = net._sequences[key] = _firing_sequence(net, marking, label)
-        return sequence
-
-
 SKIPPED, START = 0, 1  # effect ids: an event that replay skips, and a case start
 
 
@@ -286,13 +271,13 @@ class _ReplayTable:
 
     def effect(self, mid: int, label: str) -> tuple[int, int]:
         """(next marking id, effect id) of a ``label`` event at marking
-        ``mid``: the firing sequence ``_cached_firing_sequence`` gives, or
+        ``mid``: the firing sequence ``_firing_sequence`` gives, or
         ``SKIPPED`` without one."""
         key = (mid, label)
         found = self.effects.get(key)
         if found is None:
             marking = self.markings[mid].tolist()
-            sequence = _cached_firing_sequence(self.net, marking, label)
+            sequence = _firing_sequence(self.net, marking, label)
             if sequence is None:
                 found = (mid, SKIPPED)
             else:

@@ -8,6 +8,7 @@ import hashlib
 import importlib.util
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,20 @@ def prefix_activities(sample) -> tuple[str, ...]:
 def flat_labels(flat) -> list[str]:
     """The activity label of each event of a ``FlatPrefixes`` layout."""
     return [ev.activity for ev in flat.events]
+
+
+def markov_tables(predictor) -> list[dict[tuple[str, ...], tuple[Counter, float]]]:
+    """A fitted Markov model's parameters read as label-keyed tables, one per
+    order: each context's labels, in the parameters' row order, map to its
+    next-activity counts by class index and its delta sum."""
+    labels, tables = predictor.activity_vocab.labels, []
+    for j in range(predictor.config.order + 1):
+        contexts, counts, sums = (predictor.params[f"o{j}:{name}"] for name in ("contexts", "counts", "delta_sums"))
+        tables.append({
+            tuple(labels[c] for c in context): (Counter({k: n for k, n in enumerate(row) if n}), delta_sum)
+            for context, row, delta_sum in zip(contexts.tolist(), counts.tolist(), sums.tolist())
+        })
+    return tables
 
 
 def last_labels(flat, vocab, m) -> list[tuple[str, ...]]:

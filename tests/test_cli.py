@@ -174,7 +174,7 @@ class TestAtomicWrites:
         assert main(["--out", str(out), "evaluate", str(linear_path), "--checkpoint", str(out / "model")]) == 0
         assert set(replaced) == {
             "stats.csv", "split_manifest.csv", "train.csv", "validation.csv", "test.csv",
-            "model.json", "train_report.json", "metrics.json",
+            "model.npz", "model.json", "train_report.json", "metrics.json",
         }
         assert not [path for path in tmp_path.rglob("*") if path.name.endswith(".tmp")]
 
@@ -191,7 +191,7 @@ class TestTrainEvaluate:
         report = json.loads((out / "train_report.json").read_text())
         assert len(report["epoch_seconds"]) == len(report["train_losses"]) == 1
         assert report["learning_rates"] == []  # Markov trains no SGD stage
-        assert capsys.readouterr().out.splitlines()[-1] == f"checkpoint: {out / 'model.json'}"
+        assert capsys.readouterr().out.splitlines()[-1] == f"checkpoint: {out / 'model.npz'} {out / 'model.json'}"
 
         code = main(
             ["--out", str(out), "evaluate", str(linear_path),

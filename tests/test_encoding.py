@@ -10,8 +10,8 @@ from ppmbench.encoding import (
     NotFittedError,
     Normalizer,
     PrefixEncoder,
+    ngram_hash_codes,
     ngram_hash_encode,
-    ngram_hash_prefixes,
     ngram_universe_size,
     onehot,
     time_features,
@@ -540,7 +540,7 @@ class TestNgramPrefixesMatchReference:
         log = reference_log("generator-3")
         config = TrainConfig(ngram_k=max_n, ngram_dim=dim, hash_seed=seed, ae_hidden=())
         predictor = AutoencoderPredictor(log.activity_vocab, config=config)
-        rng = np.random.default_rng(dim)
+        rng, vocab = np.random.default_rng(dim), log.activity_vocab
         for trace in log.traces[:40]:
             acts = [ev.activity for ev in trace.events]
             reference = [reference_ngram_hash_encode(acts[:k], max_n, dim, seed) for k in range(len(acts) + 1)]
@@ -548,13 +548,15 @@ class TestNgramPrefixesMatchReference:
             ascending = list(range(1, len(acts) + 1))
             for ks in (ascending, list(rng.permutation(ascending)), list(rng.choice(ascending, 2 * len(acts)))):
                 expected = np.array([reference[k] for k in ks])
-                assert same_bits(ngram_hash_prefixes(acts, ks, ks, max_n, dim, seed), expected)
+                flat = FlatPrefixes.of([trace.events], [0] * len(ks), ks)
+                rows = ngram_hash_codes(flat.codes(vocab), vocab.labels, flat.ends, flat.ks, max_n, dim, seed)
+                assert same_bits(rows, expected)
                 X, M = start_inputs(predictor, [PrefixSample(trace, k) for k in ks])
                 assert M is None and same_bits(X, expected.astype(np.float32))
 
     def test_prefix_lengths_must_lie_in_the_sequence(self):
-        assert ngram_hash_prefixes(["A", "B"], [], [], 2, 8).shape == (0, 8)
-        assert ngram_hash_prefixes(["A", "B"], [0, 0], [0, 0], 2, 8).tolist() == [[0.0] * 8] * 2
+        assert ngram_hash_codes([0, 1], ["A", "B"], [], [], 2, 8).shape == (0, 8)
+        assert ngram_hash_codes([0, 1], ["A", "B"], [0, 0], [0, 0], 2, 8).tolist() == [[0.0] * 8] * 2
         for ks in ([-1], [3], [2, 3]):
             with pytest.raises(ValueError, match="prefix length"):
                 FlatPrefixes.of([evs_of("AB")], [0] * len(ks), ks)
@@ -594,11 +596,12 @@ class TestFlatLayout:
                 reference_ngram_hash_encode([ev.activity for ev in traces[t][:k]], max_n, dim, seed)
                 for t, k in zip(trace_of, ks)
             ]
-            rows = ngram_hash_prefixes(flat_labels(flat), flat.ends, flat.ks, max_n, dim, seed)
+            rows = ngram_hash_codes(flat.codes(vocab), vocab.labels, flat.ends, flat.ks, max_n, dim, seed)
             assert same_bits(rows, np.array(expected))
         empty = FlatPrefixes.of([(), ()], [1, 0, 1], [0, 0, 0])
         assert empty.events == [] and empty.starts.tolist() == [0, 0, 0] and empty.ends.tolist() == [0, 0, 0]
-        assert same_bits(ngram_hash_prefixes([], empty.ends, empty.ks, 2, 8), np.zeros((3, 8)))
+        empty_rows = ngram_hash_codes(empty.codes(vocab), vocab.labels, empty.ends, empty.ks, 2, 8)
+        assert same_bits(empty_rows, np.zeros((3, 8)))
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_shuffled_repeated_ranges_hash_and_encode_as_the_references(self, seed):

@@ -122,10 +122,6 @@ class TestDlDistance:
         assert dl_similarity(["a", EOC], ["a", EOC]) == 1.0
         assert dl_similarity([EOC], [EOC]) == 1.0
         assert dl_similarity(["a", "b", EOC], ["a", "b"]) == 1.0
-        assert dl_similarity(["a", EOC], ["a"], strip_eoc=False) == 0.5
-
-    def test_mean_divisor_mode(self):
-        assert dl_similarity(["a"], ["a", "b"], divisor="mean") == pytest.approx(1 - 1 / 1.5)
 
     def test_matches_reference_on_seeded_pairs(self):
         rng = np.random.default_rng(42)

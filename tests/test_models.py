@@ -13,7 +13,6 @@ import pytest
 
 from ppmbench import models
 from ppmbench import nnkernel as nn
-from ppmbench.encoding import ngram_hash_prefixes
 from ppmbench.eventlog import EOC, Event, EventLog, Trace, Vocabulary, augment_eoc
 from ppmbench.inference import DecodeConfig, decode_suffixes
 from ppmbench.metrics import evaluate_protocol
@@ -36,8 +35,10 @@ from ppmbench.petrinet import PetriNet, TimedStateVector, Transition, replay_sta
 from ppmbench.splitting import FlatPrefixes, PrefixSample, SampleSet, make_prefix_samples, temporal_split
 
 from conftest import (
-    flat_labels, generator_log, make_linear_log, make_random_log, prefix_activities, ref_batch_inputs, start_inputs,
+    flat_labels, generator_log, make_linear_log, make_random_log, markov_tables, prefix_activities, ref_batch_inputs,
+    start_inputs,
 )
+from test_label_codes import ref_ngram_hash_prefixes
 
 def npz_arrays(path):
     with np.load(path) as data:
@@ -162,18 +163,6 @@ class TestMarkov:
         _, delta = predictor.predict(sample.prefix)
         assert delta == sample.next_time_delta  # exact, constant gaps
 
-    def test_sidecar_with_mismatched_contexts_rejected(self, linear_split, tmp_path):
-        log, split = linear_split
-        predictor = MarkovPredictor(log.activity_vocab)
-        train(predictor, split, seed=0)
-        save_predictor(predictor, tmp_path / "model")
-        path = tmp_path / "model.json"
-        sidecar = json.loads(path.read_text(encoding="utf-8"))
-        sidecar["state"]["deltas"][1][0][0] = "Z"
-        path.write_text(json.dumps(sidecar), encoding="utf-8")
-        with pytest.raises(ValueError, match="different contexts"):
-            load_predictor(tmp_path / "model")
-
 
 def ref_fit_ngram_counts(samples, order, vocab):
     tables = [{} for _ in range(order + 1)]
@@ -259,15 +248,15 @@ class TestMarkovReferenceEquivalence:
                     assert delta == ref_delta(deltas, acts, order), (order, alpha, acts)
 
 
-def ref_backoff_walk(predictor, events):
+def ref_backoff_walk(tables, predictor, events):
     """The one-prefix backoff walk ``MarkovPredictor.predict`` ran before
-    rows were kept per context, copied as it was: probabilities and time,
-    None for no time."""
+    rows were kept per context, copied as it was, over ``tables``, the
+    model's :func:`markov_tables`: probabilities and time, None for no time."""
     acts = tuple(ev.activity for ev in events)
     k = len(predictor.activity_vocab)
     alpha = predictor.config.alpha
-    for j in range(min(len(predictor.tables) - 1, len(acts)), -1, -1):
-        counts, delta_sum = predictor.tables[j].get(acts[len(acts) - j :]) or (None, 0.0)
+    for j in range(min(len(tables) - 1, len(acts)), -1, -1):
+        counts, delta_sum = tables[j].get(acts[len(acts) - j :]) or (None, 0.0)
         if counts:
             total = sum(counts.values())
             probs = np.full(k, float(alpha), dtype=np.float64)
@@ -286,14 +275,16 @@ class BackoffWalkModel:
 
     def __init__(self, predictor):
         self.predictor, self.activity_vocab = predictor, predictor.activity_vocab
+        self.tables = markov_tables(predictor)
 
     def predict(self, events):
-        return ref_backoff_walk(self.predictor, events)
+        return ref_backoff_walk(self.tables, self.predictor, events)
 
 
 def ref_mean_nll(predictor, samples):
     """The fit report's mean negative log-likelihood over the backoff walks."""
-    probs = np.array([ref_backoff_walk(predictor, s.prefix)[0] for s in samples])
+    tables = markov_tables(predictor)
+    probs = np.array([ref_backoff_walk(tables, predictor, s.prefix)[0] for s in samples])
     truth = [predictor.activity_vocab.index(s.next_activity) for s in samples]
     return -sum(np.log(np.maximum(probs[np.arange(len(samples)), truth], 1e-12)).tolist()) / len(samples)
 
@@ -324,8 +315,9 @@ class TestMarkovContextRows:
                 assert report.train_losses == (ref_mean_nll(predictor, train_samples),)
                 assert report.val_losses == (ref_mean_nll(predictor, val_samples),)
                 probs, times = predictor.predict_batch(samples)
+                tables = markov_tables(predictor)
                 for row, time_s, sample in zip(probs, times, samples):
-                    want, want_time = ref_backoff_walk(predictor, sample.prefix)
+                    want, want_time = ref_backoff_walk(tables, predictor, sample.prefix)
                     assert row.tobytes() == want.tobytes(), (order, alpha, prefix_activities(sample))
                     assert time_s == want_time if want_time is not None else np.isnan(time_s)
                 reference = BackoffWalkModel(predictor)
@@ -794,9 +786,7 @@ class TestCheckpointRoundTrip:
         predictor = build_predictor(arch, cfg, log.activity_vocab, log.attribute_vocabs, net)
         train(predictor, split, seed=6)
         written = save_predictor(predictor, tmp_path / "model", seed=6)
-        assert (tmp_path / "model.npz").exists() == (arch != "markov")
-        params = [] if arch == "markov" else [tmp_path / "model.npz"]
-        assert written == params + [tmp_path / "model.json"]
+        assert written == [tmp_path / "model.npz", tmp_path / "model.json"]
         loaded = load_predictor(tmp_path / "model", net)
         assert loaded.architecture == predictor.architecture
         for sample in make_prefix_samples(split.test)[:5]:
@@ -805,9 +795,10 @@ class TestCheckpointRoundTrip:
             assert np.array_equal(p_orig, p_new)
             assert d_orig == d_new
 
-    def test_edited_vocabulary_rejected(self, linear_split, tmp_path):
+    @pytest.mark.parametrize("arch", ["gru", "markov"])
+    def test_edited_vocabulary_rejected(self, arch, linear_split, tmp_path):
         log, split = linear_split
-        predictor = RecurrentPredictor("gru", log.activity_vocab, config=fast_config(epochs=1))
+        predictor = build_predictor(arch, fast_config(epochs=1), log.activity_vocab)
         train(predictor, split, seed=0)
         save_predictor(predictor, tmp_path / "model")
         path = tmp_path / "model.json"
@@ -818,47 +809,71 @@ class TestCheckpointRoundTrip:
             load_predictor(tmp_path / "model")
 
     MARKOV_FAULTS = {
-        "orders-cut": "orders",
-        "orders-added": "orders",
-        "class-negative": "count '-1': 1, not a positive int of a vocabulary class",
-        "class-past-the-vocabulary": "count '5': 1, not a positive int of a vocabulary class",
-        "count-zero": ": 0, not a positive int",
-        "count-float": ": 1.0, not a positive int",
-        "count-bool": ": True, not a positive int",
-        "observations-miscounted": r"deltas row \(\S+, \d+\) needs a finite delta sum >= 0 over the \d+ observations",
-        "delta-sum-negative": r"deltas row \(-1\.0, \d+\) needs a finite delta sum >= 0",
-        "delta-sum-infinite": r"deltas row \(inf, ",
-        "delta-sum-nan": r"deltas row \(nan, ",
-        "delta-sum-string": r"deltas row \('1\.0', ",
+        "order-missing": r"markov checkpoint holds \[.*\], order 2 needs",
+        "order-added": r"markov checkpoint holds \[.*'o3:contexts'.*\], order 2 needs",
+        "contexts-shape": r"o2:contexts is int64 \(3, 1\), not int64 \(3, 2\)",
+        "contexts-dtype": r"o2:contexts is int32 \(3, 2\), not int64 \(3, 2\)",
+        "counts-shape": r"o2:counts is int64 \(3, 4\), not int64 \(3, 5\)",
+        "counts-dtype": r"o2:counts is float64 \(3, 5\), not int64 \(3, 5\)",
+        "delta-sums-shape": r"o2:delta_sums is float64 \(2,\), not float64 \(3,\)",
+        "code-negative": "o2:contexts holds a code outside the 5 activities",
+        "code-past-the-vocabulary": "o2:contexts holds a code outside the 5 activities",
+        "context-repeated": "o2:contexts repeats a context",
+        "count-negative": "o2:counts needs counts >= 0",
+        "context-unobserved": "o2:counts needs counts >= 0 and an observation per context",
+        "delta-sum-negative": "o2:delta_sums holds a negative delta sum",
+        "delta-sum-nan": "parameter 'o2:delta_sums' holds a NaN or an infinity",
+        "delta-sum-infinite": "parameter 'o2:delta_sums' holds a NaN or an infinity",
+        "delta-sums-not-numbers": "parameter 'o2:delta_sums' holds <U32, not numbers",
     }
 
     @pytest.mark.parametrize("fault", MARKOV_FAULTS)
-    def test_malformed_markov_sidecar_rejected(self, fault, linear_split, tmp_path):
+    def test_malformed_markov_parameters_rejected(self, fault, linear_split, tmp_path):
         log, split = linear_split
         predictor = MarkovPredictor(log.activity_vocab)
         train(predictor, split, seed=0)
         save_predictor(predictor, tmp_path / "model")
-        path = tmp_path / "model.json"
-        sidecar = json.loads(path.read_text(encoding="utf-8"))
-        state = sidecar["state"]
-        counts = state["counts"][2][0][1]  # the first order-2 context
-        deltas = state["deltas"][2][0]  # its context, delta sum and observation count
-        if fault == "orders-cut":
-            state["counts"], state["deltas"] = state["counts"][:2], state["deltas"][:2]
-        elif fault == "orders-added":
-            state["counts"].append([])
-            state["deltas"].append([])
-        elif fault.startswith("class"):
-            counts["-1" if fault == "class-negative" else str(len(log.activity_vocab))] = 1
-        elif fault == "observations-miscounted":
-            deltas[2] += 1
-        elif fault.startswith("delta-sum"):
-            deltas[1] = {"negative": -1.0, "infinite": math.inf, "nan": math.nan, "string": "1.0"}[fault[10:]]
-        else:
-            counts[next(iter(counts))] = {"count-zero": 0, "count-float": 1.0, "count-bool": True}[fault]
-        path.write_text(json.dumps(sidecar), encoding="utf-8")
+        path = tmp_path / "model.npz"
+        arrays = npz_arrays(path)
+        names = ("contexts", "counts", "delta_sums")
+        contexts, counts, delta_sums = (arrays[f"param:o2:{name}"] for name in names)  # A-B, B-C and C-D
+        edits = {
+            "order-missing": lambda: [arrays.pop(f"param:o2:{name}") for name in names],
+            "order-added": lambda: arrays.update({f"param:o3:{name}": arrays[f"param:o2:{name}"] for name in names}),
+            "contexts-shape": lambda: arrays.update({"param:o2:contexts": contexts[:, 1:]}),
+            "contexts-dtype": lambda: arrays.update({"param:o2:contexts": contexts.astype(np.int32)}),
+            "counts-shape": lambda: arrays.update({"param:o2:counts": counts[:, 1:]}),
+            "counts-dtype": lambda: arrays.update({"param:o2:counts": counts.astype(np.float64)}),
+            "delta-sums-shape": lambda: arrays.update({"param:o2:delta_sums": delta_sums[1:]}),
+            "code-negative": lambda: contexts.__setitem__((0, 0), -1),
+            "code-past-the-vocabulary": lambda: contexts.__setitem__((0, 0), len(log.activity_vocab)),
+            "context-repeated": lambda: contexts.__setitem__(1, contexts[0]),
+            "count-negative": lambda: counts.__setitem__((0, counts[0].argmin()), -1),
+            "context-unobserved": lambda: counts.__setitem__(0, 0),
+            "delta-sum-negative": lambda: delta_sums.__setitem__(0, -1.0),
+            "delta-sum-nan": lambda: delta_sums.__setitem__(0, np.nan),
+            "delta-sum-infinite": lambda: delta_sums.__setitem__(0, np.inf),
+            "delta-sums-not-numbers": lambda: arrays.update({"param:o2:delta_sums": delta_sums.astype(str)}),
+        }
+        edits[fault]()
+        np.savez(path, **arrays)
         with pytest.raises(ValueError, match=self.MARKOV_FAULTS[fault]):
             load_predictor(tmp_path / "model")
+
+    def test_version_1_sidecar_rejected(self, linear_split, tmp_path):
+        # a version-1 Markov checkpoint kept its count tables in the sidecar and wrote no .npz
+        log, split = linear_split
+        predictor = MarkovPredictor(log.activity_vocab)
+        train(predictor, split, seed=0)
+        save_predictor(predictor, tmp_path / "model")
+        (tmp_path / "model.npz").unlink()
+        path = tmp_path / "model.json"
+        sidecar = json.loads(path.read_text(encoding="utf-8"))
+        sidecar["format_version"] = 1
+        path.write_text(json.dumps(sidecar), encoding="utf-8")
+        for reader in (load_predictor, models.checkpoint_needs_petri_net):
+            with pytest.raises(ValueError, match="unsupported sidecar version 1: this version reads version 2"):
+                reader(tmp_path / "model")
 
     SIDECAR_FAULTS = {
         "not-an-object": "sidecar holds a JSON list, not an object",
@@ -1083,7 +1098,7 @@ def frozen_batch_inputs(model, samples):
     if isinstance(model, AutoencoderPredictor):
         flat, cfg = SampleSet.of(samples).flat, model.config
         k, dim, seed = cfg.ngram_k, cfg.ngram_dim, cfg.hash_seed
-        return ngram_hash_prefixes(flat_labels(flat), flat.ends, flat.ks, k, dim, seed, model.dtype), None
+        return ref_ngram_hash_prefixes(flat_labels(flat), flat.ends, flat.ks, k, dim, seed, model.dtype), None
     if model.config.input_mode != "timed_state":
         return model.encoder.encode_flat(SampleSet.of(samples).flat, model.dtype)
     vocabs = {name: model.attribute_vocabs[name] for name in model.config.attributes}
@@ -1535,14 +1550,13 @@ def set_reader(arch, overrides, log, net):
 
 
 def fitted_state(predictor) -> dict:
-    """What a fit leaves: the Markov tables, or the parameter bytes, encoder,
-    normalizer and decay horizon of a neural model."""
-    if isinstance(predictor, MarkovPredictor):
-        return {"tables": predictor.tables}
+    """What a fit leaves: the parameter bytes, and a neural model's encoder,
+    normalizer and decay horizon."""
+    encoder, time_norm = (getattr(predictor, name, None) for name in ("encoder", "time_norm"))
     return {
         "params": {k: (v.dtype, v.shape, v.tobytes()) for k, v in predictor.params.items()},
-        "encoder": predictor.encoder.state() if predictor.encoder else None,
-        "time_norm": predictor.time_norm.state() if predictor.time_norm else None,
+        "encoder": encoder.state() if encoder else None,
+        "time_norm": time_norm.state() if time_norm else None,
         "decay_seconds": getattr(predictor, "decay_seconds", None),
     }
 
@@ -1576,7 +1590,7 @@ class TestSampleSetReaders:
             with pytest.raises(ValueError, match=f"case {trace.case_id!r} has no target: its prefix length {k}"):
                 predictor.fit(samples["train"], samples["validation"])
             assert fitted_state(predictor) == untouched
-            assert predictor.tables == [{}] * 3 if arch == "markov" else predictor.params == {}
+            assert predictor.params == {}
 
     @pytest.mark.parametrize("arch, overrides", [r for r in SET_READERS if r[0] != "mlp"],
                              ids=[i for i in SET_READER_IDS if i != "mlp-timed-state"])

@@ -10,6 +10,7 @@ import pytest
 from ppmbench.eventlog import MISSING, Event, Vocabulary
 from ppmbench.models import REPLAY_CHUNK, MLPPredictor, TrainConfig
 from ppmbench.petrinet import (
+    SKIPPED,
     PetriNet,
     TimedStates,
     TimedStateVector,
@@ -434,6 +435,18 @@ def budget_net():
     )
 
 
+def replayed(net, marking, label):
+    """The marking after a ``label`` event at ``marking`` and the effect's
+    throughput, read from the net's replay table; None if replay never met
+    the pair."""
+    table = net._table
+    found = table.effects.get((table.ids.get(marking), label))
+    if found is None:
+        return None
+    mid, eid = found
+    return tuple(table.markings[mid].tolist()), tuple(table.throughput[eid].tolist())
+
+
 def all_sequences(labels, max_len):
     seqs = [()]
     for n in range(1, max_len + 1):
@@ -588,16 +601,17 @@ class TestReplayPrefixes:
         net = budget_net()
         states = self.check(net, evs(["B", "C", "B", "C"]), self.DECAY_S, [4, 1, 2, 3, 2])
         assert states.nonconforming.tolist() == [2, 1, 1, 2, 1]  # each B; each C takes five silent steps
-        assert net._sequences[((1, 0, 0, 0), "B")] is None  # an exhausted search is kept too
+        initial = net._table.ids[(1, 0, 0, 0)]
+        assert net._table.effects[(initial, "B")] == (initial, SKIPPED)  # an exhausted search is kept too
 
     def test_cold_and_warm_memo_agree(self):
         log, net = generator_log(2, 200)
-        assert net._sequences == {}
+        assert net._table.effects == {}
         ks = [range(1, len(t) + 1) for t in log.traces]
         cold = [
             state_rows(net, self.check(net, t.events, self.DECAY_S, k), self.DECAY_S) for t, k in zip(log.traces, ks)
         ]
-        entries = len(net._sequences)
+        entries = len(net._table.effects)
         assert entries > 0
         copy = pickle.loads(pickle.dumps(net))  # a --jobs worker receives the memo with the net
         for replaying in (net, copy):
@@ -612,7 +626,7 @@ class TestReplayPrefixes:
                 for t, k in zip(log.traces, ks)
             ]
             assert warm == cold
-            assert len(replaying._sequences) == entries
+            assert len(replaying._table.effects) == entries
 
     def test_nets_in_turn_share_no_entry(self):
         # the three nets have three places and start at (1, 0, 0), so a memo
@@ -627,8 +641,9 @@ class TestReplayPrefixes:
         for acts in all_sequences("AB", 3)[1:]:
             for net in nets:
                 self.check(net, evs(acts), self.DECAY_S, range(1, len(acts) + 1))
-        assert [net._sequences[((1, 0, 0), "A")] for net in nets] == [[0], [1], [0]]
-        assert [net._sequences.get(((0, 1, 0), "B")) for net in nets] == [[1], [0], None]
+        after_a = [((0, 1, 0), (0, 1, 0))] * 2 + [((0, 2, 0), (0, 2, 0))]
+        assert [replayed(net, (1, 0, 0), "A") for net in nets] == after_a
+        assert [replayed(net, (0, 1, 0), "B") for net in nets] == [((0, 0, 1), (0, 0, 1))] * 2 + [None]
 
     def test_prefix_lengths_must_lie_in_the_trace(self):
         events = evs("AB")
