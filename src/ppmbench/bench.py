@@ -69,38 +69,39 @@ class BenchmarkConfig:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "BenchmarkConfig":
+        """The config of a JSON object; a ``ConfigError`` if it is no object, or
+        lacks or mistypes a field (``seed``, ``jobs`` and ``min_k`` are ints)."""
+        if not isinstance(raw, Mapping):
+            raise ConfigError(f"config holds a JSON {type(raw).__name__}, not an object")
         version = raw.get("config_version", CONFIG_VERSION)
         if version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config_version {version!r}")
-        datasets = []
-        for d in raw.get("datasets", []):
-            schema = CsvSchema(**d.get("schema", {}))
-            datasets.append(
-                DatasetSpec(
-                    name=d["name"], path=d["path"], schema=schema, petri_net=d.get("petri_net")
-                )
-            )
-        models = [
-            ModelSpec(
-                name=m["name"],
-                architecture=m["architecture"],
-                hyperparameters=dict(m.get("hyperparameters", {})),
-            )
-            for m in raw.get("models", [])
-        ]
-        split = raw.get("split", {})
-        fractions = (split.get("train", 0.64), split.get("validation", 0.16))
-        return cls(
-            datasets=tuple(datasets),
-            models=tuple(models),
-            split_fractions=fractions,
-            decode=dict(raw.get("decode", {})),
-            tasks=tuple(raw.get("tasks", ALL_TASKS)),
-            seed=int(raw.get("seed", 0)),
-            out_dir=raw.get("out_dir", "runs"),
-            jobs=int(raw.get("jobs", 1)),
-            min_k=int(raw.get("min_k", 1)),
-        )
+        try:
+            datasets = [
+                DatasetSpec(name=d["name"], path=d["path"], schema=CsvSchema(**d.get("schema", {})),
+                            petri_net=d.get("petri_net"))
+                for d in raw.get("datasets", [])
+            ]
+            models = [
+                ModelSpec(name=m["name"], architecture=m["architecture"],
+                          hyperparameters=dict(m.get("hyperparameters", {})))
+                for m in raw.get("models", [])
+            ]
+            split = raw.get("split", {})
+            fractions = (split.get("train", 0.64), split.get("validation", 0.16))
+            decode, tasks = dict(raw.get("decode", {})), tuple(raw.get("tasks", ALL_TASKS))
+        except KeyError as exc:
+            raise ConfigError(f"a dataset or model has no {exc.args[0]!r}") from None
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(f"malformed config: {exc}") from None
+        if not all(isinstance(f, (int, float)) and not isinstance(f, bool) for f in fractions):
+            raise ConfigError(f"invalid split fractions {fractions!r}")
+        integers = {name: raw.get(name, default) for name, default in (("seed", 0), ("jobs", 1), ("min_k", 1))}
+        for name, value in integers.items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        return cls(datasets=tuple(datasets), models=tuple(models), split_fractions=fractions, decode=decode,
+                   tasks=tasks, out_dir=raw.get("out_dir", "runs"), **integers)
 
     def to_dict(self) -> dict:
         return {

@@ -341,8 +341,9 @@ class PrefixEncoder:
         """Fit sequence length and time statistics on training samples only.
 
         The time normalizers are min-max, so they read the time columns of
-        the samples' :attr:`SampleSet.flat` layout, which holds each
-        trace's events once, up to its longest sampled prefix.
+        the samples' :attr:`SampleSet.flat` layout, which holds their traces
+        whole: only the events of each trace before its longest prefix's end
+        count, each once, so no event after every sample of its trace does.
         """
         flat = SampleSet.of(samples).flat
         if not len(flat.ks):
@@ -352,8 +353,11 @@ class PrefixEncoder:
             k = int(flat.ks.max())
             self.max_len = k if self.window is None else min(k, self.window)
         if self.include_time:
-            self.delta_norm = Normalizer("log").fit((flat.ms - flat.prev_ms) / 1000.0)
-            self.elapsed_norm = Normalizer("log").fit((flat.ms - flat.first_ms) / 1000.0)
+            reach = np.zeros(len(flat.starts) - 1, dtype=np.int64)
+            np.maximum.at(reach, flat.trace_of, flat.ends)  # one past each trace's longest prefix
+            seen = np.arange(len(flat.ms)) < np.repeat(reach, np.diff(flat.starts))
+            self.delta_norm = Normalizer("log").fit(((flat.ms - flat.prev_ms) / 1000.0)[seen])
+            self.elapsed_norm = Normalizer("log").fit(((flat.ms - flat.first_ms) / 1000.0)[seen])
         self.fitted = True
         return self
 

@@ -66,41 +66,39 @@ class TrainConfig:
     freeze_epochs: int = 5
 
     def __post_init__(self):
-        self.attributes = tuple(self.attributes)
-        self.ae_hidden = tuple(self.ae_hidden)
+        """Every size and count is an ``int``, not a ``bool``, in its range,
+        ``attributes`` a list of names; anything else is a ``ValueError``."""
+        if not (isinstance(self.attributes, (list, tuple)) and all(isinstance(a, str) for a in self.attributes)):
+            raise ValueError(f"attributes must be a list of attribute names, got {self.attributes!r}")
+        if not isinstance(self.ae_hidden, (list, tuple)):
+            raise ValueError(f"ae_hidden must be a list of sizes, got {self.ae_hidden!r}")
+        self.attributes, self.ae_hidden = tuple(self.attributes), tuple(self.ae_hidden)
         if self.time_target not in (None, "next", "remaining"):
             raise ValueError(f"unknown time_target {self.time_target!r}")
         if self.input_mode not in INPUT_MODES:
             raise ValueError(f"unknown input_mode {self.input_mode!r}")
-
-        def at_least(name, value, low):
+        sizes = ("hidden", "layers", "epochs", "batch_size", "patience", "lr_patience", "ngram_k", "ngram_dim")
+        optional = [name for name in ("embedding_dim", "window", "max_len") if getattr(self, name) is not None]
+        bounded = [(name, getattr(self, name), 1) for name in (*sizes, *optional)]
+        bounded += [("ae_hidden entry", size, 1) for size in self.ae_hidden]
+        bounded += [(name, getattr(self, name), 0) for name in ("order", "pretrain_epochs", "freeze_epochs")]
+        for name, value, low in bounded:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
             if not value >= low:
                 raise ValueError(f"{name} must be >= {low}, got {value!r}")
-
-        sizes = (
-            "hidden", "layers", "epochs", "batch_size", "patience", "lr_patience", "ngram_k", "ngram_dim"
-        )
-        for name in sizes:
-            at_least(name, getattr(self, name), 1)
-        for name in ("embedding_dim", "window", "max_len"):
-            if getattr(self, name) is not None:
-                at_least(name, getattr(self, name), 1)
-        for size in self.ae_hidden:
-            at_least("ae_hidden entry", size, 1)
-        at_least("order", self.order, 0)
-        at_least("alpha", self.alpha, 0)
-        if self.decay_seconds is not None and not self.decay_seconds > 0:
-            raise ValueError(f"decay_seconds must be > 0, got {self.decay_seconds!r}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr!r}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
-        if self.clip_norm is not None and not self.clip_norm > 0:
-            raise ValueError(f"clip_norm must be null or > 0, got {self.clip_norm!r}")
-        if not 0 < self.lr_decay <= 1:
-            raise ValueError(f"lr_decay must lie in (0, 1], got {self.lr_decay!r}")
-        if not (isinstance(self.hash_seed, int) and 0 <= self.hash_seed < 2**64):
-            raise ValueError(f"hash_seed must be an integer in [0, 2**64), got {self.hash_seed!r}")
+        seed = self.hash_seed
+        for name, ok, rule in (
+            ("alpha", self.alpha >= 0, "be >= 0"),
+            ("decay_seconds", self.decay_seconds is None or self.decay_seconds > 0, "be > 0"),
+            ("lr", self.lr > 0, "be > 0"),
+            ("momentum", 0 <= self.momentum < 1, "lie in [0, 1)"),
+            ("clip_norm", self.clip_norm is None or self.clip_norm > 0, "be null or > 0"),
+            ("lr_decay", 0 < self.lr_decay <= 1, "lie in (0, 1]"),
+            ("hash_seed", type(seed) is int and 0 <= seed < 2**64, "be an integer in [0, 2**64)"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -185,7 +183,9 @@ class Predictor:
         return self._start(SampleSet.of(samples))
 
     def _check_fitted(self) -> None:
-        """``RuntimeError`` unless the predictor can score; by default it always can."""
+        """``RuntimeError`` unless the predictor can score: one with ``params`` once it holds some."""
+        if not getattr(self, "params", True):
+            raise RuntimeError("predictor used before fit()")
 
     def _start(self, samples: SampleSet):
         raise NotImplementedError
@@ -732,10 +732,6 @@ class _NeuralPredictor(Predictor):
             stage_clipped_batches=stage_clipped_batches,
         )
 
-    def _check_fitted(self) -> None:
-        if not self.params:
-            raise RuntimeError("predictor used before fit()")
-
     def _blocked_outputs(self, params, X, M):
         """The activity logits and the time predictions (None without a time
         head) of the rows of ``X`` under ``params``, in the rows' order. The
@@ -997,18 +993,21 @@ class MLPPredictor(_NeuralPredictor):
         """Timed-state hypotheses start from the replay states of the
         samples' prefixes, read at each prefix's last event with the
         configured attributes. Each consecutive range of ``REPLAY_CHUNK``
-        samples is replayed in one pass (an empty set in one pass of no
-        samples), and its states and input rows are copied into arrays of
-        every sample's row before the next pass, so only one range's states
-        are held twice; the counts are held as int32 (``START_INT32``),
-        which ``vectors`` casts exactly. A decoded event counts as missing
-        each attribute that its prefix's last event holds."""
+        samples is a set of its own, laid out and replayed in one pass (an
+        empty set in one pass of no samples). Its states, input rows and the
+        attributes its prefixes' last events hold, which a decoded event
+        counts as missing, are copied into arrays of every sample's row
+        before the next pass, so only one range's states are held twice; the
+        counts are held as int32 (``START_INT32``), cast exactly by ``vectors``."""
         if self.config.input_mode != "timed_state":
             return super()._start(samples)
         net, vocabs, n = self.petri_net, self._timed_state_vocabs(), len(samples)
         X, columns = np.empty((n, TimedStateVector.width(net, vocabs)), self.dtype), None
+        offsets = np.cumsum([0] + [len(vocab) for vocab in vocabs.values()]).tolist()
+        decoded_counts = np.zeros((n, offsets[-1]), np.int32)
         for s in range(0, max(n, 1), REPLAY_CHUNK):
-            part = replay_states(net, samples[s : s + REPLAY_CHUNK].flat, None, vocabs)
+            flat = samples[s : s + REPLAY_CHUNK].flat
+            part = replay_states(net, flat, None, vocabs)
             X[s : s + REPLAY_CHUNK] = part.vectors(net, self.decay_seconds, self.dtype)
             arrays = [getattr(part, f.name) for f in fields(TimedStates)]
             columns = columns or [
@@ -1017,13 +1016,10 @@ class MLPPredictor(_NeuralPredictor):
             ]
             for column, a in zip(columns, arrays):
                 column[s : s + REPLAY_CHUNK] = a
+            for (name, vocab), offset in zip(vocabs.items(), offsets):
+                held = flat.codes(vocab, name)[flat.ends - 1] >= 0
+                decoded_counts[s : s + REPLAY_CHUNK, offset + vocab.index(MISSING)] = held
         states = TimedStates(*columns)
-        last = [sample.trace.events[sample.k - 1].attributes for sample in samples]
-        decoded_counts = np.zeros_like(states.attribute_counts)
-        offset = 0
-        for name, vocab in vocabs.items():
-            decoded_counts[:, offset + vocab.index(MISSING)] = [name in attributes for attributes in last]
-            offset += len(vocab)
         return _ReplayHypotheses(self, X, states, decoded_counts)
 
     def _build_params(self, rng):
@@ -1230,7 +1226,9 @@ def train(
 
 def save_predictor(predictor: Predictor, path_prefix: str | Path, seed: int = 0) -> list[Path]:
     """Checkpoint = the parameter file plus a JSON sidecar, sufficient to
-    reload and predict without retraining. Returns the paths written."""
+    reload and predict without retraining. Returns the paths written; an
+    unfitted predictor is a ``RuntimeError`` before anything is written."""
+    predictor._check_fitted()
     path_prefix = Path(path_prefix)
     path_prefix.parent.mkdir(parents=True, exist_ok=True)
     return predictor._save(path_prefix, seed)

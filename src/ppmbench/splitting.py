@@ -116,15 +116,16 @@ class PrefixSample:
 @dataclass(frozen=True)
 class FlatPrefixes:
     """N prefixes of T traces as flat event columns: the layout in which a
-    sample set is encoded, replayed, hashed and cut into contexts.
+    sample set is encoded, replayed, hashed, cut into contexts and read for
+    its targets.
 
-    ``events`` holds each trace's events once, up to its longest prefix, in
-    order of first appearance: trace j's are ``events[starts[j]:starts[j + 1]]``.
-    Per event, ``ms`` is its epoch ms, ``prev_ms`` its previous event's (its
-    own at a case start) and ``first_ms`` its case start's. Prefix i is the
-    first ``ks[i]`` events of trace ``trace_of[i]``; ``ends[i]`` is one past
-    its last event. Integer codes of the events' labels (:meth:`codes`) are
-    built on first read, once per vocabulary."""
+    ``events`` holds each trace's events once, whole, in order: trace j's are
+    ``events[starts[j]:starts[j + 1]]``. Per event, ``ms`` is its epoch ms,
+    ``prev_ms`` its previous event's (its own at a case start) and
+    ``first_ms`` its case start's. Prefix i is the first ``ks[i]`` events of
+    trace ``trace_of[i]``; ``ends[i]`` is one past its last event, which is
+    where its next event lies, if it has one. Integer codes of the events'
+    labels (:meth:`codes`) are built on first read, once per vocabulary."""
 
     events: list[Event]
     starts: np.ndarray  # (T + 1,)
@@ -142,17 +143,15 @@ class FlatPrefixes:
         0..len(trace) is a ``ValueError``."""
         trace_of = np.asarray(trace_of, dtype=np.int64)
         ks = np.asarray(ks, dtype=np.int64)
-        lengths = np.array([len(events) for events in traces], dtype=np.int64)[trace_of]
-        bad = (ks < 0) | (ks > lengths)
+        sizes = np.array([len(events) for events in traces], dtype=np.int64)
+        bad = (ks < 0) | (ks > sizes[trace_of])
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
-            raise ValueError(f"prefix length {int(ks[i])} outside 0..{int(lengths[i])}")
-        upto = np.zeros(len(traces), dtype=np.int64)
-        np.maximum.at(upto, trace_of, ks)
-        events = list(chain.from_iterable(events[:n] for events, n in zip(traces, upto.tolist())))
-        starts = np.concatenate([[0], np.cumsum(upto)])
+            raise ValueError(f"prefix length {int(ks[i])} outside 0..{int(sizes[trace_of[i]])}")
+        events = list(chain.from_iterable(traces))
+        starts = np.concatenate([[0], np.cumsum(sizes)])
         ms = np.fromiter((ev.timestamp_ms for ev in events), dtype=np.int64, count=len(events))
-        begin = np.repeat(starts[:-1], upto)  # the index of each event's case start
+        begin = np.repeat(starts[:-1], sizes)  # the index of each event's case start
         previous = np.maximum(np.arange(len(events)) - 1, begin)
         return cls(events, starts, ms, ms[previous], ms[begin], trace_of, ks, starts[trace_of] + ks)
 
@@ -206,8 +205,10 @@ class SampleSet(Sequence[PrefixSample]):
     then keeps, what its readers share: the samples' one :class:`FlatPrefixes`
     (:attr:`flat`), one check of their prefix lengths (:meth:`check`) and their
     target columns, each equal per sample to the :class:`PrefixSample` property
-    of its name (times in float64 seconds from int64 ms). Reading a column is a
-    ``ValueError``, naming the case, unless ``1 <= k < len(trace)``."""
+    of its name (times in float64 seconds from int64 ms). The check and the
+    columns read the layout: a prefix's next event lies at its end and its
+    trace's last event just before the next trace's start. Reading a column
+    is a ``ValueError``, naming the case, unless ``1 <= k < len(trace)``."""
 
     def __init__(self, samples: Iterable[PrefixSample] = ()):
         self._samples = tuple(samples)
@@ -225,66 +226,61 @@ class SampleSet(Sequence[PrefixSample]):
         return SampleSet(self._samples[i]) if isinstance(i, slice) else self._samples[i]
 
     @cached_property
-    def _index(self) -> tuple[list[tuple[Event, ...]], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Each trace's events, in order of first appearance, and per sample its trace
-        among them, its k, and where that trace starts and stops in them laid end to end."""
+    def flat(self) -> FlatPrefixes:
+        """The samples' prefixes, in sample order, over their distinct traces
+        laid out whole, in order of first appearance."""
         traces = {id(sample.trace): sample.trace.events for sample in self._samples}
         slots = {key: slot for slot, key in enumerate(traces)}
-        trace_of = np.array([slots[id(sample.trace)] for sample in self._samples], dtype=np.int64)
-        bounds = np.cumsum([0] + [len(events) for events in traces.values()], dtype=np.int64)
-        ks = np.array([sample.k for sample in self._samples], dtype=np.int64)
-        return list(traces.values()), trace_of, ks, bounds[trace_of], bounds[trace_of + 1]
+        trace_of = [slots[id(sample.trace)] for sample in self._samples]
+        return FlatPrefixes.of(list(traces.values()), trace_of, [sample.k for sample in self._samples])
 
-    def _first_outside(self, shortest: int, cut: int) -> PrefixSample | None:
-        """The first sample whose k lies outside ``shortest..len(trace) - cut``, if any."""
-        _, _, ks, starts, stops = self._index
-        bad = np.flatnonzero((ks < shortest) | (ks > stops - starts - cut))
-        return self._samples[bad[0]] if len(bad) else None
-
-    @cached_property
-    def flat(self) -> FlatPrefixes:
-        """The samples' prefixes, in sample order; samples of one trace share its events."""
-        return FlatPrefixes.of(*self._index[:3])
+    def _reject(self, cut: int) -> None:
+        """``ValueError`` naming the first sample whose k lies outside
+        ``1..len(trace) - cut``: a prefix to score (cut 0) or to read targets
+        of (cut 1). Read from the layout; a k outside ``0..len(trace)``, which
+        has none, from the samples."""
+        try:
+            ks, sizes = self.flat.ks, np.diff(self.flat.starts)[self.flat.trace_of]
+        except ValueError:
+            ks, sizes = np.array([(s.k, len(s.trace.events)) for s in self._samples], dtype=np.int64).T
+        bad = np.flatnonzero((ks < 1) | (ks > sizes - cut))
+        if len(bad):
+            case, k, n = self._samples[bad[0]].case_id, int(ks[bad[0]]), int(sizes[bad[0]])
+            raise ValueError(f"sample of case {case!r} has no target: its prefix length {k} lies outside 1..{n - 1}"
+                             if cut else f"sample of case {case!r} has an empty prefix (k={k})" if k < 1 else
+                             f"sample of case {case!r}: prefix length {k} exceeds its trace's length {n}")
 
     def check(self) -> "SampleSet":
         """This set; ``ValueError`` unless every sample's prefix holds 1 to
         all of its trace's events: the inputs a model scores or decodes from."""
-        bad = None if self._checked else self._first_outside(1, 0)
-        if bad is not None:
-            raise ValueError(f"sample of case {bad.case_id!r} has an empty prefix (k={bad.k})" if bad.k < 1 else
-                             f"sample of case {bad.case_id!r}: prefix length {bad.k} exceeds its trace's length "
-                             f"{len(bad.trace.events)}")
+        if not self._checked:
+            self._reject(0)
         self._checked = True
         return self
 
     @cached_property
-    def _columns(self) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The traces' labels laid end to end, each sample's next event there, and the time columns."""
-        bad = self._first_outside(1, 1)
-        if bad is not None:
-            raise ValueError(f"sample of case {bad.case_id!r} has no target: its prefix length {bad.k} lies outside "
-                             f"1..{len(bad.trace.events) - 1}")
-        traces, _, ks, starts, stops = self._index
-        events = list(chain.from_iterable(traces))
-        ms = np.fromiter((ev.timestamp_ms for ev in events), dtype=np.int64, count=len(events))
-        heads = starts + ks
-        last = ms[heads - 1]
-        seconds = [(ms[heads] - last) / 1000.0, (ms[stops - 1] - last) / 1000.0, (last - ms[starts]) / 1000.0]
-        return [ev.activity for ev in events], heads, *seconds
+    def _targets(self) -> tuple[FlatPrefixes, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:attr:`flat`, once every sample has a next event, each sample's trace's stop, and the time columns."""
+        self._reject(1)
+        flat = self.flat
+        ms, ends, last = flat.ms, flat.ends, flat.ends - 1
+        stops = flat.starts[flat.trace_of + 1]  # one past each sample's trace
+        seconds = (ms[ends] - flat.prev_ms[ends], ms[stops - 1] - ms[last], ms[last] - flat.first_ms[last])
+        return flat, stops, *(gap / 1000.0 for gap in seconds)
 
-    next_time_deltas = property(lambda self: self._columns[2])
-    remaining_times = property(lambda self: self._columns[3])
-    elapsed_times = property(lambda self: self._columns[4])  # from the case start to the prefix's last event
+    next_time_deltas = property(lambda self: self._targets[2])
+    remaining_times = property(lambda self: self._targets[3])
+    elapsed_times = property(lambda self: self._targets[4])  # from the case start to the prefix's last event
 
     def next_activity_indices(self, vocab) -> np.ndarray:
         """The int64 index in ``vocab`` of each sample's next activity."""
-        labels, heads = self._columns[:2]
-        return vocab.indices(map(labels.__getitem__, heads.tolist()), len(self))
+        return self._targets[0].codes(vocab)[self.flat.ends]
 
     @cached_property
     def suffix_activities(self) -> list[tuple[str, ...]]:
-        labels, heads = self._columns[:2]
-        return [tuple(labels[head:stop]) for head, stop in zip(heads.tolist(), self._index[4].tolist())]
+        flat, stops = self._targets[:2]
+        labels = [ev.activity for ev in flat.events]
+        return [tuple(labels[end:stop]) for end, stop in zip(flat.ends.tolist(), stops.tolist())]
 
 
 def whole_prefix_sample(events: Sequence[Event]) -> PrefixSample:

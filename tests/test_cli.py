@@ -358,6 +358,40 @@ class TestBenchmark:
         assert main(flags + ["benchmark", str(path)]) == 0
         assert seen == [(seed, jobs)]
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("not-an-object", "config holds a JSON list, not an object"), ("dataset-without-name", "has no 'name'"),
+         ("model-without-architecture", "has no 'architecture'"), ("models-not-a-list", "malformed config"),
+         ("split-not-a-number", "invalid split fractions"), ("split-not-an-object", "malformed config"),
+         ("jobs-not-an-integer", "jobs must be an integer, got 1.7"), ("seed-not-an-integer", "seed must be"),
+         ("min_k-not-an-integer", "min_k must be")],
+    )
+    def test_malformed_config_is_config_error(self, linear_path, tmp_path, capsys, fault, message):
+        config = {
+            "config_version": 1,
+            "out_dir": str(tmp_path / "out"),
+            "datasets": [{"name": "linear", "path": str(linear_path)}],
+            "models": [{"name": "markov", "architecture": "markov"}],
+        }
+        edits = {
+            "dataset-without-name": lambda: config["datasets"][0].pop("name"),
+            "model-without-architecture": lambda: config["models"][0].pop("architecture"),
+            "models-not-a-list": lambda: config.update(models=5),
+            "split-not-a-number": lambda: config.update(split={"train": "a"}),
+            "split-not-an-object": lambda: config.update(split=[0.6, 0.2]),
+            "jobs-not-an-integer": lambda: config.update(jobs=1.7),
+            "seed-not-an-integer": lambda: config.update(seed="1"),
+            "min_k-not-an-integer": lambda: config.update(min_k=True),
+        }
+        if fault in edits:
+            edits[fault]()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps([config] if fault == "not-an-object" else config))
+        assert main(["benchmark", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_min_k_is_config_error(self, linear_path, tmp_path, capsys):
         config = {
             "config_version": 1,

@@ -477,8 +477,7 @@ class TestFlatEncodeMatchesPerTrace:
         log, _, mix = mixed_samples(1)
         flat = SampleSet(mix).flat
         traces = list({id(s.trace): s.trace for s in mix}.values())  # in order of first appearance
-        longest = {id(t): max(s.k for s in mix if s.trace is t) for t in traces}
-        spans = [(t, i) for t in traces for i in range(longest[id(t)])]
+        spans = [(t, i) for t in traces for i in range(len(t.events))]  # each trace whole
         assert flat.events == [t.events[i] for t, i in spans]
         assert flat.ms.tolist() == [t.events[i].timestamp_ms for t, i in spans]
         assert flat.prev_ms.tolist() == [t.events[max(i - 1, 0)].timestamp_ms for t, i in spans]
@@ -575,17 +574,20 @@ class TestFlatLayout:
     of ``reference_ngram_hash_encode`` and ``encode``, prefix by prefix."""
 
     def test_empty_prefixes_and_traces(self):
-        traces = [(), evs_of("ABCA"), (), evs_of("BB"), evs_of("C")]
-        trace_of = [1, 0, 3, 1, 2, 1, 4, 3, 1]
-        ks = [2, 0, 0, 4, 0, 0, 1, 2, 3]
+        traces = [(), evs_of("ABCA"), (), evs_of("BB"), evs_of("C"), evs_of("CAB"), evs_of("AC")]
+        trace_of = [1, 0, 3, 1, 2, 5, 1, 4, 3, 1, 5]
+        ks = [2, 0, 0, 4, 0, 1, 0, 1, 2, 3, 0]
         flat = FlatPrefixes.of(traces, trace_of, ks)
-        # trace 3 is walked to its longest prefix, trace 4 never appears
+        # every trace is laid out whole: trace 5 beyond its longest prefix, trace 6 with no prefix at all
         vocab = Vocabulary(["C", "B", "A"])
-        assert flat_labels(flat) == list("ABCA") + list("BB") + ["C"]
-        assert flat.codes(vocab).tolist() == [2, 1, 0, 2, 1, 1, 0]
-        assert flat.starts.tolist() == [0, 0, 4, 4, 6, 7]
+        assert flat_labels(flat) == list("ABCA") + list("BB") + ["C"] + list("CAB") + list("AC")
+        assert flat.codes(vocab).tolist() == [2, 1, 0, 2, 1, 1, 0, 0, 2, 1, 2, 0]
+        assert flat.starts.tolist() == [0, 0, 4, 4, 6, 7, 10, 12]
         assert flat.trace_of.tolist() == trace_of and flat.ks.tolist() == ks
         assert flat.ends.tolist() == [flat.starts[t] + k for t, k in zip(trace_of, ks)]
+        assert [flat.events[e] for e, t, k in zip(flat.ends, trace_of, ks) if k < len(traces[t])] == [
+            traces[t][k] for t, k in zip(trace_of, ks) if k < len(traces[t])
+        ]  # each prefix's next event lies at its end
         for m in (0, 1, 2, 5):
             assert flat.last_codes(vocab, m).shape == (len(ks), m)
             assert last_labels(flat, vocab, m) == [
@@ -602,6 +604,25 @@ class TestFlatLayout:
         assert empty.events == [] and empty.starts.tolist() == [0, 0, 0] and empty.ends.tolist() == [0, 0, 0]
         empty_rows = ngram_hash_codes(empty.codes(vocab), vocab.labels, empty.ends, empty.ks, 2, 8)
         assert same_bits(empty_rows, np.zeros((3, 8)))
+
+    @pytest.mark.parametrize("pick", ["every-third", "k-at-most-2"])
+    def test_fit_reads_the_time_statistics_of_the_events_inside_the_prefixes(self, pick):
+        log, train, _ = mixed_samples(1)
+        samples = train[::3] if pick == "every-third" else [s for s in train if s.k <= 2]
+        encoder = PrefixEncoder(log.activity_vocab).fit(samples)
+        longest = {}
+        for s in samples:
+            longest[id(s.trace)] = max(s.k, longest.get(id(s.trace), 0))
+        traces = {id(s.trace): s.trace.events for s in samples}
+
+        def statistics(cut):  # log-min-max of the deltas and elapsed times of each trace's first cut(id) events
+            rows = [time_features(events[: cut(key)])[:, :2] for key, events in traces.items()]
+            return [Normalizer("log").fit(column) for column in np.concatenate(rows).T]
+
+        inside, whole = statistics(longest.__getitem__), statistics(lambda key: len(traces[key]))
+        for fitted, expected in zip((encoder.delta_norm, encoder.elapsed_norm), inside):
+            assert fitted.state() == expected.state()
+        assert [n.state() for n in whole] != [n.state() for n in inside]  # the tails would move them
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_shuffled_repeated_ranges_hash_and_encode_as_the_references(self, seed):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ppmbench import models
+from ppmbench.bench import BenchmarkConfig, ConfigError, DatasetSpec, ModelSpec
 from ppmbench import nnkernel as nn
 from ppmbench.eventlog import EOC, Event, EventLog, Trace, Vocabulary, augment_eoc
 from ppmbench.inference import DecodeConfig, decode_suffixes
@@ -882,7 +883,7 @@ class TestCheckpointRoundTrip:
         "config-not-a-mapping": r"checkpoint config \[64, 2\], not a mapping",
         "config-unknown-key": "checkpoint config: .*'flat_dim'",
         "config-bad-value": "checkpoint config: hidden must be >= 1",
-        "config-bad-type": "checkpoint config: .*'str' and 'int'",
+        "config-bad-type": "checkpoint config: hidden must be an integer, got '64'",
         "activity-vocab-not-a-list": "checkpoint activity_vocab is not a list of labels",
         "activity-vocab-not-labels": "checkpoint activity_vocab is not a list of labels",
         "attribute-vocabs-not-an-object": "checkpoint attribute_vocabs is not an object of label lists",
@@ -915,6 +916,40 @@ class TestCheckpointRoundTrip:
         path.write_text(json.dumps([sidecar] if fault == "not-an-object" else sidecar), encoding="utf-8")
         with pytest.raises(ValueError, match=self.SIDECAR_FAULTS[fault]):
             getattr(models, reader)(tmp_path / "model")
+
+    @pytest.mark.parametrize("arch", models.ARCHITECTURES)
+    def test_an_unfitted_predictor_is_not_saved(self, arch, linear_split, tmp_path):
+        log, _ = linear_split
+        predictor = build_predictor(arch, fast_config(ngram_dim=16, ae_hidden=(8,)), log.activity_vocab)
+        with pytest.raises(RuntimeError, match="before fit"):
+            save_predictor(predictor, tmp_path / "out" / "model")
+        assert not (tmp_path / "out").exists()
+
+    MALFORMED_SIZES = [
+        ("hidden", True), ("layers", 2.0), ("epochs", 2.5), ("batch_size", 1.5), ("lr_patience", True),
+        ("order", 1.5), ("window", 2.5), ("max_len", 3.0), ("embedding_dim", True), ("ngram_k", 2.5),
+        ("ae_hidden", [8.5]), ("ae_hidden", 8), ("pretrain_epochs", 1.5), ("freeze_epochs", True),
+        ("hash_seed", True), ("attributes", "Resource"), ("attributes", ["Resource", 1]),
+    ]
+
+    @pytest.mark.parametrize("name, value", MALFORMED_SIZES)
+    def test_a_malformed_size_is_refused_up_front(self, name, value, linear_split, tmp_path):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+        model = ModelSpec("m", "gru", {name: value})
+        config = BenchmarkConfig(datasets=(DatasetSpec("d", str(tmp_path / "log.csv")),), models=(model,))
+        with pytest.raises(ConfigError, match=f"model 'm': {name}"):
+            config.validate()
+        log, split = linear_split
+        predictor = MarkovPredictor(log.activity_vocab, TrainConfig(order=1))
+        train(predictor, split)
+        save_predictor(predictor, tmp_path / "model")
+        path = tmp_path / "model.json"
+        sidecar = json.loads(path.read_text(encoding="utf-8"))
+        sidecar["config"][name] = value
+        path.write_text(json.dumps(sidecar), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"checkpoint config: {name}"):
+            load_predictor(tmp_path / "model")
 
     @pytest.mark.parametrize("fault", ["truncated", "missing", "nan", "inf"])
     @pytest.mark.parametrize("arch", ["gru", "mlp", "autoencoder"])
@@ -1613,15 +1648,15 @@ class TestSampleSetReaders:
         predictor = set_reader(arch, overrides, log, net)
         train(predictor, split)
         layouts.clear()
-        bounds = []
-        first_outside = SampleSet._first_outside
+        cuts = []
+        reject = SampleSet._reject
 
-        def counting(self, shortest, cut):
-            bounds.append((shortest, cut))
-            return first_outside(self, shortest, cut)
+        def counting(self, cut):
+            cuts.append(cut)
+            return reject(self, cut)
 
-        monkeypatch.setattr(SampleSet, "_first_outside", counting)
+        monkeypatch.setattr(SampleSet, "_reject", counting)
         report = evaluate_protocol(predictor, split.test, DecodeConfig(strategy="beam", beam_width=2, max_len=4))
         assert layouts == [len(make_prefix_samples(split.test))]
-        assert bounds == [(1, 0), (1, 1)]  # the scored prefixes, then the targets
+        assert cuts == [0, 1]  # the scored prefixes, then the targets
         assert report.accuracy is not None and report.dl_similarity is not None

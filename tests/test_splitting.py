@@ -18,6 +18,7 @@ from ppmbench.eventlog import (
 )
 from ppmbench.splitting import (
     PARTS,
+    FlatPrefixes,
     PrefixSample,
     SampleSet,
     make_prefix_samples,
@@ -211,6 +212,22 @@ class TestSampleSet:
         part = whole[2:7]
         assert isinstance(part, SampleSet) and list(part) == samples[2:7]
         assert part.flat.ks.tolist() == [s.k for s in samples[2:7]]
+
+    def test_every_column_and_check_reads_the_one_layout(self, monkeypatch):
+        log, _ = generator_log(1, 60)
+        samples = make_prefix_samples(temporal_split(log).train)[::3]
+        calls = []
+        of = FlatPrefixes.of.__func__
+        monkeypatch.setattr(FlatPrefixes, "of", classmethod(lambda cls, *args: calls.append(1) or of(cls, *args)))
+        columns = SampleSet(samples)
+        flat = columns.flat
+        traces = {id(s.trace): s.trace for s in samples}.values()
+        assert calls == [1] and flat.events == [ev for t in traces for ev in t.events]  # each trace whole, once
+        assert columns.check() is columns
+        columns.next_activity_indices(log.activity_vocab)
+        for name in ("next_time_deltas", "remaining_times", "elapsed_times", "suffix_activities"):
+            getattr(columns, name)
+        assert calls == [1] and columns.flat is flat
 
     def test_check_and_targets_name_the_first_bad_case(self):
         log = augment_eoc(make_linear_log(2))
