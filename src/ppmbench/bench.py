@@ -78,30 +78,46 @@ class BenchmarkConfig:
             raise ConfigError(f"unsupported config_version {version!r}")
         try:
             datasets = [
-                DatasetSpec(name=d["name"], path=d["path"], schema=CsvSchema(**d.get("schema", {})),
-                            petri_net=d.get("petri_net"))
+                DatasetSpec(
+                    name=d["name"],
+                    path=d["path"],
+                    schema=CsvSchema(**d.get("schema", {})),
+                    petri_net=d.get("petri_net"),
+                )
                 for d in raw.get("datasets", [])
             ]
             models = [
-                ModelSpec(name=m["name"], architecture=m["architecture"],
-                          hyperparameters=dict(m.get("hyperparameters", {})))
+                ModelSpec(
+                    name=m["name"],
+                    architecture=m["architecture"],
+                    hyperparameters=dict(m.get("hyperparameters", {})),
+                )
                 for m in raw.get("models", [])
             ]
             split = raw.get("split", {})
             fractions = (split.get("train", 0.64), split.get("validation", 0.16))
-            decode, tasks = dict(raw.get("decode", {})), tuple(raw.get("tasks", ALL_TASKS))
+            decode = dict(raw.get("decode", {}))
+            tasks = tuple(raw.get("tasks", ALL_TASKS))
         except KeyError as exc:
             raise ConfigError(f"a dataset or model has no {exc.args[0]!r}") from None
         except (TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(f"malformed config: {exc}") from None
         if not all(isinstance(f, (int, float)) and not isinstance(f, bool) for f in fractions):
             raise ConfigError(f"invalid split fractions {fractions!r}")
-        integers = {name: raw.get(name, default) for name, default in (("seed", 0), ("jobs", 1), ("min_k", 1))}
+        defaults = {"seed": 0, "jobs": 1, "min_k": 1}
+        integers = {name: raw.get(name, default) for name, default in defaults.items()}
         for name, value in integers.items():
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        return cls(datasets=tuple(datasets), models=tuple(models), split_fractions=fractions, decode=decode,
-                   tasks=tasks, out_dir=raw.get("out_dir", "runs"), **integers)
+        return cls(
+            datasets=tuple(datasets),
+            models=tuple(models),
+            split_fractions=fractions,
+            decode=decode,
+            tasks=tasks,
+            out_dir=raw.get("out_dir", "runs"),
+            **integers,
+        )
 
     def to_dict(self) -> dict:
         return {

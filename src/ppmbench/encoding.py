@@ -342,8 +342,8 @@ class PrefixEncoder:
 
         The time normalizers are min-max, so they read the time columns of
         the samples' :attr:`SampleSet.flat` layout, which holds their traces
-        whole: only the events of each trace before its longest prefix's end
-        count, each once, so no event after every sample of its trace does.
+        whole: only the events ``inside`` a prefix count, each once, so no
+        event after every sample of its trace does.
         """
         flat = SampleSet.of(samples).flat
         if not len(flat.ks):
@@ -353,11 +353,10 @@ class PrefixEncoder:
             k = int(flat.ks.max())
             self.max_len = k if self.window is None else min(k, self.window)
         if self.include_time:
-            reach = np.zeros(len(flat.starts) - 1, dtype=np.int64)
-            np.maximum.at(reach, flat.trace_of, flat.ends)  # one past each trace's longest prefix
-            seen = np.arange(len(flat.ms)) < np.repeat(reach, np.diff(flat.starts))
-            self.delta_norm = Normalizer("log").fit(((flat.ms - flat.prev_ms) / 1000.0)[seen])
-            self.elapsed_norm = Normalizer("log").fit(((flat.ms - flat.first_ms) / 1000.0)[seen])
+            inside = flat.inside
+            ms = flat.ms[inside]
+            self.delta_norm = Normalizer("log").fit((ms - flat.prev_ms[inside]) / 1000.0)
+            self.elapsed_norm = Normalizer("log").fit((ms - flat.first_ms[inside]) / 1000.0)
         self.fitted = True
         return self
 
@@ -400,27 +399,30 @@ class PrefixEncoder:
         """Values (N, T, F) as ``dtype`` and mask (N, T) of the N prefixes
         of ``flat``, each encoded as :meth:`encode` does.
 
-        One pass: :meth:`encode_rows` builds the feature rows of all of
-        ``flat``'s events from their label codes (:meth:`FlatPrefixes.codes`;
-        an absent attribute is missing), and :meth:`windows` cuts each
-        prefix's window from them. The rows are cast before windowing, so the
-        float64 copy is one row per event, not T per prefix. An empty prefix
-        is a ``ValueError``.
+        One pass: :meth:`encode_rows` builds the feature rows of ``flat``'s
+        events ``inside`` a prefix from their label codes
+        (:meth:`FlatPrefixes.codes`; an absent attribute is missing), and
+        :meth:`windows` cuts each prefix's window from them. The rows are
+        cast before windowing, so the float64 copy is one row per event, not
+        T per prefix. An empty prefix is a ``ValueError``.
         """
         if not self.fitted or self.max_len is None:
             raise NotFittedError("prefix encoder used before fit()")
         _check_nonempty(flat)
-        activities = flat.codes(self.activity_vocab)
+        inside = flat.inside
+        activities = flat.codes(self.activity_vocab)[inside]
         attributes = np.empty((len(activities), len(self.attribute_vocabs)), dtype=np.int64)
         for column, (name, vocab) in zip(attributes.T, self.attribute_vocabs.items()):
-            column[:] = flat.codes(vocab, name)
+            column[:] = flat.codes(vocab, name)[inside]
             absent = column < 0
             if absent.any():
                 column[absent] = vocab.index(MISSING)
-        rows = self.encode_rows(activities, attributes, flat.ms, flat.prev_ms, flat.first_ms)
+        times = (flat.ms[inside], flat.prev_ms[inside], flat.first_ms[inside])
+        rows = self.encode_rows(activities, attributes, *times)
         padded = np.zeros((len(rows) + 1, rows.shape[1]), dtype=dtype)  # row 0 pads
         padded[1:] = rows
-        return self.windows(padded, flat.ends + 1, flat.ks)
+        outside = np.concatenate([[0], np.cumsum(~inside)])  # the events left out before each one
+        return self.windows(padded, flat.ends - outside[flat.ends] + 1, flat.ks)
 
     def encode_rows(self, activities, attributes, ms, prev_ms, first_ms) -> np.ndarray:
         """Feature rows (n, F) of n events from per-event arrays: activity

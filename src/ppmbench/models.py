@@ -68,37 +68,50 @@ class TrainConfig:
     def __post_init__(self):
         """Every size and count is an ``int``, not a ``bool``, in its range,
         ``attributes`` a list of names; anything else is a ``ValueError``."""
-        if not (isinstance(self.attributes, (list, tuple)) and all(isinstance(a, str) for a in self.attributes)):
+        names = self.attributes
+        if not (isinstance(names, (list, tuple)) and all(isinstance(name, str) for name in names)):
             raise ValueError(f"attributes must be a list of attribute names, got {self.attributes!r}")
         if not isinstance(self.ae_hidden, (list, tuple)):
             raise ValueError(f"ae_hidden must be a list of sizes, got {self.ae_hidden!r}")
-        self.attributes, self.ae_hidden = tuple(self.attributes), tuple(self.ae_hidden)
+        self.attributes = tuple(self.attributes)
+        self.ae_hidden = tuple(self.ae_hidden)
         if self.time_target not in (None, "next", "remaining"):
             raise ValueError(f"unknown time_target {self.time_target!r}")
         if self.input_mode not in INPUT_MODES:
             raise ValueError(f"unknown input_mode {self.input_mode!r}")
-        sizes = ("hidden", "layers", "epochs", "batch_size", "patience", "lr_patience", "ngram_k", "ngram_dim")
-        optional = [name for name in ("embedding_dim", "window", "max_len") if getattr(self, name) is not None]
-        bounded = [(name, getattr(self, name), 1) for name in (*sizes, *optional)]
-        bounded += [("ae_hidden entry", size, 1) for size in self.ae_hidden]
-        bounded += [(name, getattr(self, name), 0) for name in ("order", "pretrain_epochs", "freeze_epochs")]
-        for name, value, low in bounded:
+
+        def at_least(name, value, low):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if not value >= low:
                 raise ValueError(f"{name} must be >= {low}, got {value!r}")
-        seed = self.hash_seed
-        for name, ok, rule in (
-            ("alpha", self.alpha >= 0, "be >= 0"),
-            ("decay_seconds", self.decay_seconds is None or self.decay_seconds > 0, "be > 0"),
-            ("lr", self.lr > 0, "be > 0"),
-            ("momentum", 0 <= self.momentum < 1, "lie in [0, 1)"),
-            ("clip_norm", self.clip_norm is None or self.clip_norm > 0, "be null or > 0"),
-            ("lr_decay", 0 < self.lr_decay <= 1, "lie in (0, 1]"),
-            ("hash_seed", type(seed) is int and 0 <= seed < 2**64, "be an integer in [0, 2**64)"),
-        ):
-            if not ok:
-                raise ValueError(f"{name} must {rule}, got {getattr(self, name)!r}")
+
+        sizes = (
+            "hidden", "layers", "epochs", "batch_size", "patience", "lr_patience", "ngram_k", "ngram_dim"
+        )
+        for name in sizes:
+            at_least(name, getattr(self, name), 1)
+        for name in ("embedding_dim", "window", "max_len"):
+            if getattr(self, name) is not None:
+                at_least(name, getattr(self, name), 1)
+        for size in self.ae_hidden:
+            at_least("ae_hidden entry", size, 1)
+        for name in ("order", "pretrain_epochs", "freeze_epochs"):
+            at_least(name, getattr(self, name), 0)
+        if not self.alpha >= 0:
+            raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
+        if self.decay_seconds is not None and not self.decay_seconds > 0:
+            raise ValueError(f"decay_seconds must be > 0, got {self.decay_seconds!r}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr!r}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ValueError(f"clip_norm must be null or > 0, got {self.clip_norm!r}")
+        if not 0 < self.lr_decay <= 1:
+            raise ValueError(f"lr_decay must lie in (0, 1], got {self.lr_decay!r}")
+        if not (type(self.hash_seed) is int and 0 <= self.hash_seed < 2**64):
+            raise ValueError(f"hash_seed must be an integer in [0, 2**64), got {self.hash_seed!r}")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ import io
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -124,8 +123,10 @@ class FlatPrefixes:
     ``prev_ms`` its previous event's (its own at a case start) and
     ``first_ms`` its case start's. Prefix i is the first ``ks[i]`` events of
     trace ``trace_of[i]``; ``ends[i]`` is one past its last event, which is
-    where its next event lies, if it has one. Integer codes of the events'
-    labels (:meth:`codes`) are built on first read, once per vocabulary."""
+    where its next event lies, if it has one. ``inside`` marks the events
+    that lie in some prefix, each trace's events before its longest
+    prefix's end: the events an input reads. Integer codes of their labels
+    (:meth:`codes`) are built on first read, once per vocabulary."""
 
     events: list[Event]
     starts: np.ndarray  # (T + 1,)
@@ -135,6 +136,7 @@ class FlatPrefixes:
     trace_of: np.ndarray
     ks: np.ndarray
     ends: np.ndarray
+    inside: np.ndarray  # (E,) bool
     _codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -152,23 +154,30 @@ class FlatPrefixes:
         starts = np.concatenate([[0], np.cumsum(sizes)])
         ms = np.fromiter((ev.timestamp_ms for ev in events), dtype=np.int64, count=len(events))
         begin = np.repeat(starts[:-1], sizes)  # the index of each event's case start
-        previous = np.maximum(np.arange(len(events)) - 1, begin)
-        return cls(events, starts, ms, ms[previous], ms[begin], trace_of, ks, starts[trace_of] + ks)
+        at = np.arange(len(events))
+        previous = np.maximum(at - 1, begin)
+        ends = starts[trace_of] + ks
+        reach = starts[:-1].copy()
+        np.maximum.at(reach, trace_of, ends)  # one past each trace's longest prefix
+        inside = at < np.repeat(reach, sizes)
+        return cls(events, starts, ms, ms[previous], ms[begin], trace_of, ks, ends, inside)
 
     def codes(self, vocab: Vocabulary, attribute: str | None = None) -> np.ndarray:
         """The int64 index in ``vocab`` of each event's activity or, with
-        ``attribute``, of its value of that attribute (-1 where it holds
-        none). Built in one pass on first read for each vocabulary, and kept;
-        a label outside ``vocab`` is an ``UnknownLabelError``."""
+        ``attribute``, of its value of that attribute: -1 where it holds
+        none, and at every event outside ``inside``, which no input reads.
+        Built in one pass on first read for each vocabulary, and kept; a
+        label of an event inside that lies outside ``vocab`` is an
+        ``UnknownLabelError``."""
         key = (attribute, vocab.labels)
         found = self._codes.get(key)
         if found is None:
-            events = self.events
+            events, taken = self.events, np.flatnonzero(self.inside).tolist()
+            found = np.full(len(events), -1, dtype=np.int64)
             if attribute is None:
-                found = vocab.indices(map(attrgetter("activity"), events), len(events))
+                found[taken] = vocab.indices((events[i].activity for i in taken), len(taken))
             else:
-                found = np.full(len(events), -1, dtype=np.int64)
-                held = [i for i, ev in enumerate(events) if attribute in ev.attributes]
+                held = [i for i in taken if attribute in events[i].attributes]
                 found[held] = vocab.indices((events[i].attributes[attribute] for i in held), len(held))
             self._codes[key] = found
         return found
@@ -205,10 +214,10 @@ class SampleSet(Sequence[PrefixSample]):
     then keeps, what its readers share: the samples' one :class:`FlatPrefixes`
     (:attr:`flat`), one check of their prefix lengths (:meth:`check`) and their
     target columns, each equal per sample to the :class:`PrefixSample` property
-    of its name (times in float64 seconds from int64 ms). The check and the
-    columns read the layout: a prefix's next event lies at its end and its
-    trace's last event just before the next trace's start. Reading a column
-    is a ``ValueError``, naming the case, unless ``1 <= k < len(trace)``."""
+    of its name (times in float64 seconds from int64 ms). The columns read
+    the layout: a prefix's next event lies at its end and its trace's last
+    event just before the next trace's start. Reading a column is a
+    ``ValueError``, naming the case, unless ``1 <= k < len(trace)``."""
 
     def __init__(self, samples: Iterable[PrefixSample] = ()):
         self._samples = tuple(samples)
@@ -226,29 +235,39 @@ class SampleSet(Sequence[PrefixSample]):
         return SampleSet(self._samples[i]) if isinstance(i, slice) else self._samples[i]
 
     @cached_property
+    def _traces(self) -> tuple[list[tuple[Event, ...]], np.ndarray, np.ndarray, np.ndarray]:
+        """The samples' distinct traces' events, in order of first appearance,
+        and per sample its trace among them, its k and that trace's length:
+        what :attr:`flat` lays out, read before it by :meth:`_reject`, since
+        no layout holds a k outside ``0..len(trace)``."""
+        traces = {id(sample.trace): sample.trace.events for sample in self._samples}
+        slots = {key: slot for slot, key in enumerate(traces)}
+        trace_of = np.array([slots[id(sample.trace)] for sample in self._samples], dtype=np.int64)
+        ks = np.array([sample.k for sample in self._samples], dtype=np.int64)
+        sizes = np.array([len(events) for events in traces.values()], dtype=np.int64)
+        return list(traces.values()), trace_of, ks, sizes[trace_of]
+
+    @cached_property
     def flat(self) -> FlatPrefixes:
         """The samples' prefixes, in sample order, over their distinct traces
         laid out whole, in order of first appearance."""
-        traces = {id(sample.trace): sample.trace.events for sample in self._samples}
-        slots = {key: slot for slot, key in enumerate(traces)}
-        trace_of = [slots[id(sample.trace)] for sample in self._samples]
-        return FlatPrefixes.of(list(traces.values()), trace_of, [sample.k for sample in self._samples])
+        return FlatPrefixes.of(*self._traces[:3])
 
     def _reject(self, cut: int) -> None:
         """``ValueError`` naming the first sample whose k lies outside
         ``1..len(trace) - cut``: a prefix to score (cut 0) or to read targets
-        of (cut 1). Read from the layout; a k outside ``0..len(trace)``, which
-        has none, from the samples."""
-        try:
-            ks, sizes = self.flat.ks, np.diff(self.flat.starts)[self.flat.trace_of]
-        except ValueError:
-            ks, sizes = np.array([(s.k, len(s.trace.events)) for s in self._samples], dtype=np.int64).T
+        of (cut 1)."""
+        ks, sizes = self._traces[2:]
         bad = np.flatnonzero((ks < 1) | (ks > sizes - cut))
-        if len(bad):
-            case, k, n = self._samples[bad[0]].case_id, int(ks[bad[0]]), int(sizes[bad[0]])
-            raise ValueError(f"sample of case {case!r} has no target: its prefix length {k} lies outside 1..{n - 1}"
-                             if cut else f"sample of case {case!r} has an empty prefix (k={k})" if k < 1 else
-                             f"sample of case {case!r}: prefix length {k} exceeds its trace's length {n}")
+        if not len(bad):
+            return
+        sample = f"sample of case {self._samples[bad[0]].case_id!r}"
+        k, n = int(ks[bad[0]]), int(sizes[bad[0]])
+        if cut:
+            raise ValueError(f"{sample} has no target: its prefix length {k} lies outside 1..{n - 1}")
+        if k < 1:
+            raise ValueError(f"{sample} has an empty prefix (k={k})")
+        raise ValueError(f"{sample}: prefix length {k} exceeds its trace's length {n}")
 
     def check(self) -> "SampleSet":
         """This set; ``ValueError`` unless every sample's prefix holds 1 to
@@ -273,8 +292,11 @@ class SampleSet(Sequence[PrefixSample]):
     elapsed_times = property(lambda self: self._targets[4])  # from the case start to the prefix's last event
 
     def next_activity_indices(self, vocab) -> np.ndarray:
-        """The int64 index in ``vocab`` of each sample's next activity."""
-        return self._targets[0].codes(vocab)[self.flat.ends]
+        """The int64 index in ``vocab`` of each sample's next activity, the
+        activity at its prefix's end, which :meth:`FlatPrefixes.codes` does
+        not code after a trace's longest prefix."""
+        events, ends = self._targets[0].events, self.flat.ends.tolist()
+        return vocab.indices((events[end].activity for end in ends), len(ends))
 
     @cached_property
     def suffix_activities(self) -> list[tuple[str, ...]]:

@@ -581,7 +581,11 @@ class TestFlatLayout:
         # every trace is laid out whole: trace 5 beyond its longest prefix, trace 6 with no prefix at all
         vocab = Vocabulary(["C", "B", "A"])
         assert flat_labels(flat) == list("ABCA") + list("BB") + ["C"] + list("CAB") + list("AC")
-        assert flat.codes(vocab).tolist() == [2, 1, 0, 2, 1, 1, 0, 0, 2, 1, 2, 0]
+        # only the events inside a prefix are coded: trace 5's tail and trace 6 read -1
+        assert flat.inside.tolist() == [True] * 8 + [False] * 4
+        assert flat.codes(vocab).tolist() == [2, 1, 0, 2, 1, 1, 0, 0, -1, -1, -1, -1]
+        tail = FlatPrefixes.of([evs_of("CAB")], [0], [1])  # labels outside the vocabulary after every prefix
+        assert tail.codes(Vocabulary(["C"])).tolist() == [0, -1, -1]
         assert flat.starts.tolist() == [0, 0, 4, 4, 6, 7, 10, 12]
         assert flat.trace_of.tolist() == trace_of and flat.ks.tolist() == ks
         assert flat.ends.tolist() == [flat.starts[t] + k for t, k in zip(trace_of, ks)]

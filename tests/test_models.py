@@ -14,7 +14,7 @@ import pytest
 from ppmbench import models
 from ppmbench.bench import BenchmarkConfig, ConfigError, DatasetSpec, ModelSpec
 from ppmbench import nnkernel as nn
-from ppmbench.eventlog import EOC, Event, EventLog, Trace, Vocabulary, augment_eoc
+from ppmbench.eventlog import EOC, Event, EventLog, Trace, UnknownLabelError, Vocabulary, augment_eoc
 from ppmbench.inference import DecodeConfig, decode_suffixes
 from ppmbench.metrics import evaluate_protocol
 from ppmbench.models import (
@@ -1263,6 +1263,39 @@ class TestPredictBatch:
                 predictor.predict_batch([PrefixSample(trace, 1), PrefixSample(trace, k)])
         probs, _ = predictor.predict_batch([PrefixSample(trace, len(trace))])
         assert probs.shape == (1, len(log.activity_vocab))
+
+    @pytest.mark.parametrize(
+        "arch, overrides",
+        [
+            ("markov", {"order": 1}),
+            ("gru", {"attributes": ("Resource",)}),
+            ("autoencoder", {"pretrain_epochs": 1, "freeze_epochs": 1}),
+            ("mlp", {"input_mode": "timed_state", "attributes": ("Resource",)}),
+        ],
+        ids=["markov", "gru", "autoencoder", "mlp-timed-state"],
+    )
+    def test_labels_after_every_prefix_are_not_read(self, arch, overrides):
+        """An activity and an attribute value outside the model's
+        vocabularies after every prefix of a trace: no input reads them, so
+        its prefixes score as those of the trace without that event, and
+        only the next activity that names one is an ``UnknownLabelError``."""
+        log, net, split = generator_split(1)
+        cfg = TrainConfig(**{**self.SMALL, "epochs": 1, **overrides})
+        predictor = build_predictor(arch, cfg, log.activity_vocab, log.attribute_vocabs, net)
+        train(predictor, split, seed=1)
+        trace = next(t for t in split.test.traces if len(t) > 3)
+        k, at = 2, trace.events[1].timestamp_ms
+        expected = predictor.predict_batch([PrefixSample(trace, j) for j in range(1, k + 1)])
+        tampered = [
+            Trace(trace.case_id, trace.events[:k] + (stranger,) + trace.events[k:])
+            for stranger in (Event(trace.case_id, "Q", at), Event(trace.case_id, EOC, at, {"Resource": "no such one"}))
+        ]
+        for t in tampered:
+            got = predictor.predict_batch([PrefixSample(t, j) for j in range(1, k + 1)])
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b, equal_nan=True)
+        with pytest.raises(UnknownLabelError, match="'Q'"):
+            SampleSet([PrefixSample(tampered[0], k)]).next_activity_indices(log.activity_vocab)
 
     def test_the_default_stacks_predict_with_nan_for_no_time(self):
         events = tuple(Event("c", a, 1000 * i) for i, a in enumerate("abab"))
