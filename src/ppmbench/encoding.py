@@ -383,6 +383,12 @@ class PrefixEncoder:
     def num_features(self) -> int:
         return self.layout.num_features
 
+    @property
+    def limit(self) -> int:
+        """The most events a window holds, ``min(window, max_len)``: a longer
+        prefix's inputs hold its last ``limit`` events."""
+        return self.max_len if self.window is None else min(self.window, self.max_len)
+
     def encode(self, events: Sequence[Event]) -> FeatureMatrix:
         """Encode one prefix.
 
@@ -390,21 +396,23 @@ class PrefixEncoder:
         up to the encoder's sequence length; prefixes that still exceed it keep
         the most recent events and the layout carries a truncation flag.
         """
-        values, mask = self.encode_flat(FlatPrefixes.of([events], [0], [len(events)]))
-        rows = len(events) if self.window is None else min(len(events), self.window)
-        layout = replace(self.layout, truncated=rows > self.max_len)
-        return FeatureMatrix(values=values[0], mask=mask[0], layout=layout)
+        rows, ids = self.encode_flat(FlatPrefixes.of([events], [0], [len(events)]))
+        kept = len(events) if self.window is None else min(len(events), self.window)
+        layout = replace(self.layout, truncated=kept > self.max_len)
+        return FeatureMatrix(values=rows[ids[0]], mask=ids[0] != 0, layout=layout)
 
     def encode_flat(self, flat: FlatPrefixes, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-        """Values (N, T, F) as ``dtype`` and mask (N, T) of the N prefixes
-        of ``flat``, each encoded as :meth:`encode` does.
+        """The padded feature rows (E + 1, F) as ``dtype`` and the int32 row
+        ids (N, T) of the N prefixes of ``flat``: row 0 is a zero row, then
+        one row per event ``inside`` a prefix, and prefix j's window, as
+        :meth:`encode` gives it, is ``rows[ids[j]]`` with mask ``ids[j] != 0``.
 
-        One pass: :meth:`encode_rows` builds the feature rows of ``flat``'s
-        events ``inside`` a prefix from their label codes
-        (:meth:`FlatPrefixes.codes`; an absent attribute is missing), and
-        :meth:`windows` cuts each prefix's window from them. The rows are
-        cast before windowing, so the float64 copy is one row per event, not
-        T per prefix. An empty prefix is a ``ValueError``.
+        One pass: :meth:`encode_rows` builds the feature rows from the
+        events' label codes (:meth:`FlatPrefixes.codes`; an absent attribute
+        is missing), cast to ``dtype`` once, and :meth:`windows` gives each
+        prefix's row ids. No (N, T, F) array is built: a reader cuts the
+        windows it reads, ``np.take(rows, ids[idx], axis=0)``. An empty
+        prefix is a ``ValueError``.
         """
         if not self.fitted or self.max_len is None:
             raise NotFittedError("prefix encoder used before fit()")
@@ -422,7 +430,7 @@ class PrefixEncoder:
         padded = np.zeros((len(rows) + 1, rows.shape[1]), dtype=dtype)  # row 0 pads
         padded[1:] = rows
         outside = np.concatenate([[0], np.cumsum(~inside)])  # the events left out before each one
-        return self.windows(padded, flat.ends - outside[flat.ends] + 1, flat.ks)
+        return padded, self.windows(flat.ends - outside[flat.ends] + 1, flat.ks)
 
     def encode_rows(self, activities, attributes, ms, prev_ms, first_ms) -> np.ndarray:
         """Feature rows (n, F) of n events from per-event arrays: activity
@@ -448,17 +456,22 @@ class PrefixEncoder:
                 rows[:, group.start + 3] = feats[:, 3] / 6.0
         return rows
 
-    def windows(self, rows: np.ndarray, ends, ks) -> tuple[np.ndarray, np.ndarray]:
-        """Values (len(ks), T, F) and mask (len(ks), T) of left-padded
-        windows, ``T`` being ``max_len``: window j holds the last
-        ``min(ks[j], window, T)`` rows before ``rows[ends[j]]``, and its
-        padding slots read ``rows[0]``, which must be a zero row."""
+    def window_mask(self, ks) -> np.ndarray:
+        """(len(ks), T) bool, ``T`` being ``max_len``: the slots of a
+        left-padded window of ``ks[j]`` events that hold one, its last
+        ``min(ks[j], limit)``."""
         length = self.max_len
-        limit = length if self.window is None else min(self.window, length)
-        ks = np.asarray(ks)[:, None]
+        return np.arange(length) >= length - np.minimum(np.asarray(ks)[:, None], self.limit)
+
+    def windows(self, ends, ks) -> np.ndarray:
+        """Row ids (len(ks), T) int32 of left-padded windows, ``T`` being
+        ``max_len``: window j reads the last ``min(ks[j], limit)`` rows
+        before row ``ends[j]``, and its padding slots read row 0, which must
+        be a zero row, so its mask is ``ids[j] != 0``."""
+        length = self.max_len
         slots = np.arange(length)
-        mask = slots >= length - np.minimum(ks, limit)
-        return rows[np.where(mask, np.asarray(ends)[:, None] - length + slots, 0)], mask
+        ids = np.where(self.window_mask(ks), np.asarray(ends)[:, None] - length + slots, 0)
+        return ids.astype(np.int32)
 
     def state(self) -> dict:
         return {

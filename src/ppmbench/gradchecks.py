@@ -62,7 +62,8 @@ def architecture_gradcheck(arch: str, seed: int = 0) -> float:
     )
     predictor = build_predictor(arch, config, vocab, attribute_vocabs)
     predictor.dtype = np.float64
-    X, M, y_act, y_time = predictor._fit_arrays(samples)[0]
+    start, y_act, y_time = predictor._fit_arrays(samples)[0]
+    X, M = start.inputs()
     rng = np.random.default_rng(seed)
     params = predictor._build_params(rng)
     error = nn.gradcheck(lambda p: predictor._batch_loss(p, X, M, y_act, y_time), params)

@@ -10,7 +10,6 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, fields, replace
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -130,7 +129,10 @@ class TrainReport:
     ``clipped_batches`` of each SGD stage that runs before the last one, in
     order (the autoencoder's layerwise pretraining and frozen-encoder
     stages; a stage of no epochs has ``()``); it is ``()`` for the other
-    models.
+    models. ``truncated_prefixes`` counts the training and validation
+    prefixes longer than a ``PrefixEncoder`` model's window, whose oldest
+    events its inputs leave out (None for a model without one); it stays
+    outside :meth:`core` too.
     """
 
     train_losses: tuple[float, ...]
@@ -143,6 +145,7 @@ class TrainReport:
     clipped_batches: tuple[int, ...] = ()
     learning_rates: tuple[float, ...] = ()
     stage_clipped_batches: tuple[tuple[int, ...], ...] = ()
+    truncated_prefixes: int | None = None
 
     def core(self) -> dict:
         return {
@@ -300,6 +303,8 @@ class EventHypotheses:
     ``model.predict`` call: how an object that is not a :class:`Predictor`,
     but has ``activity_vocab`` and ``predict(events)``, decodes."""
 
+    truncated_prefixes: int | None = None  # the events are read whole
+
     def __init__(self, model, prefixes):
         self.model = model
         self.events = [tuple(p) for p in prefixes]
@@ -455,6 +460,8 @@ class _MarkovHypotheses:
     """Markov decode hypotheses: each carries its context, its last
     ``order`` codes (-1 in the empty slots), stepped by one code per decoded
     event."""
+
+    truncated_prefixes: int | None = None  # no encoder window
 
     def __init__(self, model: MarkovPredictor, contexts: np.ndarray):
         self.model, self.contexts = model, contexts
@@ -624,9 +631,9 @@ class _NeuralPredictor(Predictor):
     def _build_params(self, rng) -> dict[str, np.ndarray]:
         raise NotImplementedError
 
-    def _pretrain(self, params, X, y_act, rng, seed: int) -> tuple[dict[str, np.ndarray], tuple]:
-        """Training stages that run before the shared one, and each stage's
-        ``clipped_batches``; none by default."""
+    def _pretrain(self, params, start, y_act, rng, seed: int) -> tuple[dict[str, np.ndarray], tuple]:
+        """Training stages that run before the shared one on the training
+        set's ``start``, and each stage's ``clipped_batches``; none by default."""
         return params, ()
 
     def _body(self, params, X, M):
@@ -637,9 +644,10 @@ class _NeuralPredictor(Predictor):
         """Gradients of the body's parameters given the feature gradient."""
         raise NotImplementedError
 
-    def _batch_lengths(self, M):
-        """Per-row lengths by which :func:`_sgd_train` buckets the training
-        batches, or None for plain shuffled batches (the default)."""
+    def _batch_lengths(self, hypotheses):
+        """Per-row lengths of ``hypotheses`` by which :func:`_sgd_train`
+        buckets the training batches and :meth:`_blocked_outputs` orders its
+        blocks, or None for plain shuffled batches (the default)."""
         return None
 
     # shared --------------------------------------------------------------
@@ -657,7 +665,8 @@ class _NeuralPredictor(Predictor):
 
     def _fit_arrays(self, train_samples, val_samples=()):
         """Read every target of both sample sets, fit the input encoding and the time normalizer
-        on the training set, and return each set's inputs, mask, activity indices and time targets."""
+        on the training set, and return each set's start as training holds it (the hypotheses its
+        inputs are cut from, :meth:`_NeuralHypotheses.for_training`), activity indices and time targets."""
         sets, target = (SampleSet.of(train_samples), SampleSet.of(val_samples)), self.config.time_target
         if not sets[0]:
             raise ValueError("no training samples")
@@ -667,9 +676,7 @@ class _NeuralPredictor(Predictor):
         if target is not None:
             self.time_norm = Normalizer("log").fit(y_times[0])
             y_times = [self.time_norm.transform(y_time) for y_time in y_times]
-        # each start is dropped once its inputs are read, before the next is built
-        inputs = attrgetter("X", "M")
-        return [(*inputs(self._start(s)), y_act, y_time) for s, y_act, y_time in zip(sets, y_acts, y_times)]
+        return [(self._start(s).for_training(), y_act, y_time) for s, y_act, y_time in zip(sets, y_acts, y_times)]
 
     def _init_heads(self, rng, n_features: int) -> dict[str, np.ndarray]:
         n_classes = len(self.activity_vocab)
@@ -717,70 +724,77 @@ class _NeuralPredictor(Predictor):
         return loss, grads
 
     def fit(self, train_samples, val_samples, seed=0) -> TrainReport:
-        start = time.perf_counter()
-        (X, M, y_act, y_time), (X_val, M_val, y_act_val, y_time_val) = self._fit_arrays(train_samples, val_samples)
+        """Train on the start of the training samples: each batch cuts its
+        inputs from it as it is read (:meth:`_NeuralHypotheses.inputs`), and
+        the validation loss reads the validation start through
+        :meth:`_blocked_outputs`, so no inputs of a whole sample set are held."""
+        began = time.perf_counter()
+        (start, y_act, y_time), (val_start, y_act_val, y_time_val) = self._fit_arrays(train_samples, val_samples)
         val_loss = None
-        if len(X_val):
+        if len(val_start):
 
             def val_loss(p):  # the inference forward: no backward cache, and no padded row counts
-                logits, tpred = self._blocked_outputs(p, X_val, M_val)
+                logits, tpred = self._blocked_outputs(p, val_start)
                 losses = [nn.softmax_cross_entropy(logits, y_act_val)[0]]
                 if tpred is not None and y_time_val is not None:
                     losses.append(nn.mae_loss(tpred[:, 0], y_time_val)[0])
                 return nn.combine_losses(losses)
 
         rng = np.random.default_rng(seed)
-        params, stage_clipped_batches = self._pretrain(self._build_params(rng), X, y_act, rng, seed)
+        params, stage_clipped_batches = self._pretrain(self._build_params(rng), start, y_act, rng, seed)
 
         def batch_step(p, idx):
-            M_batch, y_time_batch = (None if a is None else a[idx] for a in (M, y_time))
-            return self._batch_loss(p, X[idx], M_batch, y_act[idx], y_time_batch)
+            X, M = start.inputs(idx)
+            return self._batch_loss(p, X, M, y_act[idx], None if y_time is None else y_time[idx])
 
         self.params, report = _sgd_train(
-            params, batch_step, val_loss, len(X), self.config, seed, self._batch_lengths(M)
+            params, batch_step, val_loss, len(start), self.config, seed, self._batch_lengths(start)
         )
+        truncated = start.truncated_prefixes
         return replace(
             report,
-            wall_clock_seconds=time.perf_counter() - start,
+            wall_clock_seconds=time.perf_counter() - began,
             stage_clipped_batches=stage_clipped_batches,
+            truncated_prefixes=None if truncated is None else truncated + val_start.truncated_prefixes,
         )
 
-    def _blocked_outputs(self, params, X, M):
+    def _blocked_outputs(self, params, hypotheses):
         """The activity logits and the time predictions (None without a time
-        head) of the rows of ``X`` under ``params``, in the rows' order. The
-        plain :meth:`_outputs` runs on consecutive blocks of ``ROW_BLOCK``
-        rows, the last filled up with copies of its last row, under that
-        row's mask, whose outputs are dropped: every row goes through
-        products of one shape, so its outputs do not depend on the batch it
-        came in, and a forward holds one block's arrays at a time. A
-        recurrent model's rows are blocked longest first (a stable sort by
-        :meth:`_batch_lengths`), so each block steps from about its own
-        rows' first column, and the copies share the shortest row's columns."""
-        lengths = None if M is None else self._batch_lengths(M)
-        rows = np.arange(len(X)) if lengths is None else np.argsort(-lengths, kind="stable")
-        filled = np.append(rows, np.repeat(rows[-1:], -len(rows) % ROW_BLOCK))  # the last row repeated
-
-        def block(a, s):  # rows s.. in block order
-            if not len(rows):  # no rows: one zero block, whose outputs are all dropped
-                return np.zeros((ROW_BLOCK,) + a.shape[1:], dtype=a.dtype)
-            return a[filled[s : s + ROW_BLOCK]]
-
+        head) of the rows of ``hypotheses`` under ``params``, in the rows'
+        order. The plain :meth:`_outputs` runs on consecutive blocks of
+        ``ROW_BLOCK`` rows, each cut from ``hypotheses`` as it is read
+        (:meth:`_NeuralHypotheses.inputs`), the last filled up with copies of
+        its last row, under that row's mask, whose outputs are dropped: every
+        row goes through products of one shape, so its outputs do not depend
+        on the batch it came in, and a forward holds one block's inputs and
+        arrays at a time. A recurrent model's rows are blocked longest first
+        (a stable sort by :meth:`_batch_lengths`), so each block steps from
+        about its own rows' first column, and the copies share the shortest
+        row's columns. No rows give no logits and, with a time head, no
+        time predictions."""
+        n = len(hypotheses)
+        if not n:
+            empty = np.zeros((0, len(self.activity_vocab)), self.dtype)
+            return empty, np.zeros((0, 1), self.dtype) if "head_time:W" in params else None
+        lengths = self._batch_lengths(hypotheses)
+        rows = np.arange(n) if lengths is None else np.argsort(-lengths, kind="stable")
+        filled = np.append(rows, np.repeat(rows[-1:], -n % ROW_BLOCK))  # the last row repeated
         outputs = [
-            self._outputs(params, block(X, s), None if M is None else block(M, s))[:2]
-            for s in range(0, max(len(X), 1), ROW_BLOCK)
+            self._outputs(params, *hypotheses.inputs(filled[s : s + ROW_BLOCK]))[:2] for s in range(0, n, ROW_BLOCK)
         ]
-        logits = np.concatenate([logits for logits, _ in outputs])[: len(X)]
-        tpred = None if outputs[0][1] is None else np.concatenate([tpred for _, tpred in outputs])[: len(X)]
+        logits = np.concatenate([logits for logits, _ in outputs])[:n]
+        tpred = None if outputs[0][1] is None else np.concatenate([tpred for _, tpred in outputs])[:n]
         if lengths is not None:  # back to the rows' order
             back = np.argsort(rows)
             logits, tpred = logits[back], None if tpred is None else tpred[back]
         return logits, tpred
 
-    def _infer(self, X, M):
-        """The float64 softmax of the activity logits of the rows of ``X`` and
-        their time predictions in seconds, clamped at 0 (NaN without a time
-        head), from :meth:`_blocked_outputs` under the fitted parameters."""
-        logits, tpred = self._blocked_outputs(self.params, X, M)
+    def _infer(self, hypotheses):
+        """The float64 softmax of the activity logits of the rows of
+        ``hypotheses`` and their time predictions in seconds, clamped at 0
+        (NaN without a time head), from :meth:`_blocked_outputs` under the
+        fitted parameters."""
+        logits, tpred = self._blocked_outputs(self.params, hypotheses)
         probs = nn.softmax(logits.astype(np.float64))
         times = np.full(len(probs), np.nan)
         if tpred is not None and self.time_norm is not None:
@@ -789,13 +803,16 @@ class _NeuralPredictor(Predictor):
 
     def _start(self, samples):
         """Hypotheses that start from the samples' encoder windows, in sample
-        order, encoded in one pass over their traces' events; no window reads
-        past its prefix. Their case starts, last timestamps and lengths come
-        from the same flat event columns, so a start reads the events once."""
+        order: the feature rows of their traces' events, encoded in one pass,
+        and each window's int32 row ids (:meth:`PrefixEncoder.encode_flat`),
+        from which each batch or block cuts the windows it reads; no window
+        reads past its prefix. Their case starts, last timestamps and lengths
+        come from the same flat event columns, so a start reads the events
+        once."""
         flat = samples.flat
         last = flat.ends - 1
-        X, M = self.encoder.encode_flat(flat, self.dtype)
-        return _WindowHypotheses(self, X, M, flat.first_ms[last], flat.ms[last], flat.ks)
+        rows, ids = self.encoder.encode_flat(flat, self.dtype)
+        return _WindowHypotheses(self, rows, ids, flat.first_ms[last], flat.ms[last], flat.ks)
 
     # checkpointing ---------------------------------------------------------
     def _sidecar_state(self) -> dict:
@@ -822,45 +839,77 @@ class _NeuralPredictor(Predictor):
 
 
 class _NeuralHypotheses:
-    """Hypotheses of a neural model: the network inputs ``X``/``M`` of each,
-    scored by the model's ``_infer``. A start's are the inputs that ``fit``
-    trains on and ``predict_batch`` scores. A subclass carries what stepping
-    its inputs by one decoded event needs, and its ``extend`` takes that step
-    for every surviving hypothesis at once, into new arrays."""
+    """Hypotheses of a neural model, scored by the model's ``_infer``:
+    :meth:`inputs` gives the network inputs ``X`` and mask ``M`` (None for
+    none) of some of them, here rows of the input array ``X`` that each
+    carries. A start's are the inputs that ``fit`` trains on and
+    ``predict_batch`` scores. A subclass carries what stepping its inputs by
+    one decoded event needs, and its ``extend`` takes that step for every
+    surviving hypothesis at once, into new arrays. ``truncated_prefixes``
+    counts the hypotheses whose inputs leave out some of their events (None
+    when the inputs read every event)."""
 
-    def __init__(self, model, X, M):
-        self.model, self.X, self.M = model, X, M
+    truncated_prefixes: int | None = None
+
+    def __init__(self, model, X):
+        self.model, self.X = model, X
+
+    def __len__(self) -> int:
+        return len(self.X)
+
+    def inputs(self, idx=slice(None)):
+        """``X`` and ``M`` of the hypotheses ``idx`` (all by default), in that order."""
+        return self.X[idx], None
+
+    def for_training(self) -> "_NeuralHypotheses":
+        """What training reads of the hypotheses, their inputs, without what
+        a decode step needs (a timed-state start's replay states)."""
+        return _NeuralHypotheses(self.model, self.X)
 
     def predict(self):
-        return self.model._infer(self.X, self.M)
+        return self.model._infer(self)
 
 
 class _WindowHypotheses(_NeuralHypotheses):
-    """Hypotheses of a ``PrefixEncoder`` model. Each carries its window, its
-    case start, its last timestamp and its length; a decoded event's row
-    comes from ``encode_rows``, and the window that takes it from
-    ``windows``, as for a training prefix."""
+    """Hypotheses of a ``PrefixEncoder`` model. They share a table of
+    feature rows, whose row 0 is a zero row, and each carries its window as
+    int32 ids of ``max_len`` rows of that table (0 in the padding slots), its
+    case start, its last timestamp and its length; :meth:`inputs` cuts the
+    windows it is asked for. ``extend`` appends each decoded event's row,
+    from ``encode_rows`` as for a training prefix, to a copy of the table,
+    and shifts its parent's ids left by one slot to take it; every slot
+    before the last ``min(length, limit)`` is zeroed, as in ``windows``.
+    ``truncated_prefixes`` counts the hypotheses longer than the encoder's
+    ``limit``."""
 
-    def __init__(self, model, X, M, first_ms, last_ms, lengths):
-        super().__init__(model, X, M)
+    def __init__(self, model, rows, ids, first_ms, last_ms, lengths):
+        self.model, self.rows, self.ids = model, rows, ids
         self.first_ms, self.last_ms, self.lengths = first_ms, last_ms, lengths
+        self.truncated_prefixes = int((lengths > model.encoder.limit).sum())
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def inputs(self, idx=slice(None)):
+        ids = self.ids[idx]
+        return np.take(self.rows, ids, axis=0), ids != 0
+
+    def for_training(self) -> "_WindowHypotheses":
+        return self  # the rows and ids are the inputs; the rest is one number per hypothesis
 
     def extend(self, parents, tokens, deltas):
         encoder = self.model.encoder
-        n, (T, F) = len(parents), self.X.shape[1:]
+        n = len(parents)
         first_ms, last_ms = self.first_ms[parents], self.last_ms[parents]
         ms = _decoded_ms(last_ms, deltas)
         lengths = self.lengths[parents] + 1
         missing = [vocab.index(MISSING) for vocab in encoder.attribute_vocabs.values()]
         attributes = np.full((n, len(missing)), missing, dtype=np.int64)
-        rows = encoder.encode_rows(np.asarray(tokens), attributes, ms, last_ms, first_ms)
-        # row 0 pads; rows 1 + (T + 1) j ... (T + 1)(j + 1) hold parent j's window, then its new row
-        source = np.zeros((1 + n * (T + 1), F), dtype=self.X.dtype)
-        blocks = source[1:].reshape(n, T + 1, F)
-        blocks[:, :T] = self.X[parents]
-        blocks[:, T] = rows
-        X, M = encoder.windows(source, (T + 1) * np.arange(1, n + 1) + 1, lengths)
-        return _WindowHypotheses(self.model, X, M, first_ms, ms, lengths)
+        decoded = encoder.encode_rows(np.asarray(tokens), attributes, ms, last_ms, first_ms)
+        rows = np.concatenate([self.rows, decoded.astype(self.rows.dtype)])
+        shifted = np.column_stack([self.ids[parents][:, 1:], np.arange(len(self.rows), len(rows), dtype=np.int32)])
+        ids = np.where(encoder.window_mask(lengths), shifted, 0).astype(np.int32)
+        return _WindowHypotheses(self.model, rows, ids, first_ms, ms, lengths)
 
 
 class _ReplayHypotheses(_NeuralHypotheses):
@@ -870,7 +919,7 @@ class _ReplayHypotheses(_NeuralHypotheses):
     event holds, as missing."""
 
     def __init__(self, model, X, states: TimedStates, decoded_counts: np.ndarray):
-        super().__init__(model, X, None)
+        super().__init__(model, X)
         self.states, self.decoded_counts = states, decoded_counts
 
     def extend(self, parents, tokens, deltas):
@@ -888,7 +937,7 @@ class _NgramHypotheses(_NeuralHypotheses):
     its last ``ngram_k - 1`` activity codes (-1 in the empty slots)."""
 
     def __init__(self, model, X, tails):
-        super().__init__(model, X, None)
+        super().__init__(model, X)
         self.tails = tails
 
     def extend(self, parents, tokens, deltas):
@@ -939,9 +988,9 @@ class RecurrentPredictor(_NeuralPredictor):
             layer_caches.append(caches)
         return current[:, -1, :], (layer_caches, idx, X.shape[1])
 
-    def _batch_lengths(self, M):
+    def _batch_lengths(self, hypotheses):
         # the kernel steps a batch from its longest prefix's first column on
-        return M.sum(axis=1)
+        return (hypotheses.ids != 0).sum(axis=1)
 
     def _body_backward(self, params, cache, dfeatures):
         cfg = self.config
@@ -1134,10 +1183,10 @@ class AutoencoderPredictor(_NeuralPredictor):
         params.update(self._init_heads(rng, in_dim))
         return params
 
-    def _pretrain(self, params, X, y_act, rng, seed):
+    def _pretrain(self, params, start, y_act, rng, seed):
         """Greedy layerwise reconstruction pretraining of the encoder stack,
         then a head warmup with the encoder frozen."""
-        cfg = self.config
+        cfg, X = self.config, start.X
 
         clipped = []  # each stage's clipped_batches
 

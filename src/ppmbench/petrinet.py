@@ -226,7 +226,7 @@ def _firing_sequence(
     return None
 
 
-SKIPPED, START = 0, 1  # effect ids: an event that replay skips, and a case start
+SKIPPED, START, IDLE = 0, 1, 2  # effect ids: an event that replay skips, a case start, an event it does not walk
 
 
 def _append(table: np.ndarray, n: int, row) -> np.ndarray:
@@ -247,7 +247,8 @@ class _ReplayTable:
     effect id). Effect e adds row e of ``throughput`` to the throughput and
     visits the places of row e of ``touched``. Effect ``SKIPPED`` changes
     nothing and marks its event nonconforming; ``START`` puts the initial
-    tokens at a case start."""
+    tokens at a case start; ``IDLE`` changes nothing (an event after every
+    prefix of its trace, which replay does not walk)."""
 
     def __init__(self, net: PetriNet):
         self.net = net
@@ -259,7 +260,7 @@ class _ReplayTable:
         self.touched = np.zeros((16, len(initial)), dtype=bool)
         self.throughput[START] = initial
         self.touched[START] = [tokens > 0 for tokens in initial]
-        self.n_effects = 2
+        self.n_effects = 3
         self.initial = self._intern(tuple(initial))
 
     def _intern(self, marking: tuple[int, ...]) -> int:
@@ -362,9 +363,11 @@ def replay_states(
     alone, and a value outside its vocabulary is an ``UnknownLabelError``. A
     prefix of no events without ``at_ms`` is a ``ValueError``.
 
-    One array pass: a Python loop walks ``flat``'s activity labels and looks
-    up each one's effect in the net's ``_ReplayTable``; trace j's rows are a
-    case start row, then its events' rows, each shifted by j + 1. Attribute
+    One array pass: a Python loop walks each trace's activity labels up to
+    its last event ``inside`` a prefix and looks up each one's effect in the
+    net's ``_ReplayTable``; the rows of its later events, which no prefix
+    reads, take effect ``IDLE``. Trace j's rows are a case start row, then
+    its events' rows, each shifted by j + 1. Attribute
     hits are read from the layout's attribute codes
     (:meth:`~ppmbench.splitting.FlatPrefixes.codes`), one array write per
     attribute. Throughput, attribute and nonconforming counts are cumulative
@@ -381,15 +384,19 @@ def replay_states(
     marking_ids: list[int] = []
     effect_ids: list[int] = []
     bounds = flat.starts.tolist()
+    inside_before = np.concatenate([[0], np.cumsum(flat.inside)])[flat.starts]
+    reach = (flat.starts[:-1] + np.diff(inside_before)).tolist()  # one past each trace's last event inside
     labels = list(map(attrgetter("activity"), flat.events))
-    for begin, stop in zip(bounds, bounds[1:]):
+    for begin, walk, stop in zip(bounds, reach, bounds[1:]):
         mid = table.initial
         marking_ids.append(mid)
         effect_ids.append(START)
-        for label in labels[begin:stop]:
+        for label in labels[begin:walk]:
             mid, eid = effects.get((mid, label)) or table.effect(mid, label)
             marking_ids.append(mid)
             effect_ids.append(eid)
+        marking_ids += [mid] * (stop - walk)
+        effect_ids += [IDLE] * (stop - walk)
     places, width = net.num_places, offsets[-1]
     effect_ids = np.array(effect_ids, dtype=np.int64)
     n_rows = len(effect_ids)

@@ -186,9 +186,27 @@ class HashedRandomModel(EventPredictor):
 # ---------------------------------------------------------------------------
 
 def start_inputs(model, samples):
-    """The inputs ``X`` and mask ``M`` (None for none) of the model's start of ``samples``."""
-    start = model._start(SampleSet.of(samples))
-    return start.X, start.M
+    """The inputs ``X`` and mask ``M`` (None for none) of the model's start of
+    ``samples``, every row cut from it."""
+    return model._start(SampleSet.of(samples)).inputs()
+
+
+class DenseInputs:
+    """Inputs ``X`` and mask ``M`` (None for none) held whole, as each model
+    held its sample sets' before its batches and blocks cut their own: what
+    ``_infer`` and ``_blocked_outputs`` read of hypotheses. ``ids`` is
+    nonzero where the mask is set, all that a recurrent model's
+    ``_batch_lengths`` reads of it."""
+
+    def __init__(self, X, M):
+        self.X, self.M = X, M
+        self.ids = None if M is None else M.astype(np.int32)
+
+    def __len__(self):
+        return len(self.X)
+
+    def inputs(self, idx=slice(None)):
+        return self.X[idx], None if self.M is None else self.M[idx]
 
 
 def ref_encode_trace(encoder, events, ks):
@@ -206,7 +224,8 @@ def ref_encode_trace(encoder, events, ks):
         ms[:1],
     )
     rows = np.concatenate([np.zeros((1, rows.shape[1])), rows])
-    return encoder.windows(rows, np.asarray(ks) + 1, ks)
+    ids = encoder.windows(np.asarray(ks) + 1, ks)
+    return rows[ids], ids != 0
 
 
 def ref_batch_inputs(model, samples):

@@ -19,7 +19,10 @@ from ppmbench.bench import (
 )
 from ppmbench.eventlog import CsvSchema, write_csv
 
-from conftest import make_linear_log
+from ppmbench.models import TrainReport
+from ppmbench.splitting import make_prefix_samples
+
+from conftest import _perfbench_generator, make_linear_log
 
 
 @pytest.fixture
@@ -179,6 +182,43 @@ class TestRunMatrix:
         for name in ("metrics.csv", "report.md"):
             text = (out / name).read_text()
             assert "grad_norms" not in text and "clipped_batches" not in text and "learning_rates" not in text
+
+    def test_encoder_truncations_reach_the_cell_json_but_not_metrics_csv(self, tmp_path):
+        # the digest's gru truncating its input at 4 events counts the
+        # training and validation prefixes longer than 4 in its train report,
+        # and the scored test prefixes in its metrics; markov has no encoder
+        generator = _perfbench_generator()
+        path = tmp_path / "generator.csv"
+        generator.write_csv(generator.generate(2, 200), path)
+        gru = {"hidden": 16, "layers": 2, "epochs": 2, "patience": 2, "max_len": 4}
+        config = BenchmarkConfig.from_dict({
+            "config_version": 1,
+            "seed": 1,
+            "out_dir": str(tmp_path / "out"),
+            "datasets": [{"name": "generator", "path": str(path)}],
+            "models": [
+                {"name": "gru-max-len", "architecture": "gru", "hyperparameters": gru},
+                {"name": "markov", "architecture": "markov", "hyperparameters": {}},
+            ],
+            "tasks": ["next_activity", "next_time"],
+        })
+        record = run_matrix(config)
+        split, _ = bench.load_split(config.datasets[0], config.split_fractions)
+        parts = ("train", "validation", "test")
+        longer = {part: sum(s.k > 4 for s in make_prefix_samples(split.part(part))) for part in parts}
+        assert min(longer.values()) > 0
+        out = tmp_path / "out"
+        cells = {cell["model"]: cell for cell in json.loads((out / "run_record.json").read_text())["cells"]}
+        for name, cell in cells.items():
+            assert cell == json.loads((out / "cells" / f"generator__{name}.result.json").read_text())
+        fitted = longer["train"] + longer["validation"]
+        assert [cell.train_report["truncated_prefixes"] for cell in record.cells] == [fitted, None]
+        assert [cell.metrics["truncated_prefixes"] for cell in record.cells] == [longer["test"], None]
+        assert cells["gru-max-len"]["train_report"]["truncated_prefixes"] == fitted
+        assert cells["gru-max-len"]["metrics"]["truncated_prefixes"] == longer["test"]
+        for name in ("metrics.csv", "report.md"):
+            assert "truncated" not in (out / name).read_text()
+        assert "truncated_prefixes" not in TrainReport((), (), 0, 0.0, (), 0, truncated_prefixes=3).core()
 
     def test_identical_split_manifests_across_models(self, tmp_path, log_csv):
         config = small_config(tmp_path, log_csv)

@@ -375,7 +375,8 @@ class TestReferenceEquivalence:
             ks = list(range(1, len(trace)))
             if not ks:
                 continue
-            values, mask = encoder.encode_flat(FlatPrefixes.of([trace.events], [0] * len(ks), ks))
+            rows, ids = encoder.encode_flat(FlatPrefixes.of([trace.events], [0] * len(ks), ks))
+            values, mask = rows[ids], ids != 0
             for j, k in enumerate(ks):
                 ref_values, ref_mask, ref_truncated = reference_encode(encoder, trace.events[:k])
                 assert same_bits(values[j], ref_values) and same_bits(mask[j], ref_mask)
@@ -489,9 +490,9 @@ class TestFlatEncodeMatchesPerTrace:
         log, train, _ = mixed_samples(1)
         encoder = PrefixEncoder(log.activity_vocab, attribute_vocabs=log.attribute_vocabs).fit(train)
         for dtype in (np.float64, np.float32):
-            X, M = encoder.encode_flat(SampleSet([]).flat, dtype)
-            assert X.shape == (0, encoder.max_len, encoder.num_features) and X.dtype == dtype
-            assert M.shape == (0, encoder.max_len) and M.dtype == bool
+            rows, ids = encoder.encode_flat(SampleSet([]).flat, dtype)
+            assert rows.shape == (1, encoder.num_features) and rows.dtype == dtype and not rows.any()
+            assert ids.shape == (0, encoder.max_len) and ids.dtype == np.int32
         with pytest.raises(ValueError, match="zero samples"):
             PrefixEncoder(log.activity_vocab).fit([])
 

@@ -302,9 +302,9 @@ class TestOneStart:
         rows = []
         infer = model._infer
 
-        def counting(X, M):
-            rows.append(len(X))
-            return infer(X, M)
+        def counting(hypotheses):
+            rows.append(len(hypotheses))
+            return infer(hypotheses)
 
         monkeypatch.setattr(model, "_infer", counting)
         evaluate_protocol(model, split.test, DecodeConfig(max_len=3))
@@ -791,13 +791,51 @@ class TestLockstepSearch:
                     assert contexts == [tuple(ev.activity for ev in e[len(e) - order :]) for e in events]
                     continue
                 X, M = reference_inputs(model, as_samples(events))
-                assert np.array_equal(hypotheses.X, X) and hypotheses.X.dtype == X.dtype
-                assert (M is None and hypotheses.M is None) or np.array_equal(hypotheses.M, M)
+                cut_X, cut_M = hypotheses.inputs()
+                assert np.array_equal(cut_X, X) and cut_X.dtype == X.dtype
+                assert (M is None and cut_M is None) or np.array_equal(cut_M, M)
             if model.config.input_mode == "timed_state":
                 states = [models.replay_timed_state(model.petri_net, e, e[-1].timestamp_ms, 1.0) for e in events]
                 nonconforming = [state.nonconforming for state in states]
                 assert hypotheses.states.nonconforming.tolist() == nonconforming
                 assert min(nonconforming) > 0  # every test prefix replays, and every hypothesis has left the net
+
+    def test_window_hypotheses_extend_past_their_window_as_the_reference(self):
+        # an rnn reading a window of 3 events of T = 5 slots, extended for
+        # more than T steps: each step's cut windows equal the reference
+        # encode of the extended prefixes, its ids are its parent's shifted
+        # left with the new row last and zero before the window, and the
+        # rows table grows by the decoded rows alone
+        log, net = generator_log(3, 120)
+        split = temporal_split(log)
+        config = TrainConfig(hidden=8, layers=1, epochs=1, patience=1, window=3, max_len=5)
+        model = build_predictor("rnn", config, split.train.activity_vocab)
+        train(model, split, seed=0)
+        T, limit = model.encoder.max_len, model.encoder.limit
+        assert (T, limit) == (5, 3)
+        samples = make_prefix_samples(split.test)
+        hypotheses = model.hypotheses(samples)
+        events = [s.prefix for s in samples]
+        rng = np.random.default_rng(0)
+        for _ in range(T + 3):
+            parents = rng.integers(0, len(events), size=len(events) + 3)
+            tokens = rng.integers(0, len(model.activity_vocab), size=len(parents)).tolist()
+            deltas = rng.uniform(0.0, 1e6, size=len(parents)).tolist()
+            extended = hypotheses.extend(parents, tokens, deltas)
+            label = model.activity_vocab.label
+            events = [models._extend(events[p], label(t), d) for p, t, d in zip(parents, tokens, deltas)]
+            X, M = reference_inputs(model, as_samples(events))
+            cut_X, cut_M = extended.inputs()
+            assert cut_X.dtype == X.dtype and cut_X.tobytes() == X.tobytes() and np.array_equal(cut_M, M)
+            assert len(extended.rows) == len(hypotheses.rows) + len(parents)
+            new = np.arange(len(hypotheses.rows), len(extended.rows))
+            assert extended.ids.dtype == np.int32 and np.array_equal(extended.ids[:, -1], new)
+            held = np.minimum([len(e) for e in events], limit)
+            assert np.array_equal(extended.ids != 0, np.arange(T) >= T - held[:, None])
+            kept = extended.ids[:, :-1] != 0
+            assert np.array_equal(extended.ids[:, :-1][kept], hypotheses.ids[parents][:, 1:][kept])
+            assert extended.truncated_prefixes == sum(len(e) > limit for e in events)
+            hypotheses = extended
 
     def test_a_decode_starts_with_one_pass_per_sample_set(self, decode_models, monkeypatch):
         # the gru encodes, and the autoencoder hashes, its whole sample set
@@ -840,8 +878,9 @@ class TestLockstepSearch:
             chunks = -(-len(samples) // models.REPLAY_CHUNK) if model.config.input_mode == "timed_state" else 1
             assert len(calls) == chunks, model.architecture
             X, M = reference_inputs(model, samples)
-            assert np.array_equal(hypotheses.X, X) and hypotheses.X.dtype == X.dtype
-            assert (M is None and hypotheses.M is None) or np.array_equal(hypotheses.M, M)
+            cut_X, cut_M = hypotheses.inputs()
+            assert np.array_equal(cut_X, X) and cut_X.dtype == X.dtype
+            assert (M is None and cut_M is None) or np.array_equal(cut_M, M)
         # the last hypotheses are the timed-state mlp's
         missing = trained[7].attribute_vocabs["Resource"].index(MISSING)
         held = [["Resource" in s.trace.events[s.k - 1].attributes] for s in samples]

@@ -36,8 +36,8 @@ from ppmbench.petrinet import PetriNet, TimedStateVector, Transition, replay_sta
 from ppmbench.splitting import FlatPrefixes, PrefixSample, SampleSet, make_prefix_samples, temporal_split
 
 from conftest import (
-    flat_labels, generator_log, make_linear_log, make_random_log, markov_tables, prefix_activities, ref_batch_inputs,
-    start_inputs,
+    DenseInputs, flat_labels, generator_log, make_linear_log, make_random_log, markov_tables, prefix_activities,
+    ref_batch_inputs, start_inputs,
 )
 from test_label_codes import ref_ngram_hash_prefixes
 
@@ -1106,7 +1106,8 @@ class TestInputs:
         samples = make_prefix_samples(log)
         order = np.random.default_rng(0).permutation(len(samples))
         shuffled = [samples[i] for i in order]
-        (X, M, y_act, y_time), (Xs, Ms, ys_act, ys_time) = predictor._fit_arrays(samples, shuffled)
+        (start, y_act, y_time), (shuffled_start, ys_act, ys_time) = predictor._fit_arrays(samples, shuffled)
+        (X, M), (Xs, Ms) = start.inputs(), shuffled_start.inputs()
         rows = []
         for trace in log.traces:
             ks = list(range(1, len(trace)))
@@ -1135,7 +1136,8 @@ def frozen_batch_inputs(model, samples):
         k, dim, seed = cfg.ngram_k, cfg.ngram_dim, cfg.hash_seed
         return ref_ngram_hash_prefixes(flat_labels(flat), flat.ends, flat.ks, k, dim, seed, model.dtype), None
     if model.config.input_mode != "timed_state":
-        return model.encoder.encode_flat(SampleSet.of(samples).flat, model.dtype)
+        rows, ids = model.encoder.encode_flat(SampleSet.of(samples).flat, model.dtype)
+        return rows[ids], ids != 0
     vocabs = {name: model.attribute_vocabs[name] for name in model.config.attributes}
     X = np.empty((len(samples), TimedStateVector.width(model.petri_net, vocabs)), model.dtype)
     for s in range(0, len(samples), REPLAY_CHUNK):
@@ -1172,7 +1174,8 @@ class TestFrozenInputPaths:
         model = build_predictor(arch, cfg, log.activity_vocab, log.attribute_vocabs, net)
         train_samples, val = make_prefix_samples(split.train), make_prefix_samples(split.validation)
         model.fit(train_samples, val, seed=1)
-        for (X, M, _, _), samples in zip(model._fit_arrays(train_samples, val), (train_samples, val)):
+        for (start, _, _), samples in zip(model._fit_arrays(train_samples, val), (train_samples, val)):
+            X, M = start.inputs()
             frozen_X, frozen_M = frozen_batch_inputs(model, samples)
             assert X.dtype == frozen_X.dtype and X.tobytes() == frozen_X.tobytes()
             assert (M is None and frozen_M is None) or M.tobytes() == frozen_M.tobytes()
@@ -1180,7 +1183,7 @@ class TestFrozenInputPaths:
         mixed = [test[i] for i in np.random.default_rng(1).choice(len(test), size=len(test) + 50)]
         for samples in (test, mixed):
             probs, times = model.predict_batch(samples)
-            frozen_probs, frozen_times = model._infer(*frozen_batch_inputs(model, samples))
+            frozen_probs, frozen_times = model._infer(DenseInputs(*frozen_batch_inputs(model, samples)))
             assert probs.tobytes() == frozen_probs.tobytes() and times.tobytes() == frozen_times.tobytes()
 
 
@@ -1362,7 +1365,7 @@ def invariance_split():
 def zero_padded_blocked_outputs(predictor, X, M):
     """``_blocked_outputs`` as it was when it padded a short last block with
     zero rows under an all-False mask, kept as the reference."""
-    lengths = predictor._batch_lengths(M)
+    lengths = M.sum(axis=1)
     rows = np.argsort(-lengths, kind="stable")
 
     def block(a, s):
@@ -1431,10 +1434,10 @@ class TestBatchInvariance:
         cfg = TrainConfig(hidden=16, layers=layers, epochs=1, patience=1, **overrides)
         predictor = build_predictor(arch, cfg, log.activity_vocab, log.attribute_vocabs)
         train(predictor, split, seed=1)
-        X, M = start_inputs(predictor, make_prefix_samples(split.test))
-        assert len(X) % models.ROW_BLOCK
-        logits, tpred = predictor._blocked_outputs(predictor.params, X, M)
-        zero_logits, zero_tpred = zero_padded_blocked_outputs(predictor, X, M)
+        start = predictor.hypotheses(make_prefix_samples(split.test))
+        assert len(start) % models.ROW_BLOCK
+        logits, tpred = predictor._blocked_outputs(predictor.params, start)
+        zero_logits, zero_tpred = zero_padded_blocked_outputs(predictor, *start.inputs())
         assert logits.tobytes() == zero_logits.tobytes() and tpred.tobytes() == zero_tpred.tobytes()
 
     def test_a_recurrent_forward_blocks_its_rows_longest_first(self, monkeypatch):
@@ -1456,6 +1459,124 @@ class TestBatchInvariance:
         lengths = np.sort(ref_batch_inputs(predictor, samples)[1].sum(axis=1))[::-1]
         # a block steps from the first column of its longest row
         assert stepped == [lengths[s] for s in range(0, len(samples), models.ROW_BLOCK)]
+
+
+def frozen_blocks(X, M, recurrent):
+    """The inputs of each block of ``_blocked_outputs`` of rows ``X``, ``M``,
+    cut from those arrays: rows longest first for a recurrent model, the last
+    block filled with copies of its last row."""
+    rows = np.argsort(-M.sum(axis=1), kind="stable") if recurrent else np.arange(len(X))
+    filled = np.append(rows, np.repeat(rows[-1:], -len(rows) % models.ROW_BLOCK))
+    cuts = [filled[s : s + models.ROW_BLOCK] for s in range(0, len(X), models.ROW_BLOCK)]
+    return [(X[idx], M[idx]) for idx in cuts]
+
+
+def same_inputs(cut, frozen):
+    """Two (X, M) pairs hold the same bits, dtypes included."""
+    return all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in zip(cut, frozen))
+
+
+class TestCutInputs:
+    """A window model's start holds its feature rows and int32 row ids, and
+    every batch of ``fit`` and every block of ``_blocked_outputs`` (training,
+    validation and scoring) cuts its windows from them as it reads them: each
+    equals the rows of the padded inputs of its whole sample set, frozen as
+    the per-trace encode and ``encoder.windows`` build them, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "arch, overrides",
+        [
+            ("gru", {"attributes": ("Resource",)}),
+            ("lstm", {"embedding_dim": 4}),
+            ("rnn", {"window": 3, "max_len": 5}),
+            ("mlp", {"input_mode": "padded_flat"}),
+            ("mlp", {"input_mode": "single_event"}),
+        ],
+        ids=["gru", "lstm-embedding", "rnn-window", "mlp-padded-flat", "mlp-single-event"],
+    )
+    def test_every_batch_and_block_equals_the_frozen_padded_inputs(self, arch, overrides, monkeypatch):
+        log, net, split = invariance_split()
+        cfg = TrainConfig(hidden=8, layers=1, epochs=2, patience=2, batch_size=16, **overrides)
+        model = build_predictor(arch, cfg, log.activity_vocab, log.attribute_vocabs)
+        train_samples, val, test = map(make_prefix_samples, (split.train, split.validation, split.test))
+        assert len(val) % models.ROW_BLOCK and len(test) % models.ROW_BLOCK  # each last block is filled
+        batches, fed, blocks = [], [], []
+        sgd_train, batch_loss, outputs = models._sgd_train, model._batch_loss, model._outputs
+
+        def spying_sgd_train(params, batch_step, *args):
+            def step(p, idx):
+                batches.append(idx)
+                return batch_step(p, idx)
+
+            return sgd_train(params, step, *args)
+
+        def spying_batch_loss(params, X, M, *targets):
+            fed.append((X, M))
+            return batch_loss(params, X, M, *targets)
+
+        def spying_outputs(params, X, M):
+            if len(X) == models.ROW_BLOCK:  # a block, not a training batch
+                blocks.append((X, M))
+            return outputs(params, X, M)
+
+        monkeypatch.setattr(models, "_sgd_train", spying_sgd_train)
+        monkeypatch.setattr(model, "_batch_loss", spying_batch_loss)
+        monkeypatch.setattr(model, "_outputs", spying_outputs)
+        model.fit(train_samples, val, seed=1)
+        recurrent = arch != "mlp"
+        if arch == "rnn":
+            assert model.encoder.limit == 3 < model.encoder.max_len
+        X, M = ref_batch_inputs(model, train_samples)
+        rng = np.random.default_rng(1)  # the seed of fit's one SGD stage
+        epochs = [models._epoch_batches(rng, len(X), cfg.batch_size, M.sum(axis=1) if recurrent else None)
+                  for _ in range(cfg.epochs)]
+        assert len(batches) == len(fed) == sum(map(len, epochs))
+        assert all(np.array_equal(idx, expected) for idx, expected in zip(batches, sum(epochs, [])))
+        for idx, cut in zip(batches, fed):
+            assert same_inputs(cut, (X[idx], M[idx]))
+        val_blocks = frozen_blocks(*ref_batch_inputs(model, val), recurrent)
+        assert len(blocks) == cfg.epochs * len(val_blocks)  # one validation forward per epoch
+        assert all(same_inputs(cut, frozen) for cut, frozen in zip(blocks, val_blocks * cfg.epochs))
+        blocks.clear()
+        model.predict_batch(test)
+        test_blocks = frozen_blocks(*ref_batch_inputs(model, test), recurrent)
+        assert len(blocks) == len(test_blocks)
+        assert all(same_inputs(cut, frozen) for cut, frozen in zip(blocks, test_blocks))
+
+
+class TestStartMemory:
+    """A gru start holds the feature rows of its events and int32 row ids,
+    no (N, T, F) padded inputs, so ``train()`` peaks below the size of the
+    padded training inputs it no longer builds."""
+
+    CONFIG = TrainConfig(hidden=8, layers=1, epochs=1, patience=1, attributes=("Resource",))
+
+    def test_a_start_holds_rows_and_int32_ids(self):
+        log, net, split = invariance_split()
+        model = build_predictor("gru", self.CONFIG, log.activity_vocab, log.attribute_vocabs)
+        train(model, split, seed=1)
+        samples = SampleSet(make_prefix_samples(split.train))
+        start = model._start(samples)
+        n, T, F = len(samples), model.encoder.max_len, model.encoder.num_features
+        events = int(samples.flat.inside.sum())
+        arrays = [a for a in vars(start).values() if isinstance(a, np.ndarray)]
+        assert max(a.size for a in arrays) < n * T * F
+        assert start.rows.shape == (events + 1, F) and start.ids.shape == (n, T) and start.ids.dtype == np.int32
+        per_hypothesis = 3 * 8 * n  # int64 case start, last timestamp and length
+        assert sum(a.nbytes for a in arrays) <= start.rows.nbytes + start.ids.nbytes + per_hypothesis
+
+    def test_train_peaks_below_the_padded_inputs(self):
+        log, net, split = invariance_split()
+        model = build_predictor("gru", self.CONFIG, log.activity_vocab, log.attribute_vocabs)
+        tracemalloc.start()
+        try:
+            train(model, split, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded = len(make_prefix_samples(split.train)) * model.encoder.max_len * model.encoder.num_features * 4
+        assert peak < padded
 
 
 def fit_keeping_val_loss(monkeypatch, predictor, train_samples, val_samples):
@@ -1517,16 +1638,16 @@ class TestValidationLoss:
         targets = np.array([log.activity_vocab.index(s.next_activity) for s in val])
         assert cross_entropies == [float(-np.log(np.maximum(probs[np.arange(rows), targets], 1e-300)).mean())]
         # a refit of the encoding on the same samples gives the state the fit trained with
-        val_arrays = predictor._fit_arrays(train_samples, val)[1]
-        whole_set = predictor._head_loss(predictor.params, *val_arrays)[0]
+        val_start, y_act, y_time = predictor._fit_arrays(train_samples, val)[1]
+        whole_set = predictor._head_loss(predictor.params, *val_start.inputs(), y_act, y_time)[0]
         assert loss == pytest.approx(whole_set, rel=1e-6)
         if predictor.time_target is None:  # the autoencoder has no time head
             assert loss == cross_entropies[0]
         else:
             assert loss > cross_entropies[0]
         order = np.random.default_rng(rows).permutation(rows)
-        logits, _ = predictor._blocked_outputs(predictor.params, *start_inputs(predictor, val))
-        shuffled, _ = predictor._blocked_outputs(predictor.params, *start_inputs(predictor, [val[i] for i in order]))
+        logits, _ = predictor._blocked_outputs(predictor.params, predictor.hypotheses(val))
+        shuffled, _ = predictor._blocked_outputs(predictor.params, predictor.hypotheses([val[i] for i in order]))
         assert np.array_equal(shuffled, logits[order])
 
     def test_a_recurrent_validation_forward_steps_each_block_from_its_longest_row(self, monkeypatch):

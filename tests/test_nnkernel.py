@@ -1161,7 +1161,8 @@ class TestRecurrentBatchLoss:
         samples = make_prefix_samples(temporal_split(log).train)
         config = TrainConfig(**{"hidden": 16, "layers": 2, **overrides})
         predictor = build_predictor(arch, config, log.activity_vocab, log.attribute_vocabs)
-        X, M, y_act, y_time = predictor._fit_arrays(samples)[0]
+        start, y_act, y_time = predictor._fit_arrays(samples)[0]
+        X, M = start.inputs()
         rows = np.argsort(M.sum(axis=1), kind="stable")[100:132] if batch == "bucketed" else np.arange(40)
         args = (X[rows], M[rows], y_act[rows], None if y_time is None else y_time[rows])
         params = predictor._build_params(np.random.default_rng(0))

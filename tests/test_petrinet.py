@@ -7,7 +7,7 @@ from collections import Counter, deque
 import numpy as np
 import pytest
 
-from ppmbench.eventlog import MISSING, Event, Vocabulary
+from ppmbench.eventlog import EOC, MISSING, Event, Vocabulary
 from ppmbench.models import REPLAY_CHUNK, MLPPredictor, TrainConfig
 from ppmbench.petrinet import (
     SKIPPED,
@@ -692,6 +692,29 @@ class TestReplayPass:
             rows = replay_states(net, FlatPrefixes.of(traces, trace_of, ks), None, vocabs).vectors(net, self.DECAY_S)
             assert rows.dtype == np.float64 and rows.tobytes() == expected[order].tobytes()
         return prefixes, expected
+
+    def test_no_event_after_every_prefix_of_its_trace_is_walked(self):
+        # every trace keeps one or two events after its longest prefix (the
+        # end-of-case one among them), whose labels replay never looks up:
+        # its states equal those of the traces cut after their longest
+        # prefix, field by field, and the net's table holds no effect of them
+        log, net = generator_log(1, 60)
+        _, cut_net = generator_log(1, 60)
+        vocabs = {"Resource": log.attribute_vocabs["Resource"]}
+        traces = [t.events for t in log.traces if len(t) > 3]
+        longest = [len(events) - 1 - j % 2 for j, events in enumerate(traces)]
+        prefixes = [(j, k) for j, top in enumerate(longest) for k in range(1, top + 1)]
+        trace_of, ks = np.array(prefixes, dtype=np.int64)[np.random.default_rng(0).permutation(len(prefixes))].T
+        flat = FlatPrefixes.of(traces, trace_of, ks)
+        assert (~flat.inside).sum() == sum(len(events) - top for events, top in zip(traces, longest))
+        states = replay_states(net, flat, None, vocabs)
+        cut = [events[:top] for events, top in zip(traces, longest)]
+        expected = replay_states(cut_net, FlatPrefixes.of(cut, trace_of, ks), None, vocabs)
+        for field in dataclasses.fields(TimedStates):
+            a, b = getattr(states, field.name), getattr(expected, field.name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+        assert net._table.effects.keys() == cut_net._table.effects.keys()
+        assert not any(label == EOC for _, label in net._table.effects)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_generator_log_prefixes(self, seed):
