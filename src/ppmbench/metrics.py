@@ -95,6 +95,7 @@ class MetricsReport:
     mae_remaining: float | None = None
     truncated_suffixes: int | None = None  # decodes cut at max_len; never a metrics.csv row
     truncated_prefixes: int | None = None  # scored prefixes longer than the encoder window; never a metrics.csv row
+    nonconforming_prefixes: int | None = None  # scored prefixes whose replay skipped an event; never a metrics.csv row
     n_samples: dict[str, int] = field(default_factory=dict)
 
     def as_rows(self) -> list[tuple[str, str, float, int]]:
@@ -129,7 +130,9 @@ def evaluate_protocol(
     sample i with the seed ``decode_cfg.seed XOR i``;
     ``truncated_suffixes`` counts those cut at the length limit, and
     ``truncated_prefixes`` the scored prefixes longer than the model's
-    encoder window (None without an encoder), as the start counts them. A
+    encoder window (None without an encoder) and ``nonconforming_prefixes``
+    those whose Petri-net replay skipped an event (None without a replay),
+    as the start counts them. A
     ``"next"`` model scores next time from its delta head and remaining time
     as the sum of the decoded step deltas; a ``"remaining"`` model scores
     remaining time from its direct head, clamped at 0, and skips next time; a
@@ -155,6 +158,7 @@ def evaluate_protocol(
     if scoring or decoding:
         start = model.hypotheses(samples.check())
         report.truncated_prefixes = start.truncated_prefixes
+        report.nonconforming_prefixes = start.nonconforming_prefixes
     if scoring:
         probs, times = start.predict()
     if want_next:

@@ -8,8 +8,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -65,8 +66,10 @@ class TrainConfig:
     freeze_epochs: int = 5
 
     def __post_init__(self):
-        """Every size and count is an ``int``, not a ``bool``, in its range,
-        ``attributes`` a list of names; anything else is a ``ValueError``."""
+        """Every size and count is an ``int``, not a ``bool``, every rate and
+        horizon a finite ``int`` or ``float``, not a ``bool``, each in its
+        range, ``attributes`` a list of names; anything else is a
+        ``ValueError`` that names the field."""
         names = self.attributes
         if not (isinstance(names, (list, tuple)) and all(isinstance(name, str) for name in names)):
             raise ValueError(f"attributes must be a list of attribute names, got {self.attributes!r}")
@@ -97,18 +100,21 @@ class TrainConfig:
             at_least("ae_hidden entry", size, 1)
         for name in ("order", "pretrain_epochs", "freeze_epochs"):
             at_least(name, getattr(self, name), 0)
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
-        if self.decay_seconds is not None and not self.decay_seconds > 0:
-            raise ValueError(f"decay_seconds must be > 0, got {self.decay_seconds!r}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr!r}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
-        if self.clip_norm is not None and not self.clip_norm > 0:
-            raise ValueError(f"clip_norm must be null or > 0, got {self.clip_norm!r}")
-        if not 0 < self.lr_decay <= 1:
-            raise ValueError(f"lr_decay must lie in (0, 1], got {self.lr_decay!r}")
+
+        def real(name, rule, within, optional=False):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+                if not (optional and value is None):
+                    raise ValueError(f"{name} must be a finite number, got {value!r}")
+            elif not within(value):
+                raise ValueError(f"{name} must {rule}, got {value!r}")
+
+        real("alpha", "be >= 0", lambda value: value >= 0)
+        real("decay_seconds", "be > 0", lambda value: value > 0, optional=True)
+        real("lr", "be > 0", lambda value: value > 0)
+        real("momentum", "lie in [0, 1)", lambda value: 0 <= value < 1)
+        real("clip_norm", "be null or > 0", lambda value: value > 0, optional=True)
+        real("lr_decay", "lie in (0, 1]", lambda value: 0 < value <= 1)
         if not (type(self.hash_seed) is int and 0 <= self.hash_seed < 2**64):
             raise ValueError(f"hash_seed must be an integer in [0, 2**64), got {self.hash_seed!r}")
 
@@ -131,8 +137,10 @@ class TrainReport:
     stages; a stage of no epochs has ``()``); it is ``()`` for the other
     models. ``truncated_prefixes`` counts the training and validation
     prefixes longer than a ``PrefixEncoder`` model's window, whose oldest
-    events its inputs leave out (None for a model without one); it stays
-    outside :meth:`core` too.
+    events its inputs leave out (None for a model without one), and
+    ``nonconforming_prefixes`` those whose Petri-net replay skipped at least
+    one event (None for a model without a replay); both stay outside
+    :meth:`core` too.
     """
 
     train_losses: tuple[float, ...]
@@ -146,6 +154,7 @@ class TrainReport:
     learning_rates: tuple[float, ...] = ()
     stage_clipped_batches: tuple[tuple[int, ...], ...] = ()
     truncated_prefixes: int | None = None
+    nonconforming_prefixes: int | None = None
 
     def core(self) -> dict:
         return {
@@ -304,6 +313,7 @@ class EventHypotheses:
     but has ``activity_vocab`` and ``predict(events)``, decodes."""
 
     truncated_prefixes: int | None = None  # the events are read whole
+    nonconforming_prefixes: int | None = None  # no replay
 
     def __init__(self, model, prefixes):
         self.model = model
@@ -462,6 +472,7 @@ class _MarkovHypotheses:
     event."""
 
     truncated_prefixes: int | None = None  # no encoder window
+    nonconforming_prefixes: int | None = None  # no replay
 
     def __init__(self, model: MarkovPredictor, contexts: np.ndarray):
         self.model, self.contexts = model, contexts
@@ -485,8 +496,6 @@ class _MarkovHypotheses:
 # ---------------------------------------------------------------------------
 
 POOL_BATCHES = 32  # batches per length-sorted pool of a recurrent model's epoch
-REPLAY_CHUNK = 256  # samples per timed-state replay pass; bounds the pass's (events, places) arrays
-START_INT32 = ("throughput", "attribute_counts", "nonconforming")  # TimedStates counts a start holds narrower
 ROW_BLOCK = 64  # rows per block of the forward that scores hypotheses (see _NeuralPredictor._blocked_outputs)
 
 
@@ -665,8 +674,8 @@ class _NeuralPredictor(Predictor):
 
     def _fit_arrays(self, train_samples, val_samples=()):
         """Read every target of both sample sets, fit the input encoding and the time normalizer
-        on the training set, and return each set's start as training holds it (the hypotheses its
-        inputs are cut from, :meth:`_NeuralHypotheses.for_training`), activity indices and time targets."""
+        on the training set, and return each set's start (the hypotheses its inputs are cut from,
+        :meth:`_NeuralHypotheses.inputs`), activity indices and time targets."""
         sets, target = (SampleSet.of(train_samples), SampleSet.of(val_samples)), self.config.time_target
         if not sets[0]:
             raise ValueError("no training samples")
@@ -676,7 +685,7 @@ class _NeuralPredictor(Predictor):
         if target is not None:
             self.time_norm = Normalizer("log").fit(y_times[0])
             y_times = [self.time_norm.transform(y_time) for y_time in y_times]
-        return [(self._start(s).for_training(), y_act, y_time) for s, y_act, y_time in zip(sets, y_acts, y_times)]
+        return [(self._start(s), y_act, y_time) for s, y_act, y_time in zip(sets, y_acts, y_times)]
 
     def _init_heads(self, rng, n_features: int) -> dict[str, np.ndarray]:
         n_classes = len(self.activity_vocab)
@@ -750,13 +759,10 @@ class _NeuralPredictor(Predictor):
         self.params, report = _sgd_train(
             params, batch_step, val_loss, len(start), self.config, seed, self._batch_lengths(start)
         )
-        truncated = start.truncated_prefixes
-        return replace(
-            report,
-            wall_clock_seconds=time.perf_counter() - began,
-            stage_clipped_batches=stage_clipped_batches,
-            truncated_prefixes=None if truncated is None else truncated + val_start.truncated_prefixes,
-        )
+        counted = {name: getattr(start, name) for name in ("truncated_prefixes", "nonconforming_prefixes")}
+        counts = {name: None if n is None else n + getattr(val_start, name) for name, n in counted.items()}
+        return replace(report, wall_clock_seconds=time.perf_counter() - began,
+                       stage_clipped_batches=stage_clipped_batches, **counts)
 
     def _blocked_outputs(self, params, hypotheses):
         """The activity logits and the time predictions (None without a time
@@ -847,9 +853,11 @@ class _NeuralHypotheses:
     one decoded event needs, and its ``extend`` takes that step for every
     surviving hypothesis at once, into new arrays. ``truncated_prefixes``
     counts the hypotheses whose inputs leave out some of their events (None
-    when the inputs read every event)."""
+    when the inputs read every event), and ``nonconforming_prefixes`` those
+    whose replay skipped an event (None without a replay)."""
 
     truncated_prefixes: int | None = None
+    nonconforming_prefixes: int | None = None
 
     def __init__(self, model, X):
         self.model, self.X = model, X
@@ -860,11 +868,6 @@ class _NeuralHypotheses:
     def inputs(self, idx=slice(None)):
         """``X`` and ``M`` of the hypotheses ``idx`` (all by default), in that order."""
         return self.X[idx], None
-
-    def for_training(self) -> "_NeuralHypotheses":
-        """What training reads of the hypotheses, their inputs, without what
-        a decode step needs (a timed-state start's replay states)."""
-        return _NeuralHypotheses(self.model, self.X)
 
     def predict(self):
         return self.model._infer(self)
@@ -894,9 +897,6 @@ class _WindowHypotheses(_NeuralHypotheses):
         ids = self.ids[idx]
         return np.take(self.rows, ids, axis=0), ids != 0
 
-    def for_training(self) -> "_WindowHypotheses":
-        return self  # the rows and ids are the inputs; the rest is one number per hypothesis
-
     def extend(self, parents, tokens, deltas):
         encoder = self.model.encoder
         n = len(parents)
@@ -914,21 +914,26 @@ class _WindowHypotheses(_NeuralHypotheses):
 
 class _ReplayHypotheses(_NeuralHypotheses):
     """Hypotheses of a timed-state MLP. Each carries its replay state
-    (marking, throughput, last visits, attribute counts, last timestamp) and
-    the attribute counts a decoded event adds: every attribute its last real
-    event holds, as missing."""
+    (marking, throughput, last visits, attribute counts, last timestamp),
+    from which :meth:`inputs` cuts its input vector, and the attribute counts
+    a decoded event adds: every attribute its last real event holds, as missing."""
 
-    def __init__(self, model, X, states: TimedStates, decoded_counts: np.ndarray):
-        super().__init__(model, X)
-        self.states, self.decoded_counts = states, decoded_counts
+    def __init__(self, model, states: TimedStates, decoded_counts: np.ndarray):
+        self.model, self.states, self.decoded_counts = model, states, decoded_counts
+        self.nonconforming_prefixes = int(np.count_nonzero(states.nonconforming))
+
+    def __len__(self) -> int:
+        return len(self.states.at_ms)
+
+    def inputs(self, idx=slice(None)):
+        return self.states.vectors(self.model.petri_net, self.model.decay_seconds, self.model.dtype, idx), None
 
     def extend(self, parents, tokens, deltas):
         model, decoded_counts = self.model, self.decoded_counts[parents]
         labels = [model.activity_vocab.label(t) for t in tokens]
         at_ms = _decoded_ms(self.states.at_ms[parents], deltas)
         states = self.states.step(model.petri_net, parents, labels, at_ms, decoded_counts)
-        X = states.vectors(model.petri_net, model.decay_seconds, model.dtype)
-        return _ReplayHypotheses(model, X, states, decoded_counts)
+        return _ReplayHypotheses(model, states, decoded_counts)
 
 
 class _NgramHypotheses(_NeuralHypotheses):
@@ -1054,35 +1059,19 @@ class MLPPredictor(_NeuralPredictor):
     def _start(self, samples):
         """Timed-state hypotheses start from the replay states of the
         samples' prefixes, read at each prefix's last event with the
-        configured attributes. Each consecutive range of ``REPLAY_CHUNK``
-        samples is a set of its own, laid out and replayed in one pass (an
-        empty set in one pass of no samples). Its states, input rows and the
-        attributes its prefixes' last events hold, which a decoded event
-        counts as missing, are copied into arrays of every sample's row
-        before the next pass, so only one range's states are held twice; the
-        counts are held as int32 (``START_INT32``), cast exactly by ``vectors``."""
+        configured attributes, in one ``replay_states`` pass over the set's
+        layout (whose blocks bound the pass's memory), and from the
+        attributes the prefixes' last events hold, which a decoded event
+        counts as missing. No input vectors are held: each batch or block
+        cuts its own from the states (:meth:`_ReplayHypotheses.inputs`)."""
         if self.config.input_mode != "timed_state":
             return super()._start(samples)
-        net, vocabs, n = self.petri_net, self._timed_state_vocabs(), len(samples)
-        X, columns = np.empty((n, TimedStateVector.width(net, vocabs)), self.dtype), None
+        flat, vocabs = samples.flat, self._timed_state_vocabs()
         offsets = np.cumsum([0] + [len(vocab) for vocab in vocabs.values()]).tolist()
-        decoded_counts = np.zeros((n, offsets[-1]), np.int32)
-        for s in range(0, max(n, 1), REPLAY_CHUNK):
-            flat = samples[s : s + REPLAY_CHUNK].flat
-            part = replay_states(net, flat, None, vocabs)
-            X[s : s + REPLAY_CHUNK] = part.vectors(net, self.decay_seconds, self.dtype)
-            arrays = [getattr(part, f.name) for f in fields(TimedStates)]
-            columns = columns or [
-                np.empty((n,) + a.shape[1:], np.int32 if f.name in START_INT32 else a.dtype)
-                for f, a in zip(fields(TimedStates), arrays)
-            ]
-            for column, a in zip(columns, arrays):
-                column[s : s + REPLAY_CHUNK] = a
-            for (name, vocab), offset in zip(vocabs.items(), offsets):
-                held = flat.codes(vocab, name)[flat.ends - 1] >= 0
-                decoded_counts[s : s + REPLAY_CHUNK, offset + vocab.index(MISSING)] = held
-        states = TimedStates(*columns)
-        return _ReplayHypotheses(self, X, states, decoded_counts)
+        decoded_counts = np.zeros((len(samples), offsets[-1]), np.int32)
+        for (name, vocab), offset in zip(vocabs.items(), offsets):
+            decoded_counts[:, offset + vocab.index(MISSING)] = flat.codes(vocab, name)[flat.ends - 1] >= 0
+        return _ReplayHypotheses(self, replay_states(self.petri_net, flat, None, vocabs), decoded_counts)
 
     def _build_params(self, rng):
         cfg = self.config

@@ -226,7 +226,8 @@ def _firing_sequence(
     return None
 
 
-SKIPPED, START, IDLE = 0, 1, 2  # effect ids: an event that replay skips, a case start, an event it does not walk
+SKIPPED, START = 0, 1  # effect ids: an event that replay skips, a case start
+REPLAY_ROWS = 1024  # rows per block of replay_states' array pass, which bounds its (rows, places) arrays
 
 
 def _append(table: np.ndarray, n: int, row) -> np.ndarray:
@@ -247,8 +248,7 @@ class _ReplayTable:
     effect id). Effect e adds row e of ``throughput`` to the throughput and
     visits the places of row e of ``touched``. Effect ``SKIPPED`` changes
     nothing and marks its event nonconforming; ``START`` puts the initial
-    tokens at a case start; ``IDLE`` changes nothing (an event after every
-    prefix of its trace, which replay does not walk)."""
+    tokens at a case start."""
 
     def __init__(self, net: PetriNet):
         self.net = net
@@ -260,7 +260,7 @@ class _ReplayTable:
         self.touched = np.zeros((16, len(initial)), dtype=bool)
         self.throughput[START] = initial
         self.touched[START] = [tokens > 0 for tokens in initial]
-        self.n_effects = 3
+        self.n_effects = 2
         self.initial = self._intern(tuple(initial))
 
     def _intern(self, marking: tuple[int, ...]) -> int:
@@ -300,37 +300,38 @@ class TimedStates:
     """Replay states of S prefixes as arrays over the net's P places and the
     W values of some attribute vocabularies (one block per vocabulary, in
     its order). A place is ``visited`` once it has received a token;
-    ``last_visit_ms`` is read only where it is. Decay is read at ``at_ms``."""
+    ``last_visit_ms`` is read only where it is. Decay is read at ``at_ms``.
+    :meth:`decay` and :meth:`vectors` give rows ``rows`` (all by default), each as in the whole set's."""
 
     marking_ids: np.ndarray  # (S,) rows of the net's marking table
-    throughput: np.ndarray  # (S, P) int64, or int32
+    throughput: np.ndarray  # (S, P) int64
     last_visit_ms: np.ndarray  # (S, P) int64
     visited: np.ndarray  # (S, P) bool
-    attribute_counts: np.ndarray  # (S, W) int64, or int32
-    nonconforming: np.ndarray  # (S,) int64, or int32
+    attribute_counts: np.ndarray  # (S, W) int64
+    nonconforming: np.ndarray  # (S,) int64
     at_ms: np.ndarray  # (S,) int64
 
-    def decay(self, decay_seconds: float) -> np.ndarray:
-        """(S, P) decay values: ``1 - (at - last_visit) / decay_T`` clamped
-        to [0, 1], and 0 for places never visited."""
-        if decay_seconds <= 0:
+    def decay(self, decay_seconds: float, rows=slice(None)) -> np.ndarray:
+        """(len(rows), P) decay values: ``1 - (at - last_visit) / decay_T``
+        clamped to [0, 1], and 0 for places never visited."""
+        if not decay_seconds > 0:  # NaN too
             raise ValueError("decay_seconds must be positive")
-        decay = (self.at_ms[:, None] - self.last_visit_ms) / 1000.0
+        decay = (self.at_ms[rows, None] - self.last_visit_ms[rows]) / 1000.0
         decay /= decay_seconds
         np.subtract(1.0, decay, out=decay)
         np.clip(decay, 0.0, 1.0, out=decay)
-        decay[~self.visited] = 0.0
+        decay *= self.visited[rows]  # 0 for places never visited
         return decay
 
-    def vectors(self, net: PetriNet, decay_seconds: float, dtype=np.float64) -> np.ndarray:
-        """(S, 3P + W) rows laid out as :meth:`TimedStateVector.to_vector`,
+    def vectors(self, net: PetriNet, decay_seconds: float, dtype=np.float64, rows=slice(None)) -> np.ndarray:
+        """(len(rows), 3P + W) rows laid out as :meth:`TimedStateVector.to_vector`,
         cast to ``dtype``."""
         places = self.throughput.shape[1]
-        out = np.empty((len(self.at_ms), 3 * places + self.attribute_counts.shape[1]), dtype=dtype)
-        out[:, :places] = self.decay(decay_seconds)
-        out[:, places : 2 * places] = self.throughput
-        out[:, 2 * places : 3 * places] = net._table.markings[self.marking_ids]
-        out[:, 3 * places :] = self.attribute_counts
+        out = np.empty((len(self.at_ms[rows]), 3 * places + self.attribute_counts.shape[1]), dtype=dtype)
+        out[:, :places] = self.decay(decay_seconds, rows)
+        out[:, places : 2 * places] = self.throughput[rows]
+        out[:, 2 * places : 3 * places] = net._table.markings[self.marking_ids[rows]]
+        out[:, 3 * places :] = self.attribute_counts[rows]
         return out
 
     def step(self, net: PetriNet, rows, labels: Sequence[str], at_ms: np.ndarray, attribute_steps) -> "TimedStates":
@@ -363,12 +364,14 @@ def replay_states(
     alone, and a value outside its vocabulary is an ``UnknownLabelError``. A
     prefix of no events without ``at_ms`` is a ``ValueError``.
 
-    One array pass: a Python loop walks each trace's activity labels up to
-    its last event ``inside`` a prefix and looks up each one's effect in the
-    net's ``_ReplayTable``; the rows of its later events, which no prefix
-    reads, take effect ``IDLE``. Trace j's rows are a case start row, then
-    its events' rows, each shifted by j + 1. Attribute
-    hits are read from the layout's attribute codes
+    Trace j's rows are a case start row, then a row for each of its events
+    ``inside`` a prefix, the events replay walks. The traces are replayed in
+    blocks of whole traces, each of at most ``REPLAY_ROWS`` rows (a longer
+    trace is a block of its own), and each block writes the states of its
+    traces' prefixes into the output arrays, so no (rows, places) array of
+    the pass outgrows a block. In a block, a Python loop walks each trace's activity
+    labels and looks up each one's effect in the net's ``_ReplayTable``;
+    attribute hits are read from the layout's attribute codes
     (:meth:`~ppmbench.splitting.FlatPrefixes.codes`), one array write per
     attribute. Throughput, attribute and nonconforming counts are cumulative
     sums over the rows, restarted at each case start; a place's last visit
@@ -379,58 +382,60 @@ def replay_states(
         raise ValueError("a prefix of no events has no last event to read its decay at")
     vocabs = list((attribute_vocabs or {}).items())
     offsets = np.cumsum([0] + [len(vocab) for _, vocab in vocabs]).tolist()
+    places, n = net.num_places, len(flat.ks)
     table = net._table
     effects = table.effects
-    marking_ids: list[int] = []
-    effect_ids: list[int] = []
-    bounds = flat.starts.tolist()
-    inside_before = np.concatenate([[0], np.cumsum(flat.inside)])[flat.starts]
-    reach = (flat.starts[:-1] + np.diff(inside_before)).tolist()  # one past each trace's last event inside
     labels = list(map(attrgetter("activity"), flat.events))
-    for begin, walk, stop in zip(bounds, reach, bounds[1:]):
-        mid = table.initial
-        marking_ids.append(mid)
-        effect_ids.append(START)
-        for label in labels[begin:walk]:
-            mid, eid = effects.get((mid, label)) or table.effect(mid, label)
-            marking_ids.append(mid)
-            effect_ids.append(eid)
-        marking_ids += [mid] * (stop - walk)
-        effect_ids += [IDLE] * (stop - walk)
-    places, width = net.num_places, offsets[-1]
-    effect_ids = np.array(effect_ids, dtype=np.int64)
-    n_rows = len(effect_ids)
-    steps = np.zeros((n_rows + 1, places + width + 1), dtype=np.int64)  # row 0 is the sum before any row
-    steps[1:, :places] = table.throughput[effect_ids]
-    event_rows = np.arange(len(labels)) + np.repeat(np.arange(1, len(bounds)), np.diff(flat.starts)) + 1
-    for (name, vocab), offset in zip(vocabs, offsets):
-        codes = flat.codes(vocab, name)
-        held = codes >= 0
-        steps[event_rows[held], places + offset + codes[held]] = 1
-    steps[1:, -1] = effect_ids == SKIPPED
-    np.cumsum(steps, axis=0, out=steps)
-    first = flat.starts[flat.trace_of] + flat.trace_of
-    rows = flat.ends + flat.trace_of
-    totals = steps[rows + 1] - steps[first]
-    visits = np.where(table.touched[effect_ids], np.arange(n_rows)[:, None], -1)
-    np.maximum.accumulate(visits, axis=0, out=visits)
-    last = visits[rows]
-    visited = last >= first[:, None]
-    # a case start row at its trace's first event (any time for a trace of no events walked)
-    starts = flat.starts[:-1]
-    ms = np.insert(flat.ms, starts, np.append(flat.ms, 0)[starts])
-    at = ms[rows] if at_ms is None else np.asarray(at_ms, dtype=np.int64)
-    # the case starts at its first event; a prefix of no events, when it is read
-    visit_ms = np.where(flat.ks[:, None] == 0, at[:, None], ms[last])
-    return TimedStates(
-        marking_ids=np.array(marking_ids, dtype=np.int64)[rows],
-        throughput=totals[:, :places],
-        last_visit_ms=np.where(visited, visit_ms, 0),
-        visited=visited,
-        attribute_counts=totals[:, places:-1],
-        nonconforming=totals[:, -1],
-        at_ms=at,
-    )
+    bounds = flat.starts.tolist()
+    before = np.concatenate([[0], np.cumsum(flat.inside)])  # the events inside before each event
+    row_starts = before[flat.starts] + np.arange(len(bounds))  # each trace's case start row, then the row count
+    walks = (flat.starts[:-1] + np.diff(before[flat.starts])).tolist()  # one past each trace's last event inside
+    totals = np.empty((n, places + offsets[-1] + 1), dtype=np.int64)  # throughput, attribute and skip counts
+    last_visit_ms, visited = np.empty((n, places), np.int64), np.empty((n, places), bool)
+    marking_ids = np.empty(n, dtype=np.int64)
+    at = flat.ms[flat.ends - 1] if at_ms is None else np.asarray(at_ms, dtype=np.int64)  # the last events, by default
+    order = np.argsort(flat.trace_of, kind="stable")  # the prefixes, trace by trace
+    grouped = flat.trace_of[order]
+    cuts = [0]  # the first trace of each block, then the number of traces
+    while cuts[-1] < len(walks):
+        full = np.searchsorted(row_starts, row_starts[cuts[-1]] + REPLAY_ROWS, "right") - 1
+        cuts.append(max(int(full), cuts[-1] + 1))
+    for t0, t1 in zip(cuts, cuts[1:]):
+        mids, eids = [], []  # the marking and the effect of each row
+        for begin, walk in zip(bounds[t0:t1], walks[t0:t1]):
+            mid = table.initial
+            mids.append(mid)
+            eids.append(START)
+            for label in labels[begin:walk]:
+                mid, eid = effects.get((mid, label)) or table.effect(mid, label)
+                mids.append(mid)
+                eids.append(eid)
+        mids, eids = np.array(mids, dtype=np.int64), np.array(eids, dtype=np.int64)
+        e0, e1, r0 = bounds[t0], bounds[t1], int(row_starts[t0])  # the block's events and its first row
+        steps = np.zeros((len(eids) + 1, totals.shape[1]), dtype=np.int64)  # row 0 is the sum before any row
+        steps[1:, :places] = table.throughput[eids]
+        traces = np.repeat(np.arange(t0, t1), np.diff(flat.starts[t0 : t1 + 1]))  # the trace of each event
+        for (name, vocab), offset in zip(vocabs, offsets):
+            codes = flat.codes(vocab, name)[e0:e1]  # -1 outside the prefixes
+            held = codes >= 0
+            steps[(before[e0:e1] + traces + 2 - r0)[held], places + offset + codes[held]] = 1
+        steps[1:, -1] = eids == SKIPPED
+        np.cumsum(steps, axis=0, out=steps)
+        sel = order[slice(*np.searchsorted(grouped, [t0, t1]))]
+        trace_of = flat.trace_of[sel]
+        first, rows = row_starts[trace_of] - r0, before[flat.ends[sel]] + trace_of - r0
+        totals[sel] = steps[rows + 1] - steps[first]
+        visits = np.where(table.touched[eids], np.arange(len(eids), dtype=np.int32)[:, None], np.int32(-1))
+        np.maximum.accumulate(visits, axis=0, out=visits)
+        last = visits[rows]
+        visited[sel] = seen = last >= first[:, None]
+        # a case start row at its trace's first event (any time for a trace walked by no prefix)
+        starts = before[flat.starts[t0:t1]] - before[e0]
+        ms = np.insert(flat.ms[e0:e1][flat.inside[e0:e1]], starts, np.append(flat.ms, 0)[flat.starts[t0:t1]])
+        # the case starts at its first event; a prefix of no events, when it is read
+        last_visit_ms[sel] = np.where(seen, np.where(flat.ks[sel, None] == 0, at[sel, None], ms[last]), 0)
+        marking_ids[sel] = mids[rows]
+    return TimedStates(marking_ids, totals[:, :places], last_visit_ms, visited, totals[:, places:-1], totals[:, -1], at)
 
 
 def replay_timed_state(

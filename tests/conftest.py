@@ -178,6 +178,9 @@ class HashedRandomModel(EventPredictor):
         return probs, float(rng.uniform(60.0, 86400.0))
 
 
+SAMPLE_RANGE = 256  # samples per range where a check cuts a sample set into consecutive ranges
+
+
 # ---------------------------------------------------------------------------
 # Model inputs: a model's start, and references that do not run it on the
 # whole sample set. ``ref_batch_inputs`` is the per-trace encode that the flat

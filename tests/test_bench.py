@@ -220,6 +220,50 @@ class TestRunMatrix:
             assert "truncated" not in (out / name).read_text()
         assert "truncated_prefixes" not in TrainReport((), (), 0, 0.0, (), 0, truncated_prefixes=3).core()
 
+    def test_nonconforming_replays_reach_the_cell_json_but_not_metrics_csv(self, tmp_path):
+        # the generator's net with its Wait transitions relabelled replays
+        # every event but Wait, whose events it skips: a prefix is
+        # nonconforming when it holds one; markov replays nothing
+        generator = _perfbench_generator()
+        path, net_path = tmp_path / "generator.csv", tmp_path / "net.json"
+        generator.write_csv(generator.generate(2, 200), path)
+        net = generator.petri_net_json()
+        for transition in net["transitions"]:
+            if transition["label"] == "Wait":
+                transition["label"] = "Hold"
+        net_path.write_text(json.dumps(net), encoding="utf-8")
+        mlp = {"input_mode": "timed_state", "hidden": 8, "layers": 1, "epochs": 1, "patience": 1}
+        config = BenchmarkConfig.from_dict({
+            "config_version": 1,
+            "seed": 1,
+            "out_dir": str(tmp_path / "out"),
+            "datasets": [{"name": "generator", "path": str(path), "petri_net": str(net_path)}],
+            "models": [
+                {"name": "mlp", "architecture": "mlp", "hyperparameters": mlp},
+                {"name": "markov", "architecture": "markov", "hyperparameters": {}},
+            ],
+            "tasks": ["next_activity"],
+        })
+        record = run_matrix(config)
+        split, _ = bench.load_split(config.datasets[0], config.split_fractions)
+        held = {
+            part: sum(any(ev.activity == "Wait" for ev in s.prefix) for s in make_prefix_samples(split.part(part)))
+            for part in ("train", "validation", "test")
+        }
+        assert min(held.values()) > 0
+        fitted = held["train"] + held["validation"]
+        assert [cell.train_report["nonconforming_prefixes"] for cell in record.cells] == [fitted, None]
+        assert [cell.metrics["nonconforming_prefixes"] for cell in record.cells] == [held["test"], None]
+        out = tmp_path / "out"
+        cells = {cell["model"]: cell for cell in json.loads((out / "run_record.json").read_text())["cells"]}
+        for name, cell in cells.items():
+            assert cell == json.loads((out / "cells" / f"generator__{name}.result.json").read_text())
+        assert cells["mlp"]["train_report"]["nonconforming_prefixes"] == fitted
+        assert cells["mlp"]["metrics"]["nonconforming_prefixes"] == held["test"]
+        for name in ("metrics.csv", "report.md"):
+            assert "nonconforming" not in (out / name).read_text()
+        assert "nonconforming_prefixes" not in TrainReport((), (), 0, 0.0, (), 0, nonconforming_prefixes=3).core()
+
     def test_identical_split_manifests_across_models(self, tmp_path, log_csv):
         config = small_config(tmp_path, log_csv)
         record = run_matrix(config)

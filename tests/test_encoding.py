@@ -27,12 +27,12 @@ from ppmbench.eventlog import (
     parse_csv,
     parse_timestamp,
 )
-from ppmbench.models import REPLAY_CHUNK, AutoencoderPredictor, MLPPredictor, TrainConfig, build_predictor
+from ppmbench.models import AutoencoderPredictor, MLPPredictor, TrainConfig, build_predictor
 from ppmbench.splitting import FlatPrefixes, PrefixSample, SampleSet, make_prefix_samples, temporal_split
 
 from conftest import (
-    TABLE1_CSV, flat_labels, generator_log, last_labels, make_linear_log, make_random_log, prefix_activities,
-    ref_batch_inputs, start_inputs,
+    SAMPLE_RANGE, TABLE1_CSV, flat_labels, generator_log, last_labels, make_linear_log, make_random_log,
+    prefix_activities, ref_batch_inputs, start_inputs,
 )
 
 
@@ -571,7 +571,7 @@ def evs_of(labels, case="c"):
 class TestFlatLayout:
     """One layout serves every reader: prefixes of no events and traces of
     no events lay out as zero rows, and a sample set shuffled, repeated and
-    cut into several ``REPLAY_CHUNK`` ranges hashes and encodes to the bits
+    longer than several ``SAMPLE_RANGE`` ranges hashes and encodes to the bits
     of ``reference_ngram_hash_encode`` and ``encode``, prefix by prefix."""
 
     def test_empty_prefixes_and_traces(self):
@@ -633,7 +633,7 @@ class TestFlatLayout:
     def test_shuffled_repeated_ranges_hash_and_encode_as_the_references(self, seed):
         log, train, mix = mixed_samples(seed)
         rng = np.random.default_rng(seed)
-        samples = [mix[i] for i in rng.choice(len(mix), size=3 * REPLAY_CHUNK + 5)]  # repeats too
+        samples = [mix[i] for i in rng.choice(len(mix), size=3 * SAMPLE_RANGE + 5)]  # repeats too
         assert len({id(s) for s in samples}) < len(samples)
         config = TrainConfig(ngram_k=3, ngram_dim=16, hash_seed=seed, ae_hidden=())
         autoencoder = AutoencoderPredictor(log.activity_vocab, config=config)

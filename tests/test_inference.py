@@ -19,8 +19,8 @@ from ppmbench.models import (
 from ppmbench.splitting import PrefixSample, make_prefix_samples, temporal_split
 
 from conftest import (
-    EventPredictor, FixedDistributionModel, HashedRandomModel, flat_labels, generator_log, make_linear_log,
-    make_random_log, prefix_activities, reference_inputs,
+    SAMPLE_RANGE, EventPredictor, FixedDistributionModel, HashedRandomModel, flat_labels, generator_log,
+    make_linear_log, make_random_log, prefix_activities, reference_inputs,
 )
 
 VOCAB3 = Vocabulary([EOC, "a", "b"])
@@ -350,7 +350,7 @@ class TestOneStart:
         split = temporal_split(log)
         samples = make_prefix_samples(split.test)
         n = len(samples)
-        assert n > 2 * models.REPLAY_CHUNK
+        assert n > 2 * SAMPLE_RANGE
         small = dict(hidden=8, layers=1, epochs=1, patience=1, pretrain_epochs=1, freeze_epochs=1)
         model = build_predictor(arch, TrainConfig(**small, **overrides), log.activity_vocab, log.attribute_vocabs, net)
         train(model, split, seed=1)
@@ -363,7 +363,7 @@ class TestOneStart:
         monkeypatch.setattr(models, counted, counting)
         cfg = DecodeConfig(strategy="beam", beam_width=2, max_len=6)
         report = evaluate_protocol(model, split.test, cfg)
-        assert len(calls) == (-(-n // models.REPLAY_CHUNK) if arch == "mlp" else 1)
+        assert len(calls) == 1
         # the shared start scores and decodes as two starts of their own do
         probs, _ = model.predict_batch(samples)
         truth = [log.activity_vocab.index(s.next_activity) for s in samples]
@@ -838,11 +838,10 @@ class TestLockstepSearch:
             hypotheses = extended
 
     def test_a_decode_starts_with_one_pass_per_sample_set(self, decode_models, monkeypatch):
-        # the gru encodes, and the autoencoder hashes, its whole sample set
-        # in one pass; the timed-state mlp replays it in consecutive ranges of
-        # REPLAY_CHUNK samples. The samples are drawn with repeats, so a
-        # trace's samples fall in several ranges, and about one event in four
-        # lacks its attributes.
+        # the gru encodes, the autoencoder hashes and the timed-state mlp
+        # replays its whole sample set in one pass. The samples are drawn
+        # with repeats, so a trace's samples lie far apart in the set, and
+        # about one event in four lacks its attributes.
         trained, samples = decode_models
         rng = np.random.default_rng(0)
         traces = {id(s.trace): s.trace for s in samples}
@@ -850,7 +849,7 @@ class TestLockstepSearch:
             key: Trace(t.case_id, tuple(replace(ev, attributes={}) if rng.random() < 0.25 else ev for ev in t.events))
             for key, t in traces.items()
         }
-        drawn = rng.choice(len(samples), size=2 * models.REPLAY_CHUNK + 7)
+        drawn = rng.choice(len(samples), size=2 * SAMPLE_RANGE + 7)
         samples = [PrefixSample(stripped[id(samples[i].trace)], samples[i].k) for i in drawn]
         prefixes = [prefix_activities(s) for s in samples]
         for model in (trained[1], trained[8], trained[7]):
@@ -875,8 +874,7 @@ class TestLockstepSearch:
                 monkeypatch.setattr(models, "ngram_hash_codes", counted)
             hypotheses = model.hypotheses(samples)
             assert [p for call in calls for p in call] == prefixes, model.architecture
-            chunks = -(-len(samples) // models.REPLAY_CHUNK) if model.config.input_mode == "timed_state" else 1
-            assert len(calls) == chunks, model.architecture
+            assert len(calls) == 1, model.architecture
             X, M = reference_inputs(model, samples)
             cut_X, cut_M = hypotheses.inputs()
             assert np.array_equal(cut_X, X) and cut_X.dtype == X.dtype

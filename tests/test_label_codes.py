@@ -7,13 +7,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from ppmbench import petrinet
 from ppmbench.encoding import _gram_code, ngram_hash_codes, ngram_hash_encode
 from ppmbench.eventlog import Event, Trace, UnknownLabelError, Vocabulary
-from ppmbench.models import REPLAY_CHUNK, MarkovPredictor, TrainConfig, load_predictor, save_predictor
+from ppmbench.models import MarkovPredictor, TrainConfig, load_predictor, save_predictor
 from ppmbench.petrinet import SKIPPED, START, TimedStates, replay_states
 from ppmbench.splitting import PARTS, FlatPrefixes, PrefixSample, SampleSet, make_prefix_samples, temporal_split
 
-from conftest import flat_labels, generator_log, last_labels, markov_tables, prefix_activities
+from conftest import SAMPLE_RANGE, flat_labels, generator_log, last_labels, markov_tables, prefix_activities
 
 
 def ref_ngram_hash_prefixes(labels, ends, ks, max_n, dim, seed=0, dtype=np.float64):
@@ -57,10 +58,11 @@ def ref_markov_tables(samples, vocab, order):
     return tables
 
 
-def ref_replay_states(net, flat, attribute_vocabs):
-    """The per-event loop that ``replay_states`` ran, decay read at each
-    prefix's last event: it walks every event, looks up its effect and, for
-    each attribute it holds, its value's column."""
+def ref_replay_states(net, flat, attribute_vocabs, at_ms=None):
+    """The per-event loop that ``replay_states`` ran, decay read at
+    ``at_ms[i]`` (None: at each prefix's last event): it walks every event
+    of the layout in one pass, looks up its effect and, for each attribute
+    it holds, its value's column."""
     vocabs = [(name, vocab) for name, vocab in attribute_vocabs.items()]
     offsets = np.cumsum([0] + [len(vocab) for _, vocab in vocabs]).tolist()
     table = net._table
@@ -95,14 +97,16 @@ def ref_replay_states(net, flat, attribute_vocabs):
     visited = last >= first[:, None]
     starts = flat.starts[:-1]
     ms = np.insert(flat.ms, starts, np.append(flat.ms, 0)[starts])
+    at = ms[rows] if at_ms is None else np.asarray(at_ms, dtype=np.int64)
+    visit_ms = np.where(flat.ks[:, None] == 0, at[:, None], ms[last])  # a prefix of no events starts when read
     return TimedStates(
         marking_ids=np.array(marking_ids, dtype=np.int64)[rows],
         throughput=totals[:, :places],
-        last_visit_ms=np.where(visited, ms[last], 0),
+        last_visit_ms=np.where(visited, visit_ms, 0),
         visited=visited,
         attribute_counts=totals[:, places:-1],
         nonconforming=totals[:, -1],
-        at_ms=ms[rows],
+        at_ms=at,
     )
 
 
@@ -235,7 +239,7 @@ class TestMarkovCounts:
 class TestReplayAttributeCodes:
     """Replay reads attribute hits from the layout's attribute codes and
     gives the per-event loop's states on every split part and a shuffled
-    mix, whole and in ``REPLAY_CHUNK`` ranges, with about one event in four
+    mix, whole and in ``SAMPLE_RANGE`` ranges, with about one event in four
     stripped of its attributes."""
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -254,8 +258,52 @@ class TestReplayAttributeCodes:
         vocabs = {"Resource": log.attribute_vocabs["Resource"]}
         for samples in sets:
             samples = SampleSet(PrefixSample(stripped[id(s.trace)], s.k) for s in samples)
-            for part in [samples] + [samples[s : s + REPLAY_CHUNK] for s in range(0, len(samples), REPLAY_CHUNK)]:
+            for part in [samples] + [samples[s : s + SAMPLE_RANGE] for s in range(0, len(samples), SAMPLE_RANGE)]:
                 states = replay_states(net, part.flat, None, vocabs)
                 expected = ref_replay_states(net, part.flat, vocabs)
                 for name in TimedStates.__dataclass_fields__:
                     assert same_bits(getattr(states, name), getattr(expected, name)), name
+
+
+class TestReplayBlocks:
+    """``replay_states`` runs its array pass over blocks of whole traces, each
+    of at most ``REPLAY_ROWS`` rows or one longer trace, and gives the
+    one-pass loop's states field by field at any block size: on shuffled
+    prefixes with repeats, a trace longer than a block, prefixes of no events
+    read at a given time, events without their attributes, and an empty
+    layout."""
+
+    @staticmethod
+    def layout(seed):
+        log, net = generator_log(seed, 60)
+        resources = log.attribute_vocabs["Resource"].labels
+        labels = ["Assign seriousness"] + ["Wait"] * 75 + ["Take in charge ticket", "Resolve ticket", "Closed"]
+        looping = tuple(Event("loop", a, 1_600_000_000_000 + 60_000 * i, {"Resource": resources[i % len(resources)]})
+                        for i, a in enumerate(labels))
+        rng = np.random.default_rng(seed)
+        traces = [tuple(Event(ev.case_id, ev.activity, ev.timestamp_ms, {} if rng.random() < 0.25 else ev.attributes)
+                        for ev in t.events) for t in log.traces]
+        traces[len(traces) // 2 : len(traces) // 2] = [looping, ()]
+        prefixes = np.array([(j, k) for j, events in enumerate(traces) for k in range(len(events) + 1)])
+        trace_of, ks = prefixes[rng.choice(len(prefixes), size=len(prefixes) + 40)].T  # shuffled, with repeats
+        return net, {"Resource": log.attribute_vocabs["Resource"]}, traces, trace_of, ks
+
+    @pytest.mark.parametrize("rows", [1, 7, 64, 10**9])
+    def test_blocks_give_the_states_of_the_one_pass_loop(self, rows, monkeypatch):
+        monkeypatch.setattr(petrinet, "REPLAY_ROWS", rows)
+        net, vocabs, traces, trace_of, ks = self.layout(rows % 5)
+        assert max(map(len, traces)) >= 64 and len(set(zip(trace_of.tolist(), ks.tolist()))) < len(ks)
+        at = 1_600_000_000_000 + np.random.default_rng(rows).integers(0, 10**10, size=len(ks))
+        walked = ks > 0
+        for flat, at_ms in (
+            (FlatPrefixes.of(traces, trace_of, ks), at),
+            (FlatPrefixes.of(traces, trace_of[walked], ks[walked]), None),
+            (FlatPrefixes.of(traces, [], []), None),
+            (FlatPrefixes.of([], [], []), None),
+        ):
+            assert rows == 10**9 or not len(flat.ks) or len(flat.events) + len(traces) > 3 * rows  # several blocks
+            states = replay_states(net, flat, at_ms, vocabs)
+            expected = ref_replay_states(net, flat, vocabs, at_ms)
+            for name in TimedStates.__dataclass_fields__:
+                assert same_bits(getattr(states, name), getattr(expected, name)), name
+            assert states.nonconforming.any() == bool(len(flat.ks))  # every trace's end-of-case event is skipped

@@ -2,6 +2,7 @@ import functools
 import gc
 import json
 import math
+import re
 import time
 import tracemalloc
 import weakref
@@ -19,7 +20,6 @@ from ppmbench.inference import DecodeConfig, decode_suffixes
 from ppmbench.metrics import evaluate_protocol
 from ppmbench.models import (
     POOL_BATCHES,
-    REPLAY_CHUNK,
     AutoencoderPredictor,
     MarkovPredictor,
     MLPPredictor,
@@ -32,14 +32,15 @@ from ppmbench.models import (
     save_predictor,
     train,
 )
-from ppmbench.petrinet import PetriNet, TimedStateVector, Transition, replay_states
+from ppmbench import petrinet
+from ppmbench.petrinet import PetriNet, TimedStates, TimedStateVector, Transition, replay_states
 from ppmbench.splitting import FlatPrefixes, PrefixSample, SampleSet, make_prefix_samples, temporal_split
 
 from conftest import (
-    DenseInputs, flat_labels, generator_log, make_linear_log, make_random_log, markov_tables, prefix_activities,
-    ref_batch_inputs, start_inputs,
+    SAMPLE_RANGE, DenseInputs, flat_labels, generator_log, make_linear_log, make_random_log, markov_tables,
+    prefix_activities, ref_batch_inputs, start_inputs,
 )
-from test_label_codes import ref_ngram_hash_prefixes
+from test_label_codes import ref_ngram_hash_prefixes, ref_replay_states, same_bits
 
 def npz_arrays(path):
     with np.load(path) as data:
@@ -378,6 +379,7 @@ class TestNeuralBasics:
         assert (config.order, config.alpha) == (0, 0.0)
         assert TrainConfig(hash_seed=2**64 - 1).hash_seed == 2**64 - 1
         assert TrainConfig(momentum=0.999, clip_norm=None, lr_decay=1e-9).clip_norm is None
+        assert TrainConfig(lr=1, momentum=0, clip_norm=5, lr_decay=1, alpha=2, decay_seconds=60).lr == 1  # ints pass
 
     def test_autoencoder_stages_of_zero_epochs_are_skipped(self, linear_split):
         log, split = linear_split
@@ -951,6 +953,45 @@ class TestCheckpointRoundTrip:
         with pytest.raises(ValueError, match=f"checkpoint config: {name}"):
             load_predictor(tmp_path / "model")
 
+    MALFORMED_REALS = [
+        ("lr", True), ("lr", "0.01"), ("lr", math.nan), ("momentum", False), ("momentum", "0.9"),
+        ("clip_norm", True), ("clip_norm", math.inf), ("lr_decay", "0.5"), ("lr_decay", -math.inf),
+        ("alpha", True), ("alpha", [1.0]), ("decay_seconds", math.inf), ("decay_seconds", True),
+        ("decay_seconds", "3600"), ("lr", 10**400),
+    ]
+
+    @pytest.mark.parametrize("name, value", MALFORMED_REALS, ids=[f"{n}-{v!r:.12}" for n, v in MALFORMED_REALS])
+    def test_a_malformed_real_is_refused_up_front(self, name, value, linear_split, tmp_path):
+        # a bool would train at rate 1, a string would fail a comparison,
+        # and an infinite decay horizon would save a checkpoint that no load takes
+        message = f"{name} must be a finite number, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainConfig(**{name: value})
+        model = ModelSpec("m", "mlp", {name: value})
+        config = BenchmarkConfig(datasets=(DatasetSpec("d", str(tmp_path / "log.csv")),), models=(model,))
+        with pytest.raises(ConfigError, match=re.escape(f"model 'm': {message}")):
+            config.validate()
+        log, split = linear_split
+        predictor = MarkovPredictor(log.activity_vocab, TrainConfig(order=1))
+        train(predictor, split)
+        save_predictor(predictor, tmp_path / "model")
+        path = tmp_path / "model.json"
+        sidecar = json.loads(path.read_text(encoding="utf-8"))
+        sidecar["config"][name] = value
+        path.write_text(json.dumps(sidecar), encoding="utf-8")  # NaN and Infinity as JSON reads them back
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint config: {message}")):
+            load_predictor(tmp_path / "model")
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [("lr", 0, "lr must be > 0"), ("momentum", 1.0, r"momentum must lie in \[0, 1\)"),
+         ("clip_norm", 0.0, "clip_norm must be null or > 0"), ("lr_decay", 2, r"lr_decay must lie in \(0, 1\]"),
+         ("alpha", -1, "alpha must be >= 0"), ("decay_seconds", -5.0, "decay_seconds must be > 0")],
+    )
+    def test_a_real_out_of_range_keeps_its_message(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{name: value})
+
     @pytest.mark.parametrize("fault", ["truncated", "missing", "nan", "inf"])
     @pytest.mark.parametrize("arch", ["gru", "mlp", "autoencoder"])
     def test_malformed_parameters_rejected(self, arch, fault, linear_split, tmp_path):
@@ -1129,7 +1170,7 @@ def frozen_batch_inputs(model, samples):
     """Inputs and mask (None for none) of the samples, as the three input
     paths that fed ``fit`` and ``predict_batch`` before each model read them
     from its start built them, kept here unchanged: the encoder's flat
-    encode, the timed-state replay in ranges of ``REPLAY_CHUNK`` samples
+    encode, the timed-state replay in ranges of ``SAMPLE_RANGE`` samples
     written into one array, and the n-gram hash made in the model's dtype."""
     if isinstance(model, AutoencoderPredictor):
         flat, cfg = SampleSet.of(samples).flat, model.config
@@ -1140,9 +1181,9 @@ def frozen_batch_inputs(model, samples):
         return rows[ids], ids != 0
     vocabs = {name: model.attribute_vocabs[name] for name in model.config.attributes}
     X = np.empty((len(samples), TimedStateVector.width(model.petri_net, vocabs)), model.dtype)
-    for s in range(0, len(samples), REPLAY_CHUNK):
-        states = replay_states(model.petri_net, SampleSet.of(samples[s : s + REPLAY_CHUNK]).flat, None, vocabs)
-        X[s : s + REPLAY_CHUNK] = states.vectors(model.petri_net, model.decay_seconds, model.dtype)
+    for s in range(0, len(samples), SAMPLE_RANGE):
+        states = replay_states(model.petri_net, SampleSet.of(samples[s : s + SAMPLE_RANGE]).flat, None, vocabs)
+        X[s : s + SAMPLE_RANGE] = states.vectors(model.petri_net, model.decay_seconds, model.dtype)
     return X, None
 
 
@@ -1577,6 +1618,92 @@ class TestStartMemory:
             tracemalloc.stop()
         padded = len(make_prefix_samples(split.train)) * model.encoder.max_len * model.encoder.num_features * 4
         assert peak < padded
+
+
+def whole_set_vectors(states, net, decay_seconds, dtype):
+    """The (S, 3P + W) input vectors of every replay state at once, as the
+    timed-state start held them before its batches and blocks cut their own."""
+    places = states.throughput.shape[1]
+    decay = (states.at_ms[:, None] - states.last_visit_ms) / 1000.0
+    decay /= decay_seconds
+    np.subtract(1.0, decay, out=decay)
+    np.clip(decay, 0.0, 1.0, out=decay)
+    decay[~states.visited] = 0.0
+    out = np.empty((len(states.at_ms), 3 * places + states.attribute_counts.shape[1]), dtype=dtype)
+    out[:, :places] = decay
+    out[:, places : 2 * places] = states.throughput
+    out[:, 2 * places : 3 * places] = net._table.markings[states.marking_ids]
+    out[:, 3 * places :] = states.attribute_counts
+    return out
+
+
+class TestTimedStateStart:
+    """The timed-state start replays its sample set in one pass and holds
+    its replay states, no input vectors: each batch or block cuts the
+    vectors of its rows, the bits of the whole set's vectors. The pass's
+    memory beyond what it returns is bounded by its blocks, whatever the
+    size of the set."""
+
+    CONFIG = TrainConfig(input_mode="timed_state", hidden=8, layers=1, epochs=1, patience=1, attributes=("Resource",))
+
+    def started(self, samples):
+        log, net, split = invariance_split()
+        model = build_predictor("mlp", self.CONFIG, log.activity_vocab, log.attribute_vocabs, net)
+        model._prepare(SampleSet(make_prefix_samples(split.train)))
+        return model, model._start(SampleSet(samples))
+
+    def test_inputs_cut_the_rows_of_the_whole_set_vectors(self):
+        log, net, split = invariance_split()
+        samples = make_prefix_samples(split.train) + make_prefix_samples(split.test)
+        rng = np.random.default_rng(3)
+        samples = [samples[i] for i in rng.choice(len(samples), size=len(samples))]  # shuffled, with repeats
+        model, start = self.started(samples)
+        vocabs = {"Resource": log.attribute_vocabs["Resource"]}
+        states = ref_replay_states(model.petri_net, SampleSet(samples).flat, vocabs)
+        whole = whole_set_vectors(states, model.petri_net, model.decay_seconds, model.dtype)
+        assert len(start) == len(samples) and whole.dtype == np.float32
+        for idx in (slice(None), rng.permutation(len(samples)), rng.choice(len(samples), size=64), np.array([5]),
+                    np.array([], dtype=np.int64), slice(10, 42)):
+            X, M = start.inputs(idx)
+            assert M is None and same_bits(X, whole[idx])
+
+    def test_a_start_holds_replay_states_and_no_input_vectors(self):
+        log, net, split = invariance_split()
+        samples = make_prefix_samples(split.train)
+        model, start = self.started(samples)
+        n, width = len(samples), TimedStateVector.width(model.petri_net, {"Resource": log.attribute_vocabs["Resource"]})
+        held = [a for a in vars(start).values() if isinstance(a, np.ndarray)]
+        held += [getattr(start.states, name) for name in TimedStates.__dataclass_fields__]
+        held += [a.base for a in held if a.base is not None]
+        assert all(a.shape != (n, width) and a.size < n * width for a in held)
+        places, attributes = model.petri_net.num_places, width - 3 * model.petri_net.num_places
+        per_row = 8 * (2 * places + attributes + 3) + places + 4 * attributes  # the states, the decoded counts
+        assert sum({id(a): a.nbytes for a in held if a.base is None}.values()) <= n * per_row
+
+    def test_the_replay_pass_holds_blocks_not_the_set(self, monkeypatch):
+        log, net = generator_log(2, 400)
+        vocabs = {"Resource": log.attribute_vocabs["Resource"]}
+        samples = make_prefix_samples(log)
+
+        def extra_bytes(count):  # the pass's peak beyond the states it returns, and its rows
+            flat = SampleSet(samples[:count]).flat
+            flat.codes(vocabs["Resource"], "Resource")
+            tracemalloc.start()
+            try:
+                states = replay_states(net, flat, None, vocabs)
+                held, peak = tracemalloc.get_traced_memory()  # while the states are held
+            finally:
+                tracemalloc.stop()
+            return peak - held, len(flat.events) + len(flat.starts) - 1
+
+        monkeypatch.setattr(petrinet, "REPLAY_ROWS", 128)
+        (small, small_rows), (large, large_rows) = extra_bytes(len(samples) // 4), extra_bytes(len(samples))
+        assert large_rows > small_rows + 1000
+        assert large - small < 64 * (large_rows - small_rows)  # per row: labels, offsets, a sort, no (rows, P) array
+        monkeypatch.setattr(petrinet, "REPLAY_ROWS", 10**9)  # one block: the pass grows by whole (rows, P) arrays
+        assert extra_bytes(len(samples))[0] - extra_bytes(len(samples) // 4)[0] > 8 * net.num_places * (
+            large_rows - small_rows
+        )
 
 
 def fit_keeping_val_loss(monkeypatch, predictor, train_samples, val_samples):

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from ppmbench.eventlog import EOC, MISSING, Event, Vocabulary
-from ppmbench.models import REPLAY_CHUNK, MLPPredictor, TrainConfig
+from ppmbench.models import MLPPredictor, TrainConfig
 from ppmbench.petrinet import (
+    REPLAY_ROWS,
     SKIPPED,
     PetriNet,
     TimedStates,
@@ -21,9 +22,9 @@ from ppmbench.petrinet import (
     replay_states,
     replay_timed_state,
 )
-from ppmbench.splitting import FlatPrefixes, make_prefix_samples
+from ppmbench.splitting import FlatPrefixes, SampleSet, make_prefix_samples
 
-from conftest import generator_log, start_inputs
+from conftest import SAMPLE_RANGE, generator_log, start_inputs
 
 HOUR_MS = 3_600_000
 
@@ -656,9 +657,11 @@ class TestReplayPrefixes:
 
     def test_decay_needs_a_positive_horizon(self):
         states = replay_states(linear_net(), FlatPrefixes.of([evs("AB")], [0], [1]))
-        for decay_s in (0.0, -1.0):
+        for decay_s in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="decay_seconds"):
                 states.decay(decay_s)
+            with pytest.raises(ValueError, match="decay_seconds"):
+                states.vectors(linear_net(), decay_s, rows=[0])
 
 
 def ref_vector(net, events, at_ms, decay_seconds, vocabs):
@@ -721,14 +724,15 @@ class TestReplayPass:
         log, net = generator_log(seed, 400)
         rng = np.random.default_rng(seed)
         samples = make_prefix_samples(log)
-        assert len(samples) > 3 * REPLAY_CHUNK
         for attributes in ((), ("Resource",)):
             vocabs = {name: log.attribute_vocabs[name] for name in attributes}
             prefixes, expected = self.check_rows(net, [t.events for t in log.traces], vocabs, rng)
-            # the mlp replays shuffled samples, some repeated, in ranges of REPLAY_CHUNK samples
+            # the mlp replays shuffled samples, some repeated, in one pass of several blocks
             row_of = {(log.traces[j].case_id, k): row for row, (j, k) in zip(expected, prefixes)}
             shuffled = [samples[i] for i in rng.permutation(len(samples))]
-            shuffled += [samples[i] for i in rng.choice(len(samples), size=REPLAY_CHUNK // 2)]
+            shuffled += [samples[i] for i in rng.choice(len(samples), size=SAMPLE_RANGE // 2)]
+            flat = SampleSet(shuffled).flat
+            assert len(flat.events) + len(flat.starts) - 1 > 2 * REPLAY_ROWS  # a row per event and per case start
             config = TrainConfig(input_mode="timed_state", attributes=attributes, decay_seconds=self.DECAY_S)
             mlp = MLPPredictor(log.activity_vocab, log.attribute_vocabs, config, net)
             X, M = start_inputs(mlp, shuffled)
